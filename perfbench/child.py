@@ -4,9 +4,11 @@ Started by ``run.py`` with thread pins in its environment and ``src`` on
 its path.  One caller, one thread: each call starts only after the
 previous one returned.  Modes:
 
-``--setup``    import ``ballschwarz``, make one warm-up call, print seconds.
-(default)      warm up, then run whole rounds until ``--seconds`` have passed.
-``--trace``    replay fixed rounds untraced, traced, and untraced again.
+``--setup``    import ``ballschwarz``, make one warm-up call, print the seconds
+               that took and then the seconds the speed probe takes.
+(default)      warm up, then pass through the plan until ``--seconds`` have
+               passed, always at least once.
+``--trace``    pass through the plan untraced, traced, and untraced again.
 
 Records (inputs, raw outputs, latencies) go to ``--out``.jsonl and the
 run's report to ``--out``.json; all checking happens in the parent, after
@@ -20,7 +22,6 @@ _T0 = time.perf_counter()
 import argparse  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
-from itertools import islice  # noqa: E402
 
 
 def _status(field: str) -> int:
@@ -48,7 +49,9 @@ def main() -> int:
     run_item(args.workload, WARMUP[args.workload])
     setup_s = time.perf_counter() - _T0
     if args.setup:
-        print(repr(setup_s))
+        from speed import probe
+
+        print(repr(setup_s), repr(probe()))
         return 0
 
     import numpy
@@ -74,55 +77,43 @@ def main() -> int:
     return 0
 
 
-def _probe() -> float:
-    """Seconds a fixed ~1 ms numpy loop takes: how fast the core runs just now.
-
-    On a shared host the same code runs at two speeds, about 1.5x apart,
-    depending on what other tenants do; the parent keeps the timings of
-    rounds that began at the fast speed.
-    """
-    import numpy
-
-    x = numpy.linspace(0.0, 1.0, 15)
-    begun = time.perf_counter()
-    acc = 0.0
-    for i in range(300):
-        acc += float(numpy.dot(x, numpy.sin(x * i)))
-    return time.perf_counter() - begun
-
-
 def _timed(args, records) -> dict:
-    """Whole rounds until --seconds have passed; each record is written as it
-    completes, so that kept records do not add to the process's memory."""
-    from workloads import rounds, run_item
+    """Passes through the plan until --seconds have passed, stopping at a round
+    boundary, with the speed probe timed before the first round and after
+    every round.  Each record is written as it completes, so that kept
+    records do not add to the process's memory."""
+    from speed import probe
+    from workloads import plan, run_item
 
-    round_s, probe_s = [], []
+    rounds = plan(args.workload, args.seed)
     start = time.perf_counter()
     deadline = start + args.seconds
-    for index, rnd in enumerate(rounds(args.workload, args.seed)):
-        probe_s.append(_probe())
-        begun = time.perf_counter()
-        for item in rnd:
-            for record in run_item(args.workload, item):
-                record["round"] = index
-                records.write(json.dumps(record) + "\n")
-        round_s.append(time.perf_counter() - begun)
-        if time.perf_counter() >= deadline:
-            break
-    return {"wall_s": time.perf_counter() - start, "round_s": round_s, "probe_s": probe_s}
+    probe_s = [probe()]
+    passes = 0
+    while True:
+        for index, rnd in enumerate(rounds):
+            if passes and time.perf_counter() >= deadline:
+                return {"wall_s": time.perf_counter() - start, "passes": passes, "probe_s": probe_s}
+            for item in rnd:
+                for record in run_item(args.workload, item):
+                    # the round ran between probe_s[slot] and probe_s[slot + 1]
+                    record.update({"round": index, "pass": passes, "slot": len(probe_s) - 1})
+                    records.write(json.dumps(record) + "\n")
+            probe_s.append(probe())
+        passes += 1
 
 
 def _traced(args, records) -> dict:
-    """Replay fixed rounds untraced, traced and untraced again."""
+    """Pass through the plan untraced, traced and untraced again."""
     from tracing import Tracer
-    from workloads import TRACE_ROUNDS, rounds, run_item
+    from workloads import plan, run_item
 
-    plan = list(islice(rounds(args.workload, args.seed), TRACE_ROUNDS[args.workload]))
+    rounds = plan(args.workload, args.seed)
 
     def replay() -> tuple[list[dict], float]:
         done = []
         begun = time.perf_counter()
-        for rnd in plan:
+        for rnd in rounds:
             for item in rnd:
                 done.extend(run_item(args.workload, item))
         return done, time.perf_counter() - begun

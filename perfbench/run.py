@@ -7,8 +7,9 @@ checkout's ``src`` in a separate workload process (one thread, BLAS and
 OpenMP pinned to one thread, a closed loop with one caller); this process
 computes references, checks every value and prints the metrics that
 BENCHMARK.json declares, the JSON result on the last line.  ``--trace 0``
-gives the end-to-end metrics, ``--trace 1`` the per-layer ones from a
-traced replay of a fixed number of rounds.  Records, ledgers and spans
+gives the end-to-end metrics, with every timing scaled to one reference
+speed of the shared core (``speed.py``); ``--trace 1`` the per-layer ones
+from a traced pass through the workload's plan.  Records, ledgers and spans
 are written to ``perfbench/.out``.
 """
 
@@ -31,21 +32,20 @@ import sys  # noqa: E402
 from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+from speed import REFERENCE_S  # noqa: E402  (this directory is on the path)
+from workloads import PLAN_ROUNDS  # noqa: E402
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / ".out"
 
-SETUP_RUNS = 7
+# Set-up is timed in fresh processes, half before the workload process
+# and half after it, so that its median spans the run's stretch of time.
+SETUP_RUNS = 10
 CHILD_GRACE_S = 100
-# Fixed per workload so that the metric means the same thing from run to
-# run; lowered along TAIL_LADDER only if a run holds too few calls.
-TAIL_PERCENTILE = {"tables": 95.0, "checks": 75.0, "offaxis": 95.0}
 TAIL_LADDER = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
 TAIL_MIN_BEYOND = 10
-# Timings come from rounds begun while the core ran at full speed (see
-# child._probe): the probe within this factor of its 5th percentile in the run.
-PROBE_SLACK = 1.25
 
 
 def _child(args: list[str], timeout: float) -> subprocess.CompletedProcess:
@@ -53,6 +53,18 @@ def _child(args: list[str], timeout: float) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run([sys.executable, str(HERE / "child.py"), *args], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def _time_setup(workload: str, count: int, timeout: float, times: list[tuple[float, float]]) -> bool:
+    """Append (set-up seconds, probe seconds) of ``count`` fresh processes; False if one failed."""
+    for _ in range(count):
+        done = _child(["--setup", "--workload", workload], timeout)
+        if done.returncode != 0:
+            print(f"error: set-up process failed:\n{done.stderr}", file=sys.stderr)
+            return False
+        setup_s, probe_s = done.stdout.split()[-2:]
+        times.append((float(setup_s), float(probe_s)))
+    return True
 
 
 def _environment(seed: int) -> dict:
@@ -75,77 +87,67 @@ def _environment(seed: int) -> dict:
     }
 
 
-def _tail(latencies: list[float], workload: str) -> tuple[float, float, int]:
-    """(percentile, value, samples beyond it) by nearest rank."""
+def _tail(latencies: list[float]) -> tuple[float, float, int]:
+    """(percentile, value, samples beyond it): the highest percentile of
+    TAIL_LADDER with TAIL_MIN_BEYOND sorted samples beyond it, by nearest rank."""
     n = len(latencies)
-    wanted = TAIL_PERCENTILE[workload]
-    for pct in (p for p in TAIL_LADDER if p <= wanted):
+    for pct in TAIL_LADDER:
         rank = math.ceil(pct / 100.0 * n)
         if n - rank >= TAIL_MIN_BEYOND:
             return pct, latencies[rank - 1], n - rank
     return 0.0, math.nan, 0
 
 
-def _timed_rounds(probes: list[float], calls: list[int], min_calls: int) -> list[int]:
-    """Rounds whose timings count: those begun while the core ran at full speed.
+def _end_to_end(report: dict, records: list[dict], verdicts, setup: list[tuple[float, float]]):
+    """The end-to-end metrics, and the same figures in unscaled wall time.
 
-    Full speed is the probe within PROBE_SLACK of its 5th percentile in the
-    run.  Rounds in order of probe time are added past that until the tail
-    percentile has the calls it needs.
+    Every latency is scaled to the reference speed by the mean of the probes
+    before and after its round (speed.py).  A call's latency is the median
+    over the passes that made it; rows_per_s is the rows of one pass over
+    the sum of those latencies.
     """
-    fastest = sorted(probes)[len(probes) // 20]
-    kept, total = [], 0
-    for i in sorted(range(len(probes)), key=probes.__getitem__):
-        if probes[i] > PROBE_SLACK * fastest and total >= min_calls:
-            break
-        kept.append(i)
-        total += calls[i]
-    return kept
+    probe_s = report["probe_s"]
+    scaled: list[list[float]] = []
+    wall: list[list[float]] = []
+    rows: list[int] = []
+    made: Counter = Counter()  # pass -> its calls so far
+    for i, record in enumerate(records):
+        call = made[record["pass"]]
+        made[record["pass"]] += 1
+        if call == len(scaled):
+            scaled.append([])
+            wall.append([])
+            rows.append(verdicts.rows.get(i, 0))
+        slot = record["slot"]
+        speed = REFERENCE_S / (0.5 * (probe_s[slot] + probe_s[slot + 1]))
+        scaled[call].append(record["s"] * speed)
+        wall[call].append(record["s"])
 
+    def timings(samples: list[list[float]], setup_s: list[float]) -> tuple[dict, float, int]:
+        latencies = [statistics.median(s) for s in samples]
+        pct, tail, beyond = _tail(sorted(latencies))
+        return {
+            "rows_per_s": sum(rows) / sum(latencies),
+            "call_p50_ms": statistics.median(latencies) * 1e3,
+            "call_tail_ms": tail * 1e3,
+            "setup_s": statistics.median(setup_s),
+        }, pct, beyond
 
-def _end_to_end(workload: str, report: dict, records: list[dict], verdicts, setup: list[float]):
-    """The end-to-end metrics, and notes on how the timings were taken."""
-    round_s = report["round_s"]
-    calls = [0] * len(round_s)
-    for record in records:
-        calls[record["round"]] += 1
-    min_calls = math.ceil(TAIL_MIN_BEYOND / (1.0 - TAIL_PERCENTILE[workload] / 100.0)) + 1
-    timed = set(_timed_rounds(report["probe_s"], calls, min_calls))
-    kept = [i for i, r in enumerate(records) if r["round"] in timed]
-    latencies = sorted(records[i]["s"] for i in kept)
-    pct, tail, beyond = _tail(latencies, workload)
-    values = {
-        "rows_per_s": sum(verdicts.rows.get(i, 0) for i in kept) / sum(round_s[i] for i in timed),
-        "call_p50_ms": statistics.median(latencies) * 1e3,
-        "call_tail_ms": tail * 1e3,
+    values, pct, beyond = timings(scaled, [t * REFERENCE_S / probe for t, probe in setup])
+    values.update({
         "pass_frac": 1.0 - len(verdicts.failures) / verdicts.attempted,
-        "err_max_tol": _err_max_tol(records, verdicts.err_tol),
-        "setup_s": statistics.median(setup),
+        "err_max_tol": max(verdicts.err_tol.values(), default=0.0),
         "peak_rss_mb": report["peak_rss_mb"],
-    }
+    })
     notes = {
-        "timed_rounds": len(timed),
-        "timed_calls": len(latencies),
-        "probe_ref_ms": sorted(report["probe_s"])[len(round_s) // 20] * 1e3,
+        "passes": report["passes"],
+        "calls_per_pass": len(scaled),
         "tail_percentile": pct,
         "tail_beyond": beyond,
+        "probe_median_s": statistics.median(probe_s),
+        "wall_time_figures": timings(wall, [t for t, _ in setup])[0],
     }
     return values, notes
-
-
-def _err_max_tol(records: list[dict], err_tol: dict[int, float]) -> float:
-    """Median over rounds of the round's largest error/tolerance among passed values.
-
-    The largest value of a whole run is an extreme of rounding noise where
-    the library is far inside its tolerance (off-axis points): it moves by
-    half from seed to seed.  The per-round largest, taken at its median,
-    keeps the meaning and is steady.
-    """
-    per_round: dict[int, float] = {}
-    for call, ratio in err_tol.items():
-        index = records[call]["round"]
-        per_round[index] = max(per_round.get(index, 0.0), ratio)
-    return statistics.median(per_round.values())
 
 
 def _ledger_lines(failures: list[dict]) -> list[str]:
@@ -166,7 +168,7 @@ def _ledger_lines(failures: list[dict]) -> list[str]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=tuple(TAIL_PERCENTILE))
+    parser.add_argument("--workload", required=True, choices=tuple(PLAN_ROUNDS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -192,14 +194,9 @@ def main() -> int:
     tag = f"{args.workload}-{args.seed}-trace{args.trace}"
     timeout = args.seconds + CHILD_GRACE_S
 
-    setup = []
-    if not args.trace:
-        for _ in range(SETUP_RUNS):
-            done = _child(["--setup", "--workload", args.workload], timeout)
-            if done.returncode != 0:
-                print(f"error: set-up process failed:\n{done.stderr}", file=sys.stderr)
-                return 1
-            setup.append(float(done.stdout.strip().splitlines()[-1]))
+    setup: list[tuple[float, float]] = []
+    if not args.trace and not _time_setup(args.workload, SETUP_RUNS // 2, timeout, setup):
+        return 1
 
     prefix = OUT / tag
     cmd = ["--workload", args.workload, "--seed", str(args.seed), "--seconds", str(args.seconds),
@@ -207,6 +204,8 @@ def main() -> int:
     done = _child(cmd, timeout)
     if done.returncode != 0:
         print(f"error: workload process failed:\n{done.stderr}", file=sys.stderr)
+        return 1
+    if not args.trace and not _time_setup(args.workload, SETUP_RUNS - len(setup), timeout, setup):
         return 1
     report = json.loads(prefix.with_suffix(".json").read_text())
     with open(prefix.with_suffix(".jsonl"), encoding="utf-8") as handle:
@@ -226,7 +225,7 @@ def main() -> int:
     if args.trace:
         values = report["layers"]
     else:
-        values, notes = _end_to_end(args.workload, report, records, verdicts, setup)
+        values, notes = _end_to_end(report, records, verdicts, setup)
     missing = sorted(set(units) - set(values))
     if missing:
         print(f"error: declared metrics not computed: {missing}", file=sys.stderr)
@@ -250,9 +249,12 @@ def main() -> int:
     for name, metric in metrics.items():
         print(f"{name} {metric['value']:.6g} {metric['unit']}")
     if notes:
-        print(f"# timings from {notes['timed_rounds']} of {len(report['round_s'])} rounds "
-              f"(probe {notes['probe_ref_ms']:.3g} ms at full speed)")
-        print(f"# call_tail_ms is p{notes['tail_percentile']:g} of {notes['timed_calls']} calls, "
+        print(f"# timings scaled to the reference speed (probe {REFERENCE_S * 1e3:g} ms; median probe in this run "
+              f"{notes['probe_median_s'] * 1e3:.3g} ms); a call's latency is its median over "
+              f"{notes['passes']} or more passes")
+        print("# unscaled wall-time figures: " + ", ".join(
+            f"{name} {value:.6g}" for name, value in notes["wall_time_figures"].items()))
+        print(f"# call_tail_ms is p{notes['tail_percentile']:g} of {notes['calls_per_pass']} calls, "
               f"{notes['tail_beyond']} beyond it")
     print(f"# fail_frac {fail_frac:.6g} ({len(verdicts.failures)} of {verdicts.attempted} values)")
     for line in _ledger_lines(verdicts.failures):

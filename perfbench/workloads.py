@@ -1,9 +1,13 @@
-"""The three workloads: what each round asks of the library, and how a call runs.
+"""The three workloads: the plan a run repeats, and how a call runs.
 
-A workload is an endless sequence of rounds drawn from the seed.  Every
-round has the same composition, so the mix of call kinds -- and with it
-the median and the tail -- does not drift with the seed or with how many
-rounds fit in a run; only the drawn parameters change.
+A workload's plan is a fixed number of rounds drawn from the seed.  A run
+goes through its plan again and again (passes) until its time is up, and
+a call's latency is the median over its passes of its latency scaled to
+one reference speed of the core (``speed.py``).  Every round has the
+same composition, and the parameters that set a call's cost are spread
+evenly over the plan (dimensions in rotation, radii and angles
+stratified), so the work in a plan hardly moves with the seed; the seed
+draws the rest.
 
 * ``tables``: small ``constants``, ``envelope`` (both kernels) and ``hopf``
   invocations, plus one large-``n`` ``constants`` row of its own per round.
@@ -35,12 +39,15 @@ from pools import (
 TOL_ABS = 1e-11
 TOL_REL = 1e-10
 RHO_STRATA = ((0.1, 0.525), (0.525, 0.95))
+COS_PSI = (-0.9, 0.9)
 STEP_PIECES = 3
 _NEAR_PAIRS = tuple(itertools.combinations(R_NEAR, 2))
 
-# Rounds replayed by a traced run: a fixed amount of work, so that two
-# traced runs of one seed make identical counts.
-TRACE_ROUNDS = {"tables": 24, "checks": 4, "offaxis": 10}
+# Rounds in a plan: a multiple of 12 for ``tables`` (its dimension strata
+# hold 3 or 4 values and its large-n groups are 3), even for ``checks``
+# (``--m`` alternates).  Enough calls for a tail percentile with ten
+# calls beyond it, and passes of a few seconds.
+PLAN_ROUNDS = {"tables": 24, "checks": 14, "offaxis": 32}
 
 # One small call each, made after import and before timing starts.
 WARMUP = {
@@ -65,16 +72,18 @@ def _common(rng: random.Random) -> list[str]:
 
 
 def _tables_round(rng: random.Random, index: int) -> list[dict]:
-    # Dimensions come one from each stratum and the near-switch radius
-    # pairs in rotation, so every round holds the same mix of cheap and
-    # expensive (and of failure-prone) grids; the seed picks the rest.
+    # One dimension from each stratum and the near-switch radius pairs, both
+    # in rotation, so every round holds the same mix of cheap and expensive
+    # (and of failure-prone) grids and every plan the same dimensions; the
+    # seed picks the rest.
     calls = []
     for kind in KINDS:
         for j, stratum in enumerate(ENV_N_STRATA):
             c = sorted(rng.sample(C_GRID, 2))
-            near = _NEAR_PAIRS[(index + 2 * j + (kind == "hyperbolic")) % len(_NEAR_PAIRS)]
+            turn = index + 2 * j + (kind == "hyperbolic")
+            near = _NEAR_PAIRS[turn % len(_NEAR_PAIRS)]
             r = sorted(rng.sample(R_FAR, 2) + list(near))
-            calls.append({"argv": ["envelope", "--n", str(rng.choice(stratum)), _grid_flag("--c-grid", c),
+            calls.append({"argv": ["envelope", "--n", str(stratum[turn % len(stratum)]), _grid_flag("--c-grid", c),
                                    _grid_flag("--r-grid", r), "--kind", kind, *_common(rng)]})
     n = [rng.choice(CONST_N[i::4]) for i in range(4)]
     a = sorted(rng.sample(A_GRID, 3))
@@ -99,9 +108,8 @@ def _checks_round(rng: random.Random, index: int) -> list[dict]:
     return [verify(2 + index % 2), mobius(), mobius()]
 
 
-def _offaxis_point(rng: random.Random, n: int, rho_lo: float, rho_hi: float) -> dict:
-    rho = rng.uniform(rho_lo, rho_hi)
-    psi = math.acos(rng.uniform(-0.9, 0.9))
+def _offaxis_point(n: int, rho: float, cos_psi: float, rng: random.Random) -> dict:
+    psi = math.acos(cos_psi)
     # any unit direction orthogonal to the axis e_1 gives the same value
     ortho = [0.0] + [rng.gauss(0.0, 1.0) for _ in range(n - 1)]
     norm = math.sqrt(sum(v * v for v in ortho))
@@ -109,9 +117,16 @@ def _offaxis_point(rng: random.Random, n: int, rho_lo: float, rho_hi: float) -> 
     return {"rho": rho, "psi": psi, "x": x}
 
 
-def _offaxis_round(rng: random.Random, index: int) -> list[dict]:
+def _offaxis_round(rng: random.Random, index: int, slices) -> list[dict]:
     # One point from each |x| stratum per case and a fixed number of steps:
     # the cost of a point grows towards the sphere and with each step.
+    # Over the plan, the points of one case and stratum fall one into each
+    # of PLAN_ROUNDS equal slices of |x|, and of cos(angle to the axis).
+    def draw(lo: float, hi: float) -> float:
+        width = (hi - lo) / PLAN_ROUNDS["offaxis"]
+        start = lo + width * next(slices)[index]
+        return rng.uniform(start, start + width)
+
     items = []
     for n in OFFAXIS_N:
         cuts = sorted(rng.uniform(0.15, math.pi - 0.15) for _ in range(STEP_PIECES - 1))
@@ -119,21 +134,22 @@ def _offaxis_round(rng: random.Random, index: int) -> list[dict]:
         levels = [1.0] + [rng.uniform(-1.0, 1.0) for _ in range(STEP_PIECES - 1)]
         for case in ({"kind": "cap", "n": n, "a": rng.choice(A_GRID)},
                      {"kind": "step", "n": n, "levels": levels, "cuts": cuts}):
-            points = [_offaxis_point(rng, n, lo, hi) for lo, hi in RHO_STRATA]
+            points = [_offaxis_point(n, draw(*stratum), draw(*COS_PSI), rng) for stratum in RHO_STRATA]
             items.append({"case": case, "points": points})
     return items
 
 
-_ROUNDS = {"tables": _tables_round, "checks": _checks_round, "offaxis": _offaxis_round}
-
-
-def rounds(workload: str, seed: int):
-    """Endless rounds of items for one workload and seed."""
+def plan(workload: str, seed: int) -> list[list[dict]]:
+    """The rounds of items that every pass of a run makes, for one workload and seed."""
     rng = random.Random(f"{workload}/{seed}")
-    index = 0
-    while True:
-        yield _ROUNDS[workload](rng, index)
-        index += 1
+    k = PLAN_ROUNDS[workload]
+    if workload == "tables":
+        return [_tables_round(rng, i) for i in range(k)]
+    if workload == "checks":
+        return [_checks_round(rng, i) for i in range(k)]
+    # a seeded order of the k slices for every drawn |x| and angle
+    orders = [rng.sample(range(k), k) for _ in range(4 * len(OFFAXIS_N) * len(RHO_STRATA))]
+    return [_offaxis_round(rng, i, iter(orders)) for i in range(k)]
 
 
 # ---------------------------------------------------------------------------

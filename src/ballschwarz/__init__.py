@@ -45,7 +45,6 @@ from .specfn import (
     gauss_2f1_neg1,
     gauss_2f1_neg1_series,
     log_gamma,
-    pochhammer,
     sphere_prefactors,
 )
 from .verify import (

@@ -14,6 +14,22 @@ with the lower envelope m_c^n integrating over [pi - alpha, pi] instead.
 The exponent pair is (nu, mu) = (1, n/2) for the Euclidean Laplacian and
 (n-1, n-1) for the Laplace-Beltrami operator of the ball model.
 
+For r >= 0 the kernel peaks at t = 0, inside the cap of M.  Since the
+kernel integrates to 1, M is evaluated instead through the complement
+arc, which leaves the peak out:
+
+    M_c^n(r) = 1 - 2 sigma_star(n) (1-r^2)^nu
+                   * int_alpha^pi sin^{n-2}t (1 - 2r cos t + r^2)^{-mu} dt
+             = 1 - (1-r) T(r),
+
+with T the factored difference quotient below; m's arc [pi - alpha, pi]
+already avoids t = 0.  For r < 0 the peak moves to t = pi, and the
+substitution t -> pi - t gives the reflection
+
+    M_c^n(-r) = m_c^n(r),    m_c^n(-r) = M_c^n(r),
+
+so every radius is evaluated by a peak-free integral.
+
 Every sharp constant in this package is a boundary derivative of M_c^n:
 
 * ``boundary_derivative_harmonic`` evaluates the limit
@@ -56,10 +72,6 @@ __all__ = [
     "hyperbolic_decay_coefficient",
     "hopf_condition_ratio",
 ]
-
-# Above this radius the direct cap integral loses digits to cancellation
-# in 1 - M; evaluation reroutes through the factored complement form.
-_NEAR_BOUNDARY = 0.999
 
 _CAP_CONSISTENCY_TOL = 1e-10
 _ANGLE_TOL = 1e-13
@@ -215,12 +227,9 @@ def envelope_upper(
 ) -> float:
     """Upper envelope M_c^n(r): the cap-indicator extension along its axis."""
     _check_radius(r)
-    nu, mu = kind.exponents(cap.n)
-    star = sphere_prefactors(cap.n).sigma_star
-    if r >= _NEAR_BOUNDARY:
-        return 1.0 - (1.0 - r) * boundary_difference_quotient(kind, cap, r, config)
-    body = _angle_integral(cap.n, mu, r, 0.0, cap.alpha, config)
-    return 2.0 * star * (1.0 - r * r) ** nu * body - 1.0
+    if r < 0.0:
+        return envelope_lower(kind, cap, -r, config)
+    return 1.0 - (1.0 - r) * boundary_difference_quotient(kind, cap, r, config)
 
 
 def envelope_lower(
@@ -231,6 +240,8 @@ def envelope_lower(
 ) -> float:
     """Lower envelope m_c^n(r): the antipodal cap-indicator extension."""
     _check_radius(r)
+    if r < 0.0:
+        return envelope_upper(kind, cap, -r, config)
     nu, mu = kind.exponents(cap.n)
     star = sphere_prefactors(cap.n).sigma_star
     body = _angle_integral(cap.n, mu, r, math.pi - cap.alpha, math.pi, config)

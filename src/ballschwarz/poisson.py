@@ -9,10 +9,12 @@ difference evaluation of the Laplace-Beltrami operator
     Delta_0 = (1-|x|^2)/4 ( Delta + 2(n-2)/(1-|x|^2) <x, grad> ).
 
 The zonal reduction is exact only on the axis of symmetry, where the
-integrand depends on a single polar angle; off-axis evaluation goes
-through Monte Carlo.  Sphere samples are normalized isotropic Gaussian
-vectors drawn from a counter-based Philox stream, so every randomized
-result is reproducible from its seed alone.
+integrand depends on a single polar angle; it subtracts the profile's
+value at the kernel's peak so that no radius integrates across the
+peak.  Off-axis evaluation goes through Monte Carlo.  Sphere samples
+are normalized isotropic Gaussian vectors drawn from a counter-based
+Philox stream, so every randomized result is reproducible from its seed
+alone.
 """
 
 from __future__ import annotations
@@ -42,12 +44,6 @@ __all__ = [
 _AXIS_TOL = 1e-14
 _PROFILE_SLACK = 1e-9
 _MC_CHUNK = 262_144
-
-# Beyond this radius, computing h directly and then forming 1 -+ h loses
-# digits to cancellation whenever the data touches the relevant boundary
-# value; evaluation reroutes through the complement of the data against
-# that value, using that both kernels integrate to exactly 1.
-_NEAR_BOUNDARY = 0.999
 
 
 @dataclass(frozen=True)
@@ -143,36 +139,31 @@ def zonal_extension_on_axis(
 
     Negative r continues the same formula analytically along the axis
     (used by central differences at r = 0); |r| >= 1 is rejected.
+
+    The kernel peaks at t* = 0 for r >= 0 and at t* = pi for r < 0.
+    Because it integrates to exactly 1, the profile's value there can be
+    subtracted under the integral and added back outside:
+
+        h = p(t*) + sigma_star(n) (1-r^2)^nu
+                int_0^pi (p(t) - p(t*)) sin^{n-2}t (1 - 2 r cos t + r^2)^{-mu} dt,
+
+    whose integrand vanishes at the peak wherever the profile is
+    continuous there, so no radius integrates across it.
     """
     if not -1.0 < r < 1.0:
         raise DomainError(f"radius must satisfy |r| < 1, got {r!r}")
     n = data.n
     nu, mu = kind.exponents(n)
     star = sphere_prefactors(n).sigma_star
-
-    def weight(t: np.ndarray) -> np.ndarray:
-        return np.sin(t) ** (n - 2) / (1.0 - 2.0 * r * np.cos(t) + r * r) ** mu
-
-    if r >= _NEAR_BOUNDARY:
-        # h = 1 - P[1 - profile]; the kernel peak at t = 0 drops out of
-        # the integrand whenever the data equals 1 near its axis.
-        def complement(t: np.ndarray) -> np.ndarray:
-            return (1.0 - np.asarray(data.profile(t), dtype=float)) * weight(t)
-
-        body = integrate(complement, 0.0, math.pi, config, breakpoints=data.breakpoints)
-        return 1.0 - star * (1.0 - r * r) ** nu * body
-    if r <= -_NEAR_BOUNDARY:
-        def complement(t: np.ndarray) -> np.ndarray:
-            return (1.0 + np.asarray(data.profile(t), dtype=float)) * weight(t)
-
-        body = integrate(complement, 0.0, math.pi, config, breakpoints=data.breakpoints)
-        return star * (1.0 - r * r) ** nu * body - 1.0
+    t_peak = 0.0 if r >= 0.0 else math.pi
+    peak = float(np.asarray(data.profile(np.array([t_peak])), dtype=float)[0])
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.asarray(data.profile(t), dtype=float) * weight(t)
+        weight = np.sin(t) ** (n - 2) / (1.0 - 2.0 * r * np.cos(t) + r * r) ** mu
+        return (np.asarray(data.profile(t), dtype=float) - peak) * weight
 
     body = integrate(integrand, 0.0, math.pi, config, breakpoints=data.breakpoints)
-    return star * (1.0 - r * r) ** nu * body
+    return peak + star * (1.0 - r * r) ** nu * body
 
 
 def uniform_sphere_samples(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

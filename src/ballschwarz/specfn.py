@@ -18,7 +18,6 @@ from .errors import AccuracyError, DomainError
 __all__ = [
     "SpherePrefactors",
     "log_gamma",
-    "pochhammer",
     "gauss_2f1_neg1",
     "gauss_2f1_neg1_series",
     "sphere_prefactors",
@@ -41,16 +40,6 @@ def log_gamma(x: float) -> float:
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     return math.lgamma(x)
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), exact at small k."""
-    if k < 0 or k != int(k):
-        raise DomainError(f"pochhammer index must be a nonnegative integer, got {k!r}")
-    out = 1.0
-    for j in range(int(k)):
-        out *= a + j
-    return out
 
 
 def _check_2f1_domain(a: float, b: float, c: float) -> None:

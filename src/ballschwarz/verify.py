@@ -499,10 +499,12 @@ def hopf_failure_scan(
     """Fit T(r) = (1 - M_c^n(r))/(1 - r) ~ d_n (1-r)^{n-2}, hyperbolic kernel.
 
     Least-squares fit of log T against log(1-r) over a geometric radius
-    grid approaching 1.  The model includes the first-order correction
-    regressor (1-r): the prefactor (1+r)^{n-1} J(r) of the factored form
-    deviates from its limit linearly in (1-r), which would otherwise
-    bias the extrapolated coefficient by several percent at these radii.
+    grid approaching 1.  The model includes the correction regressors
+    (1-r) and (1-r)^2: the log of the prefactor (1+r)^{n-1} J(r) of the
+    factored form is smooth in (1-r), and truncating its expansion after
+    the linear term still biases the extrapolated coefficient by up to
+    0.7% on the default grid (n = 16, c = 0.1); the quadratic term brings
+    that below 2e-4 for 3 <= n <= 16.
     The fitted slope estimates the decay exponent n-2 (so the boundary
     derivative of M vanishes) and exp(intercept) estimates d_n.
     """
@@ -521,7 +523,7 @@ def hopf_failure_scan(
     gap = np.array([1.0 - r for r in radii])
     x = np.log(gap)
     y = np.log(np.array(values))
-    design = np.column_stack([np.ones_like(x), x, gap])
+    design = np.column_stack([np.ones_like(x), x, gap, gap * gap])
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     return HopfScanResult(
         n=int(n),

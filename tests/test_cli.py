@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ballschwarz
 from ballschwarz.cli import main
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -177,10 +180,15 @@ def test_unreachable_tolerance_exits_with_accuracy_code(capsys):
 
 
 def test_module_entry_point_runs():
+    # The child interpreter must import the same package as this one,
+    # also when pytest put it on the path through ``pythonpath``.
+    package_root = str(Path(ballschwarz.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ballschwarz.cli", "constants", "--n", "2", "--a-grid", "0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "D_cap_quadrature" in proc.stdout

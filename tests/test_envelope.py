@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,36 @@ TWO_OVER_PI = 2.0 / math.pi
 
 # m_{1/4}^2(1/2), frozen from the closed-form planar arc antiderivative
 PLANAR_LOWER_QUARTER_HALF = -0.825306813226184
+
+
+def _mp_envelopes(kind, cap, r):
+    """(M_c^n(r), m_c^n(r)) by 30-digit mpmath quadrature.
+
+    Each envelope is integrated over whichever of its arc or its
+    complement arc leaves out the kernel peak (t = 0 for r >= 0, t = pi
+    for r < 0), using that the kernel integrates to 1.  No reflection
+    through the origin is used.
+    """
+    with mpmath.workdps(30):
+        n = cap.n
+        nu, mu = (mpmath.mpf(e) for e in kind.exponents(n))
+        r_mp, alpha = mpmath.mpf(r), mpmath.mpf(cap.alpha)
+        star = mpmath.gamma(mpmath.mpf(n) / 2) / (
+            mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n - 1) / 2)
+        )
+        scale = 2 * star * (1 - r_mp**2) ** nu
+
+        def arc(t0, t1):
+            def f(t):
+                return mpmath.sin(t) ** (n - 2) * (1 - 2 * r_mp * mpmath.cos(t) + r_mp**2) ** -mu
+
+            return scale * mpmath.quad(f, [t0, t1])
+
+        if r >= 0.0:
+            upper, lower = 1 - arc(alpha, mpmath.pi), arc(mpmath.pi - alpha, mpmath.pi) - 1
+        else:
+            upper, lower = arc(0, alpha) - 1, 1 - arc(0, mpmath.pi - alpha)
+        return float(upper), float(lower)
 
 
 def test_kernel_exponent_pairs():
@@ -168,9 +199,22 @@ def test_difference_quotient_consistent_with_envelope():
     cap = cap_angle_from_measure(3, 0.4)
     for kind in (HARM, HYP):
         r = 0.9
-        direct = (1.0 - envelope_upper(kind, cap, r)) / (1.0 - r)
+        reference = (1.0 - _mp_envelopes(kind, cap, r)[0]) / (1.0 - r)
         factored = boundary_difference_quotient(kind, cap, r)
-        assert direct == pytest.approx(factored, rel=1e-9)
+        assert factored == pytest.approx(reference, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", [HARM, HYP], ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [3, 5, 32])
+def test_envelopes_match_mpmath_near_the_sphere(kind, n):
+    # Radii on both sides of 0.999 and on the antipodal ray, where a
+    # quadrature across the kernel peak loses the requested accuracy.
+    for c in (0.3, 0.5):
+        cap = cap_angle_from_measure(n, c)
+        for r in (0.99, 0.998, 0.9989, 0.9995, -0.9995):
+            upper, lower = _mp_envelopes(kind, cap, r)
+            assert envelope_upper(kind, cap, r) == pytest.approx(upper, abs=1e-11), (c, r)
+            assert envelope_lower(kind, cap, r) == pytest.approx(lower, abs=1e-11), (c, r)
 
 
 def test_boundary_derivative_planar_base_value():

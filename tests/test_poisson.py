@@ -63,20 +63,21 @@ def test_kernel_domain_errors():
 
 
 def test_zonal_constant_profile_extends_to_one():
-    # P[1] = 1 for both kernels, including the near-boundary complement path.
+    # P[1] = 1 for both kernels, near the sphere and on the antipodal ray too.
     for n in (2, 3, 5):
         data = ZonalBoundaryData(n=n, axis=_axis(n), profile=lambda t: np.ones_like(t))
         for kind in (HARM, HYP):
-            for r in (0.0, 0.5, 0.95, 0.9995):
+            for r in (0.0, 0.5, 0.95, 0.9995, -0.9995):
                 assert zonal_extension_on_axis(kind, data, r) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_zonal_cap_profile_reproduces_envelope():
     # Indicator data through the generic zonal machinery must match the
-    # dedicated envelope evaluation: two independent code paths.
+    # dedicated envelope evaluation: two independent code paths, crossed
+    # near the sphere and on the antipodal ray.
     data, cap = _cap_data(3, 0.3)
     for kind in (HARM, HYP):
-        for r in (0.0, 0.35, 0.8, 0.95):
+        for r in (0.0, 0.35, 0.8, 0.95, 0.998, 0.9989, 0.9995, -0.5, -0.9995):
             h = zonal_extension_on_axis(kind, data, r)
             m = envelope_upper(kind, cap, r)
             assert h == pytest.approx(m, abs=1e-9)

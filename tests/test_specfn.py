@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.special import gammaln as scipy_gammaln
 
 from ballschwarz import (
@@ -10,7 +9,6 @@ from ballschwarz import (
     gauss_2f1_neg1,
     gauss_2f1_neg1_series,
     log_gamma,
-    pochhammer,
     sphere_prefactors,
 )
 
@@ -36,22 +34,6 @@ def test_log_gamma_matches_independent_implementation():
     big = np.abs(ref) > 1e-3
     assert np.max(np.abs(ours[big] - ref[big]) / np.abs(ref[big])) < 1e-13
     assert np.max(np.abs(ours[~big] - ref[~big])) < 1e-14
-
-
-def test_pochhammer_examples():
-    assert pochhammer(2.71, 0) == 1.0
-    assert pochhammer(1.0, 4) == 24.0
-    assert pochhammer(0.5, 2) == 0.75
-
-
-@given(st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=12))
-def test_pochhammer_recurrence_is_exact_on_integers(a, k):
-    assert pochhammer(a, k + 1) == pochhammer(a, k) * (a + k)
-
-
-def test_pochhammer_rejects_negative_index():
-    with pytest.raises(DomainError):
-        pochhammer(1.0, -1)
 
 
 def test_2f1_truncates_to_one_when_a_or_b_vanishes():

@@ -23,7 +23,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,49 +48,27 @@ from .poisson import BoundaryMap, monte_carlo_extension
 from .quadrature import QuadratureConfig
 from .verify import DEFAULT_SEED, default_verification_suite, hopf_failure_scan
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _MOBIUS_BATCH = 200
 _ORACLE_SAMPLES = 200_000
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: grids, kernel kind, tolerances, seed, output sink."""
-
-    subcommand: str
-    n_values: list[int] = field(default_factory=list)
-    m: int = 2
-    a_grid: list[float] = field(default_factory=list)
-    c_grid: list[float] = field(default_factory=list)
-    r_grid: list[float] = field(default_factory=list)
-    kind: KernelKind = KernelKind.HARMONIC
-    seed: int = DEFAULT_SEED
-    fmt: str = "csv"
-    out: str | None = None
-    oracle: bool = False
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-    bound_scale: float = 1.0
-
-
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _floats(text: str) -> list[float]:
     items = [piece for piece in text.split(",") if piece.strip() != ""]
     if not items:
-        raise argparse.ArgumentTypeError(f"{flag} needs a nonempty comma-separated list")
+        raise argparse.ArgumentTypeError("needs a nonempty comma-separated list")
     try:
         return [float(piece) for piece in items]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{flag}: {exc}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_ints(text: str, flag: str) -> list[int]:
-    values = _parse_floats(text, flag)
-    out = []
-    for v in values:
-        if v != int(v):
-            raise argparse.ArgumentTypeError(f"{flag} must contain integers")
-        out.append(int(v))
-    return out
+def _ints(text: str) -> list[int]:
+    values = _floats(text)
+    if not all(math.isfinite(v) and v == int(v) for v in values):
+        raise argparse.ArgumentTypeError("must contain integers")
+    return [int(v) for v in values]
 
 
 def _fmt(value):
@@ -117,8 +94,6 @@ def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
             value = _fmt(row.get(col))
             if value is None:
                 rendered.append("")
-            elif isinstance(value, bool):
-                rendered.append(str(int(value)))
             elif isinstance(value, float):
                 rendered.append(f"{value:.12g}")
             else:
@@ -127,34 +102,34 @@ def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
     return buffer.getvalue()
 
 
-def _emit(rows: list[dict], columns: list[str], config: RunConfig) -> None:
-    text = _render(rows, columns, config.fmt)
-    if config.out is None:
+def _emit(rows: list[dict], columns: list[str], args: argparse.Namespace) -> None:
+    text = _render(rows, columns, args.format)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
 
 
-def _cmd_constants(config: RunConfig) -> int:
+def _cmd_constants(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     """Rows (n, a) with the cap-quadrature derivative, the hypergeometric
     constant at a = 0, and the planar closed form at n = 2."""
     rows = []
-    for n in sorted(config.n_values):
-        for a in sorted(config.a_grid):
+    for n in sorted(args.n):
+        for a in sorted(args.a_grid):
             if not -1.0 < a < 1.0:
                 raise DomainError(f"a grid entry {a!r} outside (-1, 1)")
             row = {
                 "n": n,
                 "a": a,
-                "D_cap_quadrature": boundary_derivative_harmonic(n, a, config.quadrature),
+                "D_cap_quadrature": boundary_derivative_harmonic(n, a, quad),
                 "C_hypergeometric": (
-                    heinz_schwarz_constant(n, oracle=config.oracle) if a == 0.0 else None
+                    heinz_schwarz_constant(n, oracle=args.oracle) if a == 0.0 else None
                 ),
                 "s_minus_closed_form": schwarz_planar_bound(a) if n == 2 else None,
             }
             rows.append(row)
-    _emit(rows, ["n", "a", "D_cap_quadrature", "C_hypergeometric", "s_minus_closed_form"], config)
+    _emit(rows, ["n", "a", "D_cap_quadrature", "C_hypergeometric", "s_minus_closed_form"], args)
     return 0
 
 
@@ -173,65 +148,68 @@ def _envelope_mc_oracle(kind: KernelKind, n: int, cap: CapSpec, r: float, seed: 
     return float(estimate[0]), float(stderr[0])
 
 
-def _cmd_envelope(config: RunConfig) -> int:
+def _cmd_envelope(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     rows = []
     columns = ["kind", "n", "c", "r", "M_upper", "m_lower"]
-    if config.oracle:
+    if args.oracle:
         columns += ["M_oracle_mc", "M_oracle_stderr"]
-    seed = config.seed
-    for n in sorted(config.n_values):
-        for c in sorted(config.c_grid):
+    kind = KernelKind(args.kind)
+    seed = args.seed
+    for n in sorted(args.n):
+        for c in sorted(args.c_grid):
             if not 0.0 < c <= 1.0:
                 raise DomainError(f"c grid entry {c!r} outside (0, 1]")
             if c == 1.0:
                 cap = CapSpec(n=n, c=1.0, alpha=math.pi)
             else:
                 cap = cap_angle_from_measure(n, c)
-            for r in sorted(config.r_grid):
+            for r in sorted(args.r_grid):
                 row = {
-                    "kind": config.kind.value,
+                    "kind": kind.value,
                     "n": n,
                     "c": c,
                     "r": r,
-                    "M_upper": envelope_upper(config.kind, cap, r, config.quadrature),
-                    "m_lower": envelope_lower(config.kind, cap, r, config.quadrature),
+                    "M_upper": envelope_upper(kind, cap, r, quad),
+                    "m_lower": envelope_lower(kind, cap, r, quad),
                 }
-                if config.oracle:
-                    est, err = _envelope_mc_oracle(config.kind, n, cap, r, seed)
+                if args.oracle:
+                    est, err = _envelope_mc_oracle(kind, n, cap, r, seed)
                     seed += 1
                     row["M_oracle_mc"] = est
                     row["M_oracle_stderr"] = err
                 rows.append(row)
-    _emit(rows, columns, config)
+    _emit(rows, columns, args)
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     reports = default_verification_suite(
-        seed=config.seed,
-        config=config.quadrature,
-        bound_scale=config.bound_scale,
-        target_dim=config.m,
+        seed=args.seed,
+        config=quad,
+        bound_scale=args.debug_bound_scale,
+        target_dim=args.m,
     )
     rows = [
         {
             "case": rep.case,
             "lambda": rep.lam,
+            "relation": rep.relation,
             "bound": rep.bound,
+            "tolerance": rep.tolerance,
             "margin": rep.margin,
             "passed": rep.passed,
         }
         for rep in reports
     ]
-    _emit(rows, ["case", "lambda", "bound", "margin", "passed"], config)
+    _emit(rows, ["case", "lambda", "relation", "bound", "tolerance", "margin", "passed"], args)
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def _cmd_hopf(config: RunConfig) -> int:
+def _cmd_hopf(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     rows = []
-    for n in sorted(config.n_values):
-        for c in sorted(config.c_grid):
-            scan = hopf_failure_scan(n, c, config=config.quadrature)
+    for n in sorted(args.n):
+        for c in sorted(args.c_grid):
+            scan = hopf_failure_scan(n, c, config=quad)
             for r, value in zip(scan.radii, scan.values):
                 rows.append(
                     {"n": n, "c": c, "r": r, "T": value, "slope": None, "coefficient": None, "d_n": None}
@@ -244,10 +222,10 @@ def _cmd_hopf(config: RunConfig) -> int:
                     "T": None,
                     "slope": scan.slope,
                     "coefficient": scan.coefficient,
-                    "d_n": hyperbolic_decay_coefficient(n, c, config.quadrature),
+                    "d_n": hyperbolic_decay_coefficient(n, c, quad),
                 }
             )
-    _emit(rows, ["n", "c", "r", "T", "slope", "coefficient", "d_n"], config)
+    _emit(rows, ["n", "c", "r", "T", "slope", "coefficient", "d_n"], args)
     return 0
 
 
@@ -265,16 +243,16 @@ def _mobius_residuals(params: MobiusParams, z: np.ndarray) -> dict[str, float]:
     }
 
 
-def _cmd_mobius(config: RunConfig) -> int:
+def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     rows = []
     identities = ["involution", "sphere_preservation", "A_squared", "derivative_adjoint"]
-    for k in sorted(config.n_values):
+    for k in sorted(args.n):
         if k < 1:
             raise DomainError(f"complex dimension must be >= 1, got {k!r}")
-        zero = _mobius_residuals(MobiusParams(np.zeros(k, dtype=complex)), _unit_sphere_point(k, config.seed))
+        zero = _mobius_residuals(MobiusParams(np.zeros(k, dtype=complex)), _unit_sphere_point(k, args.seed))
         for name in identities:
             rows.append({"k": k, "case": "origin", "identity": name, "residual": zero[name], "draws": 1})
-        rng = np.random.Generator(np.random.Philox([config.seed, k]))
+        rng = np.random.Generator(np.random.Philox([args.seed, k]))
         worst = {name: 0.0 for name in identities}
         for _ in range(_MOBIUS_BATCH):
             xi = _random_ball_point(rng, k, 0.9)
@@ -286,7 +264,7 @@ def _cmd_mobius(config: RunConfig) -> int:
             rows.append(
                 {"k": k, "case": "random_max", "identity": name, "residual": worst[name], "draws": _MOBIUS_BATCH}
             )
-    _emit(rows, ["k", "case", "identity", "residual", "draws"], config)
+    _emit(rows, ["k", "case", "identity", "residual", "draws"], args)
     return 0
 
 
@@ -323,84 +301,49 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="route selected values through slow brute-force oracles")
 
     p_const = sub.add_parser("constants", help="sharp constant table over (n, a) grids")
-    p_const.add_argument("--n", default="2,3,4,5", metavar="LIST")
-    p_const.add_argument("--a-grid", default="0", metavar="LIST")
+    p_const.add_argument("--n", type=_ints, default="2,3,4,5", metavar="LIST")
+    p_const.add_argument("--a-grid", type=_floats, default="0", metavar="LIST")
+    p_const.set_defaults(run=_cmd_constants)
     add_common(p_const)
 
     p_env = sub.add_parser("envelope", help="envelope curves M and m")
-    p_env.add_argument("--n", default="3", metavar="LIST")
-    p_env.add_argument("--c-grid", default="0.5", metavar="LIST")
-    p_env.add_argument("--r-grid", default="0,0.2,0.4,0.6,0.8", metavar="LIST")
+    p_env.add_argument("--n", type=_ints, default="3", metavar="LIST")
+    p_env.add_argument("--c-grid", type=_floats, default="0.5", metavar="LIST")
+    p_env.add_argument("--r-grid", type=_floats, default="0,0.2,0.4,0.6,0.8", metavar="LIST")
     p_env.add_argument("--kind", choices=["harmonic", "hyperbolic"], default="harmonic")
+    p_env.set_defaults(run=_cmd_envelope)
     add_common(p_env)
 
     p_verify = sub.add_parser("verify", help="run the default inequality suite")
     p_verify.add_argument("--m", type=int, default=2,
                           help="codomain dimension of the vector-valued test maps")
     p_verify.add_argument("--debug-bound-scale", type=float, default=1.0,
-                          help="multiply all bounds (1.5 forces the sharp rows to fail)")
+                          help="multiply every bound to check that the suite can fail: "
+                               "0.5 or 1.5 fails every equality row, 1.5 also every sharp "
+                               "lower-bound row")
+    p_verify.set_defaults(run=_cmd_verify)
     add_common(p_verify)
 
     p_hopf = sub.add_parser("hopf", help="hyperbolic difference-quotient scan")
-    p_hopf.add_argument("--n", default="3,4", metavar="LIST")
-    p_hopf.add_argument("--c-grid", default="0.5", metavar="LIST")
+    p_hopf.add_argument("--n", type=_ints, default="3,4", metavar="LIST")
+    p_hopf.add_argument("--c-grid", type=_floats, default="0.5", metavar="LIST")
+    p_hopf.set_defaults(run=_cmd_hopf)
     add_common(p_hopf)
 
     p_mob = sub.add_parser("mobius", help="ball-automorphism identity residuals")
-    p_mob.add_argument("--n", default="1,2,3,8", metavar="LIST",
+    p_mob.add_argument("--n", type=_ints, default="1,2,3,8", metavar="LIST",
                        help="complex dimensions to sample")
+    p_mob.set_defaults(run=_cmd_mobius)
     add_common(p_mob)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    config = RunConfig(subcommand=args.subcommand)
-    config.fmt = args.format
-    config.out = args.out
-    config.seed = args.seed
-    config.oracle = args.oracle
-    try:
-        config.quadrature = QuadratureConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
-    except DomainError as exc:
-        parser.error(str(exc))
-    try:
-        if hasattr(args, "n"):
-            config.n_values = _parse_ints(args.n, "--n")
-        if hasattr(args, "a_grid"):
-            config.a_grid = _parse_floats(args.a_grid, "--a-grid")
-        if hasattr(args, "c_grid"):
-            config.c_grid = _parse_floats(args.c_grid, "--c-grid")
-        if hasattr(args, "r_grid"):
-            config.r_grid = _parse_floats(args.r_grid, "--r-grid")
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
-    if hasattr(args, "kind"):
-        config.kind = (
-            KernelKind.HARMONIC if args.kind == "harmonic" else KernelKind.HYPERBOLIC_HARMONIC
-        )
-    if hasattr(args, "m"):
-        config.m = args.m
-    if hasattr(args, "debug_bound_scale"):
-        config.bound_scale = args.debug_bound_scale
-    return config
-
-
-_DISPATCH = {
-    "constants": _cmd_constants,
-    "envelope": _cmd_envelope,
-    "verify": _cmd_verify,
-    "hopf": _cmd_hopf,
-    "mobius": _cmd_mobius,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args, parser)
+    args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[config.subcommand](config)
+        quad = QuadratureConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
+        return args.run(args, quad)
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3

@@ -242,6 +242,9 @@ def envelope_lower(
     _check_radius(r)
     if r < 0.0:
         return envelope_upper(kind, cap, -r, config)
+    if cap.alpha >= math.pi:
+        # the full cap's data is 1 everywhere; its arc would contain the peak
+        return 1.0
     nu, mu = kind.exponents(cap.n)
     star = sphere_prefactors(cap.n).sigma_star
     body = _angle_integral(cap.n, mu, r, math.pi - cap.alpha, math.pi, config)

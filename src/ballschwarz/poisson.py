@@ -229,7 +229,6 @@ def monte_carlo_extension(
 
 def radial_derivative_estimate(
     h: Callable[[float], float],
-    method: str = "one_sided_richardson",
     base_step: float = 1e-3,
     levels: int = 3,
     boundary_value: float = 1.0,
@@ -242,8 +241,6 @@ def radial_derivative_estimate(
     one-sided quotients at steps base_step / 2^j are combined through a
     Richardson tableau removing the O(s), O(s^2), ... terms.
     """
-    if method != "one_sided_richardson":
-        raise DomainError(f"unknown derivative method {method!r}")
     if not 0.0 < base_step < 1.0:
         raise DomainError(f"base_step must lie in (0, 1), got {base_step!r}")
     if levels < 1:

@@ -210,6 +210,6 @@ def test_criterion_11_monotone_slope():
     started = time.perf_counter()
     ok = True
     for m in (2, 3, 4):
-        ok &= check_V_monotone(m)
+        ok &= check_V_monotone(m).passed
         ok &= majorant_radial_slope(m, 0.99) >= heinz_schwarz_constant(m) - 1e-6
     _finish("criterion 11: majorant slope decreasing to C_m", bool(ok), started, 30.0)

@@ -50,6 +50,14 @@ def test_empty_grid_is_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+def test_non_integer_dimension_is_usage_error(capsys):
+    for value in ("2.5", "inf", "nan"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["constants", "--n", value])
+        assert excinfo.value.code == 2
+    assert "argument --n: must contain integers" in capsys.readouterr().err
+
+
 def test_bad_kind_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["envelope", "--kind", "parabolic"])
@@ -106,10 +114,13 @@ def test_verify_passes_and_corruption_fails(capsys):
     rows = _parse_csv(out)
     assert rows and all(row["passed"] == "1" for row in rows)
 
-    code, out = _run(capsys, ["verify", "--debug-bound-scale", "1.5"])
-    assert code == 1
-    rows = _parse_csv(out)
-    assert any(row["passed"] == "0" for row in rows)
+    assert out.splitlines()[0] == "case,lambda,relation,bound,tolerance,margin,passed"
+
+    for scale in ("0.5", "1.5"):
+        code, out = _run(capsys, ["verify", "--debug-bound-scale", scale])
+        assert code == 1
+        rows = _parse_csv(out)
+        assert all(row["passed"] == "0" for row in rows if row["case"].startswith("planar-extremal"))
 
 
 def test_verify_target_dimension_flag(capsys):
@@ -177,6 +188,11 @@ def test_unreachable_tolerance_exits_with_accuracy_code(capsys):
     )
     capsys.readouterr()
     assert code == 3
+
+
+def test_nonpositive_tolerance_exits_with_domain_code(capsys):
+    assert main(["constants", "--n", "2", "--tol-abs", "0"]) == 2
+    assert "tolerances must be positive" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

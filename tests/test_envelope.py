@@ -215,6 +215,11 @@ def test_envelopes_match_mpmath_near_the_sphere(kind, n):
             upper, lower = _mp_envelopes(kind, cap, r)
             assert envelope_upper(kind, cap, r) == pytest.approx(upper, abs=1e-11), (c, r)
             assert envelope_lower(kind, cap, r) == pytest.approx(lower, abs=1e-11), (c, r)
+    # the full cap: data 1 everywhere, so M = m = 1 at every radius
+    full = CapSpec(n=n, c=1.0, alpha=math.pi)
+    for r in (0.9995, -0.9995):
+        assert envelope_upper(kind, full, r) == pytest.approx(1.0, abs=1e-11), r
+        assert envelope_lower(kind, full, r) == pytest.approx(1.0, abs=1e-11), r
 
 
 def test_boundary_derivative_planar_base_value():

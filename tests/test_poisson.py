@@ -182,11 +182,6 @@ def test_radial_derivative_hyperbolic_envelope_vanishes():
     assert abs(estimate) < 1e-3
 
 
-def test_radial_derivative_rejects_unknown_method():
-    with pytest.raises(DomainError):
-        radial_derivative_estimate(lambda r: r, method="central")
-
-
 def test_laplace_beltrami_constant_function():
     assert laplace_beltrami_residual(lambda x: 1.0, 3, np.array([0.3, 0.0, 0.0])) == 0.0
 

@@ -7,6 +7,7 @@ from ballschwarz import (
     ContactTestCase,
     DomainError,
     KernelKind,
+    MarginReport,
     ZonalBoundaryData,
     build_cap_extremal,
     cap_measure_from_angle,
@@ -276,7 +277,7 @@ def test_majorant_slope_at_origin():
 
 def test_majorant_slope_monotone_and_end_value():
     for m in (2, 3, 4):
-        assert check_V_monotone(m)
+        assert check_V_monotone(m).passed
     # the end of the grid sits just above the limiting constant
     end = majorant_radial_slope(2, 0.99)
     assert end > heinz_schwarz_constant(2)
@@ -295,8 +296,37 @@ def test_default_suite_passes_and_reproduces():
 
 
 def test_default_suite_corrupted_bounds_fail():
-    corrupted = default_verification_suite(bound_scale=1.5)
-    assert not all(rep.passed for rep in corrupted)
+    halved = default_verification_suite(bound_scale=0.5)
+    # equality rows fail whichever way the bound moves; lower bounds still hold
+    assert {rep.case for rep in halved if not rep.passed} == {
+        rep.case for rep in halved if rep.case.startswith(("planar-extremal", "hopf-scan"))
+    }
+    raised = default_verification_suite(bound_scale=1.5)
+    sharp = ("planar-extremal", "cap-extremal", "mobius-precomposition", "hopf-scan",
+             "majorant-slope-monotone")
+    assert all(not rep.passed for rep in raised if rep.case.startswith(sharp))
+    assert sum(rep.case.startswith(sharp) for rep in raised) == 18
+    # the pointwise envelope comparisons hold their bound of 0 at any scale
+    for rep in raised:
+        if rep.case.startswith(("envelope-sandwich", "hemisphere-majorant")):
+            assert rep.bound == 0.0 and rep.passed
+
+
+def test_margin_report_relations():
+    lower = MarginReport("lower", 1.0, 1.1, 0.2, ">=")
+    assert lower.margin == pytest.approx(-0.1) and lower.passed
+    upper = MarginReport("upper", 1.0, 1.1, 0.0, "<=")
+    assert upper.margin == pytest.approx(0.1) and upper.passed
+    assert not MarginReport("upper", 1.2, 1.1, 0.0, "<=").passed
+    assert MarginReport("equal", 1.0, 1.05, 0.1, "==").passed
+    assert not MarginReport("equal", 1.2, 1.05, 0.1, "==").passed
+    # a side check is stored as given and a false one fails the row
+    failing = MarginReport("side", 2.0, 1.0, 0.0, ">=", checks={"alignment": False})
+    assert failing.checks == {"alignment": False} and not failing.passed
+    with pytest.raises(DomainError):
+        MarginReport("bad", 1.0, 1.0, 0.0, "=>")
+    with pytest.raises(TypeError):
+        MarginReport("set", 1.0, 1.0, 0.0, ">=", passed=True)
 
 
 def test_contact_case_validation():

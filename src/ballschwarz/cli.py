@@ -71,6 +71,13 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in values]
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def _fmt(value):
     if value is None or isinstance(value, str):
         return value
@@ -290,21 +297,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, seed: bool = False, oracle: bool = False) -> None:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"random seed (default {DEFAULT_SEED})")
+        if seed:
+            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                           help=f"non-negative random seed (default {DEFAULT_SEED})")
         p.add_argument("--tol-abs", type=float, default=1e-11)
         p.add_argument("--tol-rel", type=float, default=1e-10)
-        p.add_argument("--oracle", action="store_true",
-                       help="route selected values through slow brute-force oracles")
+        if oracle:
+            p.add_argument("--oracle", action="store_true",
+                           help="route selected values through slow brute-force oracles")
 
     p_const = sub.add_parser("constants", help="sharp constant table over (n, a) grids")
     p_const.add_argument("--n", type=_ints, default="2,3,4,5", metavar="LIST")
     p_const.add_argument("--a-grid", type=_floats, default="0", metavar="LIST")
     p_const.set_defaults(run=_cmd_constants)
-    add_common(p_const)
+    add_common(p_const, oracle=True)
 
     p_env = sub.add_parser("envelope", help="envelope curves M and m")
     p_env.add_argument("--n", type=_ints, default="3", metavar="LIST")
@@ -312,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_env.add_argument("--r-grid", type=_floats, default="0,0.2,0.4,0.6,0.8", metavar="LIST")
     p_env.add_argument("--kind", choices=["harmonic", "hyperbolic"], default="harmonic")
     p_env.set_defaults(run=_cmd_envelope)
-    add_common(p_env)
+    add_common(p_env, seed=True, oracle=True)
 
     p_verify = sub.add_parser("verify", help="run the default inequality suite")
     p_verify.add_argument("--m", type=int, default=2,
@@ -322,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "0.5 or 1.5 fails every equality row, 1.5 also every sharp "
                                "lower-bound row")
     p_verify.set_defaults(run=_cmd_verify)
-    add_common(p_verify)
+    add_common(p_verify, seed=True)
 
     p_hopf = sub.add_parser("hopf", help="hyperbolic difference-quotient scan")
     p_hopf.add_argument("--n", type=_ints, default="3,4", metavar="LIST")
@@ -334,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mob.add_argument("--n", type=_ints, default="1,2,3,8", metavar="LIST",
                        help="complex dimensions to sample")
     p_mob.set_defaults(run=_cmd_mobius)
-    add_common(p_mob)
+    add_common(p_mob, seed=True)
 
     return parser
 

@@ -54,7 +54,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, log_gamma, sphere_prefactors
 
@@ -75,6 +75,7 @@ __all__ = [
 
 _CAP_CONSISTENCY_TOL = 1e-10
 _ANGLE_TOL = 1e-13
+_NEWTON_STEPS = 100
 
 
 class KernelKind(Enum):
@@ -143,9 +144,16 @@ class CapSpec:
 def cap_angle_from_measure(n: int, c: float) -> CapSpec:
     """Invert the cap measure for the half-angle alpha(c).
 
-    Bisection brings the bracket below 1e-6, Newton steps (the measure
-    derivative is sigma_star(n) sin^{n-2} alpha) polish to 1e-13; if a
-    Newton step ever leaves the bracket, bisection simply continues.
+    For n >= 4 the measure F(alpha) = sigma_star(n) int_0^alpha sin^{n-2}t dt
+    has slope sigma_star(n) sin^{n-2} alpha, which grows on [0, pi/2], so F
+    is increasing and convex there; F(pi/2) = 1/2 and F(pi - alpha) =
+    1 - F(alpha).  Newton for c' = min(c, 1 - c) therefore starts at
+    pi/2, right of the root, and every step lands between the root and
+    the previous iterate: no bracket is needed.  The first residual,
+    1/2 - c', is exact and needs no quadrature (c = 1/2 returns pi/2
+    exactly); iteration stops at a step of at most 1e-13, and c > 1/2
+    returns pi minus the angle for 1 - c.  A non-positive slope, or 100
+    steps without convergence, raises ``AccuracyError``.
     """
     if n < 2 or n != int(n):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
@@ -158,42 +166,21 @@ def cap_angle_from_measure(n: int, c: float) -> CapSpec:
         return CapSpec(n=3, c=c, alpha=math.acos(1.0 - 2.0 * c))
 
     star = sphere_prefactors(n).sigma_star
-
-    def measure(alpha: float) -> float:
-        return cap_measure_from_angle(n, alpha)
-
-    lo, hi = 0.0, math.pi
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if measure(mid) < c:
-            lo = mid
-        else:
-            hi = mid
-
-    alpha = 0.5 * (lo + hi)
-    for _ in range(40):
-        resid = measure(alpha) - c
+    target = min(c, 1.0 - c)
+    alpha = 0.5 * math.pi
+    resid = 0.5 - target
+    for _ in range(_NEWTON_STEPS):
         slope = star * math.sin(alpha) ** (n - 2)
-        if slope <= 0.0:
-            break
+        if not slope > 0.0:
+            raise AccuracyError(f"cap angle for n={n}, c={c!r}: measure slope vanished at {alpha!r}")
         step = resid / slope
-        nxt = alpha - step
-        if not lo < nxt < hi:
-            # fall back to one bisection step on the maintained bracket
-            if resid > 0.0:
-                hi = alpha
-            else:
-                lo = alpha
-            nxt = 0.5 * (lo + hi)
-        elif resid > 0.0:
-            hi = alpha
-        else:
-            lo = alpha
-        if abs(nxt - alpha) <= _ANGLE_TOL:
-            alpha = nxt
-            break
-        alpha = nxt
-    return CapSpec(n=n, c=c, alpha=alpha)
+        alpha -= step
+        if abs(step) <= _ANGLE_TOL:
+            return CapSpec(n=n, c=c, alpha=alpha if c <= 0.5 else math.pi - alpha)
+        resid = cap_measure_from_angle(n, alpha) - target
+    raise AccuracyError(
+        f"cap angle for n={n}, c={c!r} did not converge in {_NEWTON_STEPS} Newton steps", estimate=alpha
+    )
 
 
 def _angle_integral(

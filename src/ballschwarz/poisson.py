@@ -44,6 +44,7 @@ __all__ = [
 _AXIS_TOL = 1e-14
 _PROFILE_SLACK = 1e-9
 _MC_CHUNK = 262_144
+_RICHARDSON_LEVELS = 3  # one-sided quotients combined per derivative estimate
 
 
 @dataclass(frozen=True)
@@ -227,29 +228,22 @@ def monte_carlo_extension(
     return mean, stderr
 
 
-def radial_derivative_estimate(
-    h: Callable[[float], float],
-    base_step: float = 1e-3,
-    levels: int = 3,
-    boundary_value: float = 1.0,
-) -> float:
-    """Estimate lim_{r -> 1-} (h(1) - h(r)) / (1 - r) by Richardson extrapolation.
+def radial_derivative_estimate(h: Callable[[float], float], base_step: float = 1e-3) -> float:
+    """Estimate lim_{r -> 1-} (1 - h(r)) / (1 - r) by Richardson extrapolation.
 
-    The boundary value h(1) is supplied by the caller (known to be 1 at
-    contact points) rather than extrapolated from samples: extracting
-    the boundary limit from interior values is ill-conditioned.  The
-    one-sided quotients at steps base_step / 2^j are combined through a
-    Richardson tableau removing the O(s), O(s^2), ... terms.
+    The boundary value h(1) = 1 holds at contact points and is used as
+    given rather than extrapolated from samples: extracting the boundary
+    limit from interior values is ill-conditioned.  The one-sided
+    quotients at steps base_step / 2^j, j = 0, 1, 2, are combined through
+    a Richardson tableau removing the O(s) and O(s^2) terms.
     """
     if not 0.0 < base_step < 1.0:
         raise DomainError(f"base_step must lie in (0, 1), got {base_step!r}")
-    if levels < 1:
-        raise DomainError("levels must be >= 1")
     quotients = []
-    for j in range(levels):
+    for j in range(_RICHARDSON_LEVELS):
         s = base_step / 2.0 ** j
-        quotients.append((boundary_value - h(1.0 - s)) / s)
-    for k in range(1, levels):
+        quotients.append((1.0 - h(1.0 - s)) / s)
+    for k in range(1, _RICHARDSON_LEVELS):
         factor = 2.0 ** k
         quotients = [
             (factor * quotients[j + 1] - quotients[j]) / (factor - 1.0)

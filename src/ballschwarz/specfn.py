@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 _SERIES_CAP = 100_000
+_SERIES_TOL = 1e-14  # relative truncation tolerance of the transformed series
+_ORACLE_TERMS = 200_000  # terms of the brute-force alternating series
+_ORACLE_PASSES = 8  # rounds of averaging adjacent partial sums
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ def _check_2f1_domain(a: float, b: float, c: float) -> None:
         )
 
 
-def gauss_2f1_neg1(a: float, b: float, c: float, tol: float = 1e-14) -> float:
+def gauss_2f1_neg1(a: float, b: float, c: float) -> float:
     """Gauss hypergeometric 2F1[a, b; c; -1].
 
     The defining series at the boundary argument -1 alternates and decays
@@ -63,7 +66,8 @@ def gauss_2f1_neg1(a: float, b: float, c: float, tol: float = 1e-14) -> float:
 
         2F1[a, b; c; -1] = 2^{-a} 2F1[a, c-b; c; 1/2]
 
-    moves the argument to 1/2 where the terms decay geometrically.
+    moves the argument to 1/2 where the terms decay geometrically; it is
+    summed until a term drops below 2.5e-15 times the running sum.
     ``gauss_2f1_neg1_series`` keeps the brute-force alternating sum as a
     cross-validation oracle.
     """
@@ -76,7 +80,7 @@ def gauss_2f1_neg1(a: float, b: float, c: float, tol: float = 1e-14) -> float:
     for k in range(_SERIES_CAP):
         term *= 0.5 * (a + k) * (c - b + k) / ((c + k) * (k + 1))
         total += term
-        if abs(term) <= 0.25 * tol * abs(total):
+        if abs(term) <= 0.25 * _SERIES_TOL * abs(total):
             return (2.0 ** -a) * total
     raise AccuracyError(
         f"2F1 transformed series did not converge within {_SERIES_CAP} terms",
@@ -84,30 +88,24 @@ def gauss_2f1_neg1(a: float, b: float, c: float, tol: float = 1e-14) -> float:
     )
 
 
-def gauss_2f1_neg1_series(
-    a: float, b: float, c: float, terms: int = 200_000, passes: int = 8
-) -> float:
+def gauss_2f1_neg1_series(a: float, b: float, c: float) -> float:
     """Brute-force evaluation of 2F1[a, b; c; -1] from the defining series.
 
-    Sums ``terms`` terms of the alternating series and accelerates by
-    repeatedly averaging adjacent partial sums (``passes`` rounds; one
-    round is the classical single Euler average, many rounds drive the
+    Sums 200 000 terms of the alternating series and accelerates by
+    repeatedly averaging adjacent partial sums (8 rounds; one round is
+    the classical single Euler average, many rounds drive the
     oscillatory error to machine level).  Slow by design: this is the
     oracle path behind the CLI ``--oracle`` flag.
     """
     _check_2f1_domain(a, b, c)
     if a == 0.0 or b == 0.0:
         return 1.0
-    if terms < 2:
-        raise DomainError("series oracle needs at least 2 terms")
 
-    k = np.arange(terms - 1, dtype=float)
+    k = np.arange(_ORACLE_TERMS - 1, dtype=float)
     ratios = -(a + k) * (b + k) / ((c + k) * (k + 1.0))
-    terms_arr = np.concatenate(([1.0], np.cumprod(ratios)))
-    partial = np.cumsum(terms_arr)
-    for _ in range(passes):
-        if partial.size < 2:
-            break
+    terms = np.concatenate(([1.0], np.cumprod(ratios)))
+    partial = np.cumsum(terms)
+    for _ in range(_ORACLE_PASSES):
         partial = 0.5 * (partial[1:] + partial[:-1])
     return float(partial[-1])
 

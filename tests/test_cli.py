@@ -164,6 +164,21 @@ def test_mobius_determinism(capsys):
     assert first == second
 
 
+def test_negative_seed_is_usage_error(capsys):
+    for argv in (["verify", "--seed=-1"], ["mobius", "--seed=-1"], ["envelope", "--oracle", "--seed=-1"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_flags_a_subcommand_never_reads_are_usage_errors(capsys):
+    for argv in (["hopf", "--n", "3", "--oracle"], ["constants", "--seed", "1"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out = _run(capsys, ["constants", "--n", "2", "--a-grid", "0", "--out", str(target)])

@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import ballschwarz.envelope
 from ballschwarz import (
+    AccuracyError,
     CapSpec,
     DomainError,
     KernelKind,
@@ -78,18 +80,41 @@ def test_cap_angle_three_dimensional_closed_form():
 
 
 def test_half_measure_is_hemisphere_in_every_dimension():
-    for n in range(2, 9):
-        assert cap_angle_from_measure(n, 0.5).alpha == pytest.approx(math.pi / 2.0, abs=1e-12)
+    for n in range(2, 65):
+        assert cap_angle_from_measure(n, 0.5).alpha == math.pi / 2.0
 
 
 def test_cap_angle_roundtrip_and_monotonicity():
-    for n in (4, 6):
+    for n in (4, 6, 16, 64):
         previous = 0.0
         for c in np.linspace(0.05, 0.95, 10):
             cap = cap_angle_from_measure(n, float(c))
             assert cap_measure_from_angle(n, cap.alpha) == pytest.approx(c, abs=1e-12)
             assert cap.alpha > previous
             previous = cap.alpha
+
+
+def test_cap_inversion_needs_few_measure_quadratures(monkeypatch):
+    calls = []
+
+    def counting(n, alpha):
+        calls.append(alpha)
+        return cap_measure_from_angle(n, alpha)
+
+    # rebinding the module name also counts the consistency check in CapSpec
+    monkeypatch.setattr(ballschwarz.envelope, "cap_measure_from_angle", counting)
+    for n in (4, 5, 8, 16, 32, 64):
+        for c in (0.05, 0.1, 0.3, 0.45, 0.7, 0.95):
+            calls.clear()
+            cap_angle_from_measure(n, c)
+            assert len(calls) <= 8, (n, c, len(calls))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_cap_inversion_raises_when_measure_never_reaches_target(monkeypatch, n):
+    monkeypatch.setattr(ballschwarz.envelope, "cap_measure_from_angle", lambda n, alpha: 0.0)
+    with pytest.raises(AccuracyError, match=f"n={n}, c=0.3"):
+        cap_angle_from_measure(n, 0.3)
 
 
 def test_cap_domain_errors():

@@ -119,8 +119,8 @@ def _emit(rows: list[dict], columns: list[str], args: argparse.Namespace) -> Non
 
 
 def _cmd_constants(args: argparse.Namespace, quad: QuadratureConfig) -> int:
-    """Rows (n, a) with the cap-quadrature derivative, the hypergeometric
-    constant at a = 0, and the planar closed form at n = 2."""
+    """Rows (n, a) with the closed-form D_n(a) (the column keeps its old
+    name), the hypergeometric constant at a = 0, and s^- at n = 2."""
     rows = []
     for n in sorted(args.n):
         for a in sorted(args.a_grid):
@@ -129,7 +129,7 @@ def _cmd_constants(args: argparse.Namespace, quad: QuadratureConfig) -> int:
             row = {
                 "n": n,
                 "a": a,
-                "D_cap_quadrature": boundary_derivative_harmonic(n, a, quad),
+                "D_cap_quadrature": boundary_derivative_harmonic(n, a),
                 "C_hypergeometric": (
                     heinz_schwarz_constant(n, oracle=args.oracle) if a == 0.0 else None
                 ),
@@ -229,7 +229,7 @@ def _cmd_hopf(args: argparse.Namespace, quad: QuadratureConfig) -> int:
                     "T": None,
                     "slope": scan.slope,
                     "coefficient": scan.coefficient,
-                    "d_n": hyperbolic_decay_coefficient(n, c, quad),
+                    "d_n": hyperbolic_decay_coefficient(n, c),
                 }
             )
     _emit(rows, ["n", "c", "r", "T", "slope", "coefficient", "d_n"], args)
@@ -309,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--oracle", action="store_true",
                            help="route selected values through slow brute-force oracles")
 
-    p_const = sub.add_parser("constants", help="sharp constant table over (n, a) grids")
+    const_help = "sharp constant table over (n, a) grids (closed forms: --tol-abs/--tol-rel do not affect it)"
+    p_const = sub.add_parser("constants", help=const_help, description=const_help)
     p_const.add_argument("--n", type=_ints, default="2,3,4,5", metavar="LIST")
     p_const.add_argument("--a-grid", type=_floats, default="0", metavar="LIST")
     p_const.set_defaults(run=_cmd_constants)

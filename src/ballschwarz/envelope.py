@@ -30,25 +30,30 @@ substitution t -> pi - t gives the reflection
 
 so every radius is evaluated by a peak-free integral.
 
-Every sharp constant in this package is a boundary derivative of M_c^n:
+Every sharp constant in this package is a boundary derivative of M_c^n,
+in closed form through the cap measure F_n(alpha) = I_{sin^2 alpha}((n-1)/2,
+1/2) / 2 (alpha <= pi/2), an incomplete beta function summed as a continued
+fraction (DLMF 8.17.22).  None calls the quadrature; one that would leave
+the positive doubles raises ``DomainError``:
 
-* ``boundary_derivative_harmonic`` evaluates the limit
-  dM/dr at r=1 by the exact limiting integrand (never by differencing a
-  quadrature result), giving the lower bound D_n(a) for the radial
-  derivative of boundary-contact harmonic maps;
+* ``boundary_derivative_harmonic`` is the limit dM/dr at r = 1,
+  D_n(a) = 2 sigma_star cot h cos^{n-2}h - 2(n-2) F_n(pi/2 - h) with
+  h = alpha/2, the lower bound for the radial derivative of
+  boundary-contact harmonic maps;
 * ``heinz_schwarz_constant`` evaluates the same number at a = 0 through
   the independent hypergeometric closed form C_m;
 * ``schwarz_planar_bound`` is the planar closed form
   s^-(b) = (2/pi) cot(pi (1+b)/4), which D_2 reproduces;
-* ``hyperbolic_decay_coefficient`` is the coefficient d_n in
-  (1 - M_c^n(r))/(1-r) ~ d_n (1-r)^{n-2} for the hyperbolic-harmonic
-  kernel with n > 2, whose vanishing boundary derivative is the Hopf
-  lemma counterexample quantified by ``hopf_condition_ratio``.
+* ``hyperbolic_decay_coefficient`` is d_n = 2 sigma_star cot^{n-1}(alpha/2)
+  / (n-1) in (1 - M_c^n(r))/(1-r) ~ d_n (1-r)^{n-2} for the hyperbolic-
+  harmonic kernel with n > 2, whose vanishing boundary derivative is the
+  Hopf lemma counterexample quantified by ``hopf_condition_ratio``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -76,6 +81,9 @@ __all__ = [
 _CAP_CONSISTENCY_TOL = 1e-10
 _ANGLE_TOL = 1e-13
 _NEWTON_STEPS = 100
+_FRACTION_TERMS = 200
+_TINY = 1e-300
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class KernelKind(Enum):
@@ -91,25 +99,42 @@ class KernelKind(Enum):
         return float(n - 1), float(n - 1)
 
 
-# The measure integrand sin^{n-2} is smooth and cheap, and the angle
-# inversion needs it well below the generic tolerance, so it always runs
-# at a fixed tight budget.
-_MEASURE_CONFIG = QuadratureConfig(abs_tol=5e-15, rel_tol=1e-14, max_subdivisions=200)
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * fraction.
+
+    DLMF 8.17.22, summed by the modified Lentz method (Numerical Recipes
+    6.4, ``betacf``); it converges fast for x < (a+1)/(a+b+2).
+    """
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    value = d
+    for m in range(1, _FRACTION_TERMS + 1):
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d, c = 1.0 / ((1.0 + coef * d) or _TINY), (1.0 + coef / c) or _TINY
+            value *= c * d
+        if abs(c * d - 1.0) <= 2.0**-52:  # one unit in the last place of 1
+            return value
+    raise AccuracyError(f"incomplete-beta fraction for a={a!r}, b={b!r}, x={x!r} did not converge")
 
 
 def cap_measure_from_angle(n: int, alpha: float) -> float:
-    """Normalized surface measure of a polar cap of half-angle alpha."""
+    """Normalized measure F_n(alpha) of a polar cap of half-angle alpha.
+
+    F_n(alpha) = I_{sin^2 alpha}((n-1)/2, 1/2) / 2 for alpha <= pi/2, with
+    1/B((n-1)/2, 1/2) = sigma_star(n), and 1 - F_n(pi - alpha) beyond.
+    """
     if n < 2 or n != int(n):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
     if not 0.0 <= alpha <= math.pi:
         raise DomainError(f"cap angle must lie in [0, pi], got {alpha!r}")
     n = int(n)
-    if n == 2:
-        return alpha / math.pi
-    if n == 3:
-        return 0.5 * (1.0 - math.cos(alpha))
-    star = sphere_prefactors(n).sigma_star
-    return star * integrate(lambda t: np.sin(t) ** (n - 2), 0.0, alpha, _MEASURE_CONFIG)
+    if alpha > 0.5 * math.pi:
+        return 1.0 - cap_measure_from_angle(n, math.pi - alpha)
+    sin, cos = math.sin(alpha), math.cos(alpha)
+    scale = sphere_prefactors(n).sigma_star * sin ** (n - 1) * cos
+    if sin * sin < (n + 1.0) / (n + 4.0):
+        return scale * _beta_fraction(0.5 * (n - 1), 0.5, sin * sin) / (n - 1)
+    return 0.5 - scale * _beta_fraction(0.5, 0.5 * (n - 1), cos * cos)
 
 
 @dataclass(frozen=True)
@@ -144,27 +169,23 @@ class CapSpec:
 def cap_angle_from_measure(n: int, c: float) -> CapSpec:
     """Invert the cap measure for the half-angle alpha(c).
 
-    For n >= 4 the measure F(alpha) = sigma_star(n) int_0^alpha sin^{n-2}t dt
-    has slope sigma_star(n) sin^{n-2} alpha, which grows on [0, pi/2], so F
-    is increasing and convex there; F(pi/2) = 1/2 and F(pi - alpha) =
+    The measure F(alpha) = sigma_star(n) int_0^alpha sin^{n-2}t dt has
+    slope sigma_star(n) sin^{n-2} alpha, which does not decrease on
+    [0, pi/2], so F is increasing and convex there (linear at n = 2,
+    where the first step is exact); F(pi/2) = 1/2 and F(pi - alpha) =
     1 - F(alpha).  Newton for c' = min(c, 1 - c) therefore starts at
     pi/2, right of the root, and every step lands between the root and
     the previous iterate: no bracket is needed.  The first residual,
-    1/2 - c', is exact and needs no quadrature (c = 1/2 returns pi/2
-    exactly); iteration stops at a step of at most 1e-13, and c > 1/2
-    returns pi minus the angle for 1 - c.  A non-positive slope, or 100
-    steps without convergence, raises ``AccuracyError``.
+    1/2 - c', is exact (c = 1/2 returns pi/2 exactly); iteration stops
+    at a step of at most 1e-13, and c > 1/2 returns pi minus the angle
+    for 1 - c.  A non-positive slope, or 100 steps without convergence,
+    raises ``AccuracyError``.
     """
     if n < 2 or n != int(n):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
     if not 0.0 < c < 1.0:
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
     n = int(n)
-    if n == 2:
-        return CapSpec(n=2, c=c, alpha=math.pi * c)
-    if n == 3:
-        return CapSpec(n=3, c=c, alpha=math.acos(1.0 - 2.0 * c))
-
     star = sphere_prefactors(n).sigma_star
     target = min(c, 1.0 - c)
     alpha = 0.5 * math.pi
@@ -269,31 +290,40 @@ def boundary_difference_quotient(
     return 2.0 * star * (1.0 - r) ** (n - 2) * (1.0 + r) ** (n - 1) * tail
 
 
-def boundary_derivative_harmonic(
-    n: int, a: float, config: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def _positive_double(value: float, what: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} is {value!r}, not a positive finite double")
+    return value
+
+
+def boundary_derivative_harmonic(n: int, a: float) -> float:
     """Sharp radial-derivative constant D_n(a) for harmonic boundary contact.
 
-    For the harmonic envelope with cap measure c = (1+a)/2,
+    For the harmonic envelope with cap measure c = (1+a)/2 and h = alpha(c)/2,
 
         D_n(a) = dM_c^n/dr |_{r=1}
-               = 2^{2-n} sigma_star(n) int_{alpha(c)}^pi sin^{n-2}t / sin^n(t/2) dt,
+               = 2^{2-n} sigma_star(n) int_{alpha(c)}^pi sin^{n-2}t / sin^n(t/2) dt
+               = 2 sigma_star(n) cot h cos^{n-2}h - 2(n-2) F_n(pi/2 - h)
 
-    computed from the limiting integrand directly.
+    by parts.  The two terms cancel by a factor of about n/2, so where
+    the fraction for F_n(pi/2 - h) runs in cos^2 h the common factor
+    t = 2 sigma_star cos^{n-1}h / sin h is taken out and assembled in
+    logs.  Past about n = 2050 at a = 0, D_n underflows: ``DomainError``.
     """
     if n < 2 or n != int(n):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
     if not -1.0 < a < 1.0:
         raise DomainError(f"base value must lie in (-1, 1), got {a!r}")
     n = int(n)
-    cap = cap_angle_from_measure(n, 0.5 * (1.0 + a))
-    star = sphere_prefactors(n).sigma_star
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.sin(t) ** (n - 2) / np.sin(0.5 * t) ** n
-
-    tail = integrate(integrand, cap.alpha, math.pi, config)
-    return 2.0 ** (2 - n) * star * tail
+    h = 0.5 * cap_angle_from_measure(n, 0.5 * (1.0 + a)).alpha
+    sin, cos = math.sin(h), math.cos(h)
+    log_t = math.log(2.0 * sphere_prefactors(n).sigma_star) + (n - 1) * math.log(cos) - math.log(sin)
+    if cos * cos < (n + 1.0) / (n + 4.0):
+        rho = (n - 2) / (n - 1) * sin * sin * _beta_fraction(0.5 * (n - 1), 0.5, cos * cos)
+        value = math.exp(log_t + math.log(1.0 - rho))
+    else:
+        value = math.exp(log_t) - 2.0 * (n - 2) * cap_measure_from_angle(n, 0.5 * math.pi - h)
+    return _positive_double(value, f"D_n(a) for n={n}, a={a!r}")
 
 
 def heinz_schwarz_constant(m: int, oracle: bool = False) -> float:
@@ -320,7 +350,7 @@ def heinz_schwarz_constant(m: int, oracle: bool = False) -> float:
         - log_gamma(0.5 * (1 + m))
         - log_gamma(0.5 * (3 + m))
     )
-    return prefactor * (1.0 + m - (m - 2) * f_val)
+    return _positive_double(prefactor * (1.0 + m - (m - 2) * f_val), f"C_m for m={m}")
 
 
 def schwarz_planar_bound(b: float) -> float:
@@ -330,33 +360,28 @@ def schwarz_planar_bound(b: float) -> float:
     return (2.0 / math.pi) / math.tan(0.25 * math.pi * (1.0 + b))
 
 
-def hyperbolic_decay_coefficient(
-    n: int, c: float, config: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def hyperbolic_decay_coefficient(n: int, c: float) -> float:
     """Coefficient d_n in T(r) ~ d_n (1-r)^{n-2} for the hyperbolic kernel.
 
     From the factored form T(r) = 2 sigma_star (1-r)^{n-2} (1+r)^{n-1} J(r),
     letting r -> 1 turns (1+r)^{n-1} into 2^{n-1} and the integrand of J
-    into q(t) = 4^{1-n} sin^{n-2}t sin^{-2(n-1)}(t/2), so
+    into 4^{1-n} sin^{n-2}t sin^{-2(n-1)}(t/2); with u = t/2 and w = cot u
+    the integral becomes int w^{n-2} dw, so
 
-        d_n = 2^n sigma_star(n) int_{alpha(c)}^pi q(t) dt.
+        d_n = 2 sigma_star(n) cot^{n-1}(alpha(c)/2) / (n-1),
 
-    Defined for n > 2 only: at n = 2 the hyperbolic-harmonic class
-    coincides with the harmonic one and the decay exponent degenerates.
+    evaluated in logs.  Defined for n > 2 only: at n = 2 the
+    hyperbolic-harmonic class coincides with the harmonic one and the
+    decay exponent degenerates.
     """
     if n <= 2 or n != int(n):
         raise DomainError(f"hyperbolic decay coefficient needs integer n > 2, got {n!r}")
     if not 0.0 < c < 1.0:
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
     n = int(n)
-    cap = cap_angle_from_measure(n, c)
-    star = sphere_prefactors(n).sigma_star
-
-    def q_hyp(t: np.ndarray) -> np.ndarray:
-        return 4.0 ** (1 - n) * np.sin(t) ** (n - 2) / np.sin(0.5 * t) ** (2 * (n - 1))
-
-    tail = integrate(q_hyp, cap.alpha, math.pi, config)
-    return 2.0 ** n * star * tail
+    h = 0.5 * cap_angle_from_measure(n, c).alpha
+    log_d = math.log(2.0 * sphere_prefactors(n).sigma_star / (n - 1)) - (n - 1) * math.log(math.tan(h))
+    return _positive_double(math.exp(log_d) if log_d <= _LOG_MAX else math.inf, f"d_n for n={n}, c={c!r}")
 
 
 def hopf_condition_ratio(n: int, r: float) -> float:

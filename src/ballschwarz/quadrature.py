@@ -12,6 +12,7 @@ meets the configured tolerance.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,21 +24,19 @@ __all__ = ["QuadratureConfig", "DEFAULT_CONFIG", "integrate"]
 
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
+_MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and the subdivision budget for adaptive integration."""
+    """Absolute and relative tolerances for adaptive integration."""
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -48,7 +47,10 @@ def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     mid = 0.5 * (a + b)
     hi = half * float(np.dot(_WEIGHTS_HI, f(mid + half * _NODES_HI)))
     lo = half * float(np.dot(_WEIGHTS_LO, f(mid + half * _NODES_LO)))
-    return hi, abs(hi - lo)
+    err = abs(hi - lo)
+    if not (math.isfinite(hi) and math.isfinite(err)):
+        raise AccuracyError(f"quadrature panel [{a!r}, {b!r}] is not finite: value {hi!r}, error {err!r}")
+    return hi, err
 
 
 def integrate(
@@ -65,8 +67,8 @@ def integrate(
     data) should be listed in ``breakpoints`` so panel edges land on
     them; everything else is handled by bisection of the worst panel.
 
-    Raises :class:`AccuracyError` (carrying the best estimate) if the
-    subdivision budget is exhausted before the tolerance is met.
+    Raises :class:`AccuracyError` (carrying the best estimate) after 2000
+    subdivisions short of the tolerance, and (without one) on a non-finite panel.
     """
     if not np.isfinite(a) or not np.isfinite(b):
         raise DomainError("integration endpoints must be finite")
@@ -94,7 +96,7 @@ def integrate(
 
     splits = 0
     while total_err > max(config.abs_tol, config.rel_tol * abs(total)):
-        if splits >= config.max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             raise AccuracyError(
                 f"adaptive quadrature used {splits} subdivisions without "
                 f"reaching tolerance (error estimate {total_err:.3e})",

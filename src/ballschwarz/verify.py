@@ -290,13 +290,10 @@ def build_cap_extremal(
     )
 
 
-def check_boundary_bound(
-    case: ContactTestCase,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> MarginReport:
+def check_boundary_bound(case: ContactTestCase) -> MarginReport:
     """Measured radial boundary derivative against the sharp bound D_n(a)."""
     lam = radial_derivative_estimate(case.radial_section, base_step=1e-3)
-    bound = boundary_derivative_harmonic(case.n, case.a, config)
+    bound = boundary_derivative_harmonic(case.n, case.a)
     return MarginReport(case.case_id, lam, bound, _DERIVATIVE_TOL, ">=")
 
 
@@ -606,7 +603,7 @@ def default_verification_suite(
 
     for n, a in [(2, 0.0), (3, 0.0), (3, 0.5), (4, -0.5)]:
         case = build_cap_extremal(n, target_dim, a, config=config)
-        reports.append(check_boundary_bound(case, config))
+        reports.append(check_boundary_bound(case))
 
     identity_case = ContactTestCase(
         n=3,
@@ -618,7 +615,7 @@ def default_verification_suite(
         a=0.0,
         case_id="identity-map n=3",
     )
-    reports.append(check_boundary_bound(identity_case, config))
+    reports.append(check_boundary_bound(identity_case))
 
     xi_rng = np.random.Generator(np.random.Philox(seeds[0]))
     for _ in range(2):
@@ -646,7 +643,7 @@ def default_verification_suite(
 
     for n in (3, 4):
         scan = hopf_failure_scan(n, 0.5, config=config)
-        d_n = hyperbolic_decay_coefficient(n, 0.5, config)
+        d_n = hyperbolic_decay_coefficient(n, 0.5)
         reports.append(MarginReport(f"hopf-scan slope n={n}", scan.slope, float(n - 2), 0.02, "=="))
         reports.append(
             MarginReport(f"hopf-scan coefficient n={n}", scan.coefficient, d_n, 0.01 * d_n, "==")

@@ -188,6 +188,30 @@ def test_output_file(tmp_path, capsys):
     assert abs(float(rows[0]["D_cap_quadrature"]) - TWO_OVER_PI) < 1e-9
 
 
+def test_hopf_decay_coefficient_at_dimension_64(capsys):
+    # the quadrature path printed 2783.09 here (off by 2.1e-3)
+    code, out = _run(capsys, ["hopf", "--n", "64", "--c-grid", "0.1"])
+    assert code == 0
+    summary = [row for row in _parse_csv(out) if row["d_n"] != ""]
+    assert [row["d_n"] for row in summary] == ["2788.90521683"]
+
+
+def test_constants_outside_the_doubles_exit_with_domain_code(capsys):
+    assert main(["constants", "--n", "30000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=30000" in captured.err
+
+
+def test_constants_at_dimension_2049_are_finite_and_agree(capsys):
+    code, out = _run(capsys, ["constants", "--n", "2049", "--a-grid", "0"])
+    assert code == 0
+    (row,) = _parse_csv(out)
+    d_val, c_val = float(row["D_cap_quadrature"]), float(row["C_hypergeometric"])
+    assert math.isfinite(d_val) and d_val > 0.0
+    assert d_val == pytest.approx(c_val, rel=1e-10, abs=0.0)
+
+
 def test_oracle_constants_match_fast_path(capsys):
     _, fast = _run(capsys, ["constants", "--n", "4", "--a-grid", "0"])
     _, slow = _run(capsys, ["constants", "--n", "4", "--a-grid", "0", "--oracle"])

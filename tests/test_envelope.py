@@ -10,6 +10,7 @@ from ballschwarz import (
     CapSpec,
     DomainError,
     KernelKind,
+    QuadratureConfig,
     boundary_derivative_harmonic,
     boundary_difference_quotient,
     cap_angle_from_measure,
@@ -19,7 +20,9 @@ from ballschwarz import (
     heinz_schwarz_constant,
     hopf_condition_ratio,
     hyperbolic_decay_coefficient,
+    integrate,
     schwarz_planar_bound,
+    sphere_prefactors,
 )
 
 HARM = KernelKind.HARMONIC
@@ -364,3 +367,161 @@ def test_envelope_radius_domain():
         envelope_upper(HARM, cap, 1.0)
     with pytest.raises(DomainError):
         envelope_lower(HARM, cap, -1.0)
+
+
+# -- closed forms against independent paths ---------------------------------
+
+MP_HALF = mpmath.mpf(1) / 2
+
+
+def _assert_rel(value, reference, rel, where=None):
+    # pytest.approx would also accept anything within 1e-12 absolute
+    assert abs(value - reference) <= rel * abs(reference), (where, value, reference)
+
+
+def _mp_star(n):
+    return mpmath.gamma(mpmath.mpf(n) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n - 1) / 2))
+
+
+def _mp_measure(n, alpha):
+    """F_n(alpha) by mpmath's incomplete beta function, at the working precision."""
+    alpha = mpmath.mpf(alpha)
+    small = min(alpha, mpmath.pi - alpha)
+    half = mpmath.betainc(mpmath.mpf(n - 1) / 2, MP_HALF, 0, mpmath.sin(small) ** 2, regularized=True) / 2
+    return half if alpha <= mpmath.pi / 2 else 1 - half
+
+
+def _mp_angle(n, c):
+    """alpha(c) by Newton in mpmath, started from the library's angle."""
+    c = mpmath.mpf(c)
+    if c == MP_HALF:
+        return mpmath.pi / 2
+    alpha = mpmath.mpf(cap_angle_from_measure(n, float(c)).alpha)
+    for _ in range(3):
+        alpha -= (_mp_measure(n, alpha) - c) / (_mp_star(n) * mpmath.sin(alpha) ** (n - 2))
+    return alpha
+
+
+def _mp_boundary_derivative(n, a):
+    """D_n(a) = 2 sigma_star cot h cos^{n-2}h - 2(n-2) F_n(pi/2 - h), h = alpha/2, at 40 digits."""
+    with mpmath.workdps(40):
+        h = _mp_angle(n, (1 + mpmath.mpf(a)) / 2) / 2
+        return float(
+            2 * _mp_star(n) * mpmath.cot(h) * mpmath.cos(h) ** (n - 2)
+            - 2 * (n - 2) * _mp_measure(n, mpmath.pi / 2 - h)
+        )
+
+
+def _mp_decay_coefficient(n, c):
+    with mpmath.workdps(40):
+        return float(2 * _mp_star(n) * mpmath.cot(_mp_angle(n, c) / 2) ** (n - 1) / (n - 1))
+
+
+@pytest.mark.parametrize("n", list(range(2, 65)) + [1080, 2049, 20000])
+def test_cap_measure_matches_mpmath_incomplete_beta(n):
+    rel = 1e-13 if n <= 64 else 1e-10
+    for alpha in (1e-6, 0.3, 1.0, math.pi / 2, 2.0, 3.1):
+        with mpmath.workdps(40):
+            reference = _mp_measure(n, alpha)
+        if reference < 1e-300:
+            continue
+        _assert_rel(cap_measure_from_angle(n, alpha), float(reference), rel, alpha)
+
+
+def test_small_caps_in_three_dimensions_keep_their_digits():
+    # 1 - cos(alpha) and acos(1 - 2c) cancel for small caps
+    with mpmath.workdps(40):
+        measure = float(_mp_measure(3, 1e-6))
+        angle = float(2 * mpmath.asin(mpmath.sqrt(mpmath.mpf(1e-12))))
+    _assert_rel(cap_measure_from_angle(3, 1e-6), measure, 1e-13)
+    _assert_rel(cap_angle_from_measure(3, 1e-12).alpha, angle, 1e-13)
+
+
+def test_beta_fraction_raises_past_its_term_budget():
+    with pytest.raises(AccuracyError, match="did not converge"):
+        ballschwarz.envelope._beta_fraction(0.5, 5e5, 0.99)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_boundary_derivative_matches_mpmath(n):
+    for a in (-0.9, -0.5, 0.0, 0.5, 0.9):
+        _assert_rel(boundary_derivative_harmonic(n, a), _mp_boundary_derivative(n, a), 1e-12, a)
+
+
+@pytest.mark.parametrize("n", [1080, 1400, 2049])
+def test_boundary_derivative_at_large_dimension_is_a_positive_double(n):
+    # the parent returned 0 (underflow) from n ~ 1080 and NaN from n = 2049
+    _assert_rel(boundary_derivative_harmonic(n, 0.0), _mp_boundary_derivative(n, 0.0), 1e-11)
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_hyperbolic_decay_coefficient_matches_mpmath(n):
+    # Away from c = 1/2 the angle comes from inverting the measure, whose
+    # rounding error (sigma_star's lgamma difference) reaches d_n amplified
+    # by (n-1) / (sin(alpha) F_n'(alpha)), about 40 at n = 62, c = 0.9.
+    for c, rel in ((0.1, 1e-12), (0.5, 1e-13), (0.9, 1e-12)):
+        _assert_rel(hyperbolic_decay_coefficient(n, c), _mp_decay_coefficient(n, c), rel, c)
+
+
+TIGHT = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-13)
+
+
+def _old_boundary_derivative(n, a):
+    """D_n(a) from its limiting integrand, as computed before the closed form."""
+    alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a)).alpha
+    star = sphere_prefactors(n).sigma_star
+    tail = integrate(lambda t: np.sin(t) ** (n - 2) / np.sin(0.5 * t) ** n, alpha, math.pi, TIGHT)
+    return 2.0 ** (2 - n) * star * tail
+
+
+def _old_decay_coefficient(n, c):
+    """d_n = 2^n sigma_star int_alpha^pi 4^{1-n} sin^{n-2}t sin^{-2(n-1)}(t/2) dt."""
+    alpha = cap_angle_from_measure(n, c).alpha
+    star = sphere_prefactors(n).sigma_star
+
+    def q_hyp(t):
+        return 4.0 ** (1 - n) * np.sin(t) ** (n - 2) / np.sin(0.5 * t) ** (2 * (n - 1))
+
+    return 2.0**n * star * integrate(q_hyp, alpha, math.pi, TIGHT)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_closed_forms_match_the_old_integrands(n):
+    for a in (-0.9, -0.5, 0.0, 0.5, 0.9):
+        _assert_rel(boundary_derivative_harmonic(n, a), _old_boundary_derivative(n, a), 1e-10, a)
+        if n > 2:
+            c = 0.5 * (1.0 + a)
+            _assert_rel(hyperbolic_decay_coefficient(n, c), _old_decay_coefficient(n, c), 1e-10, c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
+def test_constants_layer_makes_no_quadrature_calls(monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the constants layer called integrate")
+
+    monkeypatch.setattr(ballschwarz.envelope, "integrate", refuse)
+    for c in (0.05, 0.3, 0.5, 0.7, 0.95):
+        cap_angle_from_measure(n, c)
+        boundary_derivative_harmonic(n, 2.0 * c - 1.0)
+        if n > 2:
+            hyperbolic_decay_coefficient(n, c)
+    heinz_schwarz_constant(n)
+
+
+def test_heinz_schwarz_constant_raises_once_it_underflows():
+    assert 0.0 < heinz_schwarz_constant(2049) < 2.3e-308  # subnormal but positive: kept
+    for m in (5000, 20000):
+        with pytest.raises(DomainError, match=f"m={m}"):
+            heinz_schwarz_constant(m)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1.0 - 1e-9])
+def test_hyperbolic_decay_coefficient_outside_the_doubles_raises(c):
+    # c = 1e-9 overflows, c = 1 - 1e-9 underflows
+    with pytest.raises(DomainError, match=r"n=20000"):
+        hyperbolic_decay_coefficient(20000, c)
+
+
+def test_boundary_derivative_underflow_raises():
+    with pytest.raises(DomainError, match=r"n=30000, a=0\.0"):
+        boundary_derivative_harmonic(30000, 0.0)

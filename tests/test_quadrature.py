@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ballschwarz.quadrature
 from ballschwarz import AccuracyError, DomainError, QuadratureConfig, integrate
 
 
@@ -11,8 +12,6 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=-1e-3)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_subdivisions=0)
 
 
 def test_polynomial_is_exact():
@@ -43,12 +42,18 @@ def test_breakpoints_handle_steps():
     assert value == pytest.approx(0.3 - 2.0 * 0.7, abs=1e-14)
 
 
-def test_budget_exhaustion_reports_estimate():
+def test_budget_exhaustion_reports_estimate(monkeypatch):
     eps = 1e-9
-    config = QuadratureConfig(max_subdivisions=3)
+    monkeypatch.setattr(ballschwarz.quadrature, "_MAX_SUBDIVISIONS", 3)
     with pytest.raises(AccuracyError) as excinfo:
-        integrate(lambda x: eps / (x * x + eps * eps), -1.0, 1.0, config)
+        integrate(lambda x: eps / (x * x + eps * eps), -1.0, 1.0)
     assert excinfo.value.estimate is not None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_nonfinite_integrand_raises_naming_the_panel(bad):
+    with pytest.raises(AccuracyError, match=r"panel \[0, 1\]"):
+        integrate(lambda x: np.where(x > 0.5, bad, 1.0), 0, 1)
 
 
 def test_nonfinite_endpoints_rejected():

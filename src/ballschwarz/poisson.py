@@ -11,10 +11,11 @@ difference evaluation of the Laplace-Beltrami operator
 The zonal reduction is exact only on the axis of symmetry, where the
 integrand depends on a single polar angle; it subtracts the profile's
 value at the kernel's peak so that no radius integrates across the
-peak.  Off-axis evaluation goes through Monte Carlo.  Sphere samples
-are normalized isotropic Gaussian vectors drawn from a counter-based
-Philox stream, so every randomized result is reproducible from its seed
-alone.
+peak.  Off the axis, step data has the Gegenbauer series of
+``verify._zonal_value`` and any boundary map has Monte Carlo.  Sphere
+samples are normalized isotropic Gaussian vectors drawn from a counter-
+based Philox stream, so every randomized result is reproducible from its
+seed alone.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
 
 _AXIS_TOL = 1e-14
 _PROFILE_SLACK = 1e-9
+_PROBE_ANGLES = np.linspace(0.0, math.pi, 65)
 _MC_CHUNK = 262_144
 _RICHARDSON_LEVELS = 3  # one-sided quotients combined per derivative estimate
 
@@ -51,9 +53,9 @@ _RICHARDSON_LEVELS = 3  # one-sided quotients combined per derivative estimate
 class ZonalBoundaryData:
     """Boundary data on S^{n-1} depending only on the polar angle to an axis.
 
-    ``profile`` maps arrays of angles in [0, pi] to values in [-1, 1];
-    jump locations of step profiles belong in ``breakpoints`` so the
-    quadrature can split panels there.
+    ``profile`` maps arrays of angles in [0, pi] to values in [-1, 1].
+    ``breakpoints`` split quadrature panels along the axis; off the axis
+    the profile must be a step function and they carry its jumps.
     """
 
     n: int
@@ -68,13 +70,26 @@ class ZonalBoundaryData:
             raise DomainError(f"axis must be a vector of integer dimension n >= 2, got n={self.n!r}")
         if abs(float(np.linalg.norm(axis)) - 1.0) > _AXIS_TOL:
             raise DomainError("zonal axis must be a unit vector to 1e-14")
-        probe = np.linspace(0.0, math.pi, 65)
-        vals = np.asarray(self.profile(probe), dtype=float)
-        if vals.shape != probe.shape or not np.all(np.isfinite(vals)):
+        vals = np.asarray(self.profile(_PROBE_ANGLES), dtype=float)
+        if vals.shape != _PROBE_ANGLES.shape or not np.all(np.isfinite(vals)):
             raise DomainError("zonal profile must map angle arrays to finite value arrays")
         if np.max(np.abs(vals)) > 1.0 + _PROFILE_SLACK:
             raise DomainError("zonal profile must take values in [-1, 1]")
         object.__setattr__(self, "breakpoints", tuple(sorted(float(t) for t in self.breakpoints)))
+
+    def step_levels(self) -> np.ndarray:
+        """Profile values at the midpoints of the pieces between 0, the breakpoints and pi.
+
+        Raises :class:`DomainError` unless the profile is that step function on the
+        probe grid (probes exactly on a breakpoint left out).
+        """
+        edges = np.array([0.0, *self.breakpoints, math.pi])
+        levels = np.asarray(self.profile(0.5 * (edges[:-1] + edges[1:])), dtype=float)
+        probe = _PROBE_ANGLES[~np.isin(_PROBE_ANGLES, self.breakpoints)]
+        piece = np.minimum(np.searchsorted(edges, probe, side="right") - 1, levels.size - 1)
+        if np.any(np.asarray(self.profile(probe), dtype=float) != levels[piece]):
+            raise DomainError("off-axis values need a profile that is constant between its breakpoints")
+        return levels
 
 
 @dataclass(frozen=True)

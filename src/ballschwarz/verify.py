@@ -23,20 +23,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .disc import DiscCapExtremal
+from .disc import DiscCapExtremal, arc_extension
 from .envelope import (
     CapSpec,
     KernelKind,
     boundary_derivative_harmonic,
     boundary_difference_quotient,
     cap_angle_from_measure,
+    cap_measure_from_angle,
     envelope_lower,
     envelope_upper,
     heinz_schwarz_constant,
     hyperbolic_decay_coefficient,
     schwarz_planar_bound,
 )
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .hilbert_ball import (
     MobiusParams,
     RealLinearMap,
@@ -54,7 +55,7 @@ from .poisson import (
     uniform_sphere_samples,
     zonal_extension_on_axis,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .specfn import sphere_prefactors
 
 __all__ = [
@@ -83,6 +84,7 @@ _DERIVATIVE_TOL = 1e-6  # rows whose measured value is a finite-difference deriv
 _SLOPE_STEP = 1e-4  # central-difference step of the majorant slope
 _MAP_COMPONENTS = 3  # plane waves mixed into one random boundary map
 _HOPF_RADII = tuple(1.0 - 2.0 ** (-k) for k in range(4, 15))
+_MAX_SERIES_TERMS = 20_000  # Gegenbauer terms of one off-axis value: |x| up to about 0.998
 
 
 @dataclass(frozen=True)
@@ -162,66 +164,73 @@ class ContactTestCase:
 
 
 def _zonal_value(
-    kind: KernelKind,
     data: ZonalBoundaryData,
     x: np.ndarray,
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Poisson extension of zonal data at an arbitrary interior point.
+    """Harmonic extension of zonal data at an arbitrary interior point.
 
-    On the symmetry axis this is the 1-D reduction (negative radii reach
-    the antipodal ray); off the axis the kernel is averaged over the
-    azimuthal sphere first, giving a nested 1-D integral.  n = 2 reduces
-    to a single circle integral.
+    On the axis this is the 1-D reduction (negative radii reach the
+    antipodal ray), for any profile.  Off it the profile must be a step
+    function, levels l_j between edges 0 = t_0 < ... < t_J = pi, and the
+    value is closed-form: for n = 2 the harmonic measures of the arcs
+    +-[t_j, t_{j+1}]; for n >= 3, with lambda = (n-2)/2, rho = |x| and psi
+    the angle to the axis, the zonal-harmonic expansion of the Poisson
+    kernel with Funk-Hecke, where (1-x^2)^{lambda+1/2} C_{k-1}^{lambda+1}(x)
+    integrates C_k^lambda(x) (1-x^2)^{lambda-1/2} up to a constant (DLMF 18.9),
+
+        u = sum_j l_j (F_n(t_{j+1}) - F_n(t_j)) + sigma_star sum_i (l_{i-1} - l_i)
+            sin^{n-1}t_i sum_{k>=1} rho^k 2(k+lambda)/(k(k+2 lambda))
+            C_k^lambda(cos psi)/C_k^lambda(1) C_{k-1}^{lambda+1}(cos t_i),
+
+    summed by three-term recurrences over K = ceil(ln(1e-17)/ln rho) + 60
+    terms.  Raises :class:`AccuracyError` when K passes _MAX_SERIES_TERMS
+    or the sum's rounding and tail bound passes ``config.abs_tol`` (near
+    the axis or an edge from about n = 12 on, where the terms cancel).
     """
     x = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(x))
     if r >= 1.0:
         raise DomainError("zonal evaluation point must lie inside the ball")
     if r < 1e-14:
-        return zonal_extension_on_axis(kind, data, 0.0, config)
-    cos_psi = float(np.dot(x, data.axis)) / r
-    cos_psi = min(1.0, max(-1.0, cos_psi))
-    if cos_psi >= 1.0 - _ON_AXIS_TOL:
-        return zonal_extension_on_axis(kind, data, r, config)
-    if cos_psi <= -1.0 + _ON_AXIS_TOL:
-        return zonal_extension_on_axis(kind, data, -r, config)
+        return zonal_extension_on_axis(KernelKind.HARMONIC, data, 0.0, config)
+    cos_psi = min(1.0, max(-1.0, float(np.dot(x, data.axis)) / r))
+    if abs(cos_psi) >= 1.0 - _ON_AXIS_TOL:
+        return zonal_extension_on_axis(KernelKind.HARMONIC, data, math.copysign(r, cos_psi), config)
 
-    n = data.n
-    nu, mu = kind.exponents(n)
-    psi = math.acos(cos_psi)
-
+    n, edges, levels = data.n, data.breakpoints, data.step_levels()
     if n == 2:
-        def circle_integrand(t: np.ndarray) -> np.ndarray:
-            prof = np.asarray(data.profile(np.abs(t)), dtype=float)
-            return prof * (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(t - psi) + r * r)
-
-        breaks = [b for b in data.breakpoints] + [-b for b in data.breakpoints] + [psi]
-        return integrate(circle_integrand, -math.pi, math.pi, config, breakpoints=breaks) / (
-            2.0 * math.pi
-        )
-
-    sin_psi = math.sin(psi)
+        z = complex(r * cos_psi, r * math.sqrt(1.0 - cos_psi * cos_psi))
+        bounds = zip((0.0, *edges), (*edges, math.pi))
+        return sum(level * (arc_extension(z, lo, hi) + arc_extension(z, -hi, -lo))
+                   for level, (lo, hi) in zip(levels, bounds))
+    terms = math.ceil(math.log(1e-17) / math.log(r)) + 60
+    if terms > _MAX_SERIES_TERMS:
+        raise AccuracyError(f"off-axis series at |x|={r!r} needs K={terms} terms, past {_MAX_SERIES_TERMS}")
+    lam = 0.5 * (n - 2)
+    coefs, c_prev, c_cur, power = [], 1.0, cos_psi, 1.0
+    for k in range(1, terms + 1):  # c_cur = C_k^lam(cos psi)/C_k^lam(1)
+        power *= r
+        coefs.append(power * 2.0 * (k + lam) / (k * (k + 2.0 * lam)) * c_cur)
+        c_prev, c_cur = c_cur, (2.0 * (k + lam) * cos_psi * c_cur - k * c_prev) / (k + 2.0 * lam)
+    value, series, bound = float(levels[-1]), 0.0, 0.0
+    for jump, t in zip(levels[:-1] - levels[1:], edges):
+        cos_t, d_prev, d_cur, edge_sum, edge_abs = math.cos(t), 0.0, 1.0, 0.0, 0.0
+        for k, coef in enumerate(coefs, start=1):  # d_cur = C_{k-1}^{lam+1}(cos t)
+            term = coef * d_cur
+            edge_sum += term
+            edge_abs += abs(term)
+            d_prev, d_cur = d_cur, (2.0 * (k + lam) * cos_t * d_cur - (k + 2.0 * lam) * d_prev) / k
+        weight = jump * math.sin(t) ** (n - 1)
+        value += jump * cap_measure_from_angle(n, t)
+        series += weight * edge_sum
+        # rounding of the sum, plus the tail past K as a geometric series from its last term
+        bound += abs(weight) * (2.0**-52 * edge_abs + abs(term) / (1.0 - r))
     star = sphere_prefactors(n).sigma_star
-    # Azimuthal average over S^{n-2} carries the next ratio down the ladder.
-    inner_star = sphere_prefactors(n - 1).sigma_star
-
-    def azimuth_average(phi: float) -> float:
-        base = 1.0 + r * r - 2.0 * r * cos_psi * math.cos(phi)
-        cross = 2.0 * r * sin_psi * math.sin(phi)
-
-        def az_integrand(theta: np.ndarray) -> np.ndarray:
-            return np.sin(theta) ** (n - 3) / (base - cross * np.cos(theta)) ** mu
-
-        return inner_star * integrate(az_integrand, 0.0, math.pi, config)
-
-    def outer_integrand(phi: np.ndarray) -> np.ndarray:
-        prof = np.asarray(data.profile(phi), dtype=float)
-        averages = np.array([azimuth_average(float(p)) for p in np.atleast_1d(phi)])
-        return prof * np.sin(phi) ** (n - 2) * averages
-
-    body = integrate(outer_integrand, 0.0, math.pi, config, breakpoints=data.breakpoints)
-    return star * (1.0 - r * r) ** nu * body
+    if not star * bound <= config.abs_tol:
+        raise AccuracyError(f"off-axis series at |x|={r!r}, n={n} is only good to {star * bound:.3g}, "
+                            f"past abs_tol={config.abs_tol!r}", value + star * series)
+    return value + star * series
 
 
 def zonal_contact_case(
@@ -252,7 +261,7 @@ def zonal_contact_case(
     a = zonal_extension_on_axis(KernelKind.HARMONIC, data, 0.0, config)
 
     def f(x: np.ndarray) -> np.ndarray:
-        return _zonal_value(KernelKind.HARMONIC, data, x, config) * y0
+        return _zonal_value(data, x, config) * y0
 
     return ContactTestCase(
         n=n, m=m, f=f, x0=axis, y0=y0, a0=a * y0, a=a, case_id=case_id
@@ -322,10 +331,7 @@ def check_envelope_sandwich(
     return worst
 
 
-def check_planar_bound(
-    b_values: Sequence[float],
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> list[MarginReport]:
+def check_planar_bound(b_values: Sequence[float]) -> list[MarginReport]:
     """Disc extremals against the planar closed form s^-(b).
 
     For each b the disc cap extremal (data +1 on the arc of normalized
@@ -359,7 +365,6 @@ def check_mobius_precomposition(
     xi: np.ndarray,
     a: float = 0.0,
     z0: np.ndarray | None = None,
-    config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> MarginReport:
     """Sharpness of the boundary bound under Moebius precomposition.
 
@@ -599,7 +604,7 @@ def default_verification_suite(
     if target_dim < 2:
         raise DomainError("target dimension must be >= 2")
     seeds = np.random.SeedSequence(seed).spawn(4)
-    reports = check_planar_bound([-0.8, -0.4, 0.0, 0.4, 0.8], config)
+    reports = check_planar_bound([-0.8, -0.4, 0.0, 0.4, 0.8])
 
     for n, a in [(2, 0.0), (3, 0.0), (3, 0.5), (4, -0.5)]:
         case = build_cap_extremal(n, target_dim, a, config=config)
@@ -623,7 +628,7 @@ def default_verification_suite(
         xi = (0.3 + 0.4 * xi_rng.uniform()) * (
             direction + 1j * uniform_sphere_samples(xi_rng, 1, 2)[0]
         ) / math.sqrt(2.0)
-        reports.append(check_mobius_precomposition(2, xi, config=config))
+        reports.append(check_mobius_precomposition(2, xi))
 
     sandwich_rng = np.random.Generator(np.random.Philox(seeds[1]))
     grid = [0.05 + 0.1 * j for j in range(10)]

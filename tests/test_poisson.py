@@ -109,6 +109,19 @@ def test_zonal_rejects_bad_axis_and_profile():
         zonal_extension_on_axis(HARM, data, 1.0)
 
 
+def test_step_levels_read_midpoints_and_skip_probes_on_a_breakpoint():
+    # the hemisphere cap (c = 1/2) jumps at exactly pi/2, which is a probe
+    # angle; its profile takes the upper level there
+    data, cap = _cap_data(3, 0.5)
+    assert cap.alpha == math.pi / 2.0 and math.pi / 2.0 in np.linspace(0.0, math.pi, 65)
+    assert data.step_levels().tolist() == [1.0, -1.0]
+    steps = ZonalBoundaryData(n=4, axis=_axis(4), profile=lambda t: np.where(np.asarray(t) < 1.0, 0.5, -0.25),
+                              breakpoints=(2.0, 1.0))
+    assert steps.step_levels().tolist() == [0.5, -0.25, -0.25]
+    with pytest.raises(DomainError, match="constant between its breakpoints"):
+        ZonalBoundaryData(n=3, axis=_axis(3), profile=np.cos, breakpoints=(1.0,)).step_levels()
+
+
 def test_monte_carlo_constant_map_is_exact_at_origin():
     v = np.array([0.25, -0.5])
     gmap = BoundaryMap(n=3, m=2, eval=lambda eta: np.tile(v, (eta.shape[0], 1)))

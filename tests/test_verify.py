@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from ballschwarz import (
+    AccuracyError,
     ContactTestCase,
     DomainError,
     KernelKind,
     MarginReport,
     ZonalBoundaryData,
     build_cap_extremal,
+    cap_angle_from_measure,
     cap_measure_from_angle,
     check_V_monotone,
     check_boundary_bound,
@@ -24,9 +26,11 @@ from ballschwarz import (
     majorant_radial_slope,
     monte_carlo_extension,
     schwarz_planar_bound,
+    sphere_prefactors,
     zonal_contact_case,
 )
 from ballschwarz.poisson import BoundaryMap
+from ballschwarz.quadrature import integrate
 from ballschwarz.verify import random_zonal_profile
 
 HARM = KernelKind.HARMONIC
@@ -80,6 +84,113 @@ def test_cap_extremal_off_axis_value_agrees_with_monte_carlo():
     gmap = BoundaryMap(n=3, m=1, eval=lifted)
     estimate, stderr = monte_carlo_extension(HARM, gmap, x, 200_000, seed=99)
     assert abs(value - estimate[0]) <= 4.0 * stderr[0]
+
+
+def _nested_quadrature_value(data, x):
+    """Off-axis harmonic extension by the nested quadrature the library used
+    before its Gegenbauer series: the kernel averaged over the azimuthal
+    sphere S^{n-2}, inside an integral over the polar angle; a single circle
+    integral for n = 2.  Kept here as an independent oracle."""
+    n = data.n
+    r = float(np.linalg.norm(x))
+    cos_psi = float(np.dot(x, data.axis)) / r
+    psi = math.acos(cos_psi)
+    if n == 2:
+        def circle_integrand(t):
+            prof = np.asarray(data.profile(np.abs(t)), dtype=float)
+            return prof * (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(t - psi) + r * r)
+
+        breaks = [*data.breakpoints, *(-b for b in data.breakpoints), psi]
+        return integrate(circle_integrand, -math.pi, math.pi, breakpoints=breaks) / (2.0 * math.pi)
+
+    sin_psi = math.sin(psi)
+    inner_star = sphere_prefactors(n - 1).sigma_star
+
+    def azimuth_average(phi):
+        base = 1.0 + r * r - 2.0 * r * cos_psi * math.cos(phi)
+        cross = 2.0 * r * sin_psi * math.sin(phi)
+
+        def az_integrand(theta):
+            return np.sin(theta) ** (n - 3) / (base - cross * np.cos(theta)) ** (0.5 * n)
+
+        return inner_star * integrate(az_integrand, 0.0, math.pi)
+
+    def outer_integrand(phi):
+        prof = np.asarray(data.profile(phi), dtype=float)
+        averages = np.array([azimuth_average(float(p)) for p in np.atleast_1d(phi)])
+        return prof * np.sin(phi) ** (n - 2) * averages
+
+    body = integrate(outer_integrand, 0.0, math.pi, breakpoints=data.breakpoints)
+    return sphere_prefactors(n).sigma_star * (1.0 - r * r) * body
+
+
+def _off_axis_point(rng, n, rho, psi):
+    ortho = np.concatenate([[0.0], rng.standard_normal(n - 1)])
+    return rho * (math.cos(psi) * _axis(n) + math.sin(psi) * ortho / np.linalg.norm(ortho))
+
+
+def _step(levels, cuts):
+    return lambda t: levels[np.searchsorted(cuts, np.asarray(t, dtype=float), side="right")]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_offaxis_series_matches_nested_quadrature(n):
+    # Every n sees all four radii, two on its cap extremal and two on a
+    # random three-step profile, plus one angle 1e-9 from a jump.
+    rng = np.random.Generator(np.random.Philox(700 + n))
+    rhos = (0.1, 0.5, 0.9, 0.95)
+    a = float(rng.uniform(-0.8, 0.8))
+    alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a)).alpha
+    cap = ZonalBoundaryData(n=n, axis=_axis(n), profile=_step(np.array([1.0, -1.0]), np.array([alpha])),
+                            breakpoints=(alpha,))
+    cuts = np.sort(rng.uniform(0.15, math.pi - 0.15, 2))
+    step = ZonalBoundaryData(n=n, axis=_axis(n), profile=_step(rng.uniform(-1.0, 1.0, 3), cuts),
+                             breakpoints=tuple(cuts))
+    cases = [(build_cap_extremal(n, 2, a), cap), (zonal_contact_case(n, 2, step.profile, cuts, "step"), step)]
+    points = [(case, data, rhos[(n + shift) % 4], float(rng.uniform(0.05, math.pi - 0.05)))
+              for shift, (case, data) in zip((0, 1, 2, 3), cases * 2)]
+    points.append((cases[1][0], step, 0.5, float(cuts[0]) + 1e-9))
+    for case, data, rho, psi in points:
+        x = _off_axis_point(rng, n, rho, psi)
+        assert abs(case.f(x)[0] - _nested_quadrature_value(data, x)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_offaxis_values_make_no_quadrature_calls(n, monkeypatch):
+    case = build_cap_extremal(n, 2, 0.3)  # its base value a = h(0) is a quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("off-axis evaluation called integrate")
+
+    monkeypatch.setattr("ballschwarz.verify.integrate", refuse, raising=False)
+    monkeypatch.setattr("ballschwarz.poisson.integrate", refuse)
+    monkeypatch.setattr("ballschwarz.envelope.integrate", refuse)
+    value = case.f(_off_axis_point(np.random.Generator(np.random.Philox(n)), n, 0.8, 1.1))[0]
+    assert -1.0 < value < 1.0
+
+
+def test_offaxis_values_need_step_data():
+    case = zonal_contact_case(3, 2, np.cos, (), "cosine")
+    # on the axis any profile works: cos extends to the coordinate x_1
+    assert case.radial_section(0.5) == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(DomainError, match="constant between its breakpoints"):
+        case.f(np.array([0.3, 0.4, 0.0]))
+
+
+def test_offaxis_series_past_its_term_budget_raises():
+    # K ~ 3.9e8 terms is known before the sum starts; summing them would take minutes
+    case = build_cap_extremal(3, 2, 0.0)
+    with pytest.raises(AccuracyError, match=r"\|x\|=0\.99999.* K=\d{9} terms"):
+        case.f((1.0 - 1e-7) * np.array([0.6, 0.8, 0.0]))
+
+
+def test_offaxis_series_raises_where_its_terms_cancel():
+    # n = 32 at |x| = 0.95, 0.05 from the axis: the terms reach about 1e13
+    # and cancel; the unchecked sum is 1.0053, outside the range of the data
+    case = build_cap_extremal(32, 2, 0.0)
+    with pytest.raises(AccuracyError, match="abs_tol") as info:
+        case.f(_off_axis_point(np.random.Generator(np.random.Philox(3)), 32, 0.95, 0.05))
+    assert info.value.estimate > 1.0
 
 
 def test_cap_extremal_rotation_invariance():

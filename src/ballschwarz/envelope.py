@@ -22,9 +22,14 @@ arc, which leaves the peak out:
                    * int_alpha^pi sin^{n-2}t (1 - 2r cos t + r^2)^{-mu} dt
              = 1 - (1-r) T(r),
 
-with T the factored difference quotient below; m's arc [pi - alpha, pi]
-already avoids t = 0.  For r < 0 the peak moves to t = pi, and the
-substitution t -> pi - t gives the reflection
+with T the factored difference quotient below.  m's arc [pi - alpha, pi]
+already avoids t = 0: it is the complement arc of the cap of half-angle
+pi - alpha and measure 1 - c, so the same quotient for that cap gives
+
+    m_c^n(r) = (1-r) T_{1-c}(r) - 1 = -M_{1-c}^n(r),
+
+and the kernel's prefactors live in T alone.  For r < 0 the peak moves
+to t = pi, and the substitution t -> pi - t gives the reflection
 
     M_c^n(-r) = m_c^n(r),    m_c^n(-r) = M_c^n(r),
 
@@ -97,6 +102,14 @@ class KernelKind(Enum):
         if self is KernelKind.HARMONIC:
             return 1.0, 0.5 * n
         return float(n - 1), float(n - 1)
+
+    def angle_kernel(self, n: int, r: float, t: np.ndarray) -> np.ndarray:
+        """sin^{n-2}t (1 - 2r cos t + r^2)^{-mu}: the kernel at r times the axis, over the polar angle t.
+
+        Its factor (1-r^2)^nu and the normalization sigma_star are left to the caller.
+        """
+        _, mu = self.exponents(n)
+        return np.sin(t) ** (n - 2) / (1.0 - 2.0 * r * np.cos(t) + r * r) ** mu
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:
@@ -204,22 +217,6 @@ def cap_angle_from_measure(n: int, c: float) -> CapSpec:
     )
 
 
-def _angle_integral(
-    n: int,
-    mu: float,
-    r: float,
-    t0: float,
-    t1: float,
-    config: QuadratureConfig,
-) -> float:
-    """int_{t0}^{t1} sin^{n-2}t (1 - 2 r cos t + r^2)^{-mu} dt."""
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.sin(t) ** (n - 2) / (1.0 - 2.0 * r * np.cos(t) + r * r) ** mu
-
-    return integrate(integrand, t0, t1, config)
-
-
 def _check_radius(r: float) -> None:
     # Negative radii are the analytic continuation of the radial profile
     # along the axis; central differences at r = 0 rely on them.
@@ -253,10 +250,7 @@ def envelope_lower(
     if cap.alpha >= math.pi:
         # the full cap's data is 1 everywhere; its arc would contain the peak
         return 1.0
-    nu, mu = kind.exponents(cap.n)
-    star = sphere_prefactors(cap.n).sigma_star
-    body = _angle_integral(cap.n, mu, r, math.pi - cap.alpha, math.pi, config)
-    return 2.0 * star * (1.0 - r * r) ** nu * body - 1.0
+    return (1.0 - r) * _tail_quotient(kind, cap.n, math.pi - cap.alpha, r, config) - 1.0
 
 
 def boundary_difference_quotient(
@@ -281,10 +275,13 @@ def boundary_difference_quotient(
         raise DomainError(f"difference quotient needs 0 <= r <= 1, got {r!r}")
     if cap.alpha >= math.pi:
         return 0.0
-    n = cap.n
-    _, mu = kind.exponents(n)
+    return _tail_quotient(kind, cap.n, cap.alpha, r, config)
+
+
+def _tail_quotient(kind: KernelKind, n: int, alpha: float, r: float, config: QuadratureConfig) -> float:
+    """2 sigma_star (1-r^2)^nu / (1-r) int_alpha^pi of the angle kernel, factored as in T."""
     star = sphere_prefactors(n).sigma_star
-    tail = _angle_integral(n, mu, r, cap.alpha, math.pi, config)
+    tail = integrate(lambda t: kind.angle_kernel(n, r, t), alpha, math.pi, config)
     if kind is KernelKind.HARMONIC:
         return 2.0 * star * (1.0 + r) * tail
     return 2.0 * star * (1.0 - r) ** (n - 2) * (1.0 + r) ** (n - 1) * tail

@@ -54,8 +54,9 @@ class ZonalBoundaryData:
     """Boundary data on S^{n-1} depending only on the polar angle to an axis.
 
     ``profile`` maps arrays of angles in [0, pi] to values in [-1, 1].
-    ``breakpoints`` split quadrature panels along the axis; off the axis
-    the profile must be a step function and they carry its jumps.
+    ``breakpoints`` split quadrature panels along the axis and must lie in
+    (0, pi); off the axis the profile must be a step function and they
+    carry its jumps.
     """
 
     n: int
@@ -75,7 +76,11 @@ class ZonalBoundaryData:
             raise DomainError("zonal profile must map angle arrays to finite value arrays")
         if np.max(np.abs(vals)) > 1.0 + _PROFILE_SLACK:
             raise DomainError("zonal profile must take values in [-1, 1]")
-        object.__setattr__(self, "breakpoints", tuple(sorted(float(t) for t in self.breakpoints)))
+        breakpoints = tuple(sorted(float(t) for t in self.breakpoints))
+        for t in breakpoints:
+            if not 0.0 < t < math.pi:
+                raise DomainError(f"zonal breakpoint must lie in (0, pi), got {t!r}")
+        object.__setattr__(self, "breakpoints", breakpoints)
 
     def step_levels(self) -> np.ndarray:
         """Profile values at the midpoints of the pieces between 0, the breakpoints and pi.
@@ -169,14 +174,13 @@ def zonal_extension_on_axis(
     if not -1.0 < r < 1.0:
         raise DomainError(f"radius must satisfy |r| < 1, got {r!r}")
     n = data.n
-    nu, mu = kind.exponents(n)
+    nu, _ = kind.exponents(n)
     star = sphere_prefactors(n).sigma_star
     t_peak = 0.0 if r >= 0.0 else math.pi
     peak = float(np.asarray(data.profile(np.array([t_peak])), dtype=float)[0])
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        weight = np.sin(t) ** (n - 2) / (1.0 - 2.0 * r * np.cos(t) + r * r) ** mu
-        return (np.asarray(data.profile(t), dtype=float) - peak) * weight
+        return (np.asarray(data.profile(t), dtype=float) - peak) * kind.angle_kernel(n, r, t)
 
     body = integrate(integrand, 0.0, math.pi, config, breakpoints=data.breakpoints)
     return peak + star * (1.0 - r * r) ** nu * body

@@ -2,12 +2,15 @@
 
 Everything downstream combines Gamma ratios, so the log-gamma form is
 the primitive: it never overflows for the dimensions we sweep, and the
-ratios ``sigma_star`` and the hypergeometric prefactors assemble from
-differences of logs.
+hypergeometric prefactors assemble from differences of logs.  The one
+exception is ``sigma_star`` = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)),
+where that difference would lose digits as n grows; it is summed from a
+recurrence and an asymptotic series instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +30,7 @@ _SERIES_CAP = 100_000
 _SERIES_TOL = 1e-14  # relative truncation tolerance of the transformed series
 _ORACLE_TERMS = 200_000  # terms of the brute-force alternating series
 _ORACLE_PASSES = 8  # rounds of averaging adjacent partial sums
+_RATIO_SHIFT = 32.0  # where the asymptotic series of _half_gamma_ratio starts
 
 
 @dataclass(frozen=True)
@@ -116,5 +120,27 @@ def sphere_prefactors(n: int) -> SpherePrefactors:
         raise DomainError(f"sphere dimension parameter must be an integer >= 2, got {n!r}")
     n = int(n)
     sigma_area = 2.0 * math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
-    sigma_star = math.exp(math.lgamma(0.5 * n) - math.lgamma(0.5 * (n - 1))) / math.sqrt(math.pi)
+    sigma_star = _half_gamma_ratio(0.5 * (n - 1)) / math.sqrt(math.pi)
     return SpherePrefactors(n=n, sigma_area=sigma_area, sigma_star=sigma_star)
+
+
+@functools.lru_cache(maxsize=1024)  # the recurrence costs 32 steps at small x
+def _half_gamma_ratio(x: float) -> float:
+    """Gamma(x + 1/2) / Gamma(x) for x > 0, to a few units in the last place.
+
+    A difference of log-gammas loses digits as x grows.  Instead x is
+    shifted up to y >= 32 by Gamma(x+1/2)/Gamma(x) = x/(x+1/2)
+    Gamma(x+3/2)/Gamma(x+1), and at y the asymptotic series
+
+        ln(Gamma(y+1/2)/Gamma(y)) = ln(y)/2 - 1/(8y) + 1/(192y^3)
+                                    - 1/(640y^5) + 17/(14336y^7) - ...
+
+    is summed with its logarithm left out, as sqrt(y) exp(rest).
+    """
+    scale = 1.0
+    while x < _RATIO_SHIFT:
+        scale *= x / (x + 0.5)
+        x += 1.0
+    w = 1.0 / (x * x)
+    rest = (-1.0 / 8.0 + w * (1.0 / 192.0 + w * (-1.0 / 640.0 + w * (17.0 / 14336.0)))) / x
+    return scale * math.sqrt(x) * math.exp(rest)

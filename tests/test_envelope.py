@@ -232,6 +232,29 @@ def test_difference_quotient_consistent_with_envelope():
         assert factored == pytest.approx(reference, rel=1e-9)
 
 
+@pytest.mark.parametrize("c", [0.1, 0.9])
+@pytest.mark.parametrize("n", [13, 15, 16])
+def test_hyperbolic_quotient_matches_mpmath_on_the_hopf_radii(n, c):
+    # T(r) = 2 sigma_star (1-r)^{n-2} (1+r)^{n-1} int_alpha^pi of the kernel,
+    # at the library's own alpha so that only the quadrature is tested; a
+    # Gauss-Kronrod 7/15 rule misses this by 6.7e-12 at n = 16, c = 0.9
+    cap = cap_angle_from_measure(n, c)
+    with mpmath.workdps(30):
+        half = mpmath.mpf(n) / 2
+        star = mpmath.gamma(half) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(half - mpmath.mpf(1) / 2))
+        for k in range(4, 15):
+            r = 1.0 - 2.0**-k
+            r_mp = mpmath.mpf(r)
+
+            def f(t):
+                return mpmath.sin(t) ** (n - 2) / (1 - 2 * r_mp * mpmath.cos(t) + r_mp**2) ** (n - 1)
+
+            body = mpmath.quad(f, [mpmath.mpf(cap.alpha), mpmath.pi])
+            ref = 2 * star * (1 - r_mp) ** (n - 2) * (1 + r_mp) ** (n - 1) * body
+            value = boundary_difference_quotient(HYP, cap, r)
+            assert value == pytest.approx(float(ref), rel=1e-12, abs=0.0), k
+
+
 @pytest.mark.parametrize("kind", [HARM, HYP], ids=lambda k: k.value)
 @pytest.mark.parametrize("n", [3, 5, 32])
 def test_envelopes_match_mpmath_near_the_sphere(kind, n):

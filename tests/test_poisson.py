@@ -109,6 +109,13 @@ def test_zonal_rejects_bad_axis_and_profile():
         zonal_extension_on_axis(HARM, data, 1.0)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad", [4.0, 0.0, math.pi, -0.5])
+def test_zonal_rejects_breakpoints_outside_the_open_angle_range(n, bad):
+    with pytest.raises(DomainError, match=rf"breakpoint must lie in \(0, pi\), got {bad!r}"):
+        ZonalBoundaryData(n=n, axis=_axis(n), profile=np.cos, breakpoints=(1.0, bad))
+
+
 def test_step_levels_read_midpoints_and_skip_probes_on_a_breakpoint():
     # the hemisphere cap (c = 1/2) jumps at exactly pi/2, which is a probe
     # angle; its profile takes the upper level there

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln as scipy_gammaln
@@ -115,6 +116,15 @@ def test_sphere_prefactor_ladder_consistency():
         here = sphere_prefactors(n)
         below = sphere_prefactors(n - 1)
         assert here.sigma_star * here.sigma_area == pytest.approx(below.sigma_area, rel=1e-12)
+
+
+def test_sigma_star_matches_mpmath():
+    # a difference of log-gammas is off by 1.5e-14 at n = 62 and 1.5e-11 at n = 20000
+    with mpmath.workdps(40):
+        for n in (*range(2, 200), 1080, 2049, 20000, 40000):
+            half = mpmath.mpf(n) / 2
+            ref = mpmath.gamma(half) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(half - mpmath.mpf(1) / 2))
+            assert sphere_prefactors(n).sigma_star == pytest.approx(float(ref), rel=2e-15, abs=0.0), n
 
 
 def test_sphere_prefactors_domain():

@@ -23,14 +23,25 @@ an involution mapping sphere to sphere, with complex-linear derivative
 
     Dphi_xi(z) = A [ -Id / (1 - <z, xi>) + (xi - z) <., xi> / (1 - <z, xi>)^2 ].
 
-The adjoint identity Dphi_xi(z0)^H phi_xi(z0) = mu z0 with
-mu = (1 - |xi|^2) / |1 - <z0, xi>|^2 is what transfers sharp boundary
-constants through precomposition by phi_xi.
+A is a rank-one update of a scalar matrix (Rudin, Function Theory in
+the Unit Ball of C^n, 2.2.1), so phi_xi needs no matrix: with
+v = (xi - z) / (1 - <z, xi>),
+
+    phi_xi(z) = s v + xi <v, xi> / (1 + s),
+
+which costs O(k).  The adjoint identity Dphi_xi(z0)^H phi_xi(z0) = mu z0
+with mu = (1 - |xi|^2) / |1 - <z0, xi>|^2 is what transfers sharp
+boundary constants through precomposition by phi_xi.
+
+``inner``, the Moebius functions, ``hermitian_adjoint`` and
+``verify_dphi_adjoint_identity`` broadcast over leading batch axes:
+vectors have shape (..., k) and matrices (..., k, k), and a plain (k,)
+vector is the same computation with no batch axis.  Every domain check
+applies to every batch row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -57,66 +68,77 @@ _DEGENERATE_TOL = 1e-14
 _UNIT_TOL = 1e-12
 
 
-def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Complex inner product, linear in the first argument."""
-    return complex(np.sum(np.asarray(u) * np.conj(np.asarray(v))))
+def inner(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
+    """Complex inner product over the last axis, linear in the first argument."""
+    return np.sum(np.asarray(u) * np.conj(np.asarray(v)), axis=-1)
 
 
 @dataclass(frozen=True)
 class MobiusParams:
-    """Center parameter xi (|xi| < 1) of the ball automorphism phi_xi."""
+    """Center parameter xi (|xi| < 1) of the ball automorphism phi_xi.
+
+    ``xi`` has shape (..., k): one automorphism per batch row.
+    """
 
     xi: np.ndarray
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=complex)
-        if xi.ndim != 1 or xi.size < 1:
+        if xi.ndim < 1 or xi.shape[-1] < 1:
             raise DomainError("xi must be a nonempty complex vector")
         object.__setattr__(self, "xi", xi)
-        if float(np.linalg.norm(xi)) >= 1.0:
-            raise DomainError("Moebius parameter must satisfy |xi| < 1")
+        outside = np.linalg.norm(xi, axis=-1) >= 1.0
+        if np.any(outside):
+            where = "" if xi.ndim == 1 else f" (batch row {np.argwhere(outside)[0].tolist()})"
+            raise DomainError(f"Moebius parameter must satisfy |xi| < 1{where}")
 
     @property
     def k(self) -> int:
-        return self.xi.shape[0]
+        return self.xi.shape[-1]
 
     @property
-    def s(self) -> float:
-        return math.sqrt(1.0 - float(np.linalg.norm(self.xi)) ** 2)
+    def s(self) -> float | np.ndarray:
+        """sqrt(1 - |xi|^2), one value per batch row."""
+        return np.sqrt(1.0 - np.linalg.norm(self.xi, axis=-1) ** 2)
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Batched u <., v> as (..., k, k) matrices."""
+    return u[..., :, None] * np.conj(v)[..., None, :]
 
 
 def mobius_A(p: MobiusParams) -> np.ndarray:
     """The hermitian factor A = s Id + xi <., xi> / (1 + s) of phi_xi."""
-    k = p.k
-    return p.s * np.eye(k, dtype=complex) + np.outer(p.xi, np.conj(p.xi)) / (1.0 + p.s)
+    s = p.s[..., None, None]
+    return s * np.eye(p.k, dtype=complex) + _outer(p.xi, p.xi) / (1.0 + s)
 
 
-def _denominator(p: MobiusParams, z: np.ndarray) -> complex:
+def _denominator(p: MobiusParams, z: np.ndarray) -> complex | np.ndarray:
     denom = 1.0 - inner(z, p.xi)
-    if abs(denom) < _DEGENERATE_TOL:
+    if np.any(np.abs(denom) < _DEGENERATE_TOL):
         raise DomainError("degenerate Moebius denominator: <z, xi> too close to 1")
     return denom
 
 
 def mobius_map(p: MobiusParams, z: np.ndarray) -> np.ndarray:
-    """phi_xi(z) = A (xi - z) / (1 - <z, xi>)."""
+    """phi_xi(z) = s v + xi <v, xi> / (1 + s), v = (xi - z) / (1 - <z, xi>)."""
     z = np.asarray(z, dtype=complex)
-    denom = _denominator(p, z)
-    return mobius_A(p) @ ((p.xi - z) / denom)
+    v = (p.xi - z) / _denominator(p, z)[..., None]
+    s = p.s[..., None]
+    return s * v + p.xi * (inner(v, p.xi)[..., None] / (1.0 + s))
 
 
 def mobius_derivative(p: MobiusParams, z: np.ndarray) -> np.ndarray:
-    """Complex-linear Frechet derivative of phi_xi at z, as a k x k matrix."""
+    """Complex-linear Frechet derivative of phi_xi at z, as (..., k, k) matrices."""
     z = np.asarray(z, dtype=complex)
-    denom = _denominator(p, z)
-    k = p.k
-    core = -np.eye(k, dtype=complex) / denom + np.outer(p.xi - z, np.conj(p.xi)) / denom ** 2
+    denom = _denominator(p, z)[..., None, None]
+    core = -np.eye(p.k, dtype=complex) / denom + _outer(p.xi - z, p.xi) / denom**2
     return mobius_A(p) @ core
 
 
 def hermitian_adjoint(matrix: np.ndarray) -> np.ndarray:
-    """Conjugate transpose: <M^H w, z> = <w, M z>."""
-    return np.conj(np.asarray(matrix, dtype=complex)).T
+    """Conjugate transpose of the last two axes: <M^H w, z> = <w, M z>."""
+    return np.conj(np.asarray(matrix, dtype=complex)).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -206,21 +228,21 @@ def _basis(k: int, j: int) -> np.ndarray:
     return e
 
 
-def verify_dphi_adjoint_identity(p: MobiusParams, z0: np.ndarray) -> float:
+def verify_dphi_adjoint_identity(p: MobiusParams, z0: np.ndarray) -> float | np.ndarray:
     """Residual of Dphi_xi(z0)^H phi_xi(z0) = mu z0, mu = (1-|xi|^2)/|1-<z0,xi>|^2.
 
     The identity is exact for unit z0 (and for xi = 0 everywhere): the
     algebra behind it replaces <z0, xi - z0> by <z0, xi> - 1, which needs
     |z0| = 1.  At strictly interior z0 with xi != 0 the residual is
     genuinely of order |xi| (1 - |z0|^2); this function reports it
-    either way.
+    either way, one value per batch row.
     """
     z0 = np.asarray(z0, dtype=complex)
     denom = _denominator(p, z0)
     image = mobius_map(p, z0)
-    pulled = hermitian_adjoint(mobius_derivative(p, z0)) @ image
-    mu = (1.0 - float(np.linalg.norm(p.xi)) ** 2) / abs(denom) ** 2
-    return float(np.linalg.norm(pulled - mu * z0))
+    pulled = (hermitian_adjoint(mobius_derivative(p, z0)) @ image[..., None])[..., 0]
+    mu = (1.0 - np.linalg.norm(p.xi, axis=-1) ** 2) / np.abs(denom) ** 2
+    return np.linalg.norm(pulled - mu[..., None] * z0, axis=-1)
 
 
 def boundary_lambda(

@@ -21,6 +21,7 @@ seed alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -125,6 +126,9 @@ def poisson_kernel(kind: KernelKind, x: np.ndarray, eta: np.ndarray) -> float:
 
     Harmonic:            (1-|x|^2)   / |x-eta|^n      / sigma(S^{n-1})
     hyperbolic-harmonic: (1-|x|^2)^{n-1} / |x-eta|^{2(n-1)} / sigma(S^{n-1}).
+
+    From n = 439 the area sigma(S^{n-1}) is below the smallest normal
+    double (0.0 from n = 456), and the call raises :class:`DomainError`.
     """
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -141,6 +145,8 @@ def poisson_kernel(kind: KernelKind, x: np.ndarray, eta: np.ndarray) -> float:
     nu, mu = kind.exponents(n)
     dist2 = float(np.dot(x - eta, x - eta))
     area = sphere_prefactors(n).sigma_area
+    if area < sys.float_info.min:
+        raise DomainError(f"the area of S^(n-1) underflows the doubles at n={n}")
     return (1.0 - r2) ** nu / dist2 ** mu / area
 
 

@@ -437,24 +437,24 @@ def _random_boundary_map(rng: np.random.Generator, n: int, m: int) -> BoundaryMa
     """Random smooth boundary map into the unit ball of R^m, antisymmetrized.
 
     A convex-weighted mixture of plane-wave profiles times unit target
-    directions stays inside the ball by construction; antisymmetrizing
-    forces the harmonic extension to vanish at the origin.
+    directions, sum_i w_i cos(f_i <eta, d_i> + p_i) t_i, stays inside the
+    ball by construction.  Its odd part forces the harmonic extension to
+    vanish at the origin, and since
+    (cos(f u + p) - cos(-f u + p)) / 2 = -sin(p) sin(f u) it is
+
+        sum_i sin(f_i <eta, d_i>) (-w_i sin p_i) t_i,
+
+    one sine of the (N, components) phase matrix and one matrix product.
     """
     directions = uniform_sphere_samples(rng, _MAP_COMPONENTS, n)
     targets = uniform_sphere_samples(rng, _MAP_COMPONENTS, m)
     freqs = rng.uniform(0.5, 4.0, _MAP_COMPONENTS)
     phases = rng.uniform(0.0, 2.0 * math.pi, _MAP_COMPONENTS)
     weights = rng.dirichlet(np.ones(_MAP_COMPONENTS)) * rng.uniform(0.6, 1.0)
-
-    def raw(eta: np.ndarray) -> np.ndarray:
-        out = np.zeros((eta.shape[0], m))
-        for i in range(_MAP_COMPONENTS):
-            s = np.cos(freqs[i] * (eta @ directions[i]) + phases[i])
-            out += weights[i] * s[:, None] * targets[i][None, :]
-        return out
+    amplitudes = -(weights * np.sin(phases))[:, None] * targets
 
     def antisymmetrized(eta: np.ndarray) -> np.ndarray:
-        return 0.5 * (raw(eta) - raw(-eta))
+        return np.sin((eta @ directions.T) * freqs) @ amplitudes
 
     return BoundaryMap(n=n, m=m, eval=antisymmetrized)
 

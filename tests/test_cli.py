@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ballschwarz
+from ballschwarz import cli, hilbert_ball
 from ballschwarz.cli import main
+from ballschwarz.hilbert_ball import MobiusParams, mobius_A, mobius_map, verify_dphi_adjoint_identity
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -162,6 +165,60 @@ def test_mobius_determinism(capsys):
     _, first = _run(capsys, ["mobius", "--n", "2", "--seed", "9"])
     _, second = _run(capsys, ["mobius", "--n", "2", "--seed", "9"])
     assert first == second
+
+
+def _per_draw_mobius_rows(k, seed):
+    """The per-draw loop the batched ``mobius`` table replaced, rebuilt row by row."""
+    def residuals(params, z):
+        amat = mobius_A(params)
+        xi = params.xi
+        a_sq_target = params.s**2 * np.eye(k, dtype=complex) + np.outer(xi, np.conj(xi))
+        image = mobius_map(params, z)
+        return {
+            "involution": float(np.linalg.norm(mobius_map(params, image) - z)),
+            "sphere_preservation": abs(float(np.linalg.norm(image)) - 1.0),
+            "A_squared": float(np.linalg.norm(amat @ amat - a_sq_target)),
+            "derivative_adjoint": float(verify_dphi_adjoint_identity(params, z)),
+        }
+
+    origin = residuals(MobiusParams(np.zeros(k, dtype=complex)), cli._unit_sphere_point(k, seed))
+    rng = np.random.Generator(np.random.Philox([seed, k]))
+    worst = dict.fromkeys(origin, 0.0)
+    for _ in range(cli._MOBIUS_BATCH):
+        xi = cli._random_ball_point(rng, k, 0.9)
+        z = cli._random_unit_complex(rng, k)
+        for name, value in residuals(MobiusParams(xi), z).items():
+            worst[name] = max(worst[name], value)
+    return {"origin": origin, "random_max": worst}
+
+
+def test_mobius_keeps_its_draws(capsys, monkeypatch):
+    dims = [1, 2, 3, 8, 32]
+    calls = []
+    derivative = hilbert_ball.mobius_derivative
+
+    def counted(p, z):
+        calls.append(p.xi.shape)
+        return derivative(p, z)
+
+    monkeypatch.setattr(hilbert_ball, "mobius_derivative", counted)
+    code, out = _run(capsys, ["mobius", "--n", ",".join(map(str, dims)), "--seed", "5", "--format", "json"])
+    assert code == 0
+    monkeypatch.setattr(hilbert_ball, "mobius_derivative", derivative)
+
+    rows = json.loads(out)
+    assert len(rows) == 8 * len(dims)
+    expected = {k: _per_draw_mobius_rows(k, 5) for k in dims}
+    for row in rows:
+        reference = expected[row["k"]][row["case"]][row["identity"]]
+        assert abs(row["residual"] - reference) <= 1e-15, row
+
+    # One derivative call for the origin row and one per slice of draws.
+    slices = {k: math.ceil(cli._MOBIUS_BATCH / max(1, cli._MOBIUS_SLICE_ENTRIES // (k * k))) for k in dims}
+    assert len(calls) == sum(1 + slices[k] for k in dims)
+    assert slices[32] < cli._MOBIUS_BATCH
+    for shape in calls:
+        assert math.prod(shape) * shape[-1] <= cli._MOBIUS_SLICE_ENTRIES
 
 
 def test_negative_seed_is_usage_error(capsys):

@@ -309,3 +309,83 @@ def test_mobius_degenerate_denominator():
     z = np.array([1.0 / 0.999 + 0.0j])
     with pytest.raises(DomainError):
         mobius_map(p, z)
+
+
+def _batch(rng, count, k):
+    xi = np.stack([_random_ball_vector(rng, k) for _ in range(count)])
+    z = np.stack([_random_unit_vector(rng, k) for _ in range(count)])
+    return xi, z
+
+
+def _rel_close(batched, looped):
+    scale = max(1.0, float(np.max(np.abs(looped))))
+    return float(np.max(np.abs(batched - looped))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 32])
+def test_batched_functions_match_a_per_row_loop(k):
+    rng = _rng(17 + k)
+    xi, z = _batch(rng, 7, k)
+    batch = MobiusParams(xi)
+    rows = [MobiusParams(row) for row in xi]
+    assert batch.k == k and batch.s.shape == (7,)
+    assert _rel_close(mobius_A(batch), np.stack([mobius_A(p) for p in rows]))
+    assert _rel_close(mobius_map(batch, z), np.stack([mobius_map(p, w) for p, w in zip(rows, z)]))
+    assert _rel_close(
+        mobius_derivative(batch, z), np.stack([mobius_derivative(p, w) for p, w in zip(rows, z)])
+    )
+    residuals = verify_dphi_adjoint_identity(batch, z)
+    assert residuals.shape == (7,)
+    looped = np.array([verify_dphi_adjoint_identity(p, w) for p, w in zip(rows, z)])
+    assert np.all(np.abs(residuals - looped) <= 1e-14 * np.maximum(1.0, looped))
+
+
+def test_batch_broadcasts_one_point_against_many_parameters():
+    rng = _rng(23)
+    xi, _ = _batch(rng, 5, 3)
+    w = _random_unit_vector(rng, 3)
+    images = mobius_map(MobiusParams(xi), w)
+    for row, image in zip(xi, images):
+        assert np.linalg.norm(image - mobius_map(MobiusParams(row), w)) <= 1e-15
+
+
+def test_hermitian_adjoint_of_a_stack():
+    rng = _rng(24)
+    stack = _random_complex(rng, 4, 3, 5)
+    adjoint = hermitian_adjoint(stack)
+    assert adjoint.shape == (4, 5, 3)
+    for m_mat, m_adj in zip(stack, adjoint):
+        assert np.array_equal(m_adj, hermitian_adjoint(m_mat))
+
+
+def test_batch_with_one_parameter_outside_the_ball_raises():
+    rng = _rng(25)
+    xi, _ = _batch(rng, 6, 3)
+    xi[4] = xi[4] / np.linalg.norm(xi[4])  # |xi| = 1
+    with pytest.raises(DomainError, match=r"batch row \[4\]"):
+        MobiusParams(xi)
+    xi[4] *= 1.5
+    with pytest.raises(DomainError):
+        MobiusParams(xi)
+
+
+def test_batch_with_one_degenerate_denominator_raises():
+    rng = _rng(26)
+    xi, z = _batch(rng, 6, 2)
+    xi[2] = np.array([0.999 + 0.0j, 0.0])
+    z[2] = np.array([1.0 / 0.999 + 0.0j, 0.0])  # <z, xi> = 1
+    p = MobiusParams(xi)
+    for call in (mobius_map, mobius_derivative, verify_dphi_adjoint_identity):
+        with pytest.raises(DomainError, match="degenerate"):
+            call(p, z)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 32])
+def test_rank_one_map_matches_the_matrix_form(k):
+    rng = _rng(27 + k)
+    for _ in range(20):
+        p = MobiusParams(_random_ball_vector(rng, k))
+        z = _random_ball_vector(rng, k, max_norm=0.999)
+        v = (p.xi - z) / (1.0 - inner(z, p.xi))
+        expected = mobius_A(p) @ v
+        assert np.linalg.norm(mobius_map(p, z) - expected) <= 1e-14 * max(1.0, np.linalg.norm(expected))

@@ -62,6 +62,21 @@ def test_kernel_domain_errors():
         poisson_kernel(HARM, np.array([0.1, 0.0]), np.array([0.5, 0.0]))
 
 
+@pytest.mark.parametrize("n", [456, 1080])
+def test_kernel_raises_where_the_sphere_area_underflows(n):
+    assert sphere_prefactors(n).sigma_area == 0.0
+    for kind in (HARM, HYP):
+        with pytest.raises(DomainError, match=f"n={n}"):
+            poisson_kernel(kind, np.zeros(n), _axis(n))
+
+
+def test_kernel_below_the_area_underflow_is_finite():
+    n = 438  # the last n whose sphere area is a normal double
+    value = poisson_kernel(HARM, np.zeros(n), _axis(n))
+    assert math.isfinite(value)
+    assert value == pytest.approx(1.0 / sphere_prefactors(n).sigma_area, rel=1e-14)
+
+
 def test_zonal_constant_profile_extends_to_one():
     # P[1] = 1 for both kernels, near the sphere and on the antipodal ray too.
     for n in (2, 3, 5):

@@ -29,9 +29,9 @@ from ballschwarz import (
     sphere_prefactors,
     zonal_contact_case,
 )
-from ballschwarz.poisson import BoundaryMap
+from ballschwarz.poisson import BoundaryMap, uniform_sphere_samples
 from ballschwarz.quadrature import integrate
-from ballschwarz.verify import random_zonal_profile
+from ballschwarz.verify import _MAP_COMPONENTS, _random_boundary_map, random_zonal_profile
 
 HARM = KernelKind.HARMONIC
 HYP = KernelKind.HYPERBOLIC_HARMONIC
@@ -452,3 +452,35 @@ def test_contact_case_validation():
             a=0.0,
             case_id="bad",
         )
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_random_boundary_map_closed_form(n, m):
+    gmap = _random_boundary_map(np.random.Generator(np.random.Philox(40 + n)), n, m)
+    # The same draws, in the same order, for the cosine mixture it replaces.
+    rng = np.random.Generator(np.random.Philox(40 + n))
+    directions = uniform_sphere_samples(rng, _MAP_COMPONENTS, n)
+    targets = uniform_sphere_samples(rng, _MAP_COMPONENTS, m)
+    freqs = rng.uniform(0.5, 4.0, _MAP_COMPONENTS)
+    phases = rng.uniform(0.0, 2.0 * math.pi, _MAP_COMPONENTS)
+    weights = rng.dirichlet(np.ones(_MAP_COMPONENTS)) * rng.uniform(0.6, 1.0)
+
+    def raw(eta):
+        out = np.zeros((eta.shape[0], m))
+        for i in range(_MAP_COMPONENTS):
+            s = np.cos(freqs[i] * (eta @ directions[i]) + phases[i])
+            out += weights[i] * s[:, None] * targets[i][None, :]
+        return out
+
+    eta = uniform_sphere_samples(np.random.Generator(np.random.Philox(7)), 1000, n)
+    values = gmap.eval(eta)
+    assert values.shape == (1000, m)
+    assert np.max(np.abs(values - 0.5 * (raw(eta) - raw(-eta)))) <= 1e-15
+    assert np.array_equal(gmap.eval(-eta), -values)
+
+
+def test_hemisphere_majorant_keeps_its_value():
+    # Pinned from the cosine-mixture form of the random boundary map.
+    worst = check_hemisphere_majorant(3, 2, trials=3, seed=5, samples=5_000)
+    assert worst == pytest.approx(-0.4123673647619134, abs=1e-12)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -253,7 +254,34 @@ def _mobius_residuals(params: MobiusParams, z: np.ndarray) -> dict[str, np.ndarr
     }
 
 
+def _mobius_draws(seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_MOBIUS_BATCH`` random pairs (xi, z) of dimension k that ``_cmd_mobius`` checks."""
+    rng = np.random.Generator(np.random.Philox([seed, k]))
+    normals = np.empty((_MOBIUS_BATCH, 2, 2 * k))
+    radii = np.empty(_MOBIUS_BATCH)
+    for i in range(_MOBIUS_BATCH):
+        normals[i, 0] = rng.standard_normal(2 * k)
+        radii[i] = 0.9 * rng.uniform() ** (1.0 / (2 * k))
+        normals[i, 1] = rng.standard_normal(2 * k)
+    units = normals[..., :k] + 1j * normals[..., k:]
+    re, im = units.real, units.imag
+    units /= np.sqrt(re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None])[..., 0]
+    return units[:, 0] * radii[:, None], units[:, 1]
+
+
 def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
+    """Origin rows, then the worst residual over ``_MOBIUS_BATCH`` seeded draws per k.
+
+    Draw i takes, from ``Philox([seed, k])``, 2k normals for the direction
+    of xi (real parts, then imaginary parts), one uniform u for its radius
+    0.9·u^(1/(2k)), and 2k normals for z.  All rows are then divided by
+    their norms sqrt(re·re + im·im), taken as dot products on the strided
+    ``.real`` and ``.imag`` views of the complex array as ``np.linalg.norm``
+    takes them, so the pairs are bit for bit those of a loop that draws
+    and normalizes one vector at a time.  The residuals are evaluated in
+    slices of at most ``_MOBIUS_SLICE_ENTRIES`` (b, k, k) entries, which
+    bounds peak memory at large k.
+    """
     rows = []
     identities = ["involution", "sphere_preservation", "A_squared", "derivative_adjoint"]
     for k in sorted(args.n):
@@ -262,12 +290,7 @@ def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
         zero = _mobius_residuals(MobiusParams(np.zeros(k, dtype=complex)), _unit_sphere_point(k, args.seed))
         for name in identities:
             rows.append({"k": k, "case": "origin", "identity": name, "residual": zero[name], "draws": 1})
-        rng = np.random.Generator(np.random.Philox([args.seed, k]))
-        xis = np.empty((_MOBIUS_BATCH, k), dtype=complex)
-        zs = np.empty((_MOBIUS_BATCH, k), dtype=complex)
-        for i in range(_MOBIUS_BATCH):
-            xis[i] = _random_ball_point(rng, k, 0.9)
-            zs[i] = _random_unit_complex(rng, k)
+        xis, zs = _mobius_draws(args.seed, k)
         worst = {name: 0.0 for name in identities}
         step = max(1, _MOBIUS_SLICE_ENTRIES // (k * k))
         for lo in range(0, _MOBIUS_BATCH, step):
@@ -284,20 +307,14 @@ def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
 
 def _unit_sphere_point(k: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox([seed, 7]))
-    return _random_unit_complex(rng, k)
-
-
-def _random_unit_complex(rng: np.random.Generator, k: int) -> np.ndarray:
     z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     return z / np.linalg.norm(z)
 
 
-def _random_ball_point(rng: np.random.Generator, k: int, max_norm: float) -> np.ndarray:
-    z = _random_unit_complex(rng, k)
-    return z * (max_norm * rng.uniform() ** (1.0 / (2 * k)))
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it, and
+    every default is a string its ``type`` converts afresh on each call."""
     parser = argparse.ArgumentParser(
         prog="ballschwarz",
         description="Sharp boundary-derivative constants and envelopes on the unit ball.",

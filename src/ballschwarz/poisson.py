@@ -217,7 +217,12 @@ def monte_carlo_extension(
     unbiased estimate of int P(x, eta) g(eta) dsigma(eta) over uniform
     sphere samples and its per-component standard error.  Deterministic
     given ``seed``; the stream is consumed sequentially so the chunked
-    evaluation does not affect the result.
+    evaluation does not affect the result beyond rounding.
+
+    Each chunk takes |eta - x|^2 as (1 + |x|^2) - 2<eta, x> (the samples
+    are unit vectors), held at or above its least value (1 - |x|)^2, and
+    adds its sums of P·g and P²·g² in one pass, as ``kernel @ g`` and
+    ``kernel² @ g²``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
@@ -229,6 +234,7 @@ def monte_carlo_extension(
         raise DomainError("samples must be >= 1")
     nu, mu = kind.exponents(g.n)
 
+    floor = (1.0 - math.sqrt(r2)) ** 2
     rng = np.random.Generator(np.random.Philox(seed))
     total = np.zeros(g.m)
     total_sq = np.zeros(g.m)
@@ -236,12 +242,11 @@ def monte_carlo_extension(
     while done < samples:
         count = min(_MC_CHUNK, samples - done)
         eta = uniform_sphere_samples(rng, count, g.n)
-        diff = eta - x[None, :]
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        kernel = (1.0 - r2) ** nu / dist2 ** mu
-        vals = kernel[:, None] * np.asarray(g.eval(eta), dtype=float)
-        total += vals.sum(axis=0)
-        total_sq += (vals * vals).sum(axis=0)
+        dist2 = np.maximum((1.0 + r2) - 2.0 * (eta @ x), floor)
+        kernel = (1.0 - r2) ** nu / dist2**mu
+        vals = np.asarray(g.eval(eta), dtype=float)
+        total += kernel @ vals
+        total_sq += (kernel * kernel) @ (vals * vals)
         done += count
 
     mean = total / samples

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -167,6 +168,31 @@ def test_mobius_determinism(capsys):
     assert first == second
 
 
+def _per_draw_unit_complex(rng, k):
+    z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return z / np.linalg.norm(z)
+
+
+def _per_draw_pairs(k, seed):
+    """The ``mobius`` draws one vector at a time: xi's direction, its radius, then z."""
+    rng = np.random.Generator(np.random.Philox([seed, k]))
+    xis, zs = [], []
+    for _ in range(cli._MOBIUS_BATCH):
+        xi = _per_draw_unit_complex(rng, k)
+        xis.append(xi * (0.9 * rng.uniform() ** (1.0 / (2 * k))))
+        zs.append(_per_draw_unit_complex(rng, k))
+    return np.array(xis), np.array(zs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 32, 33])
+@pytest.mark.parametrize("seed", [0, 5, 7, 12345])
+def test_mobius_draws_are_the_per_draw_bits(k, seed):
+    xis, zs = cli._mobius_draws(seed, k)
+    ref_xis, ref_zs = _per_draw_pairs(k, seed)
+    assert np.array_equal(xis, ref_xis)
+    assert np.array_equal(zs, ref_zs)
+
+
 def _per_draw_mobius_rows(k, seed):
     """The per-draw loop the batched ``mobius`` table replaced, rebuilt row by row."""
     def residuals(params, z):
@@ -181,12 +207,10 @@ def _per_draw_mobius_rows(k, seed):
             "derivative_adjoint": float(verify_dphi_adjoint_identity(params, z)),
         }
 
-    origin = residuals(MobiusParams(np.zeros(k, dtype=complex)), cli._unit_sphere_point(k, seed))
-    rng = np.random.Generator(np.random.Philox([seed, k]))
+    origin_point = _per_draw_unit_complex(np.random.Generator(np.random.Philox([seed, 7])), k)
+    origin = residuals(MobiusParams(np.zeros(k, dtype=complex)), origin_point)
     worst = dict.fromkeys(origin, 0.0)
-    for _ in range(cli._MOBIUS_BATCH):
-        xi = cli._random_ball_point(rng, k, 0.9)
-        z = cli._random_unit_complex(rng, k)
+    for xi, z in zip(*_per_draw_pairs(k, seed)):
         for name, value in residuals(MobiusParams(xi), z).items():
             worst[name] = max(worst[name], value)
     return {"origin": origin, "random_max": worst}
@@ -219,6 +243,57 @@ def test_mobius_keeps_its_draws(capsys, monkeypatch):
     assert slices[32] < cli._MOBIUS_BATCH
     for shape in calls:
         assert math.prod(shape) * shape[-1] <= cli._MOBIUS_SLICE_ENTRIES
+
+
+def test_calls_share_one_parser(monkeypatch, capsys):
+    argv = ["constants", "--n", "2,3"]
+    _, first = _run(capsys, argv)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _, second = _run(capsys, argv)
+    assert built == []
+    assert second == first
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    _, expected = _run(capsys, ["hopf", "--n", "3"])
+    monkeypatch.setattr(sys, "argv", ["ballschwarz", "hopf", "--n", "3"])
+    assert _run(capsys, None) == (0, expected)
+
+
+def test_an_oracle_call_leaves_no_oracle_columns_behind(capsys):
+    argv = ["envelope", "--n", "3", "--c-grid", "0.5", "--r-grid", "0.5"]
+    code, plain = _run(capsys, argv)
+    assert code == 0
+    code, oracle = _run(capsys, argv + ["--oracle", "--seed", "11"])
+    assert code == 0 and "M_oracle_mc" in oracle
+    assert _run(capsys, argv) == (0, plain)
+    assert plain == "kind,n,c,r,M_upper,m_lower\nharmonic,3,0.5,0.5,0.6583592135,-0.6583592135\n"
+
+
+def test_an_out_call_leaves_stdout_as_the_next_target(tmp_path, capsys):
+    argv = ["constants", "--n", "2", "--a-grid", "0"]
+    target = tmp_path / "table.csv"
+    assert _run(capsys, argv + ["--out", str(target)]) == (0, "")
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert out == target.read_text()
+
+
+def test_a_usage_error_leaves_the_next_call_intact(capsys):
+    argv = ["mobius", "--n", "1,2", "--seed", "3"]
+    _, before = _run(capsys, argv)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["mobius", "--n", "1,2", "--seed=-3"])
+    assert excinfo.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert _run(capsys, argv) == (0, before)
 
 
 def test_negative_seed_is_usage_error(capsys):

@@ -18,6 +18,7 @@ from ballschwarz import (
     uniform_sphere_samples,
     zonal_extension_on_axis,
 )
+from ballschwarz import poisson
 
 HARM = KernelKind.HARMONIC
 HYP = KernelKind.HYPERBOLIC_HARMONIC
@@ -282,3 +283,49 @@ def test_uniform_sphere_samples_are_unit():
     rng = np.random.Generator(np.random.Philox(1))
     samples = uniform_sphere_samples(rng, 500, 4)
     assert np.allclose(np.linalg.norm(samples, axis=1), 1.0, atol=1e-12)
+
+
+def _positive_map(n, m):
+    """Components (1 + eta_j)/(2 sqrt m): nonnegative, so the sums have no cancellation."""
+    return BoundaryMap(n=n, m=m, eval=lambda eta: (1.0 + eta[:, [j % n for j in range(m)]]) / (2.0 * math.sqrt(m)))
+
+
+def _point(n):
+    x = np.linspace(0.6, -0.3, n)
+    return 0.6 * x / np.linalg.norm(x)
+
+
+def _two_pass_extension(kind, g, x, samples, seed):
+    """The estimator as two reductions of the (N, m) products P·g, from one draw of the samples."""
+    nu, mu = kind.exponents(g.n)
+    eta = uniform_sphere_samples(np.random.Generator(np.random.Philox(seed)), samples, g.n)
+    diff = eta - x[None, :]
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    kernel = (1.0 - float(np.dot(x, x))) ** nu / dist2**mu
+    vals = kernel[:, None] * g.eval(eta)
+    mean = vals.sum(axis=0) / samples
+    var = np.maximum((vals * vals).sum(axis=0) / samples - mean * mean, 0.0) * (samples / (samples - 1.0))
+    return mean, np.sqrt(var / samples)
+
+
+@pytest.mark.parametrize("kind", [HARM, HYP])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 3])
+def test_monte_carlo_one_pass_sums_match_two_reductions(kind, n, m):
+    g, x = _positive_map(n, m), _point(n)
+    estimate, stderr = monte_carlo_extension(kind, g, x, 5000, seed=n + 10 * m)
+    ref_estimate, ref_stderr = _two_pass_extension(kind, g, x, 5000, seed=n + 10 * m)
+    np.testing.assert_allclose(estimate, ref_estimate, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", [HARM, HYP])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 3])
+def test_monte_carlo_chunking_keeps_the_result(kind, n, m, monkeypatch):
+    g, x = _positive_map(n, m), _point(n)
+    whole = monte_carlo_extension(kind, g, x, 3001, seed=7 * n + m)
+    monkeypatch.setattr(poisson, "_MC_CHUNK", 7)
+    chunked = monte_carlo_extension(kind, g, x, 3001, seed=7 * n + m)
+    for value, reference in zip(chunked, whole):
+        np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)

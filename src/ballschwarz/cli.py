@@ -218,7 +218,7 @@ def _cmd_hopf(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     rows = []
     for n in sorted(args.n):
         for c in sorted(args.c_grid):
-            scan = hopf_failure_scan(n, c, config=quad)
+            scan = hopf_failure_scan(n, c)
             for r, value in zip(scan.radii, scan.values):
                 rows.append(
                     {"n": n, "c": c, "r": r, "T": value, "slope": None, "coefficient": None, "d_n": None}
@@ -358,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(run=_cmd_verify)
     add_common(p_verify, seed=True)
 
-    p_hopf = sub.add_parser("hopf", help="hyperbolic difference-quotient scan")
+    hopf_help = "hyperbolic difference-quotient scan (closed form: --tol-abs/--tol-rel do not affect it)"
+    p_hopf = sub.add_parser("hopf", help=hopf_help, description=hopf_help)
     p_hopf.add_argument("--n", type=_ints, default="3,4", metavar="LIST")
     p_hopf.add_argument("--c-grid", type=_floats, default="0.5", metavar="LIST")
     p_hopf.set_defaults(run=_cmd_hopf)

@@ -15,25 +15,19 @@ The exponent pair is (nu, mu) = (1, n/2) for the Euclidean Laplacian and
 (n-1, n-1) for the Laplace-Beltrami operator of the ball model.
 
 For r >= 0 the kernel peaks at t = 0, inside the cap of M.  Since the
-kernel integrates to 1, M is evaluated instead through the complement
-arc, which leaves the peak out:
+kernel integrates to 1, both envelopes are written through the
+difference quotient T of a complement arc, which leaves the peak out:
 
-    M_c^n(r) = 1 - 2 sigma_star(n) (1-r^2)^nu
-                   * int_alpha^pi sin^{n-2}t (1 - 2r cos t + r^2)^{-mu} dt
-             = 1 - (1-r) T(r),
+    M_c^n(r) = 1 - (1-r) T_c(r),    m_c^n(r) = (1-r) T_{1-c}(r) - 1 = -M_{1-c}^n(r),
 
-with T the factored difference quotient below.  m's arc [pi - alpha, pi]
-already avoids t = 0: it is the complement arc of the cap of half-angle
-pi - alpha and measure 1 - c, so the same quotient for that cap gives
-
-    m_c^n(r) = (1-r) T_{1-c}(r) - 1 = -M_{1-c}^n(r),
-
-and the kernel's prefactors live in T alone.  For r < 0 the peak moves
+with T_{1-c} taken for the cap of half-angle pi - alpha.  The harmonic T
+is a tail quadrature, the hyperbolic one a closed form by Moebius
+invariance (``boundary_difference_quotient``).  For r < 0 the peak moves
 to t = pi, and the substitution t -> pi - t gives the reflection
 
     M_c^n(-r) = m_c^n(r),    m_c^n(-r) = M_c^n(r),
 
-so every radius is evaluated by a peak-free integral.
+so no radius integrates across the kernel peak.
 
 Every sharp constant in this package is a boundary derivative of M_c^n,
 in closed form through the cap measure F_n(alpha) = I_{sin^2 alpha}((n-1)/2,
@@ -259,32 +253,42 @@ def boundary_difference_quotient(
     r: float,
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """T(r) = (1 - M_c^n(r)) / (1 - r), evaluated in factored form.
+    """T(r) = (1 - M_c^n(r)) / (1 - r) on 0 <= r <= 1, the sphere included.
 
-    Writing 1 - M as twice the extension of the complement-cap indicator
-    pulls the vanishing factor out of the integral analytically:
+    1 - M is twice the extension of the complement-cap indicator, so
 
-        harmonic:    T(r) = 2 sigma_star (1+r)          J_{n/2}(r)
-        hyperbolic:  T(r) = 2 sigma_star (1-r)^{n-2} (1+r)^{n-1} J_{n-1}(r)
+        harmonic:    T(r) = 2 sigma_star (1+r) int_alpha^pi sin^{n-2}t (1 - 2r cos t + r^2)^{-n/2} dt,
 
-    with J_mu(r) the complement-arc integral, which stays smooth up to
-    r = 1 because the kernel peak at t = 0 is excluded.  Valid on
-    0 <= r <= 1 including the boundary itself.
+    a quadrature that stays smooth up to r = 1 because the kernel peak
+    at t = 0 is left out.  The ball automorphism that swaps r e and 0 maps
+    the complement cap {t >= alpha} onto the cap of half-angle 2 arctan q
+    about -e, q = (1-r) / ((1+r) tan(alpha/2)), and its boundary Jacobian
+    is the hyperbolic Poisson kernel, so the cap's hyperbolic harmonic
+    measure is the cap measure F_n of its image (Stoll, Harmonic and
+    Subharmonic Function Theory on the Hyperbolic Ball, ch. 5):
+
+        hyperbolic:  T(r) = 2 F_n(2 arctan q) / (1-r).
+
+    That is 0/0 at r = 1, where T takes its limit: 2 cot(alpha/2) / pi at
+    n = 2, where the two kernels coincide, and 0 for n > 2, where
+    T ~ d_n (1-r)^{n-2}.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"difference quotient needs 0 <= r <= 1, got {r!r}")
     if cap.alpha >= math.pi:
         return 0.0
+    if r == 1.0 and kind is KernelKind.HYPERBOLIC_HARMONIC:
+        return 2.0 / (math.pi * math.tan(0.5 * cap.alpha)) if cap.n == 2 else 0.0
     return _tail_quotient(kind, cap.n, cap.alpha, r, config)
 
 
 def _tail_quotient(kind: KernelKind, n: int, alpha: float, r: float, config: QuadratureConfig) -> float:
-    """2 sigma_star (1-r^2)^nu / (1-r) int_alpha^pi of the angle kernel, factored as in T."""
-    star = sphere_prefactors(n).sigma_star
+    """T(r) for the cap of half-angle alpha, 0 <= r < 1 (1 is harmonic only)."""
+    if kind is KernelKind.HYPERBOLIC_HARMONIC:
+        q = (1.0 - r) / ((1.0 + r) * math.tan(0.5 * alpha))
+        return 2.0 * cap_measure_from_angle(n, 2.0 * math.atan(q)) / (1.0 - r)
     tail = integrate(lambda t: kind.angle_kernel(n, r, t), alpha, math.pi, config)
-    if kind is KernelKind.HARMONIC:
-        return 2.0 * star * (1.0 + r) * tail
-    return 2.0 * star * (1.0 - r) ** (n - 2) * (1.0 + r) ** (n - 1) * tail
+    return 2.0 * sphere_prefactors(n).sigma_star * (1.0 + r) * tail
 
 
 def _positive_double(value: float, what: str) -> float:
@@ -360,10 +364,9 @@ def schwarz_planar_bound(b: float) -> float:
 def hyperbolic_decay_coefficient(n: int, c: float) -> float:
     """Coefficient d_n in T(r) ~ d_n (1-r)^{n-2} for the hyperbolic kernel.
 
-    From the factored form T(r) = 2 sigma_star (1-r)^{n-2} (1+r)^{n-1} J(r),
-    letting r -> 1 turns (1+r)^{n-1} into 2^{n-1} and the integrand of J
-    into 4^{1-n} sin^{n-2}t sin^{-2(n-1)}(t/2); with u = t/2 and w = cot u
-    the integral becomes int w^{n-2} dw, so
+    As r -> 1 the closed form T(r) = 2 F_n(2 arctan q) / (1-r) of
+    ``boundary_difference_quotient`` has q ~ (1-r) cot(alpha/2) / 2 -> 0,
+    and F_n(theta) ~ sigma_star theta^{n-1} / (n-1) as theta -> 0, so
 
         d_n = 2 sigma_star(n) cot^{n-1}(alpha(c)/2) / (n-1),
 

@@ -508,31 +508,27 @@ class HopfScanResult:
     coefficient: float
 
 
-def hopf_failure_scan(
-    n: int,
-    c: float,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> HopfScanResult:
+def hopf_failure_scan(n: int, c: float) -> HopfScanResult:
     """Fit T(r) = (1 - M_c^n(r))/(1 - r) ~ d_n (1-r)^{n-2}, hyperbolic kernel.
 
     Least-squares fit of log T against log(1-r) over the geometric radius
     grid r = 1 - 2^{-k}, k = 4, ..., 14.  The model includes the
-    correction regressors (1-r) and (1-r)^2: the log of the prefactor
-    (1+r)^{n-1} J(r) of the factored form is smooth in (1-r), and
-    truncating its expansion after the linear term still biases the
-    extrapolated coefficient by up to 0.7% on this grid (n = 16,
-    c = 0.1); the quadratic term brings that below 2e-4 for 3 <= n <= 16.
-    The fitted slope estimates the decay exponent n-2 (so the boundary
-    derivative of M vanishes) and exp(intercept) estimates d_n.
+    correction regressors (1-r) and (1-r)^2: log(T / (1-r)^{n-2}) is
+    smooth in (1-r), and truncating its expansion after the linear term
+    still biases the extrapolated coefficient by up to 0.7% on this grid
+    (n = 16, c = 0.1); the quadratic term brings that below 2e-4 for
+    3 <= n <= 16.  The fitted slope estimates the decay exponent n-2 (so
+    the boundary derivative of M vanishes) and exp(intercept) estimates
+    d_n.  A cap measure (1-r) T / 2 below the normal doubles (from n = 74
+    at c = 1/2) has lost digits or is 0: ``DomainError``.
     """
     if n <= 2 or n != int(n):
         raise DomainError(f"hyperbolic scan needs integer n > 2, got {n!r}")
     cap = cap_angle_from_measure(n, c)
-    values = [
-        boundary_difference_quotient(KernelKind.HYPERBOLIC_HARMONIC, cap, r, config)
-        for r in _HOPF_RADII
-    ]
+    values = [boundary_difference_quotient(KernelKind.HYPERBOLIC_HARMONIC, cap, r) for r in _HOPF_RADII]
     gap = np.array([1.0 - r for r in _HOPF_RADII])
+    if not np.min(0.5 * gap * values) >= np.finfo(float).tiny:
+        raise DomainError(f"hyperbolic scan for n={n}, c={c!r} underflows: smallest T(r) is {min(values)!r}")
     x = np.log(gap)
     y = np.log(np.array(values))
     design = np.column_stack([np.ones_like(x), x, gap, gap * gap])
@@ -647,7 +643,7 @@ def default_verification_suite(
     )
 
     for n in (3, 4):
-        scan = hopf_failure_scan(n, 0.5, config=config)
+        scan = hopf_failure_scan(n, 0.5)
         d_n = hyperbolic_decay_coefficient(n, 0.5)
         reports.append(MarginReport(f"hopf-scan slope n={n}", scan.slope, float(n - 2), 0.02, "=="))
         reports.append(

@@ -328,6 +328,15 @@ def test_hopf_decay_coefficient_at_dimension_64(capsys):
     assert [row["d_n"] for row in summary] == ["2788.90521683"]
 
 
+@pytest.mark.parametrize("n", [80, 120, 200])
+def test_hopf_past_the_normal_doubles_exits_with_domain_code(capsys, n):
+    # T at r = 1 - 2^-14 underflows to 0 from n = 80 at c = 1/2
+    assert main(["hopf", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n={n}" in captured.err
+
+
 def test_constants_outside_the_doubles_exit_with_domain_code(capsys):
     assert main(["constants", "--n", "30000"]) == 2
     captured = capsys.readouterr()

@@ -201,13 +201,16 @@ def test_upper_envelope_matches_large_monte_carlo():
 
 
 def test_planar_lower_envelope_matches_disc_closed_form():
+    # at n = 2 the two kernels coincide, so the disc's arc measure checks
+    # the hyperbolic closed form by a separate path
     from ballschwarz.disc import arc_extension
 
     cap = cap_angle_from_measure(2, 0.25)
-    value = envelope_lower(HARM, cap, 0.5)
-    assert value == pytest.approx(PLANAR_LOWER_QUARTER_HALF, abs=1e-10)
     live = 2.0 * arc_extension(0.5 + 0.0j, math.pi - cap.alpha, math.pi + cap.alpha) - 1.0
-    assert value == pytest.approx(live, abs=1e-10)
+    for kind in (HARM, HYP):
+        value = envelope_lower(kind, cap, 0.5)
+        assert value == pytest.approx(PLANAR_LOWER_QUARTER_HALF, abs=1e-10), kind
+        assert value == pytest.approx(live, abs=1e-10), kind
 
 
 def test_hyperbolic_one_sided_quotient_vanishes():
@@ -233,13 +236,13 @@ def test_difference_quotient_consistent_with_envelope():
 
 
 @pytest.mark.parametrize("c", [0.1, 0.9])
-@pytest.mark.parametrize("n", [13, 15, 16])
+@pytest.mark.parametrize("n", [13, 15, 16, 24, 32, 48, 64])
 def test_hyperbolic_quotient_matches_mpmath_on_the_hopf_radii(n, c):
     # T(r) = 2 sigma_star (1-r)^{n-2} (1+r)^{n-1} int_alpha^pi of the kernel,
-    # at the library's own alpha so that only the quadrature is tested; a
-    # Gauss-Kronrod 7/15 rule misses this by 6.7e-12 at n = 16, c = 0.9
+    # at the library's own alpha so that only the closed form is tested; the
+    # factored quadrature that preceded it missed this by 2.1e-5 at n = 64
     cap = cap_angle_from_measure(n, c)
-    with mpmath.workdps(30):
+    with mpmath.workdps(40):
         half = mpmath.mpf(n) / 2
         star = mpmath.gamma(half) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(half - mpmath.mpf(1) / 2))
         for k in range(4, 15):
@@ -255,17 +258,57 @@ def test_hyperbolic_quotient_matches_mpmath_on_the_hopf_radii(n, c):
             assert value == pytest.approx(float(ref), rel=1e-12, abs=0.0), k
 
 
+def _quadrature_hyperbolic_quotient(cap, r):
+    """T(r) = 2 sigma_star (1-r)^{n-2} (1+r)^{n-1} int_alpha^pi of the hyperbolic angle kernel."""
+    n = cap.n
+    tail = integrate(lambda t: HYP.angle_kernel(n, r, t), cap.alpha, math.pi, TIGHT)
+    return 2.0 * sphere_prefactors(n).sigma_star * (1.0 - r) ** (n - 2) * (1.0 + r) ** (n - 1) * tail
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
+def test_hyperbolic_quotient_matches_the_factored_quadrature(n):
+    for c in (0.1, 0.5, 0.9):
+        cap = cap_angle_from_measure(n, c)
+        for r in (0.0, 0.3, 0.9, 0.99, 1.0 - 2.0**-10):
+            value = boundary_difference_quotient(HYP, cap, r)
+            _assert_rel(value, _quadrature_hyperbolic_quotient(cap, r), 1e-12, (c, r))
+
+
+PLANAR_QUOTIENT_AT_THE_SPHERE = 1.2494366532609131  # T(1) at n = 2, c = 0.3, both kinds: 2 cot(0.15 pi) / pi
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_difference_quotient_at_the_sphere(n):
+    # T(1) is dM/dr at r = 1: D_n(a) for the harmonic kernel, 0 for the
+    # hyperbolic one with n > 2, and the planar 2 cot(alpha/2) / pi for both
+    # at n = 2, where the closed form's 0/0 takes its limit
+    for c in (0.3, 0.5, 0.9):
+        cap = cap_angle_from_measure(n, c)
+        harmonic = boundary_difference_quotient(HARM, cap, 1.0)
+        hyperbolic = boundary_difference_quotient(HYP, cap, 1.0)
+        assert harmonic == pytest.approx(boundary_derivative_harmonic(n, 2.0 * c - 1.0), rel=1e-10), c
+        if n > 2:
+            assert hyperbolic == 0.0, c
+            continue
+        assert hyperbolic == pytest.approx(harmonic, rel=1e-12), c
+        assert hyperbolic == pytest.approx(boundary_difference_quotient(HYP, cap, 1.0 - 2.0**-30), rel=1e-8), c
+        if c == 0.3:
+            assert harmonic == pytest.approx(PLANAR_QUOTIENT_AT_THE_SPHERE, rel=1e-12)
+
+
 @pytest.mark.parametrize("kind", [HARM, HYP], ids=lambda k: k.value)
 @pytest.mark.parametrize("n", [3, 5, 32])
 def test_envelopes_match_mpmath_near_the_sphere(kind, n):
     # Radii on both sides of 0.999 and on the antipodal ray, where a
-    # quadrature across the kernel peak loses the requested accuracy.
+    # quadrature across the kernel peak loses the requested accuracy; the
+    # hyperbolic closed form is held to rounding.
+    tol = 1e-14 if kind is HYP else 1e-11
     for c in (0.3, 0.5):
         cap = cap_angle_from_measure(n, c)
         for r in (0.99, 0.998, 0.9989, 0.9995, -0.9995):
             upper, lower = _mp_envelopes(kind, cap, r)
-            assert envelope_upper(kind, cap, r) == pytest.approx(upper, abs=1e-11), (c, r)
-            assert envelope_lower(kind, cap, r) == pytest.approx(lower, abs=1e-11), (c, r)
+            assert envelope_upper(kind, cap, r) == pytest.approx(upper, abs=tol), (c, r)
+            assert envelope_lower(kind, cap, r) == pytest.approx(lower, abs=tol), (c, r)
     # the full cap: data 1 everywhere, so M = m = 1 at every radius
     full = CapSpec(n=n, c=1.0, alpha=math.pi)
     for r in (0.9995, -0.9995):
@@ -529,6 +572,19 @@ def test_constants_layer_makes_no_quadrature_calls(monkeypatch, n):
         if n > 2:
             hyperbolic_decay_coefficient(n, c)
     heinz_schwarz_constant(n)
+
+
+def test_hyperbolic_cli_tables_make_no_quadrature_calls(monkeypatch, capsys):
+    from ballschwarz.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hyperbolic value called integrate")
+
+    monkeypatch.setattr(ballschwarz.envelope, "integrate", refuse)
+    grid = ["--n", "2,3,8,32", "--c-grid", "0.1,0.5,0.9,1", "--r-grid=-0.9995,-0.5,0,0.5,0.9995"]
+    assert main(["envelope", "--kind", "hyperbolic", *grid]) == 0
+    assert main(["hopf", "--n", "3,4,16,64", "--c-grid", "0.1,0.5,0.9"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_heinz_schwarz_constant_raises_once_it_underflows():

@@ -376,6 +376,11 @@ def test_hopf_scan_slope_and_coefficient():
 def test_hopf_scan_domain():
     with pytest.raises(DomainError):
         hopf_failure_scan(2, 0.5)
+    # at n = 74 the smallest T, 3.4e-305, is still a normal double, but the
+    # cap measure (1-r) T / 2 it is computed from is not
+    assert hopf_failure_scan(73, 0.5).values[-1] > 0.0
+    with pytest.raises(DomainError, match="n=74"):
+        hopf_failure_scan(74, 0.5)
 
 
 def test_majorant_slope_at_origin():

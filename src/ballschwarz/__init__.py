@@ -11,7 +11,6 @@ from .envelope import (
     envelope_lower,
     envelope_upper,
     heinz_schwarz_constant,
-    hopf_condition_ratio,
     hyperbolic_decay_coefficient,
     schwarz_planar_bound,
 )
@@ -26,7 +25,6 @@ from .hilbert_ball import (
     mobius_derivative,
     mobius_map,
     real_adjoint,
-    split_real_linear,
     verify_dphi_adjoint_identity,
 )
 from .poisson import (
@@ -34,19 +32,12 @@ from .poisson import (
     ZonalBoundaryData,
     laplace_beltrami_residual,
     monte_carlo_extension,
-    poisson_kernel,
     radial_derivative_estimate,
     uniform_sphere_samples,
     zonal_extension_on_axis,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-from .specfn import (
-    SpherePrefactors,
-    gauss_2f1_neg1,
-    gauss_2f1_neg1_series,
-    log_gamma,
-    sphere_prefactors,
-)
+from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
 from .verify import (
     DEFAULT_SEED,
     ContactTestCase,

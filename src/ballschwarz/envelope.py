@@ -21,8 +21,9 @@ difference quotient T of a complement arc, which leaves the peak out:
     M_c^n(r) = 1 - (1-r) T_c(r),    m_c^n(r) = (1-r) T_{1-c}(r) - 1 = -M_{1-c}^n(r),
 
 with T_{1-c} taken for the cap of half-angle pi - alpha.  The harmonic T
-is a tail quadrature, the hyperbolic one a closed form by Moebius
-invariance (``boundary_difference_quotient``).  For r < 0 the peak moves
+is a tail quadrature, the hyperbolic one (and the planar one, where the
+two kernels coincide) a closed form by Moebius invariance
+(``boundary_difference_quotient``).  For r < 0 the peak moves
 to t = pi, and the substitution t -> pi - t gives the reflection
 
     M_c^n(-r) = m_c^n(r),    m_c^n(-r) = M_c^n(r),
@@ -46,7 +47,7 @@ the positive doubles raises ``DomainError``:
 * ``hyperbolic_decay_coefficient`` is d_n = 2 sigma_star cot^{n-1}(alpha/2)
   / (n-1) in (1 - M_c^n(r))/(1-r) ~ d_n (1-r)^{n-2} for the hyperbolic-
   harmonic kernel with n > 2, whose vanishing boundary derivative is the
-  Hopf lemma counterexample quantified by ``hopf_condition_ratio``.
+  Hopf lemma counterexample.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, log_gamma, sphere_prefactors
+from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
 
 __all__ = [
     "KernelKind",
@@ -74,7 +75,6 @@ __all__ = [
     "heinz_schwarz_constant",
     "schwarz_planar_bound",
     "hyperbolic_decay_coefficient",
-    "hopf_condition_ratio",
 ]
 
 _CAP_CONSISTENCY_TOL = 1e-10
@@ -138,7 +138,7 @@ def cap_measure_from_angle(n: int, alpha: float) -> float:
     if alpha > 0.5 * math.pi:
         return 1.0 - cap_measure_from_angle(n, math.pi - alpha)
     sin, cos = math.sin(alpha), math.cos(alpha)
-    scale = sphere_prefactors(n).sigma_star * sin ** (n - 1) * cos
+    scale = sigma_star(n) * sin ** (n - 1) * cos
     if sin * sin < (n + 1.0) / (n + 4.0):
         return scale * _beta_fraction(0.5 * (n - 1), 0.5, sin * sin) / (n - 1)
     return 0.5 - scale * _beta_fraction(0.5, 0.5 * (n - 1), cos * cos)
@@ -193,7 +193,7 @@ def cap_angle_from_measure(n: int, c: float) -> CapSpec:
     if not 0.0 < c < 1.0:
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
     n = int(n)
-    star = sphere_prefactors(n).sigma_star
+    star = sigma_star(n)
     target = min(c, 1.0 - c)
     alpha = 0.5 * math.pi
     resid = 0.5 - target
@@ -228,7 +228,9 @@ def envelope_upper(
     _check_radius(r)
     if r < 0.0:
         return envelope_lower(kind, cap, -r, config)
-    return 1.0 - (1.0 - r) * boundary_difference_quotient(kind, cap, r, config)
+    if cap.alpha >= math.pi:
+        return 1.0
+    return 1.0 - (1.0 - r) * _tail_quotient(kind, cap.n, cap.alpha, r, config)
 
 
 def envelope_lower(
@@ -269,26 +271,33 @@ def boundary_difference_quotient(
 
         hyperbolic:  T(r) = 2 F_n(2 arctan q) / (1-r).
 
-    That is 0/0 at r = 1, where T takes its limit: 2 cot(alpha/2) / pi at
-    n = 2, where the two kernels coincide, and 0 for n > 2, where
-    T ~ d_n (1-r)^{n-2}.
+    At n = 2 the two kernels coincide and both take this closed form.  It
+    is 0/0 at r = 1, where T takes its limit: 2 cot(alpha/2) / pi at n = 2
+    and 0 for n > 2, where T ~ d_n (1-r)^{n-2}.  Below r = 1, a complement
+    measure (1-r) T / 2 under the smallest normal double has lost its
+    digits (hyperbolic, from n = 74 at c = 1/2 and r = 1 - 2^-14):
+    ``DomainError``.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"difference quotient needs 0 <= r <= 1, got {r!r}")
     if cap.alpha >= math.pi:
         return 0.0
-    if r == 1.0 and kind is KernelKind.HYPERBOLIC_HARMONIC:
-        return 2.0 / (math.pi * math.tan(0.5 * cap.alpha)) if cap.n == 2 else 0.0
-    return _tail_quotient(kind, cap.n, cap.alpha, r, config)
+    value = _tail_quotient(kind, cap.n, cap.alpha, r, config)
+    if r < 1.0 and not 0.5 * (1.0 - r) * value >= sys.float_info.min:
+        raise DomainError(f"T(r) for n={cap.n}, c={cap.c!r} at r={r!r} is {value!r}: "
+                          f"its complement measure is below the normal doubles")
+    return value
 
 
 def _tail_quotient(kind: KernelKind, n: int, alpha: float, r: float, config: QuadratureConfig) -> float:
-    """T(r) for the cap of half-angle alpha, 0 <= r < 1 (1 is harmonic only)."""
-    if kind is KernelKind.HYPERBOLIC_HARMONIC:
+    """T(r) for the cap of half-angle alpha, 0 <= r <= 1."""
+    if kind is KernelKind.HYPERBOLIC_HARMONIC or n == 2:
+        if r == 1.0:
+            return 2.0 / (math.pi * math.tan(0.5 * alpha)) if n == 2 else 0.0
         q = (1.0 - r) / ((1.0 + r) * math.tan(0.5 * alpha))
         return 2.0 * cap_measure_from_angle(n, 2.0 * math.atan(q)) / (1.0 - r)
     tail = integrate(lambda t: kind.angle_kernel(n, r, t), alpha, math.pi, config)
-    return 2.0 * sphere_prefactors(n).sigma_star * (1.0 + r) * tail
+    return 2.0 * sigma_star(n) * (1.0 + r) * tail
 
 
 def _positive_double(value: float, what: str) -> float:
@@ -318,7 +327,7 @@ def boundary_derivative_harmonic(n: int, a: float) -> float:
     n = int(n)
     h = 0.5 * cap_angle_from_measure(n, 0.5 * (1.0 + a)).alpha
     sin, cos = math.sin(h), math.cos(h)
-    log_t = math.log(2.0 * sphere_prefactors(n).sigma_star) + (n - 1) * math.log(cos) - math.log(sin)
+    log_t = math.log(2.0 * sigma_star(n)) + (n - 1) * math.log(cos) - math.log(sin)
     if cos * cos < (n + 1.0) / (n + 4.0):
         rho = (n - 2) / (n - 1) * sin * sin * _beta_fraction(0.5 * (n - 1), 0.5, cos * cos)
         value = math.exp(log_t + math.log(1.0 - rho))
@@ -346,10 +355,10 @@ def heinz_schwarz_constant(m: int, oracle: bool = False) -> float:
     else:
         f_val = gauss_2f1_neg1(0.5, 1.0, 0.5 * (3 + m))
     prefactor = math.exp(
-        log_gamma(m + 1.0)
+        math.lgamma(m + 1.0)
         - 1.5 * m * math.log(2.0)
-        - log_gamma(0.5 * (1 + m))
-        - log_gamma(0.5 * (3 + m))
+        - math.lgamma(0.5 * (1 + m))
+        - math.lgamma(0.5 * (3 + m))
     )
     return _positive_double(prefactor * (1.0 + m - (m - 2) * f_val), f"C_m for m={m}")
 
@@ -380,20 +389,6 @@ def hyperbolic_decay_coefficient(n: int, c: float) -> float:
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
     n = int(n)
     h = 0.5 * cap_angle_from_measure(n, c).alpha
-    log_d = math.log(2.0 * sphere_prefactors(n).sigma_star / (n - 1)) - (n - 1) * math.log(math.tan(h))
+    log_d = math.log(2.0 * sigma_star(n) / (n - 1)) - (n - 1) * math.log(math.tan(h))
     return _positive_double(math.exp(log_d) if log_d <= _LOG_MAX else math.inf, f"d_n for n={n}, c={c!r}")
 
-
-def hopf_condition_ratio(n: int, r: float) -> float:
-    """Drift-to-ellipticity ratio |b_i(x)| / lambda(x) = 2(n-2)/(1-r^2).
-
-    The Laplace-Beltrami operator of the ball has identity second-order
-    part and first-order coefficients 2(n-2)/(1-|x|^2) x: this ratio is
-    unbounded as r -> 1, which is precisely why the Hopf lemma's
-    bounded-drift hypothesis fails on the unit ball.
-    """
-    if n <= 2 or n != int(n):
-        raise DomainError(f"drift ratio is defined for integer n > 2, got {n!r}")
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r!r}")
-    return 2.0 * (n - 2) / (1.0 - r * r)

@@ -43,8 +43,6 @@ applies to every batch row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -59,7 +57,6 @@ __all__ = [
     "hermitian_adjoint",
     "RealLinearMap",
     "real_adjoint",
-    "split_real_linear",
     "verify_dphi_adjoint_identity",
     "boundary_lambda",
 ]
@@ -156,76 +153,14 @@ class RealLinearMap:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.B.shape
-
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         return self.B @ z + self.C @ np.conj(z)
-
-    def compose(self, other: "RealLinearMap") -> "RealLinearMap":
-        """self after other: (self o other)(z)."""
-        return RealLinearMap(
-            B=self.B @ other.B + self.C @ np.conj(other.C),
-            C=self.B @ other.C + self.C @ np.conj(other.B),
-        )
-
-    @staticmethod
-    def from_matrix(matrix: np.ndarray) -> "RealLinearMap":
-        """Wrap a complex-linear matrix (antilinear part zero)."""
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-        return RealLinearMap(B=matrix, C=np.zeros_like(matrix))
 
 
 def real_adjoint(L: RealLinearMap) -> RealLinearMap:
     """The adjoint for the real pairing: Re<L* w, z> = Re<w, L z>."""
     return RealLinearMap(B=hermitian_adjoint(L.B), C=L.C.T)
-
-
-def _probe_real_linearity(action: Callable[[np.ndarray], np.ndarray], k: int) -> None:
-    rng = np.random.Generator(np.random.Philox(918273))
-    scalars = [Fraction(3, 7), Fraction(-5, 3), Fraction(11, 4)]
-    for frac in scalars:
-        z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        lhs = np.asarray(action(float(frac) * z + w), dtype=complex)
-        rhs = float(frac) * np.asarray(action(z), dtype=complex) + np.asarray(action(w), dtype=complex)
-        scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
-        if float(np.linalg.norm(lhs - rhs)) > 1e-8 * scale:
-            raise ContractError(
-                "action is not additive and real-homogeneous; cannot split"
-            )
-
-
-def split_real_linear(
-    action: Callable[[np.ndarray], np.ndarray], k: int
-) -> tuple[RealLinearMap, RealLinearMap]:
-    """Split a real-linear action into (complex-linear, antilinear) parts.
-
-    The action is probed on random rational combinations first; a map
-    that fails real-linearity raises :class:`ContractError` instead of
-    silently producing a meaningless split.
-    """
-    if k < 1:
-        raise DomainError("dimension must be >= 1")
-    _probe_real_linearity(action, k)
-    m = np.asarray(action(_basis(k, 0)), dtype=complex).shape[0]
-    B = np.zeros((m, k), dtype=complex)
-    C = np.zeros((m, k), dtype=complex)
-    for j in range(k):
-        e = _basis(k, j)
-        direct = np.asarray(action(e), dtype=complex)
-        rotated = np.asarray(action(1j * e), dtype=complex)
-        B[:, j] = 0.5 * (direct - 1j * rotated)
-        C[:, j] = 0.5 * (direct + 1j * rotated)
-    return RealLinearMap(B=B, C=np.zeros_like(B)), RealLinearMap(B=np.zeros_like(C), C=C)
-
-
-def _basis(k: int, j: int) -> np.ndarray:
-    e = np.zeros(k, dtype=complex)
-    e[j] = 1.0
-    return e
 
 
 def verify_dphi_adjoint_identity(p: MobiusParams, z0: np.ndarray) -> float | np.ndarray:

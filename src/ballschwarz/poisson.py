@@ -21,7 +21,6 @@ seed alone.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,12 +29,11 @@ import numpy as np
 from .envelope import KernelKind
 from .errors import DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-from .specfn import sphere_prefactors
+from .specfn import sigma_star
 
 __all__ = [
     "ZonalBoundaryData",
     "BoundaryMap",
-    "poisson_kernel",
     "zonal_extension_on_axis",
     "uniform_sphere_samples",
     "monte_carlo_extension",
@@ -121,35 +119,6 @@ class BoundaryMap:
             raise DomainError("boundary map values must lie in the closed unit ball")
 
 
-def poisson_kernel(kind: KernelKind, x: np.ndarray, eta: np.ndarray) -> float:
-    """Normalized Poisson kernel P(x, eta), either kind.
-
-    Harmonic:            (1-|x|^2)   / |x-eta|^n      / sigma(S^{n-1})
-    hyperbolic-harmonic: (1-|x|^2)^{n-1} / |x-eta|^{2(n-1)} / sigma(S^{n-1}).
-
-    From n = 439 the area sigma(S^{n-1}) is below the smallest normal
-    double (0.0 from n = 456), and the call raises :class:`DomainError`.
-    """
-    x = np.asarray(x, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if x.ndim != 1 or x.shape != eta.shape:
-        raise DomainError("x and eta must be vectors of the same dimension")
-    n = x.shape[0]
-    if n < 2:
-        raise DomainError("Poisson kernel needs dimension n >= 2")
-    r2 = float(np.dot(x, x))
-    if r2 >= 1.0:
-        raise DomainError("kernel evaluation point must lie strictly inside the ball")
-    if abs(float(np.linalg.norm(eta)) - 1.0) > 1e-9:
-        raise DomainError("eta must be a unit vector")
-    nu, mu = kind.exponents(n)
-    dist2 = float(np.dot(x - eta, x - eta))
-    area = sphere_prefactors(n).sigma_area
-    if area < sys.float_info.min:
-        raise DomainError(f"the area of S^(n-1) underflows the doubles at n={n}")
-    return (1.0 - r2) ** nu / dist2 ** mu / area
-
-
 def zonal_extension_on_axis(
     kind: KernelKind,
     data: ZonalBoundaryData,
@@ -181,7 +150,7 @@ def zonal_extension_on_axis(
         raise DomainError(f"radius must satisfy |r| < 1, got {r!r}")
     n = data.n
     nu, _ = kind.exponents(n)
-    star = sphere_prefactors(n).sigma_star
+    star = sigma_star(n)
     t_peak = 0.0 if r >= 0.0 else math.pi
     peak = float(np.asarray(data.profile(np.array([t_peak])), dtype=float)[0])
 

@@ -1,29 +1,24 @@
-"""Gamma-family special functions and sphere surface constants.
+"""Gauss 2F1 at the argument -1 and the sphere constant sigma_star.
 
-Everything downstream combines Gamma ratios, so the log-gamma form is
-the primitive: it never overflows for the dimensions we sweep, and the
-hypergeometric prefactors assemble from differences of logs.  The one
-exception is ``sigma_star`` = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)),
-where that difference would lose digits as n grows; it is summed from a
-recurrence and an asymptotic series instead.
+``sigma_star`` = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) normalizes every
+angle-reduced integral over S^{n-1}.  A difference of log-gammas would
+lose digits as n grows, so it is summed from a recurrence and an
+asymptotic series instead.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "SpherePrefactors",
-    "log_gamma",
     "gauss_2f1_neg1",
     "gauss_2f1_neg1_series",
-    "sphere_prefactors",
+    "sigma_star",
 ]
 
 _SERIES_CAP = 100_000
@@ -31,22 +26,6 @@ _SERIES_TOL = 1e-14  # relative truncation tolerance of the transformed series
 _ORACLE_TERMS = 200_000  # terms of the brute-force alternating series
 _ORACLE_PASSES = 8  # rounds of averaging adjacent partial sums
 _RATIO_SHIFT = 32.0  # where the asymptotic series of _half_gamma_ratio starts
-
-
-@dataclass(frozen=True)
-class SpherePrefactors:
-    """Surface area of S^{n-1} and the ratio sigma_{n-2}/sigma_{n-1}."""
-
-    n: int
-    sigma_area: float
-    sigma_star: float
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def _check_2f1_domain(a: float, b: float, c: float) -> None:
@@ -114,14 +93,11 @@ def gauss_2f1_neg1_series(a: float, b: float, c: float) -> float:
     return float(partial[-1])
 
 
-def sphere_prefactors(n: int) -> SpherePrefactors:
-    """Surface constants of S^{n-1}: total area and sigma_{n-2}/sigma_{n-1}."""
+def sigma_star(n: int) -> float:
+    """Area ratio sigma_{n-2}/sigma_{n-1} = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) of S^{n-2} to S^{n-1}."""
     if n < 2 or n != int(n):
         raise DomainError(f"sphere dimension parameter must be an integer >= 2, got {n!r}")
-    n = int(n)
-    sigma_area = 2.0 * math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
-    sigma_star = _half_gamma_ratio(0.5 * (n - 1)) / math.sqrt(math.pi)
-    return SpherePrefactors(n=n, sigma_area=sigma_area, sigma_star=sigma_star)
+    return _half_gamma_ratio(0.5 * (int(n) - 1)) / math.sqrt(math.pi)
 
 
 @functools.lru_cache(maxsize=1024)  # the recurrence costs 32 steps at small x

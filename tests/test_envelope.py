@@ -18,11 +18,10 @@ from ballschwarz import (
     envelope_lower,
     envelope_upper,
     heinz_schwarz_constant,
-    hopf_condition_ratio,
     hyperbolic_decay_coefficient,
     integrate,
     schwarz_planar_bound,
-    sphere_prefactors,
+    sigma_star,
 )
 
 HARM = KernelKind.HARMONIC
@@ -262,7 +261,7 @@ def _quadrature_hyperbolic_quotient(cap, r):
     """T(r) = 2 sigma_star (1-r)^{n-2} (1+r)^{n-1} int_alpha^pi of the hyperbolic angle kernel."""
     n = cap.n
     tail = integrate(lambda t: HYP.angle_kernel(n, r, t), cap.alpha, math.pi, TIGHT)
-    return 2.0 * sphere_prefactors(n).sigma_star * (1.0 - r) ** (n - 2) * (1.0 + r) ** (n - 1) * tail
+    return 2.0 * sigma_star(n) * (1.0 - r) ** (n - 2) * (1.0 + r) ** (n - 1) * tail
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
@@ -409,24 +408,6 @@ def test_hyperbolic_decay_coefficient_domain():
         hyperbolic_decay_coefficient(2, 0.5)
 
 
-def test_hopf_condition_ratio_values():
-    assert hopf_condition_ratio(3, 0.0) == pytest.approx(2.0, abs=1e-15)
-    assert hopf_condition_ratio(4, 0.5) == pytest.approx(16.0 / 3.0, rel=1e-15)
-
-
-def test_hopf_condition_ratio_diverges_toward_boundary():
-    values = [hopf_condition_ratio(3, r) for r in (0.0, 0.9, 0.99, 0.999, 0.99999)]
-    assert np.all(np.diff(values) > 0.0)
-    assert values[-1] > 1e4
-
-
-def test_hopf_condition_ratio_domain():
-    with pytest.raises(DomainError):
-        hopf_condition_ratio(2, 0.5)
-    with pytest.raises(DomainError):
-        hopf_condition_ratio(3, 1.0)
-
-
 def test_envelope_radius_domain():
     cap = cap_angle_from_measure(3, 0.5)
     with pytest.raises(DomainError):
@@ -535,7 +516,7 @@ TIGHT = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-13)
 def _old_boundary_derivative(n, a):
     """D_n(a) from its limiting integrand, as computed before the closed form."""
     alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a)).alpha
-    star = sphere_prefactors(n).sigma_star
+    star = sigma_star(n)
     tail = integrate(lambda t: np.sin(t) ** (n - 2) / np.sin(0.5 * t) ** n, alpha, math.pi, TIGHT)
     return 2.0 ** (2 - n) * star * tail
 
@@ -543,7 +524,7 @@ def _old_boundary_derivative(n, a):
 def _old_decay_coefficient(n, c):
     """d_n = 2^n sigma_star int_alpha^pi 4^{1-n} sin^{n-2}t sin^{-2(n-1)}(t/2) dt."""
     alpha = cap_angle_from_measure(n, c).alpha
-    star = sphere_prefactors(n).sigma_star
+    star = sigma_star(n)
 
     def q_hyp(t):
         return 4.0 ** (1 - n) * np.sin(t) ** (n - 2) / np.sin(0.5 * t) ** (2 * (n - 1))
@@ -584,7 +565,19 @@ def test_hyperbolic_cli_tables_make_no_quadrature_calls(monkeypatch, capsys):
     grid = ["--n", "2,3,8,32", "--c-grid", "0.1,0.5,0.9,1", "--r-grid=-0.9995,-0.5,0,0.5,0.9995"]
     assert main(["envelope", "--kind", "hyperbolic", *grid]) == 0
     assert main(["hopf", "--n", "3,4,16,64", "--c-grid", "0.1,0.5,0.9"]) == 0
+    # at n = 2 the kernels coincide, so the harmonic envelopes take the closed form too
+    assert main(["envelope", "--kind", "harmonic", "--n", "2"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", [76, 80])
+def test_difference_quotient_below_the_normal_doubles_raises(n):
+    # (1-r) T / 2 at r = 1 - 2^-14 is subnormal at n = 76 and 0 at n = 80
+    cap = cap_angle_from_measure(n, 0.5)
+    with pytest.raises(DomainError, match=f"n={n}"):
+        boundary_difference_quotient(HYP, cap, 1.0 - 2.0**-14)
+    # the envelope itself is the double nearest 1 - (1-r) T, which is 1
+    assert envelope_upper(HYP, cap, 1.0 - 2.0**-14) == 1.0
 
 
 def test_heinz_schwarz_constant_raises_once_it_underflows():

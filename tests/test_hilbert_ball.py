@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballschwarz import (
-    ContractError,
     DomainError,
     MobiusParams,
     RealLinearMap,
@@ -14,7 +13,6 @@ from ballschwarz import (
     mobius_derivative,
     mobius_map,
     real_adjoint,
-    split_real_linear,
     verify_dphi_adjoint_identity,
 )
 
@@ -191,6 +189,11 @@ def test_real_adjoint_pairing_on_random_operators():
         assert abs(lhs - rhs) < 1e-13
 
 
+def _compose(L, K):
+    """L after K in (B, C) form: B_L B_K + C_L conj(C_K), B_L C_K + C_L conj(B_K)."""
+    return RealLinearMap(B=L.B @ K.B + L.C @ np.conj(K.C), C=L.B @ K.C + L.C @ np.conj(K.B))
+
+
 def test_adjoints_reverse_composition():
     rng = _rng(12)
     m_mat = _random_complex(rng, 4, 3)
@@ -202,43 +205,10 @@ def test_adjoints_reverse_composition():
     )
     L = RealLinearMap(B=_random_complex(rng, 4, 3), C=_random_complex(rng, 4, 3))
     K = RealLinearMap(B=_random_complex(rng, 3, 5), C=_random_complex(rng, 3, 5))
-    lhs = real_adjoint(L.compose(K))
-    rhs = real_adjoint(K).compose(real_adjoint(L))
+    lhs = real_adjoint(_compose(L, K))
+    rhs = _compose(real_adjoint(K), real_adjoint(L))
     assert np.allclose(lhs.B, rhs.B, atol=1e-13)
     assert np.allclose(lhs.C, rhs.C, atol=1e-13)
-
-
-def test_split_complex_linear_action():
-    rng = _rng(13)
-    b_mat = _random_complex(rng, 3, 3)
-    linear, antilinear = split_real_linear(lambda z: b_mat @ z, 3)
-    assert np.allclose(linear.B, b_mat, atol=1e-13)
-    assert np.allclose(antilinear.C, 0.0, atol=1e-13)
-
-
-def test_split_conjugation_action():
-    linear, antilinear = split_real_linear(np.conj, 3)
-    assert np.allclose(linear.B, 0.0, atol=1e-15)
-    assert np.allclose(antilinear.C, np.eye(3), atol=1e-15)
-
-
-def test_split_round_trip_on_random_maps():
-    rng = _rng(14)
-    b_mat = _random_complex(rng, 2, 4)
-    c_mat = _random_complex(rng, 2, 4)
-    original = RealLinearMap(B=b_mat, C=c_mat)
-    linear, antilinear = split_real_linear(original, 4)
-    assert np.allclose(linear.B, b_mat, atol=1e-13)
-    assert np.allclose(antilinear.C, c_mat, atol=1e-13)
-    for _ in range(100):
-        z = _random_complex(rng, 4)
-        recombined = linear(z) + antilinear(z)
-        assert np.linalg.norm(recombined - original(z)) < 1e-13
-
-
-def test_split_rejects_nonlinear_action():
-    with pytest.raises(ContractError):
-        split_real_linear(lambda z: z * np.linalg.norm(z), 3)
 
 
 def test_dphi_adjoint_identity_origin_parameter_is_exact():
@@ -266,21 +236,25 @@ def test_dphi_adjoint_identity_needs_boundary_point():
     assert verify_dphi_adjoint_identity(origin, np.array([0.3 + 0.0j])) == 0.0
 
 
+def _complex_linear(matrix):
+    return RealLinearMap(B=matrix, C=np.zeros_like(matrix))
+
+
 def test_boundary_lambda_identity_and_diagonal():
     e1 = np.array([1.0, 0.0], dtype=complex)
-    ident = RealLinearMap.from_matrix(np.eye(2, dtype=complex))
+    ident = _complex_linear(np.eye(2, dtype=complex))
     lam, residual = boundary_lambda(ident, e1, e1)
     assert lam == pytest.approx(1.0, abs=1e-15)
     assert residual < 1e-15
 
-    diag = RealLinearMap.from_matrix(np.diag([2.0 + 0.0j, 3.0 + 0.0j]))
+    diag = _complex_linear(np.diag([2.0 + 0.0j, 3.0 + 0.0j]))
     lam, residual = boundary_lambda(diag, e1, e1)
     assert lam == pytest.approx(2.0, abs=1e-15)
     assert residual < 1e-15
 
 
 def test_boundary_lambda_requires_unit_vectors():
-    ident = RealLinearMap.from_matrix(np.eye(2, dtype=complex))
+    ident = _complex_linear(np.eye(2, dtype=complex))
     with pytest.raises(DomainError):
         boundary_lambda(ident, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(DomainError):

@@ -12,9 +12,7 @@ from ballschwarz import (
     envelope_upper,
     laplace_beltrami_residual,
     monte_carlo_extension,
-    poisson_kernel,
     radial_derivative_estimate,
-    sphere_prefactors,
     uniform_sphere_samples,
     zonal_extension_on_axis,
 )
@@ -40,42 +38,11 @@ def _cap_data(n, c):
     return ZonalBoundaryData(n=n, axis=_axis(n), profile=profile, breakpoints=(alpha,)), cap
 
 
-def test_kernel_at_origin_is_reciprocal_area():
-    for n in (2, 3, 4):
-        eta = _axis(n)
-        expected = 1.0 / sphere_prefactors(n).sigma_area
-        for kind in (HARM, HYP):
-            assert poisson_kernel(kind, np.zeros(n), eta) == pytest.approx(expected, rel=1e-14)
-
-
-def test_kernel_planar_closed_form():
-    for r in (0.2, 0.7, 0.95):
-        x = np.array([r, 0.0])
-        eta = np.array([1.0, 0.0])
-        expected = (1.0 + r) / ((1.0 - r) * 2.0 * math.pi)
-        assert poisson_kernel(HARM, x, eta) == pytest.approx(expected, rel=1e-13)
-
-
-def test_kernel_domain_errors():
-    with pytest.raises(DomainError):
-        poisson_kernel(HARM, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        poisson_kernel(HARM, np.array([0.1, 0.0]), np.array([0.5, 0.0]))
-
-
-@pytest.mark.parametrize("n", [456, 1080])
-def test_kernel_raises_where_the_sphere_area_underflows(n):
-    assert sphere_prefactors(n).sigma_area == 0.0
-    for kind in (HARM, HYP):
-        with pytest.raises(DomainError, match=f"n={n}"):
-            poisson_kernel(kind, np.zeros(n), _axis(n))
-
-
-def test_kernel_below_the_area_underflow_is_finite():
-    n = 438  # the last n whose sphere area is a normal double
-    value = poisson_kernel(HARM, np.zeros(n), _axis(n))
-    assert math.isfinite(value)
-    assert value == pytest.approx(1.0 / sphere_prefactors(n).sigma_area, rel=1e-14)
+def _kernel(kind, x, eta):
+    """Normalized Poisson kernel on S^2, (1-|x|^2)^nu / |x-eta|^{2 mu} / 4 pi, either kind."""
+    nu, mu = kind.exponents(3)
+    dist2 = float(np.dot(x - eta, x - eta))
+    return (1.0 - float(np.dot(x, x))) ** nu / dist2**mu / (4.0 * math.pi)
 
 
 def test_zonal_constant_profile_extends_to_one():
@@ -224,7 +191,7 @@ def test_laplace_beltrami_constant_function():
 
 def test_laplace_beltrami_annihilates_hyperbolic_kernel():
     eta = np.array([0.0, 0.6, 0.8])
-    h = lambda x: poisson_kernel(HYP, x, eta)
+    h = lambda x: _kernel(HYP, x, eta)
     x = np.array([0.3, 0.0, 0.0])
     coarse = laplace_beltrami_residual(h, 3, x, step=1e-2)
     fine = laplace_beltrami_residual(h, 3, x, step=5e-3)
@@ -239,7 +206,7 @@ def test_laplace_beltrami_mixture_of_hyperbolic_kernels():
     weights = rng.uniform(0.1, 1.0, 4)
 
     def h(x):
-        return sum(w * poisson_kernel(HYP, x, e) for w, e in zip(weights, etas))
+        return sum(w * _kernel(HYP, x, e) for w, e in zip(weights, etas))
 
     x = np.array([0.2, -0.1, 0.25])
     assert abs(laplace_beltrami_residual(h, 3, x, step=2e-3)) < 1e-5
@@ -257,7 +224,7 @@ def test_laplace_beltrami_drift_on_coordinate_function():
 
 def test_euclidean_laplacian_of_harmonic_kernel_is_small():
     eta = np.array([0.0, 0.6, 0.8])
-    h = lambda x: poisson_kernel(HARM, x, eta)
+    h = lambda x: _kernel(HARM, x, eta)
     x = np.array([0.3, 0.0, 0.0])
     for step, bound in ((1e-2, 1e-3), (2e-3, 5e-5)):
         lap = 0.0

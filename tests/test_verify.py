@@ -26,7 +26,7 @@ from ballschwarz import (
     majorant_radial_slope,
     monte_carlo_extension,
     schwarz_planar_bound,
-    sphere_prefactors,
+    sigma_star,
     zonal_contact_case,
 )
 from ballschwarz.poisson import BoundaryMap, uniform_sphere_samples
@@ -104,7 +104,7 @@ def _nested_quadrature_value(data, x):
         return integrate(circle_integrand, -math.pi, math.pi, breakpoints=breaks) / (2.0 * math.pi)
 
     sin_psi = math.sin(psi)
-    inner_star = sphere_prefactors(n - 1).sigma_star
+    inner_star = sigma_star(n - 1)
 
     def azimuth_average(phi):
         base = 1.0 + r * r - 2.0 * r * cos_psi * math.cos(phi)
@@ -121,7 +121,7 @@ def _nested_quadrature_value(data, x):
         return prof * np.sin(phi) ** (n - 2) * averages
 
     body = integrate(outer_integrand, 0.0, math.pi, breakpoints=data.breakpoints)
-    return sphere_prefactors(n).sigma_star * (1.0 - r * r) * body
+    return sigma_star(n) * (1.0 - r * r) * body
 
 
 def _off_axis_point(rng, n, rho, psi):

@@ -202,8 +202,8 @@ def test_criterion_09_mobius_precomposition():
 
 def test_criterion_10_majorant():
     started = time.perf_counter()
-    worst = check_hemisphere_majorant(3, 2, trials=50, seed=10, samples=20_000)
-    _finish("criterion 10: hemisphere majorant over 50 random maps", worst <= 0.0, started, 120.0)
+    report = check_hemisphere_majorant(3, 2, trials=50, seed=10)
+    _finish("criterion 10: hemisphere majorant over 50 random maps", report.passed, started, 10.0)
 
 
 def test_criterion_11_monotone_slope():

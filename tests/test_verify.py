@@ -31,7 +31,15 @@ from ballschwarz import (
 )
 from ballschwarz.poisson import BoundaryMap, uniform_sphere_samples
 from ballschwarz.quadrature import integrate
-from ballschwarz.verify import _MAP_COMPONENTS, _random_boundary_map, random_zonal_profile
+from ballschwarz import verify
+from ballschwarz.cli import main as cli_main
+from ballschwarz.verify import (
+    DEFAULT_SEED,
+    _MAP_COMPONENTS,
+    _PlaneWaveMap,
+    _random_boundary_map,
+    random_zonal_profile,
+)
 
 HARM = KernelKind.HARMONIC
 HYP = KernelKind.HYPERBOLIC_HARMONIC
@@ -351,14 +359,19 @@ def test_hemisphere_majorant_axis_equality():
 
 
 def test_hemisphere_majorant_random_trials():
-    worst = check_hemisphere_majorant(3, 2, trials=8, seed=17, samples=20_000)
-    assert worst <= 0.0
+    report = check_hemisphere_majorant(3, 2, trials=8, seed=17)
+    assert report.passed and report.lam <= 0.0
 
 
 def test_hemisphere_majorant_reproducible():
-    a = check_hemisphere_majorant(3, 2, trials=3, seed=5, samples=5_000)
-    b = check_hemisphere_majorant(3, 2, trials=3, seed=5, samples=5_000)
+    a = check_hemisphere_majorant(3, 2, trials=3, seed=5)
+    b = check_hemisphere_majorant(3, 2, trials=3, seed=5)
     assert a == b
+    assert (a.case, a.relation, a.bound, a.tolerance) == ("hemisphere-majorant n=3 m=2", "<=", 0.0, 0.0)
+    assert set(a.details) == {"points", "series_terms", "worst_radius", "boundary_residual"}
+    assert a.details["points"] == 12 and a.details["series_terms"] == 40
+    assert 0.1 <= a.details["worst_radius"] < 0.85
+    assert a.checks == {"boundary": True} and a.details["boundary_residual"] <= 1e-12
 
 
 def test_hopf_scan_slope_and_coefficient():
@@ -486,6 +499,96 @@ def test_random_boundary_map_closed_form(n, m):
 
 
 def test_hemisphere_majorant_keeps_its_value():
-    # Pinned from the cosine-mixture form of the random boundary map.
-    worst = check_hemisphere_majorant(3, 2, trials=3, seed=5, samples=5_000)
-    assert worst == pytest.approx(-0.4123673647619134, abs=1e-12)
+    # Pinned from the exact plane-wave series; the Monte Carlo estimate it
+    # replaced, less four standard errors, read -0.4123673647619134 here.
+    report = check_hemisphere_majorant(3, 2, trials=3, seed=5)
+    assert report.lam == pytest.approx(-0.39679856765333343, abs=1e-12)
+
+
+def _plane_wave_bessel_coefficients(n, f, degrees):
+    """sin(f t) = sum over odd k of a_k C_k^lam(t)/C_k^lam(1), from scipy's Bessel functions."""
+    from scipy import special
+
+    signs = np.where(degrees % 4 == 1, 1.0, -1.0)
+    if n == 2:  # Jacobi-Anger
+        return signs * 2.0 * special.jv(degrees, f)
+    if n == 3:  # Rayleigh's plane-wave expansion
+        return signs * (2 * degrees + 1) * special.spherical_jn(degrees, f)
+    lam = 0.5 * (n - 2)
+    at_one = special.poch(2.0 * lam, degrees) / special.factorial(degrees)  # C_k^lam(1)
+    return signs * special.gamma(lam) * (0.5 * f) ** -lam * (degrees + lam) * special.jv(degrees + lam, f) * at_one
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_plane_wave_coefficients_match_bessel_functions(n):
+    freqs = np.array([0.5, 1.3, 2.9, 3.99])
+    directions = uniform_sphere_samples(np.random.Generator(np.random.Philox(n)), freqs.size, n)
+    degrees, coefs = _PlaneWaveMap(directions, freqs, np.eye(freqs.size)).coefficients()
+    assert list(degrees) == list(range(1, 40, 2))
+    for i, f in enumerate(freqs):
+        reference = _plane_wave_bessel_coefficients(n, f, degrees)
+        assert np.all(np.abs(coefs[:, i] - reference) <= 1e-12 * np.abs(reference))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_plane_wave_series_reproduces_the_map_on_the_sphere(n):
+    rng = np.random.Generator(np.random.Philox(60 + n))
+    for m in (2, 3):
+        waves = _random_boundary_map(rng, n, m)
+        eta = uniform_sphere_samples(rng, 500, n)
+        assert np.max(np.abs(waves.extension(eta) - waves.eval(eta))) <= 1e-14
+
+
+def _suite_majorant_points(m):
+    """The maps, points and Monte Carlo seeds of the default suite's hemisphere-majorant row, in its draw order."""
+    seed = int(np.random.SeedSequence(DEFAULT_SEED).spawn(4)[2].generate_state(1)[0])
+    rng = np.random.Generator(np.random.Philox(seed))
+    for _ in range(6):
+        waves = _random_boundary_map(rng, 3, m)
+        for _ in range(4):
+            direction = uniform_sphere_samples(rng, 1, 3)[0]
+            x = float(rng.uniform(0.1, 0.85)) * direction
+            yield waves, x, int(rng.integers(0, 2**62))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_plane_wave_series_agrees_with_monte_carlo_at_the_suite_points(m):
+    count = 0
+    for waves, x, point_seed in _suite_majorant_points(m):
+        gmap = BoundaryMap(n=3, m=m, eval=waves.eval)
+        estimate, stderr = monte_carlo_extension(HARM, gmap, x, 400_000, seed=point_seed)
+        value = waves.extension(x[None, :])[0]
+        assert np.all(np.abs(value - estimate) <= 4.0 * stderr)
+        count += 1
+    assert count == 24
+
+
+def test_plane_wave_series_refuses_a_short_sum(monkeypatch):
+    monkeypatch.setattr(verify, "_PLANE_WAVE_TERMS", 2)
+    refusal = r"\|x\|=[0-9.]+, n=3 is only good to [0-9.e+-]+, past abs_tol=1e-11"
+    with pytest.raises(AccuracyError, match=refusal) as info:
+        check_hemisphere_majorant(3, 2, trials=1, seed=5)
+    assert info.value.estimate is not None
+
+
+def test_hemisphere_majorant_boundary_check_catches_a_wrong_series(monkeypatch):
+    # Too few quadrature nodes for the coefficients: the tail bound cannot
+    # see it, the comparison with the map on the sphere does.
+    monkeypatch.setattr(verify, "_PLANE_WAVE_NODES", 16)
+    verify._plane_wave_rule.cache_clear()
+    try:
+        report = check_hemisphere_majorant(3, 2, trials=2, seed=5)
+    finally:
+        verify._plane_wave_rule.cache_clear()
+    assert report.details["boundary_residual"] > 1e-12
+    assert report.checks == {"boundary": False} and not report.passed
+
+
+def test_verify_runs_no_monte_carlo(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called monte_carlo_extension")
+
+    monkeypatch.setattr("ballschwarz.poisson.monte_carlo_extension", refuse)
+    monkeypatch.setattr(verify, "monte_carlo_extension", refuse, raising=False)
+    assert cli_main(["verify"]) == 0
+    assert "hemisphere-majorant n=3 m=2" in capsys.readouterr().out

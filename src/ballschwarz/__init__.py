@@ -22,7 +22,7 @@ from .hilbert_ball import (
     hermitian_adjoint,
     inner,
     mobius_A,
-    mobius_derivative,
+    mobius_derivative_adjoint,
     mobius_map,
     real_adjoint,
     verify_dphi_adjoint_identity,

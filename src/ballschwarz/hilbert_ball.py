@@ -16,22 +16,19 @@ under the real pairing transposes C without conjugation.
 
 The ball automorphism exchanging 0 and xi is
 
-    phi_xi(z) = A (xi - z) / (1 - <z, xi>),
-    A = s Id + xi <., xi> / (1 + s),   s = sqrt(1 - |xi|^2),
+    phi_xi(z) = A (xi - z) / (1 - <z, xi>),   s = sqrt(1 - |xi|^2),
 
-an involution mapping sphere to sphere, with complex-linear derivative
+an involution mapping sphere to sphere.  Its factor A is a hermitian
+rank-one update of a scalar (Rudin, Function Theory in the Unit Ball of
+C^n, 2.2.1), so neither A nor the derivative of phi_xi needs a matrix:
 
-    Dphi_xi(z) = A [ -Id / (1 - <z, xi>) + (xi - z) <., xi> / (1 - <z, xi>)^2 ].
+    A v = s v + xi <v, xi> / (1 + s),
+    Dphi_xi(z)^H w = -(A w) / conj(d) + xi <A w, xi - z> / conj(d)^2,
+    d = 1 - <z, xi>,
 
-A is a rank-one update of a scalar matrix (Rudin, Function Theory in
-the Unit Ball of C^n, 2.2.1), so phi_xi needs no matrix: with
-v = (xi - z) / (1 - <z, xi>),
-
-    phi_xi(z) = s v + xi <v, xi> / (1 + s),
-
-which costs O(k).  The adjoint identity Dphi_xi(z0)^H phi_xi(z0) = mu z0
-with mu = (1 - |xi|^2) / |1 - <z0, xi>|^2 is what transfers sharp
-boundary constants through precomposition by phi_xi.
+each O(k).  The adjoint identity Dphi_xi(z0)^H phi_xi(z0) = mu z0 with
+mu = (1 - |xi|^2) / |1 - <z0, xi>|^2 is what transfers sharp boundary
+constants through precomposition by phi_xi.
 
 ``inner``, the Moebius functions, ``hermitian_adjoint`` and
 ``verify_dphi_adjoint_identity`` broadcast over leading batch axes:
@@ -53,7 +50,7 @@ __all__ = [
     "MobiusParams",
     "mobius_A",
     "mobius_map",
-    "mobius_derivative",
+    "mobius_derivative_adjoint",
     "hermitian_adjoint",
     "RealLinearMap",
     "real_adjoint",
@@ -99,15 +96,11 @@ class MobiusParams:
         return np.sqrt(1.0 - np.linalg.norm(self.xi, axis=-1) ** 2)
 
 
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Batched u <., v> as (..., k, k) matrices."""
-    return u[..., :, None] * np.conj(v)[..., None, :]
-
-
-def mobius_A(p: MobiusParams) -> np.ndarray:
-    """The hermitian factor A = s Id + xi <., xi> / (1 + s) of phi_xi."""
-    s = p.s[..., None, None]
-    return s * np.eye(p.k, dtype=complex) + _outer(p.xi, p.xi) / (1.0 + s)
+def mobius_A(p: MobiusParams, v: np.ndarray) -> np.ndarray:
+    """A v = s v + xi <v, xi> / (1 + s), the hermitian factor of phi_xi applied to v."""
+    v = np.asarray(v, dtype=complex)
+    s = p.s[..., None]
+    return s * v + p.xi * (inner(v, p.xi)[..., None] / (1.0 + s))
 
 
 def _denominator(p: MobiusParams, z: np.ndarray) -> complex | np.ndarray:
@@ -118,19 +111,17 @@ def _denominator(p: MobiusParams, z: np.ndarray) -> complex | np.ndarray:
 
 
 def mobius_map(p: MobiusParams, z: np.ndarray) -> np.ndarray:
-    """phi_xi(z) = s v + xi <v, xi> / (1 + s), v = (xi - z) / (1 - <z, xi>)."""
+    """phi_xi(z) = A v, v = (xi - z) / (1 - <z, xi>)."""
     z = np.asarray(z, dtype=complex)
-    v = (p.xi - z) / _denominator(p, z)[..., None]
-    s = p.s[..., None]
-    return s * v + p.xi * (inner(v, p.xi)[..., None] / (1.0 + s))
+    return mobius_A(p, (p.xi - z) / _denominator(p, z)[..., None])
 
 
-def mobius_derivative(p: MobiusParams, z: np.ndarray) -> np.ndarray:
-    """Complex-linear Frechet derivative of phi_xi at z, as (..., k, k) matrices."""
+def mobius_derivative_adjoint(p: MobiusParams, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dphi_xi(z)^H w = -(A w)/conj(d) + xi <A w, xi - z>/conj(d)^2, d = 1 - <z, xi>."""
     z = np.asarray(z, dtype=complex)
-    denom = _denominator(p, z)[..., None, None]
-    core = -np.eye(p.k, dtype=complex) / denom + _outer(p.xi - z, p.xi) / denom**2
-    return mobius_A(p) @ core
+    d = np.conj(_denominator(p, z))[..., None]
+    aw = mobius_A(p, w)
+    return -aw / d + p.xi * (inner(aw, p.xi - z)[..., None] / d**2)
 
 
 def hermitian_adjoint(matrix: np.ndarray) -> np.ndarray:
@@ -175,7 +166,7 @@ def verify_dphi_adjoint_identity(p: MobiusParams, z0: np.ndarray) -> float | np.
     z0 = np.asarray(z0, dtype=complex)
     denom = _denominator(p, z0)
     image = mobius_map(p, z0)
-    pulled = (hermitian_adjoint(mobius_derivative(p, z0)) @ image[..., None])[..., 0]
+    pulled = mobius_derivative_adjoint(p, z0, image)
     mu = (1.0 - np.linalg.norm(p.xi, axis=-1) ** 2) / np.abs(denom) ** 2
     return np.linalg.norm(pulled - mu[..., None] * z0, axis=-1)
 

@@ -48,9 +48,8 @@ from .hilbert_ball import (
     MobiusParams,
     RealLinearMap,
     boundary_lambda,
-    hermitian_adjoint,
     inner,
-    mobius_derivative,
+    mobius_derivative_adjoint,
     mobius_map,
 )
 from .poisson import (
@@ -316,20 +315,20 @@ def check_boundary_bound(case: ContactTestCase) -> MarginReport:
 
 def check_envelope_sandwich(
     kind: KernelKind,
-    n: int,
     data: ZonalBoundaryData,
     grid: Sequence[float],
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
     """Largest signed violation of m_c^n <= h <= M_c^n along the axis.
 
-    The base value a = h(0) fixes c = (1+a)/2; a return value at or
-    below quadrature tolerance means the sandwich holds on the grid.
+    The dimension is ``data.n`` and the base value a = h(0) fixes
+    c = (1+a)/2; a return value at or below quadrature tolerance means
+    the sandwich holds on the grid.
     """
     a = zonal_extension_on_axis(kind, data, 0.0, config)
     if not -1.0 < a < 1.0:
         raise DomainError(f"profile mean must lie in (-1, 1), got {a!r}")
-    cap = cap_angle_from_measure(n, 0.5 * (1.0 + a))
+    cap = cap_angle_from_measure(data.n, 0.5 * (1.0 + a))
     worst = -math.inf
     for r in grid:
         h = zonal_extension_on_axis(kind, data, float(r), config)
@@ -399,7 +398,6 @@ def check_mobius_precomposition(
         raise DomainError("contact point z0 must be a unit vector")
 
     p = mobius_map(params, z0)
-    dphi = mobius_derivative(params, z0)
     mu = (1.0 - float(np.linalg.norm(params.xi)) ** 2) / abs(1.0 - inner(z0, params.xi)) ** 2
     extremal = DiscCapExtremal(a)
     slope = extremal.contact_slope()
@@ -416,7 +414,7 @@ def check_mobius_precomposition(
     # Analytic derivative of the composition at z0: the disc extremal has
     # boundary gradient (slope, 0) at its contact point, so
     # Df(z0) h = slope * Re<Dphi h, p> * w0.
-    pulled = hermitian_adjoint(dphi) @ p
+    pulled = mobius_derivative_adjoint(params, z0, p)
     Df = RealLinearMap(
         B=0.5 * slope * np.outer(w0, np.conj(pulled)),
         C=0.5 * slope * np.outer(w0, pulled),
@@ -754,7 +752,7 @@ def default_verification_suite(
         worst = -math.inf
         for _ in range(6):
             data = random_zonal_profile(sandwich_rng, 3)
-            worst = max(worst, check_envelope_sandwich(kind, 3, data, grid, config))
+            worst = max(worst, check_envelope_sandwich(kind, data, grid, config))
         reports.append(MarginReport(f"envelope-sandwich kind={kind.value}", worst, 0.0, 1e-8, "<="))
 
     reports.append(check_hemisphere_majorant(
@@ -780,12 +778,9 @@ def random_zonal_profile(rng: np.random.Generator, n: int) -> ZonalBoundaryData:
     pieces = int(rng.integers(2, 5))
     cuts = np.sort(rng.uniform(0.15, math.pi - 0.15, pieces - 1))
     levels = rng.uniform(-1.0, 1.0, pieces)
-    edges = np.concatenate([[0.0], cuts, [math.pi]])
 
     def profile(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, pieces - 1)
-        return levels[idx]
+        return levels[np.searchsorted(cuts, t, side="right")]
 
     axis = np.zeros(n)
     axis[0] = 1.0

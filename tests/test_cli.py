@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import ballschwarz
 from ballschwarz import cli, hilbert_ball
 from ballschwarz.cli import main
-from ballschwarz.hilbert_ball import MobiusParams, mobius_A, mobius_map, verify_dphi_adjoint_identity
+from ballschwarz.hilbert_ball import MobiusParams, inner, mobius_A, mobius_map, verify_dphi_adjoint_identity
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -196,14 +197,12 @@ def test_mobius_draws_are_the_per_draw_bits(k, seed):
 def _per_draw_mobius_rows(k, seed):
     """The per-draw loop the batched ``mobius`` table replaced, rebuilt row by row."""
     def residuals(params, z):
-        amat = mobius_A(params)
-        xi = params.xi
-        a_sq_target = params.s**2 * np.eye(k, dtype=complex) + np.outer(xi, np.conj(xi))
+        a_squared = mobius_A(params, mobius_A(params, z))
         image = mobius_map(params, z)
         return {
             "involution": float(np.linalg.norm(mobius_map(params, image) - z)),
             "sphere_preservation": abs(float(np.linalg.norm(image)) - 1.0),
-            "A_squared": float(np.linalg.norm(amat @ amat - a_sq_target)),
+            "A_squared": float(np.linalg.norm(a_squared - params.s**2 * z - params.xi * inner(z, params.xi))),
             "derivative_adjoint": float(verify_dphi_adjoint_identity(params, z)),
         }
 
@@ -219,16 +218,16 @@ def _per_draw_mobius_rows(k, seed):
 def test_mobius_keeps_its_draws(capsys, monkeypatch):
     dims = [1, 2, 3, 8, 32]
     calls = []
-    derivative = hilbert_ball.mobius_derivative
+    adjoint = hilbert_ball.mobius_derivative_adjoint
 
-    def counted(p, z):
+    def counted(p, z, w):
         calls.append(p.xi.shape)
-        return derivative(p, z)
+        return adjoint(p, z, w)
 
-    monkeypatch.setattr(hilbert_ball, "mobius_derivative", counted)
+    monkeypatch.setattr(hilbert_ball, "mobius_derivative_adjoint", counted)
     code, out = _run(capsys, ["mobius", "--n", ",".join(map(str, dims)), "--seed", "5", "--format", "json"])
     assert code == 0
-    monkeypatch.setattr(hilbert_ball, "mobius_derivative", derivative)
+    monkeypatch.setattr(hilbert_ball, "mobius_derivative_adjoint", adjoint)
 
     rows = json.loads(out)
     assert len(rows) == 8 * len(dims)
@@ -237,12 +236,26 @@ def test_mobius_keeps_its_draws(capsys, monkeypatch):
         reference = expected[row["k"]][row["case"]][row["identity"]]
         assert abs(row["residual"] - reference) <= 1e-15, row
 
-    # One derivative call for the origin row and one per slice of draws.
-    slices = {k: math.ceil(cli._MOBIUS_BATCH / max(1, cli._MOBIUS_SLICE_ENTRIES // (k * k))) for k in dims}
-    assert len(calls) == sum(1 + slices[k] for k in dims)
-    assert slices[32] < cli._MOBIUS_BATCH
-    for shape in calls:
-        assert math.prod(shape) * shape[-1] <= cli._MOBIUS_SLICE_ENTRIES
+    # One adjoint call for the origin row and one batched call for all draws of each k.
+    assert calls == [shape for k in dims for shape in ((k,), (cli._MOBIUS_BATCH, k))]
+
+
+def test_mobius_residuals_need_no_dense_matrix():
+    rng = np.random.Generator(np.random.Philox(11))
+    k = 512
+    xi = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
+    xi *= 0.9 / np.linalg.norm(xi, axis=-1, keepdims=True)
+    z = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    params = MobiusParams(xi)
+    tracemalloc.start()
+    try:
+        residuals = cli._mobius_residuals(params, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(float(np.max(value)) < 1e-12 for value in residuals.values())
+    assert peak < 2**20
 
 
 def test_calls_share_one_parser(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from ballschwarz import (
     hermitian_adjoint,
     inner,
     mobius_A,
-    mobius_derivative,
+    mobius_derivative_adjoint,
     mobius_map,
     real_adjoint,
     verify_dphi_adjoint_identity,
@@ -35,16 +35,29 @@ def _random_unit_vector(rng, k):
     return z / np.linalg.norm(z)
 
 
+def _columns(apply, k):
+    """The (..., k, k) matrix of a linear map, built column by column from its action."""
+    return np.stack([apply(e) for e in np.eye(k, dtype=complex)], axis=-1)
+
+
+def _a_matrix(p):
+    return _columns(lambda v: mobius_A(p, v), p.k)
+
+
+def _derivative_adjoint_matrix(p, z):
+    return _columns(lambda w: mobius_derivative_adjoint(p, z, w), p.k)
+
+
 def test_mobius_A_identity_at_origin():
     p = MobiusParams(np.zeros(3, dtype=complex))
-    assert np.allclose(mobius_A(p), np.eye(3), atol=1e-15)
+    assert np.allclose(_a_matrix(p), np.eye(3), atol=1e-15)
 
 
 def test_mobius_A_one_dimensional_is_identity():
     # s + |xi|^2/(1+s) = 1 for every |xi| < 1
     for xi in (0.3 + 0.0j, -0.5 + 0.4j, 0.0 + 0.9j):
         p = MobiusParams(np.array([xi]))
-        assert np.allclose(mobius_A(p), np.eye(1), atol=1e-14)
+        assert np.allclose(_a_matrix(p), np.eye(1), atol=1e-14)
 
 
 def test_mobius_A_square_identity_and_hermitian():
@@ -53,7 +66,7 @@ def test_mobius_A_square_identity_and_hermitian():
         k = int(rng.integers(1, 6))
         xi = _random_ball_vector(rng, k)
         p = MobiusParams(xi)
-        amat = mobius_A(p)
+        amat = _a_matrix(p)
         target = p.s**2 * np.eye(k) + np.outer(xi, np.conj(xi))
         assert np.linalg.norm(amat @ amat - target) < 1e-13
         assert np.linalg.norm(amat - hermitian_adjoint(amat)) < 1e-14
@@ -64,7 +77,7 @@ def test_mobius_A_spectrum():
     rng = _rng(2)
     xi = _random_ball_vector(rng, 4, max_norm=0.8)
     p = MobiusParams(xi)
-    eigs = np.sort(np.linalg.eigvalsh(mobius_A(p)))
+    eigs = np.sort(np.linalg.eigvalsh(_a_matrix(p)))
     assert np.all(eigs > 0.0)
     assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(eigs[:-1], p.s, atol=1e-12)
@@ -99,7 +112,7 @@ def test_mobius_map_preserves_sphere():
 def test_mobius_derivative_at_origin_parameter():
     p = MobiusParams(np.zeros(2, dtype=complex))
     z = np.array([0.3 + 0.1j, -0.2j])
-    assert np.allclose(mobius_derivative(p, z), -np.eye(2), atol=1e-15)
+    assert np.allclose(_derivative_adjoint_matrix(p, z), -np.eye(2), atol=1e-15)
 
 
 def test_mobius_derivative_matches_finite_differences():
@@ -107,7 +120,7 @@ def test_mobius_derivative_matches_finite_differences():
     k = 3
     p = MobiusParams(_random_ball_vector(rng, k))
     z = _random_ball_vector(rng, k, max_norm=0.7)
-    analytic = mobius_derivative(p, z)
+    analytic = hermitian_adjoint(_derivative_adjoint_matrix(p, z))
     step = 1e-6
     numeric = np.zeros((k, k), dtype=complex)
     for j in range(k):
@@ -127,7 +140,9 @@ def test_mobius_derivative_chain_rule_on_involution():
         k = int(rng.integers(1, 5))
         p = MobiusParams(_random_ball_vector(rng, k))
         z = _random_ball_vector(rng, k, max_norm=0.8)
-        product = mobius_derivative(p, mobius_map(p, z)) @ mobius_derivative(p, z)
+        # Dphi(phi(z)) Dphi(z) = Id, applied as Dphi(z)^H Dphi(phi(z))^H = Id
+        image = mobius_map(p, z)
+        product = _columns(lambda w: mobius_derivative_adjoint(p, z, mobius_derivative_adjoint(p, image, w)), k)
         assert np.linalg.norm(product - np.eye(k)) < 1e-11
 
 
@@ -303,10 +318,12 @@ def test_batched_functions_match_a_per_row_loop(k):
     batch = MobiusParams(xi)
     rows = [MobiusParams(row) for row in xi]
     assert batch.k == k and batch.s.shape == (7,)
-    assert _rel_close(mobius_A(batch), np.stack([mobius_A(p) for p in rows]))
-    assert _rel_close(mobius_map(batch, z), np.stack([mobius_map(p, w) for p, w in zip(rows, z)]))
+    w = np.roll(z, 1, axis=0)
+    assert _rel_close(mobius_A(batch, z), np.stack([mobius_A(p, v) for p, v in zip(rows, z)]))
+    assert _rel_close(mobius_map(batch, z), np.stack([mobius_map(p, v) for p, v in zip(rows, z)]))
     assert _rel_close(
-        mobius_derivative(batch, z), np.stack([mobius_derivative(p, w) for p, w in zip(rows, z)])
+        mobius_derivative_adjoint(batch, z, w),
+        np.stack([mobius_derivative_adjoint(p, v, u) for p, v, u in zip(rows, z, w)]),
     )
     residuals = verify_dphi_adjoint_identity(batch, z)
     assert residuals.shape == (7,)
@@ -349,9 +366,11 @@ def test_batch_with_one_degenerate_denominator_raises():
     xi[2] = np.array([0.999 + 0.0j, 0.0])
     z[2] = np.array([1.0 / 0.999 + 0.0j, 0.0])  # <z, xi> = 1
     p = MobiusParams(xi)
-    for call in (mobius_map, mobius_derivative, verify_dphi_adjoint_identity):
+    for call in (mobius_map, verify_dphi_adjoint_identity):
         with pytest.raises(DomainError, match="degenerate"):
             call(p, z)
+    with pytest.raises(DomainError, match="degenerate"):
+        mobius_derivative_adjoint(p, z, z)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 32])
@@ -361,5 +380,21 @@ def test_rank_one_map_matches_the_matrix_form(k):
         p = MobiusParams(_random_ball_vector(rng, k))
         z = _random_ball_vector(rng, k, max_norm=0.999)
         v = (p.xi - z) / (1.0 - inner(z, p.xi))
-        expected = mobius_A(p) @ v
+        amat = p.s * np.eye(k) + np.outer(p.xi, np.conj(p.xi)) / (1.0 + p.s)
+        expected = amat @ v
         assert np.linalg.norm(mobius_map(p, z) - expected) <= 1e-14 * max(1.0, np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 32])
+def test_rank_one_derivative_adjoint_matches_the_matrix_form(k):
+    rng = _rng(41 + k)
+    for _ in range(20):
+        p = MobiusParams(_random_ball_vector(rng, k))
+        z = _random_ball_vector(rng, k, max_norm=0.999)
+        w = _random_complex(rng, k)
+        d = 1.0 - inner(z, p.xi)
+        amat = p.s * np.eye(k) + np.outer(p.xi, np.conj(p.xi)) / (1.0 + p.s)
+        dphi = amat @ (-np.eye(k) / d + np.outer(p.xi - z, np.conj(p.xi)) / d**2)
+        expected = hermitian_adjoint(dphi) @ w
+        scale = max(1.0, float(np.linalg.norm(expected)))
+        assert np.linalg.norm(mobius_derivative_adjoint(p, z, w) - expected) <= 1e-13 * scale

@@ -264,15 +264,15 @@ def test_sandwich_cap_indicator_attains_upper_envelope():
         return np.where(np.asarray(t) <= cap_alpha, 1.0, -1.0)
 
     cap_data = ZonalBoundaryData(n=3, axis=_axis(3), profile=indicator, breakpoints=(cap_alpha,))
-    violation = check_envelope_sandwich(HARM, 3, cap_data, [0.1 * j for j in range(10)])
+    violation = check_envelope_sandwich(HARM, cap_data, [0.1 * j for j in range(10)])
     assert abs(violation) <= 2e-9
     # and a generic profile stays strictly inside
-    assert check_envelope_sandwich(HARM, 3, data, [0.1 * j for j in range(10)]) <= 2e-9
+    assert check_envelope_sandwich(HARM, data, [0.1 * j for j in range(10)]) <= 2e-9
 
 
 def test_sandwich_cosine_profile():
     data = ZonalBoundaryData(n=3, axis=_axis(3), profile=np.cos)
-    violation = check_envelope_sandwich(HARM, 3, data, [0.1 * j for j in range(1, 10)])
+    violation = check_envelope_sandwich(HARM, data, [0.1 * j for j in range(1, 10)])
     assert violation <= 1e-9
 
 
@@ -282,7 +282,7 @@ def test_sandwich_random_profiles_both_kernels():
     for kind in (HARM, HYP):
         for _ in range(10):
             data = random_zonal_profile(rng, 3)
-            assert check_envelope_sandwich(kind, 3, data, grid) <= 1e-8
+            assert check_envelope_sandwich(kind, data, grid) <= 1e-8
 
 
 def test_planar_bound_reports():

@@ -36,7 +36,7 @@ from .poisson import (
     uniform_sphere_samples,
     zonal_extension_on_axis,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_rows
 from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
 from .verify import (
     DEFAULT_SEED,

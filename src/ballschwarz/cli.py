@@ -172,15 +172,11 @@ def _cmd_envelope(args: argparse.Namespace, quad: QuadratureConfig) -> int:
                 cap = CapSpec(n=n, c=1.0, alpha=math.pi)
             else:
                 cap = cap_angle_from_measure(n, c)
-            for r in sorted(args.r_grid):
-                row = {
-                    "kind": kind.value,
-                    "n": n,
-                    "c": c,
-                    "r": r,
-                    "M_upper": envelope_upper(kind, cap, r, quad),
-                    "m_lower": envelope_lower(kind, cap, r, quad),
-                }
+            radii = sorted(args.r_grid)
+            uppers = envelope_upper(kind, cap, radii, quad).tolist()
+            lowers = envelope_lower(kind, cap, radii, quad).tolist()
+            for r, upper, lower in zip(radii, uppers, lowers):
+                row = {"kind": kind.value, "n": n, "c": c, "r": r, "M_upper": upper, "m_lower": lower}
                 if args.oracle:
                     est, err = _envelope_mc_oracle(kind, n, cap, r, seed)
                     seed += 1

@@ -60,7 +60,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_rows
 from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
 
 __all__ = [
@@ -211,42 +211,68 @@ def cap_angle_from_measure(n: int, c: float) -> CapSpec:
     )
 
 
-def _check_radius(r: float) -> None:
-    # Negative radii are the analytic continuation of the radial profile
-    # along the axis; central differences at r = 0 rely on them.
-    if not -1.0 < r < 1.0:
-        raise DomainError(f"radius must satisfy |r| < 1, got {r!r}")
+def _radii(r) -> tuple[list[float], bool]:
+    """A radius or 1-D array of radii as a list of floats, each checked for |r| < 1,
+    and whether ``r`` was a single radius."""
+    single = isinstance(r, (int, float)) or np.ndim(r) == 0
+    radii = [float(r)] if single else [float(x) for x in r]
+    for x in radii:
+        # Negative radii are the analytic continuation of the radial profile
+        # along the axis; central differences at r = 0 rely on them.
+        if not -1.0 < x < 1.0:
+            raise DomainError(f"radius must satisfy |r| < 1, got {x!r}")
+    return radii, single
 
 
 def envelope_upper(
     kind: KernelKind,
     cap: CapSpec,
-    r: float,
+    r: float | np.ndarray,
     config: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Upper envelope M_c^n(r): the cap-indicator extension along its axis."""
-    _check_radius(r)
-    if r < 0.0:
-        return envelope_lower(kind, cap, -r, config)
-    if cap.alpha >= math.pi:
-        return 1.0
-    return 1.0 - (1.0 - r) * _tail_quotient(kind, cap.n, cap.alpha, r, config)
+) -> float | np.ndarray:
+    """Upper envelope M_c^n(r): the cap-indicator extension along its axis.
+
+    ``r`` is a radius or a 1-D array of radii in (-1, 1); an array returns
+    the array of values, its harmonic tails integrated as rows of one
+    quadrature per cap angle (one for radii of one sign).
+    """
+    return _envelope(kind, cap, r, True, config)
 
 
 def envelope_lower(
     kind: KernelKind,
     cap: CapSpec,
-    r: float,
+    r: float | np.ndarray,
     config: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Lower envelope m_c^n(r): the antipodal cap-indicator extension."""
-    _check_radius(r)
-    if r < 0.0:
-        return envelope_upper(kind, cap, -r, config)
+) -> float | np.ndarray:
+    """Lower envelope m_c^n(r): the antipodal cap-indicator extension.
+
+    ``r`` is a radius or a 1-D array of radii in (-1, 1); an array returns
+    the array of values, its harmonic tails integrated as rows of one
+    quadrature per cap angle (one for radii of one sign).
+    """
+    return _envelope(kind, cap, r, False, config)
+
+
+def _envelope(kind: KernelKind, cap: CapSpec, r: float | np.ndarray, upper: bool,
+              config: QuadratureConfig) -> float | np.ndarray:
+    """M (``upper``) or m at the radii r; a float radius returns a float.
+
+    By the reflection M(-r) = m(r), a radius on the peak's side of the
+    cap (r >= 0 for M, r < 0 for m) gives 1 - (1-|r|) T_alpha(|r|) and any
+    other gives (1-|r|) T_{pi-alpha}(|r|) - 1.  The full cap (alpha = pi)
+    gives 1 on both sides: its data is 1 everywhere, and its arc would
+    contain the peak.
+    """
+    radii, single = _radii(r)
     if cap.alpha >= math.pi:
-        # the full cap's data is 1 everywhere; its arc would contain the peak
-        return 1.0
-    return (1.0 - r) * _tail_quotient(kind, cap.n, math.pi - cap.alpha, r, config) - 1.0
+        values = [1.0] * len(radii)
+    else:
+        own = [(x >= 0.0) == upper for x in radii]
+        rho = [abs(x) for x in radii]
+        tails = _tail_quotient(kind, cap.n, [cap.alpha if o else math.pi - cap.alpha for o in own], rho, config)
+        values = [1.0 - (1.0 - x) * t if o else (1.0 - x) * t - 1.0 for o, x, t in zip(own, rho, tails)]
+    return values[0] if single else np.array(values)
 
 
 def boundary_difference_quotient(
@@ -282,22 +308,46 @@ def boundary_difference_quotient(
         raise DomainError(f"difference quotient needs 0 <= r <= 1, got {r!r}")
     if cap.alpha >= math.pi:
         return 0.0
-    value = _tail_quotient(kind, cap.n, cap.alpha, r, config)
+    value = _tail_quotient(kind, cap.n, [cap.alpha], [r], config)[0]
     if r < 1.0 and not 0.5 * (1.0 - r) * value >= sys.float_info.min:
         raise DomainError(f"T(r) for n={cap.n}, c={cap.c!r} at r={r!r} is {value!r}: "
                           f"its complement measure is below the normal doubles")
     return value
 
 
-def _tail_quotient(kind: KernelKind, n: int, alpha: float, r: float, config: QuadratureConfig) -> float:
-    """T(r) for the cap of half-angle alpha, 0 <= r <= 1."""
+def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: list[float],
+                   config: QuadratureConfig) -> list[float]:
+    """T(r) for caps of half-angle alpha, 0 <= r <= 1, over lists of (alpha, r) pairs.
+
+    The harmonic tails over [alpha, pi] are one ``integrate_rows`` call per
+    distinct alpha (at most two, a cap's and its complement's), each radius
+    a row on that call's panel tree.
+    """
     if kind is KernelKind.HYPERBOLIC_HARMONIC or n == 2:
-        if r == 1.0:
-            return 2.0 / (math.pi * math.tan(0.5 * alpha)) if n == 2 else 0.0
-        q = (1.0 - r) / ((1.0 + r) * math.tan(0.5 * alpha))
-        return 2.0 * cap_measure_from_angle(n, 2.0 * math.atan(q)) / (1.0 - r)
-    tail = integrate(lambda t: kind.angle_kernel(n, r, t), alpha, math.pi, config)
-    return 2.0 * sigma_star(n) * (1.0 + r) * tail
+        return [_closed_form_tail(n, a, x) for a, x in zip(alpha, r)]
+    tails = [0.0] * len(r)
+    for angle in set(alpha):
+        pairs = [j for j, a in enumerate(alpha) if a == angle]
+        radius = np.array([r[j] for j in pairs])[:, None]
+
+        def kernel(t: np.ndarray, rows=slice(None)) -> np.ndarray:
+            selected = radius[rows]
+            # a single row takes its radius as a float, cheaper than a (1, 1) column
+            return kind.angle_kernel(n, selected if len(selected) > 1 else float(selected[0, 0]), t)
+
+        # a single pair is a one-row call: ``integrate``, which traced runs count as quadratures
+        integrals = (integrate if len(pairs) == 1 else integrate_rows)(kernel, angle, math.pi, config)
+        for j, tail in zip(pairs, np.atleast_1d(integrals).tolist()):
+            tails[j] = 2.0 * sigma_star(n) * (1.0 + r[j]) * tail
+    return tails
+
+
+def _closed_form_tail(n: int, alpha: float, r: float) -> float:
+    """T(r) of the hyperbolic kernel, and of the planar one, where the two kernels coincide."""
+    if r == 1.0:
+        return 2.0 / (math.pi * math.tan(0.5 * alpha)) if n == 2 else 0.0
+    q = (1.0 - r) / ((1.0 + r) * math.tan(0.5 * alpha))
+    return 2.0 * cap_measure_from_angle(n, 2.0 * math.atan(q)) / (1.0 - r)
 
 
 def _positive_double(value: float, what: str) -> float:

@@ -39,7 +39,7 @@ applies to every batch row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,29 +71,28 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
 class MobiusParams:
     """Center parameter xi (|xi| < 1) of the ball automorphism phi_xi.
 
-    ``xi`` has shape (..., k): one automorphism per batch row.
+    ``xi`` has shape (..., k): one automorphism per batch row.  ``s`` is
+    sqrt(1 - |xi|^2), one value per batch row, computed once from ``xi``.
     """
 
     xi: np.ndarray
+    s: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=complex)
         if xi.ndim < 1 or xi.shape[-1] < 1:
             raise DomainError("xi must be a nonempty complex vector")
         object.__setattr__(self, "xi", xi)
-        outside = np.linalg.norm(xi, axis=-1) >= 1.0
+        norm = np.linalg.norm(xi, axis=-1)
+        outside = norm >= 1.0
         if np.any(outside):
             where = "" if xi.ndim == 1 else f" (batch row {np.argwhere(outside)[0].tolist()})"
             raise DomainError(f"Moebius parameter must satisfy |xi| < 1{where}")
+        object.__setattr__(self, "s", np.sqrt(1.0 - norm**2))
 
     @property
     def k(self) -> int:
         return self.xi.shape[-1]
-
-    @property
-    def s(self) -> float | np.ndarray:
-        """sqrt(1 - |xi|^2), one value per batch row."""
-        return np.sqrt(1.0 - np.linalg.norm(self.xi, axis=-1) ** 2)
 
 
 def mobius_A(p: MobiusParams, v: np.ndarray) -> np.ndarray:

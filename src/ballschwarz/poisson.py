@@ -26,9 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .envelope import KernelKind
+from .envelope import KernelKind, _radii
 from .errors import DomainError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_rows
 from .specfn import sigma_star
 
 __all__ = [
@@ -122,9 +122,9 @@ class BoundaryMap:
 def zonal_extension_on_axis(
     kind: KernelKind,
     data: ZonalBoundaryData,
-    r: float,
+    r: float | np.ndarray,
     config: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+) -> float | np.ndarray:
     """Poisson extension of zonal data evaluated at r * axis.
 
     On the axis the kernel depends only on the polar angle t, so the
@@ -134,11 +134,13 @@ def zonal_extension_on_axis(
             int_0^pi profile(t) sin^{n-2}t (1 - 2 r cos t + r^2)^{-mu} dt.
 
     Negative r continues the same formula analytically along the axis
-    (used by central differences at r = 0); |r| >= 1 is rejected.
+    (used by central differences at r = 0); |r| >= 1 is rejected.  ``r``
+    may be a 1-D array of radii: the result is then the array of values,
+    all radii integrated as rows of one quadrature on one panel tree.
 
     The kernel peaks at t* = 0 for r >= 0 and at t* = pi for r < 0.
     Because it integrates to exactly 1, the profile's value there can be
-    subtracted under the integral and added back outside:
+    subtracted under the integral and added back outside, radius by radius:
 
         h = p(t*) + sigma_star(n) (1-r^2)^nu
                 int_0^pi (p(t) - p(t*)) sin^{n-2}t (1 - 2 r cos t + r^2)^{-mu} dt,
@@ -146,19 +148,22 @@ def zonal_extension_on_axis(
     whose integrand vanishes at the peak wherever the profile is
     continuous there, so no radius integrates across it.
     """
-    if not -1.0 < r < 1.0:
-        raise DomainError(f"radius must satisfy |r| < 1, got {r!r}")
+    listed, single = _radii(r)
+    radii = np.array(listed)
     n = data.n
     nu, _ = kind.exponents(n)
     star = sigma_star(n)
-    t_peak = 0.0 if r >= 0.0 else math.pi
-    peak = float(np.asarray(data.profile(np.array([t_peak])), dtype=float)[0])
+    peak = np.asarray(data.profile(np.where(radii >= 0.0, 0.0, math.pi)), dtype=float)
+    column, peaks = radii[:, None], peak[:, None]
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return (np.asarray(data.profile(t), dtype=float) - peak) * kind.angle_kernel(n, r, t)
+    def integrand(t: np.ndarray, rows=slice(None)) -> np.ndarray:
+        return (np.asarray(data.profile(t), dtype=float) - peaks[rows]) * kind.angle_kernel(n, column[rows], t)
 
-    body = integrate(integrand, 0.0, math.pi, config, breakpoints=data.breakpoints)
-    return peak + star * (1.0 - r * r) ** nu * body
+    # a single radius is a one-row call: ``integrate``, which traced runs count as quadratures
+    body = (integrate if radii.size == 1 else integrate_rows)(
+        integrand, 0.0, math.pi, config, breakpoints=data.breakpoints)
+    values = peak + star * (1.0 - radii * radii) ** nu * body
+    return float(values[0]) if single else values
 
 
 def uniform_sphere_samples(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -7,8 +7,16 @@ fixed global rule cannot track that, so integration works panel by panel
 with the nested Gauss-Kronrod 10/21 rule of QUADPACK's ``qk21``
 (Piessens et al., 1983): one integrand call at 21 Kronrod nodes gives the
 panel value, and the 10-point Gauss rule on every other node gives its
-error estimate at no extra cost.  The panel with the largest estimate is
-bisected until the summed estimate meets the configured tolerance.
+error estimate at no extra cost.
+
+There is one engine, ``integrate_rows``, and it integrates m integrands
+(rows) on one shared panel tree: a radius grid of envelope tails or
+on-axis extensions is one call, whose integrand call per panel returns
+the rows' values at the 21 nodes.  A row is done once its summed error
+estimate meets max(abs_tol, rel_tol |I_j|), and is not evaluated again.
+Until every row is done, the engine bisects the panel whose worst error
+over the rows not done, each row measured against its own tolerance at
+the start, is largest.  ``integrate`` is the one-row call.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["QuadratureConfig", "DEFAULT_CONFIG", "integrate"]
+__all__ = ["QuadratureConfig", "DEFAULT_CONFIG", "integrate", "integrate_rows"]
 
 # QUADPACK qk21: the Kronrod nodes x >= 0, largest first, with their
 # 21-point weights.  The 10-point Gauss nodes are x[1], x[3], ..., x[9].
@@ -67,19 +75,133 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    values = f(mid + half * _NODES)
-    kronrod = half * float(np.dot(_KRONROD_WEIGHTS, values))
-    gauss = half * float(np.dot(_GAUSS_WEIGHTS, values[1::2]))
-    # below the rounding of the sum, K and G may agree by accident
-    floor = _ROUNDING_FLOOR * half * float(np.dot(_KRONROD_WEIGHTS, np.abs(values)))
-    err = max(abs(kronrod - gauss), floor)
-    if not (math.isfinite(kronrod) and math.isfinite(err)):
-        raise AccuracyError(f"quadrature panel [{a!r}, {b!r}] is not finite: "
-                            f"value {kronrod!r}, error {err!r}")
-    return kronrod, err
+def _panels(f: Callable, bounds: Sequence[tuple[float, float]], rows: slice | list[int]):
+    """Kronrod values and error estimates of the selected rows on the panels [a, b] in ``bounds``.
+
+    Returns two lists with one list of floats per panel.  ``f`` is called
+    once per panel.  Every row's sums are 1 x 21 products, so a row gets
+    the same bits in a batch as alone.
+    """
+    halves = [0.5 * (b - a) for a, b in bounds]
+    values = np.concatenate([f(0.5 * (a + b) + half * _NODES, rows) for (a, b), half in zip(bounds, halves)],
+                            axis=None).reshape(len(bounds), -1, 1, _NODES.size)
+    # below the rounding of the sum, K and G may agree by accident; |K| and |G| are at
+    # most a few times the integral of |f| in it, so where the floor is finite they are too
+    floor = [[_ROUNDING_FLOOR * half * s for s in sums]
+             for half, sums in zip(halves, (np.abs(values) @ _KRONROD_WEIGHTS)[..., 0].tolist())]
+    if not math.isfinite(sum(map(sum, floor))):
+        panel, row = np.argwhere(~np.isfinite(floor))[0].tolist()
+        a, b = bounds[panel]
+        with np.errstate(invalid="ignore"):
+            value = halves[panel] * float(values[panel, row, 0] @ _KRONROD_WEIGHTS)
+        raise AccuracyError(f"quadrature panel [{a!r}, {b!r}] is not finite in row {row}: value {value!r}")
+    kronrod = [[half * s for s in sums] for half, sums in zip(halves, (values @ _KRONROD_WEIGHTS)[..., 0].tolist())]
+    gauss = (values[..., 1::2] @ _GAUSS_WEIGHTS)[..., 0].tolist()
+    errors = [[max(abs(k - half * g), fl) for k, g, fl in zip(*sums)]
+              for half, sums in zip(halves, zip(kronrod, gauss, floor))]
+    return kronrod, errors
+
+
+def integrate_rows(
+    f: Callable[[np.ndarray, slice | list[int]], np.ndarray],
+    a: float,
+    b: float,
+    config: QuadratureConfig = DEFAULT_CONFIG,
+    breakpoints: Sequence[float] = (),
+) -> np.ndarray:
+    """Integrate the m rows of a vectorized integrand over [a, b] on one panel tree.
+
+    ``f(x, rows)`` receives the 21 Kronrod nodes x of a panel and the rows
+    to evaluate, a slice (``slice(None)`` for all of them) or an
+    increasing list of row indices, and returns their values there as a
+    (rows, 21) array (a 1-D result is one row); the result is the (m,)
+    array of integrals.  Known discontinuities (step-function boundary
+    data) should be listed in ``breakpoints`` so panel edges land on them.
+    Each panel keeps, per row, its Kronrod value and the error estimate
+    |K21 - G10|, never below 50 machine epsilons of the panel's integral
+    of |f|, so a tolerance under the rounding of the sum is reported as
+    missed rather than met.
+
+    A row is done once its summed estimate meets max(abs_tol, rel_tol
+    |I_j|): from then on it is no longer evaluated, and its value is
+    final.  Until every row is done, the panel with the largest
+    max_j err_j / s_j over the rows not done is bisected, where s_j is
+    that tolerance taken from the totals of the initial panels and then
+    held fixed.  So one row bisects its panels in order of their error,
+    as alone; no row with a small integral outweighs a large one; and a
+    row that is done neither steers the bisection nor costs integrand
+    evaluations, which on random peaked rows keeps the shared tree below
+    the panels the rows make one by one.
+
+    Raises :class:`AccuracyError` (carrying the array of row estimates)
+    after 2000 subdivisions short of the tolerance, and (without one) on a
+    panel with a non-finite value, naming the panel and row.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("integration endpoints must be finite")
+    if a == b:
+        return np.zeros(np.reshape(f(np.full(_NODES.size, float(a)), slice(None)), (-1, _NODES.size)).shape[0])
+    if a > b:
+        return -integrate_rows(f, b, a, config, breakpoints)
+
+    edges = [a]
+    for t in sorted(breakpoints):
+        if a < t < b:
+            edges.append(float(t))
+    edges.append(b)
+
+    bounds = list(zip(edges[:-1], edges[1:]))
+    values, errors = _panels(f, bounds, slice(None))
+    total, total_err = [0.0] * len(values[0]), [0.0] * len(values[0])
+    for vals, errs in zip(values, errors):
+        total = [t + v for t, v in zip(total, vals)]
+        total_err = [t + e for t, e in zip(total_err, errs)]
+    abs_tol, rel_tol = config.abs_tol, config.rel_tol
+    scale = [max(abs_tol, rel_tol * abs(t)) for t in total]
+    heap = [(0.0, tie, lo, hi, vals, errs)  # (-priority, tie, a, b, row values, row errors); keyed below
+            for tie, ((lo, hi), vals, errs) in enumerate(zip(bounds, values, errors))]
+    tie = len(heap)
+    active = range(len(total))  # the rows not done
+
+    splits = 0
+    while missed := [j for j in active if total_err[j] > max(abs_tol, rel_tol * abs(total[j]))]:
+        if missed != active:
+            active = missed
+            heap = [(-max(entry[5][j] / scale[j] for j in active), *entry[1:]) for entry in heap]
+            heapq.heapify(heap)
+        if splits >= _MAX_SUBDIVISIONS:
+            where = f" in row {active[0]}" if len(total) > 1 else ""
+            raise AccuracyError(
+                f"adaptive quadrature used {splits} subdivisions without "
+                f"reaching tolerance (error estimate {total_err[active[0]]:.3e}{where})",
+                estimate=np.array(total),
+            )
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        if mid <= pa or mid >= pb:
+            # Panel at machine width: nothing left to resolve.
+            raise AccuracyError(
+                "adaptive quadrature hit a panel of machine width "
+                f"near x={pa!r}", estimate=np.array(total),
+            )
+        if len(active) == len(total):
+            rows = slice(None)
+        elif active[-1] - active[0] == len(active) - 1:  # a run of rows: a slice, which indexes as a view
+            rows = slice(active[0], active[-1] + 1)
+        else:
+            rows = active
+        (lval, rval), (lerr, rerr) = _panels(f, ((pa, mid), (mid, pb)), rows)
+        if rows != slice(None):  # entries for the rows not done only: no step reads the others again
+            lval, rval, lerr, rerr = (dict(zip(active, new)) for new in (lval, rval, lerr, rerr))
+        for j in active:
+            total[j] += (lval[j] + rval[j]) - pval[j]
+            total_err[j] += (lerr[j] + rerr[j]) - perr[j]
+        heapq.heappush(heap, (-max(lerr[j] / scale[j] for j in active), tie, pa, mid, lval, lerr))
+        heapq.heappush(heap, (-max(rerr[j] / scale[j] for j in active), tie + 1, mid, pb, rval, rerr))
+        tie += 2
+        splits += 1
+
+    return np.array(total)
 
 
 def integrate(
@@ -89,68 +211,19 @@ def integrate(
     config: QuadratureConfig = DEFAULT_CONFIG,
     breakpoints: Sequence[float] = (),
 ) -> float:
-    """Integrate a vectorized integrand over [a, b].
+    """Integrate one vectorized integrand over [a, b]: a one-row ``integrate_rows``.
 
     ``f`` receives an ndarray of nodes and must return the integrand
-    values elementwise.  Known discontinuities (step-function boundary
-    data) should be listed in ``breakpoints`` so panel edges land on
-    them; everything else is handled by bisection of the worst panel.
-    Each panel calls ``f`` once, on its 21 Kronrod nodes; its error
-    estimate is |K21 - G10|, but never below 50 machine epsilons of the
-    panel's integral of |f|, so a tolerance under the rounding of the sum
-    is reported as missed rather than met.
-
-    Raises :class:`AccuracyError` (carrying the best estimate) after 2000
-    subdivisions short of the tolerance, and (without one) on a non-finite panel.
+    values elementwise; it is called once per panel, on its 21 Kronrod
+    nodes.  The panels, priorities and stopping rule are those of
+    ``integrate_rows`` with a single row, so the panel with the largest
+    error estimate is bisected until the summed estimate meets
+    max(abs_tol, rel_tol |I|).  Raises :class:`AccuracyError` as that
+    does, with the estimate as a float.
     """
-    if not np.isfinite(a) or not np.isfinite(b):
-        raise DomainError("integration endpoints must be finite")
-    if a == b:
-        return 0.0
-    if a > b:
-        return -integrate(f, b, a, config, breakpoints)
-
-    edges = [a]
-    for t in sorted(breakpoints):
-        if a < t < b:
-            edges.append(float(t))
-    edges.append(b)
-
-    heap = []  # (-err, tie, a, b, value, err)
-    tie = 0
-    total = 0.0
-    total_err = 0.0
-    for lo_edge, hi_edge in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo_edge, hi_edge)
-        heapq.heappush(heap, (-err, tie, lo_edge, hi_edge, val, err))
-        tie += 1
-        total += val
-        total_err += err
-
-    splits = 0
-    while total_err > max(config.abs_tol, config.rel_tol * abs(total)):
-        if splits >= _MAX_SUBDIVISIONS:
-            raise AccuracyError(
-                f"adaptive quadrature used {splits} subdivisions without "
-                f"reaching tolerance (error estimate {total_err:.3e})",
-                estimate=total,
-            )
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            # Panel at machine width: nothing left to resolve.
-            raise AccuracyError(
-                "adaptive quadrature hit a panel of machine width "
-                f"near x={pa!r}", estimate=total,
-            )
-        lval, lerr = _panel(f, pa, mid)
-        rval, rerr = _panel(f, mid, pb)
-        total += (lval + rval) - pval
-        total_err += (lerr + rerr) - perr
-        heapq.heappush(heap, (-lerr, tie, pa, mid, lval, lerr))
-        tie += 1
-        heapq.heappush(heap, (-rerr, tie, mid, pb, rval, rerr))
-        tie += 1
-        splits += 1
-
-    return total
+    try:
+        return float(integrate_rows(lambda x, rows: f(x), a, b, config, breakpoints)[0])
+    except AccuracyError as exc:
+        if exc.estimate is not None:
+            exc.estimate = float(exc.estimate[0])
+        raise

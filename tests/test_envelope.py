@@ -546,7 +546,8 @@ def test_constants_layer_makes_no_quadrature_calls(monkeypatch, n):
     def refuse(*args, **kwargs):
         raise AssertionError("the constants layer called integrate")
 
-    monkeypatch.setattr(ballschwarz.envelope, "integrate", refuse)
+    for engine in ("integrate", "integrate_rows"):
+        monkeypatch.setattr(ballschwarz.envelope, engine, refuse)
     for c in (0.05, 0.3, 0.5, 0.7, 0.95):
         cap_angle_from_measure(n, c)
         boundary_derivative_harmonic(n, 2.0 * c - 1.0)
@@ -561,13 +562,48 @@ def test_hyperbolic_cli_tables_make_no_quadrature_calls(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a hyperbolic value called integrate")
 
-    monkeypatch.setattr(ballschwarz.envelope, "integrate", refuse)
+    for engine in ("integrate", "integrate_rows"):
+        monkeypatch.setattr(ballschwarz.envelope, engine, refuse)
     grid = ["--n", "2,3,8,32", "--c-grid", "0.1,0.5,0.9,1", "--r-grid=-0.9995,-0.5,0,0.5,0.9995"]
     assert main(["envelope", "--kind", "hyperbolic", *grid]) == 0
     assert main(["hopf", "--n", "3,4,16,64", "--c-grid", "0.1,0.5,0.9"]) == 0
     # at n = 2 the kernels coincide, so the harmonic envelopes take the closed form too
     assert main(["envelope", "--kind", "harmonic", "--n", "2"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_harmonic_envelope_table_makes_two_engine_calls_per_cap(engine_calls, capsys):
+    from ballschwarz.cli import main
+
+    grid = ["--n", "3,8,32", "--c-grid", "0.1,0.5,0.9", "--r-grid", "0,0.5,0.9,0.99,0.999"]
+    assert main(["envelope", "--kind", "harmonic", *grid]) == 0
+    assert capsys.readouterr().err == ""
+    # one M and one m quadrature for each of the 9 (n, c)
+    assert 1 <= len(engine_calls) <= 2 * 9
+
+
+@pytest.mark.parametrize("kind", [HARM, HYP])
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_array_radii_match_the_scalar_envelopes(kind, n):
+    radii = np.array([-0.999, -0.5, -0.0, 0.0, 0.3, 0.9, 0.999])
+    for c in (0.1, 0.5, 0.9, 1.0):
+        cap = CapSpec(n=n, c=1.0, alpha=math.pi) if c == 1.0 else cap_angle_from_measure(n, c)
+        for envelope in (envelope_upper, envelope_lower):
+            values = envelope(kind, cap, radii)
+            assert isinstance(values, np.ndarray) and values.shape == radii.shape
+            for r, value in zip(radii.tolist(), values.tolist()):
+                scalar = envelope(kind, cap, r)
+                assert isinstance(scalar, float)
+                assert abs(value - scalar) <= 1e-14, (c, r)
+
+
+def test_array_radii_outside_the_ball_raise_naming_the_radius():
+    cap = cap_angle_from_measure(3, 0.5)
+    for bad in (1.0, -1.5, math.nan):
+        with pytest.raises(DomainError, match=f"got {bad!r}"):
+            envelope_upper(HARM, cap, np.array([0.2, bad, 0.4]))
+        with pytest.raises(DomainError, match=f"got {bad!r}"):
+            envelope_lower(HYP, cap, [0.2, bad])
 
 
 @pytest.mark.parametrize("n", [76, 80])

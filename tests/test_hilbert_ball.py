@@ -48,6 +48,21 @@ def _derivative_adjoint_matrix(p, z):
     return _columns(lambda w: mobius_derivative_adjoint(p, z, w), p.k)
 
 
+def test_mobius_s_is_computed_once_from_xi(monkeypatch):
+    rng = _rng(4)
+    xi = np.stack([_random_ball_vector(rng, 3) for _ in range(5)])
+    p, single = MobiusParams(xi), MobiusParams(xi[0])
+    expected = np.sqrt(1.0 - np.linalg.norm(xi, axis=-1) ** 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reading s recomputed a norm")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    for _ in range(3):
+        assert np.array_equal(p.s, expected)
+        assert single.s == expected[0]
+
+
 def test_mobius_A_identity_at_origin():
     p = MobiusParams(np.zeros(3, dtype=complex))
     assert np.allclose(_a_matrix(p), np.eye(3), atol=1e-15)

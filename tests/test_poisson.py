@@ -296,3 +296,19 @@ def test_monte_carlo_chunking_keeps_the_result(kind, n, m, monkeypatch):
     chunked = monte_carlo_extension(kind, g, x, 3001, seed=7 * n + m)
     for value, reference in zip(chunked, whole):
         np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", [HARM, HYP])
+def test_zonal_extension_takes_an_array_of_radii(kind):
+    radii = np.array([-0.95, -0.3, -0.0, 0.0, 0.2, 0.7, 0.95])
+    step, _ = _cap_data(4, 0.3)
+    smooth = ZonalBoundaryData(n=4, axis=_axis(4), profile=np.cos)
+    for data in (step, smooth):
+        values = zonal_extension_on_axis(kind, data, radii)
+        assert isinstance(values, np.ndarray) and values.shape == radii.shape
+        for r, value in zip(radii.tolist(), values.tolist()):
+            scalar = zonal_extension_on_axis(kind, data, r)
+            assert isinstance(scalar, float)
+            assert abs(value - scalar) <= 1e-14, r
+    with pytest.raises(DomainError, match="got -1.0"):
+        zonal_extension_on_axis(kind, step, np.array([0.5, -1.0]))

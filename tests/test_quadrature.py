@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ballschwarz.quadrature
-from ballschwarz import AccuracyError, DomainError, QuadratureConfig, integrate
+from ballschwarz import AccuracyError, DomainError, QuadratureConfig, integrate, integrate_rows
 
 
 def test_config_validation():
@@ -104,3 +104,111 @@ def test_tolerance_below_rounding_floor_raises():
     with pytest.raises(AccuracyError) as excinfo:
         integrate(np.exp, 0.0, 1.0, QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30))
     assert excinfo.value.estimate == pytest.approx(math.e - 1.0, rel=1e-15)
+
+
+def _counting(f, counter):
+    def wrapped(x, *rows):
+        counter.append(len(x))
+        return f(x, *rows)
+
+    return wrapped
+
+
+def _peak(x0, eps):
+    return lambda x: eps / ((x - x0) ** 2 + eps * eps)
+
+
+def _rows(*fs):
+    """The integrand of integrate_rows whose rows are the functions fs."""
+    return lambda x, rows: np.array([f(x) for f in fs])[rows]
+
+
+ROWS = [np.sin, np.exp, _peak(0.3, 1e-3), _peak(0.7, 1e-5), lambda x: np.where(x < 0.4, 1.0, -2.0) * np.cos(x)]
+
+
+def test_each_batch_row_matches_its_row_alone():
+    batch = integrate_rows(_rows(*ROWS), 0.0, 1.0, breakpoints=[0.4])
+    assert batch.shape == (len(ROWS),)
+    for f, value in zip(ROWS, batch):
+        alone = integrate(f, 0.0, 1.0, breakpoints=[0.4])
+        assert abs(value - alone) <= 1e-14 * abs(alone)
+
+
+@pytest.mark.parametrize("f", ROWS)
+def test_one_row_call_returns_the_bits_of_integrate(f):
+    rows = integrate_rows(_rows(f), 0.0, 1.0, breakpoints=[0.4])
+    assert rows.shape == (1,)
+    assert rows[0] == integrate(f, 0.0, 1.0, breakpoints=[0.4])
+
+
+def test_rows_of_very_different_size_stop_on_their_own_tolerance():
+    # 1e4 sin x needs a tolerance of 1e-6, the 1e-3 peak one of 1e-11: a shared
+    # tolerance would leave the small row 1e5 times short.
+    config = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
+    small = _peak(0.5, 1e-3)
+    exact = np.array([1e4 * (1.0 - math.cos(1.0)), 1e-3 * 2.0 * math.atan(0.5 / 1e-3)])
+    shapes = []
+    batch = integrate_rows(_counting(_rows(lambda x: 1e4 * np.sin(x), lambda x: 1e-3 * small(x)), shapes),
+                           0.0, 1.0, config)
+    assert np.all(np.abs(batch - exact) <= np.maximum(config.abs_tol, config.rel_tol * np.abs(exact)))
+    alone = []
+    integrate(_counting(lambda x: 1e-3 * small(x), alone), 0.0, 1.0, config)
+    assert len(shapes) >= len(alone) > 1
+
+
+@pytest.mark.parametrize("functions, rest", [
+    ((np.sin, _peak(0.5, 1e-4)), slice(1, 2)),
+    ((_peak(0.3, 1e-4), np.sin, _peak(0.7, 1e-5)), [0, 2]),
+])
+def test_a_row_that_is_done_is_no_longer_evaluated(functions, rest):
+    requested = []
+
+    def rows(x, selected):
+        requested.append(selected)
+        return _rows(*functions)(x, selected)
+
+    batch = integrate_rows(rows, 0.0, 1.0)
+    done = functions.index(np.sin)
+    # sin is done on the first panel; every later panel evaluates peaks only,
+    # a run of rows as a slice and the others as a list
+    assert requested[0] == slice(None) and rest in requested[1:]
+    assert all(done not in np.arange(len(functions))[selected] for selected in requested[1:])
+    assert batch[done] == integrate(np.sin, 0.0, 1.0)
+
+
+def test_budget_exhaustion_reports_every_row_estimate(monkeypatch):
+    monkeypatch.setattr(ballschwarz.quadrature, "_MAX_SUBDIVISIONS", 3)
+    with pytest.raises(AccuracyError, match="in row 1") as excinfo:
+        integrate_rows(_rows(np.sin, _peak(0.0, 1e-9)), -1.0, 1.0)
+    estimate = excinfo.value.estimate
+    assert isinstance(estimate, np.ndarray) and estimate.shape == (2,)
+    assert abs(estimate[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_nonfinite_value_in_one_row_names_the_panel_and_row(bad):
+    rows = _rows(np.cos, lambda x: np.where(x > 0.5, bad, 1.0), np.sin)
+    with pytest.raises(AccuracyError, match=r"panel \[0, 1\] is not finite in row 1"):
+        integrate_rows(rows, 0, 1)
+
+
+def test_rows_and_empty_or_reversed_intervals():
+    rows = _rows(np.cos, np.exp)
+    assert np.array_equal(integrate_rows(rows, 0.4, 0.4), [0.0, 0.0])
+    assert np.array_equal(integrate_rows(rows, 1.0, 0.0), -integrate_rows(rows, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("easy, hard", [
+    (np.sin, _peak(0.3, 1e-4)),
+    (np.exp, _peak(0.9, 1e-6)),
+    (_peak(0.2, 1e-2), _peak(0.8, 1e-5)),
+    (lambda x: np.sqrt(x), _peak(0.5, 1e-3)),
+])
+def test_a_shared_tree_makes_no_more_panels_than_its_rows_alone(easy, hard):
+    def panels(*fs):
+        shapes = []
+        integrate_rows(_counting(_rows(*fs), shapes), 0.0, 1.0)
+        return len(shapes)
+
+    assert panels(easy, hard) <= panels(easy) + panels(hard)
+    assert panels(hard, easy) <= panels(easy) + panels(hard)

@@ -20,6 +20,8 @@ from ballschwarz import (
     check_mobius_precomposition,
     check_planar_bound,
     default_verification_suite,
+    envelope_lower,
+    envelope_upper,
     heinz_schwarz_constant,
     hopf_failure_scan,
     hyperbolic_decay_coefficient,
@@ -28,6 +30,7 @@ from ballschwarz import (
     schwarz_planar_bound,
     sigma_star,
     zonal_contact_case,
+    zonal_extension_on_axis,
 )
 from ballschwarz.poisson import BoundaryMap, uniform_sphere_samples
 from ballschwarz.quadrature import integrate
@@ -171,8 +174,9 @@ def test_offaxis_values_make_no_quadrature_calls(n, monkeypatch):
         raise AssertionError("off-axis evaluation called integrate")
 
     monkeypatch.setattr("ballschwarz.verify.integrate", refuse, raising=False)
-    monkeypatch.setattr("ballschwarz.poisson.integrate", refuse)
-    monkeypatch.setattr("ballschwarz.envelope.integrate", refuse)
+    for module in ("poisson", "envelope"):
+        for engine in ("integrate", "integrate_rows"):
+            monkeypatch.setattr(f"ballschwarz.{module}.{engine}", refuse)
     value = case.f(_off_axis_point(np.random.Generator(np.random.Philox(n)), n, 0.8, 1.1))[0]
     assert -1.0 < value < 1.0
 
@@ -283,6 +287,67 @@ def test_sandwich_random_profiles_both_kernels():
         for _ in range(10):
             data = random_zonal_profile(rng, 3)
             assert check_envelope_sandwich(kind, data, grid) <= 1e-8
+
+
+@pytest.mark.parametrize("kind, most", [(HARM, 3), (HYP, 1)])
+def test_sandwich_integrates_each_grid_in_one_call_per_side(kind, most, engine_calls):
+    # h at 0 and the grid radii, then the M and m tails (closed forms for the hyperbolic kernel)
+    rng = np.random.Generator(np.random.Philox(7))
+    grid = [0.05 + 0.1 * j for j in range(10)]
+    for _ in range(4):
+        engine_calls.clear()
+        check_envelope_sandwich(kind, random_zonal_profile(rng, 3), grid)
+        assert 1 <= len(engine_calls) <= most
+
+
+def _sandwich_per_radius(kind, data, grid):
+    a = zonal_extension_on_axis(kind, data, 0.0)
+    cap = cap_angle_from_measure(data.n, 0.5 * (1.0 + a))
+    worst = -math.inf
+    for r in grid:
+        h = zonal_extension_on_axis(kind, data, r)
+        worst = max(worst, h - envelope_upper(kind, cap, r), envelope_lower(kind, cap, r) - h)
+    return worst
+
+
+@pytest.mark.parametrize("kind", [HARM, HYP])
+def test_sandwich_matches_a_per_radius_loop(kind):
+    rng = np.random.Generator(np.random.Philox(31))
+    grid = [0.05 + 0.1 * j for j in range(10)]
+    for n in (3, 4, 5):
+        for _ in range(6):
+            data = random_zonal_profile(rng, n)
+            assert abs(check_envelope_sandwich(kind, data, grid) - _sandwich_per_radius(kind, data, grid)) <= 1e-14
+    cosine = ZonalBoundaryData(n=3, axis=_axis(3), profile=np.cos)
+    assert abs(check_envelope_sandwich(kind, cosine, grid) - _sandwich_per_radius(kind, cosine, grid)) <= 1e-14
+
+
+def test_V_monotone_makes_one_engine_call_per_dimension(engine_calls):
+    for m in (2, 3, 4, 5):
+        engine_calls.clear()
+        assert check_V_monotone(m).passed
+        # at m = 2 the envelope is a closed form
+        assert len(engine_calls) == (0 if m == 2 else 1)
+
+
+def test_majorant_slopes_over_an_array_match_the_scalar_slopes():
+    radii = np.array([0.1 * j for j in range(10)] + [0.99])
+    for m in (2, 3, 4, 8):
+        slopes = majorant_radial_slope(m, radii)
+        assert isinstance(slopes, np.ndarray) and slopes.shape == radii.shape
+        for r, slope in zip(radii.tolist(), slopes.tolist()):
+            scalar = majorant_radial_slope(m, r)
+            assert isinstance(scalar, float)
+            # a central difference at step 1e-4 multiplies rounding in M by 5000
+            assert abs(slope - scalar) <= 1e-12
+    with pytest.raises(DomainError):
+        majorant_radial_slope(3, np.array([0.2, 1.0 - 1e-5]))
+
+
+def test_hemisphere_majorant_makes_one_envelope_call_per_trial(engine_calls):
+    report = check_hemisphere_majorant(3, 2, trials=5, seed=11)
+    assert report.passed
+    assert engine_calls == ["integrate_rows"] * 5
 
 
 def test_planar_bound_reports():

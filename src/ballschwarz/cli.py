@@ -248,53 +248,47 @@ def _mobius_residuals(params: MobiusParams, z: np.ndarray) -> dict[str, np.ndarr
 
 
 def _mobius_draws(seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_MOBIUS_BATCH`` random pairs (xi, z) of dimension k that ``_cmd_mobius`` checks."""
+    """The pairs (xi, z) of dimension k that ``_cmd_mobius`` checks: the
+    origin row, then ``_MOBIUS_BATCH`` random rows.
+
+    ``Philox([seed, k])`` makes three bulk draws of B + 1 rows each,
+    B = ``_MOBIUS_BATCH``: the normals of shape (2, B + 1, 2k) (the xi
+    directions, then the z points; real parts, then imaginary parts),
+    then B + 1 uniforms u for the radii 0.9·u^(1/(2k)).  Each direction is
+    normalized, so it is uniform on the unit sphere of C^k and xi is
+    uniform in the ball of radius 0.9.  Row 0 has radius 0: xi = 0 with a
+    unit z from the same stream.
+    """
     rng = np.random.Generator(np.random.Philox([seed, k]))
-    normals = np.empty((_MOBIUS_BATCH, 2, 2 * k))
-    radii = np.empty(_MOBIUS_BATCH)
-    for i in range(_MOBIUS_BATCH):
-        normals[i, 0] = rng.standard_normal(2 * k)
-        radii[i] = 0.9 * rng.uniform() ** (1.0 / (2 * k))
-        normals[i, 1] = rng.standard_normal(2 * k)
-    units = normals[..., :k] + 1j * normals[..., k:]
-    re, im = units.real, units.imag
-    units /= np.sqrt(re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None])[..., 0]
-    return units[:, 0] * radii[:, None], units[:, 1]
+    normals = rng.standard_normal((2, _MOBIUS_BATCH + 1, 2 * k))
+    radii = 0.9 * rng.random(_MOBIUS_BATCH + 1) ** (1.0 / (2 * k))
+    radii[0] = 0.0
+    units = (normals[..., :k] + 1j * normals[..., k:]) / np.linalg.norm(normals, axis=-1, keepdims=True)
+    return units[0] * radii[:, None], units[1]
 
 
 def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     """Origin rows, then the worst residual over ``_MOBIUS_BATCH`` seeded draws per k.
 
-    Draw i takes, from ``Philox([seed, k])``, 2k normals for the direction
-    of xi (real parts, then imaginary parts), one uniform u for its radius
-    0.9·u^(1/(2k)), and 2k normals for z.  All rows are then divided by
-    their norms sqrt(re·re + im·im), taken as dot products on the strided
-    ``.real`` and ``.imag`` views of the complex array as ``np.linalg.norm``
-    takes them, so the pairs are bit for bit those of a loop that draws
-    and normalizes one vector at a time.  Every operator is applied in
-    rank-one form, so all draws of one k are evaluated in one call.
+    Every operator is applied in rank-one form, so each k is one
+    ``_mobius_residuals`` call over the rows of ``_mobius_draws``: the
+    ``origin`` rows read row 0 (xi = 0), the ``random_max`` rows take the
+    maximum over rows 1 to ``_MOBIUS_BATCH``.
     """
     rows = []
     identities = ["involution", "sphere_preservation", "A_squared", "derivative_adjoint"]
     for k in sorted(args.n):
         if k < 1:
             raise DomainError(f"complex dimension must be >= 1, got {k!r}")
-        zero = _mobius_residuals(MobiusParams(np.zeros(k, dtype=complex)), _unit_sphere_point(k, args.seed))
-        for name in identities:
-            rows.append({"k": k, "case": "origin", "identity": name, "residual": zero[name], "draws": 1})
         xis, zs = _mobius_draws(args.seed, k)
-        drawn = _mobius_residuals(MobiusParams(xis), zs)
+        residuals = _mobius_residuals(MobiusParams(xis), zs)
         for name in identities:
-            worst = float(np.max(drawn[name]))
+            rows.append({"k": k, "case": "origin", "identity": name, "residual": residuals[name][0], "draws": 1})
+        for name in identities:
+            worst = float(np.max(residuals[name][1:]))
             rows.append({"k": k, "case": "random_max", "identity": name, "residual": worst, "draws": _MOBIUS_BATCH})
     _emit(rows, ["k", "case", "identity", "residual", "draws"], args)
     return 0
-
-
-def _unit_sphere_point(k: int, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox([seed, 7]))
-    z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return z / np.linalg.norm(z)
 
 
 @functools.cache

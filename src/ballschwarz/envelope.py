@@ -289,11 +289,11 @@ def boundary_difference_quotient(
 
     a quadrature that stays smooth up to r = 1 because the kernel peak
     at t = 0 is left out.  The ball automorphism that swaps r e and 0 maps
-    the complement cap {t >= alpha} onto the cap of half-angle 2 arctan q
-    about -e, q = (1-r) / ((1+r) tan(alpha/2)), and its boundary Jacobian
-    is the hyperbolic Poisson kernel, so the cap's hyperbolic harmonic
-    measure is the cap measure F_n of its image (Stoll, Harmonic and
-    Subharmonic Function Theory on the Hyperbolic Ball, ch. 5):
+    -e to +e and the complement cap {t >= alpha} onto the cap of half-angle
+    2 arctan q about +e, q = (1-r) / ((1+r) tan(alpha/2)).  Its boundary
+    Jacobian is the hyperbolic Poisson kernel, so the cap's hyperbolic
+    harmonic measure is the cap measure F_n of its image (Stoll, Harmonic
+    and Subharmonic Function Theory on the Hyperbolic Ball, ch. 5):
 
         hyperbolic:  T(r) = 2 F_n(2 arctan q) / (1-r).
 

@@ -169,33 +169,61 @@ def test_mobius_determinism(capsys):
     assert first == second
 
 
-def _per_draw_unit_complex(rng, k):
-    z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return z / np.linalg.norm(z)
-
-
-def _per_draw_pairs(k, seed):
-    """The ``mobius`` draws one vector at a time: xi's direction, its radius, then z."""
+def _bulk_pairs(k, seed):
+    """The ``mobius`` draws rebuilt from their documented layout: three bulk calls on ``Philox([seed, k])``."""
+    batch = cli._MOBIUS_BATCH + 1
     rng = np.random.Generator(np.random.Philox([seed, k]))
-    xis, zs = [], []
-    for _ in range(cli._MOBIUS_BATCH):
-        xi = _per_draw_unit_complex(rng, k)
-        xis.append(xi * (0.9 * rng.uniform() ** (1.0 / (2 * k))))
-        zs.append(_per_draw_unit_complex(rng, k))
+    normals = rng.standard_normal((2, batch, 2 * k))
+    radii = 0.9 * rng.random(batch) ** (1.0 / (2 * k))  # an array power: a scalar one may round differently
+
+    def unit(x):  # np.linalg.norm(axis=-1) of a real array is sqrt(sum(x * x)) over the row
+        return (x[:k] + 1j * x[k:]) / np.sqrt(np.sum(x * x))
+
+    xis = [unit(normals[0, row]) * (radii[row] if row else 0.0) for row in range(batch)]
+    zs = [unit(normals[1, row]) for row in range(batch)]
     return np.array(xis), np.array(zs)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 32, 33])
 @pytest.mark.parametrize("seed", [0, 5, 7, 12345])
 def test_mobius_draws_are_the_per_draw_bits(k, seed):
+    """Every draw's bits are those of the three-call layout, row 0 the origin."""
     xis, zs = cli._mobius_draws(seed, k)
-    ref_xis, ref_zs = _per_draw_pairs(k, seed)
+    ref_xis, ref_zs = _bulk_pairs(k, seed)
+    assert xis.shape == zs.shape == (cli._MOBIUS_BATCH + 1, k)
     assert np.array_equal(xis, ref_xis)
     assert np.array_equal(zs, ref_zs)
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 32])
+def test_mobius_draw_law(k):
+    """z on the unit sphere, xi in the ball of radius 0.9 with (|xi|/0.9)^(2k) uniform on [0, 1]."""
+    samples = []
+    for seed in range(10):
+        xis, zs = cli._mobius_draws(seed, k)
+        assert np.all(xis[0] == 0.0)
+        assert np.max(np.abs(np.linalg.norm(zs, axis=-1) - 1.0)) <= 1e-15
+        radii = np.linalg.norm(xis[1:], axis=-1)
+        assert np.max(radii) <= 0.9
+        samples.append((radii / 0.9) ** (2 * k))
+    samples = np.concatenate(samples)
+    sigma = 1.0 / math.sqrt(12 * samples.size)
+    assert abs(float(np.mean(samples)) - 0.5) <= 4 * sigma
+
+
+@pytest.mark.parametrize("k", [1, 7, 8])
+@pytest.mark.parametrize("seed", [0, 5, 12345])
+def test_mobius_origin_point_is_no_drawn_direction(k, seed):
+    """The origin row's z is none of the drawn xi directions, at k = 7 too (no stream shared with another k)."""
+    xis, zs = cli._mobius_draws(seed, k)
+    directions = xis[1:] / np.linalg.norm(xis[1:], axis=-1, keepdims=True)
+    assert np.min(np.linalg.norm(directions - zs[0], axis=-1)) > 1e-6
+    if k > 1:  # in C^1 any two unit vectors are complex multiples of each other
+        assert np.max(np.abs(inner(zs[0], directions))) < 1 - 1e-6
+
+
 def _per_draw_mobius_rows(k, seed):
-    """The per-draw loop the batched ``mobius`` table replaced, rebuilt row by row."""
+    """The ``mobius`` table rebuilt from the pairs of ``_mobius_draws``, one unbatched pair at a time."""
     def residuals(params, z):
         a_squared = mobius_A(params, mobius_A(params, z))
         image = mobius_map(params, z)
@@ -206,10 +234,10 @@ def _per_draw_mobius_rows(k, seed):
             "derivative_adjoint": float(verify_dphi_adjoint_identity(params, z)),
         }
 
-    origin_point = _per_draw_unit_complex(np.random.Generator(np.random.Philox([seed, 7])), k)
-    origin = residuals(MobiusParams(np.zeros(k, dtype=complex)), origin_point)
+    xis, zs = cli._mobius_draws(seed, k)
+    origin = residuals(MobiusParams(xis[0]), zs[0])
     worst = dict.fromkeys(origin, 0.0)
-    for xi, z in zip(*_per_draw_pairs(k, seed)):
+    for xi, z in zip(xis[1:], zs[1:]):
         for name, value in residuals(MobiusParams(xi), z).items():
             worst[name] = max(worst[name], value)
     return {"origin": origin, "random_max": worst}
@@ -236,8 +264,8 @@ def test_mobius_keeps_its_draws(capsys, monkeypatch):
         reference = expected[row["k"]][row["case"]][row["identity"]]
         assert abs(row["residual"] - reference) <= 1e-15, row
 
-    # One adjoint call for the origin row and one batched call for all draws of each k.
-    assert calls == [shape for k in dims for shape in ((k,), (cli._MOBIUS_BATCH, k))]
+    # One batched adjoint call per k, the origin row and all draws together.
+    assert calls == [(cli._MOBIUS_BATCH + 1, k) for k in dims]
 
 
 def test_mobius_residuals_need_no_dense_matrix():

@@ -5,14 +5,18 @@ polar angle: smooth away from a peak at the angular origin whose width
 shrinks like ``1 - r`` as the evaluation point approaches the sphere.  A
 fixed global rule cannot track that, so integration works panel by panel
 with the nested Gauss-Kronrod 10/21 rule of QUADPACK's ``qk21``
-(Piessens et al., 1983): one integrand call at 21 Kronrod nodes gives the
+(Piessens et al., 1983): the integrand at 21 Kronrod nodes gives the
 panel value, and the 10-point Gauss rule on every other node gives its
 error estimate at no extra cost.
 
 There is one engine, ``integrate_rows``, and it integrates m integrands
 (rows) on one shared panel tree: a radius grid of envelope tails or
-on-axis extensions is one call, whose integrand call per panel returns
-the rows' values at the 21 nodes.  A row is done once its summed error
+on-axis extensions is one call.  The integrand is called once per batch
+of panels, each panel on its 21 Kronrod nodes: the initial panels
+between the breakpoints are one batch, and so are the two halves of each
+bisection.  It returns the rows' values at the nodes of the batch.  Each
+row's panel sums are the same 1 x 21 products as for a panel alone, so
+batching moves no bits.  A row is done once its summed error
 estimate meets max(abs_tol, rel_tol |I_j|), and is not evaluated again.
 Until every row is done, the engine bisects the panel whose worst error
 over the rows not done, each row measured against its own tolerance at
@@ -79,12 +83,15 @@ def _panels(f: Callable, bounds: Sequence[tuple[float, float]], rows: slice | li
     """Kronrod values and error estimates of the selected rows on the panels [a, b] in ``bounds``.
 
     Returns two lists with one list of floats per panel.  ``f`` is called
-    once per panel.  Every row's sums are 1 x 21 products, so a row gets
-    the same bits in a batch as alone.
+    once for the whole batch, on the 21 Kronrod nodes of every panel in
+    turn.  Every row's sums are 1 x 21 products, so a row gets the same
+    bits in a batch of rows and panels as alone.
     """
     halves = [0.5 * (b - a) for a, b in bounds]
-    values = np.concatenate([f(0.5 * (a + b) + half * _NODES, rows) for (a, b), half in zip(bounds, halves)],
-                            axis=None).reshape(len(bounds), -1, 1, _NODES.size)
+    nodes = np.concatenate([0.5 * (a + b) + half * _NODES for (a, b), half in zip(bounds, halves)])
+    # f's (rows, panels x 21) values as a contiguous (panels, rows, 1, 21) stack of 1 x 21 rows
+    values = np.reshape(f(nodes, rows), (-1, len(bounds), _NODES.size)).swapaxes(0, 1)
+    values = np.ascontiguousarray(values)[:, :, None]
     # below the rounding of the sum, K and G may agree by accident; |K| and |G| are at
     # most a few times the integral of |f| in it, so where the floor is finite they are too
     floor = [[_ROUNDING_FLOOR * half * s for s in sums]
@@ -111,12 +118,16 @@ def integrate_rows(
 ) -> np.ndarray:
     """Integrate the m rows of a vectorized integrand over [a, b] on one panel tree.
 
-    ``f(x, rows)`` receives the 21 Kronrod nodes x of a panel and the rows
-    to evaluate, a slice (``slice(None)`` for all of them) or an
-    increasing list of row indices, and returns their values there as a
-    (rows, 21) array (a 1-D result is one row); the result is the (m,)
-    array of integrals.  Known discontinuities (step-function boundary
-    data) should be listed in ``breakpoints`` so panel edges land on them.
+    ``f(x, rows)`` is called once per batch of panels: it receives the 21
+    Kronrod nodes of each panel in the batch, one panel after the other,
+    as one 1-D array x, and the rows to evaluate, a slice
+    (``slice(None)`` for all of them) or an increasing list of row
+    indices, and returns their values there as a (rows, x.size) array (a
+    1-D result is one row); the result is the (m,) array of integrals.
+    The initial panels between the breakpoints are one batch, and the two
+    halves of each bisection another.  Known discontinuities
+    (step-function boundary data) should be listed in ``breakpoints`` so
+    panel edges land on them.
     Each panel keeps, per row, its Kronrod value and the error estimate
     |K21 - G10|, never below 50 machine epsilons of the panel's integral
     of |f|, so a tolerance under the rounding of the sum is reported as
@@ -214,10 +225,10 @@ def integrate(
     """Integrate one vectorized integrand over [a, b]: a one-row ``integrate_rows``.
 
     ``f`` receives an ndarray of nodes and must return the integrand
-    values elementwise; it is called once per panel, on its 21 Kronrod
-    nodes.  The panels, priorities and stopping rule are those of
-    ``integrate_rows`` with a single row, so the panel with the largest
-    error estimate is bisected until the summed estimate meets
+    values elementwise; it is called once per batch of panels, each panel
+    on its 21 Kronrod nodes.  The panels, priorities and stopping rule are
+    those of ``integrate_rows`` with a single row, so the panel with the
+    largest error estimate is bisected until the summed estimate meets
     max(abs_tol, rel_tol |I|).  Raises :class:`AccuracyError` as that
     does, with the estimate as a float.
     """

@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import ballschwarz.poisson
 import ballschwarz.quadrature
-from ballschwarz import AccuracyError, DomainError, QuadratureConfig, integrate, integrate_rows
+from ballschwarz import (
+    AccuracyError,
+    DomainError,
+    KernelKind,
+    QuadratureConfig,
+    ZonalBoundaryData,
+    integrate,
+    integrate_rows,
+    zonal_extension_on_axis,
+)
 
 
 def test_config_validation():
@@ -80,7 +90,7 @@ def test_gauss_nodes_are_the_legendre_nodes():
     assert np.all(np.diff(ballschwarz.quadrature._NODES) > 0.0)
 
 
-def test_one_integrand_call_per_panel_on_21_nodes():
+def test_one_integrand_call_per_batch_of_panels_on_21_nodes():
     shapes = []
 
     def counting(f):
@@ -90,14 +100,15 @@ def test_one_integrand_call_per_panel_on_21_nodes():
 
         return wrapped
 
+    # the three initial panels between the breakpoints in one call
     integrate(counting(lambda x: x**7), 0.0, 1.0, breakpoints=[0.25, 0.5])
-    assert shapes == [(21,)] * 3
+    assert shapes == [(63,)]
     shapes.clear()
     eps = 1e-6
     integrate(counting(lambda x: eps / (x * x + eps * eps)), -1.0, 1.0)
-    # the first panel, then two halves per bisection
-    assert len(shapes) % 2 == 1 and len(shapes) > 1
-    assert set(shapes) == {(21,)}
+    # the first panel, then both halves of each bisection in one call
+    assert shapes[0] == (21,) and len(shapes) > 1
+    assert set(shapes[1:]) == {(42,)}
 
 
 def test_tolerance_below_rounding_floor_raises():
@@ -208,7 +219,56 @@ def test_a_shared_tree_makes_no_more_panels_than_its_rows_alone(easy, hard):
     def panels(*fs):
         shapes = []
         integrate_rows(_counting(_rows(*fs), shapes), 0.0, 1.0)
-        return len(shapes)
+        return sum(shapes) // 21
 
     assert panels(easy, hard) <= panels(easy) + panels(hard)
     assert panels(hard, easy) <= panels(easy) + panels(hard)
+
+
+def _per_panel(f, calls):
+    """The integrand f called once per panel: each batch of nodes split back into its 21-node panels."""
+    def each(x, rows):
+        calls.append(len(x))
+        return np.concatenate([np.reshape(f(panel, rows), (-1, 21)) for panel in np.split(x, len(x) // 21)], axis=1)
+
+    return each
+
+
+def _assert_batches_match_panels(f, a, b, breakpoints=()):
+    calls = []
+    batched = integrate_rows(f, a, b, breakpoints=breakpoints)
+    reference = integrate_rows(_per_panel(f, calls), a, b, breakpoints=breakpoints)
+    assert np.array_equal(batched, reference)
+    return calls
+
+
+RADII = np.array([0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.85, 0.9, 0.95, 0.99])
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("n", [3, 5])
+def test_batched_panels_keep_the_bits_of_per_panel_calls_on_angle_kernels(kind, n):
+    column = RADII[:, None]
+    calls = _assert_batches_match_panels(lambda t, rows: kind.angle_kernel(n, column[rows], t), 0.3, math.pi)
+    assert len(calls) > 1 and set(calls[1:]) == {42}  # the peaked rows bisect
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_batched_panels_keep_the_bits_of_per_panel_calls_on_a_step_profile(kind, monkeypatch):
+    cuts, levels = np.array([0.4, 1.3, 2.5]), np.array([1.0, -0.3, 0.6, -0.9])
+    data = ZonalBoundaryData(n=3, axis=np.array([1.0, 0.0, 0.0]),
+                             profile=lambda t: levels[np.searchsorted(cuts, t, side="right")],
+                             breakpoints=tuple(cuts))
+    radii = np.concatenate((-RADII[1:], RADII))
+    batched = zonal_extension_on_axis(kind, data, radii)
+    calls = []
+    monkeypatch.setattr(ballschwarz.poisson, "integrate_rows",
+                        lambda f, *args, **kwargs: integrate_rows(_per_panel(f, calls), *args, **kwargs))
+    assert np.array_equal(zonal_extension_on_axis(kind, data, radii), batched)
+    assert calls[0] == 4 * 21  # four panels between three breakpoints
+
+
+def test_batched_panels_keep_the_bits_of_per_panel_calls_on_a_peaked_row():
+    for functions in ((_peak(0.3, 1e-4),), (np.sin, _peak(0.7, 1e-5), np.exp)):
+        calls = _assert_batches_match_panels(_rows(*functions), 0.0, 1.0, breakpoints=[0.5])
+        assert calls[0] == 42 and len(calls) > 10

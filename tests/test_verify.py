@@ -5,6 +5,7 @@ import pytest
 
 from ballschwarz import (
     AccuracyError,
+    CapSpec,
     ContactTestCase,
     DomainError,
     KernelKind,
@@ -344,10 +345,22 @@ def test_majorant_slopes_over_an_array_match_the_scalar_slopes():
         majorant_radial_slope(3, np.array([0.2, 1.0 - 1e-5]))
 
 
-def test_hemisphere_majorant_makes_one_envelope_call_per_trial(engine_calls):
-    report = check_hemisphere_majorant(3, 2, trials=5, seed=11)
-    assert report.passed
-    assert engine_calls == ["integrate_rows"] * 5
+def test_hemisphere_majorant_makes_one_envelope_call_per_row(engine_calls, monkeypatch):
+    series = []
+
+    def extension(waves, *args, _extension=_PlaneWaveMap.extension):
+        series.append(waves.freqs.shape)
+        return _extension(waves, *args)
+
+    monkeypatch.setattr(_PlaneWaveMap, "extension", extension)
+    for trials in (1, 5, 12):
+        engine_calls.clear()
+        series.clear()
+        report = check_hemisphere_majorant(3, 2, trials=trials, seed=11)
+        assert report.passed
+        # one tail quadrature over all 4 trials radii, one series over the stack of all maps
+        assert engine_calls == ["integrate_rows"]
+        assert series == [(trials, _MAP_COMPONENTS)]
 
 
 def test_planar_bound_reports():
@@ -410,8 +423,6 @@ def test_precomposition_unitary_invariance():
 def test_hemisphere_majorant_axis_equality():
     # The hemisphere sign data itself: |f(r N)| equals the majorant along
     # the axis, up to Monte-Carlo noise.
-    from ballschwarz import CapSpec, envelope_upper
-
     def sign_data(eta):
         return np.sign(eta[:, 2])[:, None]
 
@@ -570,6 +581,77 @@ def test_hemisphere_majorant_keeps_its_value():
     assert report.lam == pytest.approx(-0.39679856765333343, abs=1e-12)
 
 
+def _series_per_map(waves, x):
+    """The plane-wave series of one map at the rows of x, as the per-map recurrence of the batched series summed it."""
+    n = waves.directions.shape[1]
+    lam = 0.5 * (n - 2)
+    degrees, coefs = waves.coefficients()
+    proj = x @ waves.directions.T
+    r2 = np.einsum("ij,ij->i", x, x)[:, None]
+    prev, cur = np.ones_like(proj), proj
+    total = coefs[0] * cur
+    for k in range(1, int(degrees[-1])):
+        prev, cur = cur, (2.0 * (k + lam) * proj * cur - k * r2 * prev) / (k + 2.0 * lam)
+        if k % 2 == 0:
+            total += coefs[k // 2] * cur
+    return total @ waves.amplitudes
+
+
+def _majorant_trials(n, m, trials, seed):
+    """Each trial's map, radii and series points (its four points, then the sphere probes), drawn as the row draws them."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    probes = uniform_sphere_samples(np.random.Generator(np.random.Philox(0)), verify._BOUNDARY_PROBES, n)
+    for _ in range(trials):
+        waves = _random_boundary_map(rng, n, m)
+        radii, points = [], []
+        for _ in range(4):
+            direction = uniform_sphere_samples(rng, 1, n)[0]
+            radii.append(float(rng.uniform(0.1, 0.85)))
+            points.append(radii[-1] * direction)
+            rng.integers(0, 2**62)
+        yield waves, radii, np.vstack([*points, probes])
+
+
+def _majorant_per_trial(n, m, trials, seed):
+    """lam, worst radius and boundary residual of the majorant row, one series and one envelope call per trial."""
+    hemisphere = CapSpec(n=n, c=0.5, alpha=0.5 * math.pi)
+    worst, worst_radius, residual = -math.inf, math.nan, 0.0
+    for waves, radii, x in _majorant_trials(n, m, trials, seed):
+        values = _series_per_map(waves, x)
+        residual = max(residual, float(np.max(np.abs(values[4:] - waves.eval(x[4:])))))
+        bounds = envelope_upper(HARM, hemisphere, radii)
+        for radius, value, bound in zip(radii, values[:4], bounds.tolist()):
+            excess = float(np.linalg.norm(value)) - bound
+            if excess > worst:
+                worst, worst_radius = excess, radius
+    return worst, worst_radius, residual
+
+
+@pytest.mark.parametrize("trials", [1, 6, 50])
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("m", [2, 3])
+def test_batched_majorant_is_the_per_trial_loop(m, n, trials):
+    for seed in range(20):
+        report = check_hemisphere_majorant(n, m, trials=trials, seed=seed)
+        lam, worst_radius, residual = _majorant_per_trial(n, m, trials, seed)
+        assert report.lam == lam
+        assert report.details["worst_radius"] == worst_radius
+        assert report.details["boundary_residual"] == residual
+
+
+def test_one_map_extension_is_its_row_of_the_stack():
+    rng = np.random.Generator(np.random.Philox(3))
+    maps = [_random_boundary_map(rng, 4, 3) for _ in range(5)]
+    x = 0.9 * uniform_sphere_samples(rng, 5 * 7, 4).reshape(5, 7, 4)
+    stack = _PlaneWaveMap(*(np.stack([getattr(w, name) for w in maps]) for name in ("directions", "freqs",
+                                                                                    "amplitudes")))
+    values = stack.extension(x)
+    assert values.shape == (5, 7, 3)
+    for waves, points, row in zip(maps, x, values):
+        assert np.array_equal(waves.extension(points), row)
+        assert np.array_equal(_series_per_map(waves, points), row)
+
+
 def _plane_wave_bessel_coefficients(n, f, degrees):
     """sin(f t) = sum over odd k of a_k C_k^lam(t)/C_k^lam(1), from scipy's Bessel functions."""
     from scipy import special
@@ -634,6 +716,29 @@ def test_plane_wave_series_refuses_a_short_sum(monkeypatch):
     with pytest.raises(AccuracyError, match=refusal) as info:
         check_hemisphere_majorant(3, 2, trials=1, seed=5)
     assert info.value.estimate is not None
+
+
+def test_a_short_sum_refusal_names_the_first_map_that_misses(monkeypatch):
+    # With 16 terms some maps of a row pass and some miss: the row's refusal
+    # is the one the first missing map raises alone, message and estimate.
+    monkeypatch.setattr(verify, "_PLANE_WAVE_TERMS", 16)
+    verify._plane_wave_rule.cache_clear()
+    try:
+        first = []
+        for seed in range(10):
+            with pytest.raises(AccuracyError) as row:
+                check_hemisphere_majorant(3, 2, trials=6, seed=seed)
+            for index, (waves, _, x) in enumerate(_majorant_trials(3, 2, 6, seed)):
+                try:
+                    waves.extension(x)
+                except AccuracyError as alone:
+                    assert str(row.value) == str(alone)
+                    assert np.array_equal(row.value.estimate, alone.estimate)
+                    first.append(index)
+                    break
+    finally:
+        verify._plane_wave_rule.cache_clear()
+    assert len(first) == 10 and first[0] > 0 and len(set(first)) >= 3
 
 
 def test_hemisphere_majorant_boundary_check_catches_a_wrong_series(monkeypatch):

@@ -330,10 +330,8 @@ def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: list[float],
         pairs = [j for j, a in enumerate(alpha) if a == angle]
         radius = np.array([r[j] for j in pairs])[:, None]
 
-        def kernel(t: np.ndarray, rows=slice(None)) -> np.ndarray:
-            selected = radius[rows]
-            # a single row takes its radius as a float, cheaper than a (1, 1) column
-            return kind.angle_kernel(n, selected if len(selected) > 1 else float(selected[0, 0]), t)
+        def kernel(t: np.ndarray) -> np.ndarray:
+            return kind.angle_kernel(n, radius, t)
 
         # a single pair is a one-row call: ``integrate``, which traced runs count as quadratures
         integrals = (integrate if len(pairs) == 1 else integrate_rows)(kernel, angle, math.pi, config)

@@ -156,8 +156,8 @@ def zonal_extension_on_axis(
     peak = np.asarray(data.profile(np.where(radii >= 0.0, 0.0, math.pi)), dtype=float)
     column, peaks = radii[:, None], peak[:, None]
 
-    def integrand(t: np.ndarray, rows=slice(None)) -> np.ndarray:
-        return (np.asarray(data.profile(t), dtype=float) - peaks[rows]) * kind.angle_kernel(n, column[rows], t)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return (np.asarray(data.profile(t), dtype=float) - peaks) * kind.angle_kernel(n, column, t)
 
     # a single radius is a one-row call: ``integrate``, which traced runs count as quadratures
     body = (integrate if radii.size == 1 else integrate_rows)(

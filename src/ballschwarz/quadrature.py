@@ -11,16 +11,16 @@ error estimate at no extra cost.
 
 There is one engine, ``integrate_rows``, and it integrates m integrands
 (rows) on one shared panel tree: a radius grid of envelope tails or
-on-axis extensions is one call.  The integrand is called once per batch
-of panels, each panel on its 21 Kronrod nodes: the initial panels
-between the breakpoints are one batch, and so are the two halves of each
-bisection.  It returns the rows' values at the nodes of the batch.  Each
-row's panel sums are the same 1 x 21 products as for a panel alone, so
-batching moves no bits.  A row is done once its summed error
-estimate meets max(abs_tol, rel_tol |I_j|), and is not evaluated again.
-Until every row is done, the engine bisects the panel whose worst error
-over the rows not done, each row measured against its own tolerance at
-the start, is largest.  ``integrate`` is the one-row call.
+on-axis extensions is one call.  The integrand ``f(x)`` is called once
+per batch of panels, each panel on its 21 Kronrod nodes: the initial
+panels between the breakpoints are one batch, and so are the two halves
+of each bisection.  It returns every row's values at the nodes of the
+batch.  Each row's panel sums are the same 1 x 21 products as for a
+panel alone, so batching moves no bits.  A row is done once its summed
+error estimate meets max(abs_tol, rel_tol |I_j|), and its value is then
+final.  Until every row is done, the engine bisects the panel whose
+worst error over the rows not done, each row measured against its own
+tolerance at the start, is largest.  ``integrate`` is the one-row call.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _panels(f: Callable, bounds: Sequence[tuple[float, float]], rows: slice | list[int]):
-    """Kronrod values and error estimates of the selected rows on the panels [a, b] in ``bounds``.
+def _panels(f: Callable, bounds: Sequence[tuple[float, float]]):
+    """Kronrod values and error estimates of every row on the panels [a, b] in ``bounds``.
 
     Returns two lists with one list of floats per panel.  ``f`` is called
     once for the whole batch, on the 21 Kronrod nodes of every panel in
@@ -90,7 +90,7 @@ def _panels(f: Callable, bounds: Sequence[tuple[float, float]], rows: slice | li
     halves = [0.5 * (b - a) for a, b in bounds]
     nodes = np.concatenate([0.5 * (a + b) + half * _NODES for (a, b), half in zip(bounds, halves)])
     # f's (rows, panels x 21) values as a contiguous (panels, rows, 1, 21) stack of 1 x 21 rows
-    values = np.reshape(f(nodes, rows), (-1, len(bounds), _NODES.size)).swapaxes(0, 1)
+    values = np.reshape(f(nodes), (-1, len(bounds), _NODES.size)).swapaxes(0, 1)
     values = np.ascontiguousarray(values)[:, :, None]
     # below the rounding of the sum, K and G may agree by accident; |K| and |G| are at
     # most a few times the integral of |f| in it, so where the floor is finite they are too
@@ -110,7 +110,7 @@ def _panels(f: Callable, bounds: Sequence[tuple[float, float]], rows: slice | li
 
 
 def integrate_rows(
-    f: Callable[[np.ndarray, slice | list[int]], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     config: QuadratureConfig = DEFAULT_CONFIG,
@@ -118,42 +118,45 @@ def integrate_rows(
 ) -> np.ndarray:
     """Integrate the m rows of a vectorized integrand over [a, b] on one panel tree.
 
-    ``f(x, rows)`` is called once per batch of panels: it receives the 21
+    ``f(x)`` is called once per batch of panels: it receives the 21
     Kronrod nodes of each panel in the batch, one panel after the other,
-    as one 1-D array x, and the rows to evaluate, a slice
-    (``slice(None)`` for all of them) or an increasing list of row
-    indices, and returns their values there as a (rows, x.size) array (a
-    1-D result is one row); the result is the (m,) array of integrals.
-    The initial panels between the breakpoints are one batch, and the two
-    halves of each bisection another.  Known discontinuities
-    (step-function boundary data) should be listed in ``breakpoints`` so
-    panel edges land on them.
+    as one 1-D array x, and returns the values of all m rows there as an
+    (m, x.size) array (a 1-D result is one row); the result is the (m,)
+    array of integrals.  The initial panels between the breakpoints are
+    one batch, and the two halves of each bisection another.  Known
+    discontinuities (step-function boundary data) should be listed in
+    ``breakpoints`` so panel edges land on them.
     Each panel keeps, per row, its Kronrod value and the error estimate
     |K21 - G10|, never below 50 machine epsilons of the panel's integral
     of |f|, so a tolerance under the rounding of the sum is reported as
     missed rather than met.
 
     A row is done once its summed estimate meets max(abs_tol, rel_tol
-    |I_j|): from then on it is no longer evaluated, and its value is
-    final.  Until every row is done, the panel with the largest
-    max_j err_j / s_j over the rows not done is bisected, where s_j is
-    that tolerance taken from the totals of the initial panels and then
-    held fixed.  So one row bisects its panels in order of their error,
-    as alone; no row with a small integral outweighs a large one; and a
-    row that is done neither steers the bisection nor costs integrand
-    evaluations, which on random peaked rows keeps the shared tree below
+    |I_j|): from then on its value is final.  Until every row is done,
+    the panel with the largest max_j err_j / s_j over the rows not done
+    is bisected, where s_j is that tolerance taken from the totals of the
+    initial panels and then held fixed.  So one row bisects its panels
+    in order of their error, as alone; no row with a small integral
+    outweighs a large one; and a row that is done no longer steers the
+    bisection, which on random peaked rows keeps the shared tree below
     the panels the rows make one by one.
 
     Raises :class:`AccuracyError` (carrying the array of row estimates)
     after 2000 subdivisions short of the tolerance, and (without one) on a
-    panel with a non-finite value, naming the panel and row.
+    panel with a non-finite value in any row, done or not, naming the
+    panel and row.  Over a reversed interval (a > b) the integrals and
+    any carried estimate are those of [b, a], negated.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration endpoints must be finite")
     if a == b:
-        return np.zeros(np.reshape(f(np.full(_NODES.size, float(a)), slice(None)), (-1, _NODES.size)).shape[0])
+        return np.zeros(np.reshape(f(np.full(_NODES.size, float(a))), (-1, _NODES.size)).shape[0])
     if a > b:
-        return -integrate_rows(f, b, a, config, breakpoints)
+        try:
+            return -integrate_rows(f, b, a, config, breakpoints)
+        except AccuracyError as exc:
+            exc.estimate = None if exc.estimate is None else -exc.estimate
+            raise
 
     edges = [a]
     for t in sorted(breakpoints):
@@ -162,23 +165,26 @@ def integrate_rows(
     edges.append(b)
 
     bounds = list(zip(edges[:-1], edges[1:]))
-    values, errors = _panels(f, bounds, slice(None))
+    values, errors = _panels(f, bounds)
     total, total_err = [0.0] * len(values[0]), [0.0] * len(values[0])
     for vals, errs in zip(values, errors):
         total = [t + v for t, v in zip(total, vals)]
         total_err = [t + e for t, e in zip(total_err, errs)]
     abs_tol, rel_tol = config.abs_tol, config.rel_tol
     scale = [max(abs_tol, rel_tol * abs(t)) for t in total]
-    heap = [(0.0, tie, lo, hi, vals, errs)  # (-priority, tie, a, b, row values, row errors); keyed below
-            for tie, ((lo, hi), vals, errs) in enumerate(zip(bounds, values, errors))]
-    tie = len(heap)
-    active = range(len(total))  # the rows not done
+    active = list(range(len(total)))  # the rows not done
 
-    splits = 0
+    def key(errs) -> float:  # minus the panel's worst err_j / s_j over the rows not done
+        return -max((errs[j] / scale[j] for j in active), default=0.0)
+
+    heap = [(key(errs), tie, lo, hi, vals, errs)  # (key, tie, a, b, row values, row errors), keyed up front
+            for tie, ((lo, hi), vals, errs) in enumerate(zip(bounds, values, errors))]
+    heapq.heapify(heap)
+    tie, splits = len(heap), 0
     while missed := [j for j in active if total_err[j] > max(abs_tol, rel_tol * abs(total[j]))]:
-        if missed != active:
+        if missed != active:  # rows are done: they keep their totals and no longer steer the bisection
             active = missed
-            heap = [(-max(entry[5][j] / scale[j] for j in active), *entry[1:]) for entry in heap]
+            heap = [(key(entry[5]), *entry[1:]) for entry in heap]
             heapq.heapify(heap)
         if splits >= _MAX_SUBDIVISIONS:
             where = f" in row {active[0]}" if len(total) > 1 else ""
@@ -195,20 +201,12 @@ def integrate_rows(
                 "adaptive quadrature hit a panel of machine width "
                 f"near x={pa!r}", estimate=np.array(total),
             )
-        if len(active) == len(total):
-            rows = slice(None)
-        elif active[-1] - active[0] == len(active) - 1:  # a run of rows: a slice, which indexes as a view
-            rows = slice(active[0], active[-1] + 1)
-        else:
-            rows = active
-        (lval, rval), (lerr, rerr) = _panels(f, ((pa, mid), (mid, pb)), rows)
-        if rows != slice(None):  # entries for the rows not done only: no step reads the others again
-            lval, rval, lerr, rerr = (dict(zip(active, new)) for new in (lval, rval, lerr, rerr))
+        (lval, rval), (lerr, rerr) = _panels(f, ((pa, mid), (mid, pb)))
         for j in active:
             total[j] += (lval[j] + rval[j]) - pval[j]
             total_err[j] += (lerr[j] + rerr[j]) - perr[j]
-        heapq.heappush(heap, (-max(lerr[j] / scale[j] for j in active), tie, pa, mid, lval, lerr))
-        heapq.heappush(heap, (-max(rerr[j] / scale[j] for j in active), tie + 1, mid, pb, rval, rerr))
+        heapq.heappush(heap, (key(lerr), tie, pa, mid, lval, lerr))
+        heapq.heappush(heap, (key(rerr), tie + 1, mid, pb, rval, rerr))
         tie += 2
         splits += 1
 
@@ -224,7 +222,7 @@ def integrate(
 ) -> float:
     """Integrate one vectorized integrand over [a, b]: a one-row ``integrate_rows``.
 
-    ``f`` receives an ndarray of nodes and must return the integrand
+    ``f(x)`` receives an ndarray of nodes and must return the integrand
     values elementwise; it is called once per batch of panels, each panel
     on its 21 Kronrod nodes.  The panels, priorities and stopping rule are
     those of ``integrate_rows`` with a single row, so the panel with the
@@ -233,7 +231,7 @@ def integrate(
     does, with the estimate as a float.
     """
     try:
-        return float(integrate_rows(lambda x, rows: f(x), a, b, config, breakpoints)[0])
+        return float(integrate_rows(f, a, b, config, breakpoints)[0])
     except AccuracyError as exc:
         if exc.estimate is not None:
             exc.estimate = float(exc.estimate[0])

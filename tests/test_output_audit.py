@@ -21,9 +21,21 @@ def test_a_tree_audited_against_itself_moves_nothing(monkeypatch, capsys):
     results = audit.run_tree(ROOT, few)
     assert [rc for rc, _, _ in results] == [0] * len(few)
     assert audit.compare(few, results, results) == ([], 0.0)
+    items = audit.plan_offaxis()
+    assert {item["case"]["kind"] for item in items} == {"cap", "step"}
+    # the first cap and step items of the plan
+    some = [next(item for item in items if item["case"]["kind"] == kind) for kind in ("cap", "step")]
+    offaxis = audit.run_offaxis(ROOT, some)
+    assert [len(points) for _, points in offaxis] == [len(item["points"]) for item in some]
+    assert all(float(a) == float(a) for a, _ in offaxis)
+    assert all(error is None and float(value) == float(value) for _, points in offaxis for value, error in points)
+    assert audit.compare_offaxis(some, offaxis, offaxis) == ([], [])
     monkeypatch.setattr(audit, "plan_argvs", lambda: few)
+    monkeypatch.setattr(audit, "plan_offaxis", lambda: some)
     assert audit.main([str(ROOT), str(ROOT)]) == 0
-    assert capsys.readouterr().out.startswith(f"0 moved of {len(few)} argv")
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(f"0 moved of {len(few)} argv")
+    assert out[1].startswith(f"0 moved of {sum(len(item['points']) for item in some)} offaxis points and 0 of 2")
 
 
 def test_the_audit_names_a_moved_number():
@@ -34,3 +46,15 @@ def test_the_audit_names_a_moved_number():
     assert moved == [(argv, ["stdout"], largest)]
     assert abs(largest - 1e-7) <= 1e-15
     assert audit.compare([argv], [before], [(2, "", "error\n")])[0] == [(argv, ["exit", "stderr", "stdout"], None)]
+
+
+def test_the_audit_names_a_moved_offaxis_point_and_base_value():
+    audit = _audit_module()
+    case = {"kind": "cap", "n": 3, "a": 0.0}
+    points = [{"rho": 0.5, "psi": 1.0, "x": [0.27, 0.42, 0.0]}, {"rho": 0.6, "psi": 2.0, "x": [-0.25, 0.55, 0.0]}]
+    items = [{"case": case, "points": points}]
+    before = [("0.25", [("0.5", None), ("-0.125", None)])]
+    after = [("0.25000000000000006", [("0.5", None), (repr(None), "AccuracyError: refused")])]
+    bases, moved = audit.compare_offaxis(items, before, after)
+    assert bases == [(case, "0.25", "0.25000000000000006")]
+    assert moved == [(case, points[1], ("-0.125", None), ("None", "AccuracyError: refused"))]

@@ -111,6 +111,19 @@ def test_one_integrand_call_per_batch_of_panels_on_21_nodes():
     assert set(shapes[1:]) == {(42,)}
 
 
+def test_the_first_bisection_splits_the_worst_initial_panel():
+    batches = []
+
+    def peak(x):
+        batches.append(x)
+        return 1e-4 / ((x - 0.9) ** 2 + 1e-8)
+
+    # the heap is keyed before the first bisection: the peak's panel is split first, not the first panel
+    integrate(peak, 0.0, 1.0, breakpoints=[0.25, 0.5, 0.75])
+    assert len(batches[0]) == 4 * 21 and len(batches) > 2
+    assert 0.75 < batches[1].min() and batches[1].max() < 1.0
+
+
 def test_tolerance_below_rounding_floor_raises():
     with pytest.raises(AccuracyError) as excinfo:
         integrate(np.exp, 0.0, 1.0, QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30))
@@ -118,9 +131,9 @@ def test_tolerance_below_rounding_floor_raises():
 
 
 def _counting(f, counter):
-    def wrapped(x, *rows):
+    def wrapped(x):
         counter.append(len(x))
-        return f(x, *rows)
+        return f(x)
 
     return wrapped
 
@@ -131,7 +144,7 @@ def _peak(x0, eps):
 
 def _rows(*fs):
     """The integrand of integrate_rows whose rows are the functions fs."""
-    return lambda x, rows: np.array([f(x) for f in fs])[rows]
+    return lambda x: np.array([f(x) for f in fs])
 
 
 ROWS = [np.sin, np.exp, _peak(0.3, 1e-3), _peak(0.7, 1e-5), lambda x: np.where(x < 0.4, 1.0, -2.0) * np.cos(x)]
@@ -167,24 +180,31 @@ def test_rows_of_very_different_size_stop_on_their_own_tolerance():
     assert len(shapes) >= len(alone) > 1
 
 
-@pytest.mark.parametrize("functions, rest", [
-    ((np.sin, _peak(0.5, 1e-4)), slice(1, 2)),
-    ((_peak(0.3, 1e-4), np.sin, _peak(0.7, 1e-5)), [0, 2]),
+@pytest.mark.parametrize("functions", [
+    (np.sin, _peak(0.5, 1e-4)),
+    (_peak(0.3, 1e-4), np.sin, _peak(0.7, 1e-5)),
 ])
-def test_a_row_that_is_done_is_no_longer_evaluated(functions, rest):
-    requested = []
-
-    def rows(x, selected):
-        requested.append(selected)
-        return _rows(*functions)(x, selected)
-
-    batch = integrate_rows(rows, 0.0, 1.0)
+def test_a_row_that_is_done_keeps_its_value(functions):
+    shapes = []
+    batch = integrate_rows(_counting(_rows(*functions), shapes), 0.0, 1.0)
     done = functions.index(np.sin)
-    # sin is done on the first panel; every later panel evaluates peaks only,
-    # a run of rows as a slice and the others as a list
-    assert requested[0] == slice(None) and rest in requested[1:]
-    assert all(done not in np.arange(len(functions))[selected] for selected in requested[1:])
+    # sin is done on the first panel; the peaks bisect on, and its total stays that panel's
+    assert len(shapes) > 1
     assert batch[done] == integrate(np.sin, 0.0, 1.0)
+
+
+def test_a_row_that_is_done_and_not_finite_on_a_later_panel_raises_naming_it():
+    calls = []
+
+    def rows(x):
+        calls.append(len(x))
+        # sin is done on the first panel, and is nan on every later one
+        done = np.sin(x) if len(calls) == 1 else np.full_like(x, math.nan)
+        return np.array([_peak(0.5, 1e-4)(x), done])
+
+    with pytest.raises(AccuracyError, match=r"panel \[0.0, 0.5\] is not finite in row 1"):
+        integrate_rows(rows, 0.0, 1.0)
+    assert calls == [21, 42]
 
 
 def test_budget_exhaustion_reports_every_row_estimate(monkeypatch):
@@ -201,6 +221,25 @@ def test_nonfinite_value_in_one_row_names_the_panel_and_row(bad):
     rows = _rows(np.cos, lambda x: np.where(x > 0.5, bad, 1.0), np.sin)
     with pytest.raises(AccuracyError, match=r"panel \[0, 1\] is not finite in row 1"):
         integrate_rows(rows, 0, 1)
+
+
+def test_reversed_interval_refusal_carries_the_negated_estimate(monkeypatch):
+    eps = 1e-9
+    monkeypatch.setattr(ballschwarz.quadrature, "_MAX_SUBDIVISIONS", 3)
+
+    def refusal(engine, f, a, b):
+        with pytest.raises(AccuracyError) as excinfo:
+            engine(f, a, b)
+        return excinfo.value.estimate
+
+    peak = lambda x: 1.0 + eps / (x * x + eps * eps)  # noqa: E731
+    forward, backward = refusal(integrate, peak, -1.0, 1.0), refusal(integrate, peak, 1.0, -1.0)
+    assert isinstance(backward, float) and forward > 2.0
+    assert backward == -forward
+    rows = _rows(np.exp, _peak(0.0, eps))
+    forward, backward = refusal(integrate_rows, rows, -1.0, 1.0), refusal(integrate_rows, rows, 1.0, -1.0)
+    assert isinstance(backward, np.ndarray) and backward.shape == (2,)
+    assert np.array_equal(backward, -forward)
 
 
 def test_rows_and_empty_or_reversed_intervals():
@@ -227,9 +266,9 @@ def test_a_shared_tree_makes_no_more_panels_than_its_rows_alone(easy, hard):
 
 def _per_panel(f, calls):
     """The integrand f called once per panel: each batch of nodes split back into its 21-node panels."""
-    def each(x, rows):
+    def each(x):
         calls.append(len(x))
-        return np.concatenate([np.reshape(f(panel, rows), (-1, 21)) for panel in np.split(x, len(x) // 21)], axis=1)
+        return np.concatenate([np.reshape(f(panel), (-1, 21)) for panel in np.split(x, len(x) // 21)], axis=1)
 
     return each
 
@@ -249,7 +288,7 @@ RADII = np.array([0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.85, 0.9, 0.95, 0.99])
 @pytest.mark.parametrize("n", [3, 5])
 def test_batched_panels_keep_the_bits_of_per_panel_calls_on_angle_kernels(kind, n):
     column = RADII[:, None]
-    calls = _assert_batches_match_panels(lambda t, rows: kind.angle_kernel(n, column[rows], t), 0.3, math.pi)
+    calls = _assert_batches_match_panels(lambda t: kind.angle_kernel(n, column, t), 0.3, math.pi)
     assert len(calls) > 1 and set(calls[1:]) == {42}  # the peaked rows bisect
 
 

@@ -1,4 +1,4 @@
-"""Compare the CLI output of two source trees over the benchmark's ``tables`` and ``checks`` plans.
+"""Compare the output of two source trees over the benchmark's ``tables``, ``checks`` and ``offaxis`` plans.
 
     python3 tools/output_audit.py PARENT_DIR CHANGE_DIR
 
@@ -10,7 +10,16 @@ set to the tree's ``src``, as in-process ``cli.main(argv)`` calls.  The
 report names every argv whose exit code, stderr or stdout differ between
 the trees, and the largest absolute move of a number printed on stdout
 (over the argv whose output has the same numbers of numbers on both
-sides).  Exit status 0 when no argv moved, 1 otherwise.
+sides).
+
+The ``offaxis`` plans of the same seeds have no CLI: each tree evaluates
+every point of them in a second subprocess, through
+``workloads.run_item``, and the report names every point whose value
+differs in its ``repr`` (or whose error differs).  The point values are
+series off the axis; the quadrature enters each case only through its
+base value ``a``, the extension at the centre, so the ``repr`` of each
+case's ``a`` is compared too.  Exit status 0 when no argv, no point and
+no base value moved, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,11 +54,33 @@ for argv in json.load(sys.stdin):
 json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
 """
 
+# the same for the offaxis plan items: read the perfbench directory and the items; write, per item,
+# the repr of its case's base value, then [repr, error] per point
+_OFFAXIS_CHILD = r"""
+import json, sys
+import ballschwarz
+from ballschwarz import build_cap_extremal, zonal_contact_case
+payload = json.load(sys.stdin)
+sys.path.insert(0, payload["perfbench"])
+import workloads
+
+def base(case):
+    if case["kind"] == "cap":
+        return build_cap_extremal(case["n"], 2, case["a"]).a
+    profile = workloads._step_profile(case["levels"], case["cuts"])
+    return zonal_contact_case(case["n"], 2, profile, case["cuts"], "step").a
+
+results = [[repr(base(item["case"])), [[repr(record["value"]), record["err"]]
+                                       for record in workloads.run_item("offaxis", item)]]
+           for item in payload["items"]]
+json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
+"""
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
-def plan_argvs() -> list[list[str]]:
-    """The distinct argv of the ``tables`` and ``checks`` plans of ``SEEDS``, in plan order."""
+def _workloads():
+    """This checkout's ``perfbench/workloads.py``, imported without writing bytecode into it."""
     writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
     sys.path.insert(0, str(PERFBENCH))
     try:
@@ -57,6 +88,12 @@ def plan_argvs() -> list[list[str]]:
     finally:
         sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = writes
+    return workloads
+
+
+def plan_argvs() -> list[list[str]]:
+    """The distinct argv of the ``tables`` and ``checks`` plans of ``SEEDS``, in plan order."""
+    workloads = _workloads()
     seen = {}
     for seed in SEEDS:
         for workload in WORKLOADS:
@@ -66,18 +103,35 @@ def plan_argvs() -> list[list[str]]:
     return [list(argv) for argv in seen]
 
 
-def run_tree(tree: Path, argvs: list[list[str]]) -> list[tuple[int, str, str]]:
-    """Exit code, stdout and stderr of each argv, run in one subprocess on ``tree/src``."""
+def plan_offaxis() -> list[dict]:
+    """The items of the ``offaxis`` plans of ``SEEDS``, in plan order; each holds a case and its points."""
+    workloads = _workloads()
+    return [item for seed in SEEDS for round_ in workloads.plan("offaxis", seed) for item in round_]
+
+
+def _run_child(tree: Path, code: str, payload) -> list:
+    """The results of ``code`` run on ``payload`` in one subprocess on ``tree/src``."""
     src = (Path(tree) / "src").resolve()
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         env[name] = "1"
-    done = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(argvs), env=env, cwd=src,
+    done = subprocess.run([sys.executable, "-c", code], input=json.dumps(payload), env=env, cwd=src,
                           capture_output=True, text=True, check=True)
     reply = json.loads(done.stdout)
     if not Path(reply["module"]).resolve().is_relative_to(src):
         raise RuntimeError(f"{tree}: imported ballschwarz from {reply['module']}, not from {src}")
-    return [tuple(result) for result in reply["results"]]
+    return reply["results"]
+
+
+def run_tree(tree: Path, argvs: list[list[str]]) -> list[tuple[int, str, str]]:
+    """Exit code, stdout and stderr of each argv, run in one subprocess on ``tree/src``."""
+    return [tuple(result) for result in _run_child(tree, _CHILD, argvs)]
+
+
+def run_offaxis(tree: Path, items: list[dict]) -> list[tuple[str, list[tuple[str, str | None]]]]:
+    """Per item, the ``repr`` of its case's base value and, per point, of its value with the error (or None)."""
+    payload = {"perfbench": str(PERFBENCH), "items": items}
+    return [(a, [tuple(point) for point in points]) for a, points in _run_child(tree, _OFFAXIS_CHILD, payload)]
 
 
 def _numbers(text: str) -> list[float]:
@@ -106,6 +160,17 @@ def compare(argvs, parent, change) -> tuple[list[tuple[list[str], list[str], flo
     return moved, largest
 
 
+def compare_offaxis(items, parent, change) -> tuple[list[tuple[dict, str, str]], list[tuple[dict, dict, tuple, tuple]]]:
+    """The cases whose base value moved, each with both reprs, and the points whose value repr or error moved."""
+    bases, points = [], []
+    for item, (a0, points0), (a1, points1) in zip(items, parent, change):
+        if a0 != a1:
+            bases.append((item["case"], a0, a1))
+        points += [(item["case"], point, before, after)
+                   for point, before, after in zip(item["points"], points0, points1) if before != after]
+    return bases, points
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -116,9 +181,19 @@ def main(argv=None) -> int:
     for command, what, move in moved:
         size = "number count differs" if move is None else f"largest move {move:.3g}"
         print(f"moved ({', '.join(what)}; {size}): {' '.join(command)}")
+    items = plan_offaxis()
+    moved_bases, moved_points = compare_offaxis(items, run_offaxis(args.parent, items),
+                                                run_offaxis(args.change, items))
+    for case, before, after in moved_bases:
+        print(f"moved offaxis base value {json.dumps(case)}: {before} -> {after}")
+    for case, point, before, after in moved_points:
+        print(f"moved offaxis point {json.dumps(case)} x={point['x']}: {before} -> {after}")
+    seeds = ", ".join(map(str, SEEDS))
     print(f"{len(moved)} moved of {len(argvs)} argv ({'/'.join(WORKLOADS)} plans, seeds "
-          f"{', '.join(map(str, SEEDS))}); largest move of a printed number {largest:.3g}")
-    return 1 if moved else 0
+          f"{seeds}); largest move of a printed number {largest:.3g}")
+    print(f"{len(moved_points)} moved of {sum(len(item['points']) for item in items)} offaxis points and "
+          f"{len(moved_bases)} of {len(items)} base values (offaxis plans, seeds {seeds})")
+    return 1 if moved or moved_points or moved_bases else 0
 
 
 if __name__ == "__main__":

@@ -30,13 +30,12 @@ from .hilbert_ball import (
 from .poisson import (
     BoundaryMap,
     ZonalBoundaryData,
-    laplace_beltrami_residual,
     monte_carlo_extension,
     radial_derivative_estimate,
     uniform_sphere_samples,
     zonal_extension_on_axis,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_rows
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
 from .verify import (
     DEFAULT_SEED,

@@ -60,7 +60,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_rows
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
 
 __all__ = [
@@ -303,6 +303,12 @@ def boundary_difference_quotient(
     measure (1-r) T / 2 under the smallest normal double has lost its
     digits (hyperbolic, from n = 74 at c = 1/2 and r = 1 - 2^-14):
     ``DomainError``.
+
+    ``config`` is the tolerance of the harmonic tail integral, not of T,
+    so the harmonic T meets about max(2 sigma_star (1+r) abs_tol, rel_tol
+    T).  Relative accuracy on a tiny T needs a tiny abs_tol: at n = 128,
+    c = 1/2, r = 0.95, T is 3.6e-19 and the default abs_tol leaves it
+    2.9e-6 off.  The closed forms do not read ``config``.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"difference quotient needs 0 <= r <= 1, got {r!r}")
@@ -333,9 +339,7 @@ def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: list[float],
         def kernel(t: np.ndarray) -> np.ndarray:
             return kind.angle_kernel(n, radius, t)
 
-        # a single pair is a one-row call: ``integrate``, which traced runs count as quadratures
-        integrals = (integrate if len(pairs) == 1 else integrate_rows)(kernel, angle, math.pi, config)
-        for j, tail in zip(pairs, np.atleast_1d(integrals).tolist()):
+        for j, tail in zip(pairs, integrate_rows(kernel, angle, math.pi, config).tolist()):
             tails[j] = 2.0 * sigma_star(n) * (1.0 + r[j]) * tail
     return tails
 

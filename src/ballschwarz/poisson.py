@@ -2,11 +2,8 @@
 
 Covers both reproducing kernels (Euclidean harmonic and hyperbolic-
 harmonic), the one-dimensional reduction of zonal boundary data along
-its axis, Monte-Carlo extension of arbitrary boundary maps, one-sided
-Richardson estimation of radial boundary derivatives, and a central-
-difference evaluation of the Laplace-Beltrami operator
-
-    Delta_0 = (1-|x|^2)/4 ( Delta + 2(n-2)/(1-|x|^2) <x, grad> ).
+its axis, Monte-Carlo extension of arbitrary boundary maps, and one-
+sided Richardson estimation of radial boundary derivatives.
 
 The zonal reduction is exact only on the axis of symmetry, where the
 integrand depends on a single polar angle; it subtracts the profile's
@@ -28,7 +25,7 @@ import numpy as np
 
 from .envelope import KernelKind, _radii
 from .errors import DomainError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_rows
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from .specfn import sigma_star
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "uniform_sphere_samples",
     "monte_carlo_extension",
     "radial_derivative_estimate",
-    "laplace_beltrami_residual",
 ]
 
 _AXIS_TOL = 1e-14
@@ -159,9 +155,7 @@ def zonal_extension_on_axis(
     def integrand(t: np.ndarray) -> np.ndarray:
         return (np.asarray(data.profile(t), dtype=float) - peaks) * kind.angle_kernel(n, column, t)
 
-    # a single radius is a one-row call: ``integrate``, which traced runs count as quadratures
-    body = (integrate if radii.size == 1 else integrate_rows)(
-        integrand, 0.0, math.pi, config, breakpoints=data.breakpoints)
+    body = integrate_rows(integrand, 0.0, math.pi, config, breakpoints=data.breakpoints)
     values = peak + star * (1.0 - radii * radii) ** nu * body
     return float(values[0]) if single else values
 
@@ -254,37 +248,3 @@ def radial_derivative_estimate(h: Callable[[float], float], base_step: float = 1
             for j in range(len(quotients) - 1)
         ]
     return quotients[0]
-
-
-def laplace_beltrami_residual(
-    h: Callable[[np.ndarray], float],
-    n: int,
-    x: np.ndarray,
-    step: float = 1e-3,
-) -> float:
-    """Central-difference value of Delta_0 h at x.
-
-    Near zero when h is hyperbolic-harmonic; for general smooth h it
-    approximates (1-|x|^2)/4 Delta h + (n-2)/2 <x, grad h> to O(step^2).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise DomainError(f"point must have dimension {n}")
-    if step <= 0.0:
-        raise DomainError("step must be positive")
-    r = float(np.linalg.norm(x))
-    if r + n * step >= 1.0:
-        raise DomainError("finite-difference stencil leaves the unit ball")
-
-    center = float(h(x))
-    lap = 0.0
-    grad = np.zeros(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        plus = float(h(x + e))
-        minus = float(h(x - e))
-        lap += (plus + minus - 2.0 * center) / step ** 2
-        grad[j] = (plus - minus) / (2.0 * step)
-    r2 = r * r
-    return 0.25 * (1.0 - r2) * lap + 0.5 * (n - 2) * float(np.dot(x, grad))

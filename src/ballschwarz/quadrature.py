@@ -9,9 +9,10 @@ with the nested Gauss-Kronrod 10/21 rule of QUADPACK's ``qk21``
 panel value, and the 10-point Gauss rule on every other node gives its
 error estimate at no extra cost.
 
-There is one engine, ``integrate_rows``, and it integrates m integrands
-(rows) on one shared panel tree: a radius grid of envelope tails or
-on-axis extensions is one call.  The integrand ``f(x)`` is called once
+The one entry point, ``integrate_rows``, integrates m integrands (rows)
+on one shared panel tree: a radius grid of envelope tails or on-axis
+extensions is one call, and a single integral is a one-row call,
+``integrate_rows(f, a, b)[0]``.  The integrand ``f(x)`` is called once
 per batch of panels, each panel on its 21 Kronrod nodes: the initial
 panels between the breakpoints are one batch, and so are the two halves
 of each bisection.  It returns every row's values at the nodes of the
@@ -20,7 +21,7 @@ panel alone, so batching moves no bits.  A row is done once its summed
 error estimate meets max(abs_tol, rel_tol |I_j|), and its value is then
 final.  Until every row is done, the engine bisects the panel whose
 worst error over the rows not done, each row measured against its own
-tolerance at the start, is largest.  ``integrate`` is the one-row call.
+tolerance at the start, is largest.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["QuadratureConfig", "DEFAULT_CONFIG", "integrate", "integrate_rows"]
+__all__ = ["QuadratureConfig", "DEFAULT_CONFIG", "integrate_rows"]
 
 # QUADPACK qk21: the Kronrod nodes x >= 0, largest first, with their
 # 21-point weights.  The 10-point Gauss nodes are x[1], x[3], ..., x[9].
@@ -211,28 +212,3 @@ def integrate_rows(
         splits += 1
 
     return np.array(total)
-
-
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Integrate one vectorized integrand over [a, b]: a one-row ``integrate_rows``.
-
-    ``f(x)`` receives an ndarray of nodes and must return the integrand
-    values elementwise; it is called once per batch of panels, each panel
-    on its 21 Kronrod nodes.  The panels, priorities and stopping rule are
-    those of ``integrate_rows`` with a single row, so the panel with the
-    largest error estimate is bisected until the summed estimate meets
-    max(abs_tol, rel_tol |I|).  Raises :class:`AccuracyError` as that
-    does, with the estimate as a float.
-    """
-    try:
-        return float(integrate_rows(f, a, b, config, breakpoints)[0])
-    except AccuracyError as exc:
-        if exc.estimate is not None:
-            exc.estimate = float(exc.estimate[0])
-        raise

@@ -138,17 +138,14 @@ class ContactTestCase:
     """A map of the ball with boundary contact, ready for derivative checks.
 
     ``f`` evaluates the map at interior points, ``x0`` is the boundary
-    contact point with target value ``y0``, ``a0 = f(0)``, and
-    ``a = <a0, y0>`` parametrizes which envelope squeezes the section
-    <f, y0>.
+    contact point with target value ``y0``, and ``a = <f(0), y0>``
+    parametrizes which envelope squeezes the section <f, y0>.
     """
 
     n: int
-    m: int
     f: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     y0: np.ndarray
-    a0: np.ndarray
     a: float
     case_id: str
 
@@ -157,7 +154,6 @@ class ContactTestCase:
         y0 = np.asarray(self.y0, dtype=float)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "a0", np.asarray(self.a0, dtype=float))
         if abs(float(np.linalg.norm(x0)) - 1.0) > _UNIT_TOL:
             raise DomainError("contact point x0 must be a unit vector")
         if abs(float(np.linalg.norm(y0)) - 1.0) > _UNIT_TOL:
@@ -270,9 +266,7 @@ def zonal_contact_case(
     def f(x: np.ndarray) -> np.ndarray:
         return _zonal_value(data, x, config) * y0
 
-    return ContactTestCase(
-        n=n, m=m, f=f, x0=axis, y0=y0, a0=a * y0, a=a, case_id=case_id
-    )
+    return ContactTestCase(n=n, f=f, x0=axis, y0=y0, a=a, case_id=case_id)
 
 
 def build_cap_extremal(
@@ -757,11 +751,9 @@ def default_verification_suite(
 
     identity_case = ContactTestCase(
         n=3,
-        m=3,
         f=lambda x: np.asarray(x, dtype=float),
         x0=np.array([1.0, 0.0, 0.0]),
         y0=np.array([1.0, 0.0, 0.0]),
-        a0=np.zeros(3),
         a=0.0,
         case_id="identity-map n=3",
     )

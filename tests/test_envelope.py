@@ -19,7 +19,7 @@ from ballschwarz import (
     envelope_upper,
     heinz_schwarz_constant,
     hyperbolic_decay_coefficient,
-    integrate,
+    integrate_rows,
     schwarz_planar_bound,
     sigma_star,
 )
@@ -234,6 +234,31 @@ def test_difference_quotient_consistent_with_envelope():
         assert factored == pytest.approx(reference, rel=1e-9)
 
 
+@pytest.mark.parametrize("n, c, r, reference", [
+    (128, 0.5, 0.95, 3.5823146323920251e-19),
+    (256, 0.5, 0.95, 3.3986208096156704e-37),
+    (256, 0.5, 0.999, 6.5892270400514766e-40),
+    (1024, 0.5, 0.7, 1.9167920342668922e-90),
+    (1024, 0.1, 0.999, 6.9942739304413462e-147),
+])
+def test_harmonic_quotient_at_large_dimension_meets_a_relative_tolerance(n, c, r, reference):
+    """Harmonic T, a tail quadrature of 1e-19 to 1e-147, to rel_tol once abs_tol is out of the way.
+
+    Each reference is, at the library's own alpha and 50 digits,
+
+        2 sigma_star (1+r) mpmath.quad(g, mpmath.linspace(alpha, pi, 401)),
+        g(t) = sin^{n-2}t (1 - 2 r cos t + r^2)^{-n/2},
+
+    with g divided by its largest value on 2001 grid points inside the quad
+    and the factor put back outside it: mpmath stops on an absolute error of
+    1e-50, which an unscaled g of 1e-90 meets at once.  Tanh-sinh and
+    Gauss-Legendre agree to every printed digit, on 400 and 1000 subintervals.
+    """
+    cap = cap_angle_from_measure(n, c)
+    value = boundary_difference_quotient(HARM, cap, r, QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10))
+    assert value == pytest.approx(reference, rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("c", [0.1, 0.9])
 @pytest.mark.parametrize("n", [13, 15, 16, 24, 32, 48, 64])
 def test_hyperbolic_quotient_matches_mpmath_on_the_hopf_radii(n, c):
@@ -260,7 +285,7 @@ def test_hyperbolic_quotient_matches_mpmath_on_the_hopf_radii(n, c):
 def _quadrature_hyperbolic_quotient(cap, r):
     """T(r) = 2 sigma_star (1-r)^{n-2} (1+r)^{n-1} int_alpha^pi of the hyperbolic angle kernel."""
     n = cap.n
-    tail = integrate(lambda t: HYP.angle_kernel(n, r, t), cap.alpha, math.pi, TIGHT)
+    tail = integrate_rows(lambda t: HYP.angle_kernel(n, r, t), cap.alpha, math.pi, TIGHT)[0]
     return 2.0 * sigma_star(n) * (1.0 - r) ** (n - 2) * (1.0 + r) ** (n - 1) * tail
 
 
@@ -517,7 +542,7 @@ def _old_boundary_derivative(n, a):
     """D_n(a) from its limiting integrand, as computed before the closed form."""
     alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a)).alpha
     star = sigma_star(n)
-    tail = integrate(lambda t: np.sin(t) ** (n - 2) / np.sin(0.5 * t) ** n, alpha, math.pi, TIGHT)
+    tail = integrate_rows(lambda t: np.sin(t) ** (n - 2) / np.sin(0.5 * t) ** n, alpha, math.pi, TIGHT)[0]
     return 2.0 ** (2 - n) * star * tail
 
 
@@ -529,7 +554,7 @@ def _old_decay_coefficient(n, c):
     def q_hyp(t):
         return 4.0 ** (1 - n) * np.sin(t) ** (n - 2) / np.sin(0.5 * t) ** (2 * (n - 1))
 
-    return 2.0**n * star * integrate(q_hyp, alpha, math.pi, TIGHT)
+    return 2.0**n * star * integrate_rows(q_hyp, alpha, math.pi, TIGHT)[0]
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -544,10 +569,9 @@ def test_closed_forms_match_the_old_integrands(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
 def test_constants_layer_makes_no_quadrature_calls(monkeypatch, n):
     def refuse(*args, **kwargs):
-        raise AssertionError("the constants layer called integrate")
+        raise AssertionError("the constants layer called integrate_rows")
 
-    for engine in ("integrate", "integrate_rows"):
-        monkeypatch.setattr(ballschwarz.envelope, engine, refuse)
+    monkeypatch.setattr(ballschwarz.envelope, "integrate_rows", refuse)
     for c in (0.05, 0.3, 0.5, 0.7, 0.95):
         cap_angle_from_measure(n, c)
         boundary_derivative_harmonic(n, 2.0 * c - 1.0)
@@ -560,10 +584,9 @@ def test_hyperbolic_cli_tables_make_no_quadrature_calls(monkeypatch, capsys):
     from ballschwarz.cli import main
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a hyperbolic value called integrate")
+        raise AssertionError("a hyperbolic value called integrate_rows")
 
-    for engine in ("integrate", "integrate_rows"):
-        monkeypatch.setattr(ballschwarz.envelope, engine, refuse)
+    monkeypatch.setattr(ballschwarz.envelope, "integrate_rows", refuse)
     grid = ["--n", "2,3,8,32", "--c-grid", "0.1,0.5,0.9,1", "--r-grid=-0.9995,-0.5,0,0.5,0.9995"]
     assert main(["envelope", "--kind", "hyperbolic", *grid]) == 0
     assert main(["hopf", "--n", "3,4,16,64", "--c-grid", "0.1,0.5,0.9"]) == 0

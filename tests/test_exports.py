@@ -6,9 +6,7 @@ import pathlib
 import ballschwarz
 
 # exported with no caller yet, and why it stays
-UNCALLED = {
-    "laplace_beltrami_residual": "the planned off-axis hyperbolic check applies it to the closed-form values",
-}
+UNCALLED = {}
 
 
 def _modules():

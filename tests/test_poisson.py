@@ -10,7 +10,6 @@ from ballschwarz import (
     ZonalBoundaryData,
     cap_angle_from_measure,
     envelope_upper,
-    laplace_beltrami_residual,
     monte_carlo_extension,
     radial_derivative_estimate,
     uniform_sphere_samples,
@@ -185,43 +184,6 @@ def test_radial_derivative_hyperbolic_envelope_vanishes():
     assert abs(estimate) < 1e-3
 
 
-def test_laplace_beltrami_constant_function():
-    assert laplace_beltrami_residual(lambda x: 1.0, 3, np.array([0.3, 0.0, 0.0])) == 0.0
-
-
-def test_laplace_beltrami_annihilates_hyperbolic_kernel():
-    eta = np.array([0.0, 0.6, 0.8])
-    h = lambda x: _kernel(HYP, x, eta)
-    x = np.array([0.3, 0.0, 0.0])
-    coarse = laplace_beltrami_residual(h, 3, x, step=1e-2)
-    fine = laplace_beltrami_residual(h, 3, x, step=5e-3)
-    assert abs(coarse) < 1e-4
-    # O(step^2): halving the step shrinks the residual about fourfold
-    assert abs(fine) < 0.4 * abs(coarse)
-
-
-def test_laplace_beltrami_mixture_of_hyperbolic_kernels():
-    rng = np.random.Generator(np.random.Philox(21))
-    etas = uniform_sphere_samples(rng, 4, 3)
-    weights = rng.uniform(0.1, 1.0, 4)
-
-    def h(x):
-        return sum(w * _kernel(HYP, x, e) for w, e in zip(weights, etas))
-
-    x = np.array([0.2, -0.1, 0.25])
-    assert abs(laplace_beltrami_residual(h, 3, x, step=2e-3)) < 1e-5
-
-
-def test_laplace_beltrami_drift_on_coordinate_function():
-    # Delta_0 x_1 = (n-2)/2 x_1: the Euclidean Laplacian term vanishes
-    # and only the drift survives.
-    h = lambda x: float(x[0])
-    value = laplace_beltrami_residual(h, 3, np.array([0.3, 0.0, 0.0]), step=1e-3)
-    assert value == pytest.approx(0.15, abs=1e-9)
-    value4 = laplace_beltrami_residual(h, 4, np.array([0.3, 0.0, 0.0, 0.0]), step=1e-3)
-    assert value4 == pytest.approx(0.3, abs=1e-9)
-
-
 def test_euclidean_laplacian_of_harmonic_kernel_is_small():
     eta = np.array([0.0, 0.6, 0.8])
     h = lambda x: _kernel(HARM, x, eta)
@@ -234,11 +196,6 @@ def test_euclidean_laplacian_of_harmonic_kernel_is_small():
             e[j] = step
             lap += (h(x + e) + h(x - e) - 2.0 * center) / step**2
         assert abs(lap) < bound
-
-
-def test_laplace_beltrami_stencil_domain():
-    with pytest.raises(DomainError):
-        laplace_beltrami_residual(lambda x: 1.0, 3, np.array([0.999, 0.0, 0.0]), step=1e-2)
 
 
 def test_boundary_map_probes_range():

@@ -11,7 +11,6 @@ from ballschwarz import (
     KernelKind,
     QuadratureConfig,
     ZonalBoundaryData,
-    integrate,
     integrate_rows,
     zonal_extension_on_axis,
 )
@@ -25,22 +24,22 @@ def test_config_validation():
 
 
 def test_polynomial_is_exact():
-    assert integrate(lambda x: x**5, 0.0, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert integrate_rows(lambda x: x**5, 0.0, 1.0)[0] == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 def test_sine_over_period():
-    assert integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-13)
+    assert integrate_rows(np.sin, 0.0, math.pi)[0] == pytest.approx(2.0, abs=1e-13)
 
 
 def test_empty_and_reversed_intervals():
-    assert integrate(np.cos, 1.3, 1.3) == 0.0
-    forward = integrate(np.cos, 0.0, 1.0)
-    assert integrate(np.cos, 1.0, 0.0) == pytest.approx(-forward, abs=1e-15)
+    assert integrate_rows(np.cos, 1.3, 1.3)[0] == 0.0
+    forward = integrate_rows(np.cos, 0.0, 1.0)[0]
+    assert integrate_rows(np.cos, 1.0, 0.0)[0] == pytest.approx(-forward, abs=1e-15)
 
 
 def test_sharp_peak_is_resolved():
     eps = 1e-6
-    value = integrate(lambda x: eps / (x * x + eps * eps), -1.0, 1.0)
+    value = integrate_rows(lambda x: eps / (x * x + eps * eps), -1.0, 1.0)[0]
     assert value == pytest.approx(2.0 * math.atan(1.0 / eps), abs=1e-9)
 
 
@@ -48,7 +47,7 @@ def test_breakpoints_handle_steps():
     def step(x):
         return np.where(x < 0.3, 1.0, -2.0)
 
-    value = integrate(step, 0.0, 1.0, breakpoints=[0.3])
+    value = integrate_rows(step, 0.0, 1.0, breakpoints=[0.3])[0]
     assert value == pytest.approx(0.3 - 2.0 * 0.7, abs=1e-14)
 
 
@@ -56,19 +55,19 @@ def test_budget_exhaustion_reports_estimate(monkeypatch):
     eps = 1e-9
     monkeypatch.setattr(ballschwarz.quadrature, "_MAX_SUBDIVISIONS", 3)
     with pytest.raises(AccuracyError) as excinfo:
-        integrate(lambda x: eps / (x * x + eps * eps), -1.0, 1.0)
+        integrate_rows(lambda x: eps / (x * x + eps * eps), -1.0, 1.0)
     assert excinfo.value.estimate is not None
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_nonfinite_integrand_raises_naming_the_panel(bad):
     with pytest.raises(AccuracyError, match=r"panel \[0, 1\]"):
-        integrate(lambda x: np.where(x > 0.5, bad, 1.0), 0, 1)
+        integrate_rows(lambda x: np.where(x > 0.5, bad, 1.0), 0, 1)
 
 
 def test_nonfinite_endpoints_rejected():
     with pytest.raises(DomainError):
-        integrate(np.sin, 0.0, math.inf)
+        integrate_rows(np.sin, 0.0, math.inf)
 
 
 def test_kronrod_and_gauss_rules_are_exact_to_their_degrees():
@@ -101,11 +100,11 @@ def test_one_integrand_call_per_batch_of_panels_on_21_nodes():
         return wrapped
 
     # the three initial panels between the breakpoints in one call
-    integrate(counting(lambda x: x**7), 0.0, 1.0, breakpoints=[0.25, 0.5])
+    integrate_rows(counting(lambda x: x**7), 0.0, 1.0, breakpoints=[0.25, 0.5])
     assert shapes == [(63,)]
     shapes.clear()
     eps = 1e-6
-    integrate(counting(lambda x: eps / (x * x + eps * eps)), -1.0, 1.0)
+    integrate_rows(counting(lambda x: eps / (x * x + eps * eps)), -1.0, 1.0)
     # the first panel, then both halves of each bisection in one call
     assert shapes[0] == (21,) and len(shapes) > 1
     assert set(shapes[1:]) == {(42,)}
@@ -119,15 +118,16 @@ def test_the_first_bisection_splits_the_worst_initial_panel():
         return 1e-4 / ((x - 0.9) ** 2 + 1e-8)
 
     # the heap is keyed before the first bisection: the peak's panel is split first, not the first panel
-    integrate(peak, 0.0, 1.0, breakpoints=[0.25, 0.5, 0.75])
+    integrate_rows(peak, 0.0, 1.0, breakpoints=[0.25, 0.5, 0.75])
     assert len(batches[0]) == 4 * 21 and len(batches) > 2
     assert 0.75 < batches[1].min() and batches[1].max() < 1.0
 
 
 def test_tolerance_below_rounding_floor_raises():
     with pytest.raises(AccuracyError) as excinfo:
-        integrate(np.exp, 0.0, 1.0, QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30))
-    assert excinfo.value.estimate == pytest.approx(math.e - 1.0, rel=1e-15)
+        integrate_rows(np.exp, 0.0, 1.0, QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30))
+    assert excinfo.value.estimate.shape == (1,)
+    assert excinfo.value.estimate[0] == pytest.approx(math.e - 1.0, rel=1e-15)
 
 
 def _counting(f, counter):
@@ -154,15 +154,15 @@ def test_each_batch_row_matches_its_row_alone():
     batch = integrate_rows(_rows(*ROWS), 0.0, 1.0, breakpoints=[0.4])
     assert batch.shape == (len(ROWS),)
     for f, value in zip(ROWS, batch):
-        alone = integrate(f, 0.0, 1.0, breakpoints=[0.4])
+        alone = integrate_rows(f, 0.0, 1.0, breakpoints=[0.4])[0]
         assert abs(value - alone) <= 1e-14 * abs(alone)
 
 
 @pytest.mark.parametrize("f", ROWS)
-def test_one_row_call_returns_the_bits_of_integrate(f):
+def test_a_one_dimensional_result_is_one_row_with_the_same_bits(f):
     rows = integrate_rows(_rows(f), 0.0, 1.0, breakpoints=[0.4])
     assert rows.shape == (1,)
-    assert rows[0] == integrate(f, 0.0, 1.0, breakpoints=[0.4])
+    assert np.array_equal(integrate_rows(f, 0.0, 1.0, breakpoints=[0.4]), rows)
 
 
 def test_rows_of_very_different_size_stop_on_their_own_tolerance():
@@ -176,7 +176,7 @@ def test_rows_of_very_different_size_stop_on_their_own_tolerance():
                            0.0, 1.0, config)
     assert np.all(np.abs(batch - exact) <= np.maximum(config.abs_tol, config.rel_tol * np.abs(exact)))
     alone = []
-    integrate(_counting(lambda x: 1e-3 * small(x), alone), 0.0, 1.0, config)
+    integrate_rows(_counting(lambda x: 1e-3 * small(x), alone), 0.0, 1.0, config)
     assert len(shapes) >= len(alone) > 1
 
 
@@ -190,7 +190,7 @@ def test_a_row_that_is_done_keeps_its_value(functions):
     done = functions.index(np.sin)
     # sin is done on the first panel; the peaks bisect on, and its total stays that panel's
     assert len(shapes) > 1
-    assert batch[done] == integrate(np.sin, 0.0, 1.0)
+    assert batch[done] == integrate_rows(np.sin, 0.0, 1.0)[0]
 
 
 def test_a_row_that_is_done_and_not_finite_on_a_later_panel_raises_naming_it():
@@ -227,19 +227,16 @@ def test_reversed_interval_refusal_carries_the_negated_estimate(monkeypatch):
     eps = 1e-9
     monkeypatch.setattr(ballschwarz.quadrature, "_MAX_SUBDIVISIONS", 3)
 
-    def refusal(engine, f, a, b):
+    def refusal(f, a, b):
         with pytest.raises(AccuracyError) as excinfo:
-            engine(f, a, b)
+            integrate_rows(f, a, b)
         return excinfo.value.estimate
 
-    peak = lambda x: 1.0 + eps / (x * x + eps * eps)  # noqa: E731
-    forward, backward = refusal(integrate, peak, -1.0, 1.0), refusal(integrate, peak, 1.0, -1.0)
-    assert isinstance(backward, float) and forward > 2.0
-    assert backward == -forward
-    rows = _rows(np.exp, _peak(0.0, eps))
-    forward, backward = refusal(integrate_rows, rows, -1.0, 1.0), refusal(integrate_rows, rows, 1.0, -1.0)
-    assert isinstance(backward, np.ndarray) and backward.shape == (2,)
-    assert np.array_equal(backward, -forward)
+    one_row = lambda x: 1.0 + eps / (x * x + eps * eps)  # noqa: E731
+    for f, m in ((one_row, 1), (_rows(np.exp, _peak(0.0, eps)), 2)):
+        forward, backward = refusal(f, -1.0, 1.0), refusal(f, 1.0, -1.0)
+        assert isinstance(backward, np.ndarray) and backward.shape == (m,) and forward[0] > 2.0
+        assert np.array_equal(backward, -forward)
 
 
 def test_rows_and_empty_or_reversed_intervals():

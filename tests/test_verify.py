@@ -34,7 +34,7 @@ from ballschwarz import (
     zonal_extension_on_axis,
 )
 from ballschwarz.poisson import BoundaryMap, uniform_sphere_samples
-from ballschwarz.quadrature import integrate
+from ballschwarz.quadrature import integrate_rows
 from ballschwarz import verify
 from ballschwarz.cli import main as cli_main
 from ballschwarz.verify import (
@@ -113,7 +113,7 @@ def _nested_quadrature_value(data, x):
             return prof * (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(t - psi) + r * r)
 
         breaks = [*data.breakpoints, *(-b for b in data.breakpoints), psi]
-        return integrate(circle_integrand, -math.pi, math.pi, breakpoints=breaks) / (2.0 * math.pi)
+        return integrate_rows(circle_integrand, -math.pi, math.pi, breakpoints=breaks)[0] / (2.0 * math.pi)
 
     sin_psi = math.sin(psi)
     inner_star = sigma_star(n - 1)
@@ -125,14 +125,14 @@ def _nested_quadrature_value(data, x):
         def az_integrand(theta):
             return np.sin(theta) ** (n - 3) / (base - cross * np.cos(theta)) ** (0.5 * n)
 
-        return inner_star * integrate(az_integrand, 0.0, math.pi)
+        return inner_star * integrate_rows(az_integrand, 0.0, math.pi)[0]
 
     def outer_integrand(phi):
         prof = np.asarray(data.profile(phi), dtype=float)
         averages = np.array([azimuth_average(float(p)) for p in np.atleast_1d(phi)])
         return prof * np.sin(phi) ** (n - 2) * averages
 
-    body = integrate(outer_integrand, 0.0, math.pi, breakpoints=data.breakpoints)
+    body = integrate_rows(outer_integrand, 0.0, math.pi, breakpoints=data.breakpoints)[0]
     return sigma_star(n) * (1.0 - r * r) * body
 
 
@@ -172,12 +172,10 @@ def test_offaxis_values_make_no_quadrature_calls(n, monkeypatch):
     case = build_cap_extremal(n, 2, 0.3)  # its base value a = h(0) is a quadrature
 
     def refuse(*args, **kwargs):
-        raise AssertionError("off-axis evaluation called integrate")
+        raise AssertionError("off-axis evaluation called integrate_rows")
 
-    monkeypatch.setattr("ballschwarz.verify.integrate", refuse, raising=False)
     for module in ("poisson", "envelope"):
-        for engine in ("integrate", "integrate_rows"):
-            monkeypatch.setattr(f"ballschwarz.{module}.{engine}", refuse)
+        monkeypatch.setattr(f"ballschwarz.{module}.integrate_rows", refuse)
     value = case.f(_off_axis_point(np.random.Generator(np.random.Philox(n)), n, 0.8, 1.1))[0]
     assert -1.0 < value < 1.0
 
@@ -217,11 +215,9 @@ def test_cap_extremal_rotation_invariance():
 def test_identity_map_clears_bound():
     case = ContactTestCase(
         n=3,
-        m=3,
         f=lambda x: np.asarray(x, dtype=float),
         x0=_axis(3),
         y0=_axis(3),
-        a0=np.zeros(3),
         a=0.0,
         case_id="identity",
     )
@@ -538,11 +534,9 @@ def test_contact_case_validation():
     with pytest.raises(DomainError):
         ContactTestCase(
             n=3,
-            m=3,
             f=lambda x: x,
             x0=np.array([0.5, 0.0, 0.0]),
             y0=_axis(3),
-            a0=np.zeros(3),
             a=0.0,
             case_id="bad",
         )

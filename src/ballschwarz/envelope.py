@@ -103,7 +103,8 @@ class KernelKind(Enum):
         Its factor (1-r^2)^nu and the normalization sigma_star are left to the caller.
         """
         _, mu = self.exponents(n)
-        return np.sin(t) ** (n - 2) / (1.0 - 2.0 * r * np.cos(t) + r * r) ** mu
+        with np.errstate(over="ignore"):  # sin^{n-2} <= 1, so a distance power of inf gives the kernel's 0
+            return np.sin(t) ** (n - 2) / (1.0 - 2.0 * r * np.cos(t) + r * r) ** mu
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:
@@ -327,7 +328,7 @@ def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: list[float],
 
     The harmonic tails over [alpha, pi] are one ``integrate_rows`` call per
     distinct alpha (at most two, a cap's and its complement's), each radius
-    a row on that call's panel tree.
+    a row of that call.
     """
     if kind is KernelKind.HYPERBOLIC_HARMONIC or n == 2:
         return [_closed_form_tail(n, a, x) for a, x in zip(alpha, r)]

@@ -132,7 +132,7 @@ def zonal_extension_on_axis(
     Negative r continues the same formula analytically along the axis
     (used by central differences at r = 0); |r| >= 1 is rejected.  ``r``
     may be a 1-D array of radii: the result is then the array of values,
-    all radii integrated as rows of one quadrature on one panel tree.
+    all radii integrated as rows of one quadrature, each with the bits it gets alone.
 
     The kernel peaks at t* = 0 for r >= 0 and at t* = pi for r < 0.
     Because it integrates to exactly 1, the profile's value there can be

@@ -10,18 +10,20 @@ panel value, and the 10-point Gauss rule on every other node gives its
 error estimate at no extra cost.
 
 The one entry point, ``integrate_rows``, integrates m integrands (rows)
-on one shared panel tree: a radius grid of envelope tails or on-axis
-extensions is one call, and a single integral is a one-row call,
-``integrate_rows(f, a, b)[0]``.  The integrand ``f(x)`` is called once
-per batch of panels, each panel on its 21 Kronrod nodes: the initial
-panels between the breakpoints are one batch, and so are the two halves
-of each bisection.  It returns every row's values at the nodes of the
-batch.  Each row's panel sums are the same 1 x 21 products as for a
-panel alone, so batching moves no bits.  A row is done once its summed
-error estimate meets max(abs_tol, rel_tol |I_j|), and its value is then
-final.  Until every row is done, the engine bisects the panel whose
-worst error over the rows not done, each row measured against its own
-tolerance at the start, is largest.
+over one interval: a radius grid of envelope tails or on-axis extensions
+is one call, and a single integral is a one-row call,
+``integrate_rows(f, a, b)[0]``.  Each row is bisected as it would be
+alone, and the rows share the panels they evaluate.  The integrand
+``f(x)`` is called once per batch of panels, each panel on its 21
+Kronrod nodes: the initial panels between the breakpoints are one batch,
+and so are the two halves of each bisection.  It returns every row's
+values at the nodes of the batch, and each evaluated panel goes into a
+table keyed by its ends.  A row that misses max(abs_tol, rel_tol |I_j|)
+on the initial panels bisects its own worst panel until it meets it,
+taking from the table the halves that an earlier row has evaluated
+already.  Each row's panel sums are the same 1 x 21 products as for a
+panel alone, so a row gets the same bits in a batch as alone, and no
+panel is evaluated twice.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def integrate_rows(
     config: QuadratureConfig = DEFAULT_CONFIG,
     breakpoints: Sequence[float] = (),
 ) -> np.ndarray:
-    """Integrate the m rows of a vectorized integrand over [a, b] on one panel tree.
+    """Integrate the m rows of a vectorized integrand over [a, b], each row bisected as alone.
 
     ``f(x)`` is called once per batch of panels: it receives the 21
     Kronrod nodes of each panel in the batch, one panel after the other,
@@ -132,21 +134,20 @@ def integrate_rows(
     of |f|, so a tolerance under the rounding of the sum is reported as
     missed rather than met.
 
-    A row is done once its summed estimate meets max(abs_tol, rel_tol
-    |I_j|): from then on its value is final.  Until every row is done,
-    the panel with the largest max_j err_j / s_j over the rows not done
-    is bisected, where s_j is that tolerance taken from the totals of the
-    initial panels and then held fixed.  So one row bisects its panels
-    in order of their error, as alone; no row with a small integral
-    outweighs a large one; and a row that is done no longer steers the
-    bisection, which on random peaked rows keeps the shared tree below
-    the panels the rows make one by one.
+    Row by row, a row that misses max(abs_tol, rel_tol |I_j|) on the
+    initial panels bisects the panel with its largest error until its
+    summed estimate meets that tolerance, exactly as alone.  Every
+    evaluated panel is kept in a table keyed by its ends, so a panel that
+    an earlier row split is read, not evaluated again: a row gets in a
+    batch the bits it gets alone, with the same budget of subdivisions.
 
-    Raises :class:`AccuracyError` (carrying the array of row estimates)
-    after 2000 subdivisions short of the tolerance, and (without one) on a
-    panel with a non-finite value in any row, done or not, naming the
-    panel and row.  Over a reversed interval (a > b) the integrals and
-    any carried estimate are those of [b, a], negated.
+    Raises :class:`AccuracyError` after 2000 subdivisions of one row short
+    of its tolerance, carrying the array of row estimates: the final value
+    of each earlier row, the current value of the refusing row and the
+    initial total of each later row.  It raises (without an estimate) on a
+    panel with a non-finite value in any row, naming the panel and row.
+    Over a reversed interval (a > b) the integrals and any carried
+    estimate are those of [b, a], negated.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration endpoints must be finite")
@@ -171,44 +172,39 @@ def integrate_rows(
     for vals, errs in zip(values, errors):
         total = [t + v for t, v in zip(total, vals)]
         total_err = [t + e for t, e in zip(total_err, errs)]
+    table = dict(zip(bounds, zip(values, errors)))  # (lo, hi) -> that panel's row values and errors
     abs_tol, rel_tol = config.abs_tol, config.rel_tol
-    scale = [max(abs_tol, rel_tol * abs(t)) for t in total]
-    active = list(range(len(total)))  # the rows not done
-
-    def key(errs) -> float:  # minus the panel's worst err_j / s_j over the rows not done
-        return -max((errs[j] / scale[j] for j in active), default=0.0)
-
-    heap = [(key(errs), tie, lo, hi, vals, errs)  # (key, tie, a, b, row values, row errors), keyed up front
-            for tie, ((lo, hi), vals, errs) in enumerate(zip(bounds, values, errors))]
-    heapq.heapify(heap)
-    tie, splits = len(heap), 0
-    while missed := [j for j in active if total_err[j] > max(abs_tol, rel_tol * abs(total[j]))]:
-        if missed != active:  # rows are done: they keep their totals and no longer steer the bisection
-            active = missed
-            heap = [(key(entry[5]), *entry[1:]) for entry in heap]
-            heapq.heapify(heap)
-        if splits >= _MAX_SUBDIVISIONS:
-            where = f" in row {active[0]}" if len(total) > 1 else ""
-            raise AccuracyError(
-                f"adaptive quadrature used {splits} subdivisions without "
-                f"reaching tolerance (error estimate {total_err[active[0]]:.3e}{where})",
-                estimate=np.array(total),
-            )
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            # Panel at machine width: nothing left to resolve.
-            raise AccuracyError(
-                "adaptive quadrature hit a panel of machine width "
-                f"near x={pa!r}", estimate=np.array(total),
-            )
-        (lval, rval), (lerr, rerr) = _panels(f, ((pa, mid), (mid, pb)))
-        for j in active:
+    for j in range(len(total)):
+        if total_err[j] <= max(abs_tol, rel_tol * abs(total[j])):
+            continue  # done on the initial panels: no heap
+        heap = [(-errs[j], tie, lo, hi) for tie, ((lo, hi), errs) in enumerate(zip(bounds, errors))]
+        heapq.heapify(heap)
+        tie, splits = len(heap), 0
+        while total_err[j] > max(abs_tol, rel_tol * abs(total[j])):
+            if splits >= _MAX_SUBDIVISIONS:
+                where = f" in row {j}" if len(total) > 1 else ""
+                raise AccuracyError(
+                    f"adaptive quadrature used {splits} subdivisions without "
+                    f"reaching tolerance (error estimate {total_err[j]:.3e}{where})",
+                    estimate=np.array(total),
+                )
+            _, _, lo, hi = heapq.heappop(heap)
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                # Panel at machine width: nothing left to resolve.
+                raise AccuracyError(
+                    "adaptive quadrature hit a panel of machine width "
+                    f"near x={lo!r}", estimate=np.array(total),
+                )
+            if (lo, mid) not in table:
+                (lval, rval), (lerr, rerr) = _panels(f, ((lo, mid), (mid, hi)))
+                table[lo, mid], table[mid, hi] = (lval, lerr), (rval, rerr)
+            (pval, perr), (lval, lerr), (rval, rerr) = table[lo, hi], table[lo, mid], table[mid, hi]
             total[j] += (lval[j] + rval[j]) - pval[j]
             total_err[j] += (lerr[j] + rerr[j]) - perr[j]
-        heapq.heappush(heap, (key(lerr), tie, pa, mid, lval, lerr))
-        heapq.heappush(heap, (key(rerr), tie + 1, mid, pb, rval, rerr))
-        tie += 2
-        splits += 1
+            heapq.heappush(heap, (-lerr[j], tie, lo, mid))
+            heapq.heappush(heap, (-rerr[j], tie + 1, mid, hi))
+            tie += 2
+            splits += 1
 
     return np.array(total)

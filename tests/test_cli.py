@@ -102,6 +102,15 @@ def test_envelope_origin_and_full_cap_rows(capsys):
             assert abs(float(row["M_upper"]) - 1.0) < 1e-9
 
 
+def test_envelope_at_dimension_20000_prints_no_overflow_warning(capsys):
+    # the kernel's distance power overflows to inf there, which is the kernel's correct 0
+    code = main(["envelope", "--n", "20000", "--c-grid", "0.5", "--r-grid", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    row = _parse_csv(captured.out)[0]
+    assert (row["M_upper"], row["m_lower"]) == ("1", "-1")
+
+
 def test_envelope_oracle_column_consistent(capsys):
     code, out = _run(
         capsys,

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,3 +59,37 @@ def test_the_audit_names_a_moved_offaxis_point_and_base_value():
     bases, moved = audit.compare_offaxis(items, before, after)
     assert bases == [(case, "0.25", "0.25000000000000006")]
     assert moved == [(case, points[1], ("-0.125", None), ("None", "AccuracyError: refused"))]
+
+
+def test_the_bit_audit_reads_every_verify_row_and_envelope_value():
+    audit = _audit_module()
+    few = [next(argv for argv in audit.plan_argvs() if argv[0] == "verify"),
+           ["envelope", "--n", "3,8", "--c-grid=0.3,1", "--r-grid=0,0.5,0.99", "--kind", "harmonic"]]
+    verify, envelope = audit.run_bits(ROOT, few)
+    assert len(verify) % 2 == 0 and {label.split()[0] for label, _ in verify} == {"lam", "bound"}
+    assert len(envelope) == 2 * 2 * 2 * 3  # M and m over n x c x r
+    assert all(float.fromhex(value) == float.fromhex(value) for _, value in verify + envelope)
+    assert audit.compare_bits(few, [verify, envelope], [verify, envelope]) == ([], len(verify) + len(envelope))
+
+
+def test_the_bit_audit_names_a_value_moved_by_one_ulp(monkeypatch, capsys):
+    audit = _audit_module()
+    argv = ["verify", "--seed", "7"]
+    lam, bound = ("lam planar", (0.25).hex()), ("bound planar", (0.5).hex())
+    nudged = ("lam planar", math.nextafter(0.25, 1.0).hex())
+    assert nudged[1] != lam[1]
+    moved, count = audit.compare_bits([argv], [[lam, bound]], [[nudged, bound]])
+    assert (moved, count) == ([(argv, lam, nudged)], 2)
+    # a value that is missing on one side is a moved value too
+    assert audit.compare_bits([argv], [[lam, bound]], [[lam]]) == ([(argv, bound, None)], 2)
+    # main names it and counts it in its exit status, though the printed 12 digits are the same
+    monkeypatch.setattr(audit, "plan_argvs", lambda: [argv])
+    monkeypatch.setattr(audit, "plan_offaxis", lambda: [])
+    monkeypatch.setattr(audit, "run_tree", lambda tree, argvs: [(0, "lam 0.25\n", "")])
+    monkeypatch.setattr(audit, "run_offaxis", lambda tree, items: [])
+    monkeypatch.setattr(audit, "run_bits",
+                        lambda tree, argvs: [[lam, bound] if str(tree) == "parent" else [nudged, bound]])
+    assert audit.main(["parent", "change"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"moved value lam planar: {lam[1]} -> {nudged[1]} in verify --seed 7"
+    assert out[1].startswith("0 moved of 1 argv") and out[3].startswith("1 moved of 2 verify/envelope values")

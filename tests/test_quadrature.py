@@ -154,8 +154,47 @@ def test_each_batch_row_matches_its_row_alone():
     batch = integrate_rows(_rows(*ROWS), 0.0, 1.0, breakpoints=[0.4])
     assert batch.shape == (len(ROWS),)
     for f, value in zip(ROWS, batch):
-        alone = integrate_rows(f, 0.0, 1.0, breakpoints=[0.4])[0]
-        assert abs(value - alone) <= 1e-14 * abs(alone)
+        assert value == integrate_rows(f, 0.0, 1.0, breakpoints=[0.4])[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_peaked_batch_rows_have_the_bits_of_their_rows_alone(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        functions = [_peak(x0, eps) for x0, eps in zip(rng.uniform(0.0, 1.0, rng.integers(2, 7)),
+                                                      10.0 ** rng.uniform(-6.0, -2.0, 6))]
+        functions.insert(int(rng.integers(len(functions) + 1)), np.cos)
+        batch = integrate_rows(_rows(*functions), 0.0, 1.0)
+        assert batch.tolist() == [integrate_rows(f, 0.0, 1.0)[0] for f in functions]
+
+
+def test_a_batch_refuses_only_where_a_row_alone_refuses(monkeypatch):
+    monkeypatch.setattr(ballschwarz.quadrature, "_MAX_SUBDIVISIONS", 10)
+    left, right = _peak(0.25, 1e-2), _peak(0.75, 1e-2)
+    # each row alone finishes in exactly ten bisections
+    for f in (left, right):
+        calls = []
+        integrate_rows(_counting(f, calls), 0.0, 1.0)
+        assert len(calls) == 11
+    batch = integrate_rows(_rows(left, right), 0.0, 1.0)
+    assert batch.tolist() == [integrate_rows(left, 0.0, 1.0)[0], integrate_rows(right, 0.0, 1.0)[0]]
+
+
+def test_a_refusal_carries_earlier_rows_final_and_later_rows_initial(monkeypatch):
+    monkeypatch.setattr(ballschwarz.quadrature, "_MAX_SUBDIVISIONS", 10)
+    done, refused, later = _peak(0.25, 1e-2), _peak(0.5, 1e-9), _peak(0.75, 1e-3)
+
+    def refusal(f):
+        with pytest.raises(AccuracyError) as excinfo:
+            integrate_rows(f, 0.0, 1.0)
+        return excinfo.value.estimate
+
+    with pytest.raises(AccuracyError, match="in row 1") as excinfo:
+        integrate_rows(_rows(done, refused, later), 0.0, 1.0)
+    expected = [integrate_rows(done, 0.0, 1.0)[0], refusal(refused)[0]]
+    monkeypatch.setattr(ballschwarz.quadrature, "_MAX_SUBDIVISIONS", 0)
+    expected.append(refusal(later)[0])  # the one initial panel
+    assert excinfo.value.estimate.tolist() == expected
 
 
 @pytest.mark.parametrize("f", ROWS)
@@ -251,7 +290,7 @@ def test_rows_and_empty_or_reversed_intervals():
     (_peak(0.2, 1e-2), _peak(0.8, 1e-5)),
     (lambda x: np.sqrt(x), _peak(0.5, 1e-3)),
 ])
-def test_a_shared_tree_makes_no_more_panels_than_its_rows_alone(easy, hard):
+def test_a_batch_evaluates_no_more_panels_than_its_rows_alone(easy, hard):
     def panels(*fs):
         shapes = []
         integrate_rows(_counting(_rows(*fs), shapes), 0.0, 1.0)

@@ -18,13 +18,21 @@ every point of them in a second subprocess, through
 differs in its ``repr`` (or whose error differs).  The point values are
 series off the axis; the quadrature enters each case only through its
 base value ``a``, the extension at the centre, so the ``repr`` of each
-case's ``a`` is compared too.  Exit status 0 when no argv, no point and
-no base value moved, 1 otherwise.
+case's ``a`` is compared too.
+
+The CLI prints 12 digits, which hides a move in the last bits.  So a
+third subprocess per tree computes, for each ``verify`` argv, every
+row's ``lam`` and ``bound`` from ``default_verification_suite``, and for
+each ``envelope`` argv ``envelope_upper`` and ``envelope_lower`` over its
+grids, with the options the CLI parses from the argv; the report names
+every value whose ``float.hex`` differs.  Exit status 0 when no argv, no
+point, no base value and no such value moved, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -73,6 +81,41 @@ def base(case):
 results = [[repr(base(item["case"])), [[repr(record["value"]), record["err"]]
                                        for record in workloads.run_item("offaxis", item)]]
            for item in payload["items"]]
+json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
+"""
+
+# the verify and envelope argv again, through the library: per argv, [label, float.hex] per value
+_BITS_CHILD = r"""
+import json, math, sys
+import ballschwarz
+from ballschwarz import (AccuracyError, CapSpec, DomainError, KernelKind, QuadratureConfig,
+                         cap_angle_from_measure, default_verification_suite, envelope_lower, envelope_upper)
+from ballschwarz import cli
+
+def values(argv):
+    args = cli._build_parser().parse_args(argv)
+    quad = QuadratureConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
+    if args.subcommand == "verify":
+        reports = default_verification_suite(seed=args.seed, config=quad, bound_scale=args.debug_bound_scale,
+                                             target_dim=args.m)
+        return [[f"{name} {rep.case}", float(value).hex()]
+                for rep in reports for name, value in (("lam", rep.lam), ("bound", rep.bound))]
+    kind, found = KernelKind(args.kind), []
+    for n in sorted(args.n):
+        for c in sorted(args.c_grid):
+            cap = CapSpec(n=n, c=1.0, alpha=math.pi) if c == 1.0 else cap_angle_from_measure(n, c)
+            radii = sorted(args.r_grid)
+            for name, envelope in (("M_upper", envelope_upper), ("m_lower", envelope_lower)):
+                found += [[f"{name} n={n} c={c} r={r}", value.hex()]
+                          for r, value in zip(radii, envelope(kind, cap, radii, quad).tolist())]
+    return found
+
+results = []
+for argv in json.load(sys.stdin):
+    try:
+        results.append(values(argv))
+    except (AccuracyError, DomainError) as exc:
+        results.append([["raised", f"{type(exc).__name__}: {exc}"]])
 json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
 """
 
@@ -134,6 +177,20 @@ def run_offaxis(tree: Path, items: list[dict]) -> list[tuple[str, list[tuple[str
     return [(a, [tuple(point) for point in points]) for a, points in _run_child(tree, _OFFAXIS_CHILD, payload)]
 
 
+def run_bits(tree: Path, argvs: list[list[str]]) -> list[list[tuple[str, str]]]:
+    """Per ``verify`` or ``envelope`` argv, each value's label and ``float.hex`` (or the error it raised)."""
+    return [[tuple(value) for value in values] for values in _run_child(tree, _BITS_CHILD, argvs)]
+
+
+def compare_bits(argvs, parent, change) -> tuple[list[tuple[list[str], tuple, tuple]], int]:
+    """The values whose label or ``float.hex`` differ, each with its argv, and the count of values compared."""
+    moved, count = [], 0
+    for argv, before, after in zip(argvs, parent, change):
+        count += max(len(before), len(after))
+        moved += [(argv, old, new) for old, new in itertools.zip_longest(before, after) if old != new]
+    return moved, count
+
+
 def _numbers(text: str) -> list[float]:
     return [float(token) for token in _NUMBER.findall(text)]
 
@@ -188,12 +245,19 @@ def main(argv=None) -> int:
         print(f"moved offaxis base value {json.dumps(case)}: {before} -> {after}")
     for case, point, before, after in moved_points:
         print(f"moved offaxis point {json.dumps(case)} x={point['x']}: {before} -> {after}")
+    bits = [argv for argv in argvs if argv[0] in ("verify", "envelope")]
+    moved_values, compared = compare_bits(bits, run_bits(args.parent, bits), run_bits(args.change, bits))
+    for command, before, after in moved_values:
+        label = (before or after)[0]
+        print(f"moved value {label}: {before and before[1]} -> {after and after[1]} in {' '.join(command)}")
     seeds = ", ".join(map(str, SEEDS))
     print(f"{len(moved)} moved of {len(argvs)} argv ({'/'.join(WORKLOADS)} plans, seeds "
           f"{seeds}); largest move of a printed number {largest:.3g}")
     print(f"{len(moved_points)} moved of {sum(len(item['points']) for item in items)} offaxis points and "
           f"{len(moved_bases)} of {len(items)} base values (offaxis plans, seeds {seeds})")
-    return 1 if moved or moved_points or moved_bases else 0
+    print(f"{len(moved_values)} moved of {compared} verify/envelope values in float.hex "
+          f"(library calls for the {len(bits)} verify/envelope argv)")
+    return 1 if moved or moved_points or moved_bases or moved_values else 0
 
 
 if __name__ == "__main__":

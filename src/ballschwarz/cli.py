@@ -21,9 +21,9 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -80,34 +80,52 @@ def _seed(text: str) -> int:
     return value
 
 
-def _fmt(value):
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return int(value)
+def _json_value(value) -> str:
+    """``value`` as ``json.dumps`` writes it, a float first rounded to 12 digits."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, int):
+        return int.__repr__(value)  # a bool as 0 or 1
+    value = float(f"{float(value):.12g}")
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _csv_value(value) -> str:
+    """``value`` as a CSV cell: blank for None, a bool as 0 or 1, a float at 12 digits."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
         return value
-    return float(f"{float(value):.12g}")
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return f"{float(value):.12g}"
 
 
 def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
+    """The rows as CSV with a header row, or as JSON: the text of
+    ``json.dumps(rows, indent=2)`` and a newline, written directly rather
+    than through the pure-Python encoder that ``indent`` selects.  Every
+    float is rounded to 12 significant digits, and a JSON number is the
+    ``repr`` of the double nearest that decimal."""
     if fmt == "json":
-        shaped = [{col: _fmt(row.get(col)) for col in columns} for row in rows]
-        return json.dumps(shaped, indent=2) + "\n"
+        if not rows:
+            return "[]\n"
+        keys = [f"    {encode_basestring_ascii(col)}: " for col in columns]
+        objects = ["  {\n" + ",\n".join([key + _json_value(row.get(col)) for key, col in zip(keys, columns)])
+                   + "\n  }" for row in rows]
+        return "[\n" + ",\n".join(objects) + "\n]\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        rendered = []
-        for col in columns:
-            value = _fmt(row.get(col))
-            if value is None:
-                rendered.append("")
-            elif isinstance(value, float):
-                rendered.append(f"{value:.12g}")
-            else:
-                rendered.append(str(value))
-        writer.writerow(rendered)
+    writer.writerows([_csv_value(row.get(col)) for col in columns] for row in rows)
     return buffer.getvalue()
 
 
@@ -291,10 +309,16 @@ def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     return 0
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing does not change it, and
-    every default is a string its ``type`` converts afresh on each call."""
+    """The top-level parser, built once per process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name, built once
+    per process: parsing does not change them, and every default is a
+    string its ``type`` converts afresh on each call."""
     parser = argparse.ArgumentParser(
         prog="ballschwarz",
         description="Sharp boundary-derivative constants and envelopes on the unit ball.",
@@ -351,11 +375,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mob.set_defaults(run=_cmd_mobius)
     add_common(p_mob, seed=True)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with no scan by the top-level parser
+    when ``argv`` starts with a subcommand: its parser reads the rest directly,
+    and anything it leaves is the top-level parser's usage error, as before.
+    Any other argv (empty, help, an unknown subcommand, an option first) goes
+    through the top-level parser."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names, read
+    by ``_parse``; the exit codes are those of the module docstring."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         quad = QuadratureConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
         return args.run(args, quad)

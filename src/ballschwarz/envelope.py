@@ -113,14 +113,22 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     DLMF 8.17.22, summed by the modified Lentz method (Numerical Recipes
     6.4, ``betacf``); it converges fast for x < (a+1)/(a+b+2).
     """
-    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    ab = a + b
+    c, d = 1.0, 1.0 / (1.0 - ab * x / (a + 1.0))
     value = d
     for m in range(1, _FRACTION_TERMS + 1):
-        for coef in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
-            d, c = 1.0 / ((1.0 + coef * d) or _TINY), (1.0 + coef / c) or _TINY
-            value *= c * d
-        if abs(c * d - 1.0) <= 2.0**-52:  # one unit in the last place of 1
+        a2m = a + 2 * m
+        # the even step d_2m, then the odd step d_2m+1, of the fraction
+        coef = m * (b - m) * x / ((a2m - 1.0) * a2m)
+        d = 1.0 / ((1.0 + coef * d) or _TINY)
+        c = (1.0 + coef / c) or _TINY
+        value *= c * d
+        coef = -(a + m) * (ab + m) * x / (a2m * (a2m + 1.0))
+        d = 1.0 / ((1.0 + coef * d) or _TINY)
+        c = (1.0 + coef / c) or _TINY
+        step = c * d
+        value *= step
+        if abs(step - 1.0) <= 2.0**-52:  # one unit in the last place of 1
             return value
     raise AccuracyError(f"incomplete-beta fraction for a={a!r}, b={b!r}, x={x!r} did not converge")
 

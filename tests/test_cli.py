@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ballschwarz
-from ballschwarz import cli, hilbert_ball
+from ballschwarz import AccuracyError, DomainError, QuadratureConfig, cli, hilbert_ball
 from ballschwarz.cli import main
 from ballschwarz.hilbert_ball import MobiusParams, inner, mobius_A, mobius_map, verify_dphi_adjoint_identity
 
@@ -87,6 +89,143 @@ def test_json_and_csv_carry_identical_numbers(capsys):
                 assert float(c_val) == j_val
             else:
                 assert str(j_val) == c_val
+
+
+def _json_dumps_render(rows, columns, fmt):
+    """``_render`` as ``json.dumps(indent=2)`` of the rows with each float rounded through 12 digits,
+    and CSV cells formatted again from those rounded floats."""
+
+    def shaped(value):
+        if value is None or isinstance(value, str):
+            return value
+        if isinstance(value, bool):
+            return int(value)
+        if isinstance(value, int):
+            return value
+        return float(f"{float(value):.12g}")
+
+    if fmt == "json":
+        return json.dumps([{col: shaped(row.get(col)) for col in columns} for row in rows], indent=2) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        rendered = []
+        for col in columns:
+            value = shaped(row.get(col))
+            if value is None:
+                rendered.append("")
+            elif isinstance(value, float):
+                rendered.append(f"{value:.12g}")
+            else:
+                rendered.append(str(value))
+        writer.writerow(rendered)
+    return buffer.getvalue()
+
+
+_TEXT = st.text(st.sampled_from(['"', "\\", ",", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "a", " ", "é", "中",
+                                 "\u2028", "\U0001f600"]), max_size=6)
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    _TEXT,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-317, 1e308, -1e308, 5e-324, 0.1, 1 / 3]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEXT, min_size=1, max_size=5, unique=True).flatmap(
+    lambda columns: st.tuples(st.just(columns),
+                              st.lists(st.fixed_dictionaries({}, optional={col: _CELLS for col in columns}),
+                                       max_size=4))))
+def test_the_writers_are_the_bytes_of_json_dumps_and_the_round_trip(table):
+    columns, rows = table
+    for fmt in ("csv", "json"):
+        assert cli._render(rows, columns, fmt) == _json_dumps_render(rows, columns, fmt)
+
+
+def _parse_and_run(argv):
+    """``main`` with the top-level parser reading the whole argv."""
+    args = cli._build_parser().parse_args(argv)
+    try:
+        return args.run(args, QuadratureConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel))
+    except AccuracyError as exc:
+        print(f"accuracy error: {exc}", file=sys.stderr)
+        return 3
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome(call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_VALID_ARGV = [
+    ["constants"],
+    ["constants", "--n", "2,3", "--a-grid=-0.5,0,0.5", "--format", "json"],
+    ["constants", "--a-grid", "-0.5", "--n=2"],
+    ["constants", "--n", "2", "--tol-a", "1e-9", "--oracle"],
+    ["envelope", "--n", "3", "--c-grid=0.25", "--r-grid=0,0.5", "--kind", "hyperbolic", "--format=json"],
+    ["envelope", "--n=3,8", "--r-grid", "0.9", "--tol-abs=1e-9", "--tol-rel=1e-8"],
+    ["hopf", "--n", "3", "--c-grid", "0.5"],
+    ["mobius", "--n", "1,2", "--seed=3"],
+    ["verify", "--seed", "7", "--debug-bound-scale=-0.5"],
+]
+_INVALID_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["constants", "-h"],
+    ["hopf", "--he"],
+    ["nope"],
+    ["nope", "--n", "3"],
+    ["--format", "json", "constants"],
+    ["--", "constants"],
+    ["constants", "extra"],
+    ["constants", "hopf"],
+    ["hopf", "constants", "--n", "3"],
+    ["constants", "--n", "2", "--"],
+    ["constants", "--n", "2", "--", "x", "y"],
+    ["constants", "--", "--n", "2"],
+    ["constants", "--format", "xml"],
+    ["constants", "--tol-", "1e-9"],
+    ["constants", "--n=2.5"],
+    ["constants", "--n"],
+    ["constants", "--a-grid", "2"],
+    ["constants", "--n", "20000", "--a-grid", "0.5"],
+    ["constants", "--n", "2", "--tol-abs=-0.5"],
+    ["constants", "--seed", "1"],
+    ["envelope", "--kind", "parabolic"],
+    ["envelope", "--n", "3", "--c-grid=-0.5"],
+    ["hopf", "--n", "3", "--oracle"],
+    ["mobius", "--n", "0"],
+    ["verify", "--seed=-1"],
+    ["verify", "--m", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV + _INVALID_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_dispatch_to_the_subcommand_parser_is_invisible(argv):
+    expected = _outcome(_parse_and_run, argv)
+    assert _outcome(main, argv) == expected
+    if argv in _VALID_ARGV:
+        assert expected[0] in (0, 1)  # a negative bound scale fails the verify checks
+        assert vars(cli._parse(argv)) == vars(cli._build_parser().parse_args(argv))
+    else:
+        assert expected[0] != 0 or argv[-1].startswith(("-h", "--he"))
 
 
 def test_envelope_origin_and_full_cap_rows(capsys):

@@ -514,6 +514,43 @@ def test_beta_fraction_raises_past_its_term_budget():
         ballschwarz.envelope._beta_fraction(0.5, 5e5, 0.99)
 
 
+def _beta_fraction_loop(a, b, x):
+    """``_beta_fraction`` with its two Lentz steps as a loop over the coefficient pair."""
+    tiny = ballschwarz.envelope._TINY
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    value = d
+    for m in range(1, ballschwarz.envelope._FRACTION_TERMS + 1):
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d, c = 1.0 / ((1.0 + coef * d) or tiny), (1.0 + coef / c) or tiny
+            value *= c * d
+        if abs(c * d - 1.0) <= 2.0**-52:
+            return value
+    raise AccuracyError(f"incomplete-beta fraction for a={a!r}, b={b!r}, x={x!r} did not converge")
+
+
+def _fraction_outcome(fraction, a, b, x):
+    try:
+        return fraction(a, b, x)
+    except AccuracyError as exc:
+        return str(exc)
+
+
+def test_beta_fraction_keeps_the_bits_of_the_coefficient_loop():
+    rng = np.random.default_rng(20260)
+    dims = np.unique(np.concatenate([[2, 3, 20000], np.rint(np.exp(rng.uniform(math.log(2), math.log(20000), 400)))]))
+    converged = 0
+    for n in dims.astype(int):
+        for alpha in rng.uniform(0.0, 0.5 * math.pi, 5):
+            sin, cos = math.sin(alpha), math.cos(alpha)
+            # the small-cap branch of F_n and D_n, then the complement branch
+            for a, b, x in ((0.5 * (n - 1), 0.5, sin * sin), (0.5, 0.5 * (n - 1), cos * cos)):
+                expected = _fraction_outcome(_beta_fraction_loop, a, b, x)
+                assert _fraction_outcome(ballschwarz.envelope._beta_fraction, a, b, x) == expected, (a, b, x)
+                converged += isinstance(expected, float)
+    assert converged >= 0.5 * 2 * 5 * len(dims)
+
+
 @pytest.mark.parametrize("n", range(2, 65))
 def test_boundary_derivative_matches_mpmath(n):
     for a in (-0.9, -0.5, 0.0, 0.5, 0.9):

@@ -2,10 +2,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from ballschwarz import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _tool():
+def _tool(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))  # for its import of output_audit
     spec = importlib.util.spec_from_file_location("call_minima", ROOT / "tools" / "call_minima.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -13,24 +16,24 @@ def _tool():
 
 
 def test_a_tree_timed_against_itself_differs_nowhere(monkeypatch, capsys):
-    tool = _tool()
-    argvs = tool.plan_argvs("tables", 7)
-    assert len(argvs) == 264 and {argv[0] for argv in argvs} == {"envelope", "constants", "hopf"}
+    tool = _tool(monkeypatch)
+    argvs = tool.plan_argvs("tables")
+    assert argvs and all(isinstance(argv, list) and argv[0] in cli._parsers()[1] for argv in argvs)
     few = argvs[:4] + [["hopf", "--n", "3", "--oracle"]]  # the last is a usage error
-    monkeypatch.setattr(tool, "plan_argvs", lambda workload, seed: few)
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    monkeypatch.setattr(tool, "plan_argvs", lambda workload: few)
+    for name in tool.output_audit.THREAD_VARIABLES:
         monkeypatch.setenv(name, "1")  # main pins them for the process
     assert tool.main([str(ROOT), str(ROOT), "--workload", "tables", "--rounds", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "tables, seed 7: 5 calls, 2 interleaved rounds"
+    assert out[0] == f"tables, seed {tool.SEED}: 5 calls, 2 interleaved rounds"
     assert out[1].startswith("parent: sum of per-call minima") and out[2].startswith("change: sum of per-call minima")
     assert out[3].startswith("ratio change/parent ") and float(out[3].split()[-1]) > 0
     assert out[4] == "0 of 5 calls differ"
     assert not [name for name in sys.modules if name.startswith(("ballschwarz_parent", "ballschwarz_change"))]
 
 
-def test_the_timer_names_a_call_whose_output_differs():
-    tool = _tool()
+def test_the_timer_names_a_call_whose_output_differs(monkeypatch):
+    tool = _tool(monkeypatch)
 
     def quiet(argv):
         return 0

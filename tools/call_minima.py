@@ -1,24 +1,22 @@
 """Time the CLI calls of a benchmark plan in two source trees, side by side in one process.
 
-    python3 tools/call_minima.py PARENT_DIR CHANGE_DIR --workload {tables,checks} [--seed 7] [--rounds 5]
+    python3 tools/call_minima.py PARENT_DIR CHANGE_DIR --workload {tables,checks} [--rounds 5]
 
 Each tree's ``src/ballschwarz`` is copied into a temporary directory as the
 package ``ballschwarz_parent`` or ``ballschwarz_change``, and both are
 imported into this one process.  The calls are the ``cli.main(argv)`` items
-of ``perfbench/workloads.plan(workload, seed)`` in plan order, taken from
-this checkout's ``perfbench/`` (imported, never written to).  Each round
-makes every call in both trees, one right after the other, and the tree
-that goes first alternates from round to round, so a slow stretch of a
-shared host falls on both.  The report gives, per tree, the sum over the
-calls of each call's least latency over the rounds, and their ratio
-change/parent.  Exit status 1 when a call's exit code, stdout or stderr
-differs between the trees in any round, 0 otherwise.
+of ``perfbench/workloads.plan(workload, SEED)`` in plan order, taken from
+this checkout's ``perfbench/`` through ``output_audit`` (imported, never
+written to).  Each round makes every call in both trees, one right after
+the other, and the tree that goes first alternates from round to round, so
+a slow stretch of a shared host falls on both.  The report gives, per tree,
+the sum over the calls of each call's least latency over the rounds, and
+their ratio change/parent.  Exit status 1 when a call's exit code, stdout or
+stderr differs between the trees in any round, 0 otherwise.
 """
 
 import argparse
-import contextlib
 import importlib
-import io
 import os
 import shutil
 import sys
@@ -26,20 +24,15 @@ import tempfile
 import time
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+import output_audit
+
+SEED = 7
 TREES = ("parent", "change")
 
 
-def plan_argvs(workload: str, seed: int) -> list[list[str]]:
-    """The argv of every call of the plan, in plan order, from this checkout's ``perfbench/workloads.py``."""
-    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        sys.dont_write_bytecode = writes
-    return [list(item["argv"]) for round_ in workloads.plan(workload, seed) for item in round_]
+def plan_argvs(workload: str) -> list[list[str]]:
+    """The argv of every call of the plan, in plan order."""
+    return [list(item["argv"]) for round_ in output_audit._workloads().plan(workload, SEED) for item in round_]
 
 
 def load_cli(tree: Path, name: str, into: Path):
@@ -54,17 +47,11 @@ def load_cli(tree: Path, name: str, into: Path):
         sys.path.remove(str(into))
 
 
-def _call(main, argv: list[str]) -> tuple[float, tuple]:
+def _call(main, argv: list[str]) -> tuple[float, tuple[int, str, str]]:
     """The latency of ``main(argv)`` in seconds, and its exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        start = time.perf_counter()
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code if isinstance(exc.code, int) else 2
-        elapsed = time.perf_counter() - start
-    return elapsed, (code, out.getvalue(), err.getvalue())
+    start = time.perf_counter()
+    outcome = output_audit.call_main(main, argv)
+    return time.perf_counter() - start, outcome
 
 
 def time_calls(mains, argvs: list[list[str]], rounds: int) -> tuple[list[list[float]], list[int]]:
@@ -87,16 +74,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True, choices=("tables", "checks"))
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--workload", required=True, choices=output_audit.WORKLOADS)
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    # one thread, as perfbench pins it; numpy loads with the first tree
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    # numpy loads with the first tree
+    for name in output_audit.THREAD_VARIABLES:
         os.environ.setdefault(name, "1")
-    argvs = plan_argvs(args.workload, args.seed)
+    argvs = plan_argvs(args.workload)
     names = [f"ballschwarz_{tree}" for tree in TREES]
     try:
         with tempfile.TemporaryDirectory() as packages:
@@ -108,7 +94,7 @@ def main(argv=None) -> int:
     for index in differ:
         print(f"differs (exit code, stdout or stderr): {' '.join(argvs[index])}")
     sums = [sum(tree_minima) for tree_minima in minima]
-    print(f"{args.workload}, seed {args.seed}: {len(argvs)} calls, {args.rounds} interleaved rounds")
+    print(f"{args.workload}, seed {SEED}: {len(argvs)} calls, {args.rounds} interleaved rounds")
     for tree, path, total in zip(TREES, (args.parent, args.change), sums):
         print(f"{tree}: sum of per-call minima {total * 1e3:.3f} ms ({path})")
     print(f"ratio change/parent {sums[1] / sums[0]:.4f}")

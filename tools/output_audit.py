@@ -6,7 +6,8 @@ The argv are every distinct ``argv`` of ``perfbench/workloads.plan(w, s)``
 for w in ``tables`` and ``checks`` and s in 1, 2 and 7, in plan order, taken
 from this checkout's ``perfbench/`` (imported, never written to).  Each
 tree runs all of them in one subprocess of its own, with ``PYTHONPATH``
-set to the tree's ``src``, as in-process ``cli.main(argv)`` calls.  The
+set to the tree's ``src`` (then this ``tools`` directory), as in-process
+``cli.main(argv)`` calls.  The
 report names every argv whose exit code, stderr or stdout differ between
 the trees, and the largest absolute move of a number printed on stdout
 (over the argv whose output has the same numbers of numbers on both
@@ -32,6 +33,8 @@ point, no base value and no such value moved, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -41,24 +44,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TOOLS = Path(__file__).resolve().parent
+PERFBENCH = TOOLS.parent / "perfbench"
 WORKLOADS = ("tables", "checks")
 SEEDS = (1, 2, 7)
+# pinned to one thread, as perfbench pins them
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 # one process per tree: read the argv list on stdin, write [rc, stdout, stderr] per argv as JSON
 _CHILD = r"""
-import contextlib, io, json, sys
+import json, sys
 import ballschwarz
 from ballschwarz import cli
-results = []
-for argv in json.load(sys.stdin):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = cli.main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
-            rc = exc.code if isinstance(exc.code, int) else 2
-    results.append([rc, out.getvalue(), err.getvalue()])
+from output_audit import call_main
+results = [list(call_main(cli.main, argv)) for argv in json.load(sys.stdin)]
 json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
 """
 
@@ -122,6 +121,17 @@ json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
+def call_main(main, argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of the in-process call ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code if isinstance(exc.code, int) else 2
+    return code, out.getvalue(), err.getvalue()
+
+
 def _workloads():
     """This checkout's ``perfbench/workloads.py``, imported without writing bytecode into it."""
     writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
@@ -155,9 +165,8 @@ def plan_offaxis() -> list[dict]:
 def _run_child(tree: Path, code: str, payload) -> list:
     """The results of ``code`` run on ``payload`` in one subprocess on ``tree/src``."""
     src = (Path(tree) / "src").resolve()
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        env[name] = "1"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(TOOLS))), PYTHONDONTWRITEBYTECODE="1")
+    env.update(dict.fromkeys(THREAD_VARIABLES, "1"))
     done = subprocess.run([sys.executable, "-c", code], input=json.dumps(payload), env=env, cwd=src,
                           capture_output=True, text=True, check=True)
     reply = json.loads(done.stdout)

@@ -23,9 +23,9 @@ from .hilbert_ball import (
     inner,
     mobius_A,
     mobius_derivative_adjoint,
+    mobius_identity_residuals,
     mobius_map,
     real_adjoint,
-    verify_dphi_adjoint_identity,
 )
 from .poisson import (
     BoundaryMap,

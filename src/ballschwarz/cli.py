@@ -39,13 +39,7 @@ from .envelope import (
     schwarz_planar_bound,
 )
 from .errors import AccuracyError, DomainError
-from .hilbert_ball import (
-    MobiusParams,
-    inner,
-    mobius_A,
-    mobius_map,
-    verify_dphi_adjoint_identity,
-)
+from .hilbert_ball import MobiusParams, mobius_identity_residuals
 from .poisson import BoundaryMap, monte_carlo_extension
 from .quadrature import QuadratureConfig
 from .verify import DEFAULT_SEED, default_verification_suite, hopf_failure_scan
@@ -252,19 +246,6 @@ def _cmd_hopf(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     return 0
 
 
-def _mobius_residuals(params: MobiusParams, z: np.ndarray) -> dict[str, np.ndarray]:
-    """The four identity residuals, one value per batch row of (xi, z)."""
-    xi = params.xi
-    a_sq_target = params.s[..., None] ** 2 * z + xi * inner(z, xi)[..., None]
-    image = mobius_map(params, z)
-    return {
-        "involution": np.linalg.norm(mobius_map(params, image) - z, axis=-1),
-        "sphere_preservation": np.abs(np.linalg.norm(image, axis=-1) - 1.0),
-        "A_squared": np.linalg.norm(mobius_A(params, mobius_A(params, z)) - a_sq_target, axis=-1),
-        "derivative_adjoint": verify_dphi_adjoint_identity(params, z),
-    }
-
-
 def _mobius_draws(seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (xi, z) of dimension k that ``_cmd_mobius`` checks: the
     origin row, then ``_MOBIUS_BATCH`` random rows.
@@ -281,7 +262,11 @@ def _mobius_draws(seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     normals = rng.standard_normal((2, _MOBIUS_BATCH + 1, 2 * k))
     radii = 0.9 * rng.random(_MOBIUS_BATCH + 1) ** (1.0 / (2 * k))
     radii[0] = 0.0
-    units = (normals[..., :k] + 1j * normals[..., k:]) / np.linalg.norm(normals, axis=-1, keepdims=True)
+    # the bits of complex / real: numpy divides by a real norm as a product with 1.0 / norm
+    scale = 1.0 / np.linalg.norm(normals, axis=-1, keepdims=True)
+    units = np.empty((2, _MOBIUS_BATCH + 1, k), dtype=complex)
+    units.real = normals[..., :k] * scale
+    units.imag = normals[..., k:] * scale
     return units[0] * radii[:, None], units[1]
 
 
@@ -289,7 +274,7 @@ def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     """Origin rows, then the worst residual over ``_MOBIUS_BATCH`` seeded draws per k.
 
     Every operator is applied in rank-one form, so each k is one
-    ``_mobius_residuals`` call over the rows of ``_mobius_draws``: the
+    ``mobius_identity_residuals`` pass over the rows of ``_mobius_draws``: the
     ``origin`` rows read row 0 (xi = 0), the ``random_max`` rows take the
     maximum over rows 1 to ``_MOBIUS_BATCH``.
     """
@@ -299,7 +284,7 @@ def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
         if k < 1:
             raise DomainError(f"complex dimension must be >= 1, got {k!r}")
         xis, zs = _mobius_draws(args.seed, k)
-        residuals = _mobius_residuals(MobiusParams(xis), zs)
+        residuals = mobius_identity_residuals(MobiusParams(xis), zs)
         for name in identities:
             rows.append({"k": k, "case": "origin", "identity": name, "residual": residuals[name][0], "draws": 1})
         for name in identities:

@@ -28,13 +28,16 @@ C^n, 2.2.1), so neither A nor the derivative of phi_xi needs a matrix:
 
 each O(k).  The adjoint identity Dphi_xi(z0)^H phi_xi(z0) = mu z0 with
 mu = (1 - |xi|^2) / |1 - <z0, xi>|^2 is what transfers sharp boundary
-constants through precomposition by phi_xi.
+constants through precomposition by phi_xi.  ``mobius_identity_residuals``
+measures it, the involution, sphere preservation and A^2 in one pass
+that shares its intermediates, with the bits of the functions above
+applied one identity at a time.
 
-``inner``, the Moebius functions, ``hermitian_adjoint`` and
-``verify_dphi_adjoint_identity`` broadcast over leading batch axes:
-vectors have shape (..., k) and matrices (..., k, k), and a plain (k,)
-vector is the same computation with no batch axis.  Every domain check
-applies to every batch row.
+``inner``, ``mobius_A``, ``mobius_map``, ``mobius_derivative_adjoint``,
+``mobius_identity_residuals`` and ``hermitian_adjoint`` broadcast over
+leading batch axes: vectors have shape (..., k) and matrices (..., k, k),
+and a plain (k,) vector is the same computation with no batch axis.
+Every domain check applies to every batch row.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ __all__ = [
     "hermitian_adjoint",
     "RealLinearMap",
     "real_adjoint",
-    "verify_dphi_adjoint_identity",
+    "mobius_identity_residuals",
     "boundary_lambda",
 ]
 
@@ -102,11 +105,15 @@ def mobius_A(p: MobiusParams, v: np.ndarray) -> np.ndarray:
     return s * v + p.xi * (inner(v, p.xi)[..., None] / (1.0 + s))
 
 
-def _denominator(p: MobiusParams, z: np.ndarray) -> complex | np.ndarray:
-    denom = 1.0 - inner(z, p.xi)
+def _checked(denom: complex | np.ndarray) -> complex | np.ndarray:
+    """The Moebius denominator 1 - <z, xi>, refused where it is degenerate in any row."""
     if np.any(np.abs(denom) < _DEGENERATE_TOL):
         raise DomainError("degenerate Moebius denominator: <z, xi> too close to 1")
     return denom
+
+
+def _denominator(p: MobiusParams, z: np.ndarray) -> complex | np.ndarray:
+    return _checked(1.0 - inner(z, p.xi))
 
 
 def mobius_map(p: MobiusParams, z: np.ndarray) -> np.ndarray:
@@ -153,21 +160,54 @@ def real_adjoint(L: RealLinearMap) -> RealLinearMap:
     return RealLinearMap(B=hermitian_adjoint(L.B), C=L.C.T)
 
 
-def verify_dphi_adjoint_identity(p: MobiusParams, z0: np.ndarray) -> float | np.ndarray:
-    """Residual of Dphi_xi(z0)^H phi_xi(z0) = mu z0, mu = (1-|xi|^2)/|1-<z0,xi>|^2.
+def mobius_identity_residuals(p: MobiusParams, z: np.ndarray) -> dict[str, np.ndarray]:
+    """Residuals of the four identities of phi_xi at z, one value per batch row.
 
-    The identity is exact for unit z0 (and for xi = 0 everywhere): the
-    algebra behind it replaces <z0, xi - z0> by <z0, xi> - 1, which needs
-    |z0| = 1.  At strictly interior z0 with xi != 0 the residual is
-    genuinely of order |xi| (1 - |z0|^2); this function reports it
-    either way, one value per batch row.
+        involution            |phi_xi(phi_xi(z)) - z|
+        sphere_preservation   | |phi_xi(z)| - 1 |
+        A_squared             |A A z - (s^2 z + xi <z, xi>)|
+        derivative_adjoint    |Dphi_xi(z)^H phi_xi(z) - mu z|,  mu = (1 - |xi|^2) / |1 - <z, xi>|^2
+
+    One pass that forms conj(xi), <z, xi>, d = 1 - <z, xi>, phi_xi(z) and
+    A phi_xi(z) once each, with the bits of ``mobius_map``, ``mobius_A``
+    and ``mobius_derivative_adjoint`` applied one identity at a time.
+    The last identity is exact only for unit z (and for xi = 0): its
+    algebra replaces <z, xi - z> by <z, xi> - 1, so at interior z with
+    xi != 0 its residual is genuinely of order |xi| (1 - |z|^2).  Raises
+    :class:`DomainError` where d, or the denominator 1 - <phi_xi(z), xi>
+    of the involution's second map, is degenerate in any row.
     """
-    z0 = np.asarray(z0, dtype=complex)
-    denom = _denominator(p, z0)
-    image = mobius_map(p, z0)
-    pulled = mobius_derivative_adjoint(p, z0, image)
-    mu = (1.0 - np.linalg.norm(p.xi, axis=-1) ** 2) / np.abs(denom) ** 2
-    return np.linalg.norm(pulled - mu[..., None] * z0, axis=-1)
+    z = np.asarray(z, dtype=complex)
+    xi, conj_xi = p.xi, np.conj(p.xi)
+    s = p.s[..., None]
+    one_s = 1.0 + s
+
+    def with_xi(u):  # <u, xi>, kept as a last axis of length 1
+        return (u * conj_xi).sum(axis=-1, keepdims=True)
+
+    def apply_a(u, u_xi):  # A u, given <u, xi>
+        return s * u + xi * (u_xi / one_s)
+
+    z_xi = with_xi(z)
+    d = _checked(1.0 - z_xi)
+    xi_z = xi - z
+    v = xi_z / d
+    image = apply_a(v, with_xi(v))
+    image_xi = with_xi(image)
+    back = (xi - image) / _checked(1.0 - image_xi)
+    back = apply_a(back, with_xi(back))
+    az = apply_a(z, z_xi)
+    aaz = apply_a(az, with_xi(az))
+    a_image = apply_a(image, image_xi)
+    conj_d = np.conj(d)
+    pulled = -a_image / conj_d + xi * ((a_image * np.conj(xi_z)).sum(axis=-1, keepdims=True) / conj_d**2)
+    mu = (1.0 - np.linalg.norm(xi, axis=-1, keepdims=True) ** 2) / np.abs(d) ** 2
+    return {
+        "involution": np.linalg.norm(back - z, axis=-1),
+        "sphere_preservation": np.abs(np.linalg.norm(image, axis=-1) - 1.0),
+        "A_squared": np.linalg.norm(aaz - (s**2 * z + xi * z_xi), axis=-1),
+        "derivative_adjoint": np.linalg.norm(pulled - mu * z, axis=-1),
+    }
 
 
 def boundary_lambda(

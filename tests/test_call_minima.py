@@ -1,10 +1,12 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 from ballschwarz import cli
 
 ROOT = Path(__file__).resolve().parent.parent
+GROUP_LINE = re.compile(r"(.+): (\d+) calls, parent ([\d.]+) ms, change ([\d.]+) ms, ratio change/parent ([\d.]+)")
 
 
 def _tool(monkeypatch):
@@ -29,6 +31,14 @@ def test_a_tree_timed_against_itself_differs_nowhere(monkeypatch, capsys):
     assert out[1].startswith("parent: sum of per-call minima") and out[2].startswith("change: sum of per-call minima")
     assert out[3].startswith("ratio change/parent ") and float(out[3].split()[-1]) > 0
     assert out[4] == "0 of 5 calls differ"
+    # then one line per subcommand, in plan order, whose sums add up to the trees' sums
+    lines = [GROUP_LINE.fullmatch(line) for line in out[5:]]
+    assert all(lines)
+    assert [line[1] for line in lines] == list(dict.fromkeys(tool.group(argv) for argv in few))
+    assert sum(int(line[2]) for line in lines) == 5
+    for column, total in ((3, out[1]), (4, out[2])):
+        assert abs(sum(float(line[column]) for line in lines) - float(total.split()[5])) <= 1e-3 * len(lines)
+    assert all(float(line[5]) > 0 for line in lines)
     assert not [name for name in sys.modules if name.startswith(("ballschwarz_parent", "ballschwarz_change"))]
 
 
@@ -46,3 +56,12 @@ def test_the_timer_names_a_call_whose_output_differs(monkeypatch):
     minima, differ = tool.time_calls([quiet, loud], [["a"], ["b"]], 3)
     assert differ == [1]
     assert [len(tree) for tree in minima] == [2, 2] and all(0 <= t < 1 for tree in minima for t in tree)
+
+
+def test_calls_are_grouped_by_subcommand_and_verify_by_its_m(monkeypatch):
+    tool = _tool(monkeypatch)
+    assert tool.group(["mobius", "--n", "1,2", "--seed", "3"]) == "mobius"
+    assert tool.group(["verify", "--seed", "1", "--m", "3", "--format", "json"]) == "verify --m 3"
+    assert tool.group(["verify", "--seed", "1"]) == "verify"
+    groups = {tool.group(argv) for argv in tool.plan_argvs("checks")}
+    assert groups == {"verify --m 2", "verify --m 3", "mobius"}

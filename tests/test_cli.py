@@ -15,9 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ballschwarz
-from ballschwarz import AccuracyError, DomainError, QuadratureConfig, cli, hilbert_ball
+from ballschwarz import AccuracyError, DomainError, QuadratureConfig, cli
 from ballschwarz.cli import main
-from ballschwarz.hilbert_ball import MobiusParams, inner, mobius_A, mobius_map, verify_dphi_adjoint_identity
+from ballschwarz.hilbert_ball import (
+    MobiusParams,
+    inner,
+    mobius_A,
+    mobius_derivative_adjoint,
+    mobius_identity_residuals,
+    mobius_map,
+)
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -375,11 +382,12 @@ def _per_draw_mobius_rows(k, seed):
     def residuals(params, z):
         a_squared = mobius_A(params, mobius_A(params, z))
         image = mobius_map(params, z)
+        mu = (1.0 - float(np.linalg.norm(params.xi)) ** 2) / abs(1.0 - inner(z, params.xi)) ** 2
         return {
             "involution": float(np.linalg.norm(mobius_map(params, image) - z)),
             "sphere_preservation": abs(float(np.linalg.norm(image)) - 1.0),
             "A_squared": float(np.linalg.norm(a_squared - params.s**2 * z - params.xi * inner(z, params.xi))),
-            "derivative_adjoint": float(verify_dphi_adjoint_identity(params, z)),
+            "derivative_adjoint": float(np.linalg.norm(mobius_derivative_adjoint(params, z, image) - mu * z)),
         }
 
     xis, zs = cli._mobius_draws(seed, k)
@@ -394,16 +402,16 @@ def _per_draw_mobius_rows(k, seed):
 def test_mobius_keeps_its_draws(capsys, monkeypatch):
     dims = [1, 2, 3, 8, 32]
     calls = []
-    adjoint = hilbert_ball.mobius_derivative_adjoint
+    fused = cli.mobius_identity_residuals
 
-    def counted(p, z, w):
-        calls.append(p.xi.shape)
-        return adjoint(p, z, w)
+    def counted(p, z):
+        calls.append((p.xi.shape, z.shape))
+        return fused(p, z)
 
-    monkeypatch.setattr(hilbert_ball, "mobius_derivative_adjoint", counted)
+    monkeypatch.setattr(cli, "mobius_identity_residuals", counted)
     code, out = _run(capsys, ["mobius", "--n", ",".join(map(str, dims)), "--seed", "5", "--format", "json"])
     assert code == 0
-    monkeypatch.setattr(hilbert_ball, "mobius_derivative_adjoint", adjoint)
+    monkeypatch.setattr(cli, "mobius_identity_residuals", fused)
 
     rows = json.loads(out)
     assert len(rows) == 8 * len(dims)
@@ -412,8 +420,8 @@ def test_mobius_keeps_its_draws(capsys, monkeypatch):
         reference = expected[row["k"]][row["case"]][row["identity"]]
         assert abs(row["residual"] - reference) <= 1e-15, row
 
-    # One batched adjoint call per k, the origin row and all draws together.
-    assert calls == [(cli._MOBIUS_BATCH + 1, k) for k in dims]
+    # One batched residual pass per k, the origin row and all draws together.
+    assert calls == [((cli._MOBIUS_BATCH + 1, k), (cli._MOBIUS_BATCH + 1, k)) for k in dims]
 
 
 def test_mobius_residuals_need_no_dense_matrix():
@@ -426,7 +434,7 @@ def test_mobius_residuals_need_no_dense_matrix():
     params = MobiusParams(xi)
     tracemalloc.start()
     try:
-        residuals = cli._mobius_residuals(params, z)
+        residuals = mobius_identity_residuals(params, z)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

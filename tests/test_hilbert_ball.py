@@ -11,9 +11,9 @@ from ballschwarz import (
     inner,
     mobius_A,
     mobius_derivative_adjoint,
+    mobius_identity_residuals,
     mobius_map,
     real_adjoint,
-    verify_dphi_adjoint_identity,
 )
 
 
@@ -46,6 +46,24 @@ def _a_matrix(p):
 
 def _derivative_adjoint_matrix(p, z):
     return _columns(lambda w: mobius_derivative_adjoint(p, z, w), p.k)
+
+
+def _dphi_adjoint_residual(p, z0):
+    """|Dphi_xi(z0)^H phi_xi(z0) - mu z0|, mu = (1-|xi|^2)/|1-<z0,xi>|^2, from the fused pass."""
+    return mobius_identity_residuals(p, z0)["derivative_adjoint"]
+
+
+def _unfused_residuals(p, z):
+    """The four identity residuals through the public functions, one identity at a time."""
+    image = mobius_map(p, z)
+    mu = (1.0 - np.linalg.norm(p.xi, axis=-1) ** 2) / np.abs(1.0 - inner(z, p.xi)) ** 2
+    a_squared_target = p.s[..., None] ** 2 * z + p.xi * inner(z, p.xi)[..., None]
+    return {
+        "involution": np.linalg.norm(mobius_map(p, image) - z, axis=-1),
+        "sphere_preservation": np.abs(np.linalg.norm(image, axis=-1) - 1.0),
+        "A_squared": np.linalg.norm(mobius_A(p, mobius_A(p, z)) - a_squared_target, axis=-1),
+        "derivative_adjoint": np.linalg.norm(mobius_derivative_adjoint(p, z, image) - mu[..., None] * z, axis=-1),
+    }
 
 
 def test_mobius_s_is_computed_once_from_xi(monkeypatch):
@@ -244,7 +262,7 @@ def test_adjoints_reverse_composition():
 def test_dphi_adjoint_identity_origin_parameter_is_exact():
     p = MobiusParams(np.zeros(3, dtype=complex))
     z0 = np.array([0.2 + 0.1j, 0.0, -0.3j])
-    assert verify_dphi_adjoint_identity(p, z0) == 0.0
+    assert _dphi_adjoint_residual(p, z0) == 0.0
 
 
 def test_dphi_adjoint_identity_on_sphere():
@@ -252,7 +270,7 @@ def test_dphi_adjoint_identity_on_sphere():
     for _ in range(50):
         p = MobiusParams(_random_ball_vector(rng, 3))
         on_sphere = _random_unit_vector(rng, 3)
-        assert verify_dphi_adjoint_identity(p, on_sphere) < 1e-12
+        assert _dphi_adjoint_residual(p, on_sphere) < 1e-12
 
 
 def test_dphi_adjoint_identity_needs_boundary_point():
@@ -260,10 +278,10 @@ def test_dphi_adjoint_identity_needs_boundary_point():
     # which requires |z0| = 1: strictly inside the ball the residual is
     # genuinely nonzero.  Pin the restriction with a 1-D counterexample.
     p = MobiusParams(np.array([0.5 + 0.0j]))
-    assert verify_dphi_adjoint_identity(p, np.array([0.3 + 0.0j])) > 0.05
+    assert _dphi_adjoint_residual(p, np.array([0.3 + 0.0j])) > 0.05
     # ... while xi = 0 is exact everywhere (phi_0 = -Id).
     origin = MobiusParams(np.zeros(1, dtype=complex))
-    assert verify_dphi_adjoint_identity(origin, np.array([0.3 + 0.0j])) == 0.0
+    assert _dphi_adjoint_residual(origin, np.array([0.3 + 0.0j])) == 0.0
 
 
 def _complex_linear(matrix):
@@ -340,10 +358,12 @@ def test_batched_functions_match_a_per_row_loop(k):
         mobius_derivative_adjoint(batch, z, w),
         np.stack([mobius_derivative_adjoint(p, v, u) for p, v, u in zip(rows, z, w)]),
     )
-    residuals = verify_dphi_adjoint_identity(batch, z)
-    assert residuals.shape == (7,)
-    looped = np.array([verify_dphi_adjoint_identity(p, w) for p, w in zip(rows, z)])
-    assert np.all(np.abs(residuals - looped) <= 1e-14 * np.maximum(1.0, looped))
+    residuals = mobius_identity_residuals(batch, z)
+    looped = [mobius_identity_residuals(p, w) for p, w in zip(rows, z)]
+    for name, values in residuals.items():
+        assert values.shape == (7,)
+        row_values = np.array([row[name] for row in looped])
+        assert np.all(np.abs(values - row_values) <= 1e-14 * np.maximum(1.0, row_values)), name
 
 
 def test_batch_broadcasts_one_point_against_many_parameters():
@@ -381,7 +401,7 @@ def test_batch_with_one_degenerate_denominator_raises():
     xi[2] = np.array([0.999 + 0.0j, 0.0])
     z[2] = np.array([1.0 / 0.999 + 0.0j, 0.0])  # <z, xi> = 1
     p = MobiusParams(xi)
-    for call in (mobius_map, verify_dphi_adjoint_identity):
+    for call in (mobius_map, mobius_identity_residuals):
         with pytest.raises(DomainError, match="degenerate"):
             call(p, z)
     with pytest.raises(DomainError, match="degenerate"):
@@ -413,3 +433,53 @@ def test_rank_one_derivative_adjoint_matches_the_matrix_form(k):
         expected = hermitian_adjoint(dphi) @ w
         scale = max(1.0, float(np.linalg.norm(expected)))
         assert np.linalg.norm(mobius_derivative_adjoint(p, z, w) - expected) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("interior", [False, True])
+def test_fused_residuals_have_the_bits_of_the_unfused_chain(k, interior):
+    rng = _rng(61 + k)
+    xi, z = _batch(rng, 9, k)
+    xi[0] = 0.0  # the origin row of the mobius table
+    if interior:
+        z *= rng.uniform(size=(9, 1))
+    p = MobiusParams(xi)
+    fused, unfused = mobius_identity_residuals(p, z), _unfused_residuals(p, z)
+    assert list(fused) == list(unfused)
+    for name in fused:
+        assert fused[name].tobytes() == unfused[name].tobytes(), name
+    for row in range(0, 9, 4):  # and unbatched
+        alone = mobius_identity_residuals(MobiusParams(xi[row]), z[row])
+        assert {name: value.tobytes() for name, value in alone.items()} == {
+            name: value.tobytes() for name, value in _unfused_residuals(MobiusParams(xi[row]), z[row]).items()}
+
+
+def _raised(call, *args):
+    with pytest.raises(DomainError) as caught:
+        call(*args)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_fused_residuals_refuse_where_the_unfused_chain_refuses(k):
+    """Both denominators are checked: that of z, and that of phi_xi(z) in the involution's second map."""
+    rng = _rng(70 + k)
+    xi, z = _batch(rng, 4, k)
+    e1 = np.eye(k, dtype=complex)[0]
+    # z's own denominator: <z, xi> = 1
+    xi[1], z[1] = 0.999 * e1, e1 / 0.999
+    p = MobiusParams(xi)
+    message = _raised(mobius_map, p, z)
+    assert "degenerate" in message
+    assert _raised(mobius_identity_residuals, p, z) == message
+    # phi_xi(-e1) = e1, and 1 - <e1, xi> = 4e-15 is below the degeneracy threshold
+    xi, z = _batch(rng, 4, k)
+    xi[2], z[2] = (1.0 - 4e-15) * e1, -e1
+    p = MobiusParams(xi)
+    image = mobius_map(p, z)
+    assert np.array_equal(image[2], e1)
+    assert abs(1.0 - inner(image[2], xi[2])) < 1e-14
+    message = _raised(mobius_map, p, image)
+    assert "degenerate" in message
+    assert _raised(mobius_identity_residuals, p, z) == message
+    assert _raised(mobius_identity_residuals, MobiusParams(xi[2]), z[2]) == message

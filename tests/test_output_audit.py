@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,3 +94,40 @@ def test_the_bit_audit_names_a_value_moved_by_one_ulp(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"moved value lam planar: {lam[1]} -> {nudged[1]} in verify --seed 7"
     assert out[1].startswith("0 moved of 1 argv") and out[3].startswith("1 moved of 2 verify/envelope values")
+
+
+# appended to a copy of hilbert_ball.py: one residual moved up by one ulp, the worst A_squared draw at k = 3
+_ONE_ULP_MUTANT = '''
+
+_unmoved = mobius_identity_residuals
+
+
+def mobius_identity_residuals(p, z):
+    residuals = _unmoved(p, z)
+    if p.k == 3:
+        worst = 1 + int(np.argmax(residuals["A_squared"][1:]))
+        residuals["A_squared"][worst] = np.nextafter(residuals["A_squared"][worst], np.inf)
+    return residuals
+'''
+
+
+def test_the_bit_audit_names_a_mobius_residual_moved_by_one_ulp(tmp_path):
+    audit = _audit_module()
+    mutant = tmp_path / "mutant"
+    shutil.copytree(ROOT / "src", mutant / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(mutant / "src" / "ballschwarz" / "hilbert_ball.py", "a", encoding="utf-8") as handle:
+        handle.write(_ONE_ULP_MUTANT)
+    argvs = [["mobius", "--n", "1,2,3,8,32", "--seed", "7"], ["constants", "--n", "2,3", "--a-grid=-0.5,0"],
+             ["hopf", "--n", "3", "--c-grid", "0.5"]]
+    before, after = audit.run_bits(ROOT, argvs), audit.run_bits(mutant, argvs)
+    # a residual per mobius row; a and D per constants row, C at a = 0, s^- at n = 2; c, r and T per hopf
+    # radius, then c, slope, coefficient and d_n
+    assert [len(values) for values in before] == [5 * 8, 4 + 4 + 2 + 2, 11 * 3 + 4]
+    moved, count = audit.compare_bits(argvs, before, after)
+    assert count == sum(len(values) for values in before)
+    assert len(moved) == 1
+    argv, old, new = moved[0]
+    assert argv == argvs[0] and old[0] == new[0] == "residual row 22 k=3 case=random_max identity=A_squared draws=200"
+    assert float.fromhex(new[1]) == math.nextafter(float.fromhex(old[1]), math.inf)
+    # the printed 12 digits do not show it
+    assert audit.compare(argvs, audit.run_tree(ROOT, argvs), audit.run_tree(mutant, argvs)) == ([], 0.0)

@@ -11,8 +11,10 @@ written to).  Each round makes every call in both trees, one right after
 the other, and the tree that goes first alternates from round to round, so
 a slow stretch of a shared host falls on both.  The report gives, per tree,
 the sum over the calls of each call's least latency over the rounds, and
-their ratio change/parent.  Exit status 1 when a call's exit code, stdout or
-stderr differs between the trees in any round, 0 otherwise.
+their ratio change/parent; then the same sums and ratio for each group of
+calls, a group being the subcommand (``verify`` split by its ``--m``), in
+order of first appearance in the plan.  Exit status 1 when a call's exit
+code, stdout or stderr differs between the trees in any round, 0 otherwise.
 """
 
 import argparse
@@ -33,6 +35,13 @@ TREES = ("parent", "change")
 def plan_argvs(workload: str) -> list[list[str]]:
     """The argv of every call of the plan, in plan order."""
     return [list(item["argv"]) for round_ in output_audit._workloads().plan(workload, SEED) for item in round_]
+
+
+def group(argv: list[str]) -> str:
+    """The group of a call: its subcommand, followed by ``--m M`` for a ``verify`` argv that passes ``--m M``."""
+    if argv[0] == "verify" and "--m" in argv[:-1]:
+        return f"verify --m {argv[argv.index('--m') + 1]}"
+    return argv[0]
 
 
 def load_cli(tree: Path, name: str, into: Path):
@@ -99,6 +108,13 @@ def main(argv=None) -> int:
         print(f"{tree}: sum of per-call minima {total * 1e3:.3f} ms ({path})")
     print(f"ratio change/parent {sums[1] / sums[0]:.4f}")
     print(f"{len(differ)} of {len(argvs)} calls differ")
+    groups = {}
+    for index, argv in enumerate(argvs):
+        groups.setdefault(group(argv), []).append(index)
+    for name, indices in groups.items():
+        parent, change = (sum(tree_minima[i] for i in indices) for tree_minima in minima)
+        print(f"{name}: {len(indices)} calls, parent {parent * 1e3:.3f} ms, change {change * 1e3:.3f} ms, "
+              f"ratio change/parent {change / parent:.4f}")
     return 1 if differ else 0
 
 

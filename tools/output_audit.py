@@ -25,9 +25,14 @@ The CLI prints 12 digits, which hides a move in the last bits.  So a
 third subprocess per tree computes, for each ``verify`` argv, every
 row's ``lam`` and ``bound`` from ``default_verification_suite``, and for
 each ``envelope`` argv ``envelope_upper`` and ``envelope_lower`` over its
-grids, with the options the CLI parses from the argv; the report names
-every value whose ``float.hex`` differs.  Exit status 0 when no argv, no
-point, no base value and no such value moved, 1 otherwise.
+grids, with the options the CLI parses from the argv.  It runs every
+``mobius``, ``constants`` and ``hopf`` argv through ``cli.main`` with
+``cli._emit`` replaced by a function that keeps the rows it is handed,
+and takes every float cell of them; ``_emit(rows, columns, args)`` is
+where every subcommand hands over its rows, wherever it computed them.
+The report names every value whose ``float.hex`` differs.  Exit status 0
+when no argv, no point, no base value and no such value moved, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 PERFBENCH = TOOLS.parent / "perfbench"
 WORKLOADS = ("tables", "checks")
+# the subcommands whose values the bit audit takes from library calls; the rest from the rows cli._emit is handed
+LIBRARY_BITS = ("verify", "envelope")
 SEEDS = (1, 2, 7)
 # pinned to one thread, as perfbench pins them
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -83,15 +90,33 @@ results = [[repr(base(item["case"])), [[repr(record["value"]), record["err"]]
 json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
 """
 
-# the verify and envelope argv again, through the library: per argv, [label, float.hex] per value
+# the verify and envelope argv again, through the library, and the mobius, constants and hopf argv through
+# cli.main with cli._emit capturing the rows it is handed: per argv, [label, float.hex] per value
 _BITS_CHILD = r"""
 import json, math, sys
 import ballschwarz
 from ballschwarz import (AccuracyError, CapSpec, DomainError, KernelKind, QuadratureConfig,
                          cap_angle_from_measure, default_verification_suite, envelope_lower, envelope_upper)
 from ballschwarz import cli
+from output_audit import LIBRARY_BITS, call_main
+
+def emitted(argv):
+    handed = []
+    emit, cli._emit = cli._emit, lambda rows, columns, args: handed.append((rows, columns))
+    try:
+        code, _, err = call_main(cli.main, argv)
+    finally:
+        cli._emit = emit
+    if not handed:
+        return [["exit", f"{code}: {err}"]]
+    return [[f"{col} row {index}" + "".join(f" {key}={row.get(key)}" for key in columns
+                                            if isinstance(row.get(key), (int, str))), float.hex(row[col])]
+            for rows, columns in handed for index, row in enumerate(rows)
+            for col in columns if isinstance(row.get(col), float)]
 
 def values(argv):
+    if argv[0] not in LIBRARY_BITS:
+        return emitted(argv)
     args = cli._build_parser().parse_args(argv)
     quad = QuadratureConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
     if args.subcommand == "verify":
@@ -187,7 +212,8 @@ def run_offaxis(tree: Path, items: list[dict]) -> list[tuple[str, list[tuple[str
 
 
 def run_bits(tree: Path, argvs: list[list[str]]) -> list[list[tuple[str, str]]]:
-    """Per ``verify`` or ``envelope`` argv, each value's label and ``float.hex`` (or the error it raised)."""
+    """Per argv, each value's label and ``float.hex`` (or the error it raised): a ``verify`` or ``envelope``
+    argv through library calls, any other through ``cli.main`` with ``cli._emit`` capturing its rows."""
     return [[tuple(value) for value in values] for values in _run_child(tree, _BITS_CHILD, argvs)]
 
 
@@ -254,8 +280,14 @@ def main(argv=None) -> int:
         print(f"moved offaxis base value {json.dumps(case)}: {before} -> {after}")
     for case, point, before, after in moved_points:
         print(f"moved offaxis point {json.dumps(case)} x={point['x']}: {before} -> {after}")
-    bits = [argv for argv in argvs if argv[0] in ("verify", "envelope")]
-    moved_values, compared = compare_bits(bits, run_bits(args.parent, bits), run_bits(args.change, bits))
+    parent_bits, change_bits = run_bits(args.parent, argvs), run_bits(args.change, argvs)
+    moved_values, counts, sizes = [], [], []
+    for library in (True, False):
+        picked = [index for index, argv in enumerate(argvs) if (argv[0] in LIBRARY_BITS) == library]
+        found, count = compare_bits(*([values[i] for i in picked] for values in (argvs, parent_bits, change_bits)))
+        moved_values += found
+        counts.append(count)
+        sizes.append(len(picked))
     for command, before, after in moved_values:
         label = (before or after)[0]
         print(f"moved value {label}: {before and before[1]} -> {after and after[1]} in {' '.join(command)}")
@@ -264,8 +296,9 @@ def main(argv=None) -> int:
           f"{seeds}); largest move of a printed number {largest:.3g}")
     print(f"{len(moved_points)} moved of {sum(len(item['points']) for item in items)} offaxis points and "
           f"{len(moved_bases)} of {len(items)} base values (offaxis plans, seeds {seeds})")
-    print(f"{len(moved_values)} moved of {compared} verify/envelope values in float.hex "
-          f"(library calls for the {len(bits)} verify/envelope argv)")
+    print(f"{len(moved_values)} moved of {counts[0]} verify/envelope values in float.hex "
+          f"(library calls for the {sizes[0]} verify/envelope argv) and {counts[1]} "
+          f"mobius/constants/hopf values (rows handed to cli._emit by the {sizes[1]} other argv)")
     return 1 if moved or moved_points or moved_bases or moved_values else 0
 
 

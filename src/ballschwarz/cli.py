@@ -11,8 +11,8 @@ All numeric output is printed at 12 significant digits in either CSV
 (RFC-style quoting, header row) or JSON (array of row objects with the
 same field names), so the two formats carry identical numeric content
 and a fixed configuration reproduces byte-identical bytes.  Exit codes:
-0 success, 1 a check failed, 2 usage error, 3 a numeric routine missed
-its tolerance.
+0 success, 1 a check failed, 2 usage error (an ``--out`` path that cannot
+be written included), 3 a numeric routine missed its tolerance.
 """
 
 from __future__ import annotations
@@ -294,11 +294,6 @@ def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, built once per process."""
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its subcommand parsers by name, built once
@@ -364,7 +359,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, with no scan by the top-level parser
+    """``_parsers()[0].parse_args(argv)``, with no scan by the top-level parser
     when ``argv`` starts with a subcommand: its parser reads the rest directly,
     and anything it leaves is the top-level parser's usage error, as before.
     Any other argv (empty, help, an unknown subcommand, an option first) goes
@@ -391,6 +386,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

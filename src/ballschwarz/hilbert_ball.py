@@ -74,11 +74,13 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
 class MobiusParams:
     """Center parameter xi (|xi| < 1) of the ball automorphism phi_xi.
 
-    ``xi`` has shape (..., k): one automorphism per batch row.  ``s`` is
-    sqrt(1 - |xi|^2), one value per batch row, computed once from ``xi``.
+    ``xi`` has shape (..., k): one automorphism per batch row.  ``gap`` is
+    1 - |xi|^2 and ``s`` is sqrt(gap), one value each per batch row,
+    computed once from ``xi``; ``s**2`` need not have the bits of ``gap``.
     """
 
     xi: np.ndarray
+    gap: float | np.ndarray = field(init=False, repr=False, compare=False)
     s: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,43 +93,50 @@ class MobiusParams:
         if np.any(outside):
             where = "" if xi.ndim == 1 else f" (batch row {np.argwhere(outside)[0].tolist()})"
             raise DomainError(f"Moebius parameter must satisfy |xi| < 1{where}")
-        object.__setattr__(self, "s", np.sqrt(1.0 - norm**2))
+        object.__setattr__(self, "gap", 1.0 - norm**2)
+        object.__setattr__(self, "s", np.sqrt(self.gap))
 
     @property
     def k(self) -> int:
         return self.xi.shape[-1]
 
 
-def mobius_A(p: MobiusParams, v: np.ndarray) -> np.ndarray:
-    """A v = s v + xi <v, xi> / (1 + s), the hermitian factor of phi_xi applied to v."""
-    v = np.asarray(v, dtype=complex)
+def _dot(u: np.ndarray, conj_v: np.ndarray) -> np.ndarray:
+    """<u, v> over the last axis, kept as an axis of length 1, given conj(v)."""
+    return (u * conj_v).sum(axis=-1, keepdims=True)
+
+
+def _apply_a(p: MobiusParams, u: np.ndarray, u_xi: np.ndarray) -> np.ndarray:
+    """A u = s u + xi <u, xi> / (1 + s), given <u, xi> from ``_dot``."""
     s = p.s[..., None]
-    return s * v + p.xi * (inner(v, p.xi)[..., None] / (1.0 + s))
+    return s * u + p.xi * (u_xi / (1.0 + s))
 
 
-def _checked(denom: complex | np.ndarray) -> complex | np.ndarray:
+def _checked(denom: np.ndarray) -> np.ndarray:
     """The Moebius denominator 1 - <z, xi>, refused where it is degenerate in any row."""
     if np.any(np.abs(denom) < _DEGENERATE_TOL):
         raise DomainError("degenerate Moebius denominator: <z, xi> too close to 1")
     return denom
 
 
-def _denominator(p: MobiusParams, z: np.ndarray) -> complex | np.ndarray:
-    return _checked(1.0 - inner(z, p.xi))
+def mobius_A(p: MobiusParams, v: np.ndarray) -> np.ndarray:
+    """A v = s v + xi <v, xi> / (1 + s), the hermitian factor of phi_xi applied to v."""
+    v = np.asarray(v, dtype=complex)
+    return _apply_a(p, v, _dot(v, np.conj(p.xi)))
 
 
 def mobius_map(p: MobiusParams, z: np.ndarray) -> np.ndarray:
     """phi_xi(z) = A v, v = (xi - z) / (1 - <z, xi>)."""
     z = np.asarray(z, dtype=complex)
-    return mobius_A(p, (p.xi - z) / _denominator(p, z)[..., None])
+    return mobius_A(p, (p.xi - z) / _checked(1.0 - _dot(z, np.conj(p.xi))))
 
 
 def mobius_derivative_adjoint(p: MobiusParams, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Dphi_xi(z)^H w = -(A w)/conj(d) + xi <A w, xi - z>/conj(d)^2, d = 1 - <z, xi>."""
     z = np.asarray(z, dtype=complex)
-    d = np.conj(_denominator(p, z))[..., None]
+    d = np.conj(_checked(1.0 - _dot(z, np.conj(p.xi))))
     aw = mobius_A(p, w)
-    return -aw / d + p.xi * (inner(aw, p.xi - z)[..., None] / d**2)
+    return -aw / d + p.xi * (_dot(aw, np.conj(p.xi - z)) / d**2)
 
 
 def hermitian_adjoint(matrix: np.ndarray) -> np.ndarray:
@@ -179,33 +188,24 @@ def mobius_identity_residuals(p: MobiusParams, z: np.ndarray) -> dict[str, np.nd
     """
     z = np.asarray(z, dtype=complex)
     xi, conj_xi = p.xi, np.conj(p.xi)
-    s = p.s[..., None]
-    one_s = 1.0 + s
-
-    def with_xi(u):  # <u, xi>, kept as a last axis of length 1
-        return (u * conj_xi).sum(axis=-1, keepdims=True)
-
-    def apply_a(u, u_xi):  # A u, given <u, xi>
-        return s * u + xi * (u_xi / one_s)
-
-    z_xi = with_xi(z)
+    z_xi = _dot(z, conj_xi)
     d = _checked(1.0 - z_xi)
     xi_z = xi - z
     v = xi_z / d
-    image = apply_a(v, with_xi(v))
-    image_xi = with_xi(image)
+    image = _apply_a(p, v, _dot(v, conj_xi))
+    image_xi = _dot(image, conj_xi)
     back = (xi - image) / _checked(1.0 - image_xi)
-    back = apply_a(back, with_xi(back))
-    az = apply_a(z, z_xi)
-    aaz = apply_a(az, with_xi(az))
-    a_image = apply_a(image, image_xi)
+    back = _apply_a(p, back, _dot(back, conj_xi))
+    az = _apply_a(p, z, z_xi)
+    aaz = _apply_a(p, az, _dot(az, conj_xi))
+    a_image = _apply_a(p, image, image_xi)
     conj_d = np.conj(d)
-    pulled = -a_image / conj_d + xi * ((a_image * np.conj(xi_z)).sum(axis=-1, keepdims=True) / conj_d**2)
-    mu = (1.0 - np.linalg.norm(xi, axis=-1, keepdims=True) ** 2) / np.abs(d) ** 2
+    pulled = -a_image / conj_d + xi * (_dot(a_image, np.conj(xi_z)) / conj_d**2)
+    mu = p.gap[..., None] / np.abs(d) ** 2
     return {
         "involution": np.linalg.norm(back - z, axis=-1),
         "sphere_preservation": np.abs(np.linalg.norm(image, axis=-1) - 1.0),
-        "A_squared": np.linalg.norm(aaz - (s**2 * z + xi * z_xi), axis=-1),
+        "A_squared": np.linalg.norm(aaz - (p.s[..., None] ** 2 * z + xi * z_xi), axis=-1),
         "derivative_adjoint": np.linalg.norm(pulled - mu * z, axis=-1),
     }
 

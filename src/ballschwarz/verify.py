@@ -393,6 +393,7 @@ def check_mobius_precomposition(
         raise DomainError("contact point z0 must be a unit vector")
 
     p = mobius_map(params, z0)
+    # not params.gap: a 1-D norm without ``axis`` sums in another order than its ``axis=-1`` norm
     mu = (1.0 - float(np.linalg.norm(params.xi)) ** 2) / abs(1.0 - inner(z0, params.xi)) ** 2
     extremal = DiscCapExtremal(a)
     slope = extremal.contact_slope()

@@ -158,7 +158,7 @@ def test_the_writers_are_the_bytes_of_json_dumps_and_the_round_trip(table):
 
 def _parse_and_run(argv):
     """``main`` with the top-level parser reading the whole argv."""
-    args = cli._build_parser().parse_args(argv)
+    args = cli._parsers()[0].parse_args(argv)
     try:
         return args.run(args, QuadratureConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel))
     except AccuracyError as exc:
@@ -166,6 +166,9 @@ def _parse_and_run(argv):
         return 3
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 
@@ -230,7 +233,7 @@ def test_dispatch_to_the_subcommand_parser_is_invisible(argv):
     assert _outcome(main, argv) == expected
     if argv in _VALID_ARGV:
         assert expected[0] in (0, 1)  # a negative bound scale fails the verify checks
-        assert vars(cli._parse(argv)) == vars(cli._build_parser().parse_args(argv))
+        assert vars(cli._parse(argv)) == vars(cli._parsers()[0].parse_args(argv))
     else:
         assert expected[0] != 0 or argv[-1].startswith(("-h", "--he"))
 
@@ -481,6 +484,18 @@ def test_an_out_call_leaves_stdout_as_the_next_target(tmp_path, capsys):
     code, out = _run(capsys, argv)
     assert code == 0
     assert out == target.read_text()
+
+
+def test_an_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    argv = ["constants", "--n", "3", "--out", str(target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write output: ") and captured.err.count("\n") == 1
+    assert str(target) in captured.err
+    assert not target.parent.exists()
+    assert _outcome(_parse_and_run, argv) == _outcome(main, argv)
 
 
 def test_a_usage_error_leaves_the_next_call_intact(capsys):

@@ -70,15 +70,36 @@ def test_mobius_s_is_computed_once_from_xi(monkeypatch):
     rng = _rng(4)
     xi = np.stack([_random_ball_vector(rng, 3) for _ in range(5)])
     p, single = MobiusParams(xi), MobiusParams(xi[0])
-    expected = np.sqrt(1.0 - np.linalg.norm(xi, axis=-1) ** 2)
+    gap = 1.0 - np.linalg.norm(xi, axis=-1) ** 2
+    expected = np.sqrt(gap)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("reading s recomputed a norm")
+        raise AssertionError("reading s or gap recomputed a norm")
 
     monkeypatch.setattr(np.linalg, "norm", refuse)
     for _ in range(3):
         assert np.array_equal(p.s, expected)
         assert single.s == expected[0]
+        # gap holds 1 - |xi|^2 itself, which s**2 need not reproduce bit for bit
+        assert gap.tobytes() == p.gap.tobytes()
+        assert single.gap == gap[0]
+
+
+def test_residual_pass_takes_one_norm_per_residual(monkeypatch):
+    rng = _rng(5)
+    xi = np.stack([_random_ball_vector(rng, 4) for _ in range(6)])
+    z = np.stack([_random_unit_vector(rng, 4) for _ in range(6)])
+    p = MobiusParams(xi)
+    norm, calls = np.linalg.norm, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    mobius_identity_residuals(p, z)
+    # mu reads p.gap: the norm of xi taken by MobiusParams is not taken again
+    assert calls == [-1] * 4
 
 
 def test_mobius_A_identity_at_origin():

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import shutil
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,8 +22,10 @@ def test_a_tree_audited_against_itself_moves_nothing(monkeypatch, capsys):
     # the first verify and mobius calls and a few table calls
     few = argvs[:3] + [next(argv for argv in argvs if argv[0] == name) for name in ("verify", "mobius")]
     results = audit.run_tree(ROOT, few)
-    assert [rc for rc, _, _ in results] == [0] * len(few)
+    assert [rc for rc, *_ in results] == [0] * len(few)
     assert audit.compare(few, results, results) == ([], 0.0)
+    cells = sum(len(values) for *_, values in results)
+    assert cells > 0 and audit.compare_bits(few, results, results) == ([], cells)
     items = audit.plan_offaxis()
     assert {item["case"]["kind"] for item in items} == {"cap", "step"}
     # the first cap and step items of the plan
@@ -38,16 +41,17 @@ def test_a_tree_audited_against_itself_moves_nothing(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith(f"0 moved of {len(few)} argv")
     assert out[1].startswith(f"0 moved of {sum(len(item['points']) for item in some)} offaxis points and 0 of 2")
+    assert out[2] == f"0 moved of {cells} float cells in float.hex (every row handed to cli._emit)"
 
 
 def test_the_audit_names_a_moved_number():
     audit = _audit_module()
     argv = ["verify"]
-    before, after = (0, "lam 0.25\n", ""), (0, "lam 0.2500001\n", "")
+    before, after = (0, "lam 0.25\n", "", []), (0, "lam 0.2500001\n", "", [])
     moved, largest = audit.compare([argv], [before], [after])
     assert moved == [(argv, ["stdout"], largest)]
     assert abs(largest - 1e-7) <= 1e-15
-    assert audit.compare([argv], [before], [(2, "", "error\n")])[0] == [(argv, ["exit", "stderr", "stdout"], None)]
+    assert audit.compare([argv], [before], [(2, "", "error\n", [])])[0] == [(argv, ["exit", "stderr", "stdout"], None)]
 
 
 def test_the_audit_names_a_moved_offaxis_point_and_base_value():
@@ -66,34 +70,41 @@ def test_the_bit_audit_reads_every_verify_row_and_envelope_value():
     audit = _audit_module()
     few = [next(argv for argv in audit.plan_argvs() if argv[0] == "verify"),
            ["envelope", "--n", "3,8", "--c-grid=0.3,1", "--r-grid=0,0.5,0.99", "--kind", "harmonic"]]
-    verify, envelope = audit.run_bits(ROOT, few)
-    assert len(verify) % 2 == 0 and {label.split()[0] for label, _ in verify} == {"lam", "bound"}
-    assert len(envelope) == 2 * 2 * 2 * 3  # M and m over n x c x r
+    results = audit.run_tree(ROOT, few)
+    (_, verify_out, _, verify), (_, _, _, envelope) = results
+    rows = verify_out.count("\n") - 1  # below the header
+    columns = [Counter(label.split()[0] for label, _ in cells) for cells in (verify, envelope)]
+    assert columns[0] == dict.fromkeys(("lambda", "bound", "tolerance", "margin"), rows)
+    # M and m over n x c x r, with the row's c and r
+    assert columns[1] == dict.fromkeys(("c", "r", "M_upper", "m_lower"), 2 * 2 * 3)
     assert all(float.fromhex(value) == float.fromhex(value) for _, value in verify + envelope)
-    assert audit.compare_bits(few, [verify, envelope], [verify, envelope]) == ([], len(verify) + len(envelope))
+    assert audit.compare_bits(few, results, results) == ([], len(verify) + len(envelope))
 
 
 def test_the_bit_audit_names_a_value_moved_by_one_ulp(monkeypatch, capsys):
     audit = _audit_module()
     argv = ["verify", "--seed", "7"]
-    lam, bound = ("lam planar", (0.25).hex()), ("bound planar", (0.5).hex())
-    nudged = ("lam planar", math.nextafter(0.25, 1.0).hex())
+    lam, bound = ("lambda row 0", (0.25).hex()), ("bound row 0", (0.5).hex())
+    nudged = ("lambda row 0", math.nextafter(0.25, 1.0).hex())
     assert nudged[1] != lam[1]
-    moved, count = audit.compare_bits([argv], [[lam, bound]], [[nudged, bound]])
+
+    def result(cells):
+        return (0, "lam 0.25\n", "", cells)
+
+    moved, count = audit.compare_bits([argv], [result([lam, bound])], [result([nudged, bound])])
     assert (moved, count) == ([(argv, lam, nudged)], 2)
     # a value that is missing on one side is a moved value too
-    assert audit.compare_bits([argv], [[lam, bound]], [[lam]]) == ([(argv, bound, None)], 2)
+    assert audit.compare_bits([argv], [result([lam, bound])], [result([lam])]) == ([(argv, bound, None)], 2)
     # main names it and counts it in its exit status, though the printed 12 digits are the same
     monkeypatch.setattr(audit, "plan_argvs", lambda: [argv])
     monkeypatch.setattr(audit, "plan_offaxis", lambda: [])
-    monkeypatch.setattr(audit, "run_tree", lambda tree, argvs: [(0, "lam 0.25\n", "")])
+    monkeypatch.setattr(audit, "run_tree",
+                        lambda tree, argvs: [result([lam, bound] if str(tree) == "parent" else [nudged, bound])])
     monkeypatch.setattr(audit, "run_offaxis", lambda tree, items: [])
-    monkeypatch.setattr(audit, "run_bits",
-                        lambda tree, argvs: [[lam, bound] if str(tree) == "parent" else [nudged, bound]])
     assert audit.main(["parent", "change"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == f"moved value lam planar: {lam[1]} -> {nudged[1]} in verify --seed 7"
-    assert out[1].startswith("0 moved of 1 argv") and out[3].startswith("1 moved of 2 verify/envelope values")
+    assert out[0] == f"moved value lambda row 0: {lam[1]} -> {nudged[1]} in verify --seed 7"
+    assert out[1].startswith("0 moved of 1 argv") and out[3].startswith("1 moved of 2 float cells")
 
 
 # appended to a copy of hilbert_ball.py: one residual moved up by one ulp, the worst A_squared draw at k = 3
@@ -111,23 +122,88 @@ def mobius_identity_residuals(p, z):
 '''
 
 
-def test_the_bit_audit_names_a_mobius_residual_moved_by_one_ulp(tmp_path):
-    audit = _audit_module()
+def _mutant(tmp_path, module, code):
+    """A copy of ``src`` with ``code`` appended to ``ballschwarz/<module>.py``."""
     mutant = tmp_path / "mutant"
     shutil.copytree(ROOT / "src", mutant / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    with open(mutant / "src" / "ballschwarz" / "hilbert_ball.py", "a", encoding="utf-8") as handle:
-        handle.write(_ONE_ULP_MUTANT)
+    with open(mutant / "src" / "ballschwarz" / f"{module}.py", "a", encoding="utf-8") as handle:
+        handle.write(code)
+    return mutant
+
+
+def _moved(audit, mutant, argvs):
+    """The float cells that move from this tree to ``mutant``, which the printed 12 digits do not show."""
+    before, after = audit.run_tree(ROOT, argvs), audit.run_tree(mutant, argvs)
+    assert audit.compare(argvs, before, after) == ([], 0.0)
+    moved, count = audit.compare_bits(argvs, before, after)
+    assert count == sum(len(cells) for *_, cells in before)
+    assert all(old[0] == new[0] for _, old, new in moved)
+    return before, moved
+
+
+def _one_ulp_up(old, new):
+    return float.fromhex(new[1]) == math.nextafter(float.fromhex(old[1]), math.inf)
+
+
+def test_the_bit_audit_names_a_mobius_residual_moved_by_one_ulp(tmp_path):
+    audit = _audit_module()
+    mutant = _mutant(tmp_path, "hilbert_ball", _ONE_ULP_MUTANT)
     argvs = [["mobius", "--n", "1,2,3,8,32", "--seed", "7"], ["constants", "--n", "2,3", "--a-grid=-0.5,0"],
              ["hopf", "--n", "3", "--c-grid", "0.5"]]
-    before, after = audit.run_bits(ROOT, argvs), audit.run_bits(mutant, argvs)
+    before, moved = _moved(audit, mutant, argvs)
     # a residual per mobius row; a and D per constants row, C at a = 0, s^- at n = 2; c, r and T per hopf
     # radius, then c, slope, coefficient and d_n
-    assert [len(values) for values in before] == [5 * 8, 4 + 4 + 2 + 2, 11 * 3 + 4]
-    moved, count = audit.compare_bits(argvs, before, after)
-    assert count == sum(len(values) for values in before)
-    assert len(moved) == 1
-    argv, old, new = moved[0]
-    assert argv == argvs[0] and old[0] == new[0] == "residual row 22 k=3 case=random_max identity=A_squared draws=200"
-    assert float.fromhex(new[1]) == math.nextafter(float.fromhex(old[1]), math.inf)
-    # the printed 12 digits do not show it
-    assert audit.compare(argvs, audit.run_tree(ROOT, argvs), audit.run_tree(mutant, argvs)) == ([], 0.0)
+    assert [len(cells) for *_, cells in before] == [5 * 8, 4 + 4 + 2 + 2, 11 * 3 + 4]
+    [(argv, old, new)] = moved
+    assert argv == argvs[0] and old[0] == "residual row 22 k=3 case=random_max identity=A_squared draws=200"
+    assert _one_ulp_up(old, new)
+
+
+# appended to a copy of envelope.py: the upper envelope at r = 0.5 moved up by one ulp for n = 8, c = 0.3
+_ENVELOPE_MUTANT = '''
+
+_unmoved_upper = envelope_upper
+
+
+def envelope_upper(kind, cap, r, config=DEFAULT_CONFIG):
+    values = _unmoved_upper(kind, cap, r, config)
+    if cap.n == 8 and cap.c == 0.3 and np.ndim(values) == 1:
+        values[1] = np.nextafter(values[1], np.inf)
+    return values
+'''
+
+# appended to a copy of verify.py: the lambda of the row with the widest margin moved up by one ulp, so that
+# its margin does not move in the printed 12 digits either
+_VERIFY_MUTANT = '''
+
+_unmoved_suite = default_verification_suite
+
+
+def default_verification_suite(*args, **kwargs):
+    reports = _unmoved_suite(*args, **kwargs)
+    widest = max(range(len(reports)), key=lambda index: abs(reports[index].margin))
+    reports[widest] = dataclasses.replace(reports[widest], lam=math.nextafter(reports[widest].lam, math.inf))
+    return reports
+'''
+
+
+def test_the_bit_audit_names_an_envelope_value_moved_by_one_ulp(tmp_path):
+    audit = _audit_module()
+    mutant = _mutant(tmp_path, "envelope", _ENVELOPE_MUTANT)
+    argvs = [["envelope", "--n", "3,8", "--c-grid=0.3,1", "--r-grid=0,0.5,0.99", "--kind", "harmonic"],
+             ["envelope", "--n", "3", "--c-grid", "0.3"]]
+    [(argv, old, new)] = _moved(audit, mutant, argvs)[1]
+    assert argv == argvs[0] and old[0] == "M_upper row 7 kind=harmonic n=8"
+    assert _one_ulp_up(old, new)
+
+
+def test_the_bit_audit_names_a_verify_lambda_moved_by_one_ulp(tmp_path):
+    audit = _audit_module()
+    mutant = _mutant(tmp_path, "verify", _VERIFY_MUTANT)
+    argvs = [["verify", "--seed", "7"]]
+    # the row's margin, lambda - bound, moves with its lambda
+    (argv, old, new), (margin_argv, margin, _) = _moved(audit, mutant, argvs)[1]
+    assert argv == margin_argv == argvs[0]
+    assert old[0] == "lambda row 9 case=identity-map n=3 relation=>= passed=True"
+    assert margin[0] == "margin row 9 case=identity-map n=3 relation=>= passed=True"
+    assert _one_ulp_up(old, new)

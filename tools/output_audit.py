@@ -7,11 +7,15 @@ for w in ``tables`` and ``checks`` and s in 1, 2 and 7, in plan order, taken
 from this checkout's ``perfbench/`` (imported, never written to).  Each
 tree runs all of them in one subprocess of its own, with ``PYTHONPATH``
 set to the tree's ``src`` (then this ``tools`` directory), as in-process
-``cli.main(argv)`` calls.  The
+``cli.main(argv)`` calls with ``cli._emit`` wrapped to keep the rows it is
+handed and still write them.  ``_emit(rows, columns, args)`` is where every
+subcommand hands over its rows, so one call per argv gives its exit code,
+stdout, stderr and the ``float.hex`` of every float cell it printed.  The
 report names every argv whose exit code, stderr or stdout differ between
-the trees, and the largest absolute move of a number printed on stdout
+the trees, with the largest absolute move of a number printed on stdout
 (over the argv whose output has the same numbers of numbers on both
-sides).
+sides).  Stdout carries 12 digits, which hides a move in the last bits,
+so the report also names every float cell whose ``float.hex`` differs.
 
 The ``offaxis`` plans of the same seeds have no CLI: each tree evaluates
 every point of them in a second subprocess, through
@@ -21,18 +25,8 @@ series off the axis; the quadrature enters each case only through its
 base value ``a``, the extension at the centre, so the ``repr`` of each
 case's ``a`` is compared too.
 
-The CLI prints 12 digits, which hides a move in the last bits.  So a
-third subprocess per tree computes, for each ``verify`` argv, every
-row's ``lam`` and ``bound`` from ``default_verification_suite``, and for
-each ``envelope`` argv ``envelope_upper`` and ``envelope_lower`` over its
-grids, with the options the CLI parses from the argv.  It runs every
-``mobius``, ``constants`` and ``hopf`` argv through ``cli.main`` with
-``cli._emit`` replaced by a function that keeps the rows it is handed,
-and takes every float cell of them; ``_emit(rows, columns, args)`` is
-where every subcommand hands over its rows, wherever it computed them.
-The report names every value whose ``float.hex`` differs.  Exit status 0
-when no argv, no point, no base value and no such value moved, 1
-otherwise.
+Exit status 0 when no argv, no float cell, no point and no base value
+moved, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -52,19 +46,17 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 PERFBENCH = TOOLS.parent / "perfbench"
 WORKLOADS = ("tables", "checks")
-# the subcommands whose values the bit audit takes from library calls; the rest from the rows cli._emit is handed
-LIBRARY_BITS = ("verify", "envelope")
 SEEDS = (1, 2, 7)
 # pinned to one thread, as perfbench pins them
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# one process per tree: read the argv list on stdin, write [rc, stdout, stderr] per argv as JSON
+# one process per tree: read the argv list on stdin, write [rc, stdout, stderr, float cells] per argv as JSON
 _CHILD = r"""
 import json, sys
 import ballschwarz
 from ballschwarz import cli
-from output_audit import call_main
-results = [list(call_main(cli.main, argv)) for argv in json.load(sys.stdin)]
+from output_audit import call_cli
+results = [call_cli(cli, argv) for argv in json.load(sys.stdin)]
 json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
 """
 
@@ -90,59 +82,6 @@ results = [[repr(base(item["case"])), [[repr(record["value"]), record["err"]]
 json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
 """
 
-# the verify and envelope argv again, through the library, and the mobius, constants and hopf argv through
-# cli.main with cli._emit capturing the rows it is handed: per argv, [label, float.hex] per value
-_BITS_CHILD = r"""
-import json, math, sys
-import ballschwarz
-from ballschwarz import (AccuracyError, CapSpec, DomainError, KernelKind, QuadratureConfig,
-                         cap_angle_from_measure, default_verification_suite, envelope_lower, envelope_upper)
-from ballschwarz import cli
-from output_audit import LIBRARY_BITS, call_main
-
-def emitted(argv):
-    handed = []
-    emit, cli._emit = cli._emit, lambda rows, columns, args: handed.append((rows, columns))
-    try:
-        code, _, err = call_main(cli.main, argv)
-    finally:
-        cli._emit = emit
-    if not handed:
-        return [["exit", f"{code}: {err}"]]
-    return [[f"{col} row {index}" + "".join(f" {key}={row.get(key)}" for key in columns
-                                            if isinstance(row.get(key), (int, str))), float.hex(row[col])]
-            for rows, columns in handed for index, row in enumerate(rows)
-            for col in columns if isinstance(row.get(col), float)]
-
-def values(argv):
-    if argv[0] not in LIBRARY_BITS:
-        return emitted(argv)
-    args = cli._build_parser().parse_args(argv)
-    quad = QuadratureConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
-    if args.subcommand == "verify":
-        reports = default_verification_suite(seed=args.seed, config=quad, bound_scale=args.debug_bound_scale,
-                                             target_dim=args.m)
-        return [[f"{name} {rep.case}", float(value).hex()]
-                for rep in reports for name, value in (("lam", rep.lam), ("bound", rep.bound))]
-    kind, found = KernelKind(args.kind), []
-    for n in sorted(args.n):
-        for c in sorted(args.c_grid):
-            cap = CapSpec(n=n, c=1.0, alpha=math.pi) if c == 1.0 else cap_angle_from_measure(n, c)
-            radii = sorted(args.r_grid)
-            for name, envelope in (("M_upper", envelope_upper), ("m_lower", envelope_lower)):
-                found += [[f"{name} n={n} c={c} r={r}", value.hex()]
-                          for r, value in zip(radii, envelope(kind, cap, radii, quad).tolist())]
-    return found
-
-results = []
-for argv in json.load(sys.stdin):
-    try:
-        results.append(values(argv))
-    except (AccuracyError, DomainError) as exc:
-        results.append([["raised", f"{type(exc).__name__}: {exc}"]])
-json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
-"""
-
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
@@ -155,6 +94,28 @@ def call_main(main, argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse usage errors
             code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+def call_cli(cli, argv: list[str]) -> list:
+    """``[exit code, stdout, stderr, cells]`` of the in-process call ``cli.main(argv)``; ``cells`` holds
+    ``[label, float.hex]`` for every float cell of the rows the call hands ``cli._emit``, which still
+    writes them.  A label names the column and row index, then the row's integer and string cells."""
+    handed, emit = [], cli._emit
+
+    def keep(rows, columns, args):
+        handed.append((rows, columns))
+        emit(rows, columns, args)
+
+    cli._emit = keep
+    try:
+        code, out, err = call_main(cli.main, argv)
+    finally:
+        cli._emit = emit
+    cells = [[f"{col} row {index}" + "".join(f" {key}={row.get(key)}" for key in columns
+                                             if isinstance(row.get(key), (int, str))), float.hex(row[col])]
+             for rows, columns in handed for index, row in enumerate(rows)
+             for col in columns if isinstance(row.get(col), float)]
+    return [code, out, err, cells]
 
 
 def _workloads():
@@ -200,9 +161,11 @@ def _run_child(tree: Path, code: str, payload) -> list:
     return reply["results"]
 
 
-def run_tree(tree: Path, argvs: list[list[str]]) -> list[tuple[int, str, str]]:
-    """Exit code, stdout and stderr of each argv, run in one subprocess on ``tree/src``."""
-    return [tuple(result) for result in _run_child(tree, _CHILD, argvs)]
+def run_tree(tree: Path, argvs: list[list[str]]) -> list[tuple[int, str, str, list[tuple[str, str]]]]:
+    """Per argv, its exit code, stdout, stderr and float cells (see ``call_cli``), run in one subprocess on
+    ``tree/src``."""
+    return [(code, out, err, [tuple(cell) for cell in cells])
+            for code, out, err, cells in _run_child(tree, _CHILD, argvs)]
 
 
 def run_offaxis(tree: Path, items: list[dict]) -> list[tuple[str, list[tuple[str, str | None]]]]:
@@ -211,16 +174,10 @@ def run_offaxis(tree: Path, items: list[dict]) -> list[tuple[str, list[tuple[str
     return [(a, [tuple(point) for point in points]) for a, points in _run_child(tree, _OFFAXIS_CHILD, payload)]
 
 
-def run_bits(tree: Path, argvs: list[list[str]]) -> list[list[tuple[str, str]]]:
-    """Per argv, each value's label and ``float.hex`` (or the error it raised): a ``verify`` or ``envelope``
-    argv through library calls, any other through ``cli.main`` with ``cli._emit`` capturing its rows."""
-    return [[tuple(value) for value in values] for values in _run_child(tree, _BITS_CHILD, argvs)]
-
-
 def compare_bits(argvs, parent, change) -> tuple[list[tuple[list[str], tuple, tuple]], int]:
-    """The values whose label or ``float.hex`` differ, each with its argv, and the count of values compared."""
+    """The float cells whose label or ``float.hex`` differ, each with its argv, and the count of cells compared."""
     moved, count = [], 0
-    for argv, before, after in zip(argvs, parent, change):
+    for argv, (*_, before), (*_, after) in zip(argvs, parent, change):
         count += max(len(before), len(after))
         moved += [(argv, old, new) for old, new in itertools.zip_longest(before, after) if old != new]
     return moved, count
@@ -242,7 +199,7 @@ def _move(before: str, after: str) -> float | None:
 def compare(argvs, parent, change) -> tuple[list[tuple[list[str], list[str], float | None]], float]:
     """The argv that moved, each with what differs and its largest number move, and the largest move overall."""
     moved, largest = [], 0.0
-    for argv, (rc0, out0, err0), (rc1, out1, err1) in zip(argvs, parent, change):
+    for argv, (rc0, out0, err0, _), (rc1, out1, err1, _) in zip(argvs, parent, change):
         what = [name for name, a, b in (("exit", rc0, rc1), ("stderr", err0, err1), ("stdout", out0, out1))
                 if a != b]
         if what:
@@ -269,7 +226,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
     argvs = plan_argvs()
-    moved, largest = compare(argvs, run_tree(args.parent, argvs), run_tree(args.change, argvs))
+    parent, change = run_tree(args.parent, argvs), run_tree(args.change, argvs)
+    moved, largest = compare(argvs, parent, change)
     for command, what, move in moved:
         size = "number count differs" if move is None else f"largest move {move:.3g}"
         print(f"moved ({', '.join(what)}; {size}): {' '.join(command)}")
@@ -280,15 +238,8 @@ def main(argv=None) -> int:
         print(f"moved offaxis base value {json.dumps(case)}: {before} -> {after}")
     for case, point, before, after in moved_points:
         print(f"moved offaxis point {json.dumps(case)} x={point['x']}: {before} -> {after}")
-    parent_bits, change_bits = run_bits(args.parent, argvs), run_bits(args.change, argvs)
-    moved_values, counts, sizes = [], [], []
-    for library in (True, False):
-        picked = [index for index, argv in enumerate(argvs) if (argv[0] in LIBRARY_BITS) == library]
-        found, count = compare_bits(*([values[i] for i in picked] for values in (argvs, parent_bits, change_bits)))
-        moved_values += found
-        counts.append(count)
-        sizes.append(len(picked))
-    for command, before, after in moved_values:
+    moved_cells, cells = compare_bits(argvs, parent, change)
+    for command, before, after in moved_cells:
         label = (before or after)[0]
         print(f"moved value {label}: {before and before[1]} -> {after and after[1]} in {' '.join(command)}")
     seeds = ", ".join(map(str, SEEDS))
@@ -296,11 +247,8 @@ def main(argv=None) -> int:
           f"{seeds}); largest move of a printed number {largest:.3g}")
     print(f"{len(moved_points)} moved of {sum(len(item['points']) for item in items)} offaxis points and "
           f"{len(moved_bases)} of {len(items)} base values (offaxis plans, seeds {seeds})")
-    print(f"{len(moved_values)} moved of {counts[0]} verify/envelope values in float.hex "
-          f"(library calls for the {sizes[0]} verify/envelope argv) and {counts[1]} "
-          f"mobius/constants/hopf values (rows handed to cli._emit by the {sizes[1]} other argv)")
-    return 1 if moved or moved_points or moved_bases or moved_values else 0
-
+    print(f"{len(moved_cells)} moved of {cells} float cells in float.hex (every row handed to cli._emit)")
+    return 1 if moved or moved_cells or moved_points or moved_bases else 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,16 +1,21 @@
-"""Last-bit pins of the values that go through the quadrature engine, and
-of the ``mobius`` residuals.
+"""Last-bit pins of the values that go through the quadrature engine, of
+the off-axis zonal values, and of the ``mobius`` residuals.
 
 The CLI prints 12 digits, so an output comparison cannot see a move in
 the last bits.  These tests compare ``float.hex`` of harmonic envelopes
 and on-axis zonal extensions with values recorded before the engine's
 integrand contract became ``f(x)``: a change to the engine that moves
-any bit of them fails here.  The ``mobius`` residual arrays, all rows of
+any bit of them fails here.  The off-axis values of step data (the
+Gegenbauer series for n >= 3, the arcs for n = 2), and every refusal of
+the series with its message and estimate, were recorded while each point
+still recomputed its levels, cap measures and edge weights and summed its
+series term by term in Python.  The ``mobius`` residual arrays, all rows of
 every draw, are pinned by a SHA-256 of their bytes, recorded while each
 identity was still computed on its own through the public functions.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -26,12 +31,18 @@ from ballschwarz import (
     mobius_identity_residuals,
     zonal_extension_on_axis,
 )
+from ballschwarz.errors import AccuracyError
+from ballschwarz.verify import _zonal_value
 
 # rows that finish at different times: the peaked radii near 1 bisect long after the others
 GRID = np.array([-0.999, -0.5, 0.0, 0.5, 0.99, 0.999])
 SINGLE = 0.9
 STEP_RADII = np.array([-0.99, -0.5, -0.1, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
 CUTS, LEVELS = np.array([0.4, 1.3, 2.5]), np.array([1.0, -0.3, 0.6, -0.9])
+OFFAXIS_N = (2, 3, 4, 8, 16, 32)
+OFFAXIS_RADII = (0.05, 0.3, 0.6, 0.9, 0.97)
+# 1e-10 from the axis on both sides, and 0.05 past the step profile's first jump
+OFFAXIS_COS = (1.0 - 1e-10, 0.95, math.cos(0.45), 0.3, -0.6, -(1.0 - 1e-10))
 
 
 def _hex(values) -> list[str]:
@@ -46,12 +57,36 @@ def envelope_values(n: int, c: float) -> list[str]:
             + _hex(envelope_upper(kind, cap, SINGLE)) + _hex(envelope_lower(kind, cap, SINGLE)))
 
 
+def _step_profile(t):
+    return LEVELS[np.searchsorted(CUTS, t, side="right")]
+
+
 def step_values(kind: KernelKind) -> list[str]:
     """The on-axis extension of a three-breakpoint step profile over STEP_RADII, then at 0.7 alone."""
-    data = ZonalBoundaryData(n=3, axis=np.array([1.0, 0.0, 0.0]),
-                             profile=lambda t: LEVELS[np.searchsorted(CUTS, t, side="right")],
-                             breakpoints=tuple(CUTS))
+    data = ZonalBoundaryData(n=3, axis=np.array([1.0, 0.0, 0.0]), profile=_step_profile, breakpoints=tuple(CUTS))
     return _hex(zonal_extension_on_axis(kind, data, STEP_RADII)) + _hex(zonal_extension_on_axis(kind, data, 0.7))
+
+
+def offaxis_values(profile: str, n: int) -> list[str]:
+    """``_zonal_value`` of the cap extremal at a = 0.3 (``"cap"``) or of the three-breakpoint step
+    profile (``"step"``) at every |x| of OFFAXIS_RADII and cos(angle to the axis) of OFFAXIS_COS: its
+    ``float.hex``, or for a refusal the exception's type and message and the ``float.hex`` of its estimate."""
+    axis = np.eye(n)[0]
+    if profile == "cap":
+        alpha = cap_angle_from_measure(n, 0.65).alpha
+        data = ZonalBoundaryData(n=n, axis=axis, profile=lambda t: np.where(np.asarray(t) <= alpha, 1.0, -1.0),
+                                 breakpoints=(alpha,))
+    else:
+        data = ZonalBoundaryData(n=n, axis=axis, profile=_step_profile, breakpoints=tuple(CUTS))
+    out = []
+    for r in OFFAXIS_RADII:
+        for c in OFFAXIS_COS:
+            x = r * (c * axis + math.sqrt(1.0 - c * c) * np.eye(n)[1])
+            try:
+                out.append(float(_zonal_value(data, x)).hex())
+            except AccuracyError as exc:
+                out.append(f"{type(exc).__name__}: {exc} | {float(exc.estimate).hex()}")
+    return out
 
 
 # recorded while the engine still evaluated only the rows not done
@@ -158,6 +193,172 @@ STEPS = {
 }
 
 
+# recorded while every off-axis point recomputed its constants and summed its series term by term
+OFFAXIS = {
+    ("cap", 2): [
+        "0x1.6bf5a0a875484p-2", "0x1.69508b7d8e6f2p-2", "0x1.66ae25063a871p-2",
+        "0x1.45b6c10c7598ep-2", "0x1.10b575bbfa766p-2", "0x1.ef9d642725830p-3",
+        "0x1.303a0b5d25b7ep-1", "0x1.2be0e3551ad8cp-1", "0x1.2769d008fd55ep-1",
+        "0x1.c481389ffbd94p-2", "0x1.adbea7b3aa830p-4", "-0x1.5049bd801b81cp-4",
+        "0x1.9ce6465e5a6a4p-1", "0x1.99bb09b42de46p-1", "0x1.96640cf8ddf6bp-1",
+        "0x1.53dae09d96aeep-1", "-0x1.d0145dfd51f8cp-4", "-0x1.037c57dfb09fcp-1",
+        "0x1.eafb580808340p-1", "0x1.ea3ca02ab8e8ep-1", "0x1.e971cf5c09e89p-1",
+        "0x1.d7af341cf0682p-1", "-0x1.42e1d42e0251cp-1", "-0x1.c825c1e8a4090p-1",
+        "0x1.f9eaaa7b02ef0p-1", "0x1.f9b33a122ed3ap-1", "0x1.f9783f4cb718ap-1",
+        "0x1.f4463291265c7p-1", "-0x1.c40125c5977c6p-1", "-0x1.efcda55d07843p-1",
+    ],
+    ("cap", 3): [
+        "0x1.774a1485f9ddcp-2", "0x1.741071401e004p-2", "0x1.70da7d266fb2dp-2",
+        "0x1.48d36e4bce6abp-2", "0x1.092cdba9765a6p-2", "0x1.d740448fc94c4p-3",
+        "0x1.488af83ef56c4p-1", "0x1.43302dccc2a86p-1", "0x1.3daa78337890ep-1",
+        "0x1.cce6c600b222bp-2", "0x1.712e9e104bea0p-5", "-0x1.3a7114722980ep-3",
+        "0x1.b4e91b27b8885p-1", "0x1.b15190f09665dp-1", "0x1.ad7a04cd85432p-1",
+        "0x1.5711b2afa4410p-1", "-0x1.1fc7f54ef75fcp-2", "-0x1.33333332bfefbp-1",
+        "0x1.f261251868c5ep-1", "0x1.f1a43f18a2122p-1", "0x1.f0d7697b79f3dp-1",
+        "0x1.dad369b51d635p-1", "-0x1.9be7f31b14816p-1", "-0x1.d8f9bb0178728p-1",
+        "0x1.fc3200120cc28p-1", "0x1.fbfcf4a6394b6p-1", "0x1.fbc3665088e2ep-1",
+        "0x1.f582289cb09a2p-1", "-0x1.e3332510975a4p-1", "-0x1.f5131ef54352ap-1",
+    ],
+    ("cap", 4): [
+        "0x1.809e3eba2308cp-2", "0x1.7cef5533b9638p-2", "0x1.7944a6349c8f4p-2",
+        "0x1.4b932a75bce28p-2", "0x1.03145864c14ecp-2", "0x1.c3115a6a38118p-3",
+        "0x1.5b9134973e6bep-1", "0x1.55a22d89614a7p-1", "0x1.4f7d2ab672ebap-1",
+        "0x1.d89f60dea458bp-2", "0x1.7fb02a5233a80p-9", "-0x1.b0cdc510f468cp-3",
+        "0x1.c5c646e68706dp-1", "0x1.c2303769fb626p-1", "0x1.be4ea1e20fb2fp-1",
+        "0x1.5e5e69d6b2eb7p-1", "-0x1.7b0b7d9388bcep-2", "-0x1.569dd532d5f91p-1",
+        "0x1.f6f1a44dc648ap-1", "0x1.f64ddabadf926p-1", "0x1.f599840715c96p-1",
+        "0x1.dedf4ec066306p-1", "-0x1.b61b13c7bed8ep-1", "-0x1.e4146b82decd2p-1",
+        "0x1.fd8eec5407b13p-1", "0x1.fd62811b20bccp-1", "0x1.fd318ebc1b033p-1",
+        "0x1.f6ee1410e05d7p-1", "-0x1.eb9253c0b13e4p-1", "-0x1.f873c80fd8bf6p-1",
+    ],
+    ("cap", 8): [
+        "0x1.9d59f57316844p-2", "0x1.984dfa86fda4ep-2", "0x1.9346eb1eaa90ap-2",
+        "0x1.5465423f3d6fcp-2", "0x1.e06796bc30102p-3", "0x1.83bcb3d6850b6p-3",
+        "0x1.8ed26643d8216p-1", "0x1.880cf7c01692ep-1", "0x1.80ec0fb1d2a4ap-1",
+        "0x1.022e50ec404d2p-1", "-0x1.e4aef75922f2cp-4", "-0x1.888fb66c41568p-2",
+        "0x1.e8b9b4441ef54p-1", "0x1.e61f1dbfe01f9p-1", "0x1.e32e8f44e75c8p-1",
+        "0x1.7c9b3ad6a1cb2p-1", "-0x1.282aaad6860c9p-1", "-0x1.abd2a456c9bbep-1",
+        "0x1.fe052c5dddc68p-1", "0x1.fdc235ac1ddf3p-1", "0x1.fd7465d0feea7p-1",
+        "0x1.ec2d1cbae9687p-1", "-0x1.e1ccfa9a930a8p-1", "-0x1.f82a49fa30508p-1",
+        "0x1.ff8953dd8596ep-1", "0x1.ff7989325d747p-1", "0x1.ff67293153807p-1",
+        "0x1.fb32515c7143cp-1", "-0x1.f8b912690ba0ap-1", "-0x1.fe287116e697cp-1",
+    ],
+    ("cap", 16): [
+        "0x1.c5876406233b8p-2", "0x1.bea7997ed3c86p-2", "0x1.b7cb7c95752aep-2",
+        "0x1.6125b8e127d9bp-2", "0x1.aa0d020f83caep-3", "0x1.27dd6598c4ce9p-3",
+        "0x1.c307de14e35fep-1", "0x1.bccd3817253ddp-1", "0x1.b60661bbdd149p-1",
+        "0x1.2277d299cf1a7p-1", "-0x1.20d9f3bf01efcp-2", "-0x1.318b433478d36p-1",
+        "0x1.fb74e35c902d7p-1", "0x1.fa7fb9d8626d8p-1", "0x1.f9538c2559da5p-1",
+        "0x1.a675ca06d1ef4p-1", "-0x1.925fb8c012770p-1", "-0x1.e90485ae87c38p-1",
+        "AccuracyError: off-axis series at |x|=0.9, n=16 is only good to 4.16e-09, past abs_tol=1e-11 | 0x1.ffe1b6ef3a45ep-1",
+        "0x1.ffd9ee1ce0ceap-1", "0x1.ffcfe796f389bp-1", "0x1.f8b27755eef1ap-1",
+        "-0x1.f9b585a3e276cp-1",
+        "AccuracyError: off-axis series at |x|=0.9, n=16 is only good to 4.16e-09, past abs_tol=1e-11 | -0x1.ff4fb9bd92bd2p-1",
+        "AccuracyError: off-axis series at |x|=0.9700000000000001, n=16 is only good to 0.0029, past abs_tol=1e-11 | 0x1.0000563c2857cp+0",
+        "0x1.fff9422a8723cp-1", "0x1.fff7777692ab8p-1", "0x1.fe9cf656ef029p-1",
+        "-0x1.fed6868279576p-1",
+        "AccuracyError: off-axis series at |x|=0.9700000000000001, n=16 is only good to 0.0029, past abs_tol=1e-11 | -0x1.ffdbabc68ec3ep-1",
+    ],
+    ("cap", 32): [
+        "0x1.fc87bb89a0056p-2", "0x1.f34e22e8e4736p-2", "0x1.ea11d122756a2p-2",
+        "0x1.733d4f9e51faap-2", "0x1.5bc3daad3fc0cp-3", "0x1.466577553187ep-4",
+        "0x1.eabf062f3c140p-1", "0x1.e6d9949603470p-1", "0x1.e2546311d4ab8p-1",
+        "0x1.4d2eefd91ddf0p-1", "-0x1.f83a50f297520p-2", "-0x1.9f9c4978752acp-1",
+        "0x1.ffc54b30ffdc9p-1", "0x1.ffac4991c8ba5p-1", "0x1.ff885a4369294p-1",
+        "0x1.d1b705259e7c4p-1", "-0x1.e05eb210dd614p-1", "-0x1.fe13ea73fa652p-1",
+        "AccuracyError: off-axis series at |x|=0.9, n=32 is only good to 111, past abs_tol=1e-11 | -0x1.783a92f1e4b49p+4",
+        "AccuracyError: off-axis series at |x|=0.9, n=32 is only good to 9.62e-11, past abs_tol=1e-11 | 0x1.ffffc5b758e89p-1",
+        "0x1.ffffa56947836p-1", "0x1.fed9dda7baee5p-1", "-0x1.ffaf51953c5aap-1",
+        "AccuracyError: off-axis series at |x|=0.9, n=32 is only good to 111, past abs_tol=1e-11 | 0x1.01566e0b7a4a2p+4",
+        "AccuracyError: off-axis series at |x|=0.9700000000000001, n=32 is only good to 4.74e+11, past abs_tol=1e-11 | 0x1.7b38affb0dd37p+30",
+        "AccuracyError: off-axis series at |x|=0.9700000000000001, n=32 is only good to 1.43e-09, past abs_tol=1e-11 | 0x1.fffffa197bc19p-1",
+        "AccuracyError: off-axis series at |x|=0.97, n=32 is only good to 1.86e-11, past abs_tol=1e-11 | 0x1.fffff6ca22bcap-1",
+        "0x1.ffdd8e6865701p-1", "-0x1.fff738f1f0774p-1",
+        "AccuracyError: off-axis series at |x|=0.9700000000000001, n=32 is only good to 4.74e+11, past abs_tol=1e-11 | -0x1.f4b8798cfb151p+33",
+    ],
+    ("step", 2): [
+        "0x1.a68c8e4086038p-4", "0x1.a383bed0b8daep-4", "0x1.a07f3606efc96p-4",
+        "0x1.7aae6bff9e366p-4", "0x1.3a97c16d2000ep-4", "0x1.19e1f5f19c582p-4",
+        "0x1.74c733e568433p-3", "0x1.624db87be1132p-3", "0x1.52758296df962p-3",
+        "0x1.03072babcbb2fp-3", "0x1.925468d7c0d74p-5", "-0x1.f06db5709a2f0p-5",
+        "0x1.778f3ba189342p-2", "0x1.244bc1febd3fep-2", "0x1.c2a59360e6baep-3",
+        "0x1.20f1f924559a6p-3", "0x1.ec9984d8c50a8p-4", "-0x1.66234c672669ep-2",
+        "0x1.a01631821aba2p-1", "0x1.2f6ed8d98a1aep-1", "0x1.2c508ead2fda1p-3",
+        "0x1.0a91b45d9850dp-4", "0x1.bde0a979855a6p-2", "-0x1.87342b70fb91cp-1",
+        "0x1.e3a0f66eb8336p-1", "0x1.b0393766edbd1p-1", "-0x1.4534f1ba464e0p-4",
+        "-0x1.6ca3f0956146dp-4", "0x1.19d585cc988c0p-1", "-0x1.b87ee4816b4fap-1",
+    ],
+    ("step", 3): [
+        "0x1.56d6e8c19018cp-3", "0x1.57981a0241c9cp-3", "0x1.585450e4a2f3bp-3",
+        "0x1.6009b22932a2cp-3", "0x1.6600f52b40ee7p-3", "0x1.65dae22b3e25ep-3",
+        "0x1.053f3bc37ea4dp-3", "0x1.044090029aeb5p-3", "0x1.0555f2a3195bdp-3",
+        "0x1.6636f82e8a3c0p-3", "0x1.8c37b1c4da913p-3", "0x1.d9400012eaf17p-4",
+        "0x1.a4b6f23ae1220p-3", "0x1.19a651ed6c560p-3", "0x1.6a565ee9ff66dp-4",
+        "0x1.4dd605b239371p-3", "0x1.11d6f7e6c16d2p-2", "-0x1.8f1fb2b061596p-3",
+        "0x1.7f2314ccf7815p-1", "0x1.011dadfbecaeap-1", "0x1.a98be21a05e60p-5",
+        "0x1.2061cb5a71930p-4", "0x1.f7bee1b0bf7dep-2", "-0x1.779a768812a29p-1",
+        "0x1.daa3492a4a1b6p-1", "0x1.a16213edddc06p-1", "-0x1.e62afe8c64bf4p-4",
+        "-0x1.6b7f69ebd5794p-4", "0x1.22fcfcf34d466p-1", "-0x1.b4aacd08cda58p-1",
+    ],
+    ("step", 4): [
+        "0x1.c6c8bc7e80630p-3", "0x1.c8fe3d50b5e86p-3", "0x1.cb2a41a419ab5p-3",
+        "0x1.e3f0f5e9c03d0p-3", "0x1.013c84c1754cbp-2", "0x1.0676002037680p-2",
+        "0x1.a5c4d222fee80p-4", "0x1.bbc5b98489658p-4", "0x1.d4df59e7634a4p-4",
+        "0x1.bd53431d65f90p-3", "0x1.3137266312bd3p-2", "0x1.f5a183b4c3e9ep-3",
+        "0x1.7cb759e484aa8p-4", "0x1.3d0ed042da9f8p-5", "0x1.12627e86704e0p-8",
+        "0x1.7989ec7cddd6ep-3", "0x1.796a15def5634p-2", "-0x1.41caf1fca7b74p-4",
+        "0x1.661dc84ca6525p-1", "0x1.b92117660317ap-2", "-0x1.2ddbb11b22b30p-6",
+        "0x1.34cefb8c30b08p-4", "0x1.0e85ec5eb66d6p-1", "-0x1.6e59a225e8575p-1",
+        "0x1.d44b7f6f0fc83p-1", "0x1.95cf07e80075dp-1", "-0x1.31133cfdef85ep-3",
+        "-0x1.6b01f4403a8c0p-4", "0x1.28bbd63520009p-1", "-0x1.b2d31f74ea4d6p-1",
+    ],
+    ("step", 8): [
+        "0x1.55b6f0e4d099ep-2", "0x1.57f316fb88c7cp-2", "0x1.5a26a8ada7287p-2",
+        "0x1.73b3b34616e83p-2", "0x1.95c147805fd9bp-2", "0x1.a31e333ed1e93p-2",
+        "0x1.4af348a835a98p-4", "0x1.8a21d3999ec40p-4", "0x1.ca5f3270db3f0p-4",
+        "0x1.3b5dfa54dcd01p-2", "0x1.ee5aed10def9bp-2", "0x1.ef54796372206p-2",
+        "-0x1.f567d6efd17dcp-4", "-0x1.188b928caaee8p-3", "-0x1.188b0c0ac26c4p-3",
+        "0x1.e1fe335932b6ap-3", "0x1.13aa08f4b9f58p-1", "0x1.7493a934c6187p-3",
+        "0x1.293d1e020c8f1p-1", "0x1.f429d6a74f3f0p-3", "-0x1.639329a5d4070p-3",
+        "0x1.6200d9d2b34a8p-4", "0x1.2b4197b1572d7p-1", "-0x1.63d2984087452p-1",
+        "0x1.c7aaa148c8539p-1", "0x1.781503f963798p-1", "-0x1.c52993888c694p-3",
+        "-0x1.7457a66753084p-4", "0x1.31289a7721960p-1", "-0x1.b313618f33a66p-1",
+    ],
+    ("step", 16): [
+        "0x1.acc36dac7d98bp-2", "0x1.af694eac4ac69p-2", "0x1.b20288c793a65p-2",
+        "0x1.cf72050047bbcp-2", "0x1.f4874e1d0b644p-2", "0x1.013536e34850cp-1",
+        "0x1.364c7627ac8c0p-4", "0x1.91925f5a49694p-4", "0x1.edd7c0623b76cp-4",
+        "0x1.8a462ce77ead7p-2", "0x1.2190adcc446e7p-1", "0x1.298c80975b11cp-1",
+        "-0x1.da1fbc5897254p-3", "-0x1.c87cf5d11806cp-3", "-0x1.ac6874809e808p-3",
+        "0x1.270989d06cd22p-2", "0x1.2ff8876b2c392p-1", "0x1.90bce34f4d4fcp-2",
+        "AccuracyError: off-axis series at |x|=0.9, n=16 is only good to 2.13e-09, past abs_tol=1e-11 | 0x1.dfaedd1ba6246p-2",
+        "0x1.b08a87af017b0p-5", "-0x1.13cde73dd9accp-2", "0x1.8717952152fb0p-4",
+        "0x1.32b9421fc74c4p-1",
+        "AccuracyError: off-axis series at |x|=0.9, n=16 is only good to 2.13e-09, past abs_tol=1e-11 | -0x1.6aafbcef0e93cp-1",
+        "AccuracyError: off-axis series at |x|=0.9700000000000001, n=16 is only good to 0.001, past abs_tol=1e-11 | 0x1.c21cb8c78001ep-1",
+        "0x1.59cd92523bd86p-1", "-0x1.1963e792e0f7ap-2", "-0x1.9570d893dcc40p-4",
+        "0x1.3319baa4ef521p-1",
+        "AccuracyError: off-axis series at |x|=0.9700000000000001, n=16 is only good to 0.001, past abs_tol=1e-11 | -0x1.b98e14afb4b04p-1",
+    ],
+    ("step", 32): [
+        "0x1.0029c549dcbeap-1", "0x1.01681592aa401p-1", "0x1.029da45968669p-1",
+        "0x1.0f84326231f6ep-1", "0x1.1d7b2e6d674a4p-1", "0x1.21fb11b33a009p-1",
+        "0x1.055c4f7945b98p-4", "0x1.84ba9c608b488p-4", "0x1.030186b6e35c0p-3",
+        "0x1.dd614eb3321c5p-2", "0x1.30a2c86a1eb32p-1", "0x1.32ae6baba0e0dp-1",
+        "-0x1.1de73ef8c7b06p-2", "-0x1.162c2e40f30c4p-2", "-0x1.0bb4399e56c54p-2",
+        "0x1.68722dc5b69aep-2", "0x1.332274db2f49cp-1", "0x1.108c5e6773194p-1",
+        "AccuracyError: off-axis series at |x|=0.9, n=32 is only good to 115, past abs_tol=1e-11 | 0x1.586b1a324ea0cp+2",
+        "AccuracyError: off-axis series at |x|=0.9, n=32 is only good to 2.61e-11, past abs_tol=1e-11 | -0x1.ede68bffb4c58p-4",
+        "-0x1.30e1f38ddddaep-2", "0x1.a4039431c5c9cp-4", "0x1.33329c924c6d1p-1",
+        "AccuracyError: off-axis series at |x|=0.9, n=32 is only good to 115, past abs_tol=1e-11 | 0x1.319e264e3f5f4p+2",
+        "AccuracyError: off-axis series at |x|=0.9700000000000001, n=32 is only good to 1.7e+11, past abs_tol=1e-11 | 0x1.1e9b91ae95802p+32",
+        "AccuracyError: off-axis series at |x|=0.9700000000000001, n=32 is only good to 3.89e-10, past abs_tol=1e-11 | 0x1.3c4bcd61d06d9p-1",
+        "-0x1.2fe986a451d26p-2", "-0x1.dc285082b3498p-4", "0x1.33331e3ba14c7p-1",
+        "AccuracyError: off-axis series at |x|=0.9700000000000001, n=32 is only good to 1.7e+11, past abs_tol=1e-11 | 0x1.140cd628d2698p+30",
+    ],
+}
+
+
 # SHA-256 of tobytes() of each residual array, over the origin row and every draw
 MOBIUS = {
     (5, 1): {
@@ -231,6 +432,11 @@ def test_harmonic_envelopes_keep_their_bits(n, c):
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_step_extensions_on_the_axis_keep_their_bits(kind):
     assert step_values(kind) == STEPS[kind.value]
+
+
+@pytest.mark.parametrize("profile, n", list(OFFAXIS))
+def test_offaxis_values_and_refusals_keep_their_bits(profile, n):
+    assert offaxis_values(profile, n) == OFFAXIS[profile, n]
 
 
 @pytest.mark.parametrize("seed, k", list(MOBIUS))

@@ -9,7 +9,11 @@ The zonal reduction is exact only on the axis of symmetry, where the
 integrand depends on a single polar angle; it subtracts the profile's
 value at the kernel's peak so that no radius integrates across the
 peak.  Off the axis, step data has the Gegenbauer series of
-``verify._zonal_value`` and any boundary map has Monte Carlo.  Sphere
+``verify._zonal_value`` and any boundary map has Monte Carlo.  What that
+series needs of the data alone (the levels, the cap measures and weights
+of the edges, sigma_star, the arcs of n = 2) is computed on the first
+off-axis call and kept on the data, so each further point pays only for
+what depends on it.  Sphere
 samples are normalized isotropic Gaussian vectors drawn from a counter-
 based Philox stream, so every randomized result is reproducible from its
 seed alone.
@@ -17,13 +21,14 @@ seed alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .envelope import KernelKind, _radii
+from .envelope import KernelKind, _radii, cap_measure_from_angle
 from .errors import DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from .specfn import sigma_star
@@ -42,6 +47,20 @@ _PROFILE_SLACK = 1e-9
 _PROBE_ANGLES = np.linspace(0.0, math.pi, 65)
 _MC_CHUNK = 262_144
 _RICHARDSON_LEVELS = 3  # one-sided quotients combined per derivative estimate
+
+
+class _StepSeries(NamedTuple):
+    """What an off-axis value of step data needs that does not depend on the point.
+
+    For n >= 3: ``base`` = l_J + sum_i (l_{i-1} - l_i) F_n(t_i), summed in edge
+    order; per edge, ``edges`` holds ((l_{i-1} - l_i) sin^{n-1} t_i, cos t_i);
+    ``star`` is sigma_star(n).  For n = 2: ``arcs`` holds (level, lo, hi) per piece.
+    """
+
+    base: float = 0.0
+    edges: tuple[tuple[float, float], ...] = ()
+    star: float = 0.0
+    arcs: tuple[tuple[float, float, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -90,6 +109,23 @@ class ZonalBoundaryData:
         if np.any(np.asarray(self.profile(probe), dtype=float) != levels[piece]):
             raise DomainError("off-axis values need a profile that is constant between its breakpoints")
         return levels
+
+    @functools.cached_property
+    def _step_series(self) -> _StepSeries:
+        """The point-free part of an off-axis value, from :meth:`step_levels`.
+
+        Computed on first use and kept in the instance ``__dict__`` (not a
+        field, so equality and ``repr`` ignore it); a profile that is not a
+        step function raises :class:`DomainError` on every use and keeps nothing.
+        """
+        levels, edges = self.step_levels(), self.breakpoints
+        if self.n == 2:
+            return _StepSeries(arcs=tuple(zip(levels, (0.0, *edges), (*edges, math.pi))))
+        base, weighted = float(levels[-1]), []
+        for jump, t in zip(levels[:-1] - levels[1:], edges):
+            base += jump * cap_measure_from_angle(self.n, t)
+            weighted.append((jump * math.sin(t) ** (self.n - 1), math.cos(t)))
+        return _StepSeries(base=base, edges=tuple(weighted), star=sigma_star(self.n))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .envelope import (
     boundary_derivative_harmonic,
     boundary_difference_quotient,
     cap_angle_from_measure,
-    cap_measure_from_angle,
     envelope_lower,
     envelope_upper,
     heinz_schwarz_constant,
@@ -186,12 +185,26 @@ def _zonal_value(
             sin^{n-1}t_i sum_{k>=1} rho^k 2(k+lambda)/(k(k+2 lambda))
             C_k^lambda(cos psi)/C_k^lambda(1) C_{k-1}^{lambda+1}(cos t_i),
 
-    summed by three-term recurrences over K = ceil(ln(1e-17)/ln rho) + 60
-    terms.  Raises :class:`AccuracyError` when K passes _MAX_SERIES_TERMS
-    or the sum's rounding and tail bound passes ``config.abs_tol`` (near
-    the axis or an edge from about n = 12 on, where the terms cancel).
+    summed over K = ceil(ln(1e-17)/ln rho) + 60 terms.  Everything that
+    depends on the data alone (the levels, the first sum, the edge weights
+    and cosines, sigma_star, the arcs of n = 2) comes from the data's
+    ``_step_series``, computed on its first off-axis point.  Per point,
+    C_k^lambda(cos psi)/C_k^lambda(1) and each edge's C_{k-1}^{lambda+1}(cos t_i)
+    are one three-term recurrence each, and the coefficients, terms and
+    sums are numpy arrays.  The sums are ``np.add.accumulate``, which adds
+    term after term like a Python loop, and rho^k is a running product:
+    ``np.sum`` (pairwise), compensated sums or ``rho**k`` would round
+    differently, and every value and refusal keeps the bits of the plain
+    term-by-term loop.  Raises :class:`AccuracyError` when K passes
+    _MAX_SERIES_TERMS or the sum's rounding and tail bound passes
+    ``config.abs_tol`` (near the axis or an edge from about n = 12 on,
+    where the terms cancel), and :class:`DomainError` unless ``x`` has
+    shape (n,).
     """
     x = np.asarray(x, dtype=float)
+    n = data.n
+    if x.shape != (n,):
+        raise DomainError(f"zonal evaluation point must have shape ({n},) for n={n}, got {x.shape}")
     r = float(np.linalg.norm(x))
     if r >= 1.0:
         raise DomainError("zonal evaluation point must lie inside the ball")
@@ -201,39 +214,39 @@ def _zonal_value(
     if abs(cos_psi) >= 1.0 - _ON_AXIS_TOL:
         return zonal_extension_on_axis(KernelKind.HARMONIC, data, math.copysign(r, cos_psi), config)
 
-    n, edges, levels = data.n, data.breakpoints, data.step_levels()
+    step = data._step_series
     if n == 2:
         z = complex(r * cos_psi, r * math.sqrt(1.0 - cos_psi * cos_psi))
-        bounds = zip((0.0, *edges), (*edges, math.pi))
-        return sum(level * (arc_extension(z, lo, hi) + arc_extension(z, -hi, -lo))
-                   for level, (lo, hi) in zip(levels, bounds))
+        return sum(level * (arc_extension(z, lo, hi) + arc_extension(z, -hi, -lo)) for level, lo, hi in step.arcs)
     terms = math.ceil(math.log(1e-17) / math.log(r)) + 60
     if terms > _MAX_SERIES_TERMS:
         raise AccuracyError(f"off-axis series at |x|={r!r} needs K={terms} terms, past {_MAX_SERIES_TERMS}")
     lam = 0.5 * (n - 2)
-    coefs, c_prev, c_cur, power = [], 1.0, cos_psi, 1.0
-    for k in range(1, terms + 1):  # c_cur = C_k^lam(cos psi)/C_k^lam(1)
-        power *= r
-        coefs.append(power * 2.0 * (k + lam) / (k * (k + 2.0 * lam)) * c_cur)
-        c_prev, c_cur = c_cur, (2.0 * (k + lam) * cos_psi * c_cur - k * c_prev) / (k + 2.0 * lam)
-    value, series, bound = float(levels[-1]), 0.0, 0.0
-    for jump, t in zip(levels[:-1] - levels[1:], edges):
-        cos_t, d_prev, d_cur, edge_sum, edge_abs = math.cos(t), 0.0, 1.0, 0.0, 0.0
-        for k, coef in enumerate(coefs, start=1):  # d_cur = C_{k-1}^{lam+1}(cos t)
-            term = coef * d_cur
-            edge_sum += term
-            edge_abs += abs(term)
-            d_prev, d_cur = d_cur, (2.0 * (k + lam) * cos_t * d_cur - (k + 2.0 * lam) * d_prev) / k
-        weight = jump * math.sin(t) ** (n - 1)
-        value += jump * cap_measure_from_angle(n, t)
-        series += weight * edge_sum
+    # per-k factors, all exact: k, k + lambda, k + 2 lambda, and 2(k + lambda) for the steps k = 1..K-1
+    k = np.arange(1.0, terms + 1.0)
+    half, shift = k + lam, k + 2.0 * lam
+    rise, ks, shifts = 2.0 * half[:-1], k[:-1].tolist(), shift[:-1].tolist()
+    c_prev, c_cur, ratios = 1.0, cos_psi, [cos_psi]
+    for a, k_, b in zip((rise * cos_psi).tolist(), ks, shifts):  # C_k^lam(cos psi)/C_k^lam(1)
+        c_prev, c_cur = c_cur, (a * c_cur - k_ * c_prev) / b
+        ratios.append(c_cur)
+    # rho^k as a running product, then each coefficient in the order of the scalar expression
+    coefs = np.multiply.accumulate(np.full(terms, r)) * 2.0 * half / (k * shift) * np.fromiter(ratios, float, terms)
+    series, bound = 0.0, 0.0
+    for weight, cos_t in step.edges:
+        d_prev, d_cur, gegenbauer = 0.0, 1.0, [1.0]
+        for a, b, k_ in zip((rise * cos_t).tolist(), shifts, ks):  # C_{k-1}^{lam+1}(cos t)
+            d_prev, d_cur = d_cur, (a * d_cur - b * d_prev) / k_
+            gegenbauer.append(d_cur)
+        term = coefs * np.fromiter(gegenbauer, float, terms)
+        series += weight * np.add.accumulate(term)[-1]
         # rounding of the sum, plus the tail past K as a geometric series from its last term
-        bound += abs(weight) * (2.0**-52 * edge_abs + abs(term) / (1.0 - r))
-    star = sigma_star(n)
-    if not star * bound <= config.abs_tol:
-        raise AccuracyError(f"off-axis series at |x|={r!r}, n={n} is only good to {star * bound:.3g}, "
-                            f"past abs_tol={config.abs_tol!r}", value + star * series)
-    return value + star * series
+        bound += abs(weight) * (2.0**-52 * np.add.accumulate(np.abs(term))[-1] + abs(term[-1]) / (1.0 - r))
+    value = step.base + step.star * series
+    if not step.star * bound <= config.abs_tol:
+        raise AccuracyError(f"off-axis series at |x|={r!r}, n={n} is only good to {step.star * bound:.3g}, "
+                            f"past abs_tol={config.abs_tol!r}", value)
+    return value
 
 
 def zonal_contact_case(

@@ -1,6 +1,7 @@
 import importlib.util
 import re
 import sys
+import types
 from pathlib import Path
 
 from ballschwarz import cli
@@ -65,3 +66,54 @@ def test_calls_are_grouped_by_subcommand_and_verify_by_its_m(monkeypatch):
     assert tool.group(["verify", "--seed", "1"]) == "verify"
     groups = {tool.group(argv) for argv in tool.plan_argvs("checks")}
     assert groups == {"verify --m 2", "verify --m 3", "mobius"}
+
+
+def test_offaxis_points_are_timed_per_point_with_each_case_built_per_item(monkeypatch, capsys):
+    tool = _tool(monkeypatch)
+    items = tool.plan_items()
+    assert items and all(item["points"] for item in items)
+    assert {tool.point_group(item) for item in items} == {f"n={n}" for n in range(2, 6)}
+    few = items[:3] + items[-2:]  # n = 2 first, n = 5 last
+    monkeypatch.setattr(tool, "plan_items", lambda: few)
+    built = []
+    build = tool.build_case
+    monkeypatch.setattr(tool, "build_case", lambda package, case: built.append(case) or build(package, case))
+    for name in tool.output_audit.THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    assert tool.main([str(ROOT), str(ROOT), "--workload", "offaxis", "--rounds", "2"]) == 0
+    points = sum(len(item["points"]) for item in few)
+    assert built == [item["case"] for _ in range(2) for item in few for _ in range(2)]  # each round, both trees
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"offaxis, seed {tool.SEED}: {points} calls, 2 interleaved rounds"
+    assert out[4] == f"0 of {points} calls differ"
+    lines = [GROUP_LINE.fullmatch(line) for line in out[5:]]
+    assert all(lines)
+    assert [line[1] for line in lines] == list(dict.fromkeys(tool.point_group(item) for item in few))
+    assert sum(int(line[2]) for line in lines) == points
+    assert not [name for name in sys.modules if name.startswith(("ballschwarz_parent", "ballschwarz_change"))]
+
+
+def test_the_timer_names_a_point_whose_value_or_error_differs(monkeypatch):
+    tool = _tool(monkeypatch)
+
+    class Case:
+        def __init__(self, value):
+            self.value = value
+
+        def f(self, x):
+            if self.value is None:
+                raise ArithmeticError("refused")
+            return [self.value * x[0]]
+
+    def package(value):
+        return types.SimpleNamespace(build_cap_extremal=lambda n, m, a: Case(value))
+
+    items = [{"case": {"kind": "cap", "n": 2, "a": 0.0}, "points": [{"x": [0.5, 0.0]}, {"x": [0.0, 0.5]}]},
+             {"case": {"kind": "cap", "n": 2, "a": 0.0}, "points": [{"x": [0.25, 0.0]}]}]
+    _, differ = tool.time_points([package(1.0), package(1.0)], items, 2)
+    assert differ == []
+    # 0.0 * 1.0 and 0.0 * (1.0 + 1e-16) are both 0.0: only the points off the zero differ
+    minima, differ = tool.time_points([package(1.0), package(1.0 + 2.0**-52)], items, 2)
+    assert differ == [0, 2]
+    assert [len(tree) for tree in minima] == [3, 3]
+    assert tool.time_points([package(1.0), package(None)], items, 1)[1] == [0, 1, 2]

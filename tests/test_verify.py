@@ -204,6 +204,61 @@ def test_offaxis_series_raises_where_its_terms_cancel():
     assert info.value.estimate > 1.0
 
 
+@pytest.mark.parametrize("x", [np.zeros(3), np.array([0.1, 0.2, 0.0]), np.zeros((1, 4))],
+                         ids=["origin-of-R3", "point-of-R3", "batch-of-one"])
+def test_offaxis_point_of_the_wrong_shape_names_n(x):
+    # before the check the origin of R^3 returned the centre value and the others raised numpy's errors
+    case = build_cap_extremal(4, 2, 0.3)
+    with pytest.raises(DomainError, match=r"shape \(4,\) for n=4, got \(" + ", ".join(map(str, x.shape))):
+        case.f(x)
+
+
+def _cuts_data(n, cuts, levels):
+    return ZonalBoundaryData(n=n, axis=_axis(n), profile=_step(np.array(levels), np.array(cuts)),
+                             breakpoints=tuple(cuts))
+
+
+def test_offaxis_memo_keeps_no_refusal_and_the_axis_never_builds_it():
+    data = ZonalBoundaryData(n=3, axis=_axis(3), profile=np.cos)
+    # on the axis any profile evaluates, and nothing off-axis is built
+    assert verify._zonal_value(data, np.array([0.5, 0.0, 0.0])) == pytest.approx(0.5, abs=1e-12)
+    assert verify._zonal_value(data, np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
+    assert "_step_series" not in vars(data)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DomainError, match="constant between its breakpoints") as info:
+            verify._zonal_value(data, np.array([0.3, 0.4, 0.0]))
+        messages.append(str(info.value))
+        assert "_step_series" not in vars(data)
+    assert messages[0] == messages[1]
+    step = _cuts_data(3, (1.0,), (1.0, -1.0))
+    verify._zonal_value(step, np.array([-0.5, 0.0, 0.0]))
+    assert "_step_series" not in vars(step)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_offaxis_memo_is_per_data_and_order_free(n):
+    rng = np.random.Generator(np.random.Philox(40 + n))
+    points = [_off_axis_point(rng, n, rho, float(rng.uniform(0.1, math.pi - 0.1)))
+              for rho in (0.2, 0.6, 0.9, 0.35, 0.75)]
+
+    def values(data, order):
+        return {i: float(verify._zonal_value(data, points[i])).hex() for i in order}
+
+    first, second = _cuts_data(n, (0.8, 2.1), (1.0, 0.2, -0.6)), _cuts_data(n, (0.5, 2.6), (1.0, 0.2, -0.6))
+    forward = values(first, range(len(points)))
+    # the same data built again, its points in reverse order, gives the same bits
+    assert values(_cuts_data(n, (0.8, 2.1), (1.0, 0.2, -0.6)), reversed(range(len(points)))) == forward
+    # a second data object of the same n with other cuts: its own values, whichever object goes first
+    other = values(second, range(len(points)))
+    assert other != forward
+    assert values(_cuts_data(n, (0.5, 2.6), (1.0, 0.2, -0.6)), range(len(points))) == other
+    assert values(first, reversed(range(len(points)))) == forward
+    assert first._step_series is not second._step_series and first._step_series != second._step_series
+    # equality and repr see fields only
+    assert "_step_series" not in repr(first)
+
+
 def test_cap_extremal_rotation_invariance():
     rng = np.random.Generator(np.random.Philox(123))
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))

@@ -1,24 +1,30 @@
-"""Time the CLI calls of a benchmark plan in two source trees, side by side in one process.
+"""Time the calls of a benchmark plan in two source trees, side by side in one process.
 
-    python3 tools/call_minima.py PARENT_DIR CHANGE_DIR --workload {tables,checks} [--rounds 5]
+    python3 tools/call_minima.py PARENT_DIR CHANGE_DIR --workload {tables,checks,offaxis} [--rounds 5]
 
 Each tree's ``src/ballschwarz`` is copied into a temporary directory as the
 package ``ballschwarz_parent`` or ``ballschwarz_change``, and both are
-imported into this one process.  The calls are the ``cli.main(argv)`` items
-of ``perfbench/workloads.plan(workload, SEED)`` in plan order, taken from
-this checkout's ``perfbench/`` through ``output_audit`` (imported, never
-written to).  Each round makes every call in both trees, one right after
-the other, and the tree that goes first alternates from round to round, so
-a slow stretch of a shared host falls on both.  The report gives, per tree,
-the sum over the calls of each call's least latency over the rounds, and
-their ratio change/parent; then the same sums and ratio for each group of
-calls, a group being the subcommand (``verify`` split by its ``--m``), in
-order of first appearance in the plan.  Exit status 1 when a call's exit
-code, stdout or stderr differs between the trees in any round, 0 otherwise.
+imported into this one process.  The calls are those of
+``perfbench/workloads.plan(workload, SEED)`` in plan order, taken from this
+checkout's ``perfbench/`` through ``output_audit`` (imported, never written
+to): for ``tables`` and ``checks`` each item's ``cli.main(argv)``; for
+``offaxis`` each point's ``f(x)`` on its item's contact case, which each
+tree builds untimed for every item in every round, as
+``workloads._run_offaxis`` does.  Each round makes every call in both
+trees, one right after the other, and the tree that goes first alternates
+from round to round, so a slow stretch of a shared host falls on both.  The
+report gives, per tree, the sum over the calls of each call's least latency
+over the rounds, and their ratio change/parent; then the same sums and
+ratio for each group of calls, in order of first appearance in the plan: a
+CLI call's group is its subcommand (``verify`` split by its ``--m``), a
+point's is the dimension ``n`` of its case.  Exit status 1 when a call's
+exit code, stdout or stderr (a point's value ``repr`` or error) differs
+between the trees in any round, 0 otherwise.
 """
 
 import argparse
 import importlib
+import json
 import os
 import shutil
 import sys
@@ -44,14 +50,25 @@ def group(argv: list[str]) -> str:
     return argv[0]
 
 
-def load_cli(tree: Path, name: str, into: Path):
-    """The ``cli`` module of ``tree/src/ballschwarz``, imported as the package ``name`` copied into ``into``."""
+def plan_items() -> list[dict]:
+    """The items of the ``offaxis`` plan, in plan order; each holds a case and its points."""
+    return [item for round_ in output_audit._workloads().plan("offaxis", SEED) for item in round_]
+
+
+def point_group(item: dict) -> str:
+    """The group of a point: the dimension of its item's case."""
+    return f"n={item['case']['n']}"
+
+
+def load_package(tree: Path, name: str, into: Path):
+    """The package ``tree/src/ballschwarz``, with its ``cli``, imported as the package ``name`` copied into ``into``."""
     shutil.copytree(Path(tree) / "src" / "ballschwarz", into / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     importlib.invalidate_caches()
     sys.path.insert(0, str(into))
     try:
-        return importlib.import_module(f"{name}.cli")
+        importlib.import_module(f"{name}.cli")
+        return sys.modules[name]
     finally:
         sys.path.remove(str(into))
 
@@ -79,11 +96,52 @@ def time_calls(mains, argvs: list[list[str]], rounds: int) -> tuple[list[list[fl
     return minima, sorted(differ)
 
 
+def build_case(package, case: dict):
+    """The contact case of an ``offaxis`` plan item in ``package``, built as ``workloads._run_offaxis`` builds it."""
+    if case["kind"] == "cap":
+        return package.build_cap_extremal(case["n"], 2, case["a"])
+    profile = output_audit._workloads()._step_profile(case["levels"], case["cuts"])
+    return package.zonal_contact_case(case["n"], 2, profile, case["cuts"], "step")
+
+
+def _point(contact, x) -> tuple[float, str]:
+    """The latency of ``contact.f(x)`` in seconds, and the ``repr`` of its value or the error it raised."""
+    start = time.perf_counter()
+    try:
+        outcome = repr(float(contact.f(x)[0]))
+    except (ArithmeticError, ValueError) as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    return time.perf_counter() - start, outcome
+
+
+def time_points(packages, items: list[dict], rounds: int) -> tuple[list[list[float]], list[int]]:
+    """Per tree, each point's least latency over ``rounds``; and the indices of the points whose outcome differs."""
+    import numpy as np
+
+    points = [np.asarray(point["x"], dtype=float) for item in items for point in item["points"]]
+    minima = [[float("inf")] * len(points) for _ in packages]
+    differ = set()
+    for round_ in range(rounds):
+        order = range(len(packages)) if round_ % 2 == 0 else range(len(packages) - 1, -1, -1)
+        index = 0
+        for item in items:
+            contacts = [build_case(package, item["case"]) for package in packages]
+            for _ in item["points"]:
+                outcomes = {}
+                for tree in order:
+                    elapsed, outcomes[tree] = _point(contacts[tree], points[index])
+                    minima[tree][index] = min(minima[tree][index], elapsed)
+                if len(set(outcomes.values())) > 1:
+                    differ.add(index)
+                index += 1
+    return minima, sorted(differ)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True, choices=output_audit.WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=(*output_audit.WORKLOADS, "offaxis"))
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args(argv)
     if args.rounds < 1:
@@ -91,27 +149,36 @@ def main(argv=None) -> int:
     # numpy loads with the first tree
     for name in output_audit.THREAD_VARIABLES:
         os.environ.setdefault(name, "1")
-    argvs = plan_argvs(args.workload)
     names = [f"ballschwarz_{tree}" for tree in TREES]
     try:
-        with tempfile.TemporaryDirectory() as packages:
-            mains = [load_cli(tree, name, Path(packages)).main for tree, name in zip((args.parent, args.change), names)]
-            minima, differ = time_calls(mains, argvs, args.rounds)
+        with tempfile.TemporaryDirectory() as into:
+            packages = [load_package(tree, name, Path(into)) for tree, name in zip((args.parent, args.change), names)]
+            if args.workload == "offaxis":
+                items = plan_items()
+                minima, differ = time_points(packages, items, args.rounds)
+                calls = [(item, point) for item in items for point in item["points"]]
+                labels = [f"(value repr or error): {json.dumps(item['case'])} x={point['x']}" for item, point in calls]
+                groups = [point_group(item) for item, _ in calls]
+            else:
+                argvs = plan_argvs(args.workload)
+                minima, differ = time_calls([package.cli.main for package in packages], argvs, args.rounds)
+                labels = [f"(exit code, stdout or stderr): {' '.join(argv)}" for argv in argvs]
+                groups = [group(argv) for argv in argvs]
     finally:
         for module in [module for module in sys.modules if module.split(".")[0] in names]:
             del sys.modules[module]
     for index in differ:
-        print(f"differs (exit code, stdout or stderr): {' '.join(argvs[index])}")
+        print(f"differs {labels[index]}")
     sums = [sum(tree_minima) for tree_minima in minima]
-    print(f"{args.workload}, seed {SEED}: {len(argvs)} calls, {args.rounds} interleaved rounds")
+    print(f"{args.workload}, seed {SEED}: {len(labels)} calls, {args.rounds} interleaved rounds")
     for tree, path, total in zip(TREES, (args.parent, args.change), sums):
         print(f"{tree}: sum of per-call minima {total * 1e3:.3f} ms ({path})")
     print(f"ratio change/parent {sums[1] / sums[0]:.4f}")
-    print(f"{len(differ)} of {len(argvs)} calls differ")
-    groups = {}
-    for index, argv in enumerate(argvs):
-        groups.setdefault(group(argv), []).append(index)
-    for name, indices in groups.items():
+    print(f"{len(differ)} of {len(labels)} calls differ")
+    members = {}
+    for index, name in enumerate(groups):
+        members.setdefault(name, []).append(index)
+    for name, indices in members.items():
         parent, change = (sum(tree_minima[i] for i in indices) for tree_minima in minima)
         print(f"{name}: {len(indices)} calls, parent {parent * 1e3:.3f} ms, change {change * 1e3:.3f} ms, "
               f"ratio change/parent {change / parent:.4f}")

@@ -13,7 +13,9 @@ peak.  Off the axis, step data has the Gegenbauer series of
 series needs of the data alone (the levels, the cap measures and weights
 of the edges, sigma_star, the arcs of n = 2) is computed on the first
 off-axis call and kept on the data, so each further point pays only for
-what depends on it.  Sphere
+what depends on it.  Its per-point sums are sequential
+(``np.add.accumulate``, never the pairwise ``np.sum``), so each value
+rounds exactly as the term-by-term loop it replaced did.  Sphere
 samples are normalized isotropic Gaussian vectors drawn from a counter-
 based Philox stream, so every randomized result is reproducible from its
 seed alone.

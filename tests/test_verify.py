@@ -37,6 +37,7 @@ from ballschwarz.poisson import BoundaryMap, uniform_sphere_samples
 from ballschwarz.quadrature import integrate_rows
 from ballschwarz import verify
 from ballschwarz.cli import main as cli_main
+from ballschwarz.disc import arc_extension
 from ballschwarz.verify import (
     DEFAULT_SEED,
     _MAP_COMPONENTS,
@@ -211,6 +212,71 @@ def test_offaxis_point_of_the_wrong_shape_names_n(x):
     case = build_cap_extremal(4, 2, 0.3)
     with pytest.raises(DomainError, match=r"shape \(4,\) for n=4, got \(" + ", ".join(map(str, x.shape))):
         case.f(x)
+
+
+def _term_by_term_value(data, x, abs_tol=1e-11):
+    """An off-axis value as the series was first summed: the levels, cap measures and edge weights
+    recomputed per point and every term added in a Python loop.  The reference for the bits of
+    ``verify._zonal_value``, refusals included."""
+    r = float(np.linalg.norm(x))
+    cos_psi = min(1.0, max(-1.0, float(np.dot(x, data.axis)) / r))
+    n, edges, levels = data.n, data.breakpoints, data.step_levels()
+    if n == 2:
+        z = complex(r * cos_psi, r * math.sqrt(1.0 - cos_psi * cos_psi))
+        bounds = zip((0.0, *edges), (*edges, math.pi))
+        return sum(level * (arc_extension(z, lo, hi) + arc_extension(z, -hi, -lo))
+                   for level, (lo, hi) in zip(levels, bounds))
+    terms = math.ceil(math.log(1e-17) / math.log(r)) + 60
+    lam = 0.5 * (n - 2)
+    coefs, c_prev, c_cur, power = [], 1.0, cos_psi, 1.0
+    for k in range(1, terms + 1):
+        power *= r
+        coefs.append(power * 2.0 * (k + lam) / (k * (k + 2.0 * lam)) * c_cur)
+        c_prev, c_cur = c_cur, (2.0 * (k + lam) * cos_psi * c_cur - k * c_prev) / (k + 2.0 * lam)
+    value, series, bound = float(levels[-1]), 0.0, 0.0
+    for jump, t in zip(levels[:-1] - levels[1:], edges):
+        cos_t, d_prev, d_cur, edge_sum, edge_abs = math.cos(t), 0.0, 1.0, 0.0, 0.0
+        for k, coef in enumerate(coefs, start=1):
+            term = coef * d_cur
+            edge_sum += term
+            edge_abs += abs(term)
+            d_prev, d_cur = d_cur, (2.0 * (k + lam) * cos_t * d_cur - (k + 2.0 * lam) * d_prev) / k
+        weight = jump * math.sin(t) ** (n - 1)
+        value += jump * cap_measure_from_angle(n, t)
+        series += weight * edge_sum
+        bound += abs(weight) * (2.0**-52 * edge_abs + abs(term) / (1.0 - r))
+    star = sigma_star(n)
+    if not star * bound <= abs_tol:
+        raise AccuracyError(f"off-axis series at |x|={r!r}, n={n} is only good to {star * bound:.3g}, "
+                            f"past abs_tol={abs_tol!r}", value + star * series)
+    return value + star * series
+
+
+def _outcome(evaluate, data, x):
+    try:
+        value = evaluate(data, x)
+    except AccuracyError as exc:
+        return "AccuracyError", str(exc), type(exc.estimate), float(exc.estimate).hex()
+    return type(value), float(value).hex()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 32])
+def test_offaxis_values_have_the_bits_of_the_term_by_term_loop(n):
+    # random cap extremals and three-step profiles; points anywhere, near an edge and near the axis
+    rng = np.random.Generator(np.random.Philox(900 + n))
+    cuts = np.sort(rng.uniform(0.15, math.pi - 0.15, 2))
+    alpha = cap_angle_from_measure(n, float(rng.uniform(0.1, 0.9))).alpha
+    cases = [_cuts_data(n, (alpha,), (1.0, -1.0)), _cuts_data(n, tuple(cuts), (1.0, *rng.uniform(-1.0, 1.0, 2)))]
+    refused = 0
+    for data in cases:
+        edge = data.breakpoints[0]
+        for psi in (*rng.uniform(0.05, math.pi - 0.05, 4), edge + 1e-9, edge - 0.01, 1e-4, math.pi - 1e-3):
+            for rho in (float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.5, 0.97))):
+                x = _off_axis_point(rng, n, rho, float(psi))
+                expected = _outcome(_term_by_term_value, data, x)
+                assert _outcome(verify._zonal_value, data, x) == expected
+                refused += expected[0] == "AccuracyError"
+    assert refused > 0 or n < 12  # the refusals are compared too
 
 
 def _cuts_data(n, cuts, levels):

@@ -30,10 +30,9 @@ import numpy as np
 from .envelope import (
     CapSpec,
     KernelKind,
+    _envelope,
     boundary_derivative_harmonic,
     cap_angle_from_measure,
-    envelope_lower,
-    envelope_upper,
     heinz_schwarz_constant,
     hyperbolic_decay_coefficient,
     schwarz_planar_bound,
@@ -176,6 +175,7 @@ def _cmd_envelope(args: argparse.Namespace, quad: QuadratureConfig) -> int:
         columns += ["M_oracle_mc", "M_oracle_stderr"]
     kind = KernelKind(args.kind)
     seed = args.seed
+    radii = sorted(args.r_grid)
     for n in sorted(args.n):
         for c in sorted(args.c_grid):
             if not 0.0 < c <= 1.0:
@@ -184,9 +184,7 @@ def _cmd_envelope(args: argparse.Namespace, quad: QuadratureConfig) -> int:
                 cap = CapSpec(n=n, c=1.0, alpha=math.pi)
             else:
                 cap = cap_angle_from_measure(n, c)
-            radii = sorted(args.r_grid)
-            uppers = envelope_upper(kind, cap, radii, quad).tolist()
-            lowers = envelope_lower(kind, cap, radii, quad).tolist()
+            uppers, lowers = _envelope(kind, cap, radii, "Mm", quad)
             for r, upper, lower in zip(radii, uppers, lowers):
                 row = {"kind": kind.value, "n": n, "c": c, "r": r, "M_upper": upper, "m_lower": lower}
                 if args.oracle:

@@ -33,8 +33,12 @@ so no radius integrates across the kernel peak.
 Every sharp constant in this package is a boundary derivative of M_c^n,
 in closed form through the cap measure F_n(alpha) = I_{sin^2 alpha}((n-1)/2,
 1/2) / 2 (alpha <= pi/2), an incomplete beta function summed as a continued
-fraction (DLMF 8.17.22).  None calls the quadrature; one that would leave
-the positive doubles raises ``DomainError``:
+fraction (DLMF 8.17.22).  One private kernel, ``_cap_measure``, evaluates
+F_n for the public ``cap_measure_from_angle``, for each Newton step of
+``cap_angle_from_measure`` and for each closed-form tail, with sigma_star(n)
+looked up once per call; the inverter's cap is not measured a second time.
+None calls the quadrature; one that would leave the positive doubles
+raises ``DomainError``:
 
 * ``boundary_derivative_harmonic`` is the limit dM/dr at r = 1,
   D_n(a) = 2 sigma_star cot h cos^{n-2}h - 2(n-2) F_n(pi/2 - h) with
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,13 +146,24 @@ def cap_measure_from_angle(n: int, alpha: float) -> float:
     """
     if n < 2 or n != int(n):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
+    n = int(n)
+    return _cap_measure(n, sigma_star(n), alpha)
+
+
+def _cap_measure(n: int, star: float, alpha: float) -> float:
+    """F_n(alpha) for an integer n >= 2 with star = sigma_star(n); an alpha
+    outside [0, pi] raises ``DomainError``.
+
+    The one measure kernel of this module: ``cap_measure_from_angle``, the
+    Newton steps of ``cap_angle_from_measure`` and the closed-form tails
+    all call it, n checked and sigma_star(n) looked up once per call.
+    """
     if not 0.0 <= alpha <= math.pi:
         raise DomainError(f"cap angle must lie in [0, pi], got {alpha!r}")
-    n = int(n)
     if alpha > 0.5 * math.pi:
-        return 1.0 - cap_measure_from_angle(n, math.pi - alpha)
+        return 1.0 - _cap_measure(n, star, math.pi - alpha)
     sin, cos = math.sin(alpha), math.cos(alpha)
-    scale = sigma_star(n) * sin ** (n - 1) * cos
+    scale = star * sin ** (n - 1) * cos
     if sin * sin < (n + 1.0) / (n + 4.0):
         return scale * _beta_fraction(0.5 * (n - 1), 0.5, sin * sin) / (n - 1)
     return 0.5 - scale * _beta_fraction(0.5, 0.5 * (n - 1), cos * cos)
@@ -157,10 +173,13 @@ def cap_measure_from_angle(n: int, alpha: float) -> float:
 class CapSpec:
     """A polar cap: dimension, normalized measure c, and half-angle alpha.
 
-    The two parametrizations must agree; construction re-derives the
-    measure from the angle and rejects inconsistent triples.  ``c = 1``
-    (the full sphere, alpha = pi) is admitted so degenerate envelopes
-    evaluate to the constant 1.
+    The two parametrizations must agree.  A cap built here re-derives the
+    measure from the angle and rejects an inconsistent triple.  A cap that
+    ``cap_angle_from_measure`` returns is trusted instead: its Newton
+    iteration has already measured the angle to within the same tolerance,
+    so it is built without measuring again, and it equals the checked
+    ``CapSpec(n, c, alpha)``.  ``c = 1`` (the full sphere, alpha = pi) is
+    admitted so degenerate envelopes evaluate to the constant 1.
     """
 
     n: int
@@ -182,6 +201,25 @@ class CapSpec:
             )
 
 
+def _measured_cap(n: int, c: float, alpha: float, resid: float) -> CapSpec:
+    """The cap (n, c, alpha) of a Newton iteration whose last measured residual was ``resid``.
+
+    The returned angle lies between the root and the angle of ``resid``
+    (see ``cap_angle_from_measure``), so its own residual lies between 0
+    and ``resid``.  With ``resid`` inside the consistency tolerance and
+    alpha in (0, pi], the cap is built as is (n is an int and c in (0, 1)
+    already); any other goes through the checked constructor, which
+    measures it and raises if it is inconsistent.
+    """
+    if not (abs(resid) <= _CAP_CONSISTENCY_TOL and 0.0 < alpha <= math.pi):
+        return CapSpec(n=n, c=c, alpha=alpha)
+    cap = object.__new__(CapSpec)
+    object.__setattr__(cap, "n", n)
+    object.__setattr__(cap, "c", c)
+    object.__setattr__(cap, "alpha", alpha)
+    return cap
+
+
 def cap_angle_from_measure(n: int, c: float) -> CapSpec:
     """Invert the cap measure for the half-angle alpha(c).
 
@@ -191,11 +229,16 @@ def cap_angle_from_measure(n: int, c: float) -> CapSpec:
     where the first step is exact); F(pi/2) = 1/2 and F(pi - alpha) =
     1 - F(alpha).  Newton for c' = min(c, 1 - c) therefore starts at
     pi/2, right of the root, and every step lands between the root and
-    the previous iterate: no bracket is needed.  The first residual,
-    1/2 - c', is exact (c = 1/2 returns pi/2 exactly); iteration stops
-    at a step of at most 1e-13, and c > 1/2 returns pi minus the angle
-    for 1 - c.  A non-positive slope, or 100 steps without convergence,
-    raises ``AccuracyError``.
+    the previous iterate: no bracket is needed.  The first residual is
+    1/2 - c' rounded once (exact for c' >= 1/4; c = 1/2 returns pi/2
+    exactly).  Iteration stops at a step of at most 1e-13 and at most
+    1e-13 times the new angle.  The relative part keeps the digits of a
+    tiny cap, whose angle may lie below 1e-13 (2e-14 at n = 3, c =
+    1e-28).  c > 1/2 returns pi minus the angle for 1 - c.  A non-positive slope, or 100 steps without
+    convergence (at n = 3, where a step about halves a small angle, a c'
+    below about 1e-57), raises ``AccuracyError``.  The last residual
+    measured bounds that of the returned angle, so the cap comes back
+    without a second measure (``_measured_cap``).
     """
     if n < 2 or n != int(n):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
@@ -212,9 +255,9 @@ def cap_angle_from_measure(n: int, c: float) -> CapSpec:
             raise AccuracyError(f"cap angle for n={n}, c={c!r}: measure slope vanished at {alpha!r}")
         step = resid / slope
         alpha -= step
-        if abs(step) <= _ANGLE_TOL:
-            return CapSpec(n=n, c=c, alpha=alpha if c <= 0.5 else math.pi - alpha)
-        resid = cap_measure_from_angle(n, alpha) - target
+        if abs(step) <= _ANGLE_TOL and abs(step) <= _ANGLE_TOL * alpha:
+            return _measured_cap(n, c, alpha if c <= 0.5 else math.pi - alpha, resid)
+        resid = _cap_measure(n, star, alpha) - target
     raise AccuracyError(
         f"cap angle for n={n}, c={c!r} did not converge in {_NEWTON_STEPS} Newton steps", estimate=alpha
     )
@@ -245,7 +288,8 @@ def envelope_upper(
     the array of values, its harmonic tails integrated as rows of one
     quadrature per cap angle (one for radii of one sign).
     """
-    return _envelope(kind, cap, r, True, config)
+    [values] = _envelope(kind, cap, r, "M", config)
+    return np.array(values) if isinstance(values, list) else values
 
 
 def envelope_lower(
@@ -260,28 +304,34 @@ def envelope_lower(
     the array of values, its harmonic tails integrated as rows of one
     quadrature per cap angle (one for radii of one sign).
     """
-    return _envelope(kind, cap, r, False, config)
+    [values] = _envelope(kind, cap, r, "m", config)
+    return np.array(values) if isinstance(values, list) else values
 
 
-def _envelope(kind: KernelKind, cap: CapSpec, r: float | np.ndarray, upper: bool,
-              config: QuadratureConfig) -> float | np.ndarray:
-    """M (``upper``) or m at the radii r; a float radius returns a float.
+def _envelope(kind: KernelKind, cap: CapSpec, r: float | np.ndarray, sides: str,
+              config: QuadratureConfig) -> list:
+    """The envelopes that ``sides`` names ("M", "m" or "Mm"), in its order, at the radii r.
 
-    By the reflection M(-r) = m(r), a radius on the peak's side of the
-    cap (r >= 0 for M, r < 0 for m) gives 1 - (1-|r|) T_alpha(|r|) and any
-    other gives (1-|r|) T_{pi-alpha}(|r|) - 1.  The full cap (alpha = pi)
-    gives 1 on both sides: its data is 1 everywhere, and its arc would
-    contain the peak.
+    One entry per side: a list of floats, or a float for a float radius.
+    The radii are checked and reflected once for all sides.  By the
+    reflection M(-r) = m(r), a radius on the peak's side of the cap
+    (r >= 0 for M, r < 0 for m) gives 1 - (1-|r|) T_alpha(|r|) and any
+    other gives (1-|r|) T_{pi-alpha}(|r|) - 1; each side's tails are one
+    ``_tail_quotient`` pass, so a side makes the quadratures it makes
+    alone.  The full cap (alpha = pi) gives 1 on both sides: its data is
+    1 everywhere, and its arc would contain the peak.
     """
     radii, single = _radii(r)
     if cap.alpha >= math.pi:
-        values = [1.0] * len(radii)
+        values = [[1.0] * len(radii) for _ in sides]
     else:
-        own = [(x >= 0.0) == upper for x in radii]
         rho = [abs(x) for x in radii]
-        tails = _tail_quotient(kind, cap.n, [cap.alpha if o else math.pi - cap.alpha for o in own], rho, config)
-        values = [1.0 - (1.0 - x) * t if o else (1.0 - x) * t - 1.0 for o, x, t in zip(own, rho, tails)]
-    return values[0] if single else np.array(values)
+        values = []
+        for side in sides:
+            own = [(x >= 0.0) == (side == "M") for x in radii]
+            tails = _tail_quotient(kind, cap.n, [cap.alpha if o else math.pi - cap.alpha for o in own], rho, config)
+            values.append([1.0 - (1.0 - x) * t if o else (1.0 - x) * t - 1.0 for o, x, t in zip(own, rho, tails)])
+    return [side[0] for side in values] if single else values
 
 
 def boundary_difference_quotient(
@@ -319,27 +369,40 @@ def boundary_difference_quotient(
     c = 1/2, r = 0.95, T is 3.6e-19 and the default abs_tol leaves it
     2.9e-6 off.  The closed forms do not read ``config``.
     """
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"difference quotient needs 0 <= r <= 1, got {r!r}")
+    return _difference_quotients(kind, cap, [r], config)[0]
+
+
+def _difference_quotients(kind: KernelKind, cap: CapSpec, radii: Sequence[float],
+                          config: QuadratureConfig) -> list[float]:
+    """``boundary_difference_quotient`` at each of the radii, in one ``_tail_quotient`` pass.
+
+    The radii are checked first; an underflowed value raises for the first
+    radius that has one, with the message of a single radius.
+    """
+    for r in radii:
+        if not 0.0 <= r <= 1.0:
+            raise DomainError(f"difference quotient needs 0 <= r <= 1, got {r!r}")
     if cap.alpha >= math.pi:
-        return 0.0
-    value = _tail_quotient(kind, cap.n, [cap.alpha], [r], config)[0]
-    if r < 1.0 and not 0.5 * (1.0 - r) * value >= sys.float_info.min:
-        raise DomainError(f"T(r) for n={cap.n}, c={cap.c!r} at r={r!r} is {value!r}: "
-                          f"its complement measure is below the normal doubles")
-    return value
+        return [0.0] * len(radii)
+    values = _tail_quotient(kind, cap.n, [cap.alpha] * len(radii), radii, config)
+    for r, value in zip(radii, values):
+        if r < 1.0 and not 0.5 * (1.0 - r) * value >= sys.float_info.min:
+            raise DomainError(f"T(r) for n={cap.n}, c={cap.c!r} at r={r!r} is {value!r}: "
+                              f"its complement measure is below the normal doubles")
+    return values
 
 
-def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: list[float],
+def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: Sequence[float],
                    config: QuadratureConfig) -> list[float]:
     """T(r) for caps of half-angle alpha, 0 <= r <= 1, over lists of (alpha, r) pairs.
 
-    The harmonic tails over [alpha, pi] are one ``integrate_rows`` call per
-    distinct alpha (at most two, a cap's and its complement's), each radius
-    a row of that call.
+    sigma_star(n) is looked up once.  The harmonic tails over [alpha, pi]
+    are one ``integrate_rows`` call per distinct alpha (at most two, a
+    cap's and its complement's), each radius a row of that call.
     """
+    star = sigma_star(n)
     if kind is KernelKind.HYPERBOLIC_HARMONIC or n == 2:
-        return [_closed_form_tail(n, a, x) for a, x in zip(alpha, r)]
+        return [_closed_form_tail(n, star, a, x) for a, x in zip(alpha, r)]
     tails = [0.0] * len(r)
     for angle in set(alpha):
         pairs = [j for j, a in enumerate(alpha) if a == angle]
@@ -349,16 +412,17 @@ def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: list[float],
             return kind.angle_kernel(n, radius, t)
 
         for j, tail in zip(pairs, integrate_rows(kernel, angle, math.pi, config).tolist()):
-            tails[j] = 2.0 * sigma_star(n) * (1.0 + r[j]) * tail
+            tails[j] = 2.0 * star * (1.0 + r[j]) * tail
     return tails
 
 
-def _closed_form_tail(n: int, alpha: float, r: float) -> float:
-    """T(r) of the hyperbolic kernel, and of the planar one, where the two kernels coincide."""
+def _closed_form_tail(n: int, star: float, alpha: float, r: float) -> float:
+    """T(r) of the hyperbolic kernel, and of the planar one, where the two kernels coincide;
+    star is sigma_star(n)."""
     if r == 1.0:
         return 2.0 / (math.pi * math.tan(0.5 * alpha)) if n == 2 else 0.0
     q = (1.0 - r) / ((1.0 + r) * math.tan(0.5 * alpha))
-    return 2.0 * cap_measure_from_angle(n, 2.0 * math.atan(q)) / (1.0 - r)
+    return 2.0 * _cap_measure(n, star, 2.0 * math.atan(q)) / (1.0 - r)
 
 
 def _positive_double(value: float, what: str) -> float:
@@ -387,13 +451,14 @@ def boundary_derivative_harmonic(n: int, a: float) -> float:
         raise DomainError(f"base value must lie in (-1, 1), got {a!r}")
     n = int(n)
     h = 0.5 * cap_angle_from_measure(n, 0.5 * (1.0 + a)).alpha
+    star = sigma_star(n)
     sin, cos = math.sin(h), math.cos(h)
-    log_t = math.log(2.0 * sigma_star(n)) + (n - 1) * math.log(cos) - math.log(sin)
+    log_t = math.log(2.0 * star) + (n - 1) * math.log(cos) - math.log(sin)
     if cos * cos < (n + 1.0) / (n + 4.0):
         rho = (n - 2) / (n - 1) * sin * sin * _beta_fraction(0.5 * (n - 1), 0.5, cos * cos)
         value = math.exp(log_t + math.log(1.0 - rho))
     else:
-        value = math.exp(log_t) - 2.0 * (n - 2) * cap_measure_from_angle(n, 0.5 * math.pi - h)
+        value = math.exp(log_t) - 2.0 * (n - 2) * _cap_measure(n, star, 0.5 * math.pi - h)
     return _positive_double(value, f"D_n(a) for n={n}, a={a!r}")
 
 

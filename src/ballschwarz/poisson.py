@@ -106,7 +106,7 @@ class ZonalBoundaryData:
         """
         edges = np.array([0.0, *self.breakpoints, math.pi])
         levels = np.asarray(self.profile(0.5 * (edges[:-1] + edges[1:])), dtype=float)
-        probe = _PROBE_ANGLES[~np.isin(_PROBE_ANGLES, self.breakpoints)]
+        probe = _PROBE_ANGLES[(_PROBE_ANGLES[:, None] != self.breakpoints).all(axis=1)]
         piece = np.minimum(np.searchsorted(edges, probe, side="right") - 1, levels.size - 1)
         if np.any(np.asarray(self.profile(probe), dtype=float) != levels[piece]):
             raise DomainError("off-axis values need a profile that is constant between its breakpoints")

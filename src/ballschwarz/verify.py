@@ -33,10 +33,10 @@ from .disc import DiscCapExtremal, arc_extension
 from .envelope import (
     CapSpec,
     KernelKind,
+    _difference_quotients,
+    _envelope,
     boundary_derivative_harmonic,
-    boundary_difference_quotient,
     cap_angle_from_measure,
-    envelope_lower,
     envelope_upper,
     heinz_schwarz_constant,
     hyperbolic_decay_coefficient,
@@ -332,8 +332,8 @@ def check_envelope_sandwich(
     c = (1+a)/2; a return value at or below quadrature tolerance means
     the sandwich holds on the grid.  h at 0 and at the grid radii is one
     quadrature over the profile, the side independent of the envelopes,
-    and M and m over the grid are one tail quadrature each (harmonic) or
-    closed forms (hyperbolic).
+    and M and m over the grid are one envelope pass: one tail quadrature
+    each (harmonic) or closed forms (hyperbolic).
     """
     radii = np.concatenate(([0.0], np.asarray(grid, dtype=float)))
     h = zonal_extension_on_axis(kind, data, radii, config)
@@ -341,8 +341,7 @@ def check_envelope_sandwich(
     if not -1.0 < a < 1.0:
         raise DomainError(f"profile mean must lie in (-1, 1), got {a!r}")
     cap = cap_angle_from_measure(data.n, 0.5 * (1.0 + a))
-    upper = envelope_upper(kind, cap, radii[1:], config)
-    lower = envelope_lower(kind, cap, radii[1:], config)
+    upper, lower = _envelope(kind, cap, radii[1:], "Mm", config)
     return float(np.max(np.maximum(h[1:] - upper, lower - h[1:]), initial=-math.inf))
 
 
@@ -668,14 +667,15 @@ def hopf_failure_scan(n: int, c: float) -> HopfScanResult:
     (n = 16, c = 0.1); the quadratic term brings that below 2e-4 for
     3 <= n <= 16.  The fitted slope estimates the decay exponent n-2 (so
     the boundary derivative of M vanishes) and exp(intercept) estimates
-    d_n.  A cap measure (1-r) T / 2 below the normal doubles (from n = 74
-    at c = 1/2) has lost digits or is 0: ``boundary_difference_quotient``
-    raises ``DomainError``.
+    d_n.  The 11 values of T are one pass of closed-form tails.  A cap
+    measure (1-r) T / 2 below the normal doubles (from n = 74 at c = 1/2)
+    has lost digits or is 0: the first radius with one raises the
+    ``DomainError`` of ``boundary_difference_quotient``.
     """
     if n <= 2 or n != int(n):
         raise DomainError(f"hyperbolic scan needs integer n > 2, got {n!r}")
     cap = cap_angle_from_measure(n, c)
-    values = [boundary_difference_quotient(KernelKind.HYPERBOLIC_HARMONIC, cap, r) for r in _HOPF_RADII]
+    values = _difference_quotients(KernelKind.HYPERBOLIC_HARMONIC, cap, _HOPF_RADII, DEFAULT_CONFIG)
     gap = np.array([1.0 - r for r in _HOPF_RADII])
     x = np.log(gap)
     y = np.log(np.array(values))

@@ -16,6 +16,7 @@ from ballschwarz import (
     KernelKind,
     RealLinearMap,
     boundary_derivative_harmonic,
+    boundary_difference_quotient,
     build_cap_extremal,
     check_V_monotone,
     check_boundary_bound,
@@ -36,7 +37,7 @@ from ballschwarz import (
 )
 from ballschwarz.envelope import cap_angle_from_measure
 from ballschwarz.hilbert_ball import MobiusParams
-from ballschwarz.verify import boundary_difference_quotient, random_zonal_profile
+from ballschwarz.verify import random_zonal_profile
 from ballschwarz.cli import main as cli_main
 
 HARM = KernelKind.HARMONIC

@@ -68,6 +68,18 @@ def test_calls_are_grouped_by_subcommand_and_verify_by_its_m(monkeypatch):
     assert groups == {"verify --m 2", "verify --m 3", "mobius"}
 
 
+def test_envelope_calls_are_grouped_by_their_kind(monkeypatch):
+    tool = _tool(monkeypatch)
+    assert tool.group(["envelope", "--n", "3", "--kind", "hyperbolic", "--format", "csv"]) == "envelope --kind hyperbolic"
+    assert tool.group(["envelope", "--n", "3", "--kind", "harmonic"]) == "envelope --kind harmonic"
+    assert tool.group(["envelope", "--n", "3"]) == "envelope"
+    assert tool.group(["envelope", "--kind"]) == "envelope"  # no value: argparse refuses it, no group of its own
+    assert tool.group(["constants", "--n", "2", "--kind", "x"]) == "constants"
+    assert tool.group(["verify", "--kind", "harmonic"]) == "verify"
+    groups = {tool.group(argv) for argv in tool.plan_argvs("tables")}
+    assert groups == {"envelope --kind harmonic", "envelope --kind hyperbolic", "constants", "hopf"}
+
+
 def test_offaxis_points_are_timed_per_point_with_each_case_built_per_item(monkeypatch, capsys):
     tool = _tool(monkeypatch)
     items = tool.plan_items()

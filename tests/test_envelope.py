@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -96,27 +97,93 @@ def test_cap_angle_roundtrip_and_monotonicity():
             previous = cap.alpha
 
 
+# measures per inversion before the inverter built its own cap: its Newton
+# measures, then one more in the consistency check of CapSpec
+_MEASURES_WITH_RECHECK = {0.05: 7, 0.1: 6, 0.3: 5, 0.45: 4, 0.7: 5, 0.95: 7}
+
+
 def test_cap_inversion_needs_few_measure_quadratures(monkeypatch):
     calls = []
+    kernel = ballschwarz.envelope._cap_measure
 
-    def counting(n, alpha):
+    def counting(n, star, alpha):
         calls.append(alpha)
-        return cap_measure_from_angle(n, alpha)
+        return kernel(n, star, alpha)
 
-    # rebinding the module name also counts the consistency check in CapSpec
-    monkeypatch.setattr(ballschwarz.envelope, "cap_measure_from_angle", counting)
+    # the one measure kernel: the public measure and CapSpec's check both reach it
+    monkeypatch.setattr(ballschwarz.envelope, "_cap_measure", counting)
     for n in (4, 5, 8, 16, 32, 64):
-        for c in (0.05, 0.1, 0.3, 0.45, 0.7, 0.95):
+        for c, measures in _MEASURES_WITH_RECHECK.items():
             calls.clear()
-            cap_angle_from_measure(n, c)
-            assert len(calls) <= 8, (n, c, len(calls))
+            cap = cap_angle_from_measure(n, c)
+            assert len(calls) == measures - 1, (n, c, len(calls))  # no recheck
+            calls.clear()
+            CapSpec(n=n, c=c, alpha=cap.alpha)
+            assert len(calls) >= 1  # a hand-built cap still measures itself
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_cap_inversion_raises_when_measure_never_reaches_target(monkeypatch, n):
-    monkeypatch.setattr(ballschwarz.envelope, "cap_measure_from_angle", lambda n, alpha: 0.0)
+    monkeypatch.setattr(ballschwarz.envelope, "_cap_measure", lambda n, star, alpha: 0.0)
     with pytest.raises(AccuracyError, match=f"n={n}, c=0.3"):
         cap_angle_from_measure(n, 0.3)
+
+
+_BENCH_MEASURES = sorted({0.1, 0.3, 0.5, 0.7, 0.9} | {0.5 * (1.0 + a) for a in (
+    -0.9, -0.75, -0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9)})
+_TINY_MEASURES = [1e-6, 1e-12, 1e-20, 1e-28, 1.0 - 1e-6, 1.0 - 1e-12]
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 1080, 2055, 19999])
+def test_inverted_caps_equal_the_checked_cap(n):
+    for c in _BENCH_MEASURES + _TINY_MEASURES:
+        try:
+            cap = cap_angle_from_measure(n, c)
+        except AccuracyError:
+            assert c < 1e-12 and n > 2, (n, c)  # too tiny for 100 Newton steps
+            continue
+        checked = CapSpec(n=n, c=c, alpha=cap.alpha)
+        assert cap == checked and hash(cap) == hash(checked) and repr(cap) == repr(checked)
+        assert type(cap.n) is int and type(cap.c) is float and type(cap.alpha) is float
+
+
+def test_a_cap_whose_last_residual_misses_the_tolerance_is_checked():
+    cap = ballschwarz.envelope._measured_cap(3, 0.5, 0.5 * math.pi, 1e-10)
+    assert cap == CapSpec(n=3, c=0.5, alpha=0.5 * math.pi)
+    with pytest.raises(DomainError, match="disagree"):
+        ballschwarz.envelope._measured_cap(3, 0.3, 1.0, 2e-10)
+    with pytest.raises(DomainError, match="cap angle must lie in"):
+        ballschwarz.envelope._measured_cap(3, 0.3, 0.0, 0.0)
+
+
+def _mp_cap_measure(n, alpha):
+    with mpmath.workdps(50):
+        x = mpmath.sin(mpmath.mpf(alpha)) ** 2
+        return mpmath.betainc(mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True) / 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("c", [1e-20, 1e-24, 1e-28])
+def test_tiny_caps_invert_to_the_angle_of_their_measure(n, c):
+    # an absolute stop of 1e-13 on the angle left the measure 10 times too large at n = 3, c = 1e-28
+    cap = cap_angle_from_measure(n, c)
+    with mpmath.workdps(50):
+        assert abs(_mp_cap_measure(n, cap.alpha) / mpmath.mpf(c) - 1) <= 1e-14, (n, c)
+
+
+def test_a_cap_too_tiny_for_the_newton_budget_raises():
+    with pytest.raises(AccuracyError, match="did not converge in 100 Newton steps"):
+        cap_angle_from_measure(3, 1e-60)
+
+
+def test_hopf_row_of_a_tiny_cap_has_the_exact_decay_coefficient(capsys):
+    from ballschwarz.cli import main
+
+    # at n = 3, d_n = cot^2(alpha/2) / 2 = (1-c)/(2c) exactly
+    assert main(["hopf", "--n", "3", "--c-grid", "1e-28", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    d_n = rows[-1]["d_n"]
+    assert abs(d_n / ((1.0 - 1e-28) / 2e-28) - 1.0) <= 1e-11, d_n
 
 
 def test_cap_domain_errors():
@@ -655,6 +722,50 @@ def test_array_radii_match_the_scalar_envelopes(kind, n):
                 scalar = envelope(kind, cap, r)
                 assert isinstance(scalar, float)
                 assert abs(value - scalar) <= 1e-14, (c, r)
+
+
+@pytest.mark.parametrize("kind", [HARM, HYP])
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_one_envelope_pass_has_the_bits_of_each_side(kind, n):
+    radii = [-0.999, -0.5, -0.0, 0.0, 0.3, 0.9, 0.999]
+    config = QuadratureConfig()
+    for c in (0.1, 0.5, 0.9, 1.0):
+        cap = CapSpec(n=n, c=1.0, alpha=math.pi) if c == 1.0 else cap_angle_from_measure(n, c)
+        for r in (radii, np.array(radii), 0.3, -0.5, 0.0, 0):
+            upper, lower = ballschwarz.envelope._envelope(kind, cap, r, "Mm", config)
+            assert ballschwarz.envelope._envelope(kind, cap, r, "M", config) == [upper]
+            assert ballschwarz.envelope._envelope(kind, cap, r, "m", config) == [lower]
+            for side, envelope in ((upper, envelope_upper), (lower, envelope_lower)):
+                alone = envelope(kind, cap, r, config)
+                if np.ndim(r):
+                    assert type(side) is list and all(type(v) is float for v in side)
+                    assert [v.hex() for v in side] == [v.hex() for v in alone.tolist()], (c, envelope)
+                else:
+                    assert type(side) is float and side.hex() == alone.hex(), (c, r, envelope)
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "hyperbolic"])
+def test_the_envelope_table_makes_one_pass_per_cap(monkeypatch, capsys, kind):
+    import ballschwarz.cli
+    from ballschwarz.cli import main
+
+    passes = []
+    one_pass = ballschwarz.cli._envelope
+
+    def counted(kind, cap, r, sides, config):
+        passes.append((cap.n, cap.c, sides))
+        return one_pass(kind, cap, r, sides, config)
+
+    def refuse(*args):
+        raise AssertionError("the envelope table called a one-sided envelope")
+
+    monkeypatch.setattr(ballschwarz.cli, "_envelope", counted)
+    monkeypatch.setattr(ballschwarz.envelope, "envelope_upper", refuse)
+    monkeypatch.setattr(ballschwarz.envelope, "envelope_lower", refuse)
+    argv = ["envelope", "--n", "2,8", "--c-grid", "0.3,1", "--r-grid=-0.5,0,0.9", "--kind", kind]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert passes == [(2, 0.3, "Mm"), (2, 1.0, "Mm"), (8, 0.3, "Mm"), (8, 1.0, "Mm")]
 
 
 def test_array_radii_outside_the_ball_raise_naming_the_radius():

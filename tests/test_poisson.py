@@ -111,6 +111,25 @@ def test_step_levels_read_midpoints_and_skip_probes_on_a_breakpoint():
         ZonalBoundaryData(n=3, axis=_axis(3), profile=np.cos, breakpoints=(1.0,)).step_levels()
 
 
+def test_step_levels_skip_every_probe_on_a_breakpoint_and_no_other():
+    probes = np.linspace(0.0, math.pi, 65)
+    quarter, half = probes[16], probes[32]
+    assert (quarter, half) == (0.25 * math.pi, 0.5 * math.pi)
+
+    # a third value exactly on each breakpoint: only a probe that the mask skips may see it
+    def profile(t):
+        t = np.asarray(t)
+        return np.where((t == quarter) | (t == half), 0.0, np.where(t < quarter, 1.0, np.where(t < half, 0.5, -1.0)))
+
+    data = ZonalBoundaryData(n=4, axis=_axis(4), profile=profile, breakpoints=(half, quarter))
+    assert data.step_levels().tolist() == [1.0, 0.5, -1.0]
+    # a breakpoint a hair off the probe leaves that probe in, where it sees the third value
+    off = ZonalBoundaryData(n=4, axis=_axis(4), profile=profile,
+                            breakpoints=(quarter, math.nextafter(half, math.pi)))
+    with pytest.raises(DomainError, match="constant between its breakpoints"):
+        off.step_levels()
+
+
 def test_monte_carlo_constant_map_is_exact_at_origin():
     v = np.array([0.25, -0.5])
     gmap = BoundaryMap(n=3, m=2, eval=lambda eta: np.tile(v, (eta.shape[0], 1)))

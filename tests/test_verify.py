@@ -418,6 +418,25 @@ def test_sandwich_integrates_each_grid_in_one_call_per_side(kind, most, engine_c
         assert 1 <= len(engine_calls) <= most
 
 
+@pytest.mark.parametrize("kind", [HARM, HYP])
+def test_sandwich_makes_one_envelope_pass(kind, monkeypatch):
+    passes = []
+    one_pass = verify._envelope
+
+    def counted(kind, cap, r, sides, config):
+        passes.append(sides)
+        return one_pass(kind, cap, r, sides, config)
+
+    monkeypatch.setattr(verify, "_envelope", counted)
+    rng = np.random.Generator(np.random.Philox(7))
+    grid = [0.05 + 0.1 * j for j in range(10)]
+    for _ in range(3):
+        data = random_zonal_profile(rng, 3)
+        passes.clear()
+        assert check_envelope_sandwich(kind, data, grid) <= 1e-8
+        assert passes == ["Mm"]
+
+
 def _sandwich_per_radius(kind, data, grid):
     a = zonal_extension_on_axis(kind, data, 0.0)
     cap = cap_angle_from_measure(data.n, 0.5 * (1.0 + a))

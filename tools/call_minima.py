@@ -16,8 +16,8 @@ from round to round, so a slow stretch of a shared host falls on both.  The
 report gives, per tree, the sum over the calls of each call's least latency
 over the rounds, and their ratio change/parent; then the same sums and
 ratio for each group of calls, in order of first appearance in the plan: a
-CLI call's group is its subcommand (``verify`` split by its ``--m``), a
-point's is the dimension ``n`` of its case.  Exit status 1 when a call's
+CLI call's group is its subcommand (``verify`` split by its ``--m``,
+``envelope`` by its ``--kind``), a point's is the dimension ``n`` of its case.  Exit status 1 when a call's
 exit code, stdout or stderr (a point's value ``repr`` or error) differs
 between the trees in any round, 0 otherwise.
 """
@@ -44,9 +44,11 @@ def plan_argvs(workload: str) -> list[list[str]]:
 
 
 def group(argv: list[str]) -> str:
-    """The group of a call: its subcommand, followed by ``--m M`` for a ``verify`` argv that passes ``--m M``."""
-    if argv[0] == "verify" and "--m" in argv[:-1]:
-        return f"verify --m {argv[argv.index('--m') + 1]}"
+    """The group of a call: its subcommand, followed by ``--m M`` for a ``verify`` argv that passes ``--m M``
+    and by ``--kind K`` for an ``envelope`` argv that passes ``--kind K``."""
+    option = {"verify": "--m", "envelope": "--kind"}.get(argv[0])
+    if option in argv[:-1]:
+        return f"{argv[0]} {option} {argv[argv.index(option) + 1]}"
     return argv[0]
 
 

@@ -32,7 +32,6 @@ from .envelope import (
     KernelKind,
     _envelope,
     boundary_derivative_harmonic,
-    cap_angle_from_measure,
     heinz_schwarz_constant,
     hyperbolic_decay_coefficient,
     schwarz_planar_bound,
@@ -153,9 +152,9 @@ def _cmd_constants(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     return 0
 
 
-def _envelope_mc_oracle(kind: KernelKind, n: int, cap: CapSpec, r: float, seed: int):
+def _envelope_mc_oracle(kind: KernelKind, cap: CapSpec, r: float, seed: int):
     """Monte-Carlo re-evaluation of the upper envelope (slow oracle path)."""
-    alpha = cap.alpha
+    n, alpha = cap.n, cap.alpha
 
     def eval_data(eta: np.ndarray) -> np.ndarray:
         angles = np.arccos(np.clip(eta[:, 0], -1.0, 1.0))
@@ -180,15 +179,12 @@ def _cmd_envelope(args: argparse.Namespace, quad: QuadratureConfig) -> int:
         for c in sorted(args.c_grid):
             if not 0.0 < c <= 1.0:
                 raise DomainError(f"c grid entry {c!r} outside (0, 1]")
-            if c == 1.0:
-                cap = CapSpec(n=n, c=1.0, alpha=math.pi)
-            else:
-                cap = cap_angle_from_measure(n, c)
+            cap = CapSpec(n, c)
             uppers, lowers = _envelope(kind, cap, radii, "Mm", quad)
             for r, upper, lower in zip(radii, uppers, lowers):
                 row = {"kind": kind.value, "n": n, "c": c, "r": r, "M_upper": upper, "m_lower": lower}
                 if args.oracle:
-                    est, err = _envelope_mc_oracle(kind, n, cap, r, seed)
+                    est, err = _envelope_mc_oracle(kind, cap, r, seed)
                     seed += 1
                     row["M_oracle_mc"] = est
                     row["M_oracle_stderr"] = err

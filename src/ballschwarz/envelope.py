@@ -34,10 +34,11 @@ Every sharp constant in this package is a boundary derivative of M_c^n,
 in closed form through the cap measure F_n(alpha) = I_{sin^2 alpha}((n-1)/2,
 1/2) / 2 (alpha <= pi/2), an incomplete beta function summed as a continued
 fraction (DLMF 8.17.22).  One private kernel, ``_cap_measure``, evaluates
-F_n for the public ``cap_measure_from_angle``, for each Newton step of
-``cap_angle_from_measure`` and for each closed-form tail, with sigma_star(n)
-looked up once per call; the inverter's cap is not measured a second time.
-None calls the quadrature; one that would leave the positive doubles
+F_n for the public ``cap_measure_from_angle``, for each Newton step of its
+inverse ``cap_angle_from_measure`` and for each closed-form tail, with
+sigma_star(n) looked up once per call.  A ``CapSpec`` is (n, c): its angle
+is that inverse, derived once and not measured again.  None of the
+constants calls the quadrature; one that would leave the positive doubles
 raises ``DomainError``:
 
 * ``boundary_derivative_harmonic`` is the limit dM/dr at r = 1,
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -82,7 +83,6 @@ __all__ = [
     "hyperbolic_decay_coefficient",
 ]
 
-_CAP_CONSISTENCY_TOL = 1e-10
 _ANGLE_TOL = 1e-13
 _NEWTON_STEPS = 100
 _FRACTION_TERMS = 200
@@ -169,59 +169,9 @@ def _cap_measure(n: int, star: float, alpha: float) -> float:
     return 0.5 - scale * _beta_fraction(0.5, 0.5 * (n - 1), cos * cos)
 
 
-@dataclass(frozen=True)
-class CapSpec:
-    """A polar cap: dimension, normalized measure c, and half-angle alpha.
-
-    The two parametrizations must agree.  A cap built here re-derives the
-    measure from the angle and rejects an inconsistent triple.  A cap that
-    ``cap_angle_from_measure`` returns is trusted instead: its Newton
-    iteration has already measured the angle to within the same tolerance,
-    so it is built without measuring again, and it equals the checked
-    ``CapSpec(n, c, alpha)``.  ``c = 1`` (the full sphere, alpha = pi) is
-    admitted so degenerate envelopes evaluate to the constant 1.
-    """
-
-    n: int
-    c: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.n < 2 or self.n != int(self.n):
-            raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
-        if not 0.0 < self.c <= 1.0:
-            raise DomainError(f"cap measure must lie in (0, 1], got {self.c!r}")
-        if not 0.0 < self.alpha <= math.pi:
-            raise DomainError(f"cap angle must lie in (0, pi], got {self.alpha!r}")
-        recovered = cap_measure_from_angle(self.n, self.alpha)
-        if abs(recovered - self.c) > _CAP_CONSISTENCY_TOL:
-            raise DomainError(
-                f"cap measure {self.c!r} and angle {self.alpha!r} disagree: "
-                f"angle implies measure {recovered!r}"
-            )
-
-
-def _measured_cap(n: int, c: float, alpha: float, resid: float) -> CapSpec:
-    """The cap (n, c, alpha) of a Newton iteration whose last measured residual was ``resid``.
-
-    The returned angle lies between the root and the angle of ``resid``
-    (see ``cap_angle_from_measure``), so its own residual lies between 0
-    and ``resid``.  With ``resid`` inside the consistency tolerance and
-    alpha in (0, pi], the cap is built as is (n is an int and c in (0, 1)
-    already); any other goes through the checked constructor, which
-    measures it and raises if it is inconsistent.
-    """
-    if not (abs(resid) <= _CAP_CONSISTENCY_TOL and 0.0 < alpha <= math.pi):
-        return CapSpec(n=n, c=c, alpha=alpha)
-    cap = object.__new__(CapSpec)
-    object.__setattr__(cap, "n", n)
-    object.__setattr__(cap, "c", c)
-    object.__setattr__(cap, "alpha", alpha)
-    return cap
-
-
-def cap_angle_from_measure(n: int, c: float) -> CapSpec:
-    """Invert the cap measure for the half-angle alpha(c).
+def cap_angle_from_measure(n: int, c: float) -> float:
+    """Invert the cap measure for the half-angle alpha(c), the inverse of
+    ``cap_measure_from_angle``.
 
     The measure F(alpha) = sigma_star(n) int_0^alpha sin^{n-2}t dt has
     slope sigma_star(n) sin^{n-2} alpha, which does not decrease on
@@ -229,16 +179,16 @@ def cap_angle_from_measure(n: int, c: float) -> CapSpec:
     where the first step is exact); F(pi/2) = 1/2 and F(pi - alpha) =
     1 - F(alpha).  Newton for c' = min(c, 1 - c) therefore starts at
     pi/2, right of the root, and every step lands between the root and
-    the previous iterate: no bracket is needed.  The first residual is
+    the previous iterate: no bracket is needed, and the returned angle
+    measures within its last residual of c.  The first residual is
     1/2 - c' rounded once (exact for c' >= 1/4; c = 1/2 returns pi/2
     exactly).  Iteration stops at a step of at most 1e-13 and at most
     1e-13 times the new angle.  The relative part keeps the digits of a
     tiny cap, whose angle may lie below 1e-13 (2e-14 at n = 3, c =
-    1e-28).  c > 1/2 returns pi minus the angle for 1 - c.  A non-positive slope, or 100 steps without
-    convergence (at n = 3, where a step about halves a small angle, a c'
-    below about 1e-57), raises ``AccuracyError``.  The last residual
-    measured bounds that of the returned angle, so the cap comes back
-    without a second measure (``_measured_cap``).
+    1e-28).  c > 1/2 returns pi minus the angle for 1 - c.  A non-positive
+    slope, or 100 steps without convergence (at n = 3, where a step about
+    halves a small angle, a c' below about 1e-57), raises
+    ``AccuracyError``; an angle outside (0, pi] raises ``DomainError``.
     """
     if n < 2 or n != int(n):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
@@ -256,11 +206,37 @@ def cap_angle_from_measure(n: int, c: float) -> CapSpec:
         step = resid / slope
         alpha -= step
         if abs(step) <= _ANGLE_TOL and abs(step) <= _ANGLE_TOL * alpha:
-            return _measured_cap(n, c, alpha if c <= 0.5 else math.pi - alpha, resid)
+            if c > 0.5:
+                alpha = math.pi - alpha
+            if not 0.0 < alpha <= math.pi:
+                raise DomainError(f"cap angle must lie in (0, pi], got {alpha!r}")
+            return alpha
         resid = _cap_measure(n, star, alpha) - target
     raise AccuracyError(
         f"cap angle for n={n}, c={c!r} did not converge in {_NEWTON_STEPS} Newton steps", estimate=alpha
     )
+
+
+@dataclass(frozen=True)
+class CapSpec:
+    """A polar cap of dimension n and normalized measure c in (0, 1].
+
+    The half-angle ``alpha`` is derived, not given: ``cap_angle_from_measure``
+    of (n, c), and pi at ``c = 1`` (the full sphere), which is admitted so
+    degenerate envelopes evaluate to the constant 1.
+    """
+
+    n: int
+    c: float
+    alpha: float = field(init=False)
+
+    def __post_init__(self):
+        if self.n < 2 or self.n != int(self.n):
+            raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
+        if not 0.0 < self.c <= 1.0:
+            raise DomainError(f"cap measure must lie in (0, 1], got {self.c!r}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "alpha", math.pi if self.c == 1.0 else cap_angle_from_measure(self.n, self.c))
 
 
 def _radii(r) -> tuple[list[float], bool]:
@@ -337,10 +313,13 @@ def _envelope(kind: KernelKind, cap: CapSpec, r: float | np.ndarray, sides: str,
 def boundary_difference_quotient(
     kind: KernelKind,
     cap: CapSpec,
-    r: float,
+    r: float | np.ndarray,
     config: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+) -> float | np.ndarray:
     """T(r) = (1 - M_c^n(r)) / (1 - r) on 0 <= r <= 1, the sphere included.
+
+    ``r`` is a radius or a 1-D array of radii; an array returns the array
+    of values, its harmonic tails integrated as rows of one quadrature.
 
     1 - M is twice the extension of the complement-cap indicator, so
 
@@ -369,27 +348,19 @@ def boundary_difference_quotient(
     c = 1/2, r = 0.95, T is 3.6e-19 and the default abs_tol leaves it
     2.9e-6 off.  The closed forms do not read ``config``.
     """
-    return _difference_quotients(kind, cap, [r], config)[0]
-
-
-def _difference_quotients(kind: KernelKind, cap: CapSpec, radii: Sequence[float],
-                          config: QuadratureConfig) -> list[float]:
-    """``boundary_difference_quotient`` at each of the radii, in one ``_tail_quotient`` pass.
-
-    The radii are checked first; an underflowed value raises for the first
-    radius that has one, with the message of a single radius.
-    """
-    for r in radii:
-        if not 0.0 <= r <= 1.0:
-            raise DomainError(f"difference quotient needs 0 <= r <= 1, got {r!r}")
-    if cap.alpha >= math.pi:
-        return [0.0] * len(radii)
+    single = isinstance(r, (int, float)) or np.ndim(r) == 0
+    radii = [float(r)] if single else [float(x) for x in r]
+    for x in radii:
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"difference quotient needs 0 <= r <= 1, got {x!r}")
+    if cap.alpha >= math.pi:  # the full cap has no complement: T = 0
+        return 0.0 if single else np.zeros(len(radii))
     values = _tail_quotient(kind, cap.n, [cap.alpha] * len(radii), radii, config)
-    for r, value in zip(radii, values):
-        if r < 1.0 and not 0.5 * (1.0 - r) * value >= sys.float_info.min:
-            raise DomainError(f"T(r) for n={cap.n}, c={cap.c!r} at r={r!r} is {value!r}: "
+    for x, value in zip(radii, values):  # the first radius whose complement measure underflowed
+        if x < 1.0 and not 0.5 * (1.0 - x) * value >= sys.float_info.min:
+            raise DomainError(f"T(r) for n={cap.n}, c={cap.c!r} at r={x!r} is {value!r}: "
                               f"its complement measure is below the normal doubles")
-    return values
+    return values[0] if single else np.array(values)
 
 
 def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: Sequence[float],
@@ -450,7 +421,7 @@ def boundary_derivative_harmonic(n: int, a: float) -> float:
     if not -1.0 < a < 1.0:
         raise DomainError(f"base value must lie in (-1, 1), got {a!r}")
     n = int(n)
-    h = 0.5 * cap_angle_from_measure(n, 0.5 * (1.0 + a)).alpha
+    h = 0.5 * cap_angle_from_measure(n, 0.5 * (1.0 + a))
     star = sigma_star(n)
     sin, cos = math.sin(h), math.cos(h)
     log_t = math.log(2.0 * star) + (n - 1) * math.log(cos) - math.log(sin)
@@ -514,7 +485,7 @@ def hyperbolic_decay_coefficient(n: int, c: float) -> float:
     if not 0.0 < c < 1.0:
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
     n = int(n)
-    h = 0.5 * cap_angle_from_measure(n, c).alpha
+    h = 0.5 * cap_angle_from_measure(n, c)
     log_d = math.log(2.0 * sigma_star(n) / (n - 1)) - (n - 1) * math.log(math.tan(h))
     return _positive_double(math.exp(log_d) if log_d <= _LOG_MAX else math.inf, f"d_n for n={n}, c={c!r}")
 

@@ -33,9 +33,9 @@ from .disc import DiscCapExtremal, arc_extension
 from .envelope import (
     CapSpec,
     KernelKind,
-    _difference_quotients,
     _envelope,
     boundary_derivative_harmonic,
+    boundary_difference_quotient,
     cap_angle_from_measure,
     envelope_upper,
     heinz_schwarz_constant,
@@ -255,7 +255,6 @@ def zonal_contact_case(
     profile: Callable[[np.ndarray], np.ndarray],
     breakpoints: Sequence[float],
     case_id: str,
-    y0: np.ndarray | None = None,
     axis: np.ndarray | None = None,
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> ContactTestCase:
@@ -264,15 +263,14 @@ def zonal_contact_case(
     The harmonic extension of such data extends continuously (indeed
     smoothly) to the contact point ``axis`` with value 1, which is the
     differentiability hypothesis the boundary-derivative checks need.
+    The map takes its values along y0 = e_1 of R^m.
     """
     if axis is None:
         axis = np.zeros(n)
         axis[0] = 1.0
-    if y0 is None:
-        y0 = np.zeros(m)
-        y0[0] = 1.0
     axis = np.asarray(axis, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    y0 = np.zeros(m)
+    y0[0] = 1.0
     data = ZonalBoundaryData(n=n, axis=axis, profile=profile, breakpoints=tuple(breakpoints))
     a = zonal_extension_on_axis(KernelKind.HARMONIC, data, 0.0, config)
 
@@ -286,7 +284,6 @@ def build_cap_extremal(
     n: int,
     m: int,
     a: float,
-    y0: np.ndarray | None = None,
     axis: np.ndarray | None = None,
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> ContactTestCase:
@@ -300,8 +297,7 @@ def build_cap_extremal(
         raise DomainError("cap extremal needs n >= 2 and m >= 2")
     if not -1.0 < a < 1.0:
         raise DomainError("base value must lie in (-1, 1)")
-    cap = cap_angle_from_measure(n, 0.5 * (1.0 + a))
-    alpha = cap.alpha
+    alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a))
 
     def profile(t: np.ndarray) -> np.ndarray:
         return np.where(np.asarray(t) <= alpha, 1.0, -1.0)
@@ -309,7 +305,7 @@ def build_cap_extremal(
     return zonal_contact_case(
         n, m, profile, (alpha,),
         case_id=f"cap-extremal n={n} a={a:.6g}",
-        y0=y0, axis=axis, config=config,
+        axis=axis, config=config,
     )
 
 
@@ -340,7 +336,7 @@ def check_envelope_sandwich(
     a = float(h[0])
     if not -1.0 < a < 1.0:
         raise DomainError(f"profile mean must lie in (-1, 1), got {a!r}")
-    cap = cap_angle_from_measure(data.n, 0.5 * (1.0 + a))
+    cap = CapSpec(data.n, 0.5 * (1.0 + a))
     upper, lower = _envelope(kind, cap, radii[1:], "Mm", config)
     return float(np.max(np.maximum(h[1:] - upper, lower - h[1:]), initial=-math.inf))
 
@@ -612,7 +608,7 @@ def check_hemisphere_majorant(
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
-    hemisphere = CapSpec(n=n, c=0.5, alpha=0.5 * math.pi)
+    hemisphere = CapSpec(n, 0.5)
     probes = uniform_sphere_samples(np.random.Generator(np.random.Philox(0)), _BOUNDARY_PROBES, n)
     maps, radii, points = [], [], []
     for _ in range(trials):
@@ -674,11 +670,12 @@ def hopf_failure_scan(n: int, c: float) -> HopfScanResult:
     """
     if n <= 2 or n != int(n):
         raise DomainError(f"hyperbolic scan needs integer n > 2, got {n!r}")
-    cap = cap_angle_from_measure(n, c)
-    values = _difference_quotients(KernelKind.HYPERBOLIC_HARMONIC, cap, _HOPF_RADII, DEFAULT_CONFIG)
+    if not 0.0 < c < 1.0:  # the full cap c = 1 has T = 0, whose log the fit cannot take
+        raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
+    values = boundary_difference_quotient(KernelKind.HYPERBOLIC_HARMONIC, CapSpec(n, c), _HOPF_RADII)
     gap = np.array([1.0 - r for r in _HOPF_RADII])
     x = np.log(gap)
-    y = np.log(np.array(values))
+    y = np.log(values)
     design = np.column_stack([np.ones_like(x), x, gap, gap * gap])
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     return HopfScanResult(
@@ -702,7 +699,7 @@ def majorant_radial_slope(
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all((0.0 <= radii) & (radii < 1.0 - _SLOPE_STEP)):
         raise DomainError("slope stencil must stay inside [0, 1)")
-    hemisphere = CapSpec(n=m, c=0.5, alpha=0.5 * math.pi)
+    hemisphere = CapSpec(m, 0.5)
     stencil = np.concatenate((radii + _SLOPE_STEP, radii - _SLOPE_STEP))
     upper, lower = np.split(envelope_upper(KernelKind.HARMONIC, hemisphere, stencil, config), 2)
     slopes = (upper - lower) / (2.0 * _SLOPE_STEP)

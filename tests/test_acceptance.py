@@ -35,7 +35,7 @@ from ballschwarz import (
     real_adjoint,
     schwarz_planar_bound,
 )
-from ballschwarz.envelope import cap_angle_from_measure
+from ballschwarz.envelope import CapSpec
 from ballschwarz.hilbert_ball import MobiusParams
 from ballschwarz.verify import random_zonal_profile
 from ballschwarz.cli import main as cli_main
@@ -129,7 +129,7 @@ def test_criterion_06_hopf_failure():
         ok &= abs(scan.slope - (n - 2)) <= 0.02
         ok &= abs(scan.coefficient - d_n) / d_n <= 0.01
         # one-sided boundary derivative of the hyperbolic envelope -> 0
-        cap = cap_angle_from_measure(n, 0.5)
+        cap = CapSpec(n, 0.5)
         quotients = [
             boundary_difference_quotient(HYP, cap, 1.0 - 2.0**-k) for k in range(4, 15)
         ]

@@ -248,7 +248,12 @@ def test_envelope_origin_and_full_cap_rows(capsys):
         if float(row["r"]) == 0.0:
             assert abs(float(row["M_upper"]) - (2.0 * float(row["c"]) - 1.0)) < 1e-9
         if float(row["c"]) == 1.0:
-            assert abs(float(row["M_upper"]) - 1.0) < 1e-9
+            assert (row["M_upper"], row["m_lower"]) == ("1", "1")
+    # the full cap alone, at the default radii
+    code, out = _run(capsys, ["envelope", "--n", "3", "--c-grid", "1"])
+    assert code == 0
+    rows = "".join(f"harmonic,3,1,{r},1,1\n" for r in ("0", "0.2", "0.4", "0.6", "0.8"))
+    assert out == "kind,n,c,r,M_upper,m_lower\n" + rows
 
 
 def test_envelope_at_dimension_20000_prints_no_overflow_warning(capsys):
@@ -547,6 +552,15 @@ def test_hopf_past_the_normal_doubles_exits_with_domain_code(capsys, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"n={n}" in captured.err
+
+
+@pytest.mark.parametrize("c", ["1", "0"])
+def test_hopf_at_the_full_and_the_empty_cap_exits_with_domain_code(capsys, c):
+    # the full cap is a cap, but its T is 0, whose log the fit cannot take
+    assert main(["hopf", "--n", "3", "--c-grid", c]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"domain error: cap measure must lie in (0, 1), got {float(c)!r}\n"
 
 
 def test_constants_outside_the_doubles_exit_with_domain_code(capsys):

@@ -72,34 +72,33 @@ def test_kernel_exponent_pairs():
 
 def test_cap_angle_planar_is_linear():
     for c in (0.1, 0.25, 0.5, 0.9):
-        assert cap_angle_from_measure(2, c).alpha == pytest.approx(math.pi * c, abs=1e-12)
+        assert cap_angle_from_measure(2, c) == pytest.approx(math.pi * c, abs=1e-12)
 
 
 def test_cap_angle_three_dimensional_closed_form():
     for c in (0.05, 0.3, 0.5, 0.8):
-        assert cap_angle_from_measure(3, c).alpha == pytest.approx(
+        assert cap_angle_from_measure(3, c) == pytest.approx(
             math.acos(1.0 - 2.0 * c), abs=1e-12
         )
 
 
 def test_half_measure_is_hemisphere_in_every_dimension():
     for n in range(2, 65):
-        assert cap_angle_from_measure(n, 0.5).alpha == math.pi / 2.0
+        assert cap_angle_from_measure(n, 0.5) == math.pi / 2.0
 
 
 def test_cap_angle_roundtrip_and_monotonicity():
     for n in (4, 6, 16, 64):
         previous = 0.0
         for c in np.linspace(0.05, 0.95, 10):
-            cap = cap_angle_from_measure(n, float(c))
-            assert cap_measure_from_angle(n, cap.alpha) == pytest.approx(c, abs=1e-12)
-            assert cap.alpha > previous
-            previous = cap.alpha
+            alpha = cap_angle_from_measure(n, float(c))
+            assert cap_measure_from_angle(n, alpha) == pytest.approx(c, abs=1e-12)
+            assert alpha > previous
+            previous = alpha
 
 
-# measures per inversion before the inverter built its own cap: its Newton
-# measures, then one more in the consistency check of CapSpec
-_MEASURES_WITH_RECHECK = {0.05: 7, 0.1: 6, 0.3: 5, 0.45: 4, 0.7: 5, 0.95: 7}
+# measures per cap: one per Newton step after the first, none to check the cap
+_MEASURES_PER_CAP = {0.05: 6, 0.1: 5, 0.3: 4, 0.45: 3, 0.7: 4, 0.95: 6}
 
 
 def test_cap_inversion_needs_few_measure_quadratures(monkeypatch):
@@ -110,16 +109,17 @@ def test_cap_inversion_needs_few_measure_quadratures(monkeypatch):
         calls.append(alpha)
         return kernel(n, star, alpha)
 
-    # the one measure kernel: the public measure and CapSpec's check both reach it
+    # the one measure kernel: every Newton step reaches it
     monkeypatch.setattr(ballschwarz.envelope, "_cap_measure", counting)
     for n in (4, 5, 8, 16, 32, 64):
-        for c, measures in _MEASURES_WITH_RECHECK.items():
+        for c, measures in _MEASURES_PER_CAP.items():
             calls.clear()
-            cap = cap_angle_from_measure(n, c)
-            assert len(calls) == measures - 1, (n, c, len(calls))  # no recheck
-            calls.clear()
-            CapSpec(n=n, c=c, alpha=cap.alpha)
-            assert len(calls) >= 1  # a hand-built cap still measures itself
+            CapSpec(n, c)
+            assert len(calls) == measures, (n, c, len(calls))
+    calls.clear()
+    CapSpec(8, 0.5)
+    CapSpec(8, 1.0)
+    assert calls == []  # the hemisphere's first step is exact, the full cap is pi
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -129,6 +129,14 @@ def test_cap_inversion_raises_when_measure_never_reaches_target(monkeypatch, n):
         cap_angle_from_measure(n, 0.3)
 
 
+def test_cap_inversion_refuses_an_angle_outside_the_sphere(monkeypatch):
+    # a slope that sends the first step from pi/2 to exactly 0, where the measure then reads c
+    monkeypatch.setattr(ballschwarz.envelope, "sigma_star", lambda n: 0.25 / (0.5 * math.pi))
+    monkeypatch.setattr(ballschwarz.envelope, "_cap_measure", lambda n, star, alpha: 0.25)
+    with pytest.raises(DomainError, match=r"^cap angle must lie in \(0, pi\], got 0\.0$"):
+        cap_angle_from_measure(2, 0.25)
+
+
 _BENCH_MEASURES = sorted({0.1, 0.3, 0.5, 0.7, 0.9} | {0.5 * (1.0 + a) for a in (
     -0.9, -0.75, -0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9)})
 _TINY_MEASURES = [1e-6, 1e-12, 1e-20, 1e-28, 1.0 - 1e-6, 1.0 - 1e-12]
@@ -136,24 +144,25 @@ _TINY_MEASURES = [1e-6, 1e-12, 1e-20, 1e-28, 1.0 - 1e-6, 1.0 - 1e-12]
 
 @pytest.mark.parametrize("n", [*range(2, 65), 1080, 2055, 19999])
 def test_inverted_caps_equal_the_checked_cap(n):
+    # what the constructor's re-measure of a cap guaranteed, now of the inverter itself
     for c in _BENCH_MEASURES + _TINY_MEASURES:
         try:
-            cap = cap_angle_from_measure(n, c)
+            alpha = cap_angle_from_measure(n, c)
         except AccuracyError:
             assert c < 1e-12 and n > 2, (n, c)  # too tiny for 100 Newton steps
             continue
-        checked = CapSpec(n=n, c=c, alpha=cap.alpha)
-        assert cap == checked and hash(cap) == hash(checked) and repr(cap) == repr(checked)
-        assert type(cap.n) is int and type(cap.c) is float and type(cap.alpha) is float
+        assert type(alpha) is float and 0.0 < alpha <= math.pi, (n, c)
+        assert abs(cap_measure_from_angle(n, alpha) - c) <= 1e-10, (n, c)
+        cap = CapSpec(n, c)
+        assert cap.alpha == alpha and cap == CapSpec(n, c) and hash(cap) == hash(CapSpec(n, c))
+        assert type(cap.n) is int and type(cap.c) is float
 
 
-def test_a_cap_whose_last_residual_misses_the_tolerance_is_checked():
-    cap = ballschwarz.envelope._measured_cap(3, 0.5, 0.5 * math.pi, 1e-10)
-    assert cap == CapSpec(n=3, c=0.5, alpha=0.5 * math.pi)
-    with pytest.raises(DomainError, match="disagree"):
-        ballschwarz.envelope._measured_cap(3, 0.3, 1.0, 2e-10)
-    with pytest.raises(DomainError, match="cap angle must lie in"):
-        ballschwarz.envelope._measured_cap(3, 0.3, 0.0, 0.0)
+@pytest.mark.parametrize("n", [*range(2, 65), 1080, 2055, 19999])
+def test_hemisphere_and_full_caps_have_exact_angles(n):
+    assert CapSpec(n, 0.5).alpha == 0.5 * math.pi
+    assert CapSpec(n, 1.0).alpha == math.pi
+    assert type(CapSpec(float(n), 0.5).n) is int
 
 
 def _mp_cap_measure(n, alpha):
@@ -166,9 +175,9 @@ def _mp_cap_measure(n, alpha):
 @pytest.mark.parametrize("c", [1e-20, 1e-24, 1e-28])
 def test_tiny_caps_invert_to_the_angle_of_their_measure(n, c):
     # an absolute stop of 1e-13 on the angle left the measure 10 times too large at n = 3, c = 1e-28
-    cap = cap_angle_from_measure(n, c)
+    alpha = cap_angle_from_measure(n, c)
     with mpmath.workdps(50):
-        assert abs(_mp_cap_measure(n, cap.alpha) / mpmath.mpf(c) - 1) <= 1e-14, (n, c)
+        assert abs(_mp_cap_measure(n, alpha) / mpmath.mpf(c) - 1) <= 1e-14, (n, c)
 
 
 def test_a_cap_too_tiny_for_the_newton_budget_raises():
@@ -192,20 +201,26 @@ def test_cap_domain_errors():
             cap_angle_from_measure(3, bad)
     with pytest.raises(DomainError):
         cap_angle_from_measure(1, 0.5)
-    with pytest.raises(DomainError):
-        CapSpec(n=3, c=0.5, alpha=1.0)  # inconsistent pair
+    for bad in (0.0, -0.2, 1.3, math.nan):
+        with pytest.raises(DomainError, match=r"cap measure must lie in \(0, 1\]"):
+            CapSpec(3, bad)
+    for n in (1, 2.5):
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            CapSpec(n, 0.5)
+    with pytest.raises(TypeError):
+        CapSpec(3, 0.5, 1.0)  # the angle is derived from (n, c), never given
 
 
 def test_envelopes_at_origin_equal_recentred_measure():
     for kind in (HARM, HYP):
         for n, c in [(2, 0.3), (3, 0.5), (4, 0.7), (5, 0.2)]:
-            cap = cap_angle_from_measure(n, c)
+            cap = CapSpec(n, c)
             assert envelope_upper(kind, cap, 0.0) == pytest.approx(2.0 * c - 1.0, abs=1e-10)
             assert envelope_lower(kind, cap, 0.0) == pytest.approx(2.0 * c - 1.0, abs=1e-10)
 
 
 def test_full_sphere_cap_gives_constant_one():
-    full = CapSpec(n=3, c=1.0, alpha=math.pi)
+    full = CapSpec(3, 1.0)
     for kind in (HARM, HYP):
         for r in (0.0, 0.4, 0.9, 0.9999):
             assert envelope_upper(kind, full, r) == pytest.approx(1.0, abs=1e-10)
@@ -217,8 +232,8 @@ def test_lower_envelope_is_reflected_complement_upper():
     r_grid = np.linspace(0.0, 0.95, 20)
     for kind in (HARM, HYP):
         for c in c_grid:
-            cap = cap_angle_from_measure(3, float(c))
-            comp = cap_angle_from_measure(3, float(1.0 - c))
+            cap = CapSpec(3, float(c))
+            comp = CapSpec(3, float(1.0 - c))
             for r in r_grid:
                 lower = envelope_lower(kind, cap, float(r))
                 upper = envelope_upper(kind, comp, float(r))
@@ -228,7 +243,7 @@ def test_lower_envelope_is_reflected_complement_upper():
 def test_envelope_sandwich_strictness():
     # m(0) = M(0) = 2c - 1 exactly, so the comparison carries quadrature slack.
     for kind in (HARM, HYP):
-        cap = cap_angle_from_measure(3, 0.35)
+        cap = CapSpec(3, 0.35)
         for r in np.linspace(0.0, 0.95, 8):
             lower = envelope_lower(kind, cap, float(r))
             upper = envelope_upper(kind, cap, float(r))
@@ -238,7 +253,7 @@ def test_envelope_sandwich_strictness():
 
 def test_upper_envelope_monotone_in_radius():
     for kind in (HARM, HYP):
-        cap = cap_angle_from_measure(3, 0.3)
+        cap = CapSpec(3, 0.3)
         values = [envelope_upper(kind, cap, r) for r in np.arange(0.0, 0.96, 0.05)]
         diffs = np.diff(values)
         assert np.all(diffs >= -1e-12)
@@ -246,7 +261,7 @@ def test_upper_envelope_monotone_in_radius():
 
 def test_upper_envelope_tends_to_one():
     for kind in (HARM, HYP):
-        cap = cap_angle_from_measure(3, 0.3)
+        cap = CapSpec(3, 0.3)
         values = [envelope_upper(kind, cap, 1.0 - 10.0**-k) for k in range(1, 7)]
         assert np.all(np.diff(values) > 0.0)
         assert values[-1] > 1.0 - 1e-4
@@ -257,7 +272,7 @@ def test_upper_envelope_matches_large_monte_carlo():
     # hemisphere data 2 chi - 1, within three standard errors.
     from ballschwarz import BoundaryMap, monte_carlo_extension
 
-    cap = cap_angle_from_measure(3, 0.5)
+    cap = CapSpec(3, 0.5)
     quadrature_value = envelope_upper(HARM, cap, 0.9)
 
     gmap = BoundaryMap(n=3, m=1, eval=lambda eta: np.sign(eta[:, :1]))
@@ -271,7 +286,7 @@ def test_planar_lower_envelope_matches_disc_closed_form():
     # the hyperbolic closed form by a separate path
     from ballschwarz.disc import arc_extension
 
-    cap = cap_angle_from_measure(2, 0.25)
+    cap = CapSpec(2, 0.25)
     live = 2.0 * arc_extension(0.5 + 0.0j, math.pi - cap.alpha, math.pi + cap.alpha) - 1.0
     for kind in (HARM, HYP):
         value = envelope_lower(kind, cap, 0.5)
@@ -283,7 +298,7 @@ def test_hyperbolic_one_sided_quotient_vanishes():
     # (1 - M)/(1 - r) decreasing to 0 along r = 1 - 2^-k: the boundary
     # derivative of the hyperbolic envelope is zero.
     for n in (3, 4):
-        cap = cap_angle_from_measure(n, 0.5)
+        cap = CapSpec(n, 0.5)
         quotients = []
         for k in range(4, 15):
             r = 1.0 - 2.0**-k
@@ -293,7 +308,7 @@ def test_hyperbolic_one_sided_quotient_vanishes():
 
 
 def test_difference_quotient_consistent_with_envelope():
-    cap = cap_angle_from_measure(3, 0.4)
+    cap = CapSpec(3, 0.4)
     for kind in (HARM, HYP):
         r = 0.9
         reference = (1.0 - _mp_envelopes(kind, cap, r)[0]) / (1.0 - r)
@@ -321,7 +336,7 @@ def test_harmonic_quotient_at_large_dimension_meets_a_relative_tolerance(n, c, r
     1e-50, which an unscaled g of 1e-90 meets at once.  Tanh-sinh and
     Gauss-Legendre agree to every printed digit, on 400 and 1000 subintervals.
     """
-    cap = cap_angle_from_measure(n, c)
+    cap = CapSpec(n, c)
     value = boundary_difference_quotient(HARM, cap, r, QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10))
     assert value == pytest.approx(reference, rel=1e-10, abs=0.0)
 
@@ -332,7 +347,7 @@ def test_hyperbolic_quotient_matches_mpmath_on_the_hopf_radii(n, c):
     # T(r) = 2 sigma_star (1-r)^{n-2} (1+r)^{n-1} int_alpha^pi of the kernel,
     # at the library's own alpha so that only the closed form is tested; the
     # factored quadrature that preceded it missed this by 2.1e-5 at n = 64
-    cap = cap_angle_from_measure(n, c)
+    cap = CapSpec(n, c)
     with mpmath.workdps(40):
         half = mpmath.mpf(n) / 2
         star = mpmath.gamma(half) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(half - mpmath.mpf(1) / 2))
@@ -359,7 +374,7 @@ def _quadrature_hyperbolic_quotient(cap, r):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
 def test_hyperbolic_quotient_matches_the_factored_quadrature(n):
     for c in (0.1, 0.5, 0.9):
-        cap = cap_angle_from_measure(n, c)
+        cap = CapSpec(n, c)
         for r in (0.0, 0.3, 0.9, 0.99, 1.0 - 2.0**-10):
             value = boundary_difference_quotient(HYP, cap, r)
             _assert_rel(value, _quadrature_hyperbolic_quotient(cap, r), 1e-12, (c, r))
@@ -374,7 +389,7 @@ def test_difference_quotient_at_the_sphere(n):
     # hyperbolic one with n > 2, and the planar 2 cot(alpha/2) / pi for both
     # at n = 2, where the closed form's 0/0 takes its limit
     for c in (0.3, 0.5, 0.9):
-        cap = cap_angle_from_measure(n, c)
+        cap = CapSpec(n, c)
         harmonic = boundary_difference_quotient(HARM, cap, 1.0)
         hyperbolic = boundary_difference_quotient(HYP, cap, 1.0)
         assert harmonic == pytest.approx(boundary_derivative_harmonic(n, 2.0 * c - 1.0), rel=1e-10), c
@@ -395,13 +410,13 @@ def test_envelopes_match_mpmath_near_the_sphere(kind, n):
     # hyperbolic closed form is held to rounding.
     tol = 1e-14 if kind is HYP else 1e-11
     for c in (0.3, 0.5):
-        cap = cap_angle_from_measure(n, c)
+        cap = CapSpec(n, c)
         for r in (0.99, 0.998, 0.9989, 0.9995, -0.9995):
             upper, lower = _mp_envelopes(kind, cap, r)
             assert envelope_upper(kind, cap, r) == pytest.approx(upper, abs=tol), (c, r)
             assert envelope_lower(kind, cap, r) == pytest.approx(lower, abs=tol), (c, r)
     # the full cap: data 1 everywhere, so M = m = 1 at every radius
-    full = CapSpec(n=n, c=1.0, alpha=math.pi)
+    full = CapSpec(n, 1.0)
     for r in (0.9995, -0.9995):
         assert envelope_upper(kind, full, r) == pytest.approx(1.0, abs=1e-11), r
         assert envelope_lower(kind, full, r) == pytest.approx(1.0, abs=1e-11), r
@@ -433,7 +448,7 @@ def test_boundary_derivative_decreasing_in_base_value():
 def test_boundary_derivative_agrees_with_finite_difference():
     # Central difference of the envelope at r = 1 - 1e-4 vs the limit formula.
     n, a = 3, 0.2
-    cap = cap_angle_from_measure(n, 0.5 * (1.0 + a))
+    cap = CapSpec(n, 0.5 * (1.0 + a))
     r = 1.0 - 1e-4
     step = 1e-5
     slope = (envelope_upper(HARM, cap, r + step) - envelope_upper(HARM, cap, r - step)) / (
@@ -501,7 +516,7 @@ def test_hyperbolic_decay_coefficient_domain():
 
 
 def test_envelope_radius_domain():
-    cap = cap_angle_from_measure(3, 0.5)
+    cap = CapSpec(3, 0.5)
     with pytest.raises(DomainError):
         envelope_upper(HARM, cap, 1.0)
     with pytest.raises(DomainError):
@@ -535,7 +550,7 @@ def _mp_angle(n, c):
     c = mpmath.mpf(c)
     if c == MP_HALF:
         return mpmath.pi / 2
-    alpha = mpmath.mpf(cap_angle_from_measure(n, float(c)).alpha)
+    alpha = mpmath.mpf(cap_angle_from_measure(n, float(c)))
     for _ in range(3):
         alpha -= (_mp_measure(n, alpha) - c) / (_mp_star(n) * mpmath.sin(alpha) ** (n - 2))
     return alpha
@@ -573,7 +588,7 @@ def test_small_caps_in_three_dimensions_keep_their_digits():
         measure = float(_mp_measure(3, 1e-6))
         angle = float(2 * mpmath.asin(mpmath.sqrt(mpmath.mpf(1e-12))))
     _assert_rel(cap_measure_from_angle(3, 1e-6), measure, 1e-13)
-    _assert_rel(cap_angle_from_measure(3, 1e-12).alpha, angle, 1e-13)
+    _assert_rel(cap_angle_from_measure(3, 1e-12), angle, 1e-13)
 
 
 def test_beta_fraction_raises_past_its_term_budget():
@@ -644,7 +659,7 @@ TIGHT = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-13)
 
 def _old_boundary_derivative(n, a):
     """D_n(a) from its limiting integrand, as computed before the closed form."""
-    alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a)).alpha
+    alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a))
     star = sigma_star(n)
     tail = integrate_rows(lambda t: np.sin(t) ** (n - 2) / np.sin(0.5 * t) ** n, alpha, math.pi, TIGHT)[0]
     return 2.0 ** (2 - n) * star * tail
@@ -652,7 +667,7 @@ def _old_boundary_derivative(n, a):
 
 def _old_decay_coefficient(n, c):
     """d_n = 2^n sigma_star int_alpha^pi 4^{1-n} sin^{n-2}t sin^{-2(n-1)}(t/2) dt."""
-    alpha = cap_angle_from_measure(n, c).alpha
+    alpha = cap_angle_from_measure(n, c)
     star = sigma_star(n)
 
     def q_hyp(t):
@@ -714,7 +729,7 @@ def test_harmonic_envelope_table_makes_two_engine_calls_per_cap(engine_calls, ca
 def test_array_radii_match_the_scalar_envelopes(kind, n):
     radii = np.array([-0.999, -0.5, -0.0, 0.0, 0.3, 0.9, 0.999])
     for c in (0.1, 0.5, 0.9, 1.0):
-        cap = CapSpec(n=n, c=1.0, alpha=math.pi) if c == 1.0 else cap_angle_from_measure(n, c)
+        cap = CapSpec(n, c)
         for envelope in (envelope_upper, envelope_lower):
             values = envelope(kind, cap, radii)
             assert isinstance(values, np.ndarray) and values.shape == radii.shape
@@ -730,7 +745,7 @@ def test_one_envelope_pass_has_the_bits_of_each_side(kind, n):
     radii = [-0.999, -0.5, -0.0, 0.0, 0.3, 0.9, 0.999]
     config = QuadratureConfig()
     for c in (0.1, 0.5, 0.9, 1.0):
-        cap = CapSpec(n=n, c=1.0, alpha=math.pi) if c == 1.0 else cap_angle_from_measure(n, c)
+        cap = CapSpec(n, c)
         for r in (radii, np.array(radii), 0.3, -0.5, 0.0, 0):
             upper, lower = ballschwarz.envelope._envelope(kind, cap, r, "Mm", config)
             assert ballschwarz.envelope._envelope(kind, cap, r, "M", config) == [upper]
@@ -769,7 +784,7 @@ def test_the_envelope_table_makes_one_pass_per_cap(monkeypatch, capsys, kind):
 
 
 def test_array_radii_outside_the_ball_raise_naming_the_radius():
-    cap = cap_angle_from_measure(3, 0.5)
+    cap = CapSpec(3, 0.5)
     for bad in (1.0, -1.5, math.nan):
         with pytest.raises(DomainError, match=f"got {bad!r}"):
             envelope_upper(HARM, cap, np.array([0.2, bad, 0.4]))
@@ -777,12 +792,40 @@ def test_array_radii_outside_the_ball_raise_naming_the_radius():
             envelope_lower(HYP, cap, [0.2, bad])
 
 
+@pytest.mark.parametrize("kind", [HARM, HYP])
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_array_radii_match_the_scalar_difference_quotients(kind, n):
+    radii = [0.0, 0.3, 0.9, 0.999, 1.0 - 2.0**-14, 1.0]
+    for c in (0.1, 0.5, 0.9, 1.0):
+        cap = CapSpec(n, c)
+        for r in (radii, np.array(radii), tuple(radii)):
+            values = boundary_difference_quotient(kind, cap, r)
+            assert isinstance(values, np.ndarray) and values.shape == (len(radii),)
+            if kind is HYP or n == 2:  # a closed form per radius: the bits of the scalar call
+                for x, value in zip(radii, values.tolist()):
+                    scalar = boundary_difference_quotient(kind, cap, x)
+                    assert type(scalar) is float and scalar.hex() == value.hex(), (c, x)
+            else:  # one quadrature over all the radii as rows
+                scalars = [boundary_difference_quotient(kind, cap, x) for x in radii]
+                assert np.allclose(values, scalars, rtol=1e-9, atol=1e-10), c
+    cap = CapSpec(n, 0.5)
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError, match=rf"^difference quotient needs 0 <= r <= 1, got {bad!r}$"):
+            boundary_difference_quotient(kind, cap, [0.2, bad])
+
+
 @pytest.mark.parametrize("n", [76, 80])
 def test_difference_quotient_below_the_normal_doubles_raises(n):
     # (1-r) T / 2 at r = 1 - 2^-14 is subnormal at n = 76 and 0 at n = 80
-    cap = cap_angle_from_measure(n, 0.5)
-    with pytest.raises(DomainError, match=f"n={n}"):
-        boundary_difference_quotient(HYP, cap, 1.0 - 2.0**-14)
+    cap = CapSpec(n, 0.5)
+    r = 1.0 - 2.0**-14
+    with pytest.raises(DomainError, match=f"n={n}") as single:
+        boundary_difference_quotient(HYP, cap, r)
+    assert str(single.value).startswith(f"T(r) for n={n}, c=0.5 at r={r!r} is ")
+    # an array raises for the first radius that underflows, with the message of that radius alone
+    with pytest.raises(DomainError) as first:
+        boundary_difference_quotient(HYP, cap, [0.5, r, 1.0 - 2.0**-20])
+    assert str(first.value) == str(single.value)
     # the envelope itself is the double nearest 1 - (1-r) T, which is 1
     assert envelope_upper(HYP, cap, 1.0 - 2.0**-14) == 1.0
 

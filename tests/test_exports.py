@@ -8,7 +8,6 @@ import ballschwarz
 # exported with no caller yet, and why it stays
 UNCALLED = {
     "envelope_lower": "the public m_c^n at one side; the CLI and the sandwich take M and m from one envelope pass",
-    "boundary_difference_quotient": "the public T(r) at one radius; the Hopf scan takes its 11 radii in one pass",
 }
 
 

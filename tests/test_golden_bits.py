@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from ballschwarz import (
+    CapSpec,
     KernelKind,
     MobiusParams,
     ZonalBoundaryData,
@@ -51,7 +52,7 @@ def _hex(values) -> list[str]:
 
 def envelope_values(n: int, c: float) -> list[str]:
     """M and m over GRID, then M and m at the single radius, as hex strings."""
-    cap = cap_angle_from_measure(n, c)
+    cap = CapSpec(n, c)
     kind = KernelKind.HARMONIC
     return (_hex(envelope_upper(kind, cap, GRID)) + _hex(envelope_lower(kind, cap, GRID))
             + _hex(envelope_upper(kind, cap, SINGLE)) + _hex(envelope_lower(kind, cap, SINGLE)))
@@ -73,7 +74,7 @@ def offaxis_values(profile: str, n: int) -> list[str]:
     ``float.hex``, or for a refusal the exception's type and message and the ``float.hex`` of its estimate."""
     axis = np.eye(n)[0]
     if profile == "cap":
-        alpha = cap_angle_from_measure(n, 0.65).alpha
+        alpha = cap_angle_from_measure(n, 0.65)
         data = ZonalBoundaryData(n=n, axis=axis, profile=lambda t: np.where(np.asarray(t) <= alpha, 1.0, -1.0),
                                  breakpoints=(alpha,))
     else:

@@ -35,13 +35,46 @@ def test_a_tree_audited_against_itself_moves_nothing(monkeypatch, capsys):
     assert all(float(a) == float(a) for a, _ in offaxis)
     assert all(error is None and float(value) == float(value) for _, points in offaxis for value, error in points)
     assert audit.compare_offaxis(some, offaxis, offaxis) == ([], [])
+    # two edge argv, one of them a refusal, and one that the plans already hold
+    edges = [["hopf", "--n", "3", "--c-grid", "1"], ["envelope", "--n", "3", "--c-grid", "1"], few[0]]
+    cells += len(audit.run_tree(ROOT, edges[1:2])[0][3])
     monkeypatch.setattr(audit, "plan_argvs", lambda: few)
+    monkeypatch.setattr(audit, "EDGE_ARGVS", edges)
     monkeypatch.setattr(audit, "plan_offaxis", lambda: some)
     assert audit.main([str(ROOT), str(ROOT)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith(f"0 moved of {len(few)} argv")
+    assert out[0].startswith(f"0 moved of {len(few) + 2} argv (tables/checks plans, seeds 1, 2, 7, and 2 edge argv)")
     assert out[1].startswith(f"0 moved of {sum(len(item['points']) for item in some)} offaxis points and 0 of 2")
     assert out[2] == f"0 moved of {cells} float cells in float.hex (every row handed to cli._emit)"
+
+
+def test_the_edge_argv_reach_the_full_cap_the_empty_cap_a_tiny_cap_and_the_refusals():
+    audit = _audit_module()
+    edges = audit.EDGE_ARGVS
+    plans = {tuple(argv) for argv in audit.plan_argvs()}
+    assert len({tuple(argv) for argv in edges}) == len(edges) and not plans & {tuple(argv) for argv in edges}
+    for command in ("envelope", "hopf"):
+        grids = {value for argv in edges if argv[0] == command
+                 for value in argv[argv.index("--c-grid") + 1].split(",")}
+        assert {"1", "0", "1e-28"} <= grids, command
+    assert {"harmonic", "hyperbolic"} <= {argv[-1] for argv in edges if argv[0] == "envelope"}
+    a_values = {value for argv in edges if argv[0] == "constants"
+                for flag in argv if flag.startswith("--a-grid=") for value in flag.split("=")[1].split(",")}
+    assert {"-0.999999999999", "0.999999999999"} <= a_values
+    results = audit.run_tree(ROOT, edges)
+    outcome = {" ".join(argv): (rc, err) for argv, (rc, _, err, _) in zip(edges, results)}
+    # the refusals keep their exit code and their one line on stderr; every other edge prints rows
+    assert outcome["hopf --n 3 --c-grid 1"] == (2, "domain error: cap measure must lie in (0, 1), got 1.0\n")
+    assert outcome["hopf --n 3 --c-grid 0"] == (2, "domain error: cap measure must lie in (0, 1), got 0.0\n")
+    for argv, (rc, out, err, cells) in zip(edges, results):
+        if rc == 0:
+            assert err == "" and cells and out.count("\n") > 1, argv
+        else:
+            assert rc == 2 and out == "" and err.startswith("domain error: "), argv
+    # the full cap's rows are M = m = 1 at every radius, a negative one included
+    full = next(cells for argv, (*_, cells) in zip(edges, results) if argv[0] == "envelope" and argv[4] == "1")
+    assert {value for label, value in full if label.split()[0] in ("M_upper", "m_lower")} == {(1.0).hex()}
+    assert audit.compare_bits(edges, results, results) == ([], sum(len(cells) for *_, cells in results))
 
 
 def test_the_audit_names_a_moved_number():
@@ -97,6 +130,7 @@ def test_the_bit_audit_names_a_value_moved_by_one_ulp(monkeypatch, capsys):
     assert audit.compare_bits([argv], [result([lam, bound])], [result([lam])]) == ([(argv, bound, None)], 2)
     # main names it and counts it in its exit status, though the printed 12 digits are the same
     monkeypatch.setattr(audit, "plan_argvs", lambda: [argv])
+    monkeypatch.setattr(audit, "EDGE_ARGVS", [])
     monkeypatch.setattr(audit, "plan_offaxis", lambda: [])
     monkeypatch.setattr(audit, "run_tree",
                         lambda tree, argvs: [result([lam, bound] if str(tree) == "parent" else [nudged, bound])])

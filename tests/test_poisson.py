@@ -5,10 +5,10 @@ import pytest
 
 from ballschwarz import (
     BoundaryMap,
+    CapSpec,
     DomainError,
     KernelKind,
     ZonalBoundaryData,
-    cap_angle_from_measure,
     envelope_upper,
     monte_carlo_extension,
     radial_derivative_estimate,
@@ -28,7 +28,7 @@ def _axis(n):
 
 
 def _cap_data(n, c):
-    cap = cap_angle_from_measure(n, c)
+    cap = CapSpec(n, c)
     alpha = cap.alpha
 
     def profile(t):
@@ -192,13 +192,13 @@ def test_radial_derivative_linear_function():
 
 
 def test_radial_derivative_planar_envelope():
-    cap = cap_angle_from_measure(2, 0.5)
+    cap = CapSpec(2, 0.5)
     estimate = radial_derivative_estimate(lambda r: envelope_upper(HARM, cap, r))
     assert estimate == pytest.approx(2.0 / math.pi, abs=1e-4)
 
 
 def test_radial_derivative_hyperbolic_envelope_vanishes():
-    cap = cap_angle_from_measure(3, 0.5)
+    cap = CapSpec(3, 0.5)
     estimate = radial_derivative_estimate(lambda r: envelope_upper(HYP, cap, r))
     assert abs(estimate) < 1e-3
 

@@ -153,7 +153,7 @@ def test_offaxis_series_matches_nested_quadrature(n):
     rng = np.random.Generator(np.random.Philox(700 + n))
     rhos = (0.1, 0.5, 0.9, 0.95)
     a = float(rng.uniform(-0.8, 0.8))
-    alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a)).alpha
+    alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a))
     cap = ZonalBoundaryData(n=n, axis=_axis(n), profile=_step(np.array([1.0, -1.0]), np.array([alpha])),
                             breakpoints=(alpha,))
     cuts = np.sort(rng.uniform(0.15, math.pi - 0.15, 2))
@@ -265,7 +265,7 @@ def test_offaxis_values_have_the_bits_of_the_term_by_term_loop(n):
     # random cap extremals and three-step profiles; points anywhere, near an edge and near the axis
     rng = np.random.Generator(np.random.Philox(900 + n))
     cuts = np.sort(rng.uniform(0.15, math.pi - 0.15, 2))
-    alpha = cap_angle_from_measure(n, float(rng.uniform(0.1, 0.9))).alpha
+    alpha = cap_angle_from_measure(n, float(rng.uniform(0.1, 0.9)))
     cases = [_cuts_data(n, (alpha,), (1.0, -1.0)), _cuts_data(n, tuple(cuts), (1.0, *rng.uniform(-1.0, 1.0, 2)))]
     refused = 0
     for data in cases:
@@ -439,7 +439,7 @@ def test_sandwich_makes_one_envelope_pass(kind, monkeypatch):
 
 def _sandwich_per_radius(kind, data, grid):
     a = zonal_extension_on_axis(kind, data, 0.0)
-    cap = cap_angle_from_measure(data.n, 0.5 * (1.0 + a))
+    cap = CapSpec(data.n, 0.5 * (1.0 + a))
     worst = -math.inf
     for r in grid:
         h = zonal_extension_on_axis(kind, data, r)
@@ -565,7 +565,7 @@ def test_hemisphere_majorant_axis_equality():
     gmap = BoundaryMap(n=3, m=1, eval=sign_data)
     x = np.array([0.0, 0.0, 0.6])
     estimate, stderr = monte_carlo_extension(HARM, gmap, x, 200_000, seed=8)
-    hemisphere = CapSpec(n=3, c=0.5, alpha=math.pi / 2.0)
+    hemisphere = CapSpec(3, 0.5)
     majorant = envelope_upper(HARM, hemisphere, 0.6)
     assert abs(abs(estimate[0]) - majorant) <= 4.0 * stderr[0]
 
@@ -606,6 +606,10 @@ def test_hopf_scan_domain():
     assert hopf_failure_scan(73, 0.5).values[-1] > 0.0
     with pytest.raises(DomainError, match="n=74"):
         hopf_failure_scan(74, 0.5)
+    # the full cap is a cap, but its T is 0, whose log the fit cannot take
+    for c in (0.0, 1.0):
+        with pytest.raises(DomainError, match=rf"cap measure must lie in \(0, 1\), got {c!r}"):
+            hopf_failure_scan(3, c)
 
 
 def test_majorant_slope_at_origin():
@@ -748,7 +752,7 @@ def _majorant_trials(n, m, trials, seed):
 
 def _majorant_per_trial(n, m, trials, seed):
     """lam, worst radius and boundary residual of the majorant row, one series and one envelope call per trial."""
-    hemisphere = CapSpec(n=n, c=0.5, alpha=0.5 * math.pi)
+    hemisphere = CapSpec(n, 0.5)
     worst, worst_radius, residual = -math.inf, math.nan, 0.0
     for waves, radii, x in _majorant_trials(n, m, trials, seed):
         values = _series_per_map(waves, x)

@@ -4,8 +4,11 @@
 
 The argv are every distinct ``argv`` of ``perfbench/workloads.plan(w, s)``
 for w in ``tables`` and ``checks`` and s in 1, 2 and 7, in plan order, taken
-from this checkout's ``perfbench/`` (imported, never written to).  Each
-tree runs all of them in one subprocess of its own, with ``PYTHONPATH``
+from this checkout's ``perfbench/`` (imported, never written to), then the
+fixed ``EDGE_ARGVS``: the ``envelope`` and ``hopf`` rows of the full cap
+c = 1, of c = 0 and of a tiny cap, and ``constants`` at a next to -1 and 1,
+which the plans do not reach; several of them are refusals.  Each tree
+runs all of them in one subprocess of its own, with ``PYTHONPATH``
 set to the tree's ``src`` (then this ``tools`` directory), as in-process
 ``cli.main(argv)`` calls with ``cli._emit`` wrapped to keep the rows it is
 handed and still write them.  ``_emit(rows, columns, args)`` is where every
@@ -81,6 +84,15 @@ results = [[repr(base(item["case"])), [[repr(record["value"]), record["err"]]
            for item in payload["items"]]
 json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
 """
+
+# the full cap, the empty one and a tiny one, for both kernels, and base values next to -1 and 1
+EDGE_ARGVS = [
+    *(["envelope", "--n", "2,3,8", "--c-grid", c, "--r-grid=-0.999,0,0.5,0.999", "--kind", kind]
+      for c in ("1", "0", "1e-28", "1e-28,0.5,1") for kind in ("harmonic", "hyperbolic")),
+    *(["hopf", "--n", n, "--c-grid", c] for n, c in (("3", "1"), ("3", "0"), ("3,4", "1e-28"), ("3", "0.5,1"))),
+    ["constants", "--n", "2,3,8,64", "--a-grid=-0.999999999999,0.999999999999"],
+    ["constants", "--n", "3", "--a-grid=-0.999999999999", "--format", "json"],
+]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
@@ -225,7 +237,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
-    argvs = plan_argvs()
+    plans = plan_argvs()
+    argvs = plans + [argv for argv in EDGE_ARGVS if argv not in plans]
     parent, change = run_tree(args.parent, argvs), run_tree(args.change, argvs)
     moved, largest = compare(argvs, parent, change)
     for command, what, move in moved:
@@ -244,7 +257,7 @@ def main(argv=None) -> int:
         print(f"moved value {label}: {before and before[1]} -> {after and after[1]} in {' '.join(command)}")
     seeds = ", ".join(map(str, SEEDS))
     print(f"{len(moved)} moved of {len(argvs)} argv ({'/'.join(WORKLOADS)} plans, seeds "
-          f"{seeds}); largest move of a printed number {largest:.3g}")
+          f"{seeds}, and {len(argvs) - len(plans)} edge argv); largest move of a printed number {largest:.3g}")
     print(f"{len(moved_points)} moved of {sum(len(item['points']) for item in items)} offaxis points and "
           f"{len(moved_bases)} of {len(items)} base values (offaxis plans, seeds {seeds})")
     print(f"{len(moved_cells)} moved of {cells} float cells in float.hex (every row handed to cli._emit)")

@@ -33,13 +33,12 @@ from .envelope import (
     _envelope,
     boundary_derivative_harmonic,
     heinz_schwarz_constant,
-    hyperbolic_decay_coefficient,
     schwarz_planar_bound,
 )
 from .errors import AccuracyError, DomainError
 from .hilbert_ball import MobiusParams, mobius_identity_residuals
 from .poisson import BoundaryMap, monte_carlo_extension
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .verify import DEFAULT_SEED, default_verification_suite, hopf_failure_scan
 
 __all__ = ["main"]
@@ -225,17 +224,8 @@ def _cmd_hopf(args: argparse.Namespace, quad: QuadratureConfig) -> int:
                 rows.append(
                     {"n": n, "c": c, "r": r, "T": value, "slope": None, "coefficient": None, "d_n": None}
                 )
-            rows.append(
-                {
-                    "n": n,
-                    "c": c,
-                    "r": None,
-                    "T": None,
-                    "slope": scan.slope,
-                    "coefficient": scan.coefficient,
-                    "d_n": hyperbolic_decay_coefficient(n, c),
-                }
-            )
+            rows.append({"n": n, "c": c, "r": None, "T": None, "slope": scan.slope,
+                         "coefficient": scan.coefficient, "d_n": scan.d_n})
     _emit(rows, ["n", "c", "r", "T", "slope", "coefficient", "d_n"], args)
     return 0
 
@@ -291,8 +281,9 @@ def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its subcommand parsers by name, built once
-    per process: parsing does not change them, and every default is a
-    string its ``type`` converts afresh on each call."""
+    per process: parsing does not change them, and every default is
+    immutable (a string that ``type`` converts afresh on each call, or a
+    number, a bool or None), so no call can alter one another reads."""
     parser = argparse.ArgumentParser(
         prog="ballschwarz",
         description="Sharp boundary-derivative constants and envelopes on the unit ball.",
@@ -305,8 +296,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         if seed:
             p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                            help=f"non-negative random seed (default {DEFAULT_SEED})")
-        p.add_argument("--tol-abs", type=float, default=1e-11)
-        p.add_argument("--tol-rel", type=float, default=1e-10)
+        p.add_argument("--tol-abs", type=float, default=DEFAULT_CONFIG.abs_tol)
+        p.add_argument("--tol-rel", type=float, default=DEFAULT_CONFIG.rel_tol)
         if oracle:
             p.add_argument("--oracle", action="store_true",
                            help="route selected values through slow brute-force oracles")

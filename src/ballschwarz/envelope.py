@@ -38,8 +38,9 @@ F_n for the public ``cap_measure_from_angle``, for each Newton step of its
 inverse ``cap_angle_from_measure`` and for each closed-form tail, with
 sigma_star(n) looked up once per call.  A ``CapSpec`` is (n, c): its angle
 is that inverse, derived once and not measured again.  None of the
-constants calls the quadrature; one that would leave the positive doubles
-raises ``DomainError``:
+constants calls the quadrature; one that is 0, inf or NaN raises
+``DomainError`` (a value below the normal doubles does not, see the
+end):
 
 * ``boundary_derivative_harmonic`` is the limit dM/dr at r = 1,
   D_n(a) = 2 sigma_star cot h cos^{n-2}h - 2(n-2) F_n(pi/2 - h) with
@@ -49,10 +50,17 @@ raises ``DomainError``:
   the independent hypergeometric closed form C_m;
 * ``schwarz_planar_bound`` is the planar closed form
   s^-(b) = (2/pi) cot(pi (1+b)/4), which D_2 reproduces;
-* ``hyperbolic_decay_coefficient`` is d_n = 2 sigma_star cot^{n-1}(alpha/2)
-  / (n-1) in (1 - M_c^n(r))/(1-r) ~ d_n (1-r)^{n-2} for the hyperbolic-
-  harmonic kernel with n > 2, whose vanishing boundary derivative is the
-  Hopf lemma counterexample.
+* ``hyperbolic_decay_coefficient`` takes a ``CapSpec`` and is d_n =
+  2 sigma_star cot^{n-1}(alpha/2) / (n-1) in (1 - M_c^n(r))/(1-r) ~
+  d_n (1-r)^{n-2} for the hyperbolic-harmonic kernel with n > 2, whose
+  vanishing boundary derivative is the Hopf lemma counterexample.
+
+A constant below the smallest normal double (2.2e-308) but above 0 is
+returned as it is, with fewer digits than the 12 the CLI prints:
+D_n(0) and C_n are 6.1e-312 at n = 2060, where the two differ in
+their 12th digit, and D_2049(0.5) = 5.7e-317 holds about 7 digits.
+Whether such a value should raise or be given as a log is open
+(ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -467,25 +475,23 @@ def schwarz_planar_bound(b: float) -> float:
     return (2.0 / math.pi) / math.tan(0.25 * math.pi * (1.0 + b))
 
 
-def hyperbolic_decay_coefficient(n: int, c: float) -> float:
-    """Coefficient d_n in T(r) ~ d_n (1-r)^{n-2} for the hyperbolic kernel.
+def hyperbolic_decay_coefficient(cap: CapSpec) -> float:
+    """Coefficient d_n in T(r) ~ d_n (1-r)^{n-2} for the hyperbolic kernel and the cap.
 
     As r -> 1 the closed form T(r) = 2 F_n(2 arctan q) / (1-r) of
     ``boundary_difference_quotient`` has q ~ (1-r) cot(alpha/2) / 2 -> 0,
     and F_n(theta) ~ sigma_star theta^{n-1} / (n-1) as theta -> 0, so
 
-        d_n = 2 sigma_star(n) cot^{n-1}(alpha(c)/2) / (n-1),
+        d_n = 2 sigma_star(n) cot^{n-1}(alpha/2) / (n-1),
 
-    evaluated in logs.  Defined for n > 2 only: at n = 2 the
-    hyperbolic-harmonic class coincides with the harmonic one and the
-    decay exponent degenerates.
+    evaluated in logs from the cap's own angle.  Defined for n > 2 only:
+    at n = 2 the hyperbolic-harmonic class coincides with the harmonic
+    one and the decay exponent degenerates; the full cap c = 1 has T = 0.
     """
-    if n <= 2 or n != int(n):
-        raise DomainError(f"hyperbolic decay coefficient needs integer n > 2, got {n!r}")
-    if not 0.0 < c < 1.0:
-        raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
-    n = int(n)
-    h = 0.5 * cap_angle_from_measure(n, c)
-    log_d = math.log(2.0 * sigma_star(n) / (n - 1)) - (n - 1) * math.log(math.tan(h))
-    return _positive_double(math.exp(log_d) if log_d <= _LOG_MAX else math.inf, f"d_n for n={n}, c={c!r}")
+    if cap.n <= 2:
+        raise DomainError(f"hyperbolic decay coefficient needs integer n > 2, got {cap.n!r}")
+    if cap.c == 1.0:
+        raise DomainError(f"cap measure must lie in (0, 1), got {cap.c!r}")
+    log_d = math.log(2.0 * sigma_star(cap.n) / (cap.n - 1)) - (cap.n - 1) * math.log(math.tan(0.5 * cap.alpha))
+    return _positive_double(math.exp(log_d) if log_d <= _LOG_MAX else math.inf, f"d_n for n={cap.n}, c={cap.c!r}")
 

@@ -89,7 +89,7 @@ class MobiusParams:
             raise DomainError("xi must be a nonempty complex vector")
         object.__setattr__(self, "xi", xi)
         norm = np.linalg.norm(xi, axis=-1)
-        outside = norm >= 1.0
+        outside = ~(norm < 1.0)  # NaN is outside
         if np.any(outside):
             where = "" if xi.ndim == 1 else f" (batch row {np.argwhere(outside)[0].tolist()})"
             raise DomainError(f"Moebius parameter must satisfy |xi| < 1{where}")
@@ -227,9 +227,9 @@ def boundary_lambda(
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if abs(float(np.linalg.norm(a)) - 1.0) > _UNIT_TOL:
+    if not abs(float(np.linalg.norm(a)) - 1.0) <= _UNIT_TOL:
         raise DomainError("contact direction a must be a unit vector")
-    if abs(float(np.linalg.norm(b)) - 1.0) > _UNIT_TOL:
+    if not abs(float(np.linalg.norm(b)) - 1.0) <= _UNIT_TOL:
         raise DomainError("target direction b must be a unit vector")
     image = Df(a)
     lam = float(np.real(inner(image, b)))

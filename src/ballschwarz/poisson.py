@@ -85,7 +85,7 @@ class ZonalBoundaryData:
         object.__setattr__(self, "axis", axis)
         if self.n < 2 or self.n != int(self.n) or axis.shape != (self.n,):
             raise DomainError(f"axis must be a vector of integer dimension n >= 2, got n={self.n!r}")
-        if abs(float(np.linalg.norm(axis)) - 1.0) > _AXIS_TOL:
+        if not abs(float(np.linalg.norm(axis)) - 1.0) <= _AXIS_TOL:
             raise DomainError("zonal axis must be a unit vector to 1e-14")
         vals = np.asarray(self.profile(_PROBE_ANGLES), dtype=float)
         if vals.shape != _PROBE_ANGLES.shape or not np.all(np.isfinite(vals)):

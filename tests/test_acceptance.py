@@ -125,7 +125,7 @@ def test_criterion_06_hopf_failure():
     ok = True
     for n in (3, 4):
         scan = hopf_failure_scan(n, 0.5)
-        d_n = hyperbolic_decay_coefficient(n, 0.5)
+        d_n = hyperbolic_decay_coefficient(CapSpec(n, 0.5))
         ok &= abs(scan.slope - (n - 2)) <= 0.02
         ok &= abs(scan.coefficient - d_n) / d_n <= 0.01
         # one-sided boundary derivative of the hyperbolic envelope -> 0

@@ -500,19 +500,22 @@ def test_planar_bound_halfline_minorant_and_monotonicity():
 
 
 def test_hyperbolic_decay_coefficient_closed_forms():
-    assert hyperbolic_decay_coefficient(3, 0.5) == pytest.approx(0.5, abs=1e-10)
-    assert hyperbolic_decay_coefficient(4, 0.5) == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-10)
+    assert hyperbolic_decay_coefficient(CapSpec(3, 0.5)) == pytest.approx(0.5, abs=1e-10)
+    assert hyperbolic_decay_coefficient(CapSpec(4, 0.5)) == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-10)
 
 
 def test_hyperbolic_decay_coefficient_decreasing_in_measure():
     for n in (3, 4):
-        values = [hyperbolic_decay_coefficient(n, c) for c in np.linspace(0.1, 0.9, 9)]
+        values = [hyperbolic_decay_coefficient(CapSpec(n, c)) for c in np.linspace(0.1, 0.9, 9)]
         assert np.all(np.diff(values) < 0.0)
 
 
 def test_hyperbolic_decay_coefficient_domain():
-    with pytest.raises(DomainError):
-        hyperbolic_decay_coefficient(2, 0.5)
+    with pytest.raises(DomainError, match=r"^hyperbolic decay coefficient needs integer n > 2, got 2$"):
+        hyperbolic_decay_coefficient(CapSpec(2, 0.5))
+    # the full cap is a cap, but its T is 0 and has no decay coefficient
+    with pytest.raises(DomainError, match=r"^cap measure must lie in \(0, 1\), got 1\.0$"):
+        hyperbolic_decay_coefficient(CapSpec(3, 1.0))
 
 
 def test_envelope_radius_domain():
@@ -651,7 +654,7 @@ def test_hyperbolic_decay_coefficient_matches_mpmath(n):
     # rounding error (sigma_star's lgamma difference) reaches d_n amplified
     # by (n-1) / (sin(alpha) F_n'(alpha)), about 40 at n = 62, c = 0.9.
     for c, rel in ((0.1, 1e-12), (0.5, 1e-13), (0.9, 1e-12)):
-        _assert_rel(hyperbolic_decay_coefficient(n, c), _mp_decay_coefficient(n, c), rel, c)
+        _assert_rel(hyperbolic_decay_coefficient(CapSpec(n, c)), _mp_decay_coefficient(n, c), rel, c)
 
 
 TIGHT = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-13)
@@ -682,7 +685,7 @@ def test_closed_forms_match_the_old_integrands(n):
         _assert_rel(boundary_derivative_harmonic(n, a), _old_boundary_derivative(n, a), 1e-10, a)
         if n > 2:
             c = 0.5 * (1.0 + a)
-            _assert_rel(hyperbolic_decay_coefficient(n, c), _old_decay_coefficient(n, c), 1e-10, c)
+            _assert_rel(hyperbolic_decay_coefficient(CapSpec(n, c)), _old_decay_coefficient(n, c), 1e-10, c)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
@@ -695,7 +698,7 @@ def test_constants_layer_makes_no_quadrature_calls(monkeypatch, n):
         cap_angle_from_measure(n, c)
         boundary_derivative_harmonic(n, 2.0 * c - 1.0)
         if n > 2:
-            hyperbolic_decay_coefficient(n, c)
+            hyperbolic_decay_coefficient(CapSpec(n, c))
     heinz_schwarz_constant(n)
 
 
@@ -841,7 +844,7 @@ def test_heinz_schwarz_constant_raises_once_it_underflows():
 def test_hyperbolic_decay_coefficient_outside_the_doubles_raises(c):
     # c = 1e-9 overflows, c = 1 - 1e-9 underflows
     with pytest.raises(DomainError, match=r"n=20000"):
-        hyperbolic_decay_coefficient(20000, c)
+        hyperbolic_decay_coefficient(CapSpec(20000, c))
 
 
 def test_boundary_derivative_underflow_raises():

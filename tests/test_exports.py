@@ -46,3 +46,11 @@ def test_every_export_has_a_caller_in_the_package():
     exports = [(exporter, name) for exporter, tree in modules.items() for name in _exports(tree)]
     assert len(exports) > len(modules)
     assert {name for exporter, name in exports if not _has_caller(modules, exporter, name)} == set(UNCALLED)
+
+
+def test_the_hopf_scan_is_the_one_caller_of_the_decay_coefficient():
+    # a Hopf row takes T and d_n from one cap, so no other code pairs the scan with its own d_n
+    callers = {(module, func.name) for module, tree in _modules().items() for func in tree.body
+               if isinstance(func, ast.FunctionDef) for node in ast.walk(func) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "hyperbolic_decay_coefficient"}
+    assert callers == {("verify", "hopf_failure_scan")}

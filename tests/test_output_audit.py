@@ -66,6 +66,12 @@ def test_the_edge_argv_reach_the_full_cap_the_empty_cap_a_tiny_cap_and_the_refus
     # the refusals keep their exit code and their one line on stderr; every other edge prints rows
     assert outcome["hopf --n 3 --c-grid 1"] == (2, "domain error: cap measure must lie in (0, 1), got 1.0\n")
     assert outcome["hopf --n 3 --c-grid 0"] == (2, "domain error: cap measure must lie in (0, 1), got 0.0\n")
+    # hopf past the plans' dimensions: rows up to n = 73, then the underflow of T refuses before d_n is taken
+    assert outcome["hopf --n 74 --c-grid 0.5"] == (2, "domain error: T(r) for n=74, c=0.5 at r=0.99993896484375 "
+                                                      "is 3.4003470029612147e-305: its complement measure is "
+                                                      "below the normal doubles\n")
+    rows = {" ".join(argv): out.count("\n") for argv, (rc, out, _, _) in zip(edges, results) if argv[0] == "hopf"}
+    assert rows["hopf --n 17,40 --c-grid 0.1,0.3"] == 49 and rows["hopf --n 73 --c-grid 0.5"] == 13
     for argv, (rc, out, err, cells) in zip(edges, results):
         if rc == 0:
             assert err == "" and cells and out.count("\n") > 1, argv

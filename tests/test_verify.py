@@ -35,9 +35,10 @@ from ballschwarz import (
 )
 from ballschwarz.poisson import BoundaryMap, uniform_sphere_samples
 from ballschwarz.quadrature import integrate_rows
-from ballschwarz import verify
+from ballschwarz import envelope, verify
 from ballschwarz.cli import main as cli_main
 from ballschwarz.disc import arc_extension
+from ballschwarz.hilbert_ball import MobiusParams, RealLinearMap, boundary_lambda
 from ballschwarz.verify import (
     DEFAULT_SEED,
     _MAP_COMPONENTS,
@@ -593,9 +594,21 @@ def test_hopf_scan_slope_and_coefficient():
         for c in (0.1, 0.5, 0.9):
             scan = hopf_failure_scan(n, c)
             assert abs(scan.slope - (n - 2)) <= 1e-3
-            d_n = hyperbolic_decay_coefficient(n, c)
+            d_n = hyperbolic_decay_coefficient(CapSpec(n, c))
+            assert scan.d_n == d_n
             assert abs(scan.coefficient - d_n) / d_n <= 1e-3
             assert np.all(np.diff(scan.values) < 0.0)
+
+
+def test_a_hopf_row_inverts_its_cap_once(monkeypatch, capsys):
+    calls, invert = [], envelope.cap_angle_from_measure
+    monkeypatch.setattr(envelope, "cap_angle_from_measure", lambda n, c: calls.append((n, c)) or invert(n, c))
+    assert cli_main(["hopf", "--n", "12", "--c-grid", "0.1"]) == 0
+    assert calls == [(12, 0.1)]
+    calls.clear()
+    scan = hopf_failure_scan(12, 0.1)
+    assert calls == [(12, 0.1)]
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f",{scan.d_n:.12g}")
 
 
 def test_hopf_scan_domain():
@@ -684,6 +697,28 @@ def test_contact_case_validation():
             a=0.0,
             case_id="bad",
         )
+
+
+_NAN_UNIT = [math.nan, 0.0, 0.0]
+_IDENTITY_MAP = RealLinearMap(B=np.eye(2), C=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ZonalBoundaryData(3, _NAN_UNIT, np.cos), "zonal axis must be a unit vector"),
+    (lambda: zonal_contact_case(3, 2, lambda t: np.where(t <= 1.0, 1.0, -1.0), (1.0,), "x", axis=_NAN_UNIT),
+     "zonal axis must be a unit vector"),
+    (lambda: ContactTestCase(3, np.asarray, _NAN_UNIT, _axis(3), 0.0, "x0"), "contact point x0 must be a unit"),
+    (lambda: ContactTestCase(3, np.asarray, _axis(3), _NAN_UNIT, 0.0, "y0"), "target point y0 must be a unit"),
+    (lambda: check_mobius_precomposition(2, [0.3, 0.0], z0=[math.nan, 0.0]), "contact point z0 must be a unit"),
+    (lambda: boundary_lambda(_IDENTITY_MAP, [math.nan, 0.0], [1.0, 0.0]), "contact direction a must be a unit"),
+    (lambda: boundary_lambda(_IDENTITY_MAP, [1.0, 0.0], [math.nan, 0.0]), "target direction b must be a unit"),
+    (lambda: MobiusParams(np.array([math.nan, 0.0])), r"^Moebius parameter must satisfy \|xi\| < 1$"),
+    (lambda: MobiusParams(np.array([[0.5, 0.0], [math.nan, 0.0]])), r"\|xi\| < 1 \(batch row \[1\]\)"),
+], ids=["axis", "contact-axis", "x0", "y0", "z0", "a", "b", "xi", "xi-batch"])
+def test_nan_fails_every_unit_vector_and_ball_check(build, message):
+    # each check compares as "not within tolerance", which NaN cannot pass
+    with pytest.raises(DomainError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -804,7 +839,7 @@ def _plane_wave_bessel_coefficients(n, f, degrees):
     return signs * special.gamma(lam) * (0.5 * f) ** -lam * (degrees + lam) * special.jv(degrees + lam, f) * at_one
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 32])
 def test_plane_wave_coefficients_match_bessel_functions(n):
     freqs = np.array([0.5, 1.3, 2.9, 3.99])
     directions = uniform_sphere_samples(np.random.Generator(np.random.Philox(n)), freqs.size, n)

@@ -48,7 +48,7 @@ def arc_extension(z: complex, theta1: float, theta2: float) -> float:
         raise DomainError("need theta1 <= theta2 <= theta1 + 2*pi")
     z = complex(z)
     r = abs(z)
-    if r >= 1.0:
+    if not r < 1.0:
         raise DomainError(f"evaluation point must lie inside the disc, got |z|={r!r}")
     phase = math.atan2(z.imag, z.real)
     return (arc_antiderivative(theta2 - phase, r) - arc_antiderivative(theta1 - phase, r)) / _TWO_PI

@@ -152,7 +152,7 @@ def cap_measure_from_angle(n: int, alpha: float) -> float:
     F_n(alpha) = I_{sin^2 alpha}((n-1)/2, 1/2) / 2 for alpha <= pi/2, with
     1/B((n-1)/2, 1/2) = sigma_star(n), and 1 - F_n(pi - alpha) beyond.
     """
-    if n < 2 or n != int(n):
+    if not (2 <= n < math.inf and n == int(n)):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
     n = int(n)
     return _cap_measure(n, sigma_star(n), alpha)
@@ -198,7 +198,7 @@ def cap_angle_from_measure(n: int, c: float) -> float:
     halves a small angle, a c' below about 1e-57), raises
     ``AccuracyError``; an angle outside (0, pi] raises ``DomainError``.
     """
-    if n < 2 or n != int(n):
+    if not (2 <= n < math.inf and n == int(n)):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
     if not 0.0 < c < 1.0:
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
@@ -239,7 +239,7 @@ class CapSpec:
     alpha: float = field(init=False)
 
     def __post_init__(self):
-        if self.n < 2 or self.n != int(self.n):
+        if not (2 <= self.n < math.inf and self.n == int(self.n)):
             raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
         if not 0.0 < self.c <= 1.0:
             raise DomainError(f"cap measure must lie in (0, 1], got {self.c!r}")
@@ -424,7 +424,7 @@ def boundary_derivative_harmonic(n: int, a: float) -> float:
     t = 2 sigma_star cos^{n-1}h / sin h is taken out and assembled in
     logs.  Past about n = 2050 at a = 0, D_n underflows: ``DomainError``.
     """
-    if n < 2 or n != int(n):
+    if not (2 <= n < math.inf and n == int(n)):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
     if not -1.0 < a < 1.0:
         raise DomainError(f"base value must lie in (-1, 1), got {a!r}")
@@ -452,7 +452,7 @@ def heinz_schwarz_constant(m: int, oracle: bool = False) -> float:
     routes the hypergeometric value through the brute-force alternating
     series instead of the transformed one.
     """
-    if m < 2 or m != int(m):
+    if not (2 <= m < math.inf and m == int(m)):
         raise DomainError(f"dimension must be an integer >= 2, got {m!r}")
     m = int(m)
     if oracle:

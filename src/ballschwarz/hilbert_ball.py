@@ -222,8 +222,8 @@ def boundary_lambda(
 
     the residual vanishing exactly when the eigen-relation
     Df* b = lambda a holds.  Cauchy-Schwarz forces
-    lambda <= |Df(a)|; a violation beyond 1e-12 indicates a broken
-    operator and raises :class:`ContractError`.
+    lambda <= |Df(a)| |b| <= |Df(a)| (1 + 1e-12); a lambda past that, with
+    room for the rounding of the two sums, raises :class:`ContractError`.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -233,7 +233,8 @@ def boundary_lambda(
         raise DomainError("target direction b must be a unit vector")
     image = Df(a)
     lam = float(np.real(inner(image, b)))
-    if lam > float(np.linalg.norm(image)) + 1e-12:
+    # |b| <= 1 + _UNIT_TOL; the inner product and the norm each round by under (b.size + 1) 2^-52 relative
+    if lam > float(np.linalg.norm(image)) * (1.0 + _UNIT_TOL + 4.0 * (b.size + 1) * 2.0**-52):
         raise ContractError("lambda exceeded |Df(a) a|, violating Cauchy-Schwarz")
     residual = float(np.linalg.norm(real_adjoint(Df)(b) - lam * a))
     return lam, residual

@@ -83,7 +83,7 @@ class ZonalBoundaryData:
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
         object.__setattr__(self, "axis", axis)
-        if self.n < 2 or self.n != int(self.n) or axis.shape != (self.n,):
+        if not (2 <= self.n < math.inf and self.n == int(self.n)) or axis.shape != (self.n,):
             raise DomainError(f"axis must be a vector of integer dimension n >= 2, got n={self.n!r}")
         if not abs(float(np.linalg.norm(axis)) - 1.0) <= _AXIS_TOL:
             raise DomainError("zonal axis must be a unit vector to 1e-14")
@@ -234,7 +234,7 @@ def monte_carlo_extension(
     if x.shape != (g.n,):
         raise DomainError(f"evaluation point must have dimension {g.n}")
     r2 = float(np.dot(x, x))
-    if r2 >= 1.0:
+    if not r2 < 1.0:
         raise DomainError("evaluation point must lie strictly inside the ball")
     if samples < 1:
         raise DomainError("samples must be >= 1")

@@ -95,7 +95,7 @@ def gauss_2f1_neg1_series(a: float, b: float, c: float) -> float:
 
 def sigma_star(n: int) -> float:
     """Area ratio sigma_{n-2}/sigma_{n-1} = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) of S^{n-2} to S^{n-1}."""
-    if n < 2 or n != int(n):
+    if not (2 <= n < math.inf and n == int(n)):
         raise DomainError(f"sphere dimension parameter must be an integer >= 2, got {n!r}")
     return _half_gamma_ratio(0.5 * (int(n) - 1)) / math.sqrt(math.pi)
 

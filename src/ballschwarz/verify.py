@@ -206,7 +206,7 @@ def _zonal_value(
     if x.shape != (n,):
         raise DomainError(f"zonal evaluation point must have shape ({n},) for n={n}, got {x.shape}")
     r = float(np.linalg.norm(x))
-    if r >= 1.0:
+    if not r < 1.0:
         raise DomainError("zonal evaluation point must lie inside the ball")
     if r < 1e-14:
         return zonal_extension_on_axis(KernelKind.HARMONIC, data, 0.0, config)
@@ -565,25 +565,6 @@ class _PlaneWaveMap:
         return values
 
 
-def _random_boundary_map(rng: np.random.Generator, n: int, m: int) -> _PlaneWaveMap:
-    """Random smooth boundary map into the unit ball of R^m, antisymmetrized.
-
-    A convex-weighted mixture of plane-wave profiles times unit target
-    directions, sum_i w_i cos(f_i <eta, d_i> + p_i) t_i, stays inside the
-    ball by construction.  Its odd part forces the harmonic extension to
-    vanish at the origin, and since
-    (cos(f u + p) - cos(-f u + p)) / 2 = -sin(p) sin(f u) it is
-
-        sum_i sin(f_i <eta, d_i>) (-w_i sin p_i) t_i.
-    """
-    directions = uniform_sphere_samples(rng, _MAP_COMPONENTS, n)
-    targets = uniform_sphere_samples(rng, _MAP_COMPONENTS, m)
-    freqs = rng.uniform(0.5, 4.0, _MAP_COMPONENTS)
-    phases = rng.uniform(0.0, 2.0 * math.pi, _MAP_COMPONENTS)
-    weights = rng.dirichlet(np.ones(_MAP_COMPONENTS)) * rng.uniform(0.6, 1.0)
-    return _PlaneWaveMap(directions, freqs, -(weights * np.sin(phases))[:, None] * targets)
-
-
 def check_hemisphere_majorant(
     n: int,
     m: int,
@@ -593,43 +574,51 @@ def check_hemisphere_majorant(
 ) -> MarginReport:
     """Worst excess of |f(x)| over M_{1/2}^n(|x|) over random origin-fixing maps.
 
-    Each trial draws a random antisymmetrized boundary map, so that its
-    extension f fixes the origin, and four random interior points with
-    |x| in [0.1, 0.85).  f comes from the exact Gegenbauer series of the
-    map's plane waves (``_PlaneWaveMap.extension``, which raises
-    :class:`AccuracyError` rather than return a value it cannot vouch
-    for).  ``lam`` is the largest |f(x)| - M_{1/2}^n(|x|), held ``"<="``
-    against 0 with no tolerance.  The side check ``boundary`` holds each
-    map's series against the map itself on a fixed set of sphere points,
-    to 1e-12.  ``details`` gives the number of points, the series terms,
-    the radius of the worst point and that boundary residual.
+    Each trial is a random boundary map into the unit ball of R^m and four
+    random interior points with |x| in [0.1, 0.85).  A convex-weighted
+    mixture of plane-wave profiles times unit target directions,
+    sum_i w_i cos(f_i <eta, d_i> + p_i) t_i, stays inside the ball by
+    construction.  Its odd part makes the extension f vanish at the
+    origin, and since (cos(f u + p) - cos(-f u + p)) / 2 = -sin(p) sin(f u)
+    it is the plane-wave map sum_i sin(f_i <eta, d_i>) (-w_i sin p_i) t_i.
+    All trials are drawn at once from the Philox stream of ``seed``, as
+    seven arrays in this order: the directions d_i (3 per trial, uniform on
+    S^{n-1}), the targets t_i (3 per trial, uniform on S^{m-1}), the
+    frequencies f_i ~ U[0.5, 4), the phases p_i ~ U[0, 2 pi), the weights
+    w_i (Dirichlet(1, 1, 1) per trial, times one U[0.6, 1) scale per
+    trial), the radii (4 per trial) and the point directions (4 per trial,
+    uniform on S^{n-1}).
 
-    The trials are drawn first, then measured together: one series
-    evaluation of the stack of all maps, each at its own points and the
-    sphere points, and one envelope call over all 4 ``trials`` radii.
+    f comes from the exact Gegenbauer series of the plane waves
+    (``_PlaneWaveMap.extension``, which raises :class:`AccuracyError`
+    rather than return a value it cannot vouch for): one series evaluation
+    of the stack of all maps, each at its own points and the sphere
+    points, and one envelope call over all 4 ``trials`` radii.  ``lam`` is
+    the largest |f(x)| - M_{1/2}^n(|x|), held ``"<="`` against 0 with no
+    tolerance.  The side check ``boundary`` holds each map's series against
+    the map itself on a fixed set of sphere points, to 1e-12.  ``details``
+    gives the number of points, the series terms, the radius of the worst
+    point and that boundary residual.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
     hemisphere = CapSpec(n, 0.5)
+    size = (trials, _MAP_COMPONENTS)
+    directions = uniform_sphere_samples(rng, trials * _MAP_COMPONENTS, n).reshape(*size, n)
+    targets = uniform_sphere_samples(rng, trials * _MAP_COMPONENTS, m).reshape(*size, m)
+    freqs = rng.uniform(0.5, 4.0, size)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size)
+    weights = rng.dirichlet(np.ones(_MAP_COMPONENTS), trials) * rng.uniform(0.6, 1.0, (trials, 1))
+    radii = rng.uniform(0.1, 0.85, 4 * trials)
+    points = (radii[:, None] * uniform_sphere_samples(rng, 4 * trials, n)).reshape(trials, 4, n)
+    waves = _PlaneWaveMap(directions, freqs, -(weights * np.sin(phases))[..., None] * targets)
     probes = uniform_sphere_samples(np.random.Generator(np.random.Philox(0)), _BOUNDARY_PROBES, n)
-    maps, radii, points = [], [], []
-    for _ in range(trials):
-        maps.append(_random_boundary_map(rng, n, m))
-        for _ in range(4):
-            direction = uniform_sphere_samples(rng, 1, n)[0]
-            radii.append(float(rng.uniform(0.1, 0.85)))
-            points.append(radii[-1] * direction)
-            rng.integers(0, 2**62)  # a Monte Carlo seed, unread: later draws keep their values
-    waves = _PlaneWaveMap(np.stack([w.directions for w in maps]), np.stack([w.freqs for w in maps]),
-                          np.stack([w.amplitudes for w in maps]))
-    x = np.concatenate((np.reshape(points, (trials, 4, n)), np.broadcast_to(probes, (trials, *probes.shape))), axis=1)
+    x = np.concatenate((points, np.broadcast_to(probes, (trials, *probes.shape))), axis=1)
     values = waves.extension(x, config)
     residual = float(np.max(np.abs(values[:, 4:] - waves.eval(probes))))
-    inside = np.reshape(values[:, :4], (4 * trials, 1, m))
-    # |f(x)| as the sqrt of a 1 x m dot product per point, the bits of np.linalg.norm of that point
-    norms = np.sqrt(inside @ np.swapaxes(inside, 1, 2))[:, 0, 0]
-    excess = norms - envelope_upper(KernelKind.HARMONIC, hemisphere, radii, config)
+    majorant = envelope_upper(KernelKind.HARMONIC, hemisphere, radii, config)
+    excess = np.linalg.norm(values[:, :4], axis=-1).ravel() - majorant
     worst = int(np.argmax(excess))
     return MarginReport(
         f"hemisphere-majorant n={n} m={m}",
@@ -638,7 +627,7 @@ def check_hemisphere_majorant(
         0.0,
         "<=",
         checks={"boundary": residual <= _BOUNDARY_TOL},
-        details={"points": 4 * trials, "series_terms": _PLANE_WAVE_TERMS, "worst_radius": radii[worst],
+        details={"points": 4 * trials, "series_terms": _PLANE_WAVE_TERMS, "worst_radius": float(radii[worst]),
                  "boundary_residual": residual},
     )
 
@@ -676,7 +665,7 @@ def hopf_failure_scan(n: int, c: float) -> HopfScanResult:
     ``boundary_difference_quotient``; only then is d_n taken, whose
     overflow or underflow raises its own.
     """
-    if n <= 2 or n != int(n):
+    if not (2 < n < math.inf and n == int(n)):
         raise DomainError(f"hyperbolic scan needs integer n > 2, got {n!r}")
     if not 0.0 < c < 1.0:  # the full cap c = 1 has T = 0, whose log the fit cannot take
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
@@ -725,7 +714,7 @@ def check_V_monotone(m: int, config: QuadratureConfig = DEFAULT_CONFIG) -> Margi
     within 1e-6, with the side check ``monotone``: V never increases along
     the grid by more than 1e-8.
     """
-    if m < 2 or m != int(m):
+    if not (2 <= m < math.inf and m == int(m)):
         raise DomainError(f"dimension must be an integer >= 2, got {m!r}")
     radii = [0.1 * j for j in range(10)] + [0.99]
     values = majorant_radial_slope(m, radii, config=config).tolist()

@@ -340,6 +340,16 @@ def test_boundary_lambda_cauchy_schwarz():
         assert lam <= np.linalg.norm(L(a)) + 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e12])
+def test_boundary_lambda_guard_scales_with_the_map(scale):
+    # b is a unit vector to within the unit tolerance, so lambda may pass
+    # |Df(a)| by that tolerance relative to |Df(a)|, however large it is
+    L = RealLinearMap(B=scale * np.eye(2), C=np.zeros((2, 2)))
+    lam, residual = boundary_lambda(L, np.array([1.0, 0.0]), np.array([1.0 + 5e-13, 0.0]))
+    assert lam == pytest.approx(scale, rel=1e-12) and lam > scale
+    assert residual == pytest.approx(0.0, abs=1e-12 * scale)
+
+
 def test_mobius_rejects_boundary_parameter():
     with pytest.raises(DomainError):
         MobiusParams(np.array([1.0 + 0.0j]))

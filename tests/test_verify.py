@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ballschwarz import (
     KernelKind,
     MarginReport,
     ZonalBoundaryData,
+    boundary_derivative_harmonic,
     build_cap_extremal,
     cap_angle_from_measure,
     cap_measure_from_angle,
@@ -43,7 +45,6 @@ from ballschwarz.verify import (
     DEFAULT_SEED,
     _MAP_COMPONENTS,
     _PlaneWaveMap,
-    _random_boundary_map,
     random_zonal_profile,
 )
 
@@ -721,37 +722,112 @@ def test_nan_fails_every_unit_vector_and_ball_check(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_cap_extremal(3, 2, 0.3).f(_NAN_UNIT), "^zonal evaluation point must lie inside the ball$"),
+    (lambda: monte_carlo_extension(HARM, BoundaryMap(n=3, m=1, eval=lambda eta: eta[:, :1]), _NAN_UNIT, 10,
+                                 seed=0),
+     "^evaluation point must lie strictly inside the ball$"),
+    (lambda: arc_extension(complex(math.nan, 0.0), 0.0, 1.0), "^evaluation point must lie inside the disc, got"),
+], ids=["zonal-value", "monte-carlo", "arc"])
+def test_nan_point_fails_its_own_ball_check(build, message):
+    # each ball check is written "not |x| < 1", which a NaN radius cannot pass
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+_DIMENSION_CHECKS = {
+    "cap_measure_from_angle": (lambda n: cap_measure_from_angle(n, 0.5), "dimension must be an integer >= 2"),
+    "cap_angle_from_measure": (lambda n: cap_angle_from_measure(n, 0.5), "dimension must be an integer >= 2"),
+    "CapSpec": (lambda n: CapSpec(n, 0.5), "dimension must be an integer >= 2"),
+    "boundary_derivative_harmonic": (lambda n: boundary_derivative_harmonic(n, 0.0),
+                                     "dimension must be an integer >= 2"),
+    "heinz_schwarz_constant": (heinz_schwarz_constant, "dimension must be an integer >= 2"),
+    "ZonalBoundaryData": (lambda n: ZonalBoundaryData(n, _axis(3), np.cos),
+                          "axis must be a vector of integer dimension n >= 2"),
+    "sigma_star": (sigma_star, "sphere dimension parameter must be an integer >= 2"),
+    "hopf_failure_scan": (lambda n: hopf_failure_scan(n, 0.5), "hyperbolic scan needs integer n > 2"),
+    "check_V_monotone": (check_V_monotone, "dimension must be an integer >= 2"),
+}
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5], ids=["nan", "inf", "-inf", "2.5"])
+@pytest.mark.parametrize("name", list(_DIMENSION_CHECKS))
+def test_a_non_integer_dimension_is_a_domain_error(name, n):
+    # NaN and +-inf fail the range test before int() could raise ValueError or OverflowError
+    build, message = _DIMENSION_CHECKS[name]
+    with pytest.raises(DomainError, match=f"^{message}, got n?=?{n!r}$"):
+        build(n)
+
+
+def _majorant_draws(n, m, trials, seed):
+    """The seven arrays of a majorant row, drawn in the order its docstring states, and the stack of maps they make."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    size = (trials, _MAP_COMPONENTS)
+    draws = types.SimpleNamespace(
+        directions=uniform_sphere_samples(rng, trials * _MAP_COMPONENTS, n).reshape(*size, n),
+        targets=uniform_sphere_samples(rng, trials * _MAP_COMPONENTS, m).reshape(*size, m),
+        freqs=rng.uniform(0.5, 4.0, size),
+        phases=rng.uniform(0.0, 2.0 * math.pi, size),
+        weights=rng.dirichlet(np.ones(_MAP_COMPONENTS), trials) * rng.uniform(0.6, 1.0, (trials, 1)),
+        radii=rng.uniform(0.1, 0.85, (trials, 4)),
+    )
+    draws.points = draws.radii[..., None] * uniform_sphere_samples(rng, 4 * trials, n).reshape(trials, 4, n)
+    draws.waves = _PlaneWaveMap(draws.directions, draws.freqs,
+                                -(draws.weights * np.sin(draws.phases))[..., None] * draws.targets)
+    return draws
+
+
+def _row_series_input(n, m, trials, seed):
+    """The stack of maps and the points that one majorant row hands to its series, caught as it calls it."""
+    seen = []
+
+    def extension(waves, x, *args, _extension=_PlaneWaveMap.extension):
+        seen.append((waves, x))
+        return _extension(waves, x, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_PlaneWaveMap, "extension", extension)
+        check_hemisphere_majorant(n, m, trials=trials, seed=seed)
+    [(waves, x)] = seen
+    return waves, x
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_random_boundary_map_closed_form(n, m):
-    gmap = _random_boundary_map(np.random.Generator(np.random.Philox(40 + n)), n, m)
-    # The same draws, in the same order, for the cosine mixture it replaces.
-    rng = np.random.Generator(np.random.Philox(40 + n))
-    directions = uniform_sphere_samples(rng, _MAP_COMPONENTS, n)
-    targets = uniform_sphere_samples(rng, _MAP_COMPONENTS, m)
-    freqs = rng.uniform(0.5, 4.0, _MAP_COMPONENTS)
-    phases = rng.uniform(0.0, 2.0 * math.pi, _MAP_COMPONENTS)
-    weights = rng.dirichlet(np.ones(_MAP_COMPONENTS)) * rng.uniform(0.6, 1.0)
+    # the row's maps are the odd parts of cosine mixtures drawn in the documented order
+    waves, x = _row_series_input(n, m, 4, 40 + n)
+    draws = _majorant_draws(n, m, 4, 40 + n)
+    for name in ("directions", "freqs", "amplitudes"):
+        assert np.array_equal(getattr(waves, name), getattr(draws.waves, name))
+    assert np.array_equal(x[:, :4], draws.points)
 
-    def raw(eta):
+    def raw(eta, trial):
         out = np.zeros((eta.shape[0], m))
         for i in range(_MAP_COMPONENTS):
-            s = np.cos(freqs[i] * (eta @ directions[i]) + phases[i])
-            out += weights[i] * s[:, None] * targets[i][None, :]
+            s = np.cos(draws.freqs[trial, i] * (eta @ draws.directions[trial, i]) + draws.phases[trial, i])
+            out += draws.weights[trial, i] * s[:, None] * draws.targets[trial, i][None, :]
         return out
 
     eta = uniform_sphere_samples(np.random.Generator(np.random.Philox(7)), 1000, n)
-    values = gmap.eval(eta)
-    assert values.shape == (1000, m)
-    assert np.max(np.abs(values - 0.5 * (raw(eta) - raw(-eta)))) <= 1e-15
-    assert np.array_equal(gmap.eval(-eta), -values)
+    values = waves.eval(eta)
+    assert values.shape == (4, 1000, m)
+    for trial in range(4):
+        assert np.max(np.abs(values[trial] - 0.5 * (raw(eta, trial) - raw(-eta, trial)))) <= 1e-15
+    assert np.array_equal(waves.eval(-eta), -values)
 
 
 def test_hemisphere_majorant_keeps_its_value():
-    # Pinned from the exact plane-wave series; the Monte Carlo estimate it
-    # replaced, less four standard errors, read -0.4123673647619134 here.
+    # Pinned from the exact plane-wave series, and held against a Monte Carlo
+    # estimate of |f| at the worst point, within four standard errors.
     report = check_hemisphere_majorant(3, 2, trials=3, seed=5)
-    assert report.lam == pytest.approx(-0.39679856765333343, abs=1e-12)
+    assert report.lam == pytest.approx(-0.15996155668192336, abs=1e-12)
+    draws = _majorant_draws(3, 2, 3, 5)
+    [[trial, point]] = np.argwhere(draws.radii == report.details["worst_radius"])
+    gmap = BoundaryMap(n=3, m=2, eval=_one_map(draws.waves, trial).eval)
+    estimate, stderr = monte_carlo_extension(HARM, gmap, draws.points[trial, point], 400_000, seed=19)
+    bound = envelope_upper(HARM, CapSpec(3, 0.5), report.details["worst_radius"])
+    assert abs(float(np.linalg.norm(estimate)) - bound - report.lam) <= 4.0 * float(np.linalg.norm(stderr))
 
 
 def _series_per_map(waves, x):
@@ -770,19 +846,17 @@ def _series_per_map(waves, x):
     return total @ waves.amplitudes
 
 
+def _one_map(waves, index):
+    """Map ``index`` of a stack, as a map of its own."""
+    return _PlaneWaveMap(waves.directions[index], waves.freqs[index], waves.amplitudes[index])
+
+
 def _majorant_trials(n, m, trials, seed):
-    """Each trial's map, radii and series points (its four points, then the sphere probes), drawn as the row draws them."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    """Each trial's own map, radii and series points (its four points, then the sphere probes), from the row's draws."""
+    draws = _majorant_draws(n, m, trials, seed)
     probes = uniform_sphere_samples(np.random.Generator(np.random.Philox(0)), verify._BOUNDARY_PROBES, n)
-    for _ in range(trials):
-        waves = _random_boundary_map(rng, n, m)
-        radii, points = [], []
-        for _ in range(4):
-            direction = uniform_sphere_samples(rng, 1, n)[0]
-            radii.append(float(rng.uniform(0.1, 0.85)))
-            points.append(radii[-1] * direction)
-            rng.integers(0, 2**62)
-        yield waves, radii, np.vstack([*points, probes])
+    for trial in range(trials):
+        yield _one_map(draws.waves, trial), draws.radii[trial].tolist(), np.vstack([draws.points[trial], probes])
 
 
 def _majorant_per_trial(n, m, trials, seed):
@@ -793,8 +867,8 @@ def _majorant_per_trial(n, m, trials, seed):
         values = _series_per_map(waves, x)
         residual = max(residual, float(np.max(np.abs(values[4:] - waves.eval(x[4:])))))
         bounds = envelope_upper(HARM, hemisphere, radii)
-        for radius, value, bound in zip(radii, values[:4], bounds.tolist()):
-            excess = float(np.linalg.norm(value)) - bound
+        for radius, norm, bound in zip(radii, np.linalg.norm(values[:4], axis=-1).tolist(), bounds.tolist()):
+            excess = norm - bound
             if excess > worst:
                 worst, worst_radius = excess, radius
     return worst, worst_radius, residual
@@ -813,14 +887,12 @@ def test_batched_majorant_is_the_per_trial_loop(m, n, trials):
 
 
 def test_one_map_extension_is_its_row_of_the_stack():
-    rng = np.random.Generator(np.random.Philox(3))
-    maps = [_random_boundary_map(rng, 4, 3) for _ in range(5)]
-    x = 0.9 * uniform_sphere_samples(rng, 5 * 7, 4).reshape(5, 7, 4)
-    stack = _PlaneWaveMap(*(np.stack([getattr(w, name) for w in maps]) for name in ("directions", "freqs",
-                                                                                    "amplitudes")))
+    stack = _majorant_draws(4, 3, 5, 3).waves
+    x = 0.9 * uniform_sphere_samples(np.random.Generator(np.random.Philox(3)), 5 * 7, 4).reshape(5, 7, 4)
     values = stack.extension(x)
     assert values.shape == (5, 7, 3)
-    for waves, points, row in zip(maps, x, values):
+    for index, (points, row) in enumerate(zip(x, values)):
+        waves = _one_map(stack, index)
         assert np.array_equal(waves.extension(points), row)
         assert np.array_equal(_series_per_map(waves, points), row)
 
@@ -852,23 +924,20 @@ def test_plane_wave_coefficients_match_bessel_functions(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 def test_plane_wave_series_reproduces_the_map_on_the_sphere(n):
-    rng = np.random.Generator(np.random.Philox(60 + n))
+    eta = uniform_sphere_samples(np.random.Generator(np.random.Philox(60 + n)), 500, n)
     for m in (2, 3):
-        waves = _random_boundary_map(rng, n, m)
-        eta = uniform_sphere_samples(rng, 500, n)
-        assert np.max(np.abs(waves.extension(eta) - waves.eval(eta))) <= 1e-14
+        waves = _majorant_draws(n, m, 4, 60 + n).waves
+        assert np.max(np.abs(waves.extension(np.broadcast_to(eta, (4, *eta.shape))) - waves.eval(eta))) <= 1e-14
 
 
 def _suite_majorant_points(m):
-    """The maps, points and Monte Carlo seeds of the default suite's hemisphere-majorant row, in its draw order."""
+    """The maps and points of the default suite's hemisphere-majorant row, each with a Monte Carlo seed of its own."""
     seed = int(np.random.SeedSequence(DEFAULT_SEED).spawn(4)[2].generate_state(1)[0])
-    rng = np.random.Generator(np.random.Philox(seed))
-    for _ in range(6):
-        waves = _random_boundary_map(rng, 3, m)
-        for _ in range(4):
-            direction = uniform_sphere_samples(rng, 1, 3)[0]
-            x = float(rng.uniform(0.1, 0.85)) * direction
-            yield waves, x, int(rng.integers(0, 2**62))
+    draws = _majorant_draws(3, m, 6, seed)
+    point_seeds = np.random.Generator(np.random.Philox(100 + m)).integers(0, 2**62, (6, 4)).tolist()
+    for trial in range(6):
+        for x, point_seed in zip(draws.points[trial], point_seeds[trial]):
+            yield _one_map(draws.waves, trial), x, point_seed
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -14,7 +14,7 @@ from .envelope import (
     hyperbolic_decay_coefficient,
     schwarz_planar_bound,
 )
-from .errors import AccuracyError, ContractError, DomainError
+from .errors import AccuracyError, DomainError
 from .hilbert_ball import (
     MobiusParams,
     RealLinearMap,

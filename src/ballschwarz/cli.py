@@ -30,8 +30,8 @@ import numpy as np
 from .envelope import (
     CapSpec,
     KernelKind,
-    _envelope,
     boundary_derivative_harmonic,
+    envelope_upper,
     heinz_schwarz_constant,
     schwarz_planar_bound,
 )
@@ -179,8 +179,8 @@ def _cmd_envelope(args: argparse.Namespace, quad: QuadratureConfig) -> int:
             if not 0.0 < c <= 1.0:
                 raise DomainError(f"c grid entry {c!r} outside (0, 1]")
             cap = CapSpec(n, c)
-            uppers, lowers = _envelope(kind, cap, radii, "Mm", quad)
-            for r, upper, lower in zip(radii, uppers, lowers):
+            values = envelope_upper(kind, cap, radii + [-r for r in radii], quad).tolist()
+            for r, upper, lower in zip(radii, values, values[len(radii):]):
                 row = {"kind": kind.value, "n": n, "c": c, "r": r, "M_upper": upper, "m_lower": lower}
                 if args.oracle:
                     est, err = _envelope_mc_oracle(kind, cap, r, seed)

@@ -28,7 +28,12 @@ to t = pi, and the substitution t -> pi - t gives the reflection
 
     M_c^n(-r) = m_c^n(r),    m_c^n(-r) = M_c^n(r),
 
-so no radius integrates across the kernel peak.
+so no radius integrates across the kernel peak.  ``envelope_upper`` is
+the one envelope kernel and ``envelope_lower`` is M at -r.  The kernel
+picks its tail by the sign bit of r: a clear bit takes the cap's own arc
+and a set one, -0.0 included, the complement's.  The two tails agree at
+r = 0 only to rounding (within 4e-15 for n <= 64), so M(+0.0) and
+m(+0.0) = M(-0.0) keep the bits of their own sides.
 
 Every sharp constant in this package is a boundary derivative of M_c^n,
 in closed form through the cap measure F_n(alpha) = I_{sin^2 alpha}((n-1)/2,
@@ -67,7 +72,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -146,15 +151,20 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     raise AccuracyError(f"incomplete-beta fraction for a={a!r}, b={b!r}, x={x!r} did not converge")
 
 
+def _dimension(n) -> int:
+    """n as an int, or ``DomainError`` unless it is an integer >= 2 (NaN and +-inf included)."""
+    if not (2 <= n < math.inf and n == int(n)):
+        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
 def cap_measure_from_angle(n: int, alpha: float) -> float:
     """Normalized measure F_n(alpha) of a polar cap of half-angle alpha.
 
     F_n(alpha) = I_{sin^2 alpha}((n-1)/2, 1/2) / 2 for alpha <= pi/2, with
     1/B((n-1)/2, 1/2) = sigma_star(n), and 1 - F_n(pi - alpha) beyond.
     """
-    if not (2 <= n < math.inf and n == int(n)):
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
-    n = int(n)
+    n = _dimension(n)
     return _cap_measure(n, sigma_star(n), alpha)
 
 
@@ -198,11 +208,9 @@ def cap_angle_from_measure(n: int, c: float) -> float:
     halves a small angle, a c' below about 1e-57), raises
     ``AccuracyError``; an angle outside (0, pi] raises ``DomainError``.
     """
-    if not (2 <= n < math.inf and n == int(n)):
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
+    n = _dimension(n)
     if not 0.0 < c < 1.0:
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
-    n = int(n)
     star = sigma_star(n)
     target = min(c, 1.0 - c)
     alpha = 0.5 * math.pi
@@ -239,25 +247,37 @@ class CapSpec:
     alpha: float = field(init=False)
 
     def __post_init__(self):
-        if not (2 <= self.n < math.inf and self.n == int(self.n)):
-            raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", _dimension(self.n))
         if not 0.0 < self.c <= 1.0:
             raise DomainError(f"cap measure must lie in (0, 1], got {self.c!r}")
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "alpha", math.pi if self.c == 1.0 else cap_angle_from_measure(self.n, self.c))
 
 
-def _radii(r) -> tuple[list[float], bool]:
-    """A radius or 1-D array of radii as a list of floats, each checked for |r| < 1,
-    and whether ``r`` was a single radius."""
-    single = isinstance(r, (int, float)) or np.ndim(r) == 0
-    radii = [float(r)] if single else [float(x) for x in r]
+def _radii(r, inside: Callable[[float], bool] = lambda x: -1.0 < x < 1.0,
+           refusal: str = "radius must satisfy |r| < 1") -> list[float]:
+    """A radius or 1-D array of radii as a list of floats, each ``inside``.
+
+    The first radius that is not raises ``DomainError`` with the text
+    ``refusal``, naming it; an array of more dimensions raises, naming its
+    shape.  By default a radius is checked for |r| < 1: negative radii are
+    the analytic continuation of the radial profile along the axis, and
+    central differences at r = 0 rely on them.
+    """
+    shape = () if isinstance(r, (int, float)) else np.shape(r)
+    if len(shape) > 1:
+        raise DomainError(f"radii must be a radius or a 1-D array, got shape {shape}")
+    radii = [float(x) for x in r] if shape else [float(r)]
     for x in radii:
-        # Negative radii are the analytic continuation of the radial profile
-        # along the axis; central differences at r = 0 rely on them.
-        if not -1.0 < x < 1.0:
-            raise DomainError(f"radius must satisfy |r| < 1, got {x!r}")
-    return radii, single
+        if not inside(x):
+            raise DomainError(f"{refusal}, got {x!r}")
+    return radii
+
+
+def _shaped(values, r) -> float | np.ndarray:
+    """Values, one per radius of r, as a float for a single radius and as an array for an array of radii."""
+    if isinstance(r, (int, float)) or not isinstance(r, (list, tuple)) and np.ndim(r) == 0:
+        return float(values[0])
+    return np.asarray(values)  # a list or tuple is never a single radius, and np.ndim would copy it
 
 
 def envelope_upper(
@@ -270,10 +290,22 @@ def envelope_upper(
 
     ``r`` is a radius or a 1-D array of radii in (-1, 1); an array returns
     the array of values, its harmonic tails integrated as rows of one
-    quadrature per cap angle (one for radii of one sign).
+    quadrature per cap angle.  This is the one envelope kernel: the lower
+    envelope is its reflection m_c^n(r) = M_c^n(-r).  A radius whose sign
+    bit is clear lies on the peak's side of the cap and gives
+    1 - (1-|r|) T_alpha(|r|); one whose sign bit is set, -0.0 included,
+    gives (1-|r|) T_{pi-alpha}(|r|) - 1.  The two tails agree at r = 0 only
+    to rounding, so M(-0.0) = m(+0.0) may differ from M(+0.0) in its last
+    bits.  The full cap (alpha = pi) gives 1: its data is 1
+    everywhere, and its arc would contain the peak.
     """
-    [values] = _envelope(kind, cap, r, "M", config)
-    return np.array(values) if isinstance(values, list) else values
+    radii = _radii(r)
+    if cap.alpha >= math.pi:
+        return _shaped([1.0] * len(radii), r)
+    own = [math.copysign(1.0, x) > 0.0 for x in radii]
+    rho = [abs(x) for x in radii]
+    tails = _tail_quotient(kind, cap.n, [cap.alpha if o else math.pi - cap.alpha for o in own], rho, config)
+    return _shaped([1.0 - (1.0 - x) * t if o else (1.0 - x) * t - 1.0 for o, x, t in zip(own, rho, tails)], r)
 
 
 def envelope_lower(
@@ -282,40 +314,13 @@ def envelope_lower(
     r: float | np.ndarray,
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float | np.ndarray:
-    """Lower envelope m_c^n(r): the antipodal cap-indicator extension.
+    """Lower envelope m_c^n(r) = M_c^n(-r): the antipodal cap-indicator extension.
 
-    ``r`` is a radius or a 1-D array of radii in (-1, 1); an array returns
-    the array of values, its harmonic tails integrated as rows of one
-    quadrature per cap angle (one for radii of one sign).
+    ``r`` is a radius or a 1-D array of radii in (-1, 1), checked before
+    it is reflected, so a refusal names the caller's radius; an array
+    returns the array of values.
     """
-    [values] = _envelope(kind, cap, r, "m", config)
-    return np.array(values) if isinstance(values, list) else values
-
-
-def _envelope(kind: KernelKind, cap: CapSpec, r: float | np.ndarray, sides: str,
-              config: QuadratureConfig) -> list:
-    """The envelopes that ``sides`` names ("M", "m" or "Mm"), in its order, at the radii r.
-
-    One entry per side: a list of floats, or a float for a float radius.
-    The radii are checked and reflected once for all sides.  By the
-    reflection M(-r) = m(r), a radius on the peak's side of the cap
-    (r >= 0 for M, r < 0 for m) gives 1 - (1-|r|) T_alpha(|r|) and any
-    other gives (1-|r|) T_{pi-alpha}(|r|) - 1; each side's tails are one
-    ``_tail_quotient`` pass, so a side makes the quadratures it makes
-    alone.  The full cap (alpha = pi) gives 1 on both sides: its data is
-    1 everywhere, and its arc would contain the peak.
-    """
-    radii, single = _radii(r)
-    if cap.alpha >= math.pi:
-        values = [[1.0] * len(radii) for _ in sides]
-    else:
-        rho = [abs(x) for x in radii]
-        values = []
-        for side in sides:
-            own = [(x >= 0.0) == (side == "M") for x in radii]
-            tails = _tail_quotient(kind, cap.n, [cap.alpha if o else math.pi - cap.alpha for o in own], rho, config)
-            values.append([1.0 - (1.0 - x) * t if o else (1.0 - x) * t - 1.0 for o, x, t in zip(own, rho, tails)])
-    return [side[0] for side in values] if single else values
+    return _shaped(envelope_upper(kind, cap, [-x for x in _radii(r)], config), r)
 
 
 def boundary_difference_quotient(
@@ -356,19 +361,15 @@ def boundary_difference_quotient(
     c = 1/2, r = 0.95, T is 3.6e-19 and the default abs_tol leaves it
     2.9e-6 off.  The closed forms do not read ``config``.
     """
-    single = isinstance(r, (int, float)) or np.ndim(r) == 0
-    radii = [float(r)] if single else [float(x) for x in r]
-    for x in radii:
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"difference quotient needs 0 <= r <= 1, got {x!r}")
+    radii = _radii(r, lambda x: 0.0 <= x <= 1.0, "difference quotient needs 0 <= r <= 1")
     if cap.alpha >= math.pi:  # the full cap has no complement: T = 0
-        return 0.0 if single else np.zeros(len(radii))
+        return _shaped([0.0] * len(radii), r)
     values = _tail_quotient(kind, cap.n, [cap.alpha] * len(radii), radii, config)
     for x, value in zip(radii, values):  # the first radius whose complement measure underflowed
         if x < 1.0 and not 0.5 * (1.0 - x) * value >= sys.float_info.min:
             raise DomainError(f"T(r) for n={cap.n}, c={cap.c!r} at r={x!r} is {value!r}: "
                               f"its complement measure is below the normal doubles")
-    return values[0] if single else np.array(values)
+    return _shaped(values, r)
 
 
 def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: Sequence[float],
@@ -377,13 +378,14 @@ def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: Sequence[flo
 
     sigma_star(n) is looked up once.  The harmonic tails over [alpha, pi]
     are one ``integrate_rows`` call per distinct alpha (at most two, a
-    cap's and its complement's), each radius a row of that call.
+    cap's and its complement's, in the order they first appear), each
+    radius a row of that call.
     """
     star = sigma_star(n)
     if kind is KernelKind.HYPERBOLIC_HARMONIC or n == 2:
         return [_closed_form_tail(n, star, a, x) for a, x in zip(alpha, r)]
     tails = [0.0] * len(r)
-    for angle in set(alpha):
+    for angle in dict.fromkeys(alpha):
         pairs = [j for j, a in enumerate(alpha) if a == angle]
         radius = np.array([r[j] for j in pairs])[:, None]
 
@@ -424,11 +426,9 @@ def boundary_derivative_harmonic(n: int, a: float) -> float:
     t = 2 sigma_star cos^{n-1}h / sin h is taken out and assembled in
     logs.  Past about n = 2050 at a = 0, D_n underflows: ``DomainError``.
     """
-    if not (2 <= n < math.inf and n == int(n)):
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
+    n = _dimension(n)
     if not -1.0 < a < 1.0:
         raise DomainError(f"base value must lie in (-1, 1), got {a!r}")
-    n = int(n)
     h = 0.5 * cap_angle_from_measure(n, 0.5 * (1.0 + a))
     star = sigma_star(n)
     sin, cos = math.sin(h), math.cos(h)
@@ -452,9 +452,7 @@ def heinz_schwarz_constant(m: int, oracle: bool = False) -> float:
     routes the hypergeometric value through the brute-force alternating
     series instead of the transformed one.
     """
-    if not (2 <= m < math.inf and m == int(m)):
-        raise DomainError(f"dimension must be an integer >= 2, got {m!r}")
-    m = int(m)
+    m = _dimension(m)
     if oracle:
         f_val = gauss_2f1_neg1_series(0.5, 1.0, 0.5 * (3 + m))
     else:

@@ -15,7 +15,3 @@ class AccuracyError(ArithmeticError):
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-
-
-class ContractError(ValueError):
-    """A caller-supplied callable violated a contract probed at runtime."""

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .envelope import KernelKind, _radii, cap_measure_from_angle
+from .envelope import KernelKind, _radii, _shaped, cap_measure_from_angle
 from .errors import DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from .specfn import sigma_star
@@ -182,8 +182,7 @@ def zonal_extension_on_axis(
     whose integrand vanishes at the peak wherever the profile is
     continuous there, so no radius integrates across it.
     """
-    listed, single = _radii(r)
-    radii = np.array(listed)
+    radii = np.array(_radii(r))
     n = data.n
     nu, _ = kind.exponents(n)
     star = sigma_star(n)
@@ -195,7 +194,7 @@ def zonal_extension_on_axis(
 
     body = integrate_rows(integrand, 0.0, math.pi, config, breakpoints=data.breakpoints)
     values = peak + star * (1.0 - radii * radii) ** nu * body
-    return float(values[0]) if single else values
+    return _shaped(values, r)
 
 
 def uniform_sphere_samples(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

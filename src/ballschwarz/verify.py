@@ -33,7 +33,6 @@ from .disc import DiscCapExtremal, arc_extension
 from .envelope import (
     CapSpec,
     KernelKind,
-    _envelope,
     boundary_derivative_harmonic,
     boundary_difference_quotient,
     cap_angle_from_measure,
@@ -328,8 +327,9 @@ def check_envelope_sandwich(
     c = (1+a)/2; a return value at or below quadrature tolerance means
     the sandwich holds on the grid.  h at 0 and at the grid radii is one
     quadrature over the profile, the side independent of the envelopes,
-    and M and m over the grid are one envelope pass: one tail quadrature
-    each (harmonic) or closed forms (hyperbolic).
+    and M and m over the grid are one ``envelope_upper`` call over the
+    grid and its negation, m(r) = M(-r): one tail quadrature per side
+    (harmonic) or closed forms (hyperbolic).
     """
     radii = np.concatenate(([0.0], np.asarray(grid, dtype=float)))
     h = zonal_extension_on_axis(kind, data, radii, config)
@@ -337,8 +337,8 @@ def check_envelope_sandwich(
     if not -1.0 < a < 1.0:
         raise DomainError(f"profile mean must lie in (-1, 1), got {a!r}")
     cap = CapSpec(data.n, 0.5 * (1.0 + a))
-    upper, lower = _envelope(kind, cap, radii[1:], "Mm", config)
-    return float(np.max(np.maximum(h[1:] - upper, lower - h[1:]), initial=-math.inf))
+    both = envelope_upper(kind, cap, np.concatenate((radii[1:], -radii[1:])), config)
+    return float(np.max(np.maximum(h[1:] - both[:len(grid)], both[len(grid):] - h[1:]), initial=-math.inf))
 
 
 def check_planar_bound(b_values: Sequence[float]) -> list[MarginReport]:
@@ -696,6 +696,8 @@ def majorant_radial_slope(
     of one envelope quadrature, and the result is the array of slopes.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
+    if radii.ndim > 1:
+        raise DomainError(f"slope radii must be a radius or a 1-D array, got shape {radii.shape}")
     if not np.all((0.0 <= radii) & (radii < 1.0 - _SLOPE_STEP)):
         raise DomainError("slope stencil must stay inside [0, 1)")
     hemisphere = CapSpec(m, 0.5)
@@ -714,8 +716,6 @@ def check_V_monotone(m: int, config: QuadratureConfig = DEFAULT_CONFIG) -> Margi
     within 1e-6, with the side check ``monotone``: V never increases along
     the grid by more than 1e-8.
     """
-    if not (2 <= m < math.inf and m == int(m)):
-        raise DomainError(f"dimension must be an integer >= 2, got {m!r}")
     radii = [0.1 * j for j in range(10)] + [0.99]
     values = majorant_radial_slope(m, radii, config=config).tolist()
     monotone = all(later <= earlier + 1e-8 for earlier, later in zip(values[:-1], values[1:]))

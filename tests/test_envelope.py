@@ -745,21 +745,33 @@ def test_array_radii_match_the_scalar_envelopes(kind, n):
 @pytest.mark.parametrize("kind", [HARM, HYP])
 @pytest.mark.parametrize("n", [2, 3, 8, 32])
 def test_one_envelope_pass_has_the_bits_of_each_side(kind, n):
+    # m(r) is M(-r) bit for bit, +-0 included, and one pass over r and -r gives each side's bits
     radii = [-0.999, -0.5, -0.0, 0.0, 0.3, 0.9, 0.999]
     config = QuadratureConfig()
     for c in (0.1, 0.5, 0.9, 1.0):
         cap = CapSpec(n, c)
-        for r in (radii, np.array(radii), 0.3, -0.5, 0.0, 0):
-            upper, lower = ballschwarz.envelope._envelope(kind, cap, r, "Mm", config)
-            assert ballschwarz.envelope._envelope(kind, cap, r, "M", config) == [upper]
-            assert ballschwarz.envelope._envelope(kind, cap, r, "m", config) == [lower]
-            for side, envelope in ((upper, envelope_upper), (lower, envelope_lower)):
+        for r in radii + [0]:
+            lower = envelope_lower(kind, cap, r, config)
+            assert type(lower) is float and lower.hex() == envelope_upper(kind, cap, -float(r), config).hex(), (c, r)
+        for r in (radii, np.array(radii)):
+            both = envelope_upper(kind, cap, np.concatenate((r, np.negative(r))), config).tolist()
+            for side, envelope in ((both[:len(radii)], envelope_upper), (both[len(radii):], envelope_lower)):
                 alone = envelope(kind, cap, r, config)
-                if np.ndim(r):
-                    assert type(side) is list and all(type(v) is float for v in side)
-                    assert [v.hex() for v in side] == [v.hex() for v in alone.tolist()], (c, envelope)
-                else:
-                    assert type(side) is float and side.hex() == alone.hex(), (c, r, envelope)
+                assert [v.hex() for v in side] == [v.hex() for v in alone.tolist()], (c, envelope)
+
+
+@pytest.mark.parametrize("kind, pins", [
+    (HARM, [("-0x1.999999999999cp-1", "-0x1.999999999999dp-1"), ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.9999999999995p-1", "0x1.9999999999992p-1")]),
+    (HYP, [("-0x1.9999999999998p-1", "-0x1.9999999999999p-1"), ("-0x1.0000000000000p-51", "0x1.0000000000000p-51"),
+           ("0x1.9999999999993p-1", "0x1.9999999999994p-1")]),
+])
+def test_the_envelopes_at_positive_zero_keep_their_bits(kind, pins):
+    # +0.0 takes M's own tail and m = M(-0.0) the reflected one, which differ in their last bits; only
+    # M(-0.0) and m(-0.0) take the other tail than before m was M(-r)
+    for c, (upper, lower) in zip((0.1, 0.5, 0.9), pins):
+        cap = CapSpec(8, c)
+        assert (envelope_upper(kind, cap, 0.0).hex(), envelope_lower(kind, cap, 0.0).hex()) == (upper, lower), c
 
 
 @pytest.mark.parametrize("kind", ["harmonic", "hyperbolic"])
@@ -768,22 +780,24 @@ def test_the_envelope_table_makes_one_pass_per_cap(monkeypatch, capsys, kind):
     from ballschwarz.cli import main
 
     passes = []
-    one_pass = ballschwarz.cli._envelope
+    one_pass = ballschwarz.cli.envelope_upper
 
-    def counted(kind, cap, r, sides, config):
-        passes.append((cap.n, cap.c, sides))
-        return one_pass(kind, cap, r, sides, config)
+    def counted(kind, cap, r, config):
+        passes.append((cap.n, cap.c, list(r)))
+        return one_pass(kind, cap, r, config)
 
     def refuse(*args):
-        raise AssertionError("the envelope table called a one-sided envelope")
+        raise AssertionError("the envelope table called the lower envelope")
 
-    monkeypatch.setattr(ballschwarz.cli, "_envelope", counted)
-    monkeypatch.setattr(ballschwarz.envelope, "envelope_upper", refuse)
+    monkeypatch.setattr(ballschwarz.cli, "envelope_upper", counted)
     monkeypatch.setattr(ballschwarz.envelope, "envelope_lower", refuse)
     argv = ["envelope", "--n", "2,8", "--c-grid", "0.3,1", "--r-grid=-0.5,0,0.9", "--kind", kind]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    assert passes == [(2, 0.3, "Mm"), (2, 1.0, "Mm"), (8, 0.3, "Mm"), (8, 1.0, "Mm")]
+    # each cap's radii, then their reflections: M over the grid and m = M(-r)
+    both = [-0.5, 0.0, 0.9, 0.5, -0.0, -0.9]
+    assert [(n, c, [x.hex() for x in r]) for n, c, r in passes] == [
+        (n, c, [x.hex() for x in both]) for n in (2, 8) for c in (0.3, 1.0)]
 
 
 def test_array_radii_outside_the_ball_raise_naming_the_radius():

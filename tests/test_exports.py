@@ -7,7 +7,8 @@ import ballschwarz
 
 # exported with no caller yet, and why it stays
 UNCALLED = {
-    "envelope_lower": "the public m_c^n at one side; the CLI and the sandwich take M and m from one envelope pass",
+    "envelope_lower": "the public m_c^n(r) = M_c^n(-r); the CLI and the sandwich take M and m from one "
+                      "envelope_upper call over the radii and their reflections",
 }
 
 
@@ -54,3 +55,11 @@ def test_the_hopf_scan_is_the_one_caller_of_the_decay_coefficient():
                if isinstance(func, ast.FunctionDef) for node in ast.walk(func) if isinstance(node, ast.Call)
                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "hyperbolic_decay_coefficient"}
     assert callers == {("verify", "hopf_failure_scan")}
+
+
+def test_the_one_private_import_between_modules_is_the_radius_convention():
+    # poisson takes the radius check and the result shape from envelope; cli and verify import no private name
+    imported = {(module, node.module, alias.name) for module, tree in _modules().items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names if alias.name.startswith("_")}
+    assert imported == {("poisson", "envelope", "_radii"), ("poisson", "envelope", "_shaped")}

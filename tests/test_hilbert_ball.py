@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,6 +350,17 @@ def test_boundary_lambda_guard_scales_with_the_map(scale):
     lam, residual = boundary_lambda(L, np.array([1.0, 0.0]), np.array([1.0 + 5e-13, 0.0]))
     assert lam == pytest.approx(scale, rel=1e-12) and lam > scale
     assert residual == pytest.approx(0.0, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["B", "C"])
+def test_boundary_lambda_of_a_non_finite_operator_is_a_domain_error(part, entry):
+    # Cauchy-Schwarz holds for every finite operator; a NaN or inf entry used to leave as (nan, nan) or inf
+    parts = {"B": np.eye(2), "C": np.zeros((2, 2))}
+    parts[part][0, 0] = entry
+    # inf times the 0 imaginary part of a direction is NaN, which numpy warns of in the map itself
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="^boundary eigenvalue of the operator is not"):
+        boundary_lambda(RealLinearMap(**parts), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
 
 
 def test_mobius_rejects_boundary_parameter():

@@ -200,16 +200,16 @@ def test_the_bit_audit_names_a_mobius_residual_moved_by_one_ulp(tmp_path):
 
 
 # appended to a copy of envelope.py: the upper envelope at r = 0.5 moved up by one ulp for n = 8, c = 0.3, in
-# the one envelope pass that the CLI makes per cap
+# the one envelope_upper call over the radii and their reflections that the CLI makes per cap
 _ENVELOPE_MUTANT = '''
 
-_unmoved_envelope = _envelope
+_unmoved_upper = envelope_upper
 
 
-def _envelope(kind, cap, r, sides, config):
-    values = _unmoved_envelope(kind, cap, r, sides, config)
-    if cap.n == 8 and cap.c == 0.3 and sides[0] == "M" and isinstance(values[0], list):
-        values[0][1] = math.nextafter(values[0][1], math.inf)
+def envelope_upper(kind, cap, r, config=DEFAULT_CONFIG):
+    values = _unmoved_upper(kind, cap, r, config)
+    if cap.n == 8 and cap.c == 0.3 and np.ndim(r):
+        values[1] = math.nextafter(values[1], math.inf)
     return values
 '''
 

@@ -13,6 +13,7 @@ from ballschwarz import (
     MarginReport,
     ZonalBoundaryData,
     boundary_derivative_harmonic,
+    boundary_difference_quotient,
     build_cap_extremal,
     cap_angle_from_measure,
     cap_measure_from_angle,
@@ -422,21 +423,26 @@ def test_sandwich_integrates_each_grid_in_one_call_per_side(kind, most, engine_c
 
 @pytest.mark.parametrize("kind", [HARM, HYP])
 def test_sandwich_makes_one_envelope_pass(kind, monkeypatch):
+    # M over the grid and m = M(-r) in one envelope_upper call, and no call of the lower envelope
     passes = []
-    one_pass = verify._envelope
+    one_pass = verify.envelope_upper
 
-    def counted(kind, cap, r, sides, config):
-        passes.append(sides)
-        return one_pass(kind, cap, r, sides, config)
+    def counted(kind, cap, r, config):
+        passes.append(r.tolist())
+        return one_pass(kind, cap, r, config)
 
-    monkeypatch.setattr(verify, "_envelope", counted)
+    def refuse(*args):
+        raise AssertionError("the sandwich called the lower envelope")
+
+    monkeypatch.setattr(verify, "envelope_upper", counted)
+    monkeypatch.setattr(envelope, "envelope_lower", refuse)
     rng = np.random.Generator(np.random.Philox(7))
     grid = [0.05 + 0.1 * j for j in range(10)]
     for _ in range(3):
         data = random_zonal_profile(rng, 3)
         passes.clear()
         assert check_envelope_sandwich(kind, data, grid) <= 1e-8
-        assert passes == ["Mm"]
+        assert passes == [grid + [-x for x in grid]]
 
 
 def _sandwich_per_radius(kind, data, grid):
@@ -757,6 +763,23 @@ def test_a_non_integer_dimension_is_a_domain_error(name, n):
     build, message = _DIMENSION_CHECKS[name]
     with pytest.raises(DomainError, match=f"^{message}, got n?=?{n!r}$"):
         build(n)
+
+
+_RADIUS_TAKERS = {
+    "envelope_upper": lambda r: envelope_upper(HARM, CapSpec(3, 0.5), r),
+    "envelope_lower": lambda r: envelope_lower(HYP, CapSpec(3, 0.5), r),
+    "boundary_difference_quotient": lambda r: boundary_difference_quotient(HARM, CapSpec(3, 0.5), r),
+    "zonal_extension_on_axis": lambda r: zonal_extension_on_axis(
+        HARM, ZonalBoundaryData(3, _axis(3), lambda t: np.where(t <= 1.0, 1.0, -1.0), (1.0,)), r),
+    "majorant_radial_slope": lambda r: majorant_radial_slope(3, r),
+}
+
+
+@pytest.mark.parametrize("name", list(_RADIUS_TAKERS))
+def test_a_radius_array_of_two_dimensions_is_a_domain_error_naming_its_shape(name):
+    # each takes a radius or a 1-D array of radii; a 2-D array used to reach float() and raise numpy's TypeError
+    with pytest.raises(DomainError, match=r"1-D array, got shape \(1, 2\)$"):
+        _RADIUS_TAKERS[name]([[0.1, 0.2]])
 
 
 def _majorant_draws(n, m, trials, seed):

@@ -35,7 +35,7 @@ from .envelope import (
     heinz_schwarz_constant,
     schwarz_planar_bound,
 )
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _integer
 from .hilbert_ball import MobiusParams, mobius_identity_residuals
 from .poisson import BoundaryMap, monte_carlo_extension
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -135,8 +135,6 @@ def _cmd_constants(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     rows = []
     for n in sorted(args.n):
         for a in sorted(args.a_grid):
-            if not -1.0 < a < 1.0:
-                raise DomainError(f"a grid entry {a!r} outside (-1, 1)")
             row = {
                 "n": n,
                 "a": a,
@@ -176,8 +174,6 @@ def _cmd_envelope(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     radii = sorted(args.r_grid)
     for n in sorted(args.n):
         for c in sorted(args.c_grid):
-            if not 0.0 < c <= 1.0:
-                raise DomainError(f"c grid entry {c!r} outside (0, 1]")
             cap = CapSpec(n, c)
             values = envelope_upper(kind, cap, radii + [-r for r in radii], quad).tolist()
             for r, upper, lower in zip(radii, values, values[len(radii):]):
@@ -265,8 +261,7 @@ def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     rows = []
     identities = ["involution", "sphere_preservation", "A_squared", "derivative_adjoint"]
     for k in sorted(args.n):
-        if k < 1:
-            raise DomainError(f"complex dimension must be >= 1, got {k!r}")
+        _integer(k, "complex dimension", 1)
         xis, zs = _mobius_draws(args.seed, k)
         residuals = mobius_identity_residuals(MobiusParams(xis), zs)
         for name in identities:

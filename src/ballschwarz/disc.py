@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .envelope import schwarz_planar_bound
 from .errors import DomainError
 
 __all__ = ["arc_antiderivative", "arc_extension", "DiscCapExtremal"]
@@ -77,7 +76,3 @@ class DiscCapExtremal:
     def __call__(self, z: complex) -> float:
         w = self.half_width
         return 2.0 * arc_extension(z, -w, w) - 1.0
-
-    def contact_slope(self) -> float:
-        """Radial derivative at the contact point z = 1 (closed form)."""
-        return schwarz_planar_bound(self.a)

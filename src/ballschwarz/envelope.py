@@ -78,7 +78,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _integer
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
 
@@ -151,20 +151,13 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     raise AccuracyError(f"incomplete-beta fraction for a={a!r}, b={b!r}, x={x!r} did not converge")
 
 
-def _dimension(n) -> int:
-    """n as an int, or ``DomainError`` unless it is an integer >= 2 (NaN and +-inf included)."""
-    if not (2 <= n < math.inf and n == int(n)):
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
-    return int(n)
-
-
 def cap_measure_from_angle(n: int, alpha: float) -> float:
     """Normalized measure F_n(alpha) of a polar cap of half-angle alpha.
 
     F_n(alpha) = I_{sin^2 alpha}((n-1)/2, 1/2) / 2 for alpha <= pi/2, with
     1/B((n-1)/2, 1/2) = sigma_star(n), and 1 - F_n(pi - alpha) beyond.
     """
-    n = _dimension(n)
+    n = _integer(n)
     return _cap_measure(n, sigma_star(n), alpha)
 
 
@@ -208,7 +201,7 @@ def cap_angle_from_measure(n: int, c: float) -> float:
     halves a small angle, a c' below about 1e-57), raises
     ``AccuracyError``; an angle outside (0, pi] raises ``DomainError``.
     """
-    n = _dimension(n)
+    n = _integer(n)
     if not 0.0 < c < 1.0:
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
     star = sigma_star(n)
@@ -247,7 +240,7 @@ class CapSpec:
     alpha: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _dimension(self.n))
+        object.__setattr__(self, "n", _integer(self.n))
         if not 0.0 < self.c <= 1.0:
             raise DomainError(f"cap measure must lie in (0, 1], got {self.c!r}")
         object.__setattr__(self, "alpha", math.pi if self.c == 1.0 else cap_angle_from_measure(self.n, self.c))
@@ -426,7 +419,7 @@ def boundary_derivative_harmonic(n: int, a: float) -> float:
     t = 2 sigma_star cos^{n-1}h / sin h is taken out and assembled in
     logs.  Past about n = 2050 at a = 0, D_n underflows: ``DomainError``.
     """
-    n = _dimension(n)
+    n = _integer(n)
     if not -1.0 < a < 1.0:
         raise DomainError(f"base value must lie in (-1, 1), got {a!r}")
     h = 0.5 * cap_angle_from_measure(n, 0.5 * (1.0 + a))
@@ -452,7 +445,7 @@ def heinz_schwarz_constant(m: int, oracle: bool = False) -> float:
     routes the hypergeometric value through the brute-force alternating
     series instead of the transformed one.
     """
-    m = _dimension(m)
+    m = _integer(m)
     if oracle:
         f_val = gauss_2f1_neg1_series(0.5, 1.0, 0.5 * (3 + m))
     else:
@@ -486,8 +479,7 @@ def hyperbolic_decay_coefficient(cap: CapSpec) -> float:
     at n = 2 the hyperbolic-harmonic class coincides with the harmonic
     one and the decay exponent degenerates; the full cap c = 1 has T = 0.
     """
-    if cap.n <= 2:
-        raise DomainError(f"hyperbolic decay coefficient needs integer n > 2, got {cap.n!r}")
+    _integer(cap.n, least=3)
     if cap.c == 1.0:
         raise DomainError(f"cap measure must lie in (0, 1), got {cap.c!r}")
     log_d = math.log(2.0 * sigma_star(cap.n) / (cap.n - 1)) - (cap.n - 1) * math.log(math.tan(0.5 * cap.alpha))

@@ -156,6 +156,9 @@ class RealLinearMap:
         C = np.atleast_2d(np.asarray(self.C, dtype=complex))
         if B.shape != C.shape:
             raise DomainError(f"matrix parts must share a shape, got {B.shape} vs {C.shape}")
+        for name, part in (("B", B), ("C", C)):
+            if not np.isfinite(part).all():
+                raise DomainError(f"matrix part {name} must have finite entries")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
 
@@ -222,9 +225,9 @@ def boundary_lambda(
 
     the residual vanishing exactly when the eigen-relation
     Df* b = lambda a holds.  Cauchy-Schwarz bounds lambda by |Df(a)| |b|
-    for every operator, so only an operator with a NaN or inf entry (or
-    one whose products overflow) can break it: a lambda or residual that
-    is not finite raises :class:`DomainError`.
+    for every operator, and ``RealLinearMap`` refuses a NaN or inf entry,
+    so only an operator whose products overflow can break it: a lambda or
+    residual that is not finite raises :class:`DomainError`.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .envelope import KernelKind, _radii, _shaped, cap_measure_from_angle
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from .specfn import sigma_star
 
@@ -83,8 +83,8 @@ class ZonalBoundaryData:
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
         object.__setattr__(self, "axis", axis)
-        if not (2 <= self.n < math.inf and self.n == int(self.n)) or axis.shape != (self.n,):
-            raise DomainError(f"axis must be a vector of integer dimension n >= 2, got n={self.n!r}")
+        if axis.shape != (_integer(self.n),):
+            raise DomainError(f"axis must be a vector of dimension n={self.n!r}, got shape {axis.shape}")
         if not abs(float(np.linalg.norm(axis)) - 1.0) <= _AXIS_TOL:
             raise DomainError("zonal axis must be a unit vector to 1e-14")
         vals = np.asarray(self.profile(_PROBE_ANGLES), dtype=float)
@@ -143,8 +143,8 @@ class BoundaryMap:
     eval: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.n < 2 or self.m < 1:
-            raise DomainError(f"boundary map needs n >= 2, m >= 1, got ({self.n!r}, {self.m!r})")
+        object.__setattr__(self, "n", _integer(self.n))
+        object.__setattr__(self, "m", _integer(self.m, "target dimension", 1))
         probe = uniform_sphere_samples(np.random.Generator(np.random.Philox(0)), 8, self.n)
         vals = np.asarray(self.eval(probe), dtype=float)
         if vals.shape != (8, self.m):
@@ -199,7 +199,8 @@ def zonal_extension_on_axis(
 
 def uniform_sphere_samples(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     """Uniform samples on S^{n-1} as normalized isotropic Gaussian vectors."""
-    out = rng.standard_normal((count, n))
+    n = _integer(n, least=1)
+    out = rng.standard_normal((_integer(count, "sample count", 0), n))
     norms = np.linalg.norm(out, axis=1)
     bad = norms < 1e-8
     while np.any(bad):  # astronomically rare; keeps the map well-defined
@@ -235,8 +236,7 @@ def monte_carlo_extension(
     r2 = float(np.dot(x, x))
     if not r2 < 1.0:
         raise DomainError("evaluation point must lie strictly inside the ball")
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    samples = _integer(samples, "samples", 1)
     nu, mu = kind.exponents(g.n)
 
     floor = (1.0 - math.sqrt(r2)) ** 2

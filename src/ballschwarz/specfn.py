@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _integer
 
 __all__ = [
     "gauss_2f1_neg1",
@@ -29,7 +29,7 @@ _RATIO_SHIFT = 32.0  # where the asymptotic series of _half_gamma_ratio starts
 
 
 def _check_2f1_domain(a: float, b: float, c: float) -> None:
-    if c <= 0.0 and c == int(c):
+    if c <= 0.0 and float(c).is_integer():  # -inf is no integer: it fails the test below
         raise DomainError(f"2F1 parameter c={c!r} is a non-positive integer")
     # The defining series at -1 converges (conditionally) iff c - a - b > -1;
     # c - a - b > 0 would give absolute convergence but excludes the
@@ -95,9 +95,7 @@ def gauss_2f1_neg1_series(a: float, b: float, c: float) -> float:
 
 def sigma_star(n: int) -> float:
     """Area ratio sigma_{n-2}/sigma_{n-1} = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) of S^{n-2} to S^{n-1}."""
-    if not (2 <= n < math.inf and n == int(n)):
-        raise DomainError(f"sphere dimension parameter must be an integer >= 2, got {n!r}")
-    return _half_gamma_ratio(0.5 * (int(n) - 1)) / math.sqrt(math.pi)
+    return _half_gamma_ratio(0.5 * (_integer(n) - 1)) / math.sqrt(math.pi)
 
 
 @functools.lru_cache(maxsize=1024)  # the recurrence costs 32 steps at small x

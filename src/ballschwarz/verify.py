@@ -41,7 +41,7 @@ from .envelope import (
     hyperbolic_decay_coefficient,
     schwarz_planar_bound,
 )
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _integer
 from .hilbert_ball import (
     MobiusParams,
     RealLinearMap,
@@ -264,6 +264,7 @@ def zonal_contact_case(
     differentiability hypothesis the boundary-derivative checks need.
     The map takes its values along y0 = e_1 of R^m.
     """
+    n, m = _integer(n), _integer(m, "target dimension", 1)
     if axis is None:
         axis = np.zeros(n)
         axis[0] = 1.0
@@ -292,8 +293,7 @@ def build_cap_extremal(
     the measured boundary derivative must reproduce D_n(a); every other
     admissible map with the same base value can only do worse.
     """
-    if n < 2 or m < 2:
-        raise DomainError("cap extremal needs n >= 2 and m >= 2")
+    _integer(m, "target dimension")
     if not -1.0 < a < 1.0:
         raise DomainError("base value must lie in (-1, 1)")
     alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a))
@@ -404,7 +404,7 @@ def check_mobius_precomposition(
     # not params.gap: a 1-D norm without ``axis`` sums in another order than its ``axis=-1`` norm
     mu = (1.0 - float(np.linalg.norm(params.xi)) ** 2) / abs(1.0 - inner(z0, params.xi)) ** 2
     extremal = DiscCapExtremal(a)
-    slope = extremal.contact_slope()
+    bound = schwarz_planar_bound(a)
 
     w0 = np.zeros(k, dtype=complex)
     w0[0] = 1.0
@@ -416,17 +416,16 @@ def check_mobius_precomposition(
     lam_full_measured = radial_derivative_estimate(section, base_step=1e-4)
 
     # Analytic derivative of the composition at z0: the disc extremal has
-    # boundary gradient (slope, 0) at its contact point, so
-    # Df(z0) h = slope * Re<Dphi h, p> * w0.
+    # boundary gradient (bound, 0) at its contact point, so
+    # Df(z0) h = bound * Re<Dphi h, p> * w0.
     pulled = mobius_derivative_adjoint(params, z0, p)
     Df = RealLinearMap(
-        B=0.5 * slope * np.outer(w0, np.conj(pulled)),
-        C=0.5 * slope * np.outer(w0, pulled),
+        B=0.5 * bound * np.outer(w0, np.conj(pulled)),
+        C=0.5 * bound * np.outer(w0, pulled),
     )
     lam_full_analytic, residual = boundary_lambda(Df, z0, w0)
 
     lam = lam_full_measured / mu
-    bound = schwarz_planar_bound(a)
     details = {
         "alignment_residual": residual,
         "mu": mu,
@@ -444,17 +443,17 @@ def check_mobius_precomposition(
 
 
 @functools.lru_cache(maxsize=16)
-def _plane_wave_rule(n: int, terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _plane_wave_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The part of the plane-wave coefficients that depends only on n, built on first use.
 
-    Returns the odd degrees k < ``terms``; cos theta_j of a Gauss-Legendre
+    Returns the odd degrees k < ``_PLANE_WAVE_TERMS``; cos theta_j of a Gauss-Legendre
     rule on [0, pi]; the table of
     (-1)^{(k-1)/2} dim H_k sigma_star / (lam+1/2)_k w_j sin^{2k+n-2}(theta_j)
     for those degrees; and dim H_k / (lam+1)_k for the first two odd degrees
     past them, with lam = (n-2)/2 and (.)_k the rising factorial.
     """
     lam = 0.5 * (n - 2)
-    degrees = np.arange(1, terms + 4, 2)
+    degrees = np.arange(1, _PLANE_WAVE_TERMS + 4, 2)
     steps = np.arange(degrees[-1])
     rising_half = np.concatenate([[1.0], np.cumprod(lam + 0.5 + steps)])  # (lam+1/2)_k, k = 0..degrees[-1]
     rising_one = np.concatenate([[1.0], np.cumprod(lam + 1.0 + steps)])
@@ -507,7 +506,7 @@ class _PlaneWaveMap:
         error is 6.2e-13 relative at n = 32, 2.3e-11 at n = 48 and 3.8e-10
         at n = 64.  The tests pin n <= 32; the suite uses n = 3.
         """
-        degrees, cos_nodes, table, _ = _plane_wave_rule(self.directions.shape[-1], _PLANE_WAVE_TERMS)
+        degrees, cos_nodes, table, _ = _plane_wave_rule(self.directions.shape[-1])
         freqs = self.freqs[..., None, :]
         return degrees, (table @ np.cos(cos_nodes[:, None] * freqs)) * (0.5 * freqs) ** degrees[:, None]
 
@@ -532,7 +531,7 @@ class _PlaneWaveMap:
         n = self.directions.shape[-1]
         lam = 0.5 * (n - 2)
         degrees, coefs = self.coefficients()
-        *_, tail = _plane_wave_rule(n, _PLANE_WAVE_TERMS)
+        *_, tail = _plane_wave_rule(n)
         x = np.asarray(x, dtype=float)
         proj = x @ np.swapaxes(self.directions, -1, -2)
         r2 = np.einsum("...ij,...ij->...i", x, x)[..., None]
@@ -600,10 +599,10 @@ def check_hemisphere_majorant(
     gives the number of points, the series terms, the radius of the worst
     point and that boundary residual.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    trials, m = _integer(trials, "trials", 1), _integer(m, "target dimension", 1)
     rng = np.random.Generator(np.random.Philox(seed))
     hemisphere = CapSpec(n, 0.5)
+    n = hemisphere.n
     size = (trials, _MAP_COMPONENTS)
     directions = uniform_sphere_samples(rng, trials * _MAP_COMPONENTS, n).reshape(*size, n)
     targets = uniform_sphere_samples(rng, trials * _MAP_COMPONENTS, m).reshape(*size, m)
@@ -665,8 +664,7 @@ def hopf_failure_scan(n: int, c: float) -> HopfScanResult:
     ``boundary_difference_quotient``; only then is d_n taken, whose
     overflow or underflow raises its own.
     """
-    if not (2 < n < math.inf and n == int(n)):
-        raise DomainError(f"hyperbolic scan needs integer n > 2, got {n!r}")
+    n = _integer(n, least=3)
     if not 0.0 < c < 1.0:  # the full cap c = 1 has T = 0, whose log the fit cannot take
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
     cap = CapSpec(n, c)
@@ -677,7 +675,7 @@ def hopf_failure_scan(n: int, c: float) -> HopfScanResult:
     design = np.column_stack([np.ones_like(x), x, gap, gap * gap])
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     return HopfScanResult(
-        n=int(n),
+        n=n,
         c=float(c),
         radii=_HOPF_RADII,
         values=tuple(float(v) for v in values),
@@ -750,8 +748,7 @@ def default_verification_suite(
     against a bound of 0, which no scale moves.  ``target_dim`` sets the
     codomain dimension of the vector-valued test maps.
     """
-    if target_dim < 2:
-        raise DomainError("target dimension must be >= 2")
+    _integer(target_dim, "target dimension")
     seeds = np.random.SeedSequence(seed).spawn(4)
     reports = check_planar_bound([-0.8, -0.4, 0.0, 0.4, 0.8])
 

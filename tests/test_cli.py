@@ -563,6 +563,18 @@ def test_hopf_at_the_full_and_the_empty_cap_exits_with_domain_code(capsys, c):
     assert captured.err == f"domain error: cap measure must lie in (0, 1), got {float(c)!r}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["constants", "--n", "3", "--a-grid", "0,1"], "base value must lie in (-1, 1), got 1.0"),
+    (["envelope", "--n", "3", "--c-grid", "0,0.5"], "cap measure must lie in (0, 1], got 0.0"),
+    (["mobius", "--n", "0,2"], "complex dimension must be an integer >= 1, got 0"),
+])
+def test_an_out_of_range_grid_entry_is_refused_with_the_library_text(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"domain error: {message}\n"
+
+
 def test_constants_outside_the_doubles_exit_with_domain_code(capsys):
     assert main(["constants", "--n", "30000"]) == 2
     captured = capsys.readouterr()

@@ -71,8 +71,7 @@ def test_cap_extremal_contact_slope_matches_measurement():
     for a in (-0.5, 0.0, 0.5):
         u = DiscCapExtremal(a)
         measured = radial_derivative_estimate(lambda r: u(complex(r, 0.0)))
-        assert measured == pytest.approx(u.contact_slope(), abs=1e-6)
-        assert u.contact_slope() == schwarz_planar_bound(a)
+        assert measured == pytest.approx(schwarz_planar_bound(a), abs=1e-6)
 
 
 def test_cap_extremal_domain():

@@ -511,7 +511,7 @@ def test_hyperbolic_decay_coefficient_decreasing_in_measure():
 
 
 def test_hyperbolic_decay_coefficient_domain():
-    with pytest.raises(DomainError, match=r"^hyperbolic decay coefficient needs integer n > 2, got 2$"):
+    with pytest.raises(DomainError, match=r"^dimension must be an integer >= 3, got 2$"):
         hyperbolic_decay_coefficient(CapSpec(2, 0.5))
     # the full cap is a cap, but its T is 0 and has no decay coefficient
     with pytest.raises(DomainError, match=r"^cap measure must lie in \(0, 1\), got 1\.0$"):

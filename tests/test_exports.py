@@ -58,8 +58,10 @@ def test_the_hopf_scan_is_the_one_caller_of_the_decay_coefficient():
 
 
 def test_the_one_private_import_between_modules_is_the_radius_convention():
-    # poisson takes the radius check and the result shape from envelope; cli and verify import no private name
+    # poisson takes the radius check and the result shape from envelope; every module that takes an
+    # integer argument takes the one integer rule from errors; no other private name crosses a module
     imported = {(module, node.module, alias.name) for module, tree in _modules().items() for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names if alias.name.startswith("_")}
-    assert imported == {("poisson", "envelope", "_radii"), ("poisson", "envelope", "_shaped")}
+    integer_rule = {(module, "errors", "_integer") for module in ("cli", "envelope", "poisson", "specfn", "verify")}
+    assert imported == {("poisson", "envelope", "_radii"), ("poisson", "envelope", "_shaped"), *integer_rule}

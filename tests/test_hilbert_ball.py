@@ -358,9 +358,17 @@ def test_boundary_lambda_of_a_non_finite_operator_is_a_domain_error(part, entry)
     # Cauchy-Schwarz holds for every finite operator; a NaN or inf entry used to leave as (nan, nan) or inf
     parts = {"B": np.eye(2), "C": np.zeros((2, 2))}
     parts[part][0, 0] = entry
-    # inf times the 0 imaginary part of a direction is NaN, which numpy warns of in the map itself
-    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="^boundary eigenvalue of the operator is not"):
+    # built outside np.errstate: an inf entry used to warn in the map itself (inf times the 0 imaginary part
+    # of a direction) before boundary_lambda raised; the map now refuses the part when it is built
+    with pytest.raises(DomainError, match=f"^matrix part {part} must have finite entries$"):
         boundary_lambda(RealLinearMap(**parts), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+
+def test_boundary_lambda_of_an_overflowing_operator_is_a_domain_error():
+    # finite entries whose products overflow (here the residual's norm) still reach boundary_lambda's own check
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match=r"^boundary eigenvalue .* residual inf$"):
+        boundary_lambda(RealLinearMap(B=np.full((2, 2), 1.5e308), C=np.zeros((2, 2))),
+                        np.array([1.0, 0.0]), np.array([1.0, 0.0]))
 
 
 def test_mobius_rejects_boundary_parameter():

@@ -75,6 +75,13 @@ def test_2f1_domain_errors():
         gauss_2f1_neg1(0.5, 1.0, -2.0)
 
 
+@pytest.mark.parametrize("c", [-math.inf, math.nan], ids=["-inf", "nan"])
+def test_2f1_of_a_non_finite_c_is_a_domain_error(c):
+    # -inf used to reach int() in the pole test and raise OverflowError
+    with pytest.raises(DomainError, match="^2F1 at argument -1 needs c - a - b > -1"):
+        gauss_2f1_neg1(0.5, 1.0, c)
+
+
 def test_sphere_prefactors_small_dimensions():
     assert sigma_star(2) == pytest.approx(1.0 / math.pi, rel=1e-14)
     assert sigma_star(3) == pytest.approx(0.5, rel=1e-14)

@@ -741,6 +741,10 @@ def test_nan_point_fails_its_own_ball_check(build, message):
         build()
 
 
+def _zero_map(eta):
+    return np.zeros((len(eta), 1))
+
+
 _DIMENSION_CHECKS = {
     "cap_measure_from_angle": (lambda n: cap_measure_from_angle(n, 0.5), "dimension must be an integer >= 2"),
     "cap_angle_from_measure": (lambda n: cap_angle_from_measure(n, 0.5), "dimension must be an integer >= 2"),
@@ -749,10 +753,29 @@ _DIMENSION_CHECKS = {
                                      "dimension must be an integer >= 2"),
     "heinz_schwarz_constant": (heinz_schwarz_constant, "dimension must be an integer >= 2"),
     "ZonalBoundaryData": (lambda n: ZonalBoundaryData(n, _axis(3), np.cos),
-                          "axis must be a vector of integer dimension n >= 2"),
-    "sigma_star": (sigma_star, "sphere dimension parameter must be an integer >= 2"),
-    "hopf_failure_scan": (lambda n: hopf_failure_scan(n, 0.5), "hyperbolic scan needs integer n > 2"),
+                          "dimension must be an integer >= 2"),
+    "sigma_star": (sigma_star, "dimension must be an integer >= 2"),
+    "hopf_failure_scan": (lambda n: hopf_failure_scan(n, 0.5), "dimension must be an integer >= 3"),
     "check_V_monotone": (check_V_monotone, "dimension must be an integer >= 2"),
+    "BoundaryMap.n": (lambda n: BoundaryMap(n, 1, _zero_map), "dimension must be an integer >= 2"),
+    "BoundaryMap.m": (lambda m: BoundaryMap(3, m, _zero_map), "target dimension must be an integer >= 1"),
+    "zonal_contact_case.n": (lambda n: zonal_contact_case(n, 1, np.cos, (), "cosine"),
+                             "dimension must be an integer >= 2"),
+    "zonal_contact_case.m": (lambda m: zonal_contact_case(3, m, np.cos, (), "cosine"),
+                             "target dimension must be an integer >= 1"),
+    "build_cap_extremal.m": (lambda m: build_cap_extremal(3, m, 0.0), "target dimension must be an integer >= 2"),
+    "check_hemisphere_majorant.m": (lambda m: check_hemisphere_majorant(3, m, 1, 1),
+                                    "target dimension must be an integer >= 1"),
+    "check_hemisphere_majorant.trials": (lambda trials: check_hemisphere_majorant(3, 2, trials, 1),
+                                         "trials must be an integer >= 1"),
+    "default_verification_suite.target_dim": (lambda m: default_verification_suite(target_dim=m),
+                                              "target dimension must be an integer >= 2"),
+    "uniform_sphere_samples.n": (lambda n: uniform_sphere_samples(np.random.default_rng(0), 3, n),
+                                 "dimension must be an integer >= 1"),
+    "uniform_sphere_samples.count": (lambda count: uniform_sphere_samples(np.random.default_rng(0), count, 3),
+                                     "sample count must be an integer >= 0"),
+    "monte_carlo_extension.samples": (lambda samples: monte_carlo_extension(
+        HARM, BoundaryMap(3, 1, _zero_map), np.zeros(3), samples, 1), "samples must be an integer >= 1"),
 }
 
 
@@ -763,6 +786,15 @@ def test_a_non_integer_dimension_is_a_domain_error(name, n):
     build, message = _DIMENSION_CHECKS[name]
     with pytest.raises(DomainError, match=f"^{message}, got n?=?{n!r}$"):
         build(n)
+
+
+@pytest.mark.parametrize("name", list(_DIMENSION_CHECKS))
+def test_an_integer_below_the_least_is_a_domain_error(name):
+    # at 0, uniform_sphere_samples and the majorant's targets used to resample zero-norm rows forever
+    build, message = _DIMENSION_CHECKS[name]
+    below = int(message.rpartition(" ")[2]) - 1
+    with pytest.raises(DomainError, match=f"^{message}, got {below}$"):
+        build(below)
 
 
 _RADIUS_TAKERS = {
@@ -977,9 +1009,13 @@ def test_plane_wave_series_agrees_with_monte_carlo_at_the_suite_points(m):
 
 def test_plane_wave_series_refuses_a_short_sum(monkeypatch):
     monkeypatch.setattr(verify, "_PLANE_WAVE_TERMS", 2)
+    verify._plane_wave_rule.cache_clear()
     refusal = r"\|x\|=[0-9.]+, n=3 is only good to [0-9.e+-]+, past abs_tol=1e-11"
-    with pytest.raises(AccuracyError, match=refusal) as info:
-        check_hemisphere_majorant(3, 2, trials=1, seed=5)
+    try:
+        with pytest.raises(AccuracyError, match=refusal) as info:
+            check_hemisphere_majorant(3, 2, trials=1, seed=5)
+    finally:
+        verify._plane_wave_rule.cache_clear()
     assert info.value.estimate is not None
 
 

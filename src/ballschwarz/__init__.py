@@ -28,9 +28,7 @@ from .hilbert_ball import (
     real_adjoint,
 )
 from .poisson import (
-    BoundaryMap,
     ZonalBoundaryData,
-    monte_carlo_extension,
     radial_derivative_estimate,
     uniform_sphere_samples,
     zonal_extension_on_axis,

@@ -37,14 +37,13 @@ from .envelope import (
 )
 from .errors import AccuracyError, DomainError, _integer
 from .hilbert_ball import MobiusParams, mobius_identity_residuals
-from .poisson import BoundaryMap, monte_carlo_extension
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
+from .specfn import sigma_star
 from .verify import DEFAULT_SEED, default_verification_suite, hopf_failure_scan
 
 __all__ = ["main"]
 
 _MOBIUS_BATCH = 200
-_ORACLE_SAMPLES = 200_000
 
 
 def _floats(text: str) -> list[float]:
@@ -149,41 +148,57 @@ def _cmd_constants(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     return 0
 
 
-def _envelope_mc_oracle(kind: KernelKind, cap: CapSpec, r: float, seed: int):
-    """Monte-Carlo re-evaluation of the upper envelope (slow oracle path)."""
+def _envelope_oracle(kind: KernelKind, cap: CapSpec, radii: list[float], quad: QuadratureConfig) -> np.ndarray:
+    """M_c^n at each radius from the direct cap arc, independent of ``envelope_upper``:
+
+        M_c^n(r) = int_0^alpha 2 sigma_star (1-r^2)^nu sin^{n-2}t d^{-mu} dt - 1,
+        d = (1-|r|)^2 + 4|r| sin^2((t - p)/2),
+
+    over every radius in one ``integrate_rows`` call, the kernel peak p (0
+    for r >= 0, pi for r < 0) included.  ``envelope_upper`` takes the
+    complement tail instead (harmonic) or a closed form (hyperbolic).  With
+    q = (1-r^2)/d the integrand is the base^{n-2} q of a base sin t q
+    (hyperbolic) or sin t / sqrt(d) (harmonic), both at most 1, so no
+    power overflows.  Panel edges lie at p -+ (1-|r|) 2^k inside (0, alpha)
+    for every radius: without them the first panels miss a peak of width
+    1-|r|.  ``quad`` is the tolerance of M + 1.
+    """
     n, alpha = cap.n, cap.alpha
+    peaks = [math.pi if r < 0.0 else 0.0 for r in radii]
+    edges = set()
+    for r, peak in zip(radii, peaks):
+        step = 1.0 - abs(r)
+        while step < math.pi:
+            edges.add(abs(peak - step))
+            step *= 2.0
+    rho, peak = np.abs(radii)[:, None], np.array(peaks)[:, None]
+    scale = 2.0 * sigma_star(n)
 
-    def eval_data(eta: np.ndarray) -> np.ndarray:
-        angles = np.arccos(np.clip(eta[:, 0], -1.0, 1.0))
-        return np.where(angles <= alpha, 1.0, -1.0)[:, None]
+    def kernel(t: np.ndarray) -> np.ndarray:
+        d = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (t - peak)) ** 2
+        q = (1.0 - rho) * (1.0 + rho) / d
+        base = np.sin(t) * (q if kind is KernelKind.HYPERBOLIC_HARMONIC else 1.0 / np.sqrt(d))
+        return scale * base ** (n - 2) * q
 
-    cap_map = BoundaryMap(n=n, m=1, eval=eval_data)
-    x = np.zeros(n)
-    x[0] = r
-    estimate, stderr = monte_carlo_extension(kind, cap_map, x, _ORACLE_SAMPLES, seed)
-    return float(estimate[0]), float(stderr[0])
+    return integrate_rows(kernel, 0.0, alpha, quad, breakpoints=[t for t in edges if 0.0 < t < alpha]) - 1.0
 
 
 def _cmd_envelope(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     rows = []
     columns = ["kind", "n", "c", "r", "M_upper", "m_lower"]
     if args.oracle:
-        columns += ["M_oracle_mc", "M_oracle_stderr"]
+        columns += ["M_oracle", "M_oracle_diff"]
     kind = KernelKind(args.kind)
-    seed = args.seed
     radii = sorted(args.r_grid)
     for n in sorted(args.n):
         for c in sorted(args.c_grid):
             cap = CapSpec(n, c)
             values = envelope_upper(kind, cap, radii + [-r for r in radii], quad).tolist()
-            for r, upper, lower in zip(radii, values, values[len(radii):]):
-                row = {"kind": kind.value, "n": n, "c": c, "r": r, "M_upper": upper, "m_lower": lower}
-                if args.oracle:
-                    est, err = _envelope_mc_oracle(kind, cap, r, seed)
-                    seed += 1
-                    row["M_oracle_mc"] = est
-                    row["M_oracle_stderr"] = err
-                rows.append(row)
+            rows += [{"kind": kind.value, "n": n, "c": c, "r": r, "M_upper": upper, "m_lower": lower}
+                     for r, upper, lower in zip(radii, values, values[len(radii):])]
+            if args.oracle:
+                for row, direct in zip(rows[-len(radii):], _envelope_oracle(kind, cap, radii, quad).tolist()):
+                    row["M_oracle"], row["M_oracle_diff"] = direct, direct - row["M_upper"]
     _emit(rows, columns, args)
     return 0
 
@@ -295,7 +310,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         p.add_argument("--tol-rel", type=float, default=DEFAULT_CONFIG.rel_tol)
         if oracle:
             p.add_argument("--oracle", action="store_true",
-                           help="route selected values through slow brute-force oracles")
+                           help="take C from the alternating 2F1 series (constants); add M from "
+                                "the direct cap-arc quadrature and its difference (envelope)")
 
     const_help = "sharp constant table over (n, a) grids (closed forms: --tol-abs/--tol-rel do not affect it)"
     p_const = sub.add_parser("constants", help=const_help, description=const_help)
@@ -310,7 +326,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_env.add_argument("--r-grid", type=_floats, default="0,0.2,0.4,0.6,0.8", metavar="LIST")
     p_env.add_argument("--kind", choices=["harmonic", "hyperbolic"], default="harmonic")
     p_env.set_defaults(run=_cmd_envelope)
-    add_common(p_env, seed=True, oracle=True)
+    add_common(p_env, oracle=True)
 
     p_verify = sub.add_parser("verify", help="run the default inequality suite")
     p_verify.add_argument("--m", type=int, default=2,

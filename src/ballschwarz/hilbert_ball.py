@@ -227,7 +227,8 @@ def boundary_lambda(
     Df* b = lambda a holds.  Cauchy-Schwarz bounds lambda by |Df(a)| |b|
     for every operator, and ``RealLinearMap`` refuses a NaN or inf entry,
     so only an operator whose products overflow can break it: a lambda or
-    residual that is not finite raises :class:`DomainError`.
+    residual that is not finite raises :class:`DomainError`, not numpy's
+    overflow warning.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -235,9 +236,9 @@ def boundary_lambda(
         raise DomainError("contact direction a must be a unit vector")
     if not abs(float(np.linalg.norm(b)) - 1.0) <= _UNIT_TOL:
         raise DomainError("target direction b must be a unit vector")
-    image = Df(a)
-    lam = float(np.real(inner(image, b)))
-    residual = float(np.linalg.norm(real_adjoint(Df)(b) - lam * a))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        lam = float(np.real(inner(Df(a), b)))
+        residual = float(np.linalg.norm(real_adjoint(Df)(b) - lam * a))
     if not (np.isfinite(lam) and np.isfinite(residual)):
         raise DomainError(f"boundary eigenvalue of the operator is not finite: lambda {lam!r}, residual {residual!r}")
     return lam, residual

@@ -2,23 +2,22 @@
 
 Covers both reproducing kernels (Euclidean harmonic and hyperbolic-
 harmonic), the one-dimensional reduction of zonal boundary data along
-its axis, Monte-Carlo extension of arbitrary boundary maps, and one-
-sided Richardson estimation of radial boundary derivatives.
+its axis, uniform samples of the sphere, and one-sided Richardson
+estimation of radial boundary derivatives.
 
 The zonal reduction is exact only on the axis of symmetry, where the
 integrand depends on a single polar angle; it subtracts the profile's
 value at the kernel's peak so that no radius integrates across the
 peak.  Off the axis, step data has the Gegenbauer series of
-``verify._zonal_value`` and any boundary map has Monte Carlo.  What that
-series needs of the data alone (the levels, the cap measures and weights
-of the edges, sigma_star, the arcs of n = 2) is computed on the first
-off-axis call and kept on the data, so each further point pays only for
-what depends on it.  Its per-point sums are sequential
+``verify._zonal_value``.  What that series needs of the data alone (the
+levels, the cap measures and weights of the edges, sigma_star, the arcs
+of n = 2) is computed on the first off-axis call and kept on the data,
+so each further point pays only for what depends on it.  Its per-point sums are sequential
 (``np.add.accumulate``, never the pairwise ``np.sum``), so each value
 rounds exactly as the term-by-term loop it replaced did.  Sphere
-samples are normalized isotropic Gaussian vectors drawn from a counter-
-based Philox stream, so every randomized result is reproducible from its
-seed alone.
+samples are normalized isotropic Gaussian vectors, drawn from the
+caller's generator (a counter-based Philox stream in ``verify``), so
+every randomized result is reproducible from its seed alone.
 """
 
 from __future__ import annotations
@@ -37,17 +36,14 @@ from .specfn import sigma_star
 
 __all__ = [
     "ZonalBoundaryData",
-    "BoundaryMap",
     "zonal_extension_on_axis",
     "uniform_sphere_samples",
-    "monte_carlo_extension",
     "radial_derivative_estimate",
 ]
 
 _AXIS_TOL = 1e-14
 _PROFILE_SLACK = 1e-9
 _PROBE_ANGLES = np.linspace(0.0, math.pi, 65)
-_MC_CHUNK = 262_144
 _RICHARDSON_LEVELS = 3  # one-sided quotients combined per derivative estimate
 
 
@@ -130,29 +126,6 @@ class ZonalBoundaryData:
         return _StepSeries(base=base, edges=tuple(weighted), star=sigma_star(self.n))
 
 
-@dataclass(frozen=True)
-class BoundaryMap:
-    """A boundary map S^{n-1} -> closed unit ball of R^m.
-
-    ``eval`` is vectorized: it receives an (N, n) array of unit vectors
-    and returns an (N, m) array with row norms at most 1.
-    """
-
-    n: int
-    m: int
-    eval: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n))
-        object.__setattr__(self, "m", _integer(self.m, "target dimension", 1))
-        probe = uniform_sphere_samples(np.random.Generator(np.random.Philox(0)), 8, self.n)
-        vals = np.asarray(self.eval(probe), dtype=float)
-        if vals.shape != (8, self.m):
-            raise DomainError(f"boundary map eval must return shape (N, {self.m})")
-        if np.max(np.linalg.norm(vals, axis=1)) > 1.0 + _PROFILE_SLACK:
-            raise DomainError("boundary map values must lie in the closed unit ball")
-
-
 def zonal_extension_on_axis(
     kind: KernelKind,
     data: ZonalBoundaryData,
@@ -208,59 +181,6 @@ def uniform_sphere_samples(rng: np.random.Generator, count: int, n: int) -> np.n
         norms = np.linalg.norm(out, axis=1)
         bad = norms < 1e-8
     return out / norms[:, None]
-
-
-def monte_carlo_extension(
-    kind: KernelKind,
-    g: BoundaryMap,
-    x: np.ndarray,
-    samples: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo Poisson extension of a boundary map at an interior point.
-
-    Returns ``(estimate, stderr)`` where both are length-m arrays: the
-    unbiased estimate of int P(x, eta) g(eta) dsigma(eta) over uniform
-    sphere samples and its per-component standard error.  Deterministic
-    given ``seed``; the stream is consumed sequentially so the chunked
-    evaluation does not affect the result beyond rounding.
-
-    Each chunk takes |eta - x|^2 as (1 + |x|^2) - 2<eta, x> (the samples
-    are unit vectors), held at or above its least value (1 - |x|)^2, and
-    adds its sums of P·g and P²·g² in one pass, as ``kernel @ g`` and
-    ``kernel² @ g²``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise DomainError(f"evaluation point must have dimension {g.n}")
-    r2 = float(np.dot(x, x))
-    if not r2 < 1.0:
-        raise DomainError("evaluation point must lie strictly inside the ball")
-    samples = _integer(samples, "samples", 1)
-    nu, mu = kind.exponents(g.n)
-
-    floor = (1.0 - math.sqrt(r2)) ** 2
-    rng = np.random.Generator(np.random.Philox(seed))
-    total = np.zeros(g.m)
-    total_sq = np.zeros(g.m)
-    done = 0
-    while done < samples:
-        count = min(_MC_CHUNK, samples - done)
-        eta = uniform_sphere_samples(rng, count, g.n)
-        dist2 = np.maximum((1.0 + r2) - 2.0 * (eta @ x), floor)
-        kernel = (1.0 - r2) ** nu / dist2**mu
-        vals = np.asarray(g.eval(eta), dtype=float)
-        total += kernel @ vals
-        total_sq += (kernel * kernel) @ (vals * vals)
-        done += count
-
-    mean = total / samples
-    if samples == 1:
-        stderr = np.full(g.m, np.inf)
-    else:
-        var = np.maximum(total_sq / samples - mean * mean, 0.0) * (samples / (samples - 1.0))
-        stderr = np.sqrt(var / samples)
-    return mean, stderr
 
 
 def radial_derivative_estimate(h: Callable[[float], float], base_step: float = 1e-3) -> float:

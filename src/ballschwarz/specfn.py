@@ -38,6 +38,9 @@ def _check_2f1_domain(a: float, b: float, c: float) -> None:
         raise DomainError(
             f"2F1 at argument -1 needs c - a - b > -1 for convergence, got {c - a - b!r}"
         )
+    # what passes with a non-finite parameter (c = inf, a or b = -inf) would sum NaN terms
+    if not all(math.isfinite(p) for p in (a, b, c)):
+        raise DomainError(f"2F1 parameters must be finite, got a={a!r}, b={b!r}, c={c!r}")
 
 
 def gauss_2f1_neg1(a: float, b: float, c: float) -> float:

@@ -15,8 +15,8 @@ constants are right.
 
 The hemisphere-majorant row evaluates the extensions of its random maps
 exactly, from the Gegenbauer series of their plane waves, and holds each
-series against its map on the sphere; Monte Carlo
-(``poisson.monte_carlo_extension``) is left to the tests as its oracle.
+series against its map on the sphere; the tests hold the series against
+Monte Carlo, which the package does not ship.
 """
 
 from __future__ import annotations

@@ -218,6 +218,7 @@ _INVALID_ARGV = [
     ["constants", "--n", "20000", "--a-grid", "0.5"],
     ["constants", "--n", "2", "--tol-abs=-0.5"],
     ["constants", "--seed", "1"],
+    ["envelope", "--seed", "1"],
     ["envelope", "--kind", "parabolic"],
     ["envelope", "--n", "3", "--c-grid=-0.5"],
     ["hopf", "--n", "3", "--oracle"],
@@ -265,15 +266,31 @@ def test_envelope_at_dimension_20000_prints_no_overflow_warning(capsys):
     assert (row["M_upper"], row["m_lower"]) == ("1", "-1")
 
 
-def test_envelope_oracle_column_consistent(capsys):
-    code, out = _run(
-        capsys,
-        ["envelope", "--n", "3", "--c-grid", "0.5", "--r-grid", "0.5", "--oracle", "--seed", "11"],
-    )
-    assert code == 0
-    row = _parse_csv(out)[0]
-    gap = abs(float(row["M_oracle_mc"]) - float(row["M_upper"]))
-    assert gap <= 4.0 * float(row["M_oracle_stderr"])
+_ORACLE_SWEEP = ["--n", "2,3,4,8,16,32,64", "--c-grid", "0.02,0.1,0.3,0.5,0.7,0.9,0.98",
+                 "--r-grid=-0.999,-0.99,-0.9,-0.6,-0.3,0,0.3,0.6,0.9,0.99,0.999", "--oracle"]
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "hyperbolic"])
+def test_envelope_oracle_agrees_with_the_envelope(kind, capsys):
+    # the direct cap arc, peak included, against the complement tail or the closed form; m(r) = M(-r) is
+    # checked through the negative radii
+    code, out = _run(capsys, ["envelope", *_ORACLE_SWEEP, "--kind", kind])
+    rows = _parse_csv(out)
+    assert code == 0 and len(rows) == 7 * 7 * 11
+    for row in rows:
+        gap = float(row["M_oracle"]) - float(row["M_upper"])
+        assert abs(gap) <= 1e-12 and abs(float(row["M_oracle_diff"]) - gap) <= 1e-11, row
+
+
+def test_envelope_oracle_difference_shows_a_moved_envelope(monkeypatch, capsys):
+    # a 1e-9 error of the main path, invisible at 12 digits next to M ~ 1, stands out in M_oracle_diff
+    main_path = cli.envelope_upper
+    monkeypatch.setattr(cli, "envelope_upper", lambda *args: main_path(*args) + 1e-9)
+    for kind in ("harmonic", "hyperbolic"):
+        code, out = _run(capsys, ["envelope", "--n", "3,64", "--c-grid", "0.3", "--r-grid=-0.9,0,0.999",
+                                  "--oracle", "--kind", kind])
+        assert code == 0
+        assert all(abs(float(row["M_oracle_diff"])) >= 5e-10 for row in _parse_csv(out))
 
 
 def test_verify_passes_and_corruption_fails(capsys):
@@ -476,8 +493,8 @@ def test_an_oracle_call_leaves_no_oracle_columns_behind(capsys):
     argv = ["envelope", "--n", "3", "--c-grid", "0.5", "--r-grid", "0.5"]
     code, plain = _run(capsys, argv)
     assert code == 0
-    code, oracle = _run(capsys, argv + ["--oracle", "--seed", "11"])
-    assert code == 0 and "M_oracle_mc" in oracle
+    code, oracle = _run(capsys, argv + ["--oracle"])
+    assert code == 0 and oracle.startswith("kind,n,c,r,M_upper,m_lower,M_oracle,M_oracle_diff\n")
     assert _run(capsys, argv) == (0, plain)
     assert plain == "kind,n,c,r,M_upper,m_lower\nharmonic,3,0.5,0.5,0.6583592135,-0.6583592135\n"
 
@@ -514,7 +531,7 @@ def test_a_usage_error_leaves_the_next_call_intact(capsys):
 
 
 def test_negative_seed_is_usage_error(capsys):
-    for argv in (["verify", "--seed=-1"], ["mobius", "--seed=-1"], ["envelope", "--oracle", "--seed=-1"]):
+    for argv in (["verify", "--seed=-1"], ["mobius", "--seed=-1"]):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -522,7 +539,7 @@ def test_negative_seed_is_usage_error(capsys):
 
 
 def test_flags_a_subcommand_never_reads_are_usage_errors(capsys):
-    for argv in (["hopf", "--n", "3", "--oracle"], ["constants", "--seed", "1"]):
+    for argv in (["hopf", "--n", "3", "--oracle"], ["constants", "--seed", "1"], ["envelope", "--seed", "1"]):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

@@ -270,7 +270,7 @@ def test_upper_envelope_tends_to_one():
 def test_upper_envelope_matches_large_monte_carlo():
     # M_{1/2}^3(0.9) against a 10^7-sample Poisson integral of the
     # hemisphere data 2 chi - 1, within three standard errors.
-    from ballschwarz import BoundaryMap, monte_carlo_extension
+    from montecarlo import BoundaryMap, monte_carlo_extension
 
     cap = CapSpec(3, 0.5)
     quadrature_value = envelope_upper(HARM, cap, 0.9)

@@ -365,10 +365,12 @@ def test_boundary_lambda_of_a_non_finite_operator_is_a_domain_error(part, entry)
 
 
 def test_boundary_lambda_of_an_overflowing_operator_is_a_domain_error():
-    # finite entries whose products overflow (here the residual's norm) still reach boundary_lambda's own check
-    with np.errstate(over="ignore"), pytest.raises(DomainError, match=r"^boundary eigenvalue .* residual inf$"):
-        boundary_lambda(RealLinearMap(B=np.full((2, 2), 1.5e308), C=np.zeros((2, 2))),
-                        np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    # finite entries whose products overflow (the residual's norm along e1, the map itself along the
+    # diagonal) reach boundary_lambda's own check with no numpy warning, which the warning filter would raise
+    operator = RealLinearMap(B=np.full((2, 2), 1.5e308), C=np.zeros((2, 2)))
+    for a, last in ((np.array([1.0, 0.0]), "residual inf"), (np.array([1.0, 1.0]) / math.sqrt(2.0), "residual nan")):
+        with pytest.raises(DomainError, match=f"^boundary eigenvalue of the operator is not finite: .*{last}$"):
+            boundary_lambda(operator, a, a)
 
 
 def test_mobius_rejects_boundary_parameter():

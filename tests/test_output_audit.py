@@ -77,6 +77,12 @@ def test_the_edge_argv_reach_the_full_cap_the_empty_cap_a_tiny_cap_and_the_refus
             assert err == "" and cells and out.count("\n") > 1, argv
         else:
             assert rc == 2 and out == "" and err.startswith("domain error: "), argv
+    # the oracle of each kernel prints a finite cell in every column of every row
+    oracle = {argv[-1]: (rc, cells) for argv, (rc, *_, cells) in zip(edges, results) if "--oracle" in argv}
+    assert set(oracle) == {"harmonic", "hyperbolic"}
+    for rc, cells in oracle.values():
+        assert rc == 0 and {label.split()[0] for label, _ in cells} >= {"M_oracle", "M_oracle_diff"}
+        assert all(math.isfinite(float.fromhex(value)) for _, value in cells)
     # the full cap's rows are M = m = 1 at every radius, a negative one included
     full = next(cells for argv, (*_, cells) in zip(edges, results) if argv[0] == "envelope" and argv[4] == "1")
     assert {value for label, value in full if label.split()[0] in ("M_upper", "m_lower")} == {(1.0).hex()}

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from ballschwarz import (
-    BoundaryMap,
     CapSpec,
     DomainError,
     KernelKind,
     ZonalBoundaryData,
     envelope_upper,
-    monte_carlo_extension,
     radial_derivative_estimate,
     uniform_sphere_samples,
     zonal_extension_on_axis,
 )
-from ballschwarz import poisson
+
+import montecarlo
+from montecarlo import BoundaryMap, monte_carlo_extension
 
 HARM = KernelKind.HARMONIC
 HYP = KernelKind.HYPERBOLIC_HARMONIC
@@ -268,7 +268,7 @@ def test_monte_carlo_one_pass_sums_match_two_reductions(kind, n, m):
 def test_monte_carlo_chunking_keeps_the_result(kind, n, m, monkeypatch):
     g, x = _positive_map(n, m), _point(n)
     whole = monte_carlo_extension(kind, g, x, 3001, seed=7 * n + m)
-    monkeypatch.setattr(poisson, "_MC_CHUNK", 7)
+    monkeypatch.setattr(montecarlo, "_MC_CHUNK", 7)
     chunked = monte_carlo_extension(kind, g, x, 3001, seed=7 * n + m)
     for value, reference in zip(chunked, whole):
         np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)

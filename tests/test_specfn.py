@@ -82,6 +82,17 @@ def test_2f1_of_a_non_finite_c_is_a_domain_error(c):
         gauss_2f1_neg1(0.5, 1.0, c)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("slot", range(3), ids=["a", "b", "c"])
+@pytest.mark.parametrize("evaluate", [gauss_2f1_neg1, gauss_2f1_neg1_series], ids=["transformed", "series"])
+def test_2f1_of_any_non_finite_parameter_is_a_domain_error(evaluate, slot, value):
+    # c = inf used to sum 100000 NaN terms and raise AccuracyError, while the series returned 1.0
+    abc = [0.5, 1.0, 2.5]
+    abc[slot] = value
+    with pytest.raises(DomainError, match="^2F1 (parameters must be finite|at argument -1 needs c - a - b > -1)"):
+        evaluate(*abc)
+
+
 def test_sphere_prefactors_small_dimensions():
     assert sigma_star(2) == pytest.approx(1.0 / math.pi, rel=1e-14)
     assert sigma_star(3) == pytest.approx(0.5, rel=1e-14)

@@ -20,11 +20,16 @@ difference quotient T of a complement arc, which leaves the peak out:
 
     M_c^n(r) = 1 - (1-r) T_c(r),    m_c^n(r) = (1-r) T_{1-c}(r) - 1 = -M_{1-c}^n(r),
 
-with T_{1-c} taken for the cap of half-angle pi - alpha.  The harmonic T
-is a tail quadrature, the hyperbolic one (and the planar one, where the
-two kernels coincide) a closed form by Moebius invariance
-(``boundary_difference_quotient``).  For r < 0 the peak moves
-to t = pi, and the substitution t -> pi - t gives the reflection
+with T_{1-c} taken for the cap of half-angle pi - alpha.  Both kernels
+take T through the ball automorphism that swaps r e and 0, which maps the
+complement arc onto a cap about e (``boundary_difference_quotient``).
+The hyperbolic T (and the planar one, where the two kernels coincide) is
+then a closed form in the cap measure; the harmonic T is a fixed
+Gauss-Kronrod rule over the image cap, whose weight has no 1-r layer
+left after one more substitution (``_tail_quotient``), and calls the
+adaptive engine only for a row that misses its tolerance there.  For r < 0
+the peak moves to t = pi, and the substitution t -> pi - t gives the
+reflection
 
     M_c^n(-r) = m_c^n(r),    m_c^n(-r) = M_c^n(r),
 
@@ -32,8 +37,9 @@ so no radius integrates across the kernel peak.  ``envelope_upper`` is
 the one envelope kernel and ``envelope_lower`` is M at -r.  The kernel
 picks its tail by the sign bit of r: a clear bit takes the cap's own arc
 and a set one, -0.0 included, the complement's.  The two tails agree at
-r = 0 only to rounding (within 4e-15 for n <= 64), so M(+0.0) and
-m(+0.0) = M(-0.0) keep the bits of their own sides.
+r = 0 only to rounding (within 5.4e-15 for n <= 64 and 1e-6 <= c <= 1 -
+1e-6), so M(+0.0) and m(+0.0) = M(-0.0) keep the bits of their own
+sides.
 
 Every sharp constant in this package is a boundary derivative of M_c^n,
 in closed form through the cap measure F_n(alpha) = I_{sin^2 alpha}((n-1)/2,
@@ -79,7 +85,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AccuracyError, DomainError, _integer
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows, kronrod_rule
 from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
 
 __all__ = [
@@ -101,6 +107,12 @@ _NEWTON_STEPS = 100
 _FRACTION_TERMS = 200
 _TINY = 1e-300
 _LOG_MAX = math.log(sys.float_info.max)
+_ROUNDING = 50.0 * sys.float_info.epsilon  # the engine's floor on an error estimate, QUADPACK's 50 epmach
+# the image rule of the harmonic tails: K21 on 2, then on 3 equal panels of [0, 1], all 105 nodes in one
+# pass, with one weight column per sum, zero on the other sum's 42 or 63 nodes
+_IMAGE_NODES = np.concatenate((kronrod_rule(2)[0], kronrod_rule(3)[0]))
+_IMAGE_WEIGHTS = np.zeros((_IMAGE_NODES.size, 2))
+_IMAGE_WEIGHTS[:42, 0], _IMAGE_WEIGHTS[42:, 1] = kronrod_rule(2)[1], kronrod_rule(3)[1]
 
 
 class KernelKind(Enum):
@@ -282,8 +294,9 @@ def envelope_upper(
     """Upper envelope M_c^n(r): the cap-indicator extension along its axis.
 
     ``r`` is a radius or a 1-D array of radii in (-1, 1); an array returns
-    the array of values, its harmonic tails integrated as rows of one
-    quadrature per cap angle.  This is the one envelope kernel: the lower
+    the array of values, each with the bits of its own radius alone, the
+    harmonic tails taken in one pass of the image rule.  This is the one
+    envelope kernel: the lower
     envelope is its reflection m_c^n(r) = M_c^n(-r).  A radius whose sign
     bit is clear lies on the peak's side of the cap and gives
     1 - (1-|r|) T_alpha(|r|); one whose sign bit is set, -0.0 included,
@@ -325,15 +338,15 @@ def boundary_difference_quotient(
     """T(r) = (1 - M_c^n(r)) / (1 - r) on 0 <= r <= 1, the sphere included.
 
     ``r`` is a radius or a 1-D array of radii; an array returns the array
-    of values, its harmonic tails integrated as rows of one quadrature.
+    of values, each with the bits of its own radius alone.
 
     1 - M is twice the extension of the complement-cap indicator, so
 
         harmonic:    T(r) = 2 sigma_star (1+r) int_alpha^pi sin^{n-2}t (1 - 2r cos t + r^2)^{-n/2} dt,
 
-    a quadrature that stays smooth up to r = 1 because the kernel peak
-    at t = 0 is left out.  The ball automorphism that swaps r e and 0 maps
-    -e to +e and the complement cap {t >= alpha} onto the cap of half-angle
+    which stays finite up to r = 1 because the kernel peak at t = 0 is
+    left out.  The ball automorphism that swaps r e and 0 maps -e to +e
+    and the complement cap {t >= alpha} onto the cap of half-angle
     2 arctan q about +e, q = (1-r) / ((1+r) tan(alpha/2)).  Its boundary
     Jacobian is the hyperbolic Poisson kernel, so the cap's hyperbolic
     harmonic measure is the cap measure F_n of its image (Stoll, Harmonic
@@ -343,16 +356,19 @@ def boundary_difference_quotient(
 
     At n = 2 the two kernels coincide and both take this closed form.  It
     is 0/0 at r = 1, where T takes its limit: 2 cot(alpha/2) / pi at n = 2
-    and 0 for n > 2, where T ~ d_n (1-r)^{n-2}.  Below r = 1, a complement
+    and 0 for n > 2, where T ~ d_n (1-r)^{n-2}.  The harmonic T is the
+    same image cap under a weight, integrated by the fixed rule of
+    ``_tail_quotient``, which needs no limit at r = 1.  Below r = 1, a complement
     measure (1-r) T / 2 under the smallest normal double has lost its
     digits (hyperbolic, from n = 74 at c = 1/2 and r = 1 - 2^-14):
     ``DomainError``.
 
-    ``config`` is the tolerance of the harmonic tail integral, not of T,
-    so the harmonic T meets about max(2 sigma_star (1+r) abs_tol, rel_tol
-    T).  Relative accuracy on a tiny T needs a tiny abs_tol: at n = 128,
-    c = 1/2, r = 0.95, T is 3.6e-19 and the default abs_tol leaves it
-    2.9e-6 off.  The closed forms do not read ``config``.
+    ``config`` is the tolerance of the harmonic T: the error estimate of
+    each value meets max(abs_tol, rel_tol T), so M and m meet (1-r) times
+    it.  Where abs_tol dominates, the estimate may be loose, yet the
+    fixed rule lies far inside it: at n = 128, c = 1/2, r = 0.95, T is
+    3.6e-19, and at the default tolerances it is 2.0e-14 relative off a
+    50-digit mpmath quadrature.  The closed forms do not read ``config``.
     """
     radii = _radii(r, lambda x: 0.0 <= x <= 1.0, "difference quotient needs 0 <= r <= 1")
     if cap.alpha >= math.pi:  # the full cap has no complement: T = 0
@@ -369,25 +385,70 @@ def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: Sequence[flo
                    config: QuadratureConfig) -> list[float]:
     """T(r) for caps of half-angle alpha, 0 <= r <= 1, over lists of (alpha, r) pairs.
 
-    sigma_star(n) is looked up once.  The harmonic tails over [alpha, pi]
-    are one ``integrate_rows`` call per distinct alpha (at most two, a
-    cap's and its complement's, in the order they first appear), each
-    radius a row of that call.
+    sigma_star(n) is looked up once.  The hyperbolic and planar tails, and
+    every tail at r = 0, where the two kernels coincide, take the closed
+    form.  The other harmonic tails take the Moebius image of their arc:
+    the automorphism of ``boundary_difference_quotient`` takes [alpha, pi]
+    onto [0, theta], tan(theta/2) = q, and the harmonic kernel onto the
+    weight B^{(n-2)/2}, B = sin^2 s / ((1-r)^2 + 4r sin^2(s/2)), so that
+    T = 2 sigma_star int_0^theta B^{(n-2)/2} ds / (1-r).  B rises over a
+    layer s ~ 1-r, which tan(s/2) = beta sinh u, beta = (1-r)/(1+r),
+    spreads out: the denominator becomes (1-r)^2 cosh^2 u / (1 + beta^2
+    sinh^2 u), the arc ends at u = U = asinh(cot(alpha/2)) at every r,
+    and with u = U v
+
+        T(r) = (4 sigma_star U / (1+r)) int_0^1 cosh(Uv) B^{(n-2)/2} / (1 + beta^2 sinh^2(Uv)) dv,
+        B = (2 tanh(Uv) / (1+r))^2 / (1 + beta^2 sinh^2(Uv)).
+
+    B <= 1, since 4x(1-x) <= (1-r)^2 + 4rx is (2x - (1-r))^2 >= 0 for
+    x = sin^2(s/2): no power overflows at any n.  The integrand is
+    analytic on [0, 1], and r = 1 (beta = 0) gives the limit D_n(a) with
+    no special case.  At r = 0 it would serve too, but its weight narrows
+    like n^{-1/2} there, and the closed form is exact at every n.
+
+    All those pairs take one numpy pass of the engine's K21 rule on 2
+    and on 3 equal panels of [0, 1].  A row's value is the 3-panel sum,
+    summed as its own 1 x k product so that its bits do not depend on the
+    other rows, and its error estimate is |K2 - K3|, never below 50
+    machine epsilons of T.  The rows whose estimate misses max(abs_tol,
+    rel_tol T) continue on the same integrand in one ``integrate_rows``
+    call, which refines them or raises ``AccuracyError``.  Tiny caps miss
+    (c = 1e-12 at n = 4): U is long there, and the integrand falls off
+    long before the arc ends.
     """
     star = sigma_star(n)
     if kind is KernelKind.HYPERBOLIC_HARMONIC or n == 2:
         return [_closed_form_tail(n, star, a, x) for a, x in zip(alpha, r)]
-    tails = [0.0] * len(r)
-    for angle in dict.fromkeys(alpha):
-        pairs = [j for j, a in enumerate(alpha) if a == angle]
-        radius = np.array([r[j] for j in pairs])[:, None]
-
-        def kernel(t: np.ndarray) -> np.ndarray:
-            return kind.angle_kernel(n, radius, t)
-
-        for j, tail in zip(pairs, integrate_rows(kernel, angle, math.pi, config).tolist()):
-            tails[j] = 2.0 * star * (1.0 + r[j]) * tail
+    tails = [_closed_form_tail(n, star, a, 0.0) if x == 0.0 else math.nan for a, x in zip(alpha, r)]
+    rows = [j for j, x in enumerate(r) if x > 0.0]
+    image = _image_integrand(n, star, np.array([alpha[j] for j in rows]), np.array([r[j] for j in rows]))
+    coarse, fine = (image(_IMAGE_NODES)[:, None] @ _IMAGE_WEIGHTS)[:, 0].T.tolist()
+    missed = []
+    for j, k2, k3 in zip(rows, coarse, fine):
+        tails[j] = k3
+        if not max(abs(k2 - k3), _ROUNDING * k3) <= max(config.abs_tol, config.rel_tol * k3):
+            missed.append(j)
+    if missed:
+        image = _image_integrand(n, star, np.array([alpha[j] for j in missed]), np.array([r[j] for j in missed]))
+        for j, tail in zip(missed, integrate_rows(image, 0.0, 1.0, config).tolist()):
+            tails[j] = tail
     return tails
+
+
+def _image_integrand(n: int, star: float, alpha: np.ndarray, r: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The integrand over v in [0, 1] of the harmonic T at each (alpha, r) pair, one row per pair
+    (``_tail_quotient``)."""
+    top = np.arcsinh(1.0 / np.tan(0.5 * alpha))[:, None]
+    scale = 4.0 * star * top / (1.0 + r)[:, None]
+    beta, lead = ((1.0 - r) / (1.0 + r))[:, None], (2.0 / (1.0 + r))[:, None]
+
+    def image(v: np.ndarray) -> np.ndarray:
+        u = top * v
+        sinh, cosh = np.sinh(u), np.cosh(u)
+        spread = 1.0 + (beta * sinh) ** 2
+        return scale * cosh * ((lead * sinh / cosh) ** 2 / spread) ** (0.5 * (n - 2)) / spread
+
+    return image
 
 
 def _closed_form_tail(n: int, star: float, alpha: float, r: float) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["QuadratureConfig", "DEFAULT_CONFIG", "integrate_rows"]
+__all__ = ["QuadratureConfig", "DEFAULT_CONFIG", "integrate_rows", "kronrod_rule"]
 
 # QUADPACK qk21: the Kronrod nodes x >= 0, largest first, with their
 # 21-point weights.  The 10-point Gauss nodes are x[1], x[3], ..., x[9].
@@ -80,6 +80,14 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+
+
+def kronrod_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's 21 Kronrod nodes and weights on each of ``panels`` equal panels of [0, 1],
+    one panel after the other: a fixed composite rule, with no error estimate of its own."""
+    half = 0.5 / panels
+    nodes = np.concatenate([(2 * j + 1) * half + half * _NODES for j in range(panels)])
+    return nodes, np.tile(half * _KRONROD_WEIGHTS, panels)
 
 
 def _panels(f: Callable, bounds: Sequence[tuple[float, float]]):

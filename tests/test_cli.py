@@ -293,6 +293,27 @@ def test_envelope_oracle_difference_shows_a_moved_envelope(monkeypatch, capsys):
         assert all(abs(float(row["M_oracle_diff"])) >= 5e-10 for row in _parse_csv(out))
 
 
+def test_a_tiny_harmonic_cap_near_the_sphere_meets_the_oracle(capsys):
+    # n = 8, c = 1e-28, r = 0.999, where an adaptive quadrature of the complement tail at the default
+    # tolerances is 2.0e-11 off; the image rule is 2.4e-15 off -0.99999962101030285, a 40-digit mpmath
+    # quadrature of the direct cap arc
+    code, out = _run(capsys, ["envelope", "--n", "8", "--c-grid", "1e-28", "--r-grid", "0.999", "--oracle"])
+    assert code == 0 and abs(float(_parse_csv(out)[0]["M_oracle_diff"])) <= 1e-13
+    upper = ballschwarz.envelope_upper(ballschwarz.KernelKind.HARMONIC, ballschwarz.CapSpec(8, 1e-28), 0.999)
+    assert abs(upper - -0.99999962101030285) <= 1e-14
+
+
+def test_harmonic_envelopes_past_dimension_64_meet_the_oracle(capsys):
+    # past n = 64 the image rule's fixed nodes may miss, and the rows that do continue in the engine
+    code, out = _run(capsys, ["envelope", "--n", "128,512", "--c-grid", "1e-6,0.5,0.999999",
+                              "--r-grid=-0.999,0,0.5,0.999", "--oracle"])
+    rows = _parse_csv(out)
+    assert code == 0 and len(rows) == 2 * 3 * 4
+    for row in rows:
+        assert all(math.isfinite(float(row[key])) for key in ("M_upper", "m_lower", "M_oracle")), row
+        assert abs(float(row["M_oracle_diff"])) <= 1e-13, row
+
+
 def test_verify_passes_and_corruption_fails(capsys):
     code, out = _run(capsys, ["verify"])
     assert code == 0

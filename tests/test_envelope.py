@@ -657,6 +657,68 @@ def test_hyperbolic_decay_coefficient_matches_mpmath(n):
         _assert_rel(hyperbolic_decay_coefficient(CapSpec(n, c)), _mp_decay_coefficient(n, c), rel, c)
 
 
+def _mp_tail(n, alpha, r):
+    """T(r) at the half-angle alpha by 40-digit mpmath Gauss-Legendre quadrature of the direct arc.
+
+    Below r = 1, T = 2 sigma_star (1+r) int_alpha^pi sin^{n-2}t (1 - 2r cos t + r^2)^{-n/2} dt, broken
+    at alpha + (1-r) 2^k, where the kernel's layer of width 1-r sits, and divided inside the quad by its
+    largest value on those points: mpmath stops on an absolute error, which a tiny integrand meets at
+    once.  At r = 1, the limit 2 sigma_star int_0^{cot(alpha/2)} (u^2 / (1+u^2))^{(n-2)/2} du, broken
+    at 2^k.
+    """
+    with mpmath.workdps(40):
+        alpha, two = mpmath.mpf(alpha), mpmath.mpf(2)
+        if r == 1.0:
+            top = mpmath.cot(alpha / 2)
+            points = [0, *(two**k for k in range(-4, 1100) if two**k < top), top]
+            return 2 * _mp_star(n) * mpmath.quad(lambda u: (u * u / (1 + u * u)) ** ((n - 2) * MP_HALF), points,
+                                                 method="gauss-legendre")
+        r = mpmath.mpf(r)
+
+        def kernel(t):
+            return mpmath.sin(t) ** (n - 2) * (1 - 2 * r * mpmath.cos(t) + r * r) ** (-n * MP_HALF)
+
+        points = [alpha, *(alpha + (1 - r) * two**k for k in range(60) if alpha + (1 - r) * two**k < mpmath.pi),
+                  mpmath.pi]
+        scale = max(kernel(t) for t in points[:-1])
+        body = mpmath.quad(lambda t: kernel(t) / scale, points, method="gauss-legendre")
+        return 2 * _mp_star(n) * (1 + r) * scale * body
+
+
+_PIN_MEASURES = (1e-6, 0.02, 0.5, 0.98, 1.0 - 1e-6)
+_PIN_RADII = (0.001, 0.3, 0.9, 0.99999)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 32, 64])
+def test_harmonic_envelopes_and_quotients_match_mpmath(n):
+    # Every cap measure, one radius of each in rotation, and the sphere, at the default tolerances.
+    # T(r) within 1e-13 relative; M(r) and m(r) = M(-r), which lie in [-1, 1], within 1e-13.  The
+    # references take the library's own alpha, so only the tails are tested.
+    for i, c in enumerate(_PIN_MEASURES):
+        cap = CapSpec(n, c)
+        r = _PIN_RADII[(n + i) % len(_PIN_RADII)]
+        own, other = _mp_tail(n, cap.alpha, r), _mp_tail(n, math.pi - cap.alpha, r)
+        with mpmath.workdps(40):
+            upper, lower = float(1 - (1 - mpmath.mpf(r)) * own), float((1 - mpmath.mpf(r)) * other - 1)
+        assert abs(envelope_upper(HARM, cap, r) - upper) <= 1e-13, (c, r)
+        assert abs(envelope_lower(HARM, cap, r) - lower) <= 1e-13, (c, r)
+        quotients = boundary_difference_quotient(HARM, cap, [r, 1.0]).tolist()
+        _assert_rel(quotients[0], float(own), 1e-13, (c, r))
+        _assert_rel(quotients[1], float(_mp_tail(n, cap.alpha, 1.0)), 1e-13, (c, 1.0))
+
+
+def test_tails_that_miss_on_the_image_rule_continue_in_the_engine(engine_calls):
+    # a tiny cap: the image integrand falls off long before the end of its arc, so the fixed nodes miss
+    cap = CapSpec(4, 1e-12)
+    radii = [1e-12, 0.5, 0.999]
+    for r, value in zip(radii, boundary_difference_quotient(HARM, cap, radii).tolist()):
+        _assert_rel(value, float(_mp_tail(4, cap.alpha, r)), 1e-13, r)
+    assert engine_calls == ["integrate_rows"]  # all the rows that missed, in one call
+    # a tolerance below the rounding of T is missed on the fixed nodes and refused by the engine
+    with pytest.raises(AccuracyError, match="subdivisions"):
+        boundary_difference_quotient(HARM, CapSpec(8, 0.3), 0.5, QuadratureConfig(abs_tol=1e-300, rel_tol=1e-17))
+
+
 TIGHT = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-13)
 
 
@@ -717,29 +779,34 @@ def test_hyperbolic_cli_tables_make_no_quadrature_calls(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_harmonic_envelope_table_makes_two_engine_calls_per_cap(engine_calls, capsys):
+def test_harmonic_envelope_table_makes_no_engine_calls(engine_calls, capsys):
     from ballschwarz.cli import main
 
-    grid = ["--n", "3,8,32", "--c-grid", "0.1,0.5,0.9", "--r-grid", "0,0.5,0.9,0.99,0.999"]
+    grid = ["--n", "3,8,32,64", "--c-grid", "1e-6,0.1,0.5,0.9,0.999999", "--r-grid=-0.99999,-0.5,0,0.5,0.9,0.999"]
     assert main(["envelope", "--kind", "harmonic", *grid]) == 0
     assert capsys.readouterr().err == ""
-    # one M and one m quadrature for each of the 9 (n, c)
-    assert 1 <= len(engine_calls) <= 2 * 9
+    # every tail meets the tolerance on the fixed image rule
+    assert engine_calls == []
+    # and so do the difference quotients, the sphere included
+    for n in (3, 8, 64):
+        boundary_difference_quotient(HARM, CapSpec(n, 0.3), [0.0, 0.5, 0.99999, 1.0])
+    assert engine_calls == []
 
 
 @pytest.mark.parametrize("kind", [HARM, HYP])
-@pytest.mark.parametrize("n", [2, 3, 8, 32])
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
 def test_array_radii_match_the_scalar_envelopes(kind, n):
+    # a value's bits do not depend on the radii computed with it: each harmonic row is its own
+    # 1 x k product, on the fixed image rule or in the engine
     radii = np.array([-0.999, -0.5, -0.0, 0.0, 0.3, 0.9, 0.999])
-    for c in (0.1, 0.5, 0.9, 1.0):
+    for c in (1e-6, 0.1, 0.5, 0.9, 1.0):
         cap = CapSpec(n, c)
         for envelope in (envelope_upper, envelope_lower):
             values = envelope(kind, cap, radii)
             assert isinstance(values, np.ndarray) and values.shape == radii.shape
             for r, value in zip(radii.tolist(), values.tolist()):
                 scalar = envelope(kind, cap, r)
-                assert isinstance(scalar, float)
-                assert abs(value - scalar) <= 1e-14, (c, r)
+                assert type(scalar) is float and scalar.hex() == value.hex(), (c, r)
 
 
 @pytest.mark.parametrize("kind", [HARM, HYP])
@@ -761,14 +828,15 @@ def test_one_envelope_pass_has_the_bits_of_each_side(kind, n):
 
 
 @pytest.mark.parametrize("kind, pins", [
-    (HARM, [("-0x1.999999999999cp-1", "-0x1.999999999999dp-1"), ("0x0.0p+0", "0x0.0p+0"),
-            ("0x1.9999999999995p-1", "0x1.9999999999992p-1")]),
+    (HARM, [("-0x1.9999999999998p-1", "-0x1.9999999999999p-1"), ("-0x1.0000000000000p-51", "0x1.0000000000000p-51"),
+            ("0x1.9999999999993p-1", "0x1.9999999999994p-1")]),
     (HYP, [("-0x1.9999999999998p-1", "-0x1.9999999999999p-1"), ("-0x1.0000000000000p-51", "0x1.0000000000000p-51"),
            ("0x1.9999999999993p-1", "0x1.9999999999994p-1")]),
 ])
 def test_the_envelopes_at_positive_zero_keep_their_bits(kind, pins):
-    # +0.0 takes M's own tail and m = M(-0.0) the reflected one, which differ in their last bits; only
-    # M(-0.0) and m(-0.0) take the other tail than before m was M(-r)
+    # +0.0 takes M's own tail and m = M(-0.0) the reflected one, which differ in their last bits; at
+    # r = 0 the kernels coincide and both take the closed form, so the two kinds have the same bits,
+    # each within 5.7e-16 of M(0) = 2 F_n(alpha) - 1 by mpmath betainc at the cap's own alpha
     for c, (upper, lower) in zip((0.1, 0.5, 0.9), pins):
         cap = CapSpec(8, c)
         assert (envelope_upper(kind, cap, 0.0).hex(), envelope_lower(kind, cap, 0.0).hex()) == (upper, lower), c
@@ -818,13 +886,9 @@ def test_array_radii_match_the_scalar_difference_quotients(kind, n):
         for r in (radii, np.array(radii), tuple(radii)):
             values = boundary_difference_quotient(kind, cap, r)
             assert isinstance(values, np.ndarray) and values.shape == (len(radii),)
-            if kind is HYP or n == 2:  # a closed form per radius: the bits of the scalar call
-                for x, value in zip(radii, values.tolist()):
-                    scalar = boundary_difference_quotient(kind, cap, x)
-                    assert type(scalar) is float and scalar.hex() == value.hex(), (c, x)
-            else:  # one quadrature over all the radii as rows
-                scalars = [boundary_difference_quotient(kind, cap, x) for x in radii]
-                assert np.allclose(values, scalars, rtol=1e-9, atol=1e-10), c
+            for x, value in zip(radii, values.tolist()):  # the bits of the scalar call
+                scalar = boundary_difference_quotient(kind, cap, x)
+                assert type(scalar) is float and scalar.hex() == value.hex(), (c, x)
     cap = CapSpec(n, 0.5)
     for bad in (-0.1, 1.5, math.nan):
         with pytest.raises(DomainError, match=rf"^difference quotient needs 0 <= r <= 1, got {bad!r}$"):

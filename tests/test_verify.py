@@ -414,15 +414,16 @@ def test_sandwich_random_profiles_both_kernels():
             assert check_envelope_sandwich(kind, data, grid) <= 1e-8
 
 
-@pytest.mark.parametrize("kind, most", [(HARM, 3), (HYP, 1)])
-def test_sandwich_integrates_each_grid_in_one_call_per_side(kind, most, engine_calls):
-    # h at 0 and the grid radii, then the M and m tails (closed forms for the hyperbolic kernel)
+@pytest.mark.parametrize("kind, calls", [(HARM, 1), (HYP, 1)])
+def test_sandwich_integrates_each_grid_in_one_call_per_side(kind, calls, engine_calls):
+    # h at 0 and the grid radii in one engine call; the M and m tails call none (the image rule for the
+    # harmonic kernel, closed forms for the hyperbolic one)
     rng = np.random.Generator(np.random.Philox(7))
     grid = [0.05 + 0.1 * j for j in range(10)]
     for _ in range(4):
         engine_calls.clear()
         check_envelope_sandwich(kind, random_zonal_profile(rng, 3), grid)
-        assert 1 <= len(engine_calls) <= most
+        assert len(engine_calls) == calls
 
 
 @pytest.mark.parametrize("kind", [HARM, HYP])
@@ -471,12 +472,11 @@ def test_sandwich_matches_a_per_radius_loop(kind):
     assert abs(check_envelope_sandwich(kind, cosine, grid) - _sandwich_per_radius(kind, cosine, grid)) <= 1e-14
 
 
-def test_V_monotone_makes_one_engine_call_per_dimension(engine_calls):
-    for m in (2, 3, 4, 5):
-        engine_calls.clear()
+def test_V_monotone_makes_no_engine_call(engine_calls):
+    # the 22 stencil radii of every dimension take the image rule, or the closed form at m = 2
+    for m in (2, 3, 4, 5, 8):
         assert check_V_monotone(m).passed
-        # at m = 2 the envelope is a closed form
-        assert len(engine_calls) == (0 if m == 2 else 1)
+    assert engine_calls == []
 
 
 def test_majorant_slopes_over_an_array_match_the_scalar_slopes():
@@ -494,21 +494,28 @@ def test_majorant_slopes_over_an_array_match_the_scalar_slopes():
 
 
 def test_hemisphere_majorant_makes_one_envelope_call_per_row(engine_calls, monkeypatch):
-    series = []
+    series, envelopes = [], []
 
     def extension(waves, *args, _extension=_PlaneWaveMap.extension):
         series.append(waves.freqs.shape)
         return _extension(waves, *args)
 
+    def counted(kind, cap, r, config, _envelope=verify.envelope_upper):
+        envelopes.append(len(r))
+        return _envelope(kind, cap, r, config)
+
     monkeypatch.setattr(_PlaneWaveMap, "extension", extension)
+    monkeypatch.setattr(verify, "envelope_upper", counted)
     for trials in (1, 5, 12):
-        engine_calls.clear()
+        envelopes.clear()
         series.clear()
         report = check_hemisphere_majorant(3, 2, trials=trials, seed=11)
         assert report.passed
-        # one tail quadrature over all 4 trials radii, one series over the stack of all maps
-        assert engine_calls == ["integrate_rows"]
+        # one envelope pass over all 4 trials radii, whose tails call no engine, and one series over
+        # the stack of all maps
+        assert envelopes == [4 * trials]
         assert series == [(trials, _MAP_COMPONENTS)]
+    assert engine_calls == []
 
 
 def test_planar_bound_reports():

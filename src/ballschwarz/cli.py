@@ -37,8 +37,8 @@ from .envelope import (
 )
 from .errors import AccuracyError, DomainError, _integer
 from .hilbert_ball import MobiusParams, mobius_identity_residuals
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
-from .specfn import sigma_star
+from .poisson import ZonalBoundaryData, zonal_extension_on_axis
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .verify import DEFAULT_SEED, default_verification_suite, hopf_failure_scan
 
 __all__ = ["main"]
@@ -149,38 +149,18 @@ def _cmd_constants(args: argparse.Namespace, quad: QuadratureConfig) -> int:
 
 
 def _envelope_oracle(kind: KernelKind, cap: CapSpec, radii: list[float], quad: QuadratureConfig) -> np.ndarray:
-    """M_c^n at each radius from the direct cap arc, independent of ``envelope_upper``:
+    """M_c^n at each radius as ``zonal_extension_on_axis`` of the cap's +-1
+    indicator, all radii in one call under ``quad``.
 
-        M_c^n(r) = int_0^alpha 2 sigma_star (1-r^2)^nu sin^{n-2}t d^{-mu} dt - 1,
-        d = (1-|r|)^2 + 4|r| sin^2((t - p)/2),
-
-    over every radius in one ``integrate_rows`` call, the kernel peak p (0
-    for r >= 0, pi for r < 0) included.  ``envelope_upper`` takes the
-    complement tail instead (harmonic) or a closed form (hyperbolic).  With
-    q = (1-r^2)/d the integrand is the base^{n-2} q of a base sin t q
-    (hyperbolic) or sin t / sqrt(d) (harmonic), both at most 1, so no
-    power overflows.  Panel edges lie at p -+ (1-|r|) 2^k inside (0, alpha)
-    for every radius: without them the first panels miss a peak of width
-    1-|r|.  ``quad`` is the tolerance of M + 1.
+    It integrates the complement of the peak's arc in the original angle,
+    under the direct kernel, with the adaptive engine; ``envelope_upper``
+    takes the Moebius image of that arc.  The full cap (c = 1) has no
+    breakpoint, since the data refuses one at pi.
     """
-    n, alpha = cap.n, cap.alpha
-    peaks = [math.pi if r < 0.0 else 0.0 for r in radii]
-    edges = set()
-    for r, peak in zip(radii, peaks):
-        step = 1.0 - abs(r)
-        while step < math.pi:
-            edges.add(abs(peak - step))
-            step *= 2.0
-    rho, peak = np.abs(radii)[:, None], np.array(peaks)[:, None]
-    scale = 2.0 * sigma_star(n)
-
-    def kernel(t: np.ndarray) -> np.ndarray:
-        d = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (t - peak)) ** 2
-        q = (1.0 - rho) * (1.0 + rho) / d
-        base = np.sin(t) * (q if kind is KernelKind.HYPERBOLIC_HARMONIC else 1.0 / np.sqrt(d))
-        return scale * base ** (n - 2) * q
-
-    return integrate_rows(kernel, 0.0, alpha, quad, breakpoints=[t for t in edges if 0.0 < t < alpha]) - 1.0
+    alpha = cap.alpha
+    data = ZonalBoundaryData(cap.n, np.eye(1, cap.n)[0], lambda t: np.where(t <= alpha, 1.0, -1.0),
+                             () if cap.c == 1.0 else (alpha,))
+    return zonal_extension_on_axis(kind, data, radii, quad)
 
 
 def _cmd_envelope(args: argparse.Namespace, quad: QuadratureConfig) -> int:

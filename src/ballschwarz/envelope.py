@@ -116,25 +116,37 @@ _IMAGE_WEIGHTS[:42, 0], _IMAGE_WEIGHTS[42:, 1] = kronrod_rule(2)[1], kronrod_rul
 
 
 class KernelKind(Enum):
-    """Selects the reproducing kernel: Euclidean harmonic or hyperbolic-harmonic."""
+    """Selects the reproducing kernel: Euclidean harmonic or hyperbolic-harmonic.
+
+    On the axis both reduce to the polar angle t (``kernel``), and
+    sigma_star(n) times that integrates to 1 over [0, pi] at every r.
+    ``zonal_extension_on_axis`` integrates sigma_star (profile - p*) times
+    it, p* the profile at the peak, so its tolerance bounds h - p*.
+    """
 
     HARMONIC = "harmonic"
     HYPERBOLIC_HARMONIC = "hyperbolic"
 
-    def exponents(self, n: int) -> tuple[float, float]:
-        """Exponent pair (nu, mu) of the angle-reduced kernel in dimension n."""
-        if self is KernelKind.HARMONIC:
-            return 1.0, 0.5 * n
-        return float(n - 1), float(n - 1)
+    def kernel(self, n: int, r, t: np.ndarray) -> np.ndarray:
+        """The kernel at r times the axis over the polar angle t, for a radius or a column of radii r.
 
-    def angle_kernel(self, n: int, r: float, t: np.ndarray) -> np.ndarray:
-        """sin^{n-2}t (1 - 2r cos t + r^2)^{-mu}: the kernel at r times the axis, over the polar angle t.
-
-        Its factor (1-r^2)^nu and the normalization sigma_star are left to the caller.
+        It is sin^{n-2}t (1-r^2)^nu / (1 - 2r cos t + r^2)^mu, with (nu, mu)
+        = (1, n/2) for the harmonic kernel and (n-1, n-1) for the
+        hyperbolic one, taken as base^{n-2} q: the squared distance is
+        d = (1-|r|)^2 + 4|r| sin^2((t-p)/2), with the peak p = pi for
+        r < 0 and 0 otherwise (-0.0 included), q = (1-r^2)/d, and base =
+        sin t / sqrt(d) (harmonic) or sin t q (hyperbolic).  Both bases are
+        at most 1 and d does not cancel, so no power overflows at any n.
         """
-        _, mu = self.exponents(n)
-        with np.errstate(over="ignore"):  # sin^{n-2} <= 1, so a distance power of inf gives the kernel's 0
-            return np.sin(t) ** (n - 2) / (1.0 - 2.0 * r * np.cos(t) + r * r) ** mu
+        return _axis_kernel(self, n, np.abs(r), np.where(r < 0.0, math.pi, 0.0), t)
+
+
+def _axis_kernel(kind: KernelKind, n: int, rho, peak, t: np.ndarray) -> np.ndarray:
+    """``KernelKind.kernel`` at |r| = rho with its peak angle p already taken."""
+    d = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (t - peak)) ** 2
+    q = (1.0 - rho) * (1.0 + rho) / d
+    base = np.sin(t) * (q if kind is KernelKind.HYPERBOLIC_HARMONIC else 1.0 / np.sqrt(d))
+    return base ** (n - 2) * q
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:

@@ -6,9 +6,11 @@ its axis, uniform samples of the sphere, and one-sided Richardson
 estimation of radial boundary derivatives.
 
 The zonal reduction is exact only on the axis of symmetry, where the
-integrand depends on a single polar angle; it subtracts the profile's
-value at the kernel's peak so that no radius integrates across the
-peak.  Off the axis, step data has the Gegenbauer series of
+integrand depends on a single polar angle under ``KernelKind.kernel``.
+It subtracts the profile's value p* at the kernel's peak, so that no
+radius integrates across the peak, and takes sigma_star under the
+integral, so the quadrature's tolerance bounds h - p*, the error of the
+extension itself.  Off the axis, step data has the Gegenbauer series of
 ``verify._zonal_value``.  What that series needs of the data alone (the
 levels, the cap measures and weights of the edges, sigma_star, the arcs
 of n = 2) is computed on the first off-axis call and kept on the data,
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .envelope import KernelKind, _radii, _shaped, cap_measure_from_angle
+from .envelope import KernelKind, _axis_kernel, _radii, _shaped, cap_measure_from_angle
 from .errors import DomainError, _integer
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from .specfn import sigma_star
@@ -137,37 +139,38 @@ def zonal_extension_on_axis(
     On the axis the kernel depends only on the polar angle t, so the
     surface integral collapses to
 
-        sigma_star(n) (1-r^2)^nu
-            int_0^pi profile(t) sin^{n-2}t (1 - 2 r cos t + r^2)^{-mu} dt.
+        h(r) = sigma_star(n) int_0^pi profile(t) K(r, t) dt
 
-    Negative r continues the same formula analytically along the axis
-    (used by central differences at r = 0); |r| >= 1 is rejected.  ``r``
-    may be a 1-D array of radii: the result is then the array of values,
-    all radii integrated as rows of one quadrature, each with the bits it gets alone.
+    with K = ``kind.kernel(n, r, t)``.  Negative r continues the same
+    formula analytically along the axis (used by central differences at
+    r = 0); |r| >= 1 is rejected.  ``r`` may be a 1-D array of radii: the
+    result is then the array of values, all radii integrated as rows of
+    one quadrature, each with the bits it gets alone.
 
-    The kernel peaks at t* = 0 for r >= 0 and at t* = pi for r < 0.
-    Because it integrates to exactly 1, the profile's value there can be
-    subtracted under the integral and added back outside, radius by radius:
+    The kernel peaks at p = 0 for r >= 0 (-0.0 included) and at p = pi for
+    r < 0.  Because sigma_star K integrates to exactly 1, the profile's
+    value p* there is subtracted under the integral and added back outside,
+    radius by radius:
 
-        h = p(t*) + sigma_star(n) (1-r^2)^nu
-                int_0^pi (p(t) - p(t*)) sin^{n-2}t (1 - 2 r cos t + r^2)^{-mu} dt,
+        h(r) = p* + int_0^pi sigma_star (profile(t) - p*) K(r, t) dt,
 
     whose integrand vanishes at the peak wherever the profile is
-    continuous there, so no radius integrates across it.
+    continuous there, so no radius integrates across it.  The whole of
+    h - p* is the integral, so ``config`` bounds the error of h itself.
+    |r|, the peak angles, p* and sigma_star are taken once per call, not
+    once per batch of panels.
     """
     radii = np.array(_radii(r))
     n = data.n
-    nu, _ = kind.exponents(n)
     star = sigma_star(n)
-    peak = np.asarray(data.profile(np.where(radii >= 0.0, 0.0, math.pi)), dtype=float)
-    column, peaks = radii[:, None], peak[:, None]
+    angle = np.where(radii < 0.0, math.pi, 0.0)  # the kernel's peak
+    peak = np.asarray(data.profile(angle), dtype=float)
+    rho, angles, peaks = np.abs(radii)[:, None], angle[:, None], peak[:, None]
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return (np.asarray(data.profile(t), dtype=float) - peaks) * kind.angle_kernel(n, column, t)
+        return star * (np.asarray(data.profile(t), dtype=float) - peaks) * _axis_kernel(kind, n, rho, angles, t)
 
-    body = integrate_rows(integrand, 0.0, math.pi, config, breakpoints=data.breakpoints)
-    values = peak + star * (1.0 - radii * radii) ** nu * body
-    return _shaped(values, r)
+    return _shaped(peak + integrate_rows(integrand, 0.0, math.pi, config, breakpoints=data.breakpoints), r)
 
 
 def uniform_sphere_samples(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

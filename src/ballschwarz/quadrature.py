@@ -154,19 +154,13 @@ def integrate_rows(
     of each earlier row, the current value of the refusing row and the
     initial total of each later row.  It raises (without an estimate) on a
     panel with a non-finite value in any row, naming the panel and row.
-    Over a reversed interval (a > b) the integrals and any carried
-    estimate are those of [b, a], negated.
+    An interval that is not finite, or not a < b, raises
+    :class:`DomainError`.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration endpoints must be finite")
-    if a == b:
-        return np.zeros(np.reshape(f(np.full(_NODES.size, float(a))), (-1, _NODES.size)).shape[0])
-    if a > b:
-        try:
-            return -integrate_rows(f, b, a, config, breakpoints)
-        except AccuracyError as exc:
-            exc.estimate = None if exc.estimate is None else -exc.estimate
-            raise
+    if not a < b:
+        raise DomainError(f"integration interval must have a < b, got [{a!r}, {b!r}]")
 
     edges = [a]
     for t in sorted(breakpoints):

@@ -23,6 +23,14 @@ _PROFILE_SLACK = 1e-9
 _MC_CHUNK = 262_144
 
 
+def exponents(kind: KernelKind, n: int) -> tuple[float, float]:
+    """The exponent pair (nu, mu) of the kernel (1-|x|^2)^nu / |x - eta|^{2 mu} in dimension n:
+    (1, n/2) for the Euclidean Laplacian, (n-1, n-1) for the Laplace-Beltrami operator of the ball."""
+    if kind is KernelKind.HARMONIC:
+        return 1.0, 0.5 * n
+    return float(n - 1), float(n - 1)
+
+
 @dataclass(frozen=True)
 class BoundaryMap:
     """A boundary map S^{n-1} -> closed unit ball of R^m.
@@ -73,7 +81,7 @@ def monte_carlo_extension(
     if not r2 < 1.0:
         raise DomainError("evaluation point must lie strictly inside the ball")
     samples = _integer(samples, "samples", 1)
-    nu, mu = kind.exponents(g.n)
+    nu, mu = exponents(kind, g.n)
 
     floor = (1.0 - math.sqrt(r2)) ** 2
     rng = np.random.Generator(np.random.Philox(seed))

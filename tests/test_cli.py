@@ -258,7 +258,7 @@ def test_envelope_origin_and_full_cap_rows(capsys):
 
 
 def test_envelope_at_dimension_20000_prints_no_overflow_warning(capsys):
-    # the kernel's distance power overflows to inf there, which is the kernel's correct 0
+    # every power the envelope takes there has a base of at most 1, so none overflows
     code = main(["envelope", "--n", "20000", "--c-grid", "0.5", "--r-grid", "0.5"])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
@@ -272,8 +272,8 @@ _ORACLE_SWEEP = ["--n", "2,3,4,8,16,32,64", "--c-grid", "0.02,0.1,0.3,0.5,0.7,0.
 
 @pytest.mark.parametrize("kind", ["harmonic", "hyperbolic"])
 def test_envelope_oracle_agrees_with_the_envelope(kind, capsys):
-    # the direct cap arc, peak included, against the complement tail or the closed form; m(r) = M(-r) is
-    # checked through the negative radii
+    # the engine on the complement arc in the original angle against the Moebius image of that arc (a fixed
+    # rule or the closed form); m(r) = M(-r) is checked through the negative radii
     code, out = _run(capsys, ["envelope", *_ORACLE_SWEEP, "--kind", kind])
     rows = _parse_csv(out)
     assert code == 0 and len(rows) == 7 * 7 * 11
@@ -294,9 +294,10 @@ def test_envelope_oracle_difference_shows_a_moved_envelope(monkeypatch, capsys):
 
 
 def test_a_tiny_harmonic_cap_near_the_sphere_meets_the_oracle(capsys):
-    # n = 8, c = 1e-28, r = 0.999, where an adaptive quadrature of the complement tail at the default
-    # tolerances is 2.0e-11 off; the image rule is 2.4e-15 off -0.99999962101030285, a 40-digit mpmath
-    # quadrature of the direct cap arc
+    # n = 8, c = 1e-28, r = 0.999, where an adaptive quadrature of the complement tail is 2.0e-11 off if its
+    # kernel takes the cancelling distance 1 - 2r cos t + r^2; the image rule is 2.4e-15 off
+    # -0.99999962101030285, a 40-digit mpmath quadrature of the direct cap arc, and the oracle, whose
+    # distance does not cancel, rounds to it
     code, out = _run(capsys, ["envelope", "--n", "8", "--c-grid", "1e-28", "--r-grid", "0.999", "--oracle"])
     assert code == 0 and abs(float(_parse_csv(out)[0]["M_oracle_diff"])) <= 1e-13
     upper = ballschwarz.envelope_upper(ballschwarz.KernelKind.HARMONIC, ballschwarz.CapSpec(8, 1e-28), 0.999)

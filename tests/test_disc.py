@@ -16,6 +16,8 @@ def _arc_extension_quadrature(z, theta1, theta2):
     def kernel(t):
         return (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(t - phase) + r * r)
 
+    if theta2 == theta1:  # the engine takes a < b only; an empty arc has measure 0
+        return 0.0
     return integrate_rows(kernel, theta1, theta2)[0] / (2.0 * math.pi)
 
 

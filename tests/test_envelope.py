@@ -25,6 +25,8 @@ from ballschwarz import (
     sigma_star,
 )
 
+import montecarlo
+
 HARM = KernelKind.HARMONIC
 HYP = KernelKind.HYPERBOLIC_HARMONIC
 TWO_OVER_PI = 2.0 / math.pi
@@ -43,7 +45,7 @@ def _mp_envelopes(kind, cap, r):
     """
     with mpmath.workdps(30):
         n = cap.n
-        nu, mu = (mpmath.mpf(e) for e in kind.exponents(n))
+        nu, mu = (mpmath.mpf(e) for e in montecarlo.exponents(kind, n))
         r_mp, alpha = mpmath.mpf(r), mpmath.mpf(cap.alpha)
         star = mpmath.gamma(mpmath.mpf(n) / 2) / (
             mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n - 1) / 2)
@@ -63,11 +65,22 @@ def _mp_envelopes(kind, cap, r):
         return float(upper), float(lower)
 
 
-def test_kernel_exponent_pairs():
-    assert HARM.exponents(3) == (1.0, 1.5)
-    assert HARM.exponents(5) == (1.0, 2.5)
-    assert HYP.exponents(3) == (2.0, 2.0)
-    assert HYP.exponents(5) == (4.0, 4.0)
+@pytest.mark.parametrize("kind", [HARM, HYP])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
+def test_kernel_matches_the_textbook_form(kind, n):
+    # sin^{n-2}t (1-r^2)^nu / (1 - 2r cos t + r^2)^mu, which neither overflows nor cancels for n <= 16
+    # and |r| <= 1/2, where the distance is at least 1/4; the radii are a column, one row each, and -0.0
+    # peaks at t = 0 like +0.0
+    radii = np.array([-0.5, -0.3, -0.1, -0.0, 0.0, 0.1, 0.3, 0.5])[:, None]
+    t = np.linspace(0.0, math.pi, 257)
+    nu, mu = montecarlo.exponents(kind, n)
+    textbook = np.sin(t) ** (n - 2) * (1.0 - radii**2) ** nu / (1.0 - 2.0 * radii * np.cos(t) + radii**2) ** mu
+    values = kind.kernel(n, radii, t)
+    assert values.shape == textbook.shape
+    np.testing.assert_allclose(values, textbook, rtol=1e-13, atol=0.0)
+    assert np.array_equal(values[3], values[4])
+    for r, row in zip(radii[:, 0].tolist(), values):
+        assert np.array_equal(kind.kernel(n, r, t), row), r
 
 
 def test_cap_angle_planar_is_linear():
@@ -365,10 +378,9 @@ def test_hyperbolic_quotient_matches_mpmath_on_the_hopf_radii(n, c):
 
 
 def _quadrature_hyperbolic_quotient(cap, r):
-    """T(r) = 2 sigma_star (1-r)^{n-2} (1+r)^{n-1} int_alpha^pi of the hyperbolic angle kernel."""
-    n = cap.n
-    tail = integrate_rows(lambda t: HYP.angle_kernel(n, r, t), cap.alpha, math.pi, TIGHT)[0]
-    return 2.0 * sigma_star(n) * (1.0 - r) ** (n - 2) * (1.0 + r) ** (n - 1) * tail
+    """T(r) = 2 sigma_star int_alpha^pi K dt / (1-r), K the hyperbolic ``KernelKind.kernel``."""
+    tail = integrate_rows(lambda t: HYP.kernel(cap.n, r, t), cap.alpha, math.pi, TIGHT)[0]
+    return 2.0 * sigma_star(cap.n) * tail / (1.0 - r)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])

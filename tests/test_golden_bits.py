@@ -4,9 +4,9 @@ residuals.
 
 The CLI prints 12 digits, so an output comparison cannot see a move in
 the last bits.  These tests compare ``float.hex`` of on-axis zonal
-extensions with values recorded before the engine's integrand contract
-became ``f(x)``: a change to the engine that moves any bit of them fails
-here.  The harmonic envelopes were recorded from the fixed image rule of
+extensions with values recorded from the one angle kernel,
+``KernelKind.kernel``: a change to the engine or the kernel that moves
+any bit of them fails here.  The harmonic envelopes were recorded from the fixed image rule of
 their tails, each within 2.3e-15 of a 40-digit mpmath quadrature of the
 direct complement arc at the library's own cap angle.  The off-axis values of step data (the
 Gegenbauer series for n >= 3, the arcs for n = 2), and every refusal of
@@ -181,18 +181,21 @@ ENVELOPES = {
     ],
 }
 
+# recorded from ``KernelKind.kernel`` with sigma_star under the integral; against 40-digit mpmath, the 3 harmonic
+# values that moved from the earlier pins came closer, and the 5 hyperbolic ones (4 radii) went up to 2.2e-16
+# farther, the largest error of each kind staying 2.5e-16 (harmonic) and 3.8e-16 (hyperbolic)
 STEPS = {
     "harmonic": [
         "-0x1.c4e82b29e0632p-1", "-0x1.d35c5a933efc0p-5", "0x1.62bf4df9e042cp-3",
-        "0x1.615dfb7e20c40p-3", "0x1.47e7f38e8dc1cp-3", "0x1.053f3bc390ffcp-3",
-        "0x1.29f0017e0f0f8p-3", "0x1.499500c41c206p-2", "0x1.7f2314cf550a8p-1",
-        "0x1.f3c17e5056e07p-1", "0x1.fec93ea1e015ap-1", "0x1.499500c41c206p-2",
+        "0x1.615dfb7e20c40p-3", "0x1.47e7f38e8dc1cp-3", "0x1.053f3bc391000p-3",
+        "0x1.29f0017e0f0f8p-3", "0x1.499500c41c208p-2", "0x1.7f2314cf550a8p-1",
+        "0x1.f3c17e5056e07p-1", "0x1.fec93ea1e015ap-1", "0x1.499500c41c208p-2",
     ],
     "hyperbolic": [
-        "-0x1.cca1630d76b98p-1", "-0x1.916c2345293acp-3", "0x1.5efd87e603b74p-3",
-        "0x1.615dfb7e20c40p-3", "0x1.3d5e947306884p-3", "0x1.d9301301b81d8p-4",
-        "0x1.6c65087c695c8p-3", "0x1.ebf0bfe398c6cp-2", "0x1.d7ed5e305fad6p-1",
-        "0x1.ff9bf5599e130p-1", "0x1.ffff0208900e6p-1", "0x1.ebf0bfe398c6cp-2",
+        "-0x1.cca1630d76b98p-1", "-0x1.916c2345293a4p-3", "0x1.5efd87e603b74p-3",
+        "0x1.615dfb7e20c40p-3", "0x1.3d5e947306880p-3", "0x1.d9301301b81d8p-4",
+        "0x1.6c65087c695c4p-3", "0x1.ebf0bfe398c6ep-2", "0x1.d7ed5e305fad6p-1",
+        "0x1.ff9bf5599e130p-1", "0x1.ffff0208900e6p-1", "0x1.ebf0bfe398c6ep-2",
     ],
 }
 

@@ -13,6 +13,7 @@ from ballschwarz import (
     uniform_sphere_samples,
     zonal_extension_on_axis,
 )
+from ballschwarz.verify import build_cap_extremal
 
 import montecarlo
 from montecarlo import BoundaryMap, monte_carlo_extension
@@ -39,7 +40,7 @@ def _cap_data(n, c):
 
 def _kernel(kind, x, eta):
     """Normalized Poisson kernel on S^2, (1-|x|^2)^nu / |x-eta|^{2 mu} / 4 pi, either kind."""
-    nu, mu = kind.exponents(3)
+    nu, mu = montecarlo.exponents(kind, 3)
     dist2 = float(np.dot(x - eta, x - eta))
     return (1.0 - float(np.dot(x, x))) ** nu / dist2**mu / (4.0 * math.pi)
 
@@ -63,6 +64,26 @@ def test_zonal_cap_profile_reproduces_envelope():
             h = zonal_extension_on_axis(kind, data, r)
             m = envelope_upper(kind, cap, r)
             assert h == pytest.approx(m, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [HARM, HYP])
+@pytest.mark.parametrize("n", [80, 96, 144, 256, 1024])
+def test_cap_extensions_past_dimension_64_meet_the_envelope(kind, n):
+    # a kernel taken as sin^{n-2}t (1 - 2r cos t + r^2)^{-mu} times (1-r^2)^nu overflows and cancels here
+    # (at c = 1/2 from n = 80 hyperbolic and n = 144 harmonic, r = 0.999), warns, then raises on a panel
+    radii = [-0.999, -0.99, -0.9, 0.9, 0.99, 0.999, 0.9999]
+    for c in (0.02, 0.5, 0.98):
+        data, cap = _cap_data(n, c)
+        values = zonal_extension_on_axis(kind, data, radii)
+        assert np.all(np.abs(values - envelope_upper(kind, cap, radii)) <= 1e-13), c
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_cap_extremal_past_dimension_64_takes_the_envelope_near_the_sphere():
+    x = 0.999 * _axis(256)
+    value = build_cap_extremal(256, 2, 0.3).f(x)
+    assert abs(value[0] - envelope_upper(HARM, CapSpec(256, 0.65), 0.999)) <= 1e-13 and value[1] == 0.0
 
 
 def test_zonal_cosine_profile_is_linear_harmonic():
@@ -240,7 +261,7 @@ def _point(n):
 
 def _two_pass_extension(kind, g, x, samples, seed):
     """The estimator as two reductions of the (N, m) products P·g, from one draw of the samples."""
-    nu, mu = kind.exponents(g.n)
+    nu, mu = montecarlo.exponents(kind, g.n)
     eta = uniform_sphere_samples(np.random.Generator(np.random.Philox(seed)), samples, g.n)
     diff = eta - x[None, :]
     dist2 = np.einsum("ij,ij->i", diff, diff)

@@ -6,11 +6,11 @@ The argv are every distinct ``argv`` of ``perfbench/workloads.plan(w, s)``
 for w in ``tables`` and ``checks`` and s in 1, 2 and 7, in plan order, taken
 from this checkout's ``perfbench/`` (imported, never written to), then the
 fixed ``EDGE_ARGVS``: the ``envelope`` and ``hopf`` rows of the full cap
-c = 1, of c = 0 and of a tiny cap, ``envelope --oracle`` (the direct
-cap-arc quadrature) at n = 2, 8 and 64 for both kernels, over the tiny,
-the half and the full cap and radii out to -0.999 and 0.999, ``hopf`` at
-n = 17 to 74, and ``constants`` at a next to -1 and 1, which the plans
-do not reach; several of them are refusals.  Each tree
+c = 1, of c = 0 and of a tiny cap, ``envelope --oracle`` (the on-axis
+extension of the cap indicator) at n = 2, 8, 64 and 512 for both kernels,
+over the tiny, the half and the full cap and radii out to -0.999 and
+0.999, ``hopf`` at n = 17 to 74, and ``constants`` at a next to -1 and
+1, which the plans do not reach; several of them are refusals.  Each tree
 runs all of them in one subprocess of its own, with ``PYTHONPATH``
 set to the tree's ``src`` (then this ``tools`` directory), as in-process
 ``cli.main(argv)`` calls with ``cli._emit`` wrapped to keep the rows it is
@@ -94,7 +94,7 @@ json.dump({"module": ballschwarz.__file__, "results": results}, sys.stdout)
 EDGE_ARGVS = [
     *(["envelope", "--n", "2,3,8", "--c-grid", c, "--r-grid=-0.999,0,0.5,0.999", "--kind", kind]
       for c in ("1", "0", "1e-28", "1e-28,0.5,1") for kind in ("harmonic", "hyperbolic")),
-    *(["envelope", "--n", "2,8,64", "--c-grid", "1e-28,0.5,1", "--r-grid=-0.999,0,0.5,0.999", "--oracle",
+    *(["envelope", "--n", "2,8,64,512", "--c-grid", "1e-28,0.5,1", "--r-grid=-0.999,0,0.5,0.999", "--oracle",
        "--kind", kind] for kind in ("harmonic", "hyperbolic")),
     *(["hopf", "--n", n, "--c-grid", c] for n, c in (("3", "1"), ("3", "0"), ("3,4", "1e-28"), ("3", "0.5,1"),
                                                      ("17,40", "0.1,0.3"), ("73", "0.5"), ("74", "0.5"))),

@@ -220,18 +220,50 @@ def cap_angle_from_measure(n: int, c: float) -> float:
     exactly).  Iteration stops at a step of at most 1e-13 and at most
     1e-13 times the new angle.  The relative part keeps the digits of a
     tiny cap, whose angle may lie below 1e-13 (2e-14 at n = 3, c =
-    1e-28).  c > 1/2 returns pi minus the angle for 1 - c.  A non-positive
-    slope, or 100 steps without convergence (at n = 3, where a step about
-    halves a small angle, a c' below about 1e-57), raises
-    ``AccuracyError``; an angle outside (0, pi] raises ``DomainError``.
+    1e-28).  c > 1/2 returns pi minus the angle for 1 - c.
+
+    From pi/2 a step shrinks a small angle by about (n-2)/(n-1), so a tiny
+    cap (at n = 3 a c' below about 1e-57) is not reached in 100 steps.
+    Only then does Newton start again, from the small-angle asymptote
+    alpha_0 = ((n-1) c' / sigma_star)^{1/(n-1)}.  Since sin t <= t,
+    F(alpha_0) <= sigma_star alpha_0^{n-1} / (n-1) = c', so alpha_0 lies
+    left of the root.  The tangent of a convex F lies below it, so the
+    first step lands right of the root; if it lands in [0, pi/2], every
+    later step lands between the root and the previous iterate, as from
+    pi/2.  Where the asymptote is poor (n in the hundreds), the first step
+    overshoots pi/2, and the inverter stops there.  Every normal c' then
+    inverts to within 1e-14 of its measure at n <= 32.  A non-positive
+    slope, or neither start converging in 100 steps within [0, pi/2],
+    raises ``AccuracyError``; an angle outside (0, pi] raises
+    ``DomainError``.
     """
     n = _integer(n)
     if not 0.0 < c < 1.0:
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
     star = sigma_star(n)
     target = min(c, 1.0 - c)
-    alpha = 0.5 * math.pi
-    resid = 0.5 - target
+    alpha, converged = _newton_angle(n, c, star, target, 0.5 * math.pi, 0.5 - target)
+    if not converged:
+        start = ((n - 1) * target / star) ** (1.0 / (n - 1))
+        alpha, converged = _newton_angle(n, c, star, target, start, _cap_measure(n, star, start) - target)
+        if not converged:
+            raise AccuracyError(
+                f"cap angle for n={n}, c={c!r} did not converge in {_NEWTON_STEPS} Newton steps from pi/2, "
+                f"nor within [0, pi/2] from the small-angle start {start!r}", estimate=alpha
+            )
+    if c > 0.5:
+        alpha = math.pi - alpha
+    if not 0.0 < alpha <= math.pi:
+        raise DomainError(f"cap angle must lie in (0, pi], got {alpha!r}")
+    return alpha
+
+
+def _newton_angle(n: int, c: float, star: float, target: float, alpha: float, resid: float) -> tuple[float, bool]:
+    """Newton for F_n(alpha) = target from ``alpha``, where F_n - target is ``resid``, for
+    ``cap_angle_from_measure(n, c)``: the last angle, and whether its step met the stop.
+
+    An unconverged step past pi/2, off the convex branch, ends the run unconverged.
+    """
     for _ in range(_NEWTON_STEPS):
         slope = star * math.sin(alpha) ** (n - 2)
         if not slope > 0.0:
@@ -239,15 +271,11 @@ def cap_angle_from_measure(n: int, c: float) -> float:
         step = resid / slope
         alpha -= step
         if abs(step) <= _ANGLE_TOL and abs(step) <= _ANGLE_TOL * alpha:
-            if c > 0.5:
-                alpha = math.pi - alpha
-            if not 0.0 < alpha <= math.pi:
-                raise DomainError(f"cap angle must lie in (0, pi], got {alpha!r}")
-            return alpha
+            return alpha, True
+        if alpha > 0.5 * math.pi:
+            break
         resid = _cap_measure(n, star, alpha) - target
-    raise AccuracyError(
-        f"cap angle for n={n}, c={c!r} did not converge in {_NEWTON_STEPS} Newton steps", estimate=alpha
-    )
+    return alpha, False
 
 
 @dataclass(frozen=True)

@@ -186,21 +186,24 @@ def uniform_sphere_samples(rng: np.random.Generator, count: int, n: int) -> np.n
     return out / norms[:, None]
 
 
-def radial_derivative_estimate(h: Callable[[float], float], base_step: float = 1e-3) -> float:
+def radial_derivative_estimate(h: Callable[[np.ndarray], np.ndarray], base_step: float = 1e-3) -> float:
     """Estimate lim_{r -> 1-} (1 - h(r)) / (1 - r) by Richardson extrapolation.
 
     The boundary value h(1) = 1 holds at contact points and is used as
     given rather than extrapolated from samples: extracting the boundary
-    limit from interior values is ill-conditioned.  The one-sided
-    quotients at steps base_step / 2^j, j = 0, 1, 2, are combined through
-    a Richardson tableau removing the O(s) and O(s^2) terms.
+    limit from interior values is ill-conditioned.  ``h`` is called once,
+    on the 1-D array of the radii 1 - s_j with steps s_j = base_step / 2^j,
+    j = 0, 1, 2, and returns the array of its values there.  The one-sided
+    quotients (1 - h(1 - s_j)) / s_j are combined through a Richardson
+    tableau removing the O(s) and O(s^2) terms.
     """
     if not 0.0 < base_step < 1.0:
         raise DomainError(f"base_step must lie in (0, 1), got {base_step!r}")
-    quotients = []
-    for j in range(_RICHARDSON_LEVELS):
-        s = base_step / 2.0 ** j
-        quotients.append((1.0 - h(1.0 - s)) / s)
+    steps = [base_step / 2.0 ** j for j in range(_RICHARDSON_LEVELS)]
+    values = np.asarray(h(np.array([1.0 - s for s in steps])), dtype=float)
+    if values.shape != (_RICHARDSON_LEVELS,):
+        raise DomainError(f"h must return one value per radius, shape ({_RICHARDSON_LEVELS},), got {values.shape}")
+    quotients = [(1.0 - value) / s for value, s in zip(values.tolist(), steps)]
     for k in range(1, _RICHARDSON_LEVELS):
         factor = 2.0 ** k
         quotients = [

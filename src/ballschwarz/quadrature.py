@@ -90,34 +90,34 @@ def kronrod_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.tile(half * _KRONROD_WEIGHTS, panels)
 
 
-def _panels(f: Callable, bounds: Sequence[tuple[float, float]]):
+def _panels(f: Callable, bounds: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod values and error estimates of every row on the panels [a, b] in ``bounds``.
 
-    Returns two lists with one list of floats per panel.  ``f`` is called
-    once for the whole batch, on the 21 Kronrod nodes of every panel in
-    turn.  Every row's sums are 1 x 21 products, so a row gets the same
-    bits in a batch of rows and panels as alone.
+    Returns two (panels, rows) arrays.  ``f`` is called once for the whole
+    batch, on the 21 Kronrod nodes of every panel in turn.  Every row's sums
+    are 1 x 21 products, so a row gets the same bits in a batch of rows and
+    panels as alone; the floors, the Kronrod and Gauss values and the
+    estimates max(|K - half G|, floor) are then elementwise array
+    operations, each rounding as the same expression on floats would.
     """
-    halves = [0.5 * (b - a) for a, b in bounds]
-    nodes = np.concatenate([0.5 * (a + b) + half * _NODES for (a, b), half in zip(bounds, halves)])
+    ends = np.array(bounds)
+    halves = 0.5 * (ends[:, 1:] - ends[:, :1])  # (panels, 1), against the (panels, rows) sums
+    nodes = (0.5 * (ends[:, :1] + ends[:, 1:]) + halves * _NODES).ravel()
     # f's (rows, panels x 21) values as a contiguous (panels, rows, 1, 21) stack of 1 x 21 rows
     values = np.reshape(f(nodes), (-1, len(bounds), _NODES.size)).swapaxes(0, 1)
     values = np.ascontiguousarray(values)[:, :, None]
     # below the rounding of the sum, K and G may agree by accident; |K| and |G| are at
     # most a few times the integral of |f| in it, so where the floor is finite they are too
-    floor = [[_ROUNDING_FLOOR * half * s for s in sums]
-             for half, sums in zip(halves, (np.abs(values) @ _KRONROD_WEIGHTS)[..., 0].tolist())]
-    if not math.isfinite(sum(map(sum, floor))):
+    floor = _ROUNDING_FLOOR * halves * (np.abs(values) @ _KRONROD_WEIGHTS)[..., 0]
+    if not np.isfinite(floor).all():
         panel, row = np.argwhere(~np.isfinite(floor))[0].tolist()
         a, b = bounds[panel]
         with np.errstate(invalid="ignore"):
-            value = halves[panel] * float(values[panel, row, 0] @ _KRONROD_WEIGHTS)
+            value = float(halves[panel, 0]) * float(values[panel, row, 0] @ _KRONROD_WEIGHTS)
         raise AccuracyError(f"quadrature panel [{a!r}, {b!r}] is not finite in row {row}: value {value!r}")
-    kronrod = [[half * s for s in sums] for half, sums in zip(halves, (values @ _KRONROD_WEIGHTS)[..., 0].tolist())]
-    gauss = (values[..., 1::2] @ _GAUSS_WEIGHTS)[..., 0].tolist()
-    errors = [[max(abs(k - half * g), fl) for k, g, fl in zip(*sums)]
-              for half, sums in zip(halves, zip(kronrod, gauss, floor))]
-    return kronrod, errors
+    kronrod = halves * (values @ _KRONROD_WEIGHTS)[..., 0]
+    gauss = (values[..., 1::2] @ _GAUSS_WEIGHTS)[..., 0]
+    return kronrod, np.maximum(np.abs(kronrod - halves * gauss), floor)
 
 
 def integrate_rows(
@@ -170,10 +170,11 @@ def integrate_rows(
 
     bounds = list(zip(edges[:-1], edges[1:]))
     values, errors = _panels(f, bounds)
-    total, total_err = [0.0] * len(values[0]), [0.0] * len(values[0])
-    for vals, errs in zip(values, errors):
-        total = [t + v for t, v in zip(total, vals)]
-        total_err = [t + e for t, e in zip(total_err, errs)]
+    total, total_err = np.zeros(values.shape[1]), np.zeros(values.shape[1])
+    for vals, errs in zip(values, errors):  # panel after panel, from 0.0, as a loop over floats adds
+        total, total_err = total + vals, total_err + errs
+    total, total_err = total.tolist(), total_err.tolist()
+    values, errors = values.tolist(), errors.tolist()  # the bisection below reads single floats
     table = dict(zip(bounds, zip(values, errors)))  # (lo, hi) -> that panel's row values and errors
     abs_tol, rel_tol = config.abs_tol, config.rel_tol
     for j in range(len(total)):
@@ -199,7 +200,7 @@ def integrate_rows(
                     f"near x={lo!r}", estimate=np.array(total),
                 )
             if (lo, mid) not in table:
-                (lval, rval), (lerr, rerr) = _panels(f, ((lo, mid), (mid, hi)))
+                (lval, rval), (lerr, rerr) = (pair.tolist() for pair in _panels(f, ((lo, mid), (mid, hi))))
                 table[lo, mid], table[mid, hi] = (lval, lerr), (rval, rerr)
             (pval, perr), (lval, lerr), (rval, rerr) = table[lo, hi], table[lo, mid], table[mid, hi]
             total[j] += (lval[j] + rval[j]) - pval[j]

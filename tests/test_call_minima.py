@@ -7,7 +7,8 @@ from pathlib import Path
 from ballschwarz import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-GROUP_LINE = re.compile(r"(.+): (\d+) calls, parent ([\d.]+) ms, change ([\d.]+) ms, ratio change/parent ([\d.]+)")
+GROUP_LINE = re.compile(r"(.+): (\d+) calls, parent ([\d.]+) ms, change ([\d.]+) ms, ratio change/parent ([\d.]+), "
+                        r"integrate_rows calls parent (\d+) change (\d+)")
 
 
 def _tool(monkeypatch):
@@ -40,6 +41,7 @@ def test_a_tree_timed_against_itself_differs_nowhere(monkeypatch, capsys):
     for column, total in ((3, out[1]), (4, out[2])):
         assert abs(sum(float(line[column]) for line in lines) - float(total.split()[5])) <= 1e-3 * len(lines)
     assert all(float(line[5]) > 0 for line in lines)
+    assert all(line[6] == line[7] for line in lines)  # one tree, so the same engine calls
     assert not [name for name in sys.modules if name.startswith(("ballschwarz_parent", "ballschwarz_change"))]
 
 
@@ -94,7 +96,9 @@ def test_offaxis_points_are_timed_per_point_with_each_case_built_per_item(monkey
         monkeypatch.setenv(name, "1")
     assert tool.main([str(ROOT), str(ROOT), "--workload", "offaxis", "--rounds", "2"]) == 0
     points = sum(len(item["points"]) for item in few)
-    assert built == [item["case"] for _ in range(2) for item in few for _ in range(2)]  # each round, both trees
+    # each round, both trees; then each tree once more for the untimed engine count
+    timed = [item["case"] for _ in range(2) for item in few for _ in range(2)]
+    assert built == timed + [item["case"] for item in few] * 2
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"offaxis, seed {tool.SEED}: {points} calls, 2 interleaved rounds"
     assert out[4] == f"0 of {points} calls differ"
@@ -102,6 +106,7 @@ def test_offaxis_points_are_timed_per_point_with_each_case_built_per_item(monkey
     assert all(lines)
     assert [line[1] for line in lines] == list(dict.fromkeys(tool.point_group(item) for item in few))
     assert sum(int(line[2]) for line in lines) == points
+    assert all(line[6] == line[7] == "0" for line in lines)  # off-axis points are series, with no quadrature
     assert not [name for name in sys.modules if name.startswith(("ballschwarz_parent", "ballschwarz_change"))]
 
 
@@ -129,3 +134,29 @@ def test_the_timer_names_a_point_whose_value_or_error_differs(monkeypatch):
     assert differ == [0, 2]
     assert [len(tree) for tree in minima] == [3, 3]
     assert tool.time_points([package(1.0), package(None)], items, 1)[1] == [0, 1, 2]
+
+
+def test_engine_calls_are_counted_at_every_module_that_binds_the_engine(monkeypatch, tmp_path):
+    tool = _tool(monkeypatch)
+    name = "ballschwarz_change"
+    try:
+        package = tool.load_package(ROOT, name, tmp_path)
+        engine = sys.modules[f"{name}.quadrature"].integrate_rows
+        binders = sorted(module for module, value in sys.modules.items()
+                         if module.split(".")[0] == name and getattr(value, "integrate_rows", None) is engine)
+        assert binders == [name, f"{name}.envelope", f"{name}.poisson", f"{name}.quadrature"]
+        with tool.engine_calls(package) as count:
+            assert all(sys.modules[module].integrate_rows is not engine for module in binders)
+            package.integrate_rows(lambda x: x, 0.0, 1.0)  # through the package, then from within a module
+            package.zonal_extension_on_axis(package.KernelKind.HARMONIC,
+                                            package.ZonalBoundaryData(3, [1.0, 0.0, 0.0], lambda t: 0.0 * t + 0.5),
+                                            [0.0, 0.5])
+            assert count == [2]
+        assert all(sys.modules[module].integrate_rows is engine for module in binders)
+        # a verify suite: the 4 cap extremals' base values and ladders, and the 12 sandwich profiles
+        verify = [["verify", "--m", "2"], ["verify", "--m", "3", "--format", "json"]]
+        assert tool.count_calls([package, package], verify) == [[20, 20], [20, 20]]
+        assert tool.count_calls([package], [["constants", "--n", "3", "--a-grid", "0"]]) == [[0]]
+    finally:
+        for module in [module for module in sys.modules if module.split(".")[0] == name]:
+            del sys.modules[module]

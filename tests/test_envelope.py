@@ -193,9 +193,28 @@ def test_tiny_caps_invert_to_the_angle_of_their_measure(n, c):
         assert abs(_mp_cap_measure(n, alpha) / mpmath.mpf(c) - 1) <= 1e-14, (n, c)
 
 
-def test_a_cap_too_tiny_for_the_newton_budget_raises():
-    with pytest.raises(AccuracyError, match="did not converge in 100 Newton steps"):
-        cap_angle_from_measure(3, 1e-60)
+def test_caps_down_to_the_smallest_normal_double_invert_to_their_measure():
+    # from pi/2, 100 Newton steps reached no c below about 1e-57 at n = 3 and 1e-43 at n = 32
+    for n in (2, 3, 4, 8, 32):
+        for c in (1e-44, 1e-58, 1e-60, 1e-100, 1e-200, 1e-300, 1e-307, 2.2250738585072014e-308):
+            alpha = cap_angle_from_measure(n, c)
+            with mpmath.workdps(50):
+                assert abs(_mp_cap_measure(n, alpha) / mpmath.mpf(c) - 1) <= 1e-14, (n, c)
+    # where the small-angle start is poor its first step overshoots pi/2: refused, naming that start
+    with pytest.raises(AccuracyError, match=r"^cap angle for n=512, c=1e-44 did not converge in 100 Newton steps "
+                                            r"from pi/2, nor within \[0, pi/2\] from the small-angle start 0\.82"):
+        cap_angle_from_measure(512, 1e-44)
+
+
+def test_tiny_caps_reach_the_cli(capsys):
+    from ballschwarz.cli import main
+
+    # both exited 3 while the inverter started only from pi/2
+    assert main(["envelope", "--n", "3", "--c-grid", "1e-60", "--r-grid", "0.5", "--format", "json"]) == 0
+    assert [row["c"] for row in json.loads(capsys.readouterr().out)] == [1e-60]
+    assert main(["hopf", "--n", "3", "--c-grid", "1e-60", "--format", "json"]) == 0
+    d_n = json.loads(capsys.readouterr().out)[-1]["d_n"]
+    assert abs(d_n / ((1.0 - 1e-60) / 2e-60) - 1.0) <= 1e-11  # d_n = (1-c)/(2c) exactly at n = 3
 
 
 def test_hopf_row_of_a_tiny_cap_has_the_exact_decay_coefficient(capsys):

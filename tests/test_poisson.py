@@ -212,6 +212,24 @@ def test_radial_derivative_linear_function():
     assert radial_derivative_estimate(lambda r: r) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("base_step", [1e-3, 1e-4, 0.3])
+def test_radial_derivative_calls_h_once_on_its_ladder(base_step):
+    calls = []
+
+    def h(radii):
+        calls.append((type(radii), radii.tolist()))
+        return radii * radii
+
+    assert radial_derivative_estimate(h, base_step) == pytest.approx(2.0, abs=1e-10)
+    assert calls == [(np.ndarray, [1.0 - base_step, 1.0 - base_step / 2.0, 1.0 - base_step / 4.0])]
+
+
+def test_radial_derivative_refuses_an_h_without_one_value_per_radius():
+    for h in (lambda radii: radii[:2], lambda radii: np.ones((3, 1)), lambda radii: 1.0):
+        with pytest.raises(DomainError, match=r"^h must return one value per radius, shape \(3,\)"):
+            radial_derivative_estimate(h)
+
+
 def test_radial_derivative_planar_envelope():
     cap = CapSpec(2, 0.5)
     estimate = radial_derivative_estimate(lambda r: envelope_upper(HARM, cap, r))

@@ -52,6 +52,7 @@ from ballschwarz.verify import (
 )
 
 from montecarlo import BoundaryMap, monte_carlo_extension
+from test_envelope import _mp_boundary_derivative
 
 HARM = KernelKind.HARMONIC
 HYP = KernelKind.HYPERBOLIC_HARMONIC
@@ -338,6 +339,87 @@ def test_cap_extremal_rotation_invariance():
     baseline = check_boundary_bound(build_cap_extremal(3, 2, 0.3))
     rotated = check_boundary_bound(build_cap_extremal(3, 2, 0.3, axis=q[:, 0]))
     assert abs(baseline.lam - rotated.lam) < 1e-8
+
+
+def _three_call_estimate(h, base_step=1e-3):
+    """The Richardson estimate with one scalar call of h per radius of its ladder."""
+    quotients = []
+    for j in range(3):
+        s = base_step / 2.0 ** j
+        quotients.append((1.0 - h(1.0 - s)) / s)
+    for k in range(1, 3):
+        factor = 2.0 ** k
+        quotients = [(factor * quotients[j + 1] - quotients[j]) / (factor - 1.0) for j in range(len(quotients) - 1)]
+    return quotients[0]
+
+
+def test_planar_and_mobius_ladders_are_one_section_call_with_the_bits_of_three(monkeypatch):
+    ladders = []
+
+    def spy(h, base_step=1e-3):
+        calls = []
+
+        def counted(radii):
+            calls.append(radii.tolist())
+            return h(radii)
+
+        value = ballschwarz.radial_derivative_estimate(counted, base_step)
+        assert calls == [[1.0 - base_step / 2.0 ** j for j in range(3)]]
+        # each section is a comprehension over a scalar closed form, so one radius alone is the old scalar call
+        assert value.hex() == _three_call_estimate(lambda r: h(np.array([r]))[0], base_step).hex()
+        ladders.append(base_step)
+        return value
+
+    monkeypatch.setattr(verify, "radial_derivative_estimate", spy)
+    check_planar_bound([-0.8, 0.0, 0.4])
+    xi = np.array([0.3 + 0.2j, -0.1 + 0.25j])
+    check_mobius_precomposition(2, xi)
+    check_mobius_precomposition(2, xi, a=0.4)
+    assert ladders == [1e-3] * 3 + [1e-4] * 2
+
+
+def test_cap_extremal_ladders_keep_the_bits_of_three_point_calls():
+    rng = np.random.Generator(np.random.Philox(123))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    cases = [build_cap_extremal(n, 2, a) for n, a in [(2, 0.0), (3, 0.0), (3, 0.5), (4, -0.5), (8, 0.3)]]
+    cases.append(build_cap_extremal(3, 3, 0.3, axis=q[:, 0]))  # |t x0| need not be t
+    for case in cases:
+        old = _three_call_estimate(lambda r: float(np.dot(case.f(r * case.x0), case.y0)))
+        assert check_boundary_bound(case).lam.hex() == old.hex(), case.case_id
+
+
+def test_each_cap_extremal_ladder_is_one_engine_call_and_a_suite_makes_twenty(engine_calls):
+    for n, a in [(2, 0.0), (3, 0.0), (3, 0.5), (4, -0.5)]:
+        case = build_cap_extremal(n, 2, a)
+        engine_calls.clear()
+        check_boundary_bound(case)
+        assert engine_calls == ["integrate_rows"], case.case_id
+    engine_calls.clear()
+    default_verification_suite()
+    # per cap extremal its base value a and its ladder, then one call per sandwich profile
+    assert len(engine_calls) == 4 * 2 + 12
+
+
+def test_radial_sections_of_a_radius_are_floats_and_of_an_array_are_rows():
+    identity = ContactTestCase(3, lambda x: np.asarray(x, dtype=float), _axis(3), _axis(3), 0.0, "identity")
+    radii = [0.999, 0.9995, 0.99975, -0.5, 0.0]
+    for case in (build_cap_extremal(3, 2, 0.3), zonal_contact_case(4, 2, np.cos, (), "cosine"), identity):
+        singles = [case.radial_section(r) for r in radii]
+        assert all(type(value) is float for value in singles)
+        rows = case.radial_section(np.array(radii))
+        assert isinstance(rows, np.ndarray) and rows.shape == (5,)
+        assert [value.hex() for value in rows.tolist()] == [value.hex() for value in singles], case.case_id
+        assert case.radial_section(np.float64(0.5)) == case.radial_section(0.5)
+        with pytest.raises(DomainError, match=r"^section radii must be a radius or a 1-D array, got shape \(1, 2\)$"):
+            case.radial_section(np.array([[0.1, 0.2]]))
+
+
+@pytest.mark.parametrize("n, a", [(5, 0.3), (8, 0.3), (16, -0.5), (32, 0.5), (64, 0.0)])
+def test_cap_extremals_meet_the_betainc_bound_up_to_dimension_64(n, a):
+    report = check_boundary_bound(build_cap_extremal(n, 2, a))
+    assert report.passed and abs(report.margin) <= 1e-9, (report.lam, report.bound)
+    reference = _mp_boundary_derivative(n, a)
+    assert abs(report.bound - reference) <= 1e-12 * reference
 
 
 def test_identity_map_clears_bound():

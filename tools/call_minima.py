@@ -17,12 +17,18 @@ report gives, per tree, the sum over the calls of each call's least latency
 over the rounds, and their ratio change/parent; then the same sums and
 ratio for each group of calls, in order of first appearance in the plan: a
 CLI call's group is its subcommand (``verify`` split by its ``--m``,
-``envelope`` by its ``--kind``), a point's is the dimension ``n`` of its case.  Exit status 1 when a call's
-exit code, stdout or stderr (a point's value ``repr`` or error) differs
-between the trees in any round, 0 otherwise.
+``envelope`` by its ``--kind``), a point's is the dimension ``n`` of its case.
+Beside each group's times stand its ``integrate_rows`` calls in one pass,
+per tree: after the timed rounds, each tree makes every call once more,
+untimed, with its ``quadrature.integrate_rows`` wrapped in every module of
+the tree that binds it, and a call's count is what the engine saw during
+that call (for ``offaxis``, during ``f(x)``, not while the case is built).
+Exit status 1 when a call's exit code, stdout or stderr (a point's value
+``repr`` or error) differs between the trees in any round, 0 otherwise.
 """
 
 import argparse
+import contextlib
 import importlib
 import json
 import os
@@ -73,6 +79,61 @@ def load_package(tree: Path, name: str, into: Path):
         return sys.modules[name]
     finally:
         sys.path.remove(str(into))
+
+
+@contextlib.contextmanager
+def engine_calls(package):
+    """A one-item list that counts the calls of ``package``'s ``quadrature.integrate_rows`` while open.
+
+    The engine is wrapped in every module of ``package`` that binds it, so
+    calls from within a module and between modules are both counted.
+    """
+    engine = sys.modules[f"{package.__name__}.quadrature"].integrate_rows
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return engine(*args, **kwargs)
+
+    binders = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == package.__name__ and getattr(module, "integrate_rows", None) is engine]
+    for module in binders:
+        module.integrate_rows = counted
+    try:
+        yield count
+    finally:
+        for module in binders:
+            module.integrate_rows = engine
+
+
+def count_calls(packages, argvs: list[list[str]]) -> list[list[int]]:
+    """Per tree, the ``integrate_rows`` calls that each ``cli.main(argv)`` makes, in one untimed pass."""
+    counts = []
+    for package in packages:
+        with engine_calls(package) as count:
+            counts.append([])
+            for argv in argvs:
+                before = count[0]
+                output_audit.call_main(package.cli.main, argv)
+                counts[-1].append(count[0] - before)
+    return counts
+
+
+def count_points(packages, items: list[dict]) -> list[list[int]]:
+    """Per tree, the ``integrate_rows`` calls that each point's ``f(x)`` makes, in one untimed pass."""
+    import numpy as np
+
+    counts = []
+    for package in packages:
+        with engine_calls(package) as count:
+            counts.append([])
+            for item in items:
+                contact = build_case(package, item["case"])
+                for point in item["points"]:
+                    before = count[0]
+                    _point(contact, np.asarray(point["x"], dtype=float))
+                    counts[-1].append(count[0] - before)
+    return counts
 
 
 def _call(main, argv: list[str]) -> tuple[float, tuple[int, str, str]]:
@@ -158,12 +219,14 @@ def main(argv=None) -> int:
             if args.workload == "offaxis":
                 items = plan_items()
                 minima, differ = time_points(packages, items, args.rounds)
+                engine = count_points(packages, items)
                 calls = [(item, point) for item in items for point in item["points"]]
                 labels = [f"(value repr or error): {json.dumps(item['case'])} x={point['x']}" for item, point in calls]
                 groups = [point_group(item) for item, _ in calls]
             else:
                 argvs = plan_argvs(args.workload)
                 minima, differ = time_calls([package.cli.main for package in packages], argvs, args.rounds)
+                engine = count_calls(packages, argvs)
                 labels = [f"(exit code, stdout or stderr): {' '.join(argv)}" for argv in argvs]
                 groups = [group(argv) for argv in argvs]
     finally:
@@ -182,8 +245,9 @@ def main(argv=None) -> int:
         members.setdefault(name, []).append(index)
     for name, indices in members.items():
         parent, change = (sum(tree_minima[i] for i in indices) for tree_minima in minima)
+        quads = [sum(tree_counts[i] for i in indices) for tree_counts in engine]
         print(f"{name}: {len(indices)} calls, parent {parent * 1e3:.3f} ms, change {change * 1e3:.3f} ms, "
-              f"ratio change/parent {change / parent:.4f}")
+              f"ratio change/parent {change / parent:.4f}, integrate_rows calls parent {quads[0]} change {quads[1]}")
     return 1 if differ else 0
 
 

@@ -9,6 +9,7 @@ from .envelope import (
     cap_angle_from_measure,
     cap_measure_from_angle,
     envelope_lower,
+    envelope_rows,
     envelope_upper,
     heinz_schwarz_constant,
     hyperbolic_decay_coefficient,

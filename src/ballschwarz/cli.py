@@ -31,7 +31,7 @@ from .envelope import (
     CapSpec,
     KernelKind,
     boundary_derivative_harmonic,
-    envelope_upper,
+    envelope_rows,
     heinz_schwarz_constant,
     schwarz_planar_bound,
 )
@@ -171,10 +171,10 @@ def _cmd_envelope(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     kind = KernelKind(args.kind)
     radii = sorted(args.r_grid)
     for n in sorted(args.n):
-        for c in sorted(args.c_grid):
-            cap = CapSpec(n, c)
-            values = envelope_upper(kind, cap, radii + [-r for r in radii], quad).tolist()
-            rows += [{"kind": kind.value, "n": n, "c": c, "r": r, "M_upper": upper, "m_lower": lower}
+        caps = [CapSpec(n, c) for c in sorted(args.c_grid)]
+        # M over the radii and m = M(-r), every cap of this n in one tail pass
+        for cap, values in zip(caps, envelope_rows(kind, caps, radii + [-r for r in radii], quad).tolist()):
+            rows += [{"kind": kind.value, "n": n, "c": cap.c, "r": r, "M_upper": upper, "m_lower": lower}
                      for r, upper, lower in zip(radii, values, values[len(radii):])]
             if args.oracle:
                 for row, direct in zip(rows[-len(radii):], _envelope_oracle(kind, cap, radii, quad).tolist()):

@@ -33,8 +33,9 @@ reflection
 
     M_c^n(-r) = m_c^n(r),    m_c^n(-r) = M_c^n(r),
 
-so no radius integrates across the kernel peak.  ``envelope_upper`` is
-the one envelope kernel and ``envelope_lower`` is M at -r.  The kernel
+so no radius integrates across the kernel peak.  ``envelope_rows`` is
+the one envelope kernel, M of several caps of one n from one tail pass;
+``envelope_upper`` is its one-cap case and ``envelope_lower`` is M at -r.  The kernel
 picks its tail by the sign bit of r: a clear bit takes the cap's own arc
 and a set one, -0.0 included, the complement's.  The two tails agree at
 r = 0 only to rounding (within 5.4e-15 for n <= 64 and 1e-6 <= c <= 1 -
@@ -94,6 +95,7 @@ __all__ = [
     "cap_angle_from_measure",
     "cap_measure_from_angle",
     "envelope_upper",
+    "envelope_rows",
     "envelope_lower",
     "boundary_difference_quotient",
     "boundary_derivative_harmonic",
@@ -227,34 +229,60 @@ def cap_angle_from_measure(n: int, c: float) -> float:
     Only then does Newton start again, from the small-angle asymptote
     alpha_0 = ((n-1) c' / sigma_star)^{1/(n-1)}.  Since sin t <= t,
     F(alpha_0) <= sigma_star alpha_0^{n-1} / (n-1) = c', so alpha_0 lies
-    left of the root.  The tangent of a convex F lies below it, so the
-    first step lands right of the root; if it lands in [0, pi/2], every
-    later step lands between the root and the previous iterate, as from
-    pi/2.  Where the asymptote is poor (n in the hundreds), the first step
-    overshoots pi/2, and the inverter stops there.  Every normal c' then
-    inverts to within 1e-14 of its measure at n <= 32.  A non-positive
-    slope, or neither start converging in 100 steps within [0, pi/2],
-    raises ``AccuracyError``; an angle outside (0, pi] raises
+    left of the root.  There F may lie far below the doubles (n in the
+    hundreds, where sin t << t), so the restart climbs on log F, taken in
+    logs through the fraction of ``_cap_measure``: with sin^2 a < (n+1)/(n+4),
+
+        log F(a) = log(sigma_star cos a fraction / (n-1)) + (n-1) log sin a,
+        d log F / da = (n-1) / (sin a cos a fraction).
+
+    log F is concave on [0, pi/2] ((n-2) cos a int_0^a sin^{n-2} <=
+    sin^{n-1} a), so its tangent lies above it, and every step from the
+    left lands between the previous iterate and the root: no overshoot.
+    Its residual is the difference of two logs as large as 700, so Newton
+    on F - c' polishes the climbed angle: its first step lands right of
+    the root, and the later ones converge as from pi/2.  Every normal c'
+    then inverts to within 1e-14 of its measure at n <= 32; at n = 19999,
+    c = 1e-44, the angle is within 3e-16 of the mpmath root, and its
+    measure within 7.8e-13, as close as one rounding of the angle allows
+    there.  A c' below the smallest normal double (2.2e-308),
+    whose measure would carry fewer digits, raises ``DomainError``; a
+    non-positive slope, or the polish not converging in 100 steps within
+    [0, pi/2], raises ``AccuracyError``; an angle outside (0, pi] raises
     ``DomainError``.
     """
     n = _integer(n)
     if not 0.0 < c < 1.0:
         raise DomainError(f"cap measure must lie in (0, 1), got {c!r}")
-    star = sigma_star(n)
     target = min(c, 1.0 - c)
+    if target < sys.float_info.min:
+        raise DomainError(f"cap measure min(c, 1 - c) = {target!r} < {sys.float_info.min!r}, the smallest normal double")
+    star = sigma_star(n)
     alpha, converged = _newton_angle(n, c, star, target, 0.5 * math.pi, 0.5 - target)
     if not converged:
-        start = ((n - 1) * target / star) ** (1.0 / (n - 1))
+        start = _log_climb(n, star, target, ((n - 1) * target / star) ** (1.0 / (n - 1)))
         alpha, converged = _newton_angle(n, c, star, target, start, _cap_measure(n, star, start) - target)
         if not converged:
-            raise AccuracyError(
-                f"cap angle for n={n}, c={c!r} did not converge in {_NEWTON_STEPS} Newton steps from pi/2, "
-                f"nor within [0, pi/2] from the small-angle start {start!r}", estimate=alpha
-            )
+            raise AccuracyError(f"cap angle for n={n}, c={c!r} did not converge in {_NEWTON_STEPS} Newton steps "
+                                f"from pi/2, nor within [0, pi/2] from {start!r}, climbed to in logs", estimate=alpha)
     if c > 0.5:
         alpha = math.pi - alpha
     if not 0.0 < alpha <= math.pi:
         raise DomainError(f"cap angle must lie in (0, pi], got {alpha!r}")
+    return alpha
+
+
+def _log_climb(n: int, star: float, target: float, alpha: float) -> float:
+    """Newton for log F_n(alpha) = log target from an ``alpha`` left of the root, for
+    ``cap_angle_from_measure``: the last angle, once a step meets its stop, or once an iterate
+    leaves the fraction's branch sin^2 < (n+1)/(n+4)."""
+    for _ in range(_NEWTON_STEPS):
+        sin, cos = math.sin(alpha), math.cos(alpha)
+        scale = cos * _beta_fraction(0.5 * (n - 1), 0.5, sin * sin) / (n - 1)
+        step = ((n - 1) * math.log(sin) + math.log(star * scale) - math.log(target)) * sin * scale
+        alpha -= step
+        if abs(step) <= _ANGLE_TOL * alpha or not math.sin(alpha) ** 2 < (n + 1.0) / (n + 4.0):
+            break
     return alpha
 
 
@@ -334,24 +362,39 @@ def envelope_upper(
     """Upper envelope M_c^n(r): the cap-indicator extension along its axis.
 
     ``r`` is a radius or a 1-D array of radii in (-1, 1); an array returns
-    the array of values, each with the bits of its own radius alone, the
-    harmonic tails taken in one pass of the image rule.  This is the one
-    envelope kernel: the lower
-    envelope is its reflection m_c^n(r) = M_c^n(-r).  A radius whose sign
-    bit is clear lies on the peak's side of the cap and gives
+    the array of values, each with the bits of its own radius alone.  This
+    is the one-cap case of ``envelope_rows``, the one envelope kernel: the
+    lower envelope is its reflection m_c^n(r) = M_c^n(-r).  A radius whose
+    sign bit is clear lies on the peak's side of the cap and gives
     1 - (1-|r|) T_alpha(|r|); one whose sign bit is set, -0.0 included,
     gives (1-|r|) T_{pi-alpha}(|r|) - 1.  The two tails agree at r = 0 only
     to rounding, so M(-0.0) = m(+0.0) may differ from M(+0.0) in its last
-    bits.  The full cap (alpha = pi) gives 1: its data is 1
-    everywhere, and its arc would contain the peak.
+    bits.  The full cap (alpha = pi) gives 1: its data is 1 everywhere, and
+    its arc would contain the peak.
+    """
+    return _shaped(envelope_rows(kind, [cap], r, config)[0], r)
+
+
+def envelope_rows(kind: KernelKind, caps: Sequence[CapSpec], r: float | np.ndarray,
+                  config: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """M_c^n at the radii r for each of the caps, one row per cap, from one tail pass.
+
+    The caps share one dimension n; ``r`` is a radius (one column) or a
+    1-D array of radii in (-1, 1).  Every (alpha, |r|) pair of every cap
+    that is not the full one goes into one ``_tail_quotient`` call, so the
+    harmonic tails of all caps take one pass of the image rule, and each
+    value has the bits that ``envelope_upper`` gives its cap and radius
+    alone.  A full cap's row is 1.0 throughout, with no tail.
     """
     radii = _radii(r)
-    if cap.alpha >= math.pi:
-        return _shaped([1.0] * len(radii), r)
-    own = [math.copysign(1.0, x) > 0.0 for x in radii]
-    rho = [abs(x) for x in radii]
-    tails = _tail_quotient(kind, cap.n, [cap.alpha if o else math.pi - cap.alpha for o in own], rho, config)
-    return _shaped([1.0 - (1.0 - x) * t if o else (1.0 - x) * t - 1.0 for o, x, t in zip(own, rho, tails)], r)
+    if len({cap.n for cap in caps}) != 1:
+        raise DomainError(f"envelope rows need caps of one dimension n, got {[cap.n for cap in caps]}")
+    own, rho = [math.copysign(1.0, x) > 0.0 for x in radii], [abs(x) for x in radii]
+    open_caps = [cap for cap in caps if cap.alpha < math.pi]
+    alpha = [cap.alpha if o else math.pi - cap.alpha for cap in open_caps for o in own]
+    tails = iter(_tail_quotient(kind, caps[0].n, alpha, rho * len(open_caps), config) if alpha else [])
+    return np.array([[1.0 - (1.0 - x) * next(tails) if o else (1.0 - x) * next(tails) - 1.0 for o, x in zip(own, rho)]
+                     if cap.alpha < math.pi else [1.0] * len(radii) for cap in caps])
 
 
 def envelope_lower(
@@ -425,6 +468,9 @@ def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: Sequence[flo
                    config: QuadratureConfig) -> list[float]:
     """T(r) for caps of half-angle alpha, 0 <= r <= 1, over lists of (alpha, r) pairs.
 
+    One call is one tail pass: ``envelope_rows`` hands it every pair of
+    all its caps (the arc of each radius, its own or the complement's),
+    ``boundary_difference_quotient`` every radius of one cap.
     sigma_star(n) is looked up once.  The hyperbolic and planar tails, and
     every tail at r = 0, where the two kernels coincide, take the closed
     form.  The other harmonic tails take the Moebius image of their arc:

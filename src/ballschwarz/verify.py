@@ -36,6 +36,7 @@ from .envelope import (
     boundary_derivative_harmonic,
     boundary_difference_quotient,
     cap_angle_from_measure,
+    envelope_rows,
     envelope_upper,
     heinz_schwarz_constant,
     hyperbolic_decay_coefficient,
@@ -372,18 +373,33 @@ def check_envelope_sandwich(
     c = (1+a)/2; a return value at or below quadrature tolerance means
     the sandwich holds on the grid.  h at 0 and at the grid radii is one
     quadrature over the profile, the side independent of the envelopes,
-    and M and m over the grid are one ``envelope_upper`` call over the
-    grid and its negation, m(r) = M(-r): one tail quadrature per side
-    (harmonic) or closed forms (hyperbolic).
+    and M and m over the grid are one ``envelope_rows`` pass over the
+    grid and its negation, m(r) = M(-r): the image rule (harmonic) or
+    closed forms (hyperbolic).  This is the one-profile case of the
+    suite's ``_sandwich_excess``.
+    """
+    return _sandwich_excess(kind, [data], grid, config)
+
+
+def _sandwich_excess(kind: KernelKind, datas: Sequence[ZonalBoundaryData], grid: Sequence[float],
+                     config: QuadratureConfig) -> float:
+    """The largest ``check_envelope_sandwich`` over profiles of one dimension, with one envelope pass.
+
+    Profile by profile, h at 0 and the grid is its own quadrature, whose
+    base value is checked and fixes its cap; then one ``envelope_rows``
+    call gives M and m of every cap, each with the bits of its cap alone.
     """
     radii = np.concatenate(([0.0], np.asarray(grid, dtype=float)))
-    h = zonal_extension_on_axis(kind, data, radii, config)
-    a = float(h[0])
-    if not -1.0 < a < 1.0:
-        raise DomainError(f"profile mean must lie in (-1, 1), got {a!r}")
-    cap = CapSpec(data.n, 0.5 * (1.0 + a))
-    both = envelope_upper(kind, cap, np.concatenate((radii[1:], -radii[1:])), config)
-    return float(np.max(np.maximum(h[1:] - both[:len(grid)], both[len(grid):] - h[1:]), initial=-math.inf))
+    sections, caps = [], []
+    for data in datas:
+        h = zonal_extension_on_axis(kind, data, radii, config)
+        if not -1.0 < h[0] < 1.0:
+            raise DomainError(f"profile mean must lie in (-1, 1), got {float(h[0])!r}")
+        sections.append(h[1:])
+        caps.append(CapSpec(data.n, 0.5 * (1.0 + float(h[0]))))
+    both = envelope_rows(kind, caps, np.concatenate((radii[1:], -radii[1:])), config)
+    h = np.array(sections)
+    return float(np.max(np.maximum(h - both[:, :len(grid)], both[:, len(grid):] - h), initial=-math.inf))
 
 
 def check_planar_bound(b_values: Sequence[float]) -> list[MarginReport]:
@@ -822,10 +838,7 @@ def default_verification_suite(
     sandwich_rng = np.random.Generator(np.random.Philox(seeds[1]))
     grid = [0.05 + 0.1 * j for j in range(10)]
     for kind in (KernelKind.HARMONIC, KernelKind.HYPERBOLIC_HARMONIC):
-        worst = -math.inf
-        for _ in range(6):
-            data = random_zonal_profile(sandwich_rng, 3)
-            worst = max(worst, check_envelope_sandwich(kind, data, grid, config))
+        worst = _sandwich_excess(kind, [random_zonal_profile(sandwich_rng, 3) for _ in range(6)], grid, config)
         reports.append(MarginReport(f"envelope-sandwich kind={kind.value}", worst, 0.0, 1e-8, "<="))
 
     reports.append(check_hemisphere_majorant(

@@ -8,7 +8,7 @@ from ballschwarz import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GROUP_LINE = re.compile(r"(.+): (\d+) calls, parent ([\d.]+) ms, change ([\d.]+) ms, ratio change/parent ([\d.]+), "
-                        r"integrate_rows calls parent (\d+) change (\d+)")
+                        r"integrate_rows calls parent (\d+) change (\d+), tail passes parent (\d+) change (\d+)")
 
 
 def _tool(monkeypatch):
@@ -42,6 +42,11 @@ def test_a_tree_timed_against_itself_differs_nowhere(monkeypatch, capsys):
         assert abs(sum(float(line[column]) for line in lines) - float(total.split()[5])) <= 1e-3 * len(lines)
     assert all(float(line[5]) > 0 for line in lines)
     assert all(line[6] == line[7] for line in lines)  # one tree, so the same engine calls
+    assert all(line[8] == line[9] for line in lines)  # and the same tail passes
+    # each envelope argv makes one tail pass per dimension: one dimension per plan argv
+    assert [(line[1], line[8]) for line in lines if line[1].startswith("envelope")] == [
+        (name, str(sum(name == tool.group(argv) for argv in few))) for name in dict.fromkeys(
+            tool.group(argv) for argv in few if argv[0] == "envelope")]
     assert not [name for name in sys.modules if name.startswith(("ballschwarz_parent", "ballschwarz_change"))]
 
 
@@ -107,6 +112,7 @@ def test_offaxis_points_are_timed_per_point_with_each_case_built_per_item(monkey
     assert [line[1] for line in lines] == list(dict.fromkeys(tool.point_group(item) for item in few))
     assert sum(int(line[2]) for line in lines) == points
     assert all(line[6] == line[7] == "0" for line in lines)  # off-axis points are series, with no quadrature
+    assert all(line[8] == line[9] == "0" for line in lines)  # and with no envelope tail
     assert not [name for name in sys.modules if name.startswith(("ballschwarz_parent", "ballschwarz_change"))]
 
 
@@ -153,10 +159,19 @@ def test_engine_calls_are_counted_at_every_module_that_binds_the_engine(monkeypa
                                             [0.0, 0.5])
             assert count == [2]
         assert all(sys.modules[module].integrate_rows is engine for module in binders)
-        # a verify suite: the 4 cap extremals' base values and ladders, and the 12 sandwich profiles
+        # a verify suite: the 4 cap extremals' base values and ladders, and the 12 sandwich profiles; its tail
+        # passes: the sandwich's 2 (one per kernel), the majorant's, the 2 Hopf scans' and the 3 of V_monotone
         verify = [["verify", "--m", "2"], ["verify", "--m", "3", "--format", "json"]]
-        assert tool.count_calls([package, package], verify) == [[20, 20], [20, 20]]
-        assert tool.count_calls([package], [["constants", "--n", "3", "--a-grid", "0"]]) == [[0]]
+        assert tool.count_calls([package, package], verify) == ([[20, 20], [20, 20]], [[8, 8], [8, 8]])
+        assert tool.count_calls([package], [["constants", "--n", "3", "--a-grid", "0"]]) == ([[0]], [[0]])
+        # an envelope table: one tail pass per dimension, for every cap of its c grid
+        table = [["envelope", "--n", "2,8", "--c-grid", "0.3,1", "--r-grid=-0.5,0,0.9", "--kind", kind]
+                 for kind in ("harmonic", "hyperbolic")]
+        assert tool.count_calls([package], table) == ([[0, 0]], [[2, 2]])
+        with tool.tail_passes(package) as passes:
+            package.envelope_upper(package.KernelKind.HARMONIC, package.CapSpec(3, 0.3), [0.2, -0.2])
+            package.boundary_difference_quotient(package.KernelKind.HARMONIC, package.CapSpec(3, 0.3), 0.5)
+            assert passes == [2]
     finally:
         for module in [module for module in sys.modules if module.split(".")[0] == name]:
             del sys.modules[module]

@@ -284,8 +284,8 @@ def test_envelope_oracle_agrees_with_the_envelope(kind, capsys):
 
 def test_envelope_oracle_difference_shows_a_moved_envelope(monkeypatch, capsys):
     # a 1e-9 error of the main path, invisible at 12 digits next to M ~ 1, stands out in M_oracle_diff
-    main_path = cli.envelope_upper
-    monkeypatch.setattr(cli, "envelope_upper", lambda *args: main_path(*args) + 1e-9)
+    main_path = cli.envelope_rows
+    monkeypatch.setattr(cli, "envelope_rows", lambda *args: main_path(*args) + 1e-9)
     for kind in ("harmonic", "hyperbolic"):
         code, out = _run(capsys, ["envelope", "--n", "3,64", "--c-grid", "0.3", "--r-grid=-0.9,0,0.999",
                                   "--oracle", "--kind", kind])

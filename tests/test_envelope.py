@@ -200,10 +200,32 @@ def test_caps_down_to_the_smallest_normal_double_invert_to_their_measure():
             alpha = cap_angle_from_measure(n, c)
             with mpmath.workdps(50):
                 assert abs(_mp_cap_measure(n, alpha) / mpmath.mpf(c) - 1) <= 1e-14, (n, c)
-    # where the small-angle start is poor its first step overshoots pi/2: refused, naming that start
-    with pytest.raises(AccuracyError, match=r"^cap angle for n=512, c=1e-44 did not converge in 100 Newton steps "
-                                            r"from pi/2, nor within \[0, pi/2\] from the small-angle start 0\.82"):
-        cap_angle_from_measure(512, 1e-44)
+    # below the smallest normal double the measure has fewer digits: refused, naming that floor
+    for c in (5e-324, 1e-310, 2.2250738585072009e-308):
+        for n in (2, 4, 8):
+            with pytest.raises(DomainError, match=r"< 2\.2250738585072014e-308, the smallest normal double$"):
+                cap_angle_from_measure(n, c)
+        with pytest.raises(DomainError, match=r"min\(c, 1 - c\) = "):
+            CapSpec(4, c)
+
+
+def _mp_cap_angle(n, c, alpha):
+    """The root of log F_n = log c by mpmath betainc at 60 digits, from the double ``alpha``."""
+    with mpmath.workdps(60):
+        return mpmath.findroot(lambda t: mpmath.log(mpmath.betainc(mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0,
+                                                                   mpmath.sin(t) ** 2, regularized=True) / 2)
+                               - mpmath.log(mpmath.mpf(c)), mpmath.mpf(alpha))
+
+
+@pytest.mark.parametrize("n, c", [(512, 1e-44), (2049, 1e-44), (19999, 1e-44)])
+def test_tiny_caps_in_the_hundreds_of_dimensions_invert_in_logs(n, c):
+    # the small-angle start overshot pi/2 (n = 512, 2049) or met a slope that underflows (n = 19999); the
+    # restart now climbs on log F.  The measure moves by (n-1) / (sin a cos a fraction) times a relative
+    # change of the angle, up to 4000 at n = 19999, so the angle is pinned, not its measure
+    alpha = cap_angle_from_measure(n, c)
+    with mpmath.workdps(60):
+        root = _mp_cap_angle(n, c, alpha)
+        assert abs((mpmath.mpf(alpha) - root) / root) <= 1e-14, (n, c)
 
 
 def test_tiny_caps_reach_the_cli(capsys):
@@ -874,29 +896,64 @@ def test_the_envelopes_at_positive_zero_keep_their_bits(kind, pins):
 
 
 @pytest.mark.parametrize("kind", ["harmonic", "hyperbolic"])
-def test_the_envelope_table_makes_one_pass_per_cap(monkeypatch, capsys, kind):
+def test_the_envelope_table_makes_one_tail_pass_per_dimension(monkeypatch, capsys, kind):
     import ballschwarz.cli
     from ballschwarz.cli import main
 
-    passes = []
-    one_pass = ballschwarz.cli.envelope_upper
+    calls, passes = [], []
+    all_caps, one_pass = ballschwarz.cli.envelope_rows, ballschwarz.envelope._tail_quotient
 
-    def counted(kind, cap, r, config):
-        passes.append((cap.n, cap.c, list(r)))
-        return one_pass(kind, cap, r, config)
+    def counted(kind, caps, r, config):
+        calls.append(([(cap.n, cap.c) for cap in caps], list(r)))
+        return all_caps(kind, caps, r, config)
+
+    def tails(kind, n, alpha, r, config):
+        passes.append((n, list(alpha), list(r)))
+        return one_pass(kind, n, alpha, r, config)
 
     def refuse(*args):
         raise AssertionError("the envelope table called the lower envelope")
 
-    monkeypatch.setattr(ballschwarz.cli, "envelope_upper", counted)
+    monkeypatch.setattr(ballschwarz.cli, "envelope_rows", counted)
+    monkeypatch.setattr(ballschwarz.envelope, "_tail_quotient", tails)
     monkeypatch.setattr(ballschwarz.envelope, "envelope_lower", refuse)
     argv = ["envelope", "--n", "2,8", "--c-grid", "0.3,1", "--r-grid=-0.5,0,0.9", "--kind", kind]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    # each cap's radii, then their reflections: M over the grid and m = M(-r)
+    # every cap of a dimension, in c order, at the radii and then their reflections: M over the grid and
+    # m = M(-r)
     both = [-0.5, 0.0, 0.9, 0.5, -0.0, -0.9]
-    assert [(n, c, [x.hex() for x in r]) for n, c, r in passes] == [
-        (n, c, [x.hex() for x in both]) for n in (2, 8) for c in (0.3, 1.0)]
+    assert [(caps, [x.hex() for x in r]) for caps, r in calls] == [
+        ([(n, 0.3), (n, 1.0)], [x.hex() for x in both]) for n in (2, 8)]
+    # one tail pass per dimension, over the pairs of the cap c = 0.3 alone: the full cap has no tail, and a
+    # radius whose sign bit is set takes the complement's arc
+    for n, (dim, alpha, r) in zip((2, 8), passes, strict=True):
+        own = CapSpec(n, 0.3).alpha
+        assert dim == n and alpha == [math.pi - own, own, own, own, math.pi - own, math.pi - own]
+        assert r == [abs(x) for x in both]
+
+
+@pytest.mark.parametrize("kind", [HARM, HYP])
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_envelope_rows_have_the_bits_of_each_cap_alone(kind, n, engine_calls):
+    # all caps of one n in one tail pass, each value with the float.hex of envelope_upper on its cap alone;
+    # at c = 1e-28 the harmonic tails miss on the image rule and continue in the engine
+    radii = np.array([-0.999, -0.5, -0.0, 0.0, 0.3, 0.9, 0.999])
+    caps = [CapSpec(n, c) for c in (1e-28, 0.3, 0.5, 1.0)]
+    rows = ballschwarz.envelope_rows(kind, caps, radii)
+    assert isinstance(rows, np.ndarray) and rows.shape == (len(caps), len(radii))
+    assert engine_calls == (["integrate_rows"] if kind is HARM and n > 2 else [])
+    for cap, row in zip(caps, rows.tolist()):
+        alone = envelope_upper(kind, cap, radii)
+        assert [v.hex() for v in row] == [v.hex() for v in alone.tolist()], cap
+        for r, value in zip(radii.tolist(), row):
+            assert envelope_upper(kind, cap, r).hex() == value.hex(), (cap, r)
+    assert rows[-1].tolist() == [1.0] * len(radii)
+    # a single radius is one column, and the caps of a table share one n
+    assert ballschwarz.envelope_rows(kind, caps[:2], 0.5).shape == (2, 1)
+    for mixed in ([CapSpec(n, 0.3), CapSpec(n + 1, 0.3)], []):
+        with pytest.raises(DomainError, match="caps of one dimension n"):
+            ballschwarz.envelope_rows(kind, mixed, radii)
 
 
 def test_array_radii_outside_the_ball_raise_naming_the_radius():

@@ -8,7 +8,10 @@ import ballschwarz
 # exported with no caller yet, and why it stays
 UNCALLED = {
     "envelope_lower": "the public m_c^n(r) = M_c^n(-r); the CLI and the sandwich take M and m from one "
-                      "envelope_upper call over the radii and their reflections",
+                      "envelope_rows call over their caps, the radii and their reflections",
+    "check_envelope_sandwich": "the public sandwich of one profile; the suite takes the six profiles of a "
+                               "kernel through _sandwich_excess, of which it is the one-profile case, in one "
+                               "envelope pass",
 }
 
 

@@ -206,16 +206,18 @@ def test_the_bit_audit_names_a_mobius_residual_moved_by_one_ulp(tmp_path):
 
 
 # appended to a copy of envelope.py: the upper envelope at r = 0.5 moved up by one ulp for n = 8, c = 0.3, in
-# the one envelope_upper call over the radii and their reflections that the CLI makes per cap
+# the one envelope_rows call over every cap of a dimension, the radii and their reflections that the CLI makes
+# per n
 _ENVELOPE_MUTANT = '''
 
-_unmoved_upper = envelope_upper
+_unmoved_rows = envelope_rows
 
 
-def envelope_upper(kind, cap, r, config=DEFAULT_CONFIG):
-    values = _unmoved_upper(kind, cap, r, config)
-    if cap.n == 8 and cap.c == 0.3 and np.ndim(r):
-        values[1] = math.nextafter(values[1], math.inf)
+def envelope_rows(kind, caps, r, config=DEFAULT_CONFIG):
+    values = _unmoved_rows(kind, caps, r, config)
+    for cap, row in zip(caps, values):
+        if cap.n == 8 and cap.c == 0.3 and np.ndim(r):
+            row[1] = math.nextafter(row[1], math.inf)
     return values
 '''
 

@@ -39,7 +39,7 @@ from ballschwarz import (
     zonal_extension_on_axis,
 )
 from ballschwarz.poisson import uniform_sphere_samples
-from ballschwarz.quadrature import integrate_rows
+from ballschwarz.quadrature import DEFAULT_CONFIG, integrate_rows
 from ballschwarz import envelope, verify
 from ballschwarz.cli import main as cli_main
 from ballschwarz.disc import arc_extension
@@ -510,18 +510,20 @@ def test_sandwich_integrates_each_grid_in_one_call_per_side(kind, calls, engine_
 
 @pytest.mark.parametrize("kind", [HARM, HYP])
 def test_sandwich_makes_one_envelope_pass(kind, monkeypatch):
-    # M over the grid and m = M(-r) in one envelope_upper call, and no call of the lower envelope
+    # M over the grid and m = M(-r) in one envelope_rows call on the profile's cap, and no call of the lower
+    # envelope
     passes = []
-    one_pass = verify.envelope_upper
+    one_pass = verify.envelope_rows
 
-    def counted(kind, cap, r, config):
+    def counted(kind, caps, r, config):
+        assert len(caps) == 1
         passes.append(r.tolist())
-        return one_pass(kind, cap, r, config)
+        return one_pass(kind, caps, r, config)
 
     def refuse(*args):
         raise AssertionError("the sandwich called the lower envelope")
 
-    monkeypatch.setattr(verify, "envelope_upper", counted)
+    monkeypatch.setattr(verify, "envelope_rows", counted)
     monkeypatch.setattr(envelope, "envelope_lower", refuse)
     rng = np.random.Generator(np.random.Philox(7))
     grid = [0.05 + 0.1 * j for j in range(10)]
@@ -530,6 +532,39 @@ def test_sandwich_makes_one_envelope_pass(kind, monkeypatch):
         passes.clear()
         assert check_envelope_sandwich(kind, data, grid) <= 1e-8
         assert passes == [grid + [-x for x in grid]]
+
+
+@pytest.mark.parametrize("kind", [HARM, HYP])
+def test_the_sandwich_of_six_profiles_has_the_bits_of_each_profile_alone(kind):
+    # one envelope pass over the six caps, and the largest excess of the six one-profile checks, bit for bit
+    rng = np.random.Generator(np.random.Philox(19))
+    grid = [0.05 + 0.1 * j for j in range(10)]
+    for _ in range(3):
+        datas = [random_zonal_profile(rng, 3) for _ in range(6)]
+        alone = max(check_envelope_sandwich(kind, data, grid) for data in datas)
+        assert verify._sandwich_excess(kind, datas, grid, DEFAULT_CONFIG).hex() == alone.hex()
+
+
+def test_a_suite_makes_eight_tail_passes_two_of_them_for_the_sandwich(engine_calls, monkeypatch):
+    # per kernel, the six sandwich profiles in one envelope_rows pass; then one pass for the majorant, one per
+    # Hopf scan and one per V_monotone dimension; the engine calls stay at 20
+    passes, sandwich = [], []
+    one_pass, all_caps = envelope._tail_quotient, verify.envelope_rows
+
+    def tails(kind, n, alpha, r, config):
+        passes.append((kind, n))
+        return one_pass(kind, n, alpha, r, config)
+
+    def counted(kind, caps, r, config):
+        sandwich.append((kind, len(caps), len(r)))
+        return all_caps(kind, caps, r, config)
+
+    monkeypatch.setattr(envelope, "_tail_quotient", tails)
+    monkeypatch.setattr(verify, "envelope_rows", counted)
+    assert all(report.passed for report in default_verification_suite())
+    assert sandwich == [(HARM, 6, 20), (HYP, 6, 20)]
+    assert passes == [(HARM, 3), (HYP, 3), (HARM, 3), (HYP, 3), (HYP, 4), (HARM, 2), (HARM, 3), (HARM, 4)]
+    assert len(engine_calls) == 20
 
 
 def _sandwich_per_radius(kind, data, grid):

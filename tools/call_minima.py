@@ -18,11 +18,14 @@ over the rounds, and their ratio change/parent; then the same sums and
 ratio for each group of calls, in order of first appearance in the plan: a
 CLI call's group is its subcommand (``verify`` split by its ``--m``,
 ``envelope`` by its ``--kind``), a point's is the dimension ``n`` of its case.
-Beside each group's times stand its ``integrate_rows`` calls in one pass,
-per tree: after the timed rounds, each tree makes every call once more,
-untimed, with its ``quadrature.integrate_rows`` wrapped in every module of
-the tree that binds it, and a call's count is what the engine saw during
-that call (for ``offaxis``, during ``f(x)``, not while the case is built).
+Beside each group's times stand its ``integrate_rows`` calls and its
+envelope tail passes (``envelope._tail_quotient`` calls) in one pass, per
+tree: after the timed rounds, each tree makes every call once more,
+untimed, with its ``quadrature.integrate_rows`` and its
+``envelope._tail_quotient`` wrapped in every module of the tree that binds
+them, and a call's counts are what the engine and the tail kernel saw
+during that call (for ``offaxis``, during ``f(x)``, not while the case is
+built).
 Exit status 1 when a call's exit code, stdout or stderr (a point's value
 ``repr`` or error) differs between the trees in any round, 0 otherwise.
 """
@@ -82,57 +85,75 @@ def load_package(tree: Path, name: str, into: Path):
 
 
 @contextlib.contextmanager
-def engine_calls(package):
-    """A one-item list that counts the calls of ``package``'s ``quadrature.integrate_rows`` while open.
+def counted_calls(package, module: str, name: str):
+    """A one-item list that counts the calls of ``package``'s ``module.name`` while open.
 
-    The engine is wrapped in every module of ``package`` that binds it, so
+    The function is wrapped in every module of ``package`` that binds it, so
     calls from within a module and between modules are both counted.
     """
-    engine = sys.modules[f"{package.__name__}.quadrature"].integrate_rows
+    function = getattr(sys.modules[f"{package.__name__}.{module}"], name)
     count = [0]
 
     def counted(*args, **kwargs):
         count[0] += 1
-        return engine(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    binders = [module for name, module in list(sys.modules.items())
-               if name.split(".")[0] == package.__name__ and getattr(module, "integrate_rows", None) is engine]
-    for module in binders:
-        module.integrate_rows = counted
+    binders = [module for key, module in list(sys.modules.items())
+               if key.split(".")[0] == package.__name__ and getattr(module, name, None) is function]
+    for binder in binders:
+        setattr(binder, name, counted)
     try:
         yield count
     finally:
-        for module in binders:
-            module.integrate_rows = engine
+        for binder in binders:
+            setattr(binder, name, function)
 
 
-def count_calls(packages, argvs: list[list[str]]) -> list[list[int]]:
-    """Per tree, the ``integrate_rows`` calls that each ``cli.main(argv)`` makes, in one untimed pass."""
-    counts = []
+def engine_calls(package):
+    """``counted_calls`` of the tree's engine, ``quadrature.integrate_rows``."""
+    return counted_calls(package, "quadrature", "integrate_rows")
+
+
+def tail_passes(package):
+    """``counted_calls`` of the tree's envelope tail kernel, ``envelope._tail_quotient``: one call is one pass."""
+    return counted_calls(package, "envelope", "_tail_quotient")
+
+
+def _counts(packages, calls, make) -> tuple[list[list[int]], list[list[int]]]:
+    """Per tree, the engine calls and the tail passes that each of ``calls`` makes: ``make(package, call)``
+    runs one, untimed."""
+    counts = ([], [])
     for package in packages:
-        with engine_calls(package) as count:
-            counts.append([])
-            for argv in argvs:
-                before = count[0]
-                output_audit.call_main(package.cli.main, argv)
-                counts[-1].append(count[0] - before)
+        with engine_calls(package) as engine, tail_passes(package) as tails:
+            for totals in counts:
+                totals.append([])
+            for call in calls:
+                before = engine[0], tails[0]
+                make(package, call)
+                counts[0][-1].append(engine[0] - before[0])
+                counts[1][-1].append(tails[0] - before[1])
     return counts
 
 
-def count_points(packages, items: list[dict]) -> list[list[int]]:
-    """Per tree, the ``integrate_rows`` calls that each point's ``f(x)`` makes, in one untimed pass."""
+def count_calls(packages, argvs: list[list[str]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Per tree, the ``integrate_rows`` calls and the tail passes that each ``cli.main(argv)`` makes, in one
+    untimed pass."""
+    return _counts(packages, argvs, lambda package, argv: output_audit.call_main(package.cli.main, argv))
+
+
+def count_points(packages, items: list[dict]) -> tuple[list[list[int]], list[list[int]]]:
+    """Per tree, the ``integrate_rows`` calls and the tail passes that each point's ``f(x)`` makes, in one
+    untimed pass; each item's case is built once per tree, outside the counts."""
     import numpy as np
 
-    counts = []
+    counts = ([], [])
     for package in packages:
-        with engine_calls(package) as count:
-            counts.append([])
-            for item in items:
-                contact = build_case(package, item["case"])
-                for point in item["points"]:
-                    before = count[0]
-                    _point(contact, np.asarray(point["x"], dtype=float))
-                    counts[-1].append(count[0] - before)
+        calls = []
+        for item in items:
+            contact = build_case(package, item["case"])
+            calls += [(contact, np.asarray(point["x"], dtype=float)) for point in item["points"]]
+        for totals, tree in zip(counts, _counts([package], calls, lambda package, call: _point(*call))):
+            totals += tree
     return counts
 
 
@@ -219,14 +240,14 @@ def main(argv=None) -> int:
             if args.workload == "offaxis":
                 items = plan_items()
                 minima, differ = time_points(packages, items, args.rounds)
-                engine = count_points(packages, items)
+                engine, passes = count_points(packages, items)
                 calls = [(item, point) for item in items for point in item["points"]]
                 labels = [f"(value repr or error): {json.dumps(item['case'])} x={point['x']}" for item, point in calls]
                 groups = [point_group(item) for item, _ in calls]
             else:
                 argvs = plan_argvs(args.workload)
                 minima, differ = time_calls([package.cli.main for package in packages], argvs, args.rounds)
-                engine = count_calls(packages, argvs)
+                engine, passes = count_calls(packages, argvs)
                 labels = [f"(exit code, stdout or stderr): {' '.join(argv)}" for argv in argvs]
                 groups = [group(argv) for argv in argvs]
     finally:
@@ -245,9 +266,10 @@ def main(argv=None) -> int:
         members.setdefault(name, []).append(index)
     for name, indices in members.items():
         parent, change = (sum(tree_minima[i] for i in indices) for tree_minima in minima)
-        quads = [sum(tree_counts[i] for i in indices) for tree_counts in engine]
+        quads, tails = ([sum(tree_counts[i] for i in indices) for tree_counts in counts] for counts in (engine, passes))
         print(f"{name}: {len(indices)} calls, parent {parent * 1e3:.3f} ms, change {change * 1e3:.3f} ms, "
-              f"ratio change/parent {change / parent:.4f}, integrate_rows calls parent {quads[0]} change {quads[1]}")
+              f"ratio change/parent {change / parent:.4f}, integrate_rows calls parent {quads[0]} change {quads[1]}, "
+              f"tail passes parent {tails[0]} change {tails[1]}")
     return 1 if differ else 0
 
 

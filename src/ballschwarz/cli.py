@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -331,6 +332,10 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_mob.set_defaults(run=_cmd_mobius)
     add_common(p_mob, seed=True)
 
+    # argparse reads -0.5 as a value but -1e-5 or -0.5,0 as an unknown option; no option here looks
+    # like a number, so every word that opens with -<digit> or -.<digit> is a value
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(r"-\.?\d")
     return parser, sub.choices
 
 

@@ -106,6 +106,8 @@ __all__ = [
 
 _ANGLE_TOL = 1e-13
 _NEWTON_STEPS = 100
+_DESCENT_SKIP = 98.5  # descent estimate past which Newton from pi/2 cannot converge in _NEWTON_STEPS
+_SKIP_BELOW = 0.5 * math.exp(-_DESCENT_SKIP)  # no c' above this has the estimate past _DESCENT_SKIP
 _FRACTION_TERMS = 200
 _TINY = 1e-300
 _LOG_MAX = math.log(sys.float_info.max)
@@ -224,14 +226,22 @@ def cap_angle_from_measure(n: int, c: float) -> float:
     tiny cap, whose angle may lie below 1e-13 (2e-14 at n = 3, c =
     1e-28).  c > 1/2 returns pi minus the angle for 1 - c.
 
-    From pi/2 a step shrinks a small angle by about (n-2)/(n-1), so a tiny
+    From pi/2 a step shrinks a small angle by about (n-2)/(n-1), so log F
+    falls by about delta_n = (n-1) log((n-1)/(n-2)) per step, and a tiny
     cap (at n = 3 a c' below about 1e-57) is not reached in 100 steps.
-    Only then does Newton start again, from the small-angle asymptote
-    alpha_0 = ((n-1) c' / sigma_star)^{1/(n-1)}.  Since sin t <= t,
-    F(alpha_0) <= sigma_star alpha_0^{n-1} / (n-1) = c', so alpha_0 lies
-    left of the root.  There F may lie far below the doubles (n in the
-    hundreds, where sin t << t), so the restart climbs on log F, taken in
-    logs through the fraction of ``_cap_measure``: with sin^2 a < (n+1)/(n+4),
+    On c' log-spaced over [1e-300, 1/2] and n from 3 to 10^6, every run
+    from pi/2 that converges within 100 steps has the descent estimate
+    log(1/(2c')) / delta_n at most 96.8; past 98.5 none does, so the run
+    from pi/2 is skipped (n = 2, whose first step is exact, never is).
+    delta_n > 1, since (1 + 1/m)^{m+1} > e, so no c' >= e^{-98.5}/2 is.
+    Where it is skipped or does not converge, Newton starts again, from
+    the small-angle asymptote alpha_0 = ((n-1) c' / sigma_star)^{1/(n-1)},
+    so every angle is the one the run from pi/2, then the restart, gives.
+    Since sin t <= t, F(alpha_0) <= sigma_star alpha_0^{n-1} / (n-1) = c',
+    so alpha_0 lies left of the root.  There F may lie far below the
+    doubles (n in the hundreds, where sin t << t), so the restart climbs on
+    log F, taken in logs through the fraction of ``_cap_measure``: with
+    sin^2 a < (n+1)/(n+4),
 
         log F(a) = log(sigma_star cos a fraction / (n-1)) + (n-1) log sin a,
         d log F / da = (n-1) / (sin a cos a fraction).
@@ -258,7 +268,10 @@ def cap_angle_from_measure(n: int, c: float) -> float:
     if target < sys.float_info.min:
         raise DomainError(f"cap measure min(c, 1 - c) = {target!r} < {sys.float_info.min!r}, the smallest normal double")
     star = sigma_star(n)
-    alpha, converged = _newton_angle(n, c, star, target, 0.5 * math.pi, 0.5 - target)
+    converged = False
+    if (n == 2 or target >= _SKIP_BELOW
+            or math.log(0.5 / target) <= _DESCENT_SKIP * (n - 1) * math.log1p(1.0 / (n - 2))):
+        alpha, converged = _newton_angle(n, c, star, target, 0.5 * math.pi, 0.5 - target)
     if not converged:
         start = _log_climb(n, star, target, ((n - 1) * target / star) ** (1.0 / (n - 1)))
         alpha, converged = _newton_angle(n, c, star, target, start, _cap_measure(n, star, start) - target)

@@ -187,6 +187,8 @@ _VALID_ARGV = [
     ["constants"],
     ["constants", "--n", "2,3", "--a-grid=-0.5,0,0.5", "--format", "json"],
     ["constants", "--a-grid", "-0.5", "--n=2"],
+    ["constants", "--a-grid", "-1e-5"],
+    ["envelope", "--r-grid", "-1e-3,-.5", "--c-grid", "0.5"],
     ["constants", "--n", "2", "--tol-a", "1e-9", "--oracle"],
     ["envelope", "--n", "3", "--c-grid=0.25", "--r-grid=0,0.5", "--kind", "hyperbolic", "--format=json"],
     ["envelope", "--n=3,8", "--r-grid", "0.9", "--tol-abs=1e-9", "--tol-rel=1e-8"],
@@ -591,6 +593,29 @@ def test_hopf_past_the_normal_doubles_exits_with_domain_code(capsys, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"n={n}" in captured.err
+
+
+def test_hopf_coefficient_past_the_doubles_exits_with_domain_code():
+    # exp of the fitted intercept overflowed into an OverflowError traceback, exit 1
+    code, out, err = _outcome(main, ["hopf", "--n", "134", "--c-grid", "6.415396465787013e-279"])
+    assert (code, out) == (2, "")
+    assert err == ("domain error: fitted coefficient exp(759.7812390272965) overflows the doubles "
+                   "for n=134, c=6.415396465787013e-279\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["constants", "--n", "2,3", "--a-grid", "-1e-5"], "--a-grid"),
+    (["constants", "--a-grid", "-1E-5,-.5,0.5e0", "--format", "json"], "--a-grid"),
+    (["envelope", "--r-grid", "-1e-3", "--c-grid", "0.3"], "--r-grid"),
+    (["envelope", "--n", "3", "--r-grid", "-1e-3,-0.5,1e-2", "--kind", "hyperbolic"], "--r-grid"),
+])
+def test_a_negative_grid_value_with_an_exponent_needs_no_equals_sign(argv, flag):
+    # argparse took -1e-5 for an unknown option: "expected one argument", exit 2
+    at = argv.index(flag)
+    joined = argv[:at] + [f"{flag}={argv[at + 1]}"] + argv[at + 2:]
+    code, out, err = _outcome(main, argv)
+    assert (code, err) == (0, "") and out
+    assert _outcome(main, joined) == (code, out, err)
 
 
 @pytest.mark.parametrize("c", ["1", "0"])

@@ -228,6 +228,40 @@ def test_tiny_caps_in_the_hundreds_of_dimensions_invert_in_logs(n, c):
         assert abs((mpmath.mpf(alpha) - root) / root) <= 1e-14, (n, c)
 
 
+def _from_half_pi_then_restart(n, c):
+    """The inverter as it ran before it could skip Newton from pi/2: that run, then the restart if it failed."""
+    star, target = sigma_star(n), min(c, 1.0 - c)
+    alpha, converged = ballschwarz.envelope._newton_angle(n, c, star, target, 0.5 * math.pi, 0.5 - target)
+    if not converged:
+        start = ballschwarz.envelope._log_climb(n, star, target, ((n - 1) * target / star) ** (1.0 / (n - 1)))
+        resid = ballschwarz.envelope._cap_measure(n, star, start) - target
+        alpha, converged = ballschwarz.envelope._newton_angle(n, c, star, target, start, resid)
+    assert converged, (n, c)
+    return alpha
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 512, 2049, 19999])
+def test_skipping_the_run_from_half_pi_keeps_every_angle(n):
+    # the run from pi/2 is skipped only where it cannot converge; every angle keeps its bits
+    for c in np.logspace(-300, math.log10(0.5), 241).tolist():
+        assert cap_angle_from_measure(n, c).hex() == _from_half_pi_then_restart(n, c).hex(), (n, c)
+
+
+@pytest.mark.parametrize("n, c", [(3, 1e-60), (19999, 1e-44), (512, 1e-200)])
+def test_tiny_caps_go_straight_to_the_restart(monkeypatch, n, c):
+    # 100 futile steps from pi/2 took a fraction each before the restart
+    fractions = []
+    fraction = ballschwarz.envelope._beta_fraction
+
+    def counting(*args):
+        fractions.append(args)
+        return fraction(*args)
+
+    monkeypatch.setattr(ballschwarz.envelope, "_beta_fraction", counting)
+    cap_angle_from_measure(n, c)
+    assert len(fractions) <= 12, (n, c, len(fractions))
+
+
 def test_tiny_caps_reach_the_cli(capsys):
     from ballschwarz.cli import main
 

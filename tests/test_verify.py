@@ -39,7 +39,7 @@ from ballschwarz import (
     zonal_extension_on_axis,
 )
 from ballschwarz.poisson import uniform_sphere_samples
-from ballschwarz.quadrature import DEFAULT_CONFIG, integrate_rows
+from ballschwarz.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from ballschwarz import envelope, verify
 from ballschwarz.cli import main as cli_main
 from ballschwarz.disc import arc_extension
@@ -394,10 +394,15 @@ def test_each_cap_extremal_ladder_is_one_engine_call_and_a_suite_makes_twenty(en
         engine_calls.clear()
         check_boundary_bound(case)
         assert engine_calls == ["integrate_rows"], case.case_id
+    verify._seed_free_rows.cache_clear()
     engine_calls.clear()
     default_verification_suite()
-    # per cap extremal its base value a and its ladder, then one call per sandwich profile
+    # cold: per cap extremal its base value a and its ladder, then one call per sandwich profile
     assert len(engine_calls) == 4 * 2 + 12
+    engine_calls.clear()
+    default_verification_suite(seed=3)
+    # warm: the cap extremals come from the memo, so only the sandwich profiles reach the engine
+    assert len(engine_calls) == 12
 
 
 def test_radial_sections_of_a_radius_are_floats_and_of_an_array_are_rows():
@@ -561,10 +566,61 @@ def test_a_suite_makes_eight_tail_passes_two_of_them_for_the_sandwich(engine_cal
 
     monkeypatch.setattr(envelope, "_tail_quotient", tails)
     monkeypatch.setattr(verify, "envelope_rows", counted)
+    verify._seed_free_rows.cache_clear()
     assert all(report.passed for report in default_verification_suite())
     assert sandwich == [(HARM, 6, 20), (HYP, 6, 20)]
-    assert passes == [(HARM, 3), (HYP, 3), (HARM, 3), (HYP, 3), (HYP, 4), (HARM, 2), (HARM, 3), (HARM, 4)]
+    # the memo's Hopf scans and V_monotone dimensions are built before the seeded rows
+    assert passes == [(HYP, 3), (HYP, 4), (HARM, 2), (HARM, 3), (HARM, 4), (HARM, 3), (HYP, 3), (HARM, 3)]
     assert len(engine_calls) == 20
+    # warm: only the seeded rows' passes, the sandwich's two and the majorant's
+    del passes[:], sandwich[:], engine_calls[:]
+    assert all(report.passed for report in default_verification_suite(seed=3))
+    assert sandwich == [(HARM, 6, 20), (HYP, 6, 20)]
+    assert passes == [(HARM, 3), (HYP, 3), (HARM, 3)]
+    assert len(engine_calls) == 12
+
+
+_SEEDED_FAMILIES = ("mobius-precomposition", "envelope-sandwich", "hemisphere-majorant")
+
+
+def _row(report):
+    return (report.case, report.lam.hex(), report.bound.hex(), report.tolerance.hex(), report.relation,
+            report.checks, report.details)
+
+
+@pytest.mark.parametrize("m", [2, 3, 1000])
+def test_seed_free_rows_are_the_bits_of_a_cold_suite_at_every_seed(m):
+    seed_free = []
+    for seed in (0, 1, 7):
+        verify._seed_free_rows.cache_clear()
+        cold = [_row(report) for report in default_verification_suite(seed, target_dim=m)]
+        warm = [_row(report) for report in default_verification_suite(seed, target_dim=m)]
+        assert warm == cold, seed
+        seed_free.append([row for row in cold if not row[0].startswith(_SEEDED_FAMILIES)])
+    assert len(seed_free[0]) == 17 and len(cold) == 22
+    assert seed_free[1] == seed_free[0] and seed_free[2] == seed_free[0]
+
+
+def test_another_config_or_dimension_misses_the_memo(engine_calls):
+    verify._seed_free_rows.cache_clear()
+    for config, m, cold in [(DEFAULT_CONFIG, 2, True), (DEFAULT_CONFIG, 2, False), (DEFAULT_CONFIG, 3, True),
+                            (QuadratureConfig(1e-10, 1e-10), 2, True), (QuadratureConfig(1e-11, 1e-10), 3, False)]:
+        misses = verify._seed_free_rows.cache_info().misses
+        engine_calls.clear()
+        default_verification_suite(seed=5, config=config, target_dim=m)
+        assert verify._seed_free_rows.cache_info().misses == misses + cold, (config, m)
+        assert len(engine_calls) == (20 if cold else 12), (config, m)
+
+
+def test_a_returned_report_cannot_reach_the_memo():
+    first = default_verification_suite(seed=2, bound_scale=1.5)
+    for report in first:
+        report.details["planted"] = True
+        report.checks["planted"] = False
+    second = default_verification_suite(seed=2)
+    assert all("planted" not in report.details and "planted" not in report.checks for report in second)
+    assert all(report.passed for report in second)
+    assert [report.bound * 1.5 for report in second] == [report.bound for report in first]
 
 
 def _sandwich_per_radius(kind, data, grid):

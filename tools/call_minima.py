@@ -25,7 +25,12 @@ untimed, with its ``quadrature.integrate_rows`` and its
 ``envelope._tail_quotient`` wrapped in every module of the tree that binds
 them, and a call's counts are what the engine and the tail kernel saw
 during that call (for ``offaxis``, during ``f(x)``, not while the case is
-built).
+built).  The counts are taken in the process of the timed rounds, after
+them, so they show the work of a warm call: a tree that keeps the
+``verify`` suite's seed-free rows per ``(tolerances, --m)`` shows 12
+engine calls and 3 tail passes per ``verify`` call.  A cold suite, the
+first of its key in a process, makes 20 and 8, as every suite of a tree
+without that memo does.
 Exit status 1 when a call's exit code, stdout or stderr (a point's value
 ``repr`` or error) differs between the trees in any round, 0 otherwise.
 """

@@ -8,7 +8,6 @@ from .envelope import (
     boundary_difference_quotient,
     cap_angle_from_measure,
     cap_measure_from_angle,
-    envelope_lower,
     envelope_rows,
     envelope_upper,
     heinz_schwarz_constant,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _base_value
 
 __all__ = ["arc_antiderivative", "arc_extension", "DiscCapExtremal"]
 
@@ -66,8 +66,7 @@ class DiscCapExtremal:
     a: float
 
     def __post_init__(self):
-        if not -1.0 < self.a < 1.0:
-            raise DomainError(f"base value must lie in (-1, 1), got {self.a!r}")
+        _base_value(self.a)
 
     @property
     def half_width(self) -> float:

@@ -35,12 +35,12 @@ reflection
 
 so no radius integrates across the kernel peak.  ``envelope_rows`` is
 the one envelope kernel, M of several caps of one n from one tail pass;
-``envelope_upper`` is its one-cap case and ``envelope_lower`` is M at -r.  The kernel
-picks its tail by the sign bit of r: a clear bit takes the cap's own arc
-and a set one, -0.0 included, the complement's.  The two tails agree at
-r = 0 only to rounding (within 5.4e-15 for n <= 64 and 1e-6 <= c <= 1 -
-1e-6), so M(+0.0) and m(+0.0) = M(-0.0) keep the bits of their own
-sides.
+``envelope_upper`` is its one-cap case, and m is M at -r, with no
+function of its own.  The kernel picks its tail by the sign bit of r: a
+clear bit takes the cap's own arc and a set one, -0.0 included, the
+complement's.  The two tails agree at r = 0 only to rounding (within
+5.4e-15 for n <= 64 and 1e-6 <= c <= 1 - 1e-6), so M(+0.0) and m(+0.0)
+= M(-0.0) keep the bits of their own sides.
 
 Every sharp constant in this package is a boundary derivative of M_c^n,
 in closed form through the cap measure F_n(alpha) = I_{sin^2 alpha}((n-1)/2,
@@ -72,7 +72,7 @@ returned as it is, with fewer digits than the 12 the CLI prints:
 D_n(0) and C_n are 6.1e-312 at n = 2060, where the two differ in
 their 12th digit, and D_2049(0.5) = 5.7e-317 holds about 7 digits.
 Whether such a value should raise or be given as a log is open
-(ROADMAP item 6).
+(ROADMAP item 12 (d)).
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, _integer
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows, kronrod_rule
+from .errors import AccuracyError, DomainError, _base_value, _integer
+from .quadrature import DEFAULT_CONFIG, _ROUNDING_FLOOR, QuadratureConfig, integrate_rows, kronrod_rule
 from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
 
 __all__ = [
@@ -96,7 +96,6 @@ __all__ = [
     "cap_measure_from_angle",
     "envelope_upper",
     "envelope_rows",
-    "envelope_lower",
     "boundary_difference_quotient",
     "boundary_derivative_harmonic",
     "heinz_schwarz_constant",
@@ -111,7 +110,6 @@ _SKIP_BELOW = 0.5 * math.exp(-_DESCENT_SKIP)  # no c' above this has the estimat
 _FRACTION_TERMS = 200
 _TINY = 1e-300
 _LOG_MAX = math.log(sys.float_info.max)
-_ROUNDING = 50.0 * sys.float_info.epsilon  # the engine's floor on an error estimate, QUADPACK's 50 epmach
 # the image rule of the harmonic tails: K21 on 2, then on 3 equal panels of [0, 1], all 105 nodes in one
 # pass, with one weight column per sum, zero on the other sum's 42 or 63 nodes
 _IMAGE_NODES = np.concatenate((kronrod_rule(2)[0], kronrod_rule(3)[0]))
@@ -410,21 +408,6 @@ def envelope_rows(kind: KernelKind, caps: Sequence[CapSpec], r: float | np.ndarr
                      if cap.alpha < math.pi else [1.0] * len(radii) for cap in caps])
 
 
-def envelope_lower(
-    kind: KernelKind,
-    cap: CapSpec,
-    r: float | np.ndarray,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> float | np.ndarray:
-    """Lower envelope m_c^n(r) = M_c^n(-r): the antipodal cap-indicator extension.
-
-    ``r`` is a radius or a 1-D array of radii in (-1, 1), checked before
-    it is reflected, so a refusal names the caller's radius; an array
-    returns the array of values.
-    """
-    return _shaped(envelope_upper(kind, cap, [-x for x in _radii(r)], config), r)
-
-
 def boundary_difference_quotient(
     kind: KernelKind,
     cap: CapSpec,
@@ -525,7 +508,7 @@ def _tail_quotient(kind: KernelKind, n: int, alpha: list[float], r: Sequence[flo
     missed = []
     for j, k2, k3 in zip(rows, coarse, fine):
         tails[j] = k3
-        if not max(abs(k2 - k3), _ROUNDING * k3) <= max(config.abs_tol, config.rel_tol * k3):
+        if not max(abs(k2 - k3), _ROUNDING_FLOOR * k3) <= max(config.abs_tol, config.rel_tol * k3):
             missed.append(j)
     if missed:
         image = _image_integrand(n, star, np.array([alpha[j] for j in missed]), np.array([r[j] for j in missed]))
@@ -580,9 +563,7 @@ def boundary_derivative_harmonic(n: int, a: float) -> float:
     logs.  Past about n = 2050 at a = 0, D_n underflows: ``DomainError``.
     """
     n = _integer(n)
-    if not -1.0 < a < 1.0:
-        raise DomainError(f"base value must lie in (-1, 1), got {a!r}")
-    h = 0.5 * cap_angle_from_measure(n, 0.5 * (1.0 + a))
+    h = 0.5 * cap_angle_from_measure(n, 0.5 * (1.0 + _base_value(a)))
     star = sigma_star(n)
     sin, cos = math.sin(h), math.cos(h)
     log_t = math.log(2.0 * star) + (n - 1) * math.log(cos) - math.log(sin)
@@ -621,9 +602,7 @@ def heinz_schwarz_constant(m: int, oracle: bool = False) -> float:
 
 def schwarz_planar_bound(b: float) -> float:
     """Planar sharp bound s^-(b) = (2/pi) cot(pi (1+b)/4), decreasing in b."""
-    if not -1.0 < b < 1.0:
-        raise DomainError(f"base value must lie in (-1, 1), got {b!r}")
-    return (2.0 / math.pi) / math.tan(0.25 * math.pi * (1.0 + b))
+    return (2.0 / math.pi) / math.tan(0.25 * math.pi * (1.0 + _base_value(b)))
 
 
 def hyperbolic_decay_coefficient(cap: CapSpec) -> float:

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the one integer rule its arguments obey."""
+"""Exception types shared across the package, and the input rules its arguments obey: an integer,
+a unit vector and a base value, each checked in one place and refused with one text."""
 
 import math
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -24,3 +27,18 @@ def _integer(value, what: str = "dimension", least: int = 2) -> int:
     if not (least <= value < math.inf and value == int(value)):
         raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _unit(v: np.ndarray, what: str, tol: float = 1e-12) -> np.ndarray:
+    """v, or ``DomainError`` unless its Euclidean norm is within tol of 1 (a NaN entry included)."""
+    norm = float(np.linalg.norm(v))
+    if not abs(norm - 1.0) <= tol:
+        raise DomainError(f"{what} must be a unit vector to {tol:g}, got norm {norm!r}")
+    return v
+
+
+def _base_value(a: float) -> float:
+    """a, or ``DomainError`` unless -1 < a < 1 (NaN included): the value at the origin that fixes a cap."""
+    if not -1.0 < a < 1.0:
+        raise DomainError(f"base value must lie in (-1, 1), got {a!r}")
+    return a

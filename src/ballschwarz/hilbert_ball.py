@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _unit
 
 __all__ = [
     "inner",
@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 _DEGENERATE_TOL = 1e-14
-_UNIT_TOL = 1e-12
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
@@ -230,12 +229,8 @@ def boundary_lambda(
     residual that is not finite raises :class:`DomainError`, not numpy's
     overflow warning.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if not abs(float(np.linalg.norm(a)) - 1.0) <= _UNIT_TOL:
-        raise DomainError("contact direction a must be a unit vector")
-    if not abs(float(np.linalg.norm(b)) - 1.0) <= _UNIT_TOL:
-        raise DomainError("target direction b must be a unit vector")
+    a = _unit(np.asarray(a, dtype=complex), "contact direction a")
+    b = _unit(np.asarray(b, dtype=complex), "target direction b")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         lam = float(np.real(inner(Df(a), b)))
         residual = float(np.linalg.norm(real_adjoint(Df)(b) - lam * a))

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .envelope import KernelKind, _axis_kernel, _radii, _shaped, cap_measure_from_angle
-from .errors import DomainError, _integer
+from .errors import DomainError, _integer, _unit
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from .specfn import sigma_star
 
@@ -43,7 +43,6 @@ __all__ = [
     "radial_derivative_estimate",
 ]
 
-_AXIS_TOL = 1e-14
 _PROFILE_SLACK = 1e-9
 _PROBE_ANGLES = np.linspace(0.0, math.pi, 65)
 _RICHARDSON_LEVELS = 3  # one-sided quotients combined per derivative estimate
@@ -83,8 +82,7 @@ class ZonalBoundaryData:
         object.__setattr__(self, "axis", axis)
         if axis.shape != (_integer(self.n),):
             raise DomainError(f"axis must be a vector of dimension n={self.n!r}, got shape {axis.shape}")
-        if not abs(float(np.linalg.norm(axis)) - 1.0) <= _AXIS_TOL:
-            raise DomainError("zonal axis must be a unit vector to 1e-14")
+        _unit(axis, "zonal axis", 1e-14)
         vals = np.asarray(self.profile(_PROBE_ANGLES), dtype=float)
         if vals.shape != _PROBE_ANGLES.shape or not np.all(np.isfinite(vals)):
             raise DomainError("zonal profile must map angle arrays to finite value arrays")

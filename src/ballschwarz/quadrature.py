@@ -63,7 +63,7 @@ _GAUSS_HALF_WEIGHTS = np.array([
 _NODES = np.concatenate((-_KRONROD_HALF[:10, 0], _KRONROD_HALF[::-1, 0]))
 _KRONROD_WEIGHTS = np.concatenate((_KRONROD_HALF[:10, 1], _KRONROD_HALF[::-1, 1]))
 _GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF_WEIGHTS, _GAUSS_HALF_WEIGHTS[::-1]))
-_ROUNDING_FLOOR = 50.0 * np.finfo(float).eps  # QUADPACK's 50 epmach
+_ROUNDING_FLOOR = 50.0 * math.ulp(1.0)  # QUADPACK's 50 epmach; also the floor of envelope's image rule
 _MAX_SUBDIVISIONS = 2000
 
 

@@ -33,6 +33,8 @@ from .disc import DiscCapExtremal, arc_extension
 from .envelope import (
     CapSpec,
     KernelKind,
+    _radii,
+    _shaped,
     boundary_derivative_harmonic,
     boundary_difference_quotient,
     cap_angle_from_measure,
@@ -42,7 +44,7 @@ from .envelope import (
     hyperbolic_decay_coefficient,
     schwarz_planar_bound,
 )
-from .errors import AccuracyError, DomainError, _integer
+from .errors import AccuracyError, DomainError, _base_value, _integer, _unit
 from .hilbert_ball import (
     MobiusParams,
     RealLinearMap,
@@ -80,7 +82,6 @@ __all__ = [
 
 DEFAULT_SEED = 20101
 
-_UNIT_TOL = 1e-12
 _ON_AXIS_TOL = 1e-13
 _DERIVATIVE_TOL = 1e-6  # rows whose measured value is a finite-difference derivative
 _SLOPE_STEP = 1e-4  # central-difference step of the majorant slope
@@ -149,31 +150,22 @@ class ContactTestCase:
     case_id: str
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        y0 = np.asarray(self.y0, dtype=float)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "y0", y0)
-        if not abs(float(np.linalg.norm(x0)) - 1.0) <= _UNIT_TOL:
-            raise DomainError("contact point x0 must be a unit vector")
-        if not abs(float(np.linalg.norm(y0)) - 1.0) <= _UNIT_TOL:
-            raise DomainError("target point y0 must be a unit vector")
-        if not -1.0 < self.a < 1.0:
-            raise DomainError("contact base value a must lie in (-1, 1)")
+        object.__setattr__(self, "x0", _unit(np.asarray(self.x0, dtype=float), "contact point x0"))
+        object.__setattr__(self, "y0", _unit(np.asarray(self.y0, dtype=float), "target point y0"))
+        _base_value(self.a)
 
     def radial_section(self, r: float | np.ndarray) -> float | np.ndarray:
         """<f(r x0), y0>, the scalar section whose boundary slope is checked.
 
         ``r`` is a radius, which gives a float, or a 1-D array of radii, which
         gives the array of sections: ``radial_derivative_estimate`` hands over
-        its whole ladder of radii at once.  A general case calls ``f`` radius
-        by radius; a zonal case (``zonal_contact_case``) takes the whole array
-        in one on-axis quadrature, each radius with the bits of its ``f``.
+        its whole ladder of radii at once.  Each radius must satisfy |r| < 1,
+        the rule of the envelopes and of ``zonal_extension_on_axis``.  A
+        general case calls ``f`` radius by radius; a zonal case
+        (``zonal_contact_case``) takes the whole array in one on-axis
+        quadrature, each radius with the bits of its ``f``.
         """
-        radii = np.atleast_1d(np.asarray(r, dtype=float))
-        if radii.ndim > 1:
-            raise DomainError(f"section radii must be a radius or a 1-D array, got shape {radii.shape}")
-        values = np.asarray(self._sections(radii.tolist()), dtype=float)
-        return values if np.ndim(r) else float(values[0])
+        return _shaped(self._sections(_radii(r)), r)
 
     def _sections(self, radii: list[float]) -> list[float]:
         return [float(np.dot(self.f(t * self.x0), self.y0)) for t in radii]
@@ -340,9 +332,7 @@ def build_cap_extremal(
     of D_n(a) from mpmath ``betainc``.
     """
     _integer(m, "target dimension")
-    if not -1.0 < a < 1.0:
-        raise DomainError("base value must lie in (-1, 1)")
-    alpha = cap_angle_from_measure(n, 0.5 * (1.0 + a))
+    alpha = cap_angle_from_measure(n, 0.5 * (1.0 + _base_value(a)))
 
     def profile(t: np.ndarray) -> np.ndarray:
         return np.where(np.asarray(t) <= alpha, 1.0, -1.0)
@@ -363,40 +353,29 @@ def check_boundary_bound(case: ContactTestCase) -> MarginReport:
 
 def check_envelope_sandwich(
     kind: KernelKind,
-    data: ZonalBoundaryData,
+    datas: Sequence[ZonalBoundaryData],
     grid: Sequence[float],
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Largest signed violation of m_c^n <= h <= M_c^n along the axis.
+    """Largest signed violation of m_c^n <= h <= M_c^n along the axis, over profiles of one dimension.
 
-    The dimension is ``data.n`` and the base value a = h(0) fixes
-    c = (1+a)/2; a return value at or below quadrature tolerance means
-    the sandwich holds on the grid.  h at 0 and at the grid radii is one
-    quadrature over the profile, the side independent of the envelopes,
-    and M and m over the grid are one ``envelope_rows`` pass over the
-    grid and its negation, m(r) = M(-r): the image rule (harmonic) or
-    closed forms (hyperbolic).  This is the one-profile case of the
-    suite's ``_sandwich_excess``.
-    """
-    return _sandwich_excess(kind, [data], grid, config)
-
-
-def _sandwich_excess(kind: KernelKind, datas: Sequence[ZonalBoundaryData], grid: Sequence[float],
-                     config: QuadratureConfig) -> float:
-    """The largest ``check_envelope_sandwich`` over profiles of one dimension, with one envelope pass.
-
-    Profile by profile, h at 0 and the grid is its own quadrature, whose
-    base value is checked and fixes its cap; then one ``envelope_rows``
-    call gives M and m of every cap, each with the bits of its cap alone.
+    The profiles share one dimension n, and each one's base value
+    a = h(0), refused outside (-1, 1), fixes its c = (1+a)/2; a return
+    value at or below quadrature tolerance means the sandwich holds on
+    the grid for every profile.  Profile by profile, h at 0 and at the
+    grid radii is one quadrature, the side independent of the
+    envelopes.  Then one ``envelope_rows`` pass over the grid and its
+    negation, m(r) = M(-r), gives M and m of every cap, each with the
+    bits of its cap alone: the image rule (harmonic) or closed forms
+    (hyperbolic).  So the largest excess of several profiles has the bits
+    of the largest one-profile check.
     """
     radii = np.concatenate(([0.0], np.asarray(grid, dtype=float)))
     sections, caps = [], []
     for data in datas:
         h = zonal_extension_on_axis(kind, data, radii, config)
-        if not -1.0 < h[0] < 1.0:
-            raise DomainError(f"profile mean must lie in (-1, 1), got {float(h[0])!r}")
         sections.append(h[1:])
-        caps.append(CapSpec(data.n, 0.5 * (1.0 + float(h[0]))))
+        caps.append(CapSpec(data.n, 0.5 * (1.0 + _base_value(float(h[0])))))
     both = envelope_rows(kind, caps, np.concatenate((radii[1:], -radii[1:])), config)
     h = np.array(sections)
     return float(np.max(np.maximum(h - both[:, :len(grid)], both[:, len(grid):] - h), initial=-math.inf))
@@ -457,9 +436,7 @@ def check_mobius_precomposition(
     if z0 is None:
         z0 = np.zeros(k, dtype=complex)
         z0[0] = 1.0
-    z0 = np.asarray(z0, dtype=complex)
-    if not abs(float(np.linalg.norm(z0)) - 1.0) <= _UNIT_TOL:
-        raise DomainError("contact point z0 must be a unit vector")
+    z0 = _unit(np.asarray(z0, dtype=complex), "contact point z0")
 
     p = mobius_map(params, z0)
     # not params.gap: a 1-D norm without ``axis`` sums in another order than its ``axis=-1`` norm
@@ -761,16 +738,11 @@ def majorant_radial_slope(
     ``r`` may be a 1-D array of radii: every stencil radius is then a row
     of one envelope quadrature, and the result is the array of slopes.
     """
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    if radii.ndim > 1:
-        raise DomainError(f"slope radii must be a radius or a 1-D array, got shape {radii.shape}")
-    if not np.all((0.0 <= radii) & (radii < 1.0 - _SLOPE_STEP)):
-        raise DomainError("slope stencil must stay inside [0, 1)")
+    radii = np.array(_radii(r, lambda x: 0.0 <= x < 1.0 - _SLOPE_STEP, "slope stencil must stay inside [0, 1)"))
     hemisphere = CapSpec(m, 0.5)
     stencil = np.concatenate((radii + _SLOPE_STEP, radii - _SLOPE_STEP))
     upper, lower = np.split(envelope_upper(KernelKind.HARMONIC, hemisphere, stencil, config), 2)
-    slopes = (upper - lower) / (2.0 * _SLOPE_STEP)
-    return slopes if np.ndim(r) else float(slopes[0])
+    return _shaped((upper - lower) / (2.0 * _SLOPE_STEP), r)
 
 
 def check_V_monotone(m: int, config: QuadratureConfig = DEFAULT_CONFIG) -> MarginReport:
@@ -843,7 +815,7 @@ def default_verification_suite(
     sandwich_rng = np.random.Generator(np.random.Philox(seeds[1]))
     grid = [0.05 + 0.1 * j for j in range(10)]
     for kind in (KernelKind.HARMONIC, KernelKind.HYPERBOLIC_HARMONIC):
-        worst = _sandwich_excess(kind, [random_zonal_profile(sandwich_rng, 3) for _ in range(6)], grid, config)
+        worst = check_envelope_sandwich(kind, [random_zonal_profile(sandwich_rng, 3) for _ in range(6)], grid, config)
         reports.append(MarginReport(f"envelope-sandwich kind={kind.value}", worst, 0.0, 1e-8, "<="))
 
     reports.append(check_hemisphere_majorant(

@@ -116,7 +116,7 @@ def test_criterion_05_envelope_sandwich():
         rng = _rng(seed)
         for _ in range(50):
             data = random_zonal_profile(rng, 3)
-            ok &= check_envelope_sandwich(kind, data, grid) <= 1e-8
+            ok &= check_envelope_sandwich(kind, [data], grid) <= 1e-8
     _finish("criterion 5: random zonal profiles stay inside envelopes", bool(ok), started, 60.0)
 
 

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -690,3 +692,32 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "D_cap_quadrature" in proc.stdout
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """(line number, argv) of every `ballschwarz ...` line in the README's sh blocks, comments dropped."""
+    text = _README.read_text()
+    examples = []
+    for block in re.finditer(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        first = text.count("\n", 0, block.start(1)) + 1
+        for offset, line in enumerate(block.group(1).splitlines()):
+            if line.startswith("ballschwarz "):
+                examples.append((first + offset, shlex.split(line, comments=True)[1:]))
+    return examples
+
+
+def test_the_readme_has_its_seven_cli_examples():
+    assert len(_readme_examples()) == 7
+
+
+@pytest.mark.parametrize("line, argv", [pytest.param(line, argv, id=f"README.md:{line}")
+                                        for line, argv in _readme_examples()])
+def test_every_cli_example_in_the_readme_runs(capsys, line, argv):
+    # the two --debug-bound-scale lines are the forced failures the README shows: exit 1, every other line 0
+    expected = 1 if "--debug-bound-scale" in argv else 0
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == expected, f"README.md line {line}: `ballschwarz {shlex.join(argv)}` exits {code}, not {expected}: {err}"

@@ -16,7 +16,6 @@ from ballschwarz import (
     boundary_difference_quotient,
     cap_angle_from_measure,
     cap_measure_from_angle,
-    envelope_lower,
     envelope_upper,
     heinz_schwarz_constant,
     hyperbolic_decay_coefficient,
@@ -304,7 +303,7 @@ def test_envelopes_at_origin_equal_recentred_measure():
         for n, c in [(2, 0.3), (3, 0.5), (4, 0.7), (5, 0.2)]:
             cap = CapSpec(n, c)
             assert envelope_upper(kind, cap, 0.0) == pytest.approx(2.0 * c - 1.0, abs=1e-10)
-            assert envelope_lower(kind, cap, 0.0) == pytest.approx(2.0 * c - 1.0, abs=1e-10)
+            assert envelope_upper(kind, cap, -0.0) == pytest.approx(2.0 * c - 1.0, abs=1e-10)
 
 
 def test_full_sphere_cap_gives_constant_one():
@@ -323,7 +322,7 @@ def test_lower_envelope_is_reflected_complement_upper():
             cap = CapSpec(3, float(c))
             comp = CapSpec(3, float(1.0 - c))
             for r in r_grid:
-                lower = envelope_lower(kind, cap, float(r))
+                lower = envelope_upper(kind, cap, -float(r))
                 upper = envelope_upper(kind, comp, float(r))
                 assert lower == pytest.approx(-upper, abs=1e-9)
 
@@ -333,7 +332,7 @@ def test_envelope_sandwich_strictness():
     for kind in (HARM, HYP):
         cap = CapSpec(3, 0.35)
         for r in np.linspace(0.0, 0.95, 8):
-            lower = envelope_lower(kind, cap, float(r))
+            lower = envelope_upper(kind, cap, -float(r))
             upper = envelope_upper(kind, cap, float(r))
             assert -1.0 < lower <= upper + 1e-10
             assert upper < 1.0
@@ -377,7 +376,7 @@ def test_planar_lower_envelope_matches_disc_closed_form():
     cap = CapSpec(2, 0.25)
     live = 2.0 * arc_extension(0.5 + 0.0j, math.pi - cap.alpha, math.pi + cap.alpha) - 1.0
     for kind in (HARM, HYP):
-        value = envelope_lower(kind, cap, 0.5)
+        value = envelope_upper(kind, cap, -0.5)
         assert value == pytest.approx(PLANAR_LOWER_QUARTER_HALF, abs=1e-10), kind
         assert value == pytest.approx(live, abs=1e-10), kind
 
@@ -501,12 +500,12 @@ def test_envelopes_match_mpmath_near_the_sphere(kind, n):
         for r in (0.99, 0.998, 0.9989, 0.9995, -0.9995):
             upper, lower = _mp_envelopes(kind, cap, r)
             assert envelope_upper(kind, cap, r) == pytest.approx(upper, abs=tol), (c, r)
-            assert envelope_lower(kind, cap, r) == pytest.approx(lower, abs=tol), (c, r)
+            assert envelope_upper(kind, cap, -r) == pytest.approx(lower, abs=tol), (c, r)
     # the full cap: data 1 everywhere, so M = m = 1 at every radius
     full = CapSpec(n, 1.0)
     for r in (0.9995, -0.9995):
         assert envelope_upper(kind, full, r) == pytest.approx(1.0, abs=1e-11), r
-        assert envelope_lower(kind, full, r) == pytest.approx(1.0, abs=1e-11), r
+        assert envelope_upper(kind, full, -r) == pytest.approx(1.0, abs=1e-11), r
 
 
 def test_boundary_derivative_planar_base_value():
@@ -610,7 +609,7 @@ def test_envelope_radius_domain():
     with pytest.raises(DomainError):
         envelope_upper(HARM, cap, 1.0)
     with pytest.raises(DomainError):
-        envelope_lower(HARM, cap, -1.0)
+        envelope_upper(HARM, cap, -1.0)
 
 
 # -- closed forms against independent paths ---------------------------------
@@ -788,7 +787,7 @@ def test_harmonic_envelopes_and_quotients_match_mpmath(n):
         with mpmath.workdps(40):
             upper, lower = float(1 - (1 - mpmath.mpf(r)) * own), float((1 - mpmath.mpf(r)) * other - 1)
         assert abs(envelope_upper(HARM, cap, r) - upper) <= 1e-13, (c, r)
-        assert abs(envelope_lower(HARM, cap, r) - lower) <= 1e-13, (c, r)
+        assert abs(envelope_upper(HARM, cap, -r) - lower) <= 1e-13, (c, r)
         quotients = boundary_difference_quotient(HARM, cap, [r, 1.0]).tolist()
         _assert_rel(quotients[0], float(own), 1e-13, (c, r))
         _assert_rel(quotients[1], float(_mp_tail(n, cap.alpha, 1.0)), 1e-13, (c, 1.0))
@@ -888,30 +887,27 @@ def test_array_radii_match_the_scalar_envelopes(kind, n):
     radii = np.array([-0.999, -0.5, -0.0, 0.0, 0.3, 0.9, 0.999])
     for c in (1e-6, 0.1, 0.5, 0.9, 1.0):
         cap = CapSpec(n, c)
-        for envelope in (envelope_upper, envelope_lower):
-            values = envelope(kind, cap, radii)
+        for side in (radii, -radii):  # M, then m(r) = M(-r)
+            values = envelope_upper(kind, cap, side)
             assert isinstance(values, np.ndarray) and values.shape == radii.shape
-            for r, value in zip(radii.tolist(), values.tolist()):
-                scalar = envelope(kind, cap, r)
+            for r, value in zip(side.tolist(), values.tolist()):
+                scalar = envelope_upper(kind, cap, r)
                 assert type(scalar) is float and scalar.hex() == value.hex(), (c, r)
 
 
 @pytest.mark.parametrize("kind", [HARM, HYP])
 @pytest.mark.parametrize("n", [2, 3, 8, 32])
 def test_one_envelope_pass_has_the_bits_of_each_side(kind, n):
-    # m(r) is M(-r) bit for bit, +-0 included, and one pass over r and -r gives each side's bits
+    # one pass over r and -r gives each side's bits, +-0 included: M(r), and m(r) = M(-r)
     radii = [-0.999, -0.5, -0.0, 0.0, 0.3, 0.9, 0.999]
     config = QuadratureConfig()
     for c in (0.1, 0.5, 0.9, 1.0):
         cap = CapSpec(n, c)
-        for r in radii + [0]:
-            lower = envelope_lower(kind, cap, r, config)
-            assert type(lower) is float and lower.hex() == envelope_upper(kind, cap, -float(r), config).hex(), (c, r)
         for r in (radii, np.array(radii)):
             both = envelope_upper(kind, cap, np.concatenate((r, np.negative(r))), config).tolist()
-            for side, envelope in ((both[:len(radii)], envelope_upper), (both[len(radii):], envelope_lower)):
-                alone = envelope(kind, cap, r, config)
-                assert [v.hex() for v in side] == [v.hex() for v in alone.tolist()], (c, envelope)
+            for side, radii_of_side in ((both[:len(radii)], r), (both[len(radii):], np.negative(r))):
+                alone = envelope_upper(kind, cap, radii_of_side, config)
+                assert [v.hex() for v in side] == [v.hex() for v in alone.tolist()], (c, radii_of_side)
 
 
 @pytest.mark.parametrize("kind, pins", [
@@ -926,7 +922,7 @@ def test_the_envelopes_at_positive_zero_keep_their_bits(kind, pins):
     # each within 5.7e-16 of M(0) = 2 F_n(alpha) - 1 by mpmath betainc at the cap's own alpha
     for c, (upper, lower) in zip((0.1, 0.5, 0.9), pins):
         cap = CapSpec(8, c)
-        assert (envelope_upper(kind, cap, 0.0).hex(), envelope_lower(kind, cap, 0.0).hex()) == (upper, lower), c
+        assert (envelope_upper(kind, cap, 0.0).hex(), envelope_upper(kind, cap, -0.0).hex()) == (upper, lower), c
 
 
 @pytest.mark.parametrize("kind", ["harmonic", "hyperbolic"])
@@ -945,12 +941,8 @@ def test_the_envelope_table_makes_one_tail_pass_per_dimension(monkeypatch, capsy
         passes.append((n, list(alpha), list(r)))
         return one_pass(kind, n, alpha, r, config)
 
-    def refuse(*args):
-        raise AssertionError("the envelope table called the lower envelope")
-
     monkeypatch.setattr(ballschwarz.cli, "envelope_rows", counted)
     monkeypatch.setattr(ballschwarz.envelope, "_tail_quotient", tails)
-    monkeypatch.setattr(ballschwarz.envelope, "envelope_lower", refuse)
     argv = ["envelope", "--n", "2,8", "--c-grid", "0.3,1", "--r-grid=-0.5,0,0.9", "--kind", kind]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
@@ -995,8 +987,6 @@ def test_array_radii_outside_the_ball_raise_naming_the_radius():
     for bad in (1.0, -1.5, math.nan):
         with pytest.raises(DomainError, match=f"got {bad!r}"):
             envelope_upper(HARM, cap, np.array([0.2, bad, 0.4]))
-        with pytest.raises(DomainError, match=f"got {bad!r}"):
-            envelope_lower(HYP, cap, [0.2, bad])
 
 
 @pytest.mark.parametrize("kind", [HARM, HYP])

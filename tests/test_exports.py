@@ -5,15 +5,6 @@ import pathlib
 
 import ballschwarz
 
-# exported with no caller yet, and why it stays
-UNCALLED = {
-    "envelope_lower": "the public m_c^n(r) = M_c^n(-r); the CLI and the sandwich take M and m from one "
-                      "envelope_rows call over their caps, the radii and their reflections",
-    "check_envelope_sandwich": "the public sandwich of one profile; the suite takes the six profiles of a "
-                               "kernel through _sandwich_excess, of which it is the one-profile case, in one "
-                               "envelope pass",
-}
-
 
 def _modules():
     sources = sorted(pathlib.Path(ballschwarz.__file__).parent.glob("*.py"))
@@ -49,7 +40,7 @@ def test_every_export_has_a_caller_in_the_package():
     modules = _modules()
     exports = [(exporter, name) for exporter, tree in modules.items() for name in _exports(tree)]
     assert len(exports) > len(modules)
-    assert {name for exporter, name in exports if not _has_caller(modules, exporter, name)} == set(UNCALLED)
+    assert {name for exporter, name in exports if not _has_caller(modules, exporter, name)} == set()
 
 
 def test_the_hopf_scan_is_the_one_caller_of_the_decay_coefficient():
@@ -61,12 +52,18 @@ def test_the_hopf_scan_is_the_one_caller_of_the_decay_coefficient():
 
 
 def test_the_one_private_import_between_modules_is_the_radius_convention():
-    # poisson takes the radius check, the result shape and the axis kernel with its peak already taken
-    # from envelope; every module that takes an integer argument takes the one integer rule from errors;
-    # no other private name crosses a module
+    # poisson and verify take the radius check and the result shape from envelope, and poisson the axis
+    # kernel with its peak already taken; the integer, unit-vector and base-value rules come from errors,
+    # and the engine's rounding floor from quadrature; no other private name crosses a module
     imported = {(module, node.module, alias.name) for module, tree in _modules().items() for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names if alias.name.startswith("_")}
-    integer_rule = {(module, "errors", "_integer") for module in ("cli", "envelope", "poisson", "specfn", "verify")}
-    assert imported == {("poisson", "envelope", "_radii"), ("poisson", "envelope", "_shaped"),
-                        ("poisson", "envelope", "_axis_kernel"), *integer_rule}
+    assert imported == {
+        ("poisson", "envelope", "_radii"), ("poisson", "envelope", "_shaped"), ("poisson", "envelope", "_axis_kernel"),
+        ("verify", "envelope", "_radii"), ("verify", "envelope", "_shaped"),
+        ("envelope", "quadrature", "_ROUNDING_FLOOR"),
+        ("cli", "errors", "_integer"), ("envelope", "errors", "_integer"), ("poisson", "errors", "_integer"),
+        ("specfn", "errors", "_integer"), ("verify", "errors", "_integer"),
+        ("hilbert_ball", "errors", "_unit"), ("poisson", "errors", "_unit"), ("verify", "errors", "_unit"),
+        ("disc", "errors", "_base_value"), ("envelope", "errors", "_base_value"), ("verify", "errors", "_base_value"),
+    }

@@ -30,7 +30,6 @@ from ballschwarz import (
     ZonalBoundaryData,
     cap_angle_from_measure,
     cli,
-    envelope_lower,
     envelope_upper,
     mobius_identity_residuals,
     zonal_extension_on_axis,
@@ -57,8 +56,8 @@ def envelope_values(n: int, c: float) -> list[str]:
     """M and m over GRID, then M and m at the single radius, as hex strings."""
     cap = CapSpec(n, c)
     kind = KernelKind.HARMONIC
-    return (_hex(envelope_upper(kind, cap, GRID)) + _hex(envelope_lower(kind, cap, GRID))
-            + _hex(envelope_upper(kind, cap, SINGLE)) + _hex(envelope_lower(kind, cap, SINGLE)))
+    return (_hex(envelope_upper(kind, cap, GRID)) + _hex(envelope_upper(kind, cap, -GRID))
+            + _hex(envelope_upper(kind, cap, SINGLE)) + _hex(envelope_upper(kind, cap, -SINGLE)))
 
 
 def _step_profile(t):

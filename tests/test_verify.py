@@ -27,7 +27,6 @@ from ballschwarz import (
     check_mobius_precomposition,
     check_planar_bound,
     default_verification_suite,
-    envelope_lower,
     envelope_upper,
     heinz_schwarz_constant,
     hopf_failure_scan,
@@ -42,7 +41,8 @@ from ballschwarz.poisson import uniform_sphere_samples
 from ballschwarz.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
 from ballschwarz import envelope, verify
 from ballschwarz.cli import main as cli_main
-from ballschwarz.disc import arc_extension
+from ballschwarz.disc import DiscCapExtremal, arc_extension
+from ballschwarz.errors import _base_value, _unit
 from ballschwarz.hilbert_ball import MobiusParams, RealLinearMap, boundary_lambda
 from ballschwarz.verify import (
     DEFAULT_SEED,
@@ -415,7 +415,7 @@ def test_radial_sections_of_a_radius_are_floats_and_of_an_array_are_rows():
         assert isinstance(rows, np.ndarray) and rows.shape == (5,)
         assert [value.hex() for value in rows.tolist()] == [value.hex() for value in singles], case.case_id
         assert case.radial_section(np.float64(0.5)) == case.radial_section(0.5)
-        with pytest.raises(DomainError, match=r"^section radii must be a radius or a 1-D array, got shape \(1, 2\)$"):
+        with pytest.raises(DomainError, match=r"^radii must be a radius or a 1-D array, got shape \(1, 2\)$"):
             case.radial_section(np.array([[0.1, 0.2]]))
 
 
@@ -480,15 +480,15 @@ def test_sandwich_cap_indicator_attains_upper_envelope():
         return np.where(np.asarray(t) <= cap_alpha, 1.0, -1.0)
 
     cap_data = ZonalBoundaryData(n=3, axis=_axis(3), profile=indicator, breakpoints=(cap_alpha,))
-    violation = check_envelope_sandwich(HARM, cap_data, [0.1 * j for j in range(10)])
+    violation = check_envelope_sandwich(HARM, [cap_data], [0.1 * j for j in range(10)])
     assert abs(violation) <= 2e-9
     # and a generic profile stays strictly inside
-    assert check_envelope_sandwich(HARM, data, [0.1 * j for j in range(10)]) <= 2e-9
+    assert check_envelope_sandwich(HARM, [data], [0.1 * j for j in range(10)]) <= 2e-9
 
 
 def test_sandwich_cosine_profile():
     data = ZonalBoundaryData(n=3, axis=_axis(3), profile=np.cos)
-    violation = check_envelope_sandwich(HARM, data, [0.1 * j for j in range(1, 10)])
+    violation = check_envelope_sandwich(HARM, [data], [0.1 * j for j in range(1, 10)])
     assert violation <= 1e-9
 
 
@@ -498,7 +498,7 @@ def test_sandwich_random_profiles_both_kernels():
     for kind in (HARM, HYP):
         for _ in range(10):
             data = random_zonal_profile(rng, 3)
-            assert check_envelope_sandwich(kind, data, grid) <= 1e-8
+            assert check_envelope_sandwich(kind, [data], grid) <= 1e-8
 
 
 @pytest.mark.parametrize("kind, calls", [(HARM, 1), (HYP, 1)])
@@ -509,14 +509,13 @@ def test_sandwich_integrates_each_grid_in_one_call_per_side(kind, calls, engine_
     grid = [0.05 + 0.1 * j for j in range(10)]
     for _ in range(4):
         engine_calls.clear()
-        check_envelope_sandwich(kind, random_zonal_profile(rng, 3), grid)
+        check_envelope_sandwich(kind, [random_zonal_profile(rng, 3)], grid)
         assert len(engine_calls) == calls
 
 
 @pytest.mark.parametrize("kind", [HARM, HYP])
 def test_sandwich_makes_one_envelope_pass(kind, monkeypatch):
-    # M over the grid and m = M(-r) in one envelope_rows call on the profile's cap, and no call of the lower
-    # envelope
+    # M over the grid and m = M(-r) in one envelope_rows call on the profile's cap
     passes = []
     one_pass = verify.envelope_rows
 
@@ -525,17 +524,13 @@ def test_sandwich_makes_one_envelope_pass(kind, monkeypatch):
         passes.append(r.tolist())
         return one_pass(kind, caps, r, config)
 
-    def refuse(*args):
-        raise AssertionError("the sandwich called the lower envelope")
-
     monkeypatch.setattr(verify, "envelope_rows", counted)
-    monkeypatch.setattr(envelope, "envelope_lower", refuse)
     rng = np.random.Generator(np.random.Philox(7))
     grid = [0.05 + 0.1 * j for j in range(10)]
     for _ in range(3):
         data = random_zonal_profile(rng, 3)
         passes.clear()
-        assert check_envelope_sandwich(kind, data, grid) <= 1e-8
+        assert check_envelope_sandwich(kind, [data], grid) <= 1e-8
         assert passes == [grid + [-x for x in grid]]
 
 
@@ -546,8 +541,8 @@ def test_the_sandwich_of_six_profiles_has_the_bits_of_each_profile_alone(kind):
     grid = [0.05 + 0.1 * j for j in range(10)]
     for _ in range(3):
         datas = [random_zonal_profile(rng, 3) for _ in range(6)]
-        alone = max(check_envelope_sandwich(kind, data, grid) for data in datas)
-        assert verify._sandwich_excess(kind, datas, grid, DEFAULT_CONFIG).hex() == alone.hex()
+        alone = max(check_envelope_sandwich(kind, [data], grid) for data in datas)
+        assert check_envelope_sandwich(kind, datas, grid).hex() == alone.hex()
 
 
 def test_a_suite_makes_eight_tail_passes_two_of_them_for_the_sandwich(engine_calls, monkeypatch):
@@ -629,7 +624,7 @@ def _sandwich_per_radius(kind, data, grid):
     worst = -math.inf
     for r in grid:
         h = zonal_extension_on_axis(kind, data, r)
-        worst = max(worst, h - envelope_upper(kind, cap, r), envelope_lower(kind, cap, r) - h)
+        worst = max(worst, h - envelope_upper(kind, cap, r), envelope_upper(kind, cap, -r) - h)
     return worst
 
 
@@ -640,9 +635,9 @@ def test_sandwich_matches_a_per_radius_loop(kind):
     for n in (3, 4, 5):
         for _ in range(6):
             data = random_zonal_profile(rng, n)
-            assert abs(check_envelope_sandwich(kind, data, grid) - _sandwich_per_radius(kind, data, grid)) <= 1e-14
+            assert abs(check_envelope_sandwich(kind, [data], grid) - _sandwich_per_radius(kind, data, grid)) <= 1e-14
     cosine = ZonalBoundaryData(n=3, axis=_axis(3), profile=np.cos)
-    assert abs(check_envelope_sandwich(kind, cosine, grid) - _sandwich_per_radius(kind, cosine, grid)) <= 1e-14
+    assert abs(check_envelope_sandwich(kind, [cosine], grid) - _sandwich_per_radius(kind, cosine, grid)) <= 1e-14
 
 
 def test_V_monotone_makes_no_engine_call(engine_calls):
@@ -894,20 +889,37 @@ _NAN_UNIT = [math.nan, 0.0, 0.0]
 _IDENTITY_MAP = RealLinearMap(B=np.eye(2), C=np.zeros((2, 2)))
 
 
+_NAN_BASE = r"^base value must lie in \(-1, 1\), got nan$"
+
+
 @pytest.mark.parametrize("build, message", [
-    (lambda: ZonalBoundaryData(3, _NAN_UNIT, np.cos), "zonal axis must be a unit vector"),
+    (lambda: _unit(_NAN_UNIT, "v"), r"^v must be a unit vector to 1e-12, got norm nan$"),
+    (lambda: ZonalBoundaryData(3, _NAN_UNIT, np.cos), r"^zonal axis must be a unit vector to 1e-14, got norm nan$"),
     (lambda: zonal_contact_case(3, 2, lambda t: np.where(t <= 1.0, 1.0, -1.0), (1.0,), "x", axis=_NAN_UNIT),
-     "zonal axis must be a unit vector"),
-    (lambda: ContactTestCase(3, np.asarray, _NAN_UNIT, _axis(3), 0.0, "x0"), "contact point x0 must be a unit"),
-    (lambda: ContactTestCase(3, np.asarray, _axis(3), _NAN_UNIT, 0.0, "y0"), "target point y0 must be a unit"),
-    (lambda: check_mobius_precomposition(2, [0.3, 0.0], z0=[math.nan, 0.0]), "contact point z0 must be a unit"),
-    (lambda: boundary_lambda(_IDENTITY_MAP, [math.nan, 0.0], [1.0, 0.0]), "contact direction a must be a unit"),
-    (lambda: boundary_lambda(_IDENTITY_MAP, [1.0, 0.0], [math.nan, 0.0]), "target direction b must be a unit"),
+     r"^zonal axis must be a unit vector to 1e-14, got norm nan$"),
+    (lambda: ContactTestCase(3, np.asarray, _NAN_UNIT, _axis(3), 0.0, "x0"),
+     r"^contact point x0 must be a unit vector to 1e-12, got norm nan$"),
+    (lambda: ContactTestCase(3, np.asarray, _axis(3), _NAN_UNIT, 0.0, "y0"),
+     r"^target point y0 must be a unit vector to 1e-12, got norm nan$"),
+    (lambda: check_mobius_precomposition(2, [0.3, 0.0], z0=[math.nan, 0.0]),
+     r"^contact point z0 must be a unit vector to 1e-12, got norm nan$"),
+    (lambda: boundary_lambda(_IDENTITY_MAP, [math.nan, 0.0], [1.0, 0.0]),
+     r"^contact direction a must be a unit vector to 1e-12, got norm nan$"),
+    (lambda: boundary_lambda(_IDENTITY_MAP, [1.0, 0.0], [math.nan, 0.0]),
+     r"^target direction b must be a unit vector to 1e-12, got norm nan$"),
     (lambda: MobiusParams(np.array([math.nan, 0.0])), r"^Moebius parameter must satisfy \|xi\| < 1$"),
     (lambda: MobiusParams(np.array([[0.5, 0.0], [math.nan, 0.0]])), r"\|xi\| < 1 \(batch row \[1\]\)"),
-], ids=["axis", "contact-axis", "x0", "y0", "z0", "a", "b", "xi", "xi-batch"])
+    (lambda: _base_value(math.nan), _NAN_BASE),
+    (lambda: ContactTestCase(3, np.asarray, _axis(3), _axis(3), math.nan, "a"), _NAN_BASE),
+    (lambda: build_cap_extremal(3, 2, math.nan), _NAN_BASE),
+    (lambda: DiscCapExtremal(math.nan), _NAN_BASE),
+    (lambda: boundary_derivative_harmonic(3, math.nan), _NAN_BASE),
+    (lambda: schwarz_planar_bound(math.nan), _NAN_BASE),
+], ids=["unit", "axis", "contact-axis", "x0", "y0", "z0", "a", "b", "xi", "xi-batch", "base-value", "contact-base",
+        "cap-extremal-base", "disc-base", "D_n-base", "planar-base"])
 def test_nan_fails_every_unit_vector_and_ball_check(build, message):
-    # each check compares as "not within tolerance", which NaN cannot pass
+    # each check compares as "not within tolerance", which NaN cannot pass; the unit vectors and the base
+    # values each take their one rule and its text from errors
     with pytest.raises(DomainError, match=message):
         build()
 
@@ -983,7 +995,6 @@ def test_an_integer_below_the_least_is_a_domain_error(name):
 
 _RADIUS_TAKERS = {
     "envelope_upper": lambda r: envelope_upper(HARM, CapSpec(3, 0.5), r),
-    "envelope_lower": lambda r: envelope_lower(HYP, CapSpec(3, 0.5), r),
     "boundary_difference_quotient": lambda r: boundary_difference_quotient(HARM, CapSpec(3, 0.5), r),
     "zonal_extension_on_axis": lambda r: zonal_extension_on_axis(
         HARM, ZonalBoundaryData(3, _axis(3), lambda t: np.where(t <= 1.0, 1.0, -1.0), (1.0,)), r),

@@ -34,7 +34,7 @@ from .poisson import (
     zonal_extension_on_axis,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_rows
-from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
+from .specfn import gauss_2f1_neg1, sigma_star
 from .verify import (
     DEFAULT_SEED,
     ContactTestCase,

@@ -139,9 +139,7 @@ def _cmd_constants(args: argparse.Namespace, quad: QuadratureConfig) -> int:
                 "n": n,
                 "a": a,
                 "D_cap_quadrature": boundary_derivative_harmonic(n, a),
-                "C_hypergeometric": (
-                    heinz_schwarz_constant(n, oracle=args.oracle) if a == 0.0 else None
-                ),
+                "C_hypergeometric": heinz_schwarz_constant(n) if a == 0.0 else None,
                 "s_minus_closed_form": schwarz_planar_bound(a) if n == 2 else None,
             }
             rows.append(row)
@@ -281,7 +279,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, seed: bool = False, oracle: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None, metavar="PATH")
         if seed:
@@ -289,17 +287,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                            help=f"non-negative random seed (default {DEFAULT_SEED})")
         p.add_argument("--tol-abs", type=float, default=DEFAULT_CONFIG.abs_tol)
         p.add_argument("--tol-rel", type=float, default=DEFAULT_CONFIG.rel_tol)
-        if oracle:
-            p.add_argument("--oracle", action="store_true",
-                           help="take C from the alternating 2F1 series (constants); add M from "
-                                "the direct cap-arc quadrature and its difference (envelope)")
 
     const_help = "sharp constant table over (n, a) grids (closed forms: --tol-abs/--tol-rel do not affect it)"
     p_const = sub.add_parser("constants", help=const_help, description=const_help)
     p_const.add_argument("--n", type=_ints, default="2,3,4,5", metavar="LIST")
     p_const.add_argument("--a-grid", type=_floats, default="0", metavar="LIST")
     p_const.set_defaults(run=_cmd_constants)
-    add_common(p_const, oracle=True)
+    add_common(p_const)
 
     p_env = sub.add_parser("envelope", help="envelope curves M and m")
     p_env.add_argument("--n", type=_ints, default="3", metavar="LIST")
@@ -307,7 +301,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_env.add_argument("--r-grid", type=_floats, default="0,0.2,0.4,0.6,0.8", metavar="LIST")
     p_env.add_argument("--kind", choices=["harmonic", "hyperbolic"], default="harmonic")
     p_env.set_defaults(run=_cmd_envelope)
-    add_common(p_env, oracle=True)
+    add_common(p_env)
+    p_env.add_argument("--oracle", action="store_true",
+                       help="add M_oracle, M from the direct cap-arc quadrature, and its difference from M_upper")
 
     p_verify = sub.add_parser("verify", help="run the default inequality suite")
     p_verify.add_argument("--m", type=int, default=2,

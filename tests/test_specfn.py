@@ -7,7 +7,6 @@ import pytest
 from ballschwarz import (
     DomainError,
     gauss_2f1_neg1,
-    gauss_2f1_neg1_series,
     sigma_star,
 )
 
@@ -38,12 +37,12 @@ def test_2f1_cesaro_oracle_confirms_arctan_instance():
     assert abs(cesaro - gauss_2f1_neg1(0.5, 1.0, 1.5)) < 1e-6
 
 
-def test_2f1_series_path_agrees_with_transformed_path():
-    for m in (2, 3, 4, 5):
-        c = 0.5 * (3 + m)
-        fast = gauss_2f1_neg1(0.5, 1.0, c)
-        slow = gauss_2f1_neg1_series(0.5, 1.0, c)
-        assert abs(fast - slow) < 1e-12
+def test_2f1_of_every_heinz_schwarz_instance_matches_mpmath():
+    # 2F1[1/2, 1; (3+m)/2; -1], the hypergeometric part of C_m; measured max 2.9e-15 relative
+    with mpmath.workdps(40):
+        for m in range(2, 200):
+            reference = float(mpmath.hyp2f1(0.5, 1, mpmath.mpf(3 + m) / 2, -1))
+            assert gauss_2f1_neg1(0.5, 1.0, 0.5 * (3 + m)) == pytest.approx(reference, rel=5e-15, abs=0.0), m
 
 
 def _euler_integral_2f1_neg1(a, b, c, nsub=100_000):
@@ -84,9 +83,9 @@ def test_2f1_of_a_non_finite_c_is_a_domain_error(c):
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("slot", range(3), ids=["a", "b", "c"])
-@pytest.mark.parametrize("evaluate", [gauss_2f1_neg1, gauss_2f1_neg1_series], ids=["transformed", "series"])
+@pytest.mark.parametrize("evaluate", [gauss_2f1_neg1], ids=["transformed"])
 def test_2f1_of_any_non_finite_parameter_is_a_domain_error(evaluate, slot, value):
-    # c = inf used to sum 100000 NaN terms and raise AccuracyError, while the series returned 1.0
+    # c = inf used to sum 100000 NaN terms and raise AccuracyError
     abc = [0.5, 1.0, 2.5]
     abc[slot] = value
     with pytest.raises(DomainError, match="^2F1 (parameters must be finite|at argument -1 needs c - a - b > -1)"):

@@ -915,11 +915,20 @@ _NAN_BASE = r"^base value must lie in \(-1, 1\), got nan$"
     (lambda: DiscCapExtremal(math.nan), _NAN_BASE),
     (lambda: boundary_derivative_harmonic(3, math.nan), _NAN_BASE),
     (lambda: schwarz_planar_bound(math.nan), _NAN_BASE),
+    (lambda: envelope_upper(HARM, CapSpec(3, 0.5), "0.5"), r"^radius must be a number, got '0\.5'$"),
+    (lambda: envelope_upper(HARM, CapSpec(3, 0.5), b"0.5"), r"^radius must be a number, got b'0\.5'$"),
+    (lambda: envelope_upper(HARM, CapSpec(3, 0.5), np.str_("0.5")), r"^radius must be a number, got '0\.5'$"),
+    (lambda: envelope_upper(HARM, CapSpec(3, 0.5), np.array(["0.5", "0.2"])),
+     r"^radius must be a number, got np\.str_\('0\.5'\)$"),
+    (lambda: _RADIUS_TAKERS["zonal_extension_on_axis"]([0.2, "0.5"]), r"^radius must be a number, got '0\.5'$"),
+    (lambda: check_envelope_sandwich(HARM, [], [0.5]), r"^envelope sandwich needs at least one profile, got none$"),
 ], ids=["unit", "axis", "contact-axis", "x0", "y0", "z0", "a", "b", "xi", "xi-batch", "base-value", "contact-base",
-        "cap-extremal-base", "disc-base", "D_n-base", "planar-base"])
+        "cap-extremal-base", "disc-base", "D_n-base", "planar-base", "text-radius", "bytes-radius",
+        "numpy-text-radius", "text-radii", "text-among-radii", "no-sandwich-profile"])
 def test_nan_fails_every_unit_vector_and_ball_check(build, message):
     # each check compares as "not within tolerance", which NaN cannot pass; the unit vectors and the base
-    # values each take their one rule and its text from errors
+    # values each take their one rule and its text from errors.  The shared radius rule also refuses text,
+    # which float() would parse, naming the caller's value, and the sandwich a call with no profile
     with pytest.raises(DomainError, match=message):
         build()
 
@@ -1161,7 +1170,7 @@ def _plane_wave_bessel_coefficients(n, f, degrees):
     return signs * special.gamma(lam) * (0.5 * f) ** -lam * (degrees + lam) * special.jv(degrees + lam, f) * at_one
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 32])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 32, 48, 64])
 def test_plane_wave_coefficients_match_bessel_functions(n):
     freqs = np.array([0.5, 1.3, 2.9, 3.99])
     directions = uniform_sphere_samples(np.random.Generator(np.random.Philox(n)), freqs.size, n)
@@ -1238,9 +1247,9 @@ def test_a_short_sum_refusal_names_the_first_map_that_misses(monkeypatch):
 
 
 def test_hemisphere_majorant_boundary_check_catches_a_wrong_series(monkeypatch):
-    # Too few quadrature nodes for the coefficients: the tail bound cannot
+    # Too few quadrature panels for the coefficients: the tail bound cannot
     # see it, the comparison with the map on the sphere does.
-    monkeypatch.setattr(verify, "_PLANE_WAVE_NODES", 16)
+    monkeypatch.setattr(verify, "_PLANE_WAVE_PANELS", 1)
     verify._plane_wave_rule.cache_clear()
     try:
         report = check_hemisphere_majorant(3, 2, trials=2, seed=5)

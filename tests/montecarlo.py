@@ -1,8 +1,9 @@
 """Monte-Carlo Poisson extension of arbitrary boundary maps: the tests' referee.
 
 The package evaluates every extension it ships exactly (zonal data on its
-axis, Gegenbauer series off it, plane-wave series for the majorant row).
-This estimate shares no formula with them, so the tests hold those values
+axis, Gegenbauer series off it), and the majorant row's maps, holomorphic
+in null linear forms, are harmonic and so their own extensions.  This
+estimate shares no formula with them, so the tests hold those values
 against it where Monte Carlo behaves: small n, points away from the
 sphere, where the kernel's variance stays small.
 """

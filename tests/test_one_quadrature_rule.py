@@ -62,7 +62,7 @@ def test_the_engine_rule_is_written_out_once_and_the_fixed_rules_take_it():
     modules = _modules()
     # quadrature writes out the K21 nodes and weights and the G10 weights, which the guard above would see
     assert len(set(_float_tables(modules["quadrature"]))) == 2
-    # the image rule of the harmonic tails and the plane-wave coefficients are the package's fixed rules
+    # the image rule of the harmonic tails is the package's one fixed rule
     takers = {module for module, tree in modules.items() if module not in ("quadrature", "__init__")
               for name, _ in _names(tree) if name == "kronrod_rule"}
-    assert takers == {"envelope", "verify"}
+    assert takers == {"envelope"}

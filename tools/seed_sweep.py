@@ -5,9 +5,9 @@
 For each codomain dimension ``m`` and each seed in ``START:STOP`` this runs
 ``default_verification_suite(seed, target_dim=m)`` from the ``ballschwarz``
 on the import path (point ``PYTHONPATH`` at another tree's ``src`` to sweep
-that tree).  The suite keeps its 17 seed-free rows per ``(tolerances,
-m)``, so each ``m`` computes them once and every later seed makes only its
-5 seeded rows.  A row's family is its ``case`` text up to the first space.  Per
+that tree).  The suite keeps its 17 seed-free rows per tolerances, which
+no ``m`` changes, so the sweep computes them once and every later seed
+and ``m`` makes only its 5 seeded rows.  A row's family is its ``case`` text up to the first space.  Per
 ``m`` and family it prints one line: the rows that failed out of the rows
 run, and the min, 50%, 90%, 99% quantiles and max of ``lambda``.  Exit status
 1 when any row fails, 0 otherwise.

@@ -250,18 +250,18 @@ def _cmd_mobius(args: argparse.Namespace, quad: QuadratureConfig) -> int:
     Every operator is applied in rank-one form, so each k is one
     ``mobius_identity_residuals`` pass over the rows of ``_mobius_draws``: the
     ``origin`` rows read row 0 (xi = 0), the ``random_max`` rows take the
-    maximum over rows 1 to ``_MOBIUS_BATCH``.
+    maximum over rows 1 to ``_MOBIUS_BATCH``; each case has one row per
+    identity, in the order of the residuals the pass returns.
     """
     rows = []
-    identities = ["involution", "sphere_preservation", "A_squared", "derivative_adjoint"]
     for k in sorted(args.n):
         _integer(k, "complex dimension", 1)
         xis, zs = _mobius_draws(args.seed, k)
         residuals = mobius_identity_residuals(MobiusParams(xis), zs)
-        for name in identities:
-            rows.append({"k": k, "case": "origin", "identity": name, "residual": residuals[name][0], "draws": 1})
-        for name in identities:
-            worst = float(np.max(residuals[name][1:]))
+        for name, values in residuals.items():
+            rows.append({"k": k, "case": "origin", "identity": name, "residual": values[0], "draws": 1})
+        for name, values in residuals.items():
+            worst = float(np.max(values[1:]))
             rows.append({"k": k, "case": "random_max", "identity": name, "residual": worst, "draws": _MOBIUS_BATCH})
     _emit(rows, ["k", "case", "identity", "residual", "draws"], args)
     return 0

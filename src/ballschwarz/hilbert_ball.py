@@ -29,9 +29,9 @@ C^n, 2.2.1), so neither A nor the derivative of phi_xi needs a matrix:
 each O(k).  The adjoint identity Dphi_xi(z0)^H phi_xi(z0) = mu z0 with
 mu = (1 - |xi|^2) / |1 - <z0, xi>|^2 is what transfers sharp boundary
 constants through precomposition by phi_xi.  ``mobius_identity_residuals``
-measures it, the involution, sphere preservation and A^2 in one pass
-that shares its intermediates, with the bits of the functions above
-applied one identity at a time.
+measures it, the involution, sphere preservation and A^2 by composing
+the functions above: they are the module's one Moebius algebra, and
+``inner`` its one complex inner product.
 
 ``inner``, ``mobius_A``, ``mobius_map``, ``mobius_derivative_adjoint``,
 ``mobius_identity_residuals`` and ``hermitian_adjoint`` broadcast over
@@ -100,17 +100,6 @@ class MobiusParams:
         return self.xi.shape[-1]
 
 
-def _dot(u: np.ndarray, conj_v: np.ndarray) -> np.ndarray:
-    """<u, v> over the last axis, kept as an axis of length 1, given conj(v)."""
-    return (u * conj_v).sum(axis=-1, keepdims=True)
-
-
-def _apply_a(p: MobiusParams, u: np.ndarray, u_xi: np.ndarray) -> np.ndarray:
-    """A u = s u + xi <u, xi> / (1 + s), given <u, xi> from ``_dot``."""
-    s = p.s[..., None]
-    return s * u + p.xi * (u_xi / (1.0 + s))
-
-
 def _checked(denom: np.ndarray) -> np.ndarray:
     """The Moebius denominator 1 - <z, xi>, refused where it is degenerate in any row."""
     if np.any(np.abs(denom) < _DEGENERATE_TOL):
@@ -121,21 +110,22 @@ def _checked(denom: np.ndarray) -> np.ndarray:
 def mobius_A(p: MobiusParams, v: np.ndarray) -> np.ndarray:
     """A v = s v + xi <v, xi> / (1 + s), the hermitian factor of phi_xi applied to v."""
     v = np.asarray(v, dtype=complex)
-    return _apply_a(p, v, _dot(v, np.conj(p.xi)))
+    s = p.s[..., None]
+    return s * v + p.xi * (inner(v, p.xi)[..., None] / (1.0 + s))
 
 
 def mobius_map(p: MobiusParams, z: np.ndarray) -> np.ndarray:
     """phi_xi(z) = A v, v = (xi - z) / (1 - <z, xi>)."""
     z = np.asarray(z, dtype=complex)
-    return mobius_A(p, (p.xi - z) / _checked(1.0 - _dot(z, np.conj(p.xi))))
+    return mobius_A(p, (p.xi - z) / _checked(1.0 - inner(z, p.xi)[..., None]))
 
 
 def mobius_derivative_adjoint(p: MobiusParams, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Dphi_xi(z)^H w = -(A w)/conj(d) + xi <A w, xi - z>/conj(d)^2, d = 1 - <z, xi>."""
     z = np.asarray(z, dtype=complex)
-    d = np.conj(_checked(1.0 - _dot(z, np.conj(p.xi))))
+    d = np.conj(_checked(1.0 - inner(z, p.xi)[..., None]))
     aw = mobius_A(p, w)
-    return -aw / d + p.xi * (_dot(aw, np.conj(p.xi - z)) / d**2)
+    return -aw / d + p.xi * (inner(aw, p.xi - z)[..., None] / d**2)
 
 
 def hermitian_adjoint(matrix: np.ndarray) -> np.ndarray:
@@ -179,36 +169,23 @@ def mobius_identity_residuals(p: MobiusParams, z: np.ndarray) -> dict[str, np.nd
         A_squared             |A A z - (s^2 z + xi <z, xi>)|
         derivative_adjoint    |Dphi_xi(z)^H phi_xi(z) - mu z|,  mu = (1 - |xi|^2) / |1 - <z, xi>|^2
 
-    One pass that forms conj(xi), <z, xi>, d = 1 - <z, xi>, phi_xi(z) and
-    A phi_xi(z) once each, with the bits of ``mobius_map``, ``mobius_A``
-    and ``mobius_derivative_adjoint`` applied one identity at a time.
+    Each is the public maps composed: ``mobius_map`` twice (phi_xi(z), then
+    its image), ``mobius_A`` twice and ``mobius_derivative_adjoint`` once.
     The last identity is exact only for unit z (and for xi = 0): its
     algebra replaces <z, xi - z> by <z, xi> - 1, so at interior z with
     xi != 0 its residual is genuinely of order |xi| (1 - |z|^2).  Raises
-    :class:`DomainError` where d, or the denominator 1 - <phi_xi(z), xi>
+    :class:`DomainError` where 1 - <z, xi>, or the denominator 1 - <phi_xi(z), xi>
     of the involution's second map, is degenerate in any row.
     """
     z = np.asarray(z, dtype=complex)
-    xi, conj_xi = p.xi, np.conj(p.xi)
-    z_xi = _dot(z, conj_xi)
-    d = _checked(1.0 - z_xi)
-    xi_z = xi - z
-    v = xi_z / d
-    image = _apply_a(p, v, _dot(v, conj_xi))
-    image_xi = _dot(image, conj_xi)
-    back = (xi - image) / _checked(1.0 - image_xi)
-    back = _apply_a(p, back, _dot(back, conj_xi))
-    az = _apply_a(p, z, z_xi)
-    aaz = _apply_a(p, az, _dot(az, conj_xi))
-    a_image = _apply_a(p, image, image_xi)
-    conj_d = np.conj(d)
-    pulled = -a_image / conj_d + xi * (_dot(a_image, np.conj(xi_z)) / conj_d**2)
-    mu = p.gap[..., None] / np.abs(d) ** 2
+    image = mobius_map(p, z)
+    z_xi = inner(z, p.xi)[..., None]
+    mu = p.gap[..., None] / np.abs(1.0 - z_xi) ** 2
     return {
-        "involution": np.linalg.norm(back - z, axis=-1),
+        "involution": np.linalg.norm(mobius_map(p, image) - z, axis=-1),
         "sphere_preservation": np.abs(np.linalg.norm(image, axis=-1) - 1.0),
-        "A_squared": np.linalg.norm(aaz - (p.s[..., None] ** 2 * z + xi * z_xi), axis=-1),
-        "derivative_adjoint": np.linalg.norm(pulled - mu * z, axis=-1),
+        "A_squared": np.linalg.norm(mobius_A(p, mobius_A(p, z)) - (p.s[..., None] ** 2 * z + p.xi * z_xi), axis=-1),
+        "derivative_adjoint": np.linalg.norm(mobius_derivative_adjoint(p, z, image) - mu * z, axis=-1),
     }
 
 

@@ -404,7 +404,6 @@ def check_planar_bound(b_values: Sequence[float]) -> list[MarginReport]:
 
 
 def check_mobius_precomposition(
-    k: int,
     xi: np.ndarray,
     a: float = 0.0,
     z0: np.ndarray | None = None,
@@ -414,7 +413,8 @@ def check_mobius_precomposition(
     Builds the pluriharmonic g(z) = u(<z, p>) w0 from a disc cap
     extremal u with u(0) = a, precomposes with the ball automorphism
     phi_xi (for a = 0 the composition vanishes at xi), and verifies at
-    the contact point z0:
+    the contact point z0 (by default e_1, as is w0; the dimension k is
+    that of xi, one vector):
 
     * the measured radial derivative of the composition equals
       lambda mu with mu = (1-|xi|^2)/|1-<z0, xi>|^2 and
@@ -424,12 +424,14 @@ def check_mobius_precomposition(
       below 1e-8.
     """
     params = MobiusParams(np.asarray(xi, dtype=complex))
-    if params.k != k:
-        raise DomainError(f"xi must have dimension {k}")
-    if z0 is None:
-        z0 = np.zeros(k, dtype=complex)
-        z0[0] = 1.0
-    z0 = _unit(np.asarray(z0, dtype=complex), "contact point z0")
+    if params.xi.ndim != 1:
+        raise DomainError(f"xi must be one complex vector, got shape {params.xi.shape}")
+    k = params.k
+    w0 = np.eye(1, k, dtype=complex)[0]
+    z0 = np.asarray(w0 if z0 is None else z0, dtype=complex)
+    if z0.shape != (k,):
+        raise DomainError(f"contact point z0 must have the shape of xi, ({k},), got {z0.shape}")
+    z0 = _unit(z0, "contact point z0")
 
     p = mobius_map(params, z0)
     # not params.gap: a 1-D norm without ``axis`` sums in another order than its ``axis=-1`` norm
@@ -437,14 +439,10 @@ def check_mobius_precomposition(
     extremal = DiscCapExtremal(a)
     bound = schwarz_planar_bound(a)
 
-    w0 = np.zeros(k, dtype=complex)
-    w0[0] = 1.0
+    def section(radii: np.ndarray) -> list[float]:
+        return [extremal(complex(zeta)) for zeta in inner(mobius_map(params, radii[:, None] * z0), p)]
 
-    def section(r: float) -> float:
-        zeta = inner(mobius_map(params, r * z0), p)
-        return extremal(complex(zeta))
-
-    lam_full_measured = radial_derivative_estimate(lambda radii: [section(r) for r in radii.tolist()], base_step=1e-4)
+    lam_full_measured = radial_derivative_estimate(section, base_step=1e-4)
 
     # Analytic derivative of the composition at z0: the disc extremal has
     # boundary gradient (bound, 0) at its contact point, so
@@ -694,7 +692,7 @@ def default_verification_suite(
         xi = (0.3 + 0.4 * xi_rng.uniform()) * (
             direction + 1j * uniform_sphere_samples(xi_rng, 1, 2)[0]
         ) / math.sqrt(2.0)
-        reports.append(check_mobius_precomposition(2, xi))
+        reports.append(check_mobius_precomposition(xi))
 
     sandwich_rng = np.random.Generator(np.random.Philox(seeds[1]))
     grid = [0.05 + 0.1 * j for j in range(10)]

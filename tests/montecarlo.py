@@ -5,7 +5,10 @@ axis, Gegenbauer series off it), and the majorant row's maps, holomorphic
 in null linear forms, are harmonic and so their own extensions.  This
 estimate shares no formula with them, so the tests hold those values
 against it where Monte Carlo behaves: small n, points away from the
-sphere, where the kernel's variance stays small.
+sphere, where the kernel's variance stays small.  The majorant maps meet
+it at one pinned point; at the suite's points ``test_verify`` holds them
+to 1e-12 against a deterministic product rule for the Poisson integral
+on S^2 instead, which is faster and exact to rounding.
 """
 
 from __future__ import annotations

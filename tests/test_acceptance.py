@@ -194,7 +194,7 @@ def test_criterion_09_mobius_precomposition():
         for _ in range(100):
             direction = _random_complex(rng, k)
             xi = direction / np.linalg.norm(direction) * 0.75 * rng.uniform() ** 0.5
-            report = check_mobius_precomposition(k, xi)
+            report = check_mobius_precomposition(xi)
             ok &= report.details["alignment_residual"] < 1e-8
             ok &= report.lam >= TWO_OVER_PI - 1e-6
     _finish("criterion 9: precomposition sharpness over random centers", bool(ok), started, 60.0)

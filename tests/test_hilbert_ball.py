@@ -10,6 +10,7 @@ from ballschwarz import (
     RealLinearMap,
     boundary_lambda,
     hermitian_adjoint,
+    hilbert_ball,
     inner,
     mobius_A,
     mobius_derivative_adjoint,
@@ -51,21 +52,8 @@ def _derivative_adjoint_matrix(p, z):
 
 
 def _dphi_adjoint_residual(p, z0):
-    """|Dphi_xi(z0)^H phi_xi(z0) - mu z0|, mu = (1-|xi|^2)/|1-<z0,xi>|^2, from the fused pass."""
+    """|Dphi_xi(z0)^H phi_xi(z0) - mu z0|, mu = (1-|xi|^2)/|1-<z0,xi>|^2, from the residual pass."""
     return mobius_identity_residuals(p, z0)["derivative_adjoint"]
-
-
-def _unfused_residuals(p, z):
-    """The four identity residuals through the public functions, one identity at a time."""
-    image = mobius_map(p, z)
-    mu = (1.0 - np.linalg.norm(p.xi, axis=-1) ** 2) / np.abs(1.0 - inner(z, p.xi)) ** 2
-    a_squared_target = p.s[..., None] ** 2 * z + p.xi * inner(z, p.xi)[..., None]
-    return {
-        "involution": np.linalg.norm(mobius_map(p, image) - z, axis=-1),
-        "sphere_preservation": np.abs(np.linalg.norm(image, axis=-1) - 1.0),
-        "A_squared": np.linalg.norm(mobius_A(p, mobius_A(p, z)) - a_squared_target, axis=-1),
-        "derivative_adjoint": np.linalg.norm(mobius_derivative_adjoint(p, z, image) - mu[..., None] * z, axis=-1),
-    }
 
 
 def test_mobius_s_is_computed_once_from_xi(monkeypatch):
@@ -102,6 +90,28 @@ def test_residual_pass_takes_one_norm_per_residual(monkeypatch):
     mobius_identity_residuals(p, z)
     # mu reads p.gap: the norm of xi taken by MobiusParams is not taken again
     assert calls == [-1] * 4
+
+
+def test_residual_pass_composes_the_public_maps(monkeypatch):
+    """The residuals are the public maps composed, so no second copy of the Moebius algebra can hide in the pass."""
+    rng = _rng(6)
+    xi, z = _batch(rng, 5, 3)
+    p = MobiusParams(xi)
+    calls = []
+
+    def spy(function):
+        def counted(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return counted
+
+    for function in (mobius_map, mobius_A, mobius_derivative_adjoint):
+        monkeypatch.setattr(hilbert_ball, function.__name__, spy(function))
+    mobius_identity_residuals(p, z)
+    assert calls.count("mobius_map") == 2
+    assert calls.count("mobius_derivative_adjoint") == 1
+    # two for A^2, then the one inside each map and inside the derivative adjoint
+    assert calls.count("mobius_A") == 5
 
 
 def test_mobius_A_identity_at_origin():
@@ -489,25 +499,6 @@ def test_rank_one_derivative_adjoint_matches_the_matrix_form(k):
         assert np.linalg.norm(mobius_derivative_adjoint(p, z, w) - expected) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 32])
-@pytest.mark.parametrize("interior", [False, True])
-def test_fused_residuals_have_the_bits_of_the_unfused_chain(k, interior):
-    rng = _rng(61 + k)
-    xi, z = _batch(rng, 9, k)
-    xi[0] = 0.0  # the origin row of the mobius table
-    if interior:
-        z *= rng.uniform(size=(9, 1))
-    p = MobiusParams(xi)
-    fused, unfused = mobius_identity_residuals(p, z), _unfused_residuals(p, z)
-    assert list(fused) == list(unfused)
-    for name in fused:
-        assert fused[name].tobytes() == unfused[name].tobytes(), name
-    for row in range(0, 9, 4):  # and unbatched
-        alone = mobius_identity_residuals(MobiusParams(xi[row]), z[row])
-        assert {name: value.tobytes() for name, value in alone.items()} == {
-            name: value.tobytes() for name, value in _unfused_residuals(MobiusParams(xi[row]), z[row]).items()}
-
-
 def _raised(call, *args):
     with pytest.raises(DomainError) as caught:
         call(*args)
@@ -515,7 +506,7 @@ def _raised(call, *args):
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_fused_residuals_refuse_where_the_unfused_chain_refuses(k):
+def test_residuals_refuse_where_the_maps_refuse(k):
     """Both denominators are checked: that of z, and that of phi_xi(z) in the involution's second map."""
     rng = _rng(70 + k)
     xi, z = _batch(rng, 4, k)

@@ -15,8 +15,9 @@ constants are right.
 
 The hemisphere-majorant row draws random maps that are holomorphic in
 null linear forms <x, u + i v>, so harmonic on all of R^n and their own
-extensions, and evaluates them directly; the tests hold them against
-Monte Carlo, which the package does not ship.
+extensions, and evaluates them directly; the tests hold them, at the
+suite's points, against a deterministic Poisson integral on S^2 of
+their own (Gauss-Legendre in cos theta times a trapezoid rule in phi).
 """
 
 from __future__ import annotations
@@ -134,10 +135,10 @@ class ContactTestCase:
 
     ``f`` evaluates the map at interior points, ``x0`` is the boundary
     contact point with target value ``y0``, and ``a = <f(0), y0>``
-    parametrizes which envelope squeezes the section <f, y0>.
+    parametrizes which envelope squeezes the section <f, y0>.  The
+    dimension n of the ball is that of ``x0``, which must be one vector.
     """
 
-    n: int
     f: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     y0: np.ndarray
@@ -145,6 +146,8 @@ class ContactTestCase:
     case_id: str
 
     def __post_init__(self):
+        if np.ndim(self.x0) != 1:
+            raise DomainError(f"contact point x0 must be one vector, got shape {np.shape(self.x0)}")
         object.__setattr__(self, "x0", _unit(np.asarray(self.x0, dtype=float), "contact point x0"))
         object.__setattr__(self, "y0", _unit(np.asarray(self.y0, dtype=float), "target point y0"))
         _base_value(self.a)
@@ -155,29 +158,11 @@ class ContactTestCase:
         ``r`` is a radius, which gives a float, or a 1-D array of radii, which
         gives the array of sections: ``radial_derivative_estimate`` hands over
         its whole ladder of radii at once.  Each radius must satisfy |r| < 1,
-        the rule of the envelopes and of ``zonal_extension_on_axis``.  A
-        general case calls ``f`` radius by radius; a zonal case
-        (``zonal_contact_case``) takes the whole array in one on-axis
-        quadrature, each radius with the bits of its ``f``.
+        the rule of the envelopes and of ``zonal_extension_on_axis``.  ``f``
+        is called once per radius, so the section of a zonal case
+        (``zonal_contact_case``) is one on-axis quadrature per radius.
         """
-        return _shaped(self._sections(_radii(r)), r)
-
-    def _sections(self, radii: list[float]) -> list[float]:
-        return [float(np.dot(self.f(t * self.x0), self.y0)) for t in radii]
-
-
-@dataclass(frozen=True)
-class _ZonalContactCase(ContactTestCase):
-    """A contact case of zonal data whose contact point ``x0`` is the data's axis."""
-
-    data: ZonalBoundaryData = field(repr=False)
-    config: QuadratureConfig = field(repr=False)
-
-    def _sections(self, radii: list[float]) -> np.ndarray:
-        # every t x0 lies on the axis, where f is the extension at the signed radius of t x0 times
-        # y0 = e_1: its section is that value, and the ladder's radii are rows of one quadrature
-        along = [math.copysign(*_polar(self.data, t * self.x0)) for t in radii]
-        return zonal_extension_on_axis(KernelKind.HARMONIC, self.data, np.array(along), self.config)
+        return _shaped([float(np.dot(self.f(t * self.x0), self.y0)) for t in _radii(r)], r)
 
 
 def _polar(data: ZonalBoundaryData, x: np.ndarray) -> tuple[float, float]:
@@ -289,8 +274,9 @@ def zonal_contact_case(
     smoothly) to the contact point ``axis`` with value 1, which is the
     differentiability hypothesis the boundary-derivative checks need.
     The map takes its values along y0 = e_1 of R^m.  The contact point
-    lies on the axis, so the radial section over a ladder of radii is one
-    ``zonal_extension_on_axis`` call, each radius a row of one quadrature.
+    lies on the axis, where ``_zonal_value`` is the on-axis extension at
+    the signed radius, so each radius of the radial section is one
+    ``zonal_extension_on_axis`` quadrature.
     """
     n, m = _integer(n), _integer(m, "target dimension", 1)
     axis = np.asarray(np.eye(1, n)[0] if axis is None else axis, dtype=float)
@@ -301,7 +287,7 @@ def zonal_contact_case(
     def f(x: np.ndarray) -> np.ndarray:
         return _zonal_value(data, x, config) * y0
 
-    return _ZonalContactCase(n=n, f=f, x0=axis, y0=y0, a=a, case_id=case_id, data=data, config=config)
+    return ContactTestCase(f=f, x0=axis, y0=y0, a=a, case_id=case_id)
 
 
 def build_cap_extremal(
@@ -336,9 +322,9 @@ def build_cap_extremal(
 
 
 def check_boundary_bound(case: ContactTestCase) -> MarginReport:
-    """Measured radial boundary derivative against the sharp bound D_n(a)."""
+    """Measured radial boundary derivative against the sharp bound D_n(a), n the dimension of x0."""
     lam = radial_derivative_estimate(case.radial_section, base_step=1e-3)
-    bound = boundary_derivative_harmonic(case.n, case.a)
+    bound = boundary_derivative_harmonic(len(case.x0), case.a)
     return MarginReport(case.case_id, lam, bound, _DERIVATIVE_TOL, ">=")
 
 
@@ -350,19 +336,22 @@ def check_envelope_sandwich(
 ) -> float:
     """Largest signed violation of m_c^n <= h <= M_c^n along the axis, over profiles of one dimension.
 
-    The profiles, at least one, share one dimension n, and each one's base value
-    a = h(0), refused outside (-1, 1), fixes its c = (1+a)/2; a return
-    value at or below quadrature tolerance means the sandwich holds on
-    the grid for every profile.  Profile by profile, h at 0 and at the
-    grid radii is one quadrature, the side independent of the
-    envelopes.  Then one ``envelope_rows`` pass over the grid and its
-    negation, m(r) = M(-r), gives M and m of every cap, each with the
-    bits of its cap alone: the image rule (harmonic) or closed forms
-    (hyperbolic).  So the largest excess of several profiles has the bits
-    of the largest one-profile check.
+    The profiles, at least one, share one dimension n, the grid holds at
+    least one radius, and each profile's base value a = h(0), refused
+    outside (-1, 1), fixes its c = (1+a)/2; a return value at or below
+    quadrature tolerance means the sandwich holds on the grid for every
+    profile.  Profile by profile, h at 0 and at the grid radii is one
+    quadrature, the side independent of the envelopes.  Then one
+    ``envelope_rows`` pass over the grid and its negation, m(r) = M(-r),
+    gives M and m of every cap, each with the bits of its cap alone: the
+    image rule (harmonic) or closed forms (hyperbolic).  So the largest
+    excess of several profiles has the bits of the largest one-profile
+    check.
     """
     if not datas:
         raise DomainError("envelope sandwich needs at least one profile, got none")
+    if len(grid) == 0:
+        raise DomainError("envelope sandwich needs at least one radius, got none")
     radii = np.concatenate(([0.0], np.asarray(grid, dtype=float)))
     sections, caps = [], []
     for data in datas:
@@ -371,7 +360,7 @@ def check_envelope_sandwich(
         caps.append(CapSpec(data.n, 0.5 * (1.0 + _base_value(float(h[0])))))
     both = envelope_rows(kind, caps, np.concatenate((radii[1:], -radii[1:])), config)
     h = np.array(sections)
-    return float(np.max(np.maximum(h - both[:, :len(grid)], both[:, len(grid):] - h), initial=-math.inf))
+    return float(np.max(np.maximum(h - both[:, :len(grid)], both[:, len(grid):] - h)))
 
 
 def check_planar_bound(b_values: Sequence[float]) -> list[MarginReport]:
@@ -676,7 +665,7 @@ def default_verification_suite(
     every seed and every ``target_dim``, so ``_seed_free_rows`` computes
     them once per process for each ``config``, the only argument they
     read, and a warm suite makes only the seeded work: 12 ``integrate_rows`` calls
-    and 3 envelope tail passes, against 20 and 8 cold, and a stats
+    and 3 envelope tail passes, against 28 and 8 cold, and a stats
     collector, once the library has one, will count only that seeded work
     on a warm suite.  Every row returned is a fresh report with its own
     ``checks`` and ``details``.
@@ -714,9 +703,9 @@ def _seed_free_rows(config: QuadratureConfig) -> tuple[tuple[MarginReport, ...],
 
     The head holds the 5 planar extremals, the 4 cap extremals and the
     identity map; the tail the 4 Hopf-scan rows and the 3 V-monotone rows.
-    A cap extremal's section is its on-axis extension, which never reads
-    the target point y0, so its rows are the same for every codomain
-    dimension and are built at m = 2.
+    A cap extremal's map is its zonal value times y0 = e_1, so its section
+    <f, y0> is that value for every codomain dimension, and its rows are
+    built at m = 2.
     The suite puts its seeded rows between them and copies every report on
     the way out, so no caller reaches the ones kept here.
     """
@@ -724,7 +713,6 @@ def _seed_free_rows(config: QuadratureConfig) -> tuple[tuple[MarginReport, ...],
     for n, a in [(2, 0.0), (3, 0.0), (3, 0.5), (4, -0.5)]:
         head.append(check_boundary_bound(build_cap_extremal(n, 2, a, config=config)))
     identity_case = ContactTestCase(
-        n=3,
         f=lambda x: np.asarray(x, dtype=float),
         x0=np.array([1.0, 0.0, 0.0]),
         y0=np.array([1.0, 0.0, 0.0]),

@@ -159,13 +159,13 @@ def test_engine_calls_are_counted_at_every_module_that_binds_the_engine(monkeypa
                                             [0.0, 0.5])
             assert count == [2]
         assert all(sys.modules[module].integrate_rows is engine for module in binders)
-        # a cold verify suite: the 4 cap extremals' base values and ladders, and the 12 sandwich profiles; its
-        # tail passes: the sandwich's 2 (one per kernel), the majorant's, the 2 Hopf scans' and the 3 of
-        # V_monotone.  A warm one, of tolerances seen before at any --m, takes its seed-free rows from the memo:
-        # 12 and 3
+        # a cold verify suite: the 4 cap extremals' base values and the 3 radii of each ladder, and the 12
+        # sandwich profiles; its tail passes: the sandwich's 2 (one per kernel), the majorant's, the 2 Hopf
+        # scans' and the 3 of V_monotone.  A warm one, of tolerances seen before at any --m, takes its seed-free
+        # rows from the memo: 12 and 3
         package.verify._seed_free_rows.cache_clear()
         verify = [["verify", "--m", "2"], ["verify", "--m", "3", "--format", "json"]]
-        assert tool.count_calls([package, package], verify) == ([[20, 12], [12, 12]], [[8, 3], [3, 3]])
+        assert tool.count_calls([package, package], verify) == ([[28, 12], [12, 12]], [[8, 3], [3, 3]])
         assert tool.count_calls([package], [["constants", "--n", "3", "--a-grid", "0"]]) == ([[0]], [[0]])
         # an envelope table: one tail pass per dimension, for every cap of its c grid
         table = [["envelope", "--n", "2,8", "--c-grid", "0.3,1", "--r-grid=-0.5,0,0.9", "--kind", kind]

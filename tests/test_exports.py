@@ -1,9 +1,14 @@
-"""Every name a module exports has a caller in the package itself."""
+"""Every name a module exports has a caller in the package itself, and every private function the
+benchmark's tracer wraps is defined in the module where the tracer looks for it."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import ballschwarz
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _modules():
@@ -67,3 +72,18 @@ def test_the_one_private_import_between_modules_is_the_radius_convention():
         ("hilbert_ball", "errors", "_unit"), ("poisson", "errors", "_unit"), ("verify", "errors", "_unit"),
         ("disc", "errors", "_base_value"), ("envelope", "errors", "_base_value"), ("verify", "errors", "_base_value"),
     }
+
+
+def test_every_private_traced_function_is_defined_where_the_tracer_looks():
+    # the tracer wraps ``PRIVATE_TRACED[layer]`` only where ``fn.__module__`` is ``ballschwarz.<layer>``: a
+    # function moved to another module (or a name bound there by import) is skipped without a word, and its
+    # counts read 0
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    traced = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "PRIVATE_TRACED" for t in node.targets)]
+    assert len(traced) == 1 and traced[0]
+    for layer, names in traced[0].items():
+        module = importlib.import_module(f"ballschwarz.{layer}")
+        for name in names:
+            fn = getattr(module, name)
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__, (layer, name)

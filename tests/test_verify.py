@@ -388,17 +388,17 @@ def test_cap_extremal_ladders_keep_the_bits_of_three_point_calls():
         assert check_boundary_bound(case).lam.hex() == old.hex(), case.case_id
 
 
-def test_each_cap_extremal_ladder_is_one_engine_call_and_a_suite_makes_twenty(engine_calls):
+def test_each_cap_extremal_ladder_is_three_engine_calls_and_a_cold_suite_makes_twenty_eight(engine_calls):
     for n, a in [(2, 0.0), (3, 0.0), (3, 0.5), (4, -0.5)]:
         case = build_cap_extremal(n, 2, a)
         engine_calls.clear()
         check_boundary_bound(case)
-        assert engine_calls == ["integrate_rows"], case.case_id
+        assert engine_calls == ["integrate_rows"] * 3, case.case_id  # f at each radius of the ladder
     verify._seed_free_rows.cache_clear()
     engine_calls.clear()
     default_verification_suite()
-    # cold: per cap extremal its base value a and its ladder, then one call per sandwich profile
-    assert len(engine_calls) == 4 * 2 + 12
+    # cold: per cap extremal its base value a and its three ladder radii, then one call per sandwich profile
+    assert len(engine_calls) == 4 * 4 + 12 == 28
     engine_calls.clear()
     default_verification_suite(seed=3)
     # warm: the cap extremals come from the memo, so only the sandwich profiles reach the engine
@@ -406,7 +406,7 @@ def test_each_cap_extremal_ladder_is_one_engine_call_and_a_suite_makes_twenty(en
 
 
 def test_radial_sections_of_a_radius_are_floats_and_of_an_array_are_rows():
-    identity = ContactTestCase(3, lambda x: np.asarray(x, dtype=float), _axis(3), _axis(3), 0.0, "identity")
+    identity = ContactTestCase(lambda x: np.asarray(x, dtype=float), _axis(3), _axis(3), 0.0, "identity")
     radii = [0.999, 0.9995, 0.99975, -0.5, 0.0]
     for case in (build_cap_extremal(3, 2, 0.3), zonal_contact_case(4, 2, np.cos, (), "cosine"), identity):
         singles = [case.radial_section(r) for r in radii]
@@ -429,7 +429,6 @@ def test_cap_extremals_meet_the_betainc_bound_up_to_dimension_64(n, a):
 
 def test_identity_map_clears_bound():
     case = ContactTestCase(
-        n=3,
         f=lambda x: np.asarray(x, dtype=float),
         x0=_axis(3),
         y0=_axis(3),
@@ -438,7 +437,7 @@ def test_identity_map_clears_bound():
     )
     report = check_boundary_bound(case)
     assert report.lam == pytest.approx(1.0, abs=1e-10)
-    assert report.bound < 1.0
+    assert report.bound == boundary_derivative_harmonic(3, 0.0) < 1.0  # n is the dimension of x0
     assert report.passed
 
 
@@ -547,7 +546,7 @@ def test_the_sandwich_of_six_profiles_has_the_bits_of_each_profile_alone(kind):
 
 def test_a_suite_makes_eight_tail_passes_two_of_them_for_the_sandwich(engine_calls, monkeypatch):
     # per kernel, the six sandwich profiles in one envelope_rows pass; then one pass for the majorant, one per
-    # Hopf scan and one per V_monotone dimension; the engine calls stay at 20
+    # Hopf scan and one per V_monotone dimension; a cold suite makes 28 engine calls and a warm one 12
     passes, sandwich = [], []
     one_pass, all_caps = envelope._tail_quotient, verify.envelope_rows
 
@@ -566,7 +565,7 @@ def test_a_suite_makes_eight_tail_passes_two_of_them_for_the_sandwich(engine_cal
     assert sandwich == [(HARM, 6, 20), (HYP, 6, 20)]
     # the memo's Hopf scans and V_monotone dimensions are built before the seeded rows
     assert passes == [(HYP, 3), (HYP, 4), (HARM, 2), (HARM, 3), (HARM, 4), (HARM, 3), (HYP, 3), (HARM, 3)]
-    assert len(engine_calls) == 20
+    assert len(engine_calls) == 28
     # warm: only the seeded rows' passes, the sandwich's two and the majorant's
     del passes[:], sandwich[:], engine_calls[:]
     assert all(report.passed for report in default_verification_suite(seed=3))
@@ -598,7 +597,8 @@ def test_seed_free_rows_are_the_bits_of_a_cold_suite_at_every_seed(m):
 
 @pytest.mark.parametrize("m", [3, 1000])
 def test_cap_extremal_rows_read_no_target_dimension(m):
-    # a zonal case's section is its on-axis extension, which never reads y0: the memo builds these rows at m = 2
+    # a zonal case's map is its value times y0 = e_1, so its section is that value at every m: the memo builds
+    # these rows at m = 2
     for n, a in [(2, 0.0), (3, 0.0), (3, 0.5), (4, -0.5)]:
         wide, narrow = (check_boundary_bound(build_cap_extremal(n, dim, a)) for dim in (m, 2))
         assert _row(wide) == _row(narrow)
@@ -614,7 +614,7 @@ def test_another_config_misses_the_memo_and_another_dimension_hits_it(engine_cal
         engine_calls.clear()
         default_verification_suite(seed=5, config=config, target_dim=m)
         assert verify._seed_free_rows.cache_info().misses == misses + cold, (config, m)
-        assert len(engine_calls) == (20 if cold else 12), (config, m)
+        assert len(engine_calls) == (28 if cold else 12), (config, m)
 
 
 def test_a_returned_report_cannot_reach_the_memo():
@@ -885,7 +885,6 @@ def test_margin_report_relations():
 def test_contact_case_validation():
     with pytest.raises(DomainError):
         ContactTestCase(
-            n=3,
             f=lambda x: x,
             x0=np.array([0.5, 0.0, 0.0]),
             y0=_axis(3),
@@ -906,9 +905,11 @@ _NAN_BASE = r"^base value must lie in \(-1, 1\), got nan$"
     (lambda: ZonalBoundaryData(3, _NAN_UNIT, np.cos), r"^zonal axis must be a unit vector to 1e-14, got norm nan$"),
     (lambda: zonal_contact_case(3, 2, lambda t: np.where(t <= 1.0, 1.0, -1.0), (1.0,), "x", axis=_NAN_UNIT),
      r"^zonal axis must be a unit vector to 1e-14, got norm nan$"),
-    (lambda: ContactTestCase(3, np.asarray, _NAN_UNIT, _axis(3), 0.0, "x0"),
+    (lambda: ContactTestCase(np.asarray, _NAN_UNIT, _axis(3), 0.0, "x0"),
      r"^contact point x0 must be a unit vector to 1e-12, got norm nan$"),
-    (lambda: ContactTestCase(3, np.asarray, _axis(3), _NAN_UNIT, 0.0, "y0"),
+    (lambda: ContactTestCase(np.asarray, [_axis(3)], _axis(3), 0.0, "x0-batch"),
+     r"^contact point x0 must be one vector, got shape \(1, 3\)$"),
+    (lambda: ContactTestCase(np.asarray, _axis(3), _NAN_UNIT, 0.0, "y0"),
      r"^target point y0 must be a unit vector to 1e-12, got norm nan$"),
     (lambda: check_mobius_precomposition([0.3, 0.0], z0=[math.nan, 0.0]),
      r"^contact point z0 must be a unit vector to 1e-12, got norm nan$"),
@@ -923,7 +924,7 @@ _NAN_BASE = r"^base value must lie in \(-1, 1\), got nan$"
      r"^contact point z0 must have the shape of xi, \(2,\), got \(3,\)$"),
     (lambda: check_mobius_precomposition([0.3, 0.0], z0=[1.0]), r"^contact point z0 must have the shape of xi, \(2,\), got \(1,\)$"),
     (lambda: _base_value(math.nan), _NAN_BASE),
-    (lambda: ContactTestCase(3, np.asarray, _axis(3), _axis(3), math.nan, "a"), _NAN_BASE),
+    (lambda: ContactTestCase(np.asarray, _axis(3), _axis(3), math.nan, "a"), _NAN_BASE),
     (lambda: build_cap_extremal(3, 2, math.nan), _NAN_BASE),
     (lambda: DiscCapExtremal(math.nan), _NAN_BASE),
     (lambda: boundary_derivative_harmonic(3, math.nan), _NAN_BASE),
@@ -935,14 +936,17 @@ _NAN_BASE = r"^base value must lie in \(-1, 1\), got nan$"
      r"^radius must be a number, got np\.str_\('0\.5'\)$"),
     (lambda: _RADIUS_TAKERS["zonal_extension_on_axis"]([0.2, "0.5"]), r"^radius must be a number, got '0\.5'$"),
     (lambda: check_envelope_sandwich(HARM, [], [0.5]), r"^envelope sandwich needs at least one profile, got none$"),
-], ids=["unit", "axis", "contact-axis", "x0", "y0", "z0", "a", "b", "xi", "xi-batch", "precomposition-xi-batch",
+    (lambda: check_envelope_sandwich(HARM, [random_zonal_profile(np.random.default_rng(0), 3)], []),
+     r"^envelope sandwich needs at least one radius, got none$"),
+], ids=["unit", "axis", "contact-axis", "x0", "x0-batch", "y0", "z0", "a", "b", "xi", "xi-batch", "precomposition-xi-batch",
         "precomposition-z0-longer", "precomposition-z0-shorter", "base-value", "contact-base", "cap-extremal-base", "disc-base", "D_n-base", "planar-base", "text-radius", "bytes-radius",
-        "numpy-text-radius", "text-radii", "text-among-radii", "no-sandwich-profile"])
+        "numpy-text-radius", "text-radii", "text-among-radii", "no-sandwich-profile", "no-sandwich-radius"])
 def test_nan_fails_every_unit_vector_and_ball_check(build, message):
     # each check compares as "not within tolerance", which NaN cannot pass; the unit vectors and the base
     # values each take their one rule and its text from errors.  The shared radius rule also refuses text,
-    # which float() would parse, naming the caller's value, the sandwich a call with no profile, and the
-    # precomposition a batch of xi or a z0 of another dimension, naming the shape
+    # which float() would parse, naming the caller's value, the sandwich a call with no profile or no radius,
+    # and the precomposition a batch of xi or a z0 of another dimension and a contact case a batch of x0, naming
+    # the shape
     with pytest.raises(DomainError, match=message):
         build()
 

@@ -29,8 +29,9 @@ built).  The counts are taken in the process of the timed rounds, after
 them, so they show the work of a warm call: a tree that keeps the
 ``verify`` suite's seed-free rows per tolerances (whatever the
 ``--m``) shows 12 engine calls and 3 tail passes per ``verify`` call.  A
-cold suite, the first of its tolerances in a process, makes 20 and 8, as
-every suite of a tree without that memo does.
+cold suite, the first of its tolerances in a process, makes 28 and 8 (one
+engine call per radius of each cap extremal's ladder), as every suite of
+a tree without that memo does.
 Exit status 1 when a call's exit code, stdout or stderr (a point's value
 ``repr`` or error) differs between the trees in any round, 0 otherwise.
 """
